@@ -26,10 +26,11 @@ test:
 # serially and with 8 workers, with the deterministic tables (headline
 # and Table 1) required byte-identical: worker scheduling over the
 # copy-on-write kernel clones must never leak into results; the
-# signed-manifest and no-compile smokes under the race detector (a
+# signed-manifest and wire-contract smokes under the race detector (a
 # pinned key must admit the right publisher and refuse unsigned or
-# tampered manifests, and a warm-store subscriber must apply a whole
-# release with zero unit compilations); the fleet smoke under the race
+# tampered manifests, and a fresh subscriber must reach the head with
+# one manifest request, one whole tarball, and a delta per later
+# update); the fleet smoke under the race
 # detector — canary-ring rollouts across all four releases with
 # injected faults: a recoverable-fault fleet (joins, leaves, slow
 # machines) must converge, and a 64-client fleet with a fault burst in
@@ -52,7 +53,7 @@ check:
 	$(GO) test -race ./internal/telemetry
 	$(GO) test -race -run 'UnitCache|CreateUpdateDeterministic|DiskWarmStart|EvictionUnderPressure|BuildParallel|Concurrent|Corrupt|GC' ./internal/srctree ./internal/core ./internal/store
 	$(GO) test -race -run 'ChaosSoak' ./internal/channel
-	$(GO) test -race -run 'SignedChannel|Refuses|SignatureTamper|NoCompileWarmStore' ./internal/channel
+	$(GO) test -race -run 'SignedChannel|Refuses|SignatureTamper|FreshSubscribeWireContract' ./internal/channel
 	$(GO) test -race -run 'TestFleet' ./internal/fleet
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt
@@ -126,6 +127,6 @@ bench:
 # so the record carries the counters behind the custom metrics. Commit
 # BENCH_eval.json to track the trend across PRs.
 bench-json:
-	GOSPLICE_TELEMETRY_OUT=$$(pwd)/BENCH_telemetry.json $(GO) test -run '^$$' -bench 'BenchmarkEvalAll64|BenchmarkPrePostDiff|BenchmarkKernelBuild|BenchmarkChannelSubscribePrebuilt|BenchmarkChannelSubscribeSourceBuild|BenchmarkChannelDeltaBandwidth|BenchmarkFleetRollout|BenchmarkCrashRecovery' -benchmem > BENCH_eval.txt
+	GOSPLICE_TELEMETRY_OUT=$$(pwd)/BENCH_telemetry.json $(GO) test -run '^$$' -bench 'BenchmarkEvalAll64|BenchmarkPrePostDiff|BenchmarkKernelBuild|BenchmarkChannelSubscribeSourceBuild|BenchmarkChannelDeltaBandwidth|BenchmarkFleetRollout|BenchmarkCrashRecovery' -benchmem > BENCH_eval.txt
 	$(GO) run ./cmd/benchjson -in BENCH_eval.txt -telemetry BENCH_telemetry.json -out BENCH_eval.json
 	rm -f BENCH_eval.txt BENCH_telemetry.json

@@ -479,8 +479,8 @@ func BenchmarkKernelBuildIncremental(b *testing.B) {
 
 // --- Channel distribution benchmarks (section 8 at fleet scale) ---
 
-// publishBenchChannel publishes version's full CVE series (prebuilt
-// artifacts and deltas included) into a fresh directory.
+// publishBenchChannel publishes version's full CVE series (tarball
+// deltas included) into a fresh directory.
 func publishBenchChannel(b *testing.B, version string) string {
 	b.Helper()
 	dir := b.TempDir()
@@ -503,30 +503,15 @@ type benchNullBlobs struct{}
 func (benchNullBlobs) Get(string) ([]byte, bool) { return nil, false }
 func (benchNullBlobs) Put(string, []byte)        {}
 
-// benchSubscribe boots a fresh machine against an empty build store and
-// subscribes it to the channel over HTTP, returning nothing but failing
-// the bench if the machine does not reach the head. prebuilt selects the
-// tentpole path (install artifacts, reconstruct deltas) versus the
-// source-build, full-fetch baseline.
-func benchSubscribe(b *testing.B, url, version string, nCVEs int, prebuilt bool) {
+// benchSubscribe boots a fresh machine against an empty build store —
+// building the release from source — and subscribes it to the channel
+// over HTTP, fetching every tarball whole; it fails the bench if the
+// machine does not reach the head.
+func benchSubscribe(b *testing.B, url, version string, nCVEs int) {
 	b.Helper()
 	prev := srctree.SetStore(store.MustNew(store.Options{}))
 	defer srctree.SetStore(prev)
 	tr := channel.NewHTTPTransport(url, channel.HTTPOptions{})
-	opts := channel.SubscribeOptions{}
-	if prebuilt {
-		opts.Blobs = channel.NewMemBlobCache()
-		m, err := tr.Manifest(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if st := channel.InstallBasePrebuilt(context.Background(), tr, m, opts.Blobs); st.Failed > 0 {
-			b.Fatalf("install: %+v", st)
-		}
-	} else {
-		opts.NoPrebuilt = true
-		opts.Blobs = benchNullBlobs{}
-	}
 	br, err := srctree.BuildCached(cvedb.Tree(version), codegen.KernelBuild())
 	if err != nil {
 		b.Fatal(err)
@@ -539,7 +524,7 @@ func benchSubscribe(b *testing.B, url, version string, nCVEs int, prebuilt bool)
 	if err != nil {
 		b.Fatal(err)
 	}
-	applied, err := channel.Subscribe(context.Background(), tr, core.NewManager(k), 0, opts)
+	applied, err := channel.Subscribe(context.Background(), tr, core.NewManager(k), 0, channel.SubscribeOptions{Blobs: benchNullBlobs{}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -548,35 +533,8 @@ func benchSubscribe(b *testing.B, url, version string, nCVEs int, prebuilt bool)
 	}
 }
 
-// BenchmarkChannelSubscribePrebuilt measures the tentpole end to end: a
-// brand-new machine (empty build store) subscribes over HTTP to a
-// prebuilt channel — artifacts installed from blobs, tarballs
-// reconstructed from binary deltas, zero compiler invocations. Compare
-// ns/op against BenchmarkChannelSubscribeSourceBuild for the latency
-// win and wire-bytes/subscribe for the bandwidth win.
-func BenchmarkChannelSubscribePrebuilt(b *testing.B) {
-	version := cvedb.Versions[0]
-	nCVEs := len(cvedb.ForVersion(version))
-	srv := httptest.NewServer(channel.NewServer(publishBenchChannel(b, version)))
-	defer srv.Close()
-	before := telemetry.Default().Snapshot()
-	c0 := srctree.Counters()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSubscribe(b, srv.URL, version, nCVEs, true)
-	}
-	b.StopTimer()
-	after := telemetry.Default().Snapshot()
-	c1 := srctree.Counters()
-	wire := after.Counter("gosplice_channel_bytes_over_wire_total") - before.Counter("gosplice_channel_bytes_over_wire_total")
-	b.ReportMetric(float64(wire)/float64(b.N), "wire-bytes/subscribe")
-	b.ReportMetric(float64(after.Counter("gosplice_channel_delta_applied_total")-before.Counter("gosplice_channel_delta_applied_total"))/float64(b.N), "deltas-applied/subscribe")
-	b.ReportMetric(float64(c1.UnitMisses-c0.UnitMisses)/float64(b.N), "unit-compiles/subscribe")
-}
-
-// BenchmarkChannelSubscribeSourceBuild is the pre-artifact baseline: the
-// same new machine builds the release from source and fetches every
-// tarball whole.
+// BenchmarkChannelSubscribeSourceBuild: a new machine builds the
+// release from source and fetches every tarball whole.
 func BenchmarkChannelSubscribeSourceBuild(b *testing.B) {
 	version := cvedb.Versions[0]
 	nCVEs := len(cvedb.ForVersion(version))
@@ -585,7 +543,7 @@ func BenchmarkChannelSubscribeSourceBuild(b *testing.B) {
 	before := telemetry.Default().Snapshot()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSubscribe(b, srv.URL, version, nCVEs, false)
+		benchSubscribe(b, srv.URL, version, nCVEs)
 	}
 	b.StopTimer()
 	after := telemetry.Default().Snapshot()
@@ -732,8 +690,8 @@ func nextStackPatch(depth int) string {
 // rings, health-gated promotion over /fleet/health) across a
 // mixed-release fleet each iteration, against pre-published channels.
 // clients/sec is the fleet convergence rate; wire-bytes/rollout is the
-// total content the fleet pulled (deltas and prebuilt artifacts doing
-// their work at fleet scale).
+// total content the fleet pulled (tarball deltas doing their work at
+// fleet scale).
 func BenchmarkFleetRollout(b *testing.B) {
 	dirs := map[string]string{}
 	for _, v := range cvedb.Versions {
@@ -790,11 +748,10 @@ func BenchmarkCrashRecovery(b *testing.B) {
 			b.Fatal(err)
 		}
 		cl, err := channel.NewClient(channel.ClientConfig{
-			Name:       "crash-bench",
-			Transport:  tr,
-			StateDir:   stateDir,
-			Crash:      hook,
-			NoPrebuilt: true,
+			Name:      "crash-bench",
+			Transport: tr,
+			StateDir:  stateDir,
+			Crash:     hook,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -16,11 +16,9 @@
 // /debug/vars (JSON) for live introspection; -scrape fetches a running
 // server's exposition and validates it.
 //
-// Publishing also emits the release's prebuilt build artifacts and
-// binary deltas between adjacent positions (disable with -no-prebuilt),
-// so a subscriber fetches only the blobs it is missing — reconstructing
-// most from deltas — and boots and applies without invoking the
-// compiler. With -sign-key each manifest carries an offline ed25519
+// Publishing also emits a binary delta from each tarball to the next,
+// so a subscriber that holds the previous update fetches only the
+// delta. With -sign-key each manifest carries an offline ed25519
 // signature; a subscriber started with -verify-key refuses manifests
 // that are unsigned or signed by anyone else.
 //
@@ -78,7 +76,6 @@ func main() {
 	keygen := flag.String("keygen", "", "generate an ed25519 signing key pair at this path (and .pub) and exit")
 	signKey := flag.String("sign-key", "", "sign published manifests with this ed25519 key file (publish)")
 	verifyKey := flag.String("verify-key", "", "refuse manifests not signed by this public key file (subscribe)")
-	noPrebuilt := flag.Bool("no-prebuilt", false, "publish: emit no prebuilt artifacts or deltas; subscribe: build from source")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this extra address (host:0 picks a port); -serve exposes them on -addr regardless")
 	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
 	fleetAgg := flag.Bool("fleet", false, "serve: also aggregate pushed fleet telemetry (/fleet/report, /fleet/health, /fleet/history, /fleet/events, /fleet/trace)")
@@ -126,11 +123,11 @@ func main() {
 	case *keygen != "":
 		doKeygen(*keygen)
 	case *publish:
-		doPublish(*dir, *version, *cveID, *signKey, *noPrebuilt)
+		doPublish(*dir, *version, *cveID, *signKey)
 	case *serve:
 		doServe(*dir, *addr, *fleetAgg)
 	case *subscribe:
-		doSubscribe(*dir, *url, *statePath, *verifyKey, *noPrebuilt, *timeout, *retries, apply, *pushReport)
+		doSubscribe(*dir, *url, *statePath, *verifyKey, *timeout, *retries, apply, *pushReport)
 	case *scrape != "":
 		doScrape(*scrape, *timeout)
 	case *checkTrace != "":
@@ -152,7 +149,7 @@ func doKeygen(path string) {
 	fmt.Printf("public key: %s\n", k.PublicHex())
 }
 
-func doPublish(dir, version, cveID, signKeyPath string, noPrebuilt bool) {
+func doPublish(dir, version, cveID, signKeyPath string) {
 	if version == "" {
 		fatal(fmt.Errorf("-publish needs -version"))
 	}
@@ -160,7 +157,6 @@ func doPublish(dir, version, cveID, signKeyPath string, noPrebuilt bool) {
 	if err != nil {
 		fatal(err)
 	}
-	pub.NoPrebuilt = noPrebuilt
 	if signKeyPath != "" {
 		if pub.SignKey, err = channel.LoadSignKey(signKeyPath); err != nil {
 			fatal(err)
@@ -292,7 +288,7 @@ func doScrape(url string, timeout time.Duration) {
 	fmt.Printf("scraped %s: valid exposition, %d families (store, channel, and eval all present)\n", url, len(families))
 }
 
-func doSubscribe(dir, url, statePath, verifyKeyPath string, noPrebuilt bool, timeout time.Duration, retries int, apply core.ApplyOptions, pushReport string) {
+func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duration, retries int, apply core.ApplyOptions, pushReport string) {
 	// Ctrl-C cancels the subscribe cleanly: the client exits mid-backoff
 	// in milliseconds, the machine keeps the position it reached, and the
 	// state file records exactly the updates that are live.
@@ -314,11 +310,10 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, noPrebuilt bool, tim
 
 	stateDir := filepath.Dir(statePath)
 	cfg := channel.ClientConfig{
-		Name:       "ksplice-channel",
-		Transport:  tr,
-		StateDir:   stateDir,
-		Apply:      apply,
-		NoPrebuilt: noPrebuilt,
+		Name:      "ksplice-channel",
+		Transport: tr,
+		StateDir:  stateDir,
+		Apply:     apply,
 	}
 	if verifyKeyPath != "" {
 		if cfg.VerifyKey, err = channel.LoadVerifyKey(verifyKeyPath); err != nil {
@@ -379,18 +374,11 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, noPrebuilt bool, tim
 			rec.Position, rec.TornRecords, rec.Pending != nil)
 	}
 
-	// Warm the local build store from the channel BEFORE replaying the
-	// machine: on a prebuilt channel, booting the kernel and applying
-	// its recorded updates then hit the store instead of the compiler.
-	// Install failures degrade to source builds inside Replay, never to
-	// an error — but a manifest that fails the pinned key is refused
-	// outright, exactly as Subscribe would refuse it.
-	if _, is, err := cl.InstallBase(ctx); err == nil {
-		if is.Installed+is.Hits+is.Failed > 0 {
-			fmt.Printf("prebuilt artifacts: %d installed, %d already held, %d falling back to source build\n",
-				is.Installed, is.Hits, is.Failed)
-		}
-	} else if strings.Contains(err.Error(), "refusing manifest") {
+	// Check the manifest against the pinned key BEFORE replaying the
+	// machine: a manifest from the wrong publisher is refused outright,
+	// exactly as Subscribe would refuse it. An unreachable channel is not
+	// fatal here — the sync below degrades to the position reached.
+	if _, _, err := cl.InstallBase(ctx); err != nil && strings.Contains(err.Error(), "refusing manifest") {
 		fatal(err)
 	}
 	_, mgr, err := st.Replay(apply)

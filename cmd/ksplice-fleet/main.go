@@ -58,7 +58,6 @@ func main() {
 	stress := flag.Int("stress", 25, "post-sync stress probe rounds per machine (-1 disables)")
 	pushEvery := flag.Duration("push-every", 0, "periodic telemetry push interval during sync (0 = push after sync only)")
 	workDir := flag.String("work", "", "directory for published channels (default: a temp dir)")
-	noPrebuilt := flag.Bool("no-prebuilt", false, "machines compile from source instead of installing prebuilt artifacts")
 	expect := flag.String("expect", "", "assert the outcome: \"converge\" or \"halt\"")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this loopback address during the rollout")
 	traceOut := flag.String("trace-out", "", "write the merged fleet Chrome trace (member + server spans) to this file on exit")
@@ -77,7 +76,6 @@ func main() {
 		Leaves:       *leaves,
 		StressRounds: *stress,
 		PushInterval: *pushEvery,
-		NoPrebuilt:   *noPrebuilt,
 		KillEvery:    *killEvery,
 		KillPoint:    *killPoint,
 		StateRoot:    *stateRoot,

@@ -1,6 +1,10 @@
 package channel
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"gosplice/internal/core"
@@ -129,6 +133,73 @@ func TestPublisherResume(t *testing.T) {
 	// Wrong-release resume is rejected.
 	if _, err := NewPublisher(dir, cvedb.Tree(cvedb.Versions[1])); err == nil {
 		t.Error("cross-release resume accepted")
+	}
+}
+
+// TestNewPublisherRefusesBadManifest: a channel.json that does not parse
+// or does not match its self-digest is an error, never a fresh channel —
+// restarting at position 0 would strand every subscriber past it. The
+// manifest on disk is left exactly as it was.
+func TestNewPublisherRefusesBadManifest(t *testing.T) {
+	version := cvedb.Versions[0]
+	c := cvedb.ForVersion(version)[0]
+	good := t.TempDir()
+	pub, err := NewPublisher(good, cvedb.Tree(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish("u0", c.ID, c.Patch()); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(good, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := bytes.Replace(b, []byte(`"`+c.ID+`"`), []byte(`"CVE-0000-0000"`), 1)
+	if bytes.Equal(tampered, b) {
+		t.Fatal("tampering changed nothing")
+	}
+	for name, bad := range map[string][]byte{
+		"truncated":       b[:len(b)/2],
+		"digest-mismatch": tampered,
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, manifestName)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPublisher(dir, cvedb.Tree(version)); err == nil {
+			t.Errorf("%s: NewPublisher accepted a bad manifest as a fresh channel", name)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, bad) {
+			t.Errorf("%s: the bad manifest was overwritten", name)
+		}
+	}
+}
+
+// TestDecodeManifestRefusesLegacyFields: a manifest from a build that
+// still shipped prebuilt build artifacts is refused with an error that
+// names the field — by DecodeManifest and by a publisher resuming the
+// directory — rather than a misleading digest mismatch.
+func TestDecodeManifestRefusesLegacyFields(t *testing.T) {
+	version := cvedb.Versions[0]
+	for field, doc := range map[string]string{
+		"prebuilt": `{"kernel_version":"` + version + `","updates":[],` +
+			`"prebuilt":[{"kind":"unit","store_key":"k","sha256":"00","size":1}],"digest":"00"}`,
+		"artifacts": `{"kernel_version":"` + version + `","updates":[{"name":"u0","file":"u0.tar",` +
+			`"patch_lines":1,"sha256":"00","size":1,"artifacts":[]}],"digest":"00"}`,
+	} {
+		_, err := DecodeManifest([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), `"`+field+`"`) || strings.Contains(err.Error(), "digest") {
+			t.Errorf("%s: DecodeManifest error %v, want one naming the field", field, err)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPublisher(dir, cvedb.Tree(version)); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
+			t.Errorf("%s: NewPublisher error %v, want one naming the field", field, err)
+		}
 	}
 }
 

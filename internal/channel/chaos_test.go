@@ -55,9 +55,8 @@ func chaosProbe(k *kernel.Kernel, c *cvedb.CVE) (int64, error) {
 // of each release gets explicit server-side faults covering every class;
 // member 1 gets a hostile client (including a hard mid-channel Error the
 // transport cannot retry away, forcing the graceful-stop path); member 2
-// is the prebuilt+delta subscriber, under seeded server faults that land
-// on artifact and delta blob fetches as well as tarballs. Seeded extras
-// differ per member.
+// is the delta subscriber, under seeded server faults that land on delta
+// blob fetches as well as tarballs. Seeded extras differ per member.
 func memberPlans(release, member int) (server, client *faultinject.Plan) {
 	seed := int64(1000*release + member)
 	switch member {
@@ -79,7 +78,7 @@ func memberPlans(release, member int) (server, client *faultinject.Plan) {
 }
 
 // nullBlobCache never holds anything: the delta base is always missing,
-// so legacy members fall back to full tarball fetches on the /updates
+// so full-fetch members fall back to whole tarballs on the /updates
 // route — the exact byte-for-byte fetch sequence the soak has always
 // exercised its fault schedules against.
 type nullBlobCache struct{}
@@ -291,11 +290,9 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 					},
 				}
 				if mi < 2 {
-					// Legacy members: no prebuilt install and no delta
-					// bases, so their fault schedules align with manifest
-					// and tarball operations exactly as before artifacts
-					// existed.
-					opts.NoPrebuilt = true
+					// Full-fetch members: no delta bases, so their fault
+					// schedules align with manifest and tarball operations
+					// only.
 					opts.Blobs = nullBlobCache{}
 				}
 				applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, opts)
@@ -438,18 +435,14 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 	if delta("gosplice_channel_subscribe_degraded_total") < uint64(len(cvedb.Versions)) {
 		t.Errorf("telemetry: fewer graceful degradations than hostile-client members")
 	}
-	// Prebuilt/delta invariants: the member-2 subscribers reconstructed
-	// tarballs from deltas over the blob route and hit the warm local
-	// build store; the null-cache legacy members exercised the
-	// missing-base full-fetch fallback on every advertised delta.
+	// Delta invariants: the member-2 subscribers reconstructed tarballs
+	// from deltas over the blob route; the null-cache members exercised
+	// the missing-base full-fetch fallback on every advertised delta.
 	if delta("gosplice_channel_delta_applied_total") == 0 {
 		t.Errorf("telemetry: no delta reconstructions despite delta subscribers")
 	}
 	if delta("gosplice_channel_delta_fallback_full_total") == 0 {
 		t.Errorf("telemetry: no full-fetch fallbacks despite members with no delta bases")
-	}
-	if delta("gosplice_channel_blob_prebuilt_hits_total") == 0 {
-		t.Errorf("telemetry: no prebuilt store hits despite warm-store subscribers")
 	}
 	if delta("gosplice_channel_bytes_over_wire_total") == 0 {
 		t.Errorf("telemetry: wire byte counter never moved")

@@ -57,14 +57,12 @@ type ClientConfig struct {
 	// gives each member its own tracer so its Pusher ships exactly that
 	// member's spans upstream.
 	Tracer *telemetry.Tracer
-	// Apply, FetchRetries, VerifyKey, NoPrebuilt, OnApplied, OnInstalled
-	// pass through to Subscribe.
+	// Apply, FetchRetries, VerifyKey, OnApplied pass through to
+	// Subscribe.
 	Apply        core.ApplyOptions
 	FetchRetries int
 	VerifyKey    VerifyKey
-	NoPrebuilt   bool
 	OnApplied    func(e Entry, b []byte) error
-	OnInstalled  func(InstallStats)
 	// Throttle, when > 0, sleeps this long after every applied update —
 	// how a fleet simulates slow machines. The sleep respects the Sync
 	// context.
@@ -373,9 +371,7 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 		Apply:        c.cfg.Apply,
 		FetchRetries: c.cfg.FetchRetries,
 		VerifyKey:    c.cfg.VerifyKey,
-		NoPrebuilt:   c.cfg.NoPrebuilt,
 		Blobs:        c.blobs,
-		OnInstalled:  c.cfg.OnInstalled,
 		Registry:     c.reg,
 	}
 	if c.state != nil {
@@ -457,12 +453,16 @@ func (c *Client) Rollback(to int) (int, error) {
 	}
 }
 
-// InstallBase warms the local build store with the channel's base
-// prebuilt artifact set (verifying the manifest signature first when a
-// key is pinned) — what a subscriber runs before booting its machine,
-// so the boot hits the store instead of the compiler. Returns the
-// manifest alongside the install summary; on a NoPrebuilt client it
-// only fetches and verifies the manifest.
+// InstallStats is what InstallBase installed: nothing, since the
+// channel ships update tarballs only. It remains so the InstallBase
+// signature callers compile against stays stable.
+type InstallStats struct{}
+
+// InstallBase fetches the channel manifest and, when a key is pinned,
+// verifies its signature — what a subscriber runs before booting its
+// machine, so a manifest from the wrong publisher is refused before
+// anything else happens. The machine's base kernel is its own: the
+// channel ships no build artifacts for it.
 func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, error) {
 	var st InstallStats
 	ctx, done, err := c.syncCtx(ctx)
@@ -478,9 +478,6 @@ func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, erro
 		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
 			return nil, st, fmt.Errorf("channel: refusing manifest: %w", err)
 		}
-	}
-	if !c.cfg.NoPrebuilt {
-		st = installArtifacts(ctx, c.t, m, m.Prebuilt, c.blobs, c.ms)
 	}
 	return m, st, nil
 }

@@ -127,8 +127,8 @@ func (h mHistogram) ObserveDuration(d time.Duration) {
 
 // clientMetrics is one subscriber's view of the client-side families:
 // transport behaviour (retries, backoff, resumes), end-to-end integrity
-// (refetches), subscribe outcomes (applied, degraded), and the
-// prebuilt/delta machinery (hits, deltas, fallbacks, wire bytes).
+// (refetches), subscribe outcomes (applied, degraded), and the delta
+// machinery (deltas, fallbacks, wire bytes).
 type clientMetrics struct {
 	reg *telemetry.Registry
 
@@ -137,7 +137,6 @@ type clientMetrics struct {
 	refetches      mCounter
 	applied        mCounter
 	degraded       mCounter
-	prebuiltHits   mCounter
 	deltaApplied   mCounter
 	deltaFallback  mCounter
 	bytesOverWire  mCounter
@@ -162,14 +161,12 @@ func clientHelps(r *telemetry.Registry) {
 		"channel updates verified and applied by subscribers in this process")
 	r.Help(MetricDegraded,
 		"subscribes that stopped before the channel head (PositionError)")
-	r.Help("gosplice_channel_blob_prebuilt_hits_total",
-		"advertised prebuilt artifacts the local build store already held (nothing fetched)")
 	r.Help("gosplice_channel_delta_applied_total",
 		"blobs reconstructed from a binary delta instead of fetched whole")
 	r.Help(MetricDeltaFallback,
 		"delta reconstructions abandoned (base missing, delta corrupt, or wrong result) in favour of a full fetch")
 	r.Help(MetricBytesOverWire,
-		"content bytes subscribers pulled through a Transport (tarballs, artifacts, deltas)")
+		"content bytes subscribers pulled through a Transport (tarballs and deltas)")
 	r.Help(MetricPosition,
 		"the machine's channel position (updates applied)")
 	r.Help(MetricRecoveries,
@@ -190,7 +187,6 @@ func newClientMetrics(reg *telemetry.Registry, mirror *clientMetrics) *clientMet
 	cm.refetches.own = reg.Counter(MetricRefetches)
 	cm.applied.own = reg.Counter(MetricApplied)
 	cm.degraded.own = reg.Counter(MetricDegraded)
-	cm.prebuiltHits.own = reg.Counter("gosplice_channel_blob_prebuilt_hits_total")
 	cm.deltaApplied.own = reg.Counter("gosplice_channel_delta_applied_total")
 	cm.deltaFallback.own = reg.Counter(MetricDeltaFallback)
 	cm.bytesOverWire.own = reg.Counter(MetricBytesOverWire)
@@ -204,7 +200,6 @@ func newClientMetrics(reg *telemetry.Registry, mirror *clientMetrics) *clientMet
 		cm.refetches.mirror = mirror.refetches.own
 		cm.applied.mirror = mirror.applied.own
 		cm.degraded.mirror = mirror.degraded.own
-		cm.prebuiltHits.mirror = mirror.prebuiltHits.own
 		cm.deltaApplied.mirror = mirror.deltaApplied.own
 		cm.deltaFallback.mirror = mirror.deltaFallback.own
 		cm.bytesOverWire.mirror = mirror.bytesOverWire.own

@@ -17,15 +17,15 @@ import (
 //
 //	GET /channel.json      the manifest (with its self-digest)
 //	GET /updates/<file>    a tarball by manifest file name
-//	GET /blob/<sha256>     any advertised content by digest: a tarball,
-//	                       a prebuilt artifact, or a binary delta
+//	GET /blob/<sha256>     any advertised content by digest: a tarball
+//	                       or a binary delta
 //	GET /metrics           Prometheus text exposition (live, process-wide)
 //	GET /debug/vars        JSON telemetry snapshot
 //
 // Every content response — tarball or blob — goes through one helper
 // that supports Range requests and serves the content digest as a
-// strong ETag, so a subscriber whose download was cut short (including
-// a large prebuilt image) resumes from the last good byte instead of
+// strong ETag, so a subscriber whose download was cut short resumes
+// from the last good byte instead of
 // refetching the whole thing. The manifest is re-read per request, so a
 // publisher appending to the directory is picked up immediately, and only
 // files the manifest names are ever served (no path traversal).
@@ -169,8 +169,8 @@ func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, file string
 }
 
 // serveBlob serves one content-addressed blob: an update tarball by its
-// digest, or a prebuilt artifact / binary delta from blobs/. Only
-// digests the manifest advertises are ever served.
+// digest, or a binary delta from blobs/. Only digests the manifest
+// advertises are ever served.
 func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, digest string) {
 	m, err := ReadManifest(s.Dir)
 	if err != nil {
@@ -192,8 +192,8 @@ func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, digest string
 	http.NotFound(w, r)
 }
 
-// serveVerifiable is the one code path every tarball, artifact, and
-// delta response goes through: a bytes.Reader hands ServeContent a size
+// serveVerifiable is the one code path every tarball and delta
+// response goes through: a bytes.Reader hands ServeContent a size
 // and a Seek (that is what makes client Range resume work after a
 // truncation), and the content digest doubles as a strong ETag so
 // revalidations come back 304. rel is the file's path under Dir; name

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"gosplice/internal/core"
+	"gosplice/internal/diffutil"
 	"gosplice/internal/telemetry"
 )
 
@@ -41,16 +42,10 @@ type SubscribeOptions struct {
 	// subscribe is refused outright — a hard error, not a PositionError,
 	// because an unauthenticated manifest is an attack, not an outage.
 	VerifyKey VerifyKey
-	// NoPrebuilt skips installing the channel's advertised prebuilt
-	// artifacts into the local build store (the machine then compiles
-	// from source, as subscribers always did).
-	NoPrebuilt bool
 	// Blobs, when non-nil, is the machine's persistent blob cache (see
 	// DirBlobCache); it is what lets binary deltas chain across separate
 	// Subscribe calls. nil uses a cache that lives for this call only.
 	Blobs BlobCache
-	// OnInstalled, when non-nil, receives the prebuilt install summary.
-	OnInstalled func(InstallStats)
 	// Registry, when non-nil, receives this subscribe's client metrics
 	// (applied, degraded, refetches, delta fallbacks, wire bytes) in
 	// addition to the process-wide registry — how one channel.Client
@@ -125,15 +120,6 @@ func Subscribe(ctx context.Context, t Transport, mgr *core.Manager, applied int,
 	}
 	if applied > len(m.Updates) {
 		return nil, fmt.Errorf("channel: machine claims %d updates, channel has %d", applied, len(m.Updates))
-	}
-	if !opts.NoPrebuilt {
-		// Best-effort: any artifact that fails to arrive or decode is
-		// simply built from source later. Only the base set installs
-		// here — it is all a subscribing machine's boot consumes.
-		st := installArtifacts(ctx, t, m, m.Prebuilt, opts.Blobs, ms)
-		if opts.OnInstalled != nil {
-			opts.OnInstalled(st)
-		}
 	}
 	var out []*core.Update
 	pos := func() int { return applied + len(out) }
@@ -239,19 +225,60 @@ func fetchVerified(ctx context.Context, t Transport, m *Manifest, e Entry, blobs
 	return nil, nil, fmt.Errorf("corrupt after %d fetches: %w", retries+1, lastErr)
 }
 
+// fetchViaDelta reconstructs the blob with the given digest from an
+// advertised binary delta, when one exists and its base is in the local
+// cache. Every failure past "a delta was advertised" counts a full-fetch
+// fallback; the delta format is self-verifying (base and result digests
+// are in the header), so corrupt deltas and wrong bases are caught
+// before any reconstructed byte is trusted.
+func fetchViaDelta(ctx context.Context, t Transport, m *Manifest, digest string, blobs BlobCache, ms *clientMetrics) ([]byte, bool) {
+	d := m.DeltaFor(digest)
+	if d == nil {
+		return nil, false
+	}
+	base, ok := blobs.Get(d.BaseSha256)
+	if !ok {
+		ms.deltaFallback.Inc()
+		return nil, false
+	}
+	db, err := t.FetchBlob(ctx, d.Sha256, d.Size)
+	if err != nil {
+		ms.deltaFallback.Inc()
+		return nil, false
+	}
+	ms.bytesOverWire.Add(uint64(len(db)))
+	if blobDigest(db) != d.Sha256 {
+		ms.deltaFallback.Inc()
+		return nil, false
+	}
+	b, err := diffutil.ApplyDelta(base, db)
+	if err != nil {
+		ms.deltaFallback.Inc()
+		return nil, false
+	}
+	if blobDigest(b) != digest {
+		// Publisher advertised a delta whose result is not the blob —
+		// caught here, fall back to whole-blob fetch.
+		ms.deltaFallback.Inc()
+		return nil, false
+	}
+	ms.deltaApplied.Inc()
+	blobs.Put(digest, b)
+	return b, true
+}
+
 // decodeVerified turns fetched bytes into an update, enforcing the
 // manifest's digest and size. Entries published before digests existed
 // (empty Sha256) parse unverified.
 func decodeVerified(b []byte, e Entry) (*core.Update, error) {
 	if e.Sha256 == "" {
-		return core.ReadTarVerified(b, firstDigest(b), int64(len(b)))
+		return core.ReadTarVerified(b, blobDigest(b), int64(len(b)))
 	}
 	return core.ReadTarVerified(b, e.Sha256, e.Size)
 }
 
-// firstDigest computes the digest of b itself — the degenerate check for
-// legacy entries that published none.
-func firstDigest(b []byte) string {
+// blobDigest is the digest b would be advertised under.
+func blobDigest(b []byte) string {
 	d, _ := core.TarDigest(b)
 	return d
 }

@@ -32,7 +32,7 @@ type Transport interface {
 	// Fetch returns the raw tarball bytes for one manifest entry.
 	Fetch(ctx context.Context, e Entry) ([]byte, error)
 	// FetchBlob returns the raw bytes of one content-addressed blob the
-	// manifest advertises (a prebuilt artifact or a binary delta). size
+	// manifest advertises (a tarball or a binary delta). size
 	// is the advertised length, or 0 when unknown; implementations may
 	// use it to detect and resume truncated transfers. Like Fetch, the
 	// bytes come back unverified — the caller owns the digest check.
@@ -245,7 +245,7 @@ func (t *httpTransport) Fetch(ctx context.Context, e Entry) ([]byte, error) {
 
 // FetchBlob downloads one content-addressed blob through the same
 // retry/backoff/Range-resume machinery as tarball fetches — a truncated
-// prebuilt image resumes mid-body instead of restarting.
+// delta resumes mid-body instead of restarting.
 func (t *httpTransport) FetchBlob(ctx context.Context, digest string, size int64) ([]byte, error) {
 	label := digest
 	if len(label) > 12 {

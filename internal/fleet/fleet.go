@@ -145,8 +145,6 @@ type Config struct {
 	// WorkDir roots published channels when ChannelDirs does not supply
 	// them (required then).
 	WorkDir string
-	// NoPrebuilt disables prebuilt artifact installs fleet-wide.
-	NoPrebuilt bool
 	// EventLog, when non-empty, is a file path the rollout's typed event
 	// timeline is journaled to as JSONL (one event per line, the same
 	// records /fleet/events serves) — the post-mortem artifact.
@@ -359,7 +357,7 @@ func New(cfg Config) (*Orchestrator, error) {
 			}
 			dir = fmt.Sprintf("%s/channel-%s", cfg.WorkDir, rel)
 		}
-		if err := PublishChannel(dir, rel, cfg.NoPrebuilt); err != nil {
+		if err := PublishChannel(dir, rel, false); err != nil {
 			o.Close()
 			return nil, err
 		}
@@ -427,8 +425,11 @@ func (o *Orchestrator) HealthURL() string {
 
 // PublishChannel publishes release's full CVE corpus into dir, skipping
 // the work when dir already holds the complete channel (what lets a
-// bench reuse one published tree across runs).
-func PublishChannel(dir, release string, noPrebuilt bool) error {
+// bench reuse one published tree across runs). The third parameter is
+// ignored: it used to select a channel without prebuilt build
+// artifacts, and channels now never carry any. It stays so existing
+// callers keep compiling.
+func PublishChannel(dir, release string, _ bool) error {
 	cves := cvedb.ForVersion(release)
 	if len(cves) == 0 {
 		return fmt.Errorf("fleet: release %s has no corpus", release)
@@ -440,7 +441,6 @@ func PublishChannel(dir, release string, noPrebuilt bool) error {
 	if err != nil {
 		return fmt.Errorf("fleet: publishing %s: %w", release, err)
 	}
-	pub.NoPrebuilt = noPrebuilt
 	for _, c := range cves {
 		if _, err := pub.Publish("ksplice-"+c.ID, c.ID, c.Patch()); err != nil {
 			return fmt.Errorf("fleet: publishing %s/%s: %w", release, c.ID, err)
@@ -494,12 +494,11 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 		plan = o.cfg.FaultPlan(idx)
 	}
 	cfg := channel.ClientConfig{
-		Name:       m.name,
-		Transport:  tr,
-		Registry:   m.reg,
-		Tracer:     m.tracer,
-		Apply:      o.cfg.Apply,
-		NoPrebuilt: o.cfg.NoPrebuilt,
+		Name:      m.name,
+		Transport: tr,
+		Registry:  m.reg,
+		Tracer:    m.tracer,
+		Apply:     o.cfg.Apply,
 		OnApplied: func(channel.Entry, []byte) error {
 			m.mu.Lock()
 			m.applies++
