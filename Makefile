@@ -8,53 +8,39 @@ build:
 test:
 	$(GO) test ./...
 
-# The strict gate: vet (including the incremental-build and benchjson
-# packages); the telemetry registry and tracer hammered under the race
-# detector; the artifact-store, unit-cache, and parallel-build race
-# tests plus both create determinism guards under the race detector;
-# the networked-channel chaos soak under the race detector (the whole
-# 64-CVE corpus served over faulty HTTP to a fleet of concurrent
-# subscribers, every fault class injected, with fleet-wide telemetry
-# conservation invariants); the full test suite under the race detector
-# (the parallel evaluation pipeline is exercised concurrently by
-# TestConcurrentRunsAreIndependent); a cold-then-warm ksplice-create
-# round trip through a shared -cache-dir — the tarballs must be
-# byte-identical and the warm process must compile nothing; a live
-# observability smoke — a serving channel's /metrics scraped and its
-# exposition validated (store, channel, and eval families all present);
-# a parallel-determinism smoke — the full 64-CVE evaluation run
-# serially and with 8 workers, with the deterministic tables (headline
-# and Table 1) required byte-identical: worker scheduling over the
-# copy-on-write kernel clones must never leak into results; the
-# signed-manifest and wire-contract smokes under the race detector (a
-# pinned key must admit the right publisher and refuse unsigned or
-# tampered manifests, and a fresh subscriber must reach the head with
-# one manifest request, one whole tarball, and a delta per later
-# update); the fleet smoke under the race
-# detector — canary-ring rollouts across all four releases with
-# injected faults: a recoverable-fault fleet (joins, leaves, slow
-# machines) must converge, and a 64-client fleet with a fault burst in
-# ring 2 must halt at the gate and roll every patched machine back to
-# base via undo, all observed through /fleet/health; a ksplice-fleet
-# CLI smoke — 128 machines with a ring-2 burst, required to halt and
-# roll back cleanly (-expect halt); a CLI-level signed-channel
-# round trip — keygen, signed publish, subscribe with the pinned .pub,
-# and a required refusal of an unsigned channel under the same pin;
-# a crash-recovery smoke — a CLI subscriber killed mid-apply at a
-# journal crash point (the GOSPLICE_CRASH knob), restarted over the
-# same state file, and required to converge to the channel head, with
-# a third run confirming it is exactly up to date; and a distributed-
-# trace round trip — a CLI subscriber syncing over HTTP against a
-# -fleet server and pushing its spans upstream, with -check-trace
-# required to find client and server spans sharing one trace id with a
-# parent/child link across the two processes in /fleet/trace.
+# The strict gate: vet; a guard that every durable replace in non-test
+# code goes through internal/atomicfile (no other os.Rename or
+# os.CreateTemp); the full test suite under the race detector — among
+# it the telemetry hammer, the store/unit-cache/parallel-build races,
+# both create determinism guards, the chaos soak (the whole 64-CVE
+# corpus served over faulty HTTP to concurrent subscribers with
+# fleet-wide counter conservation), the signed-channel and
+# wire-contract tests, the subscriber and publisher crash-point sweeps,
+# and the canary-ring fleet rollouts (a recoverable-fault fleet must
+# converge; a fault burst in ring 2 must halt the gate and roll every
+# patched machine back via undo); a ksplice-fleet CLI smoke — 128
+# machines with a ring-2 burst, required to halt and roll back cleanly
+# (-expect halt); a cold-then-warm ksplice-create round trip through a
+# shared -cache-dir — the tarballs must be byte-identical and the warm
+# process must compile nothing; a live observability smoke — a serving
+# channel's /metrics scraped and its exposition validated (store,
+# channel, and eval families all present); a parallel-determinism
+# smoke — the full 64-CVE evaluation run serially and with 8 workers,
+# with the deterministic tables (headline and Table 1) required
+# byte-identical; a CLI-level signed-channel round trip — keygen,
+# signed publish, subscribe with the pinned .pub, and a required
+# refusal of an unsigned channel under the same pin; a crash-recovery
+# smoke — a CLI subscriber killed mid-apply at a journal crash point
+# (the GOSPLICE_CRASH knob), restarted over the same state file, and
+# required to converge to the channel head, with a third run confirming
+# it is exactly up to date; and a distributed-trace round trip — a CLI
+# subscriber syncing over HTTP against a -fleet server and pushing its
+# spans upstream, with -check-trace required to find client and server
+# spans sharing one trace id with a parent/child link across the two
+# processes in /fleet/trace.
 check:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/telemetry
-	$(GO) test -race -run 'UnitCache|CreateUpdateDeterministic|DiskWarmStart|EvictionUnderPressure|BuildParallel|Concurrent|Corrupt|GC' ./internal/srctree ./internal/core ./internal/store
-	$(GO) test -race -run 'ChaosSoak' ./internal/channel
-	$(GO) test -race -run 'SignedChannel|Refuses|SignatureTamper|FreshSubscribeWireContract' ./internal/channel
-	$(GO) test -race -run 'TestFleet' ./internal/fleet
+	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt
 	@echo "check: 128-machine canary rollout halted at the burst ring and rolled back"

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -68,15 +67,9 @@ func BenchmarkEvalAll64(b *testing.B) {
 	benchEvalAll64(b, 1, nil)
 }
 
-// BenchmarkEvalAll64Parallel runs the same evaluation with one worker
-// per CPU: every patch gets its own kernel cloned copy-on-write from the
-// per-release boot cache, so the pipeline parallelizes across patches.
-// Compare against BenchmarkEvalAll64 for the speedup.
-func BenchmarkEvalAll64Parallel(b *testing.B) {
-	benchEvalAll64(b, runtime.NumCPU(), nil)
-}
-
-// BenchmarkEvalAll64J2/J4/J8 pin the worker count, recording the speedup
+// BenchmarkEvalAll64J2/J4/J8 pin the worker count — every patch gets
+// its own kernel cloned copy-on-write from the per-release boot cache, so
+// the pipeline parallelizes across patches — recording the speedup
 // curve (`make bench-json` stores each as its own stanza in
 // BENCH_eval.json). The interesting ratio is each stanza's ns/op against
 // the serial BenchmarkEvalAll64.
@@ -252,12 +245,8 @@ func BenchmarkStopMachinePause(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	_, pauses := k.StopMachineStats()
-	var sum time.Duration
-	for _, p := range pauses {
-		sum += p
-	}
-	b.ReportMetric(float64(sum.Nanoseconds())/float64(len(pauses)), "pause-ns")
+	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+	b.ReportMetric(pauses.Sum()/float64(pauses.Count())*1e9, "pause-ns")
 }
 
 // BenchmarkApplyUndo measures a full splice cycle — run-pre matching,

@@ -11,7 +11,7 @@ func TestParseBenchOutput(t *testing.T) {
 		"goarch: amd64",
 		"pkg: gosplice",
 		"cpu: Intel(R) Xeon(R) Processor @ 2.10GHz",
-		"BenchmarkEvalAll64Parallel-8   \t       1\t1234567890 ns/op\t        42.00 patches-no-new-code\t        97.50 unit-cache-hit-%",
+		"BenchmarkEvalAll64J4-8         \t       1\t1234567890 ns/op\t        42.00 patches-no-new-code\t        97.50 unit-cache-hit-%",
 		"BenchmarkKernelBuild-8        \t      60\t  20047348 ns/op\t 5242880 B/op\t   12345 allocs/op",
 		"PASS",
 		"ok  \tgosplice\t12.345s",
@@ -27,7 +27,7 @@ func TestParseBenchOutput(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(res.Benchmarks))
 	}
 	b := res.Benchmarks[0]
-	if b.Name != "BenchmarkEvalAll64Parallel" {
+	if b.Name != "BenchmarkEvalAll64J4" {
 		t.Errorf("name = %q (GOMAXPROCS suffix not stripped)", b.Name)
 	}
 	if b.Iterations != 1 || b.NsPerOp != 1234567890 {

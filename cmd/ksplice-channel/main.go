@@ -44,6 +44,7 @@ import (
 	"strings"
 	"time"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/channel"
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
@@ -340,9 +341,10 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 		if err := os.MkdirAll(local, 0o755); err != nil {
 			fatal(err)
 		}
+		atomicfile.SweepTemps(local, 0)
 		cfg.OnApplied = func(e channel.Entry, b []byte) error {
 			path := filepath.Join(local, filepath.Base(e.File))
-			if err := writeFileAtomic(path, b); err != nil {
+			if err := atomicfile.Write(path, b, 0o644, nil, cpCacheWrite); err != nil {
 				return err
 			}
 			rel, err := filepath.Rel(stateDir, path)
@@ -447,33 +449,9 @@ func loadMachineState(ctx context.Context, tr channel.Transport, statePath strin
 	return st, nil
 }
 
-// writeFileAtomic writes b to path durably: temp file in the same
-// directory, fsync, atomic rename — a subscriber killed mid-write never
-// leaves a torn tarball in its channel cache.
-func writeFileAtomic(path string, b []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-cache-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, err = f.Write(b)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Chmod(tmp, 0o644)
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
+// cpCacheWrite marks the channel-cache write: a subscriber killed
+// mid-write never leaves a torn tarball in its channel cache.
+var cpCacheWrite = atomicfile.Point("cli.cache.write")
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ksplice-channel:", err)

@@ -84,16 +84,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	calls, pauses := k.StopMachineStats()
-	var worst int64
-	for _, p := range pauses {
-		if p.Nanoseconds() > worst {
-			worst = p.Nanoseconds()
-		}
+	calls := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value()
+	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+	var mean float64
+	if n := pauses.Count(); n > 0 {
+		mean = pauses.Sum() / float64(n) * 1e9
 	}
 	st := plan.Stats()
-	fmt.Printf("subscribed: %d hot updates applied, %d stop_machine captures, worst pause %dns\n",
-		len(applied), calls, worst)
+	fmt.Printf("subscribed: %d hot updates applied, %d stop_machine captures, mean pause %.0fns\n",
+		len(applied), calls, mean)
 	fmt.Printf("faults survived: %d injected (every tarball digest-verified before apply)\n", st.Total())
 	fmt.Printf("uptime now %d instructions — the machine never stopped being itself\n", k.TotalSteps())
 

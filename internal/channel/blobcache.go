@@ -10,15 +10,11 @@ package channel
 
 import (
 	"encoding/hex"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
-	"time"
+	"errors"
 
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
+	"gosplice/internal/store"
 )
 
 // BlobCache stores verified blobs by hex sha256 digest.
@@ -48,31 +44,44 @@ func (c memBlobCache) Put(digest string, b []byte) {
 }
 
 // DefaultBlobCacheBytes caps a DirBlobCache: generous against the
-// corpus's blob sizes (a release's full artifact set is well under 1
+// corpus's blob sizes (a release's whole tarball series is well under 1
 // MiB) but bounded, so a machine that subscribes across many releases
 // does not grow its cache without limit.
 const DefaultBlobCacheBytes = 64 << 20
 
-// DirBlobCache persists blobs as files named by digest, so a machine's
-// delta bases survive across subscribes (and processes): the tarball it
-// verified last month is next month's delta base.
-//
-// The cache is capped (see NewDirBlobCacheMax): when a Put pushes the
-// directory past the cap, the oldest blobs are evicted, least recently
-// used first — except blobs this process has touched, which are never
-// evicted, borrowing the artifact store GC's protection rule so a sweep
-// cannot pull a delta base out from under the subscribe that is about
-// to use it.
+// DirBlobCache persists blobs across subscribes (and processes), so a
+// machine's delta bases survive: the tarball it verified last month is
+// next month's delta base. It is a namespace of the artifact store
+// (internal/store) rooted at the cache directory, keyed by digest (see
+// blobNS). The store supplies the memory tier, the checksummed on-disk
+// entries, the atomic writes and their crash points (store.disk.write.*),
+// the temp sweep on open, and the size-capped GC that never evicts a
+// blob this process has read or written.
 type DirBlobCache struct {
-	dir      string
+	s        *store.Store
 	maxBytes int64
 	crash    crashpoint.Hook
-
-	mu sync.Mutex
-	// touched records digests this process read or wrote; eviction
-	// spares them.
-	touched map[string]bool
 }
+
+// blobKind files raw blobs in the store: the bytes are their own
+// encoding, and decoding copies them so a caller's buffer is never
+// retained.
+var blobKind = store.Kind{
+	Name:   "blob",
+	Size:   func(v any) int64 { return int64(len(v.([]byte))) },
+	Encode: func(v any) ([]byte, error) { return v.([]byte), nil },
+	Decode: func(b []byte) (any, error) { return append([]byte(nil), b...), nil },
+}
+
+var errBlobMiss = errors.New("channel: blob not cached")
+
+// blobNS prefixes every digest to form its store key. The store files key
+// k at objects/k[:2]/k[2:], so every blob lands in the one directory
+// objects/bl/ under its digest. Fanning out by digest instead would
+// create a directory for nearly every blob a fresh machine caches, and
+// on ext4 that mkdir, committed by the entry's fsync, doubles the cost
+// of a Put.
+const blobNS = "bl"
 
 // SetCrashHook installs the cache's crash-point hook (nil falls back
 // to the process-global hook) — how a fault plan schedules a simulated
@@ -85,29 +94,25 @@ func NewDirBlobCache(dir string) (*DirBlobCache, error) {
 	return NewDirBlobCacheMax(dir, DefaultBlobCacheBytes)
 }
 
-// NewDirBlobCacheMax opens a blob cache capped at maxBytes of cached
-// blob bytes (<= 0 means unbounded). Stray temp files from crashed
-// writers are swept on open.
+// NewDirBlobCacheMax opens a blob cache capped at maxBytes of on-disk
+// entries (<= 0 means unbounded); its memory tier holds at most as many
+// blob bytes.
 func NewDirBlobCacheMax(dir string, maxBytes int64) (*DirBlobCache, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	c := &DirBlobCache{maxBytes: maxBytes}
+	s, err := store.New(store.Options{
+		Dir:      dir,
+		MaxBytes: maxBytes,
+		Crash:    func(label string) { crashpoint.Fire(c.crash, label) },
+	})
+	if err != nil {
 		return nil, err
 	}
-	c := &DirBlobCache{dir: dir, maxBytes: maxBytes, touched: map[string]bool{}}
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			// Both this cache's ".tmp-*" names and the legacy ".tmp"
-			// suffix. (The suffix check alone matched nothing CreateTemp
-			// produces, so crashed writers used to leak temp files.)
-			if strings.HasPrefix(e.Name(), ".tmp") || strings.HasSuffix(e.Name(), ".tmp") {
-				os.Remove(filepath.Join(dir, e.Name()))
-			}
-		}
-	}
+	c.s = s
 	return c, nil
 }
 
-// validDigest guards the digest-as-filename mapping: only a 64-char hex
-// string names a cache file, so no digest can traverse paths.
+// validDigest guards the digest-as-key mapping: only a 64-char hex
+// string names a cache entry, so no manifest digest can traverse paths.
 func validDigest(digest string) bool {
 	if len(digest) != 64 {
 		return false
@@ -116,130 +121,37 @@ func validDigest(digest string) bool {
 	return err == nil
 }
 
-// touch protects digest from eviction for the rest of this process and
-// (best effort) refreshes its file's mtime, so age-ordered eviction —
-// here and in other processes sharing the directory — sees it as
-// recently used.
-func (c *DirBlobCache) touch(digest string) {
-	c.mu.Lock()
-	c.touched[digest] = true
-	c.mu.Unlock()
-	now := time.Now()
-	os.Chtimes(filepath.Join(c.dir, digest), now, now)
-}
-
-// Get re-verifies the file against its name before returning it — a
-// blob rotted on disk silently degrades to a cache miss (and a full
-// fetch), never to corrupt bytes.
+// Get re-verifies the blob against its digest before returning it: the
+// digest comes from an untrusted manifest, so a blob that does not hash
+// to it degrades to a cache miss (and a full fetch), never to wrong
+// bytes. The returned bytes are shared and must not be mutated.
 func (c *DirBlobCache) Get(digest string) ([]byte, bool) {
 	if !validDigest(digest) {
 		return nil, false
 	}
-	b, err := os.ReadFile(filepath.Join(c.dir, digest))
+	v, _, err := c.s.GetOrFill(blobNS+digest, blobKind, func() (any, error) { return nil, errBlobMiss })
 	if err != nil {
 		return nil, false
 	}
+	b := v.([]byte)
 	if got, _ := core.TarDigest(b); got != digest {
-		os.Remove(filepath.Join(c.dir, digest))
 		return nil, false
 	}
-	c.touch(digest)
 	return b, true
 }
 
-// Put is best-effort: a cache write failure costs bandwidth later, not
-// correctness now. A Put that pushes the cache past its cap evicts the
-// least recently used unprotected blobs. The write is temp file +
-// fsync + atomic rename, with crash points on either side of the
-// rename: a writer killed mid-Put leaves either a swept-on-open temp
-// file or a complete, verifiable blob — never a torn one under the
-// digest name.
+// Put is best-effort: a cache write or sweep failure costs bandwidth
+// later, not correctness now, so neither is reported. A Put that pushes
+// the cache past its cap evicts the least recently used blobs this
+// process has not touched.
 func (c *DirBlobCache) Put(digest string, b []byte) {
 	if !validDigest(digest) {
 		return
 	}
-	path := filepath.Join(c.dir, digest)
-	tmp, err := os.CreateTemp(c.dir, ".tmp-*")
-	if err != nil {
+	if _, err := c.s.Put(blobNS+digest, blobKind, b); err != nil {
 		return
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	os.Chmod(tmp.Name(), 0o644)
-	crashpoint.Fire(c.crash, cpBlobPutTmp)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	crashpoint.Fire(c.crash, cpBlobPutDone)
-	c.touch(digest)
-	c.gc()
-}
-
-// gc sweeps the cache down to the byte cap, oldest mtime first (name as
-// the deterministic tie-break). Blobs touched by this process are never
-// evicted — protection is re-checked under the lock immediately before
-// each removal, so a blob read while the sweep runs is spared.
-func (c *DirBlobCache) gc() {
-	if c.maxBytes <= 0 {
-		return
-	}
-	type victim struct {
-		digest string
-		size   int64
-		mtime  time.Time
-	}
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	var total int64
-	var victims []victim
-	for _, e := range ents {
-		if !validDigest(e.Name()) {
-			continue
-		}
-		fi, err := e.Info()
-		if err != nil {
-			continue
-		}
-		total += fi.Size()
-		victims = append(victims, victim{digest: e.Name(), size: fi.Size(), mtime: fi.ModTime()})
-	}
-	if total <= c.maxBytes {
-		return
-	}
-	sort.Slice(victims, func(i, j int) bool {
-		if !victims[i].mtime.Equal(victims[j].mtime) {
-			return victims[i].mtime.Before(victims[j].mtime)
-		}
-		return victims[i].digest < victims[j].digest
-	})
-	for _, v := range victims {
-		if total <= c.maxBytes {
-			break
-		}
-		c.mu.Lock()
-		protected := c.touched[v.digest]
-		c.mu.Unlock()
-		if protected {
-			continue
-		}
-		if err := os.Remove(filepath.Join(c.dir, v.digest)); err != nil {
-			continue
-		}
-		total -= v.size
+	if c.maxBytes > 0 {
+		_, _ = c.s.GC(c.maxBytes)
 	}
 }

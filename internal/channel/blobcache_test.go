@@ -1,7 +1,9 @@
 package channel_test
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,20 +13,33 @@ import (
 	"gosplice/internal/core"
 )
 
-// blob makes a distinct payload of n bytes and returns it with its
-// digest (what Put's callers verified before caching).
+// blob makes a distinct, incompressible payload of n bytes and returns
+// it with its digest (what Put's callers verified before caching).
+// Incompressible, so each blob's on-disk entry is its own size plus the
+// store's fixed header, whatever the store's compression does.
 func blob(tag string, n int) (string, []byte) {
-	b := make([]byte, n)
-	copy(b, tag)
+	b := make([]byte, 0, n+sha256.Size)
+	h := sha256.Sum256([]byte(tag))
+	for len(b) < n {
+		h = sha256.Sum256(h[:])
+		b = append(b, h[:]...)
+	}
+	b = b[:n]
 	d, _ := core.TarDigest(b)
 	return d, b
+}
+
+// entryPath is where the cache keeps digest's blob: its store entry,
+// named by the digest in the namespace's one objects directory.
+func entryPath(dir, digest string) string {
+	return filepath.Join(dir, "objects", "bl", digest)
 }
 
 // age backdates a cached blob's mtime so the LRU sweep sees it as old.
 func age(t *testing.T, dir, digest string, by time.Duration) {
 	t.Helper()
 	old := time.Now().Add(-by)
-	if err := os.Chtimes(filepath.Join(dir, digest), old, old); err != nil {
+	if err := os.Chtimes(entryPath(dir, digest), old, old); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -53,7 +68,8 @@ func TestDirBlobCacheGC(t *testing.T) {
 		age(t, dir, d, time.Duration(n-i)*time.Hour)
 	}
 
-	// Cap: room for four 1000-byte blobs and a little slack.
+	// Cap: room for four 1000-byte blobs (each entry carries a 37-byte
+	// store header) and a little slack.
 	c, err := channel.NewDirBlobCacheMax(dir, 4500)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +93,7 @@ func TestDirBlobCacheGC(t *testing.T) {
 	}
 	// digests[1..3] were the oldest unprotected blobs: swept.
 	for i := 1; i <= 3; i++ {
-		if _, err := os.Stat(filepath.Join(dir, digests[i])); !os.IsNotExist(err) {
+		if _, err := os.Stat(entryPath(dir, digests[i])); !os.IsNotExist(err) {
 			t.Errorf("blob %d survived a sweep that needed its bytes", i)
 		}
 	}
@@ -90,13 +106,14 @@ func TestDirBlobCacheGC(t *testing.T) {
 
 	// The directory really is under the cap now.
 	var total int64
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		fi, err := e.Info()
-		if err == nil {
-			total += fi.Size()
+	filepath.WalkDir(dir, func(_ string, e fs.DirEntry, err error) error {
+		if err == nil && !e.IsDir() {
+			if fi, err := e.Info(); err == nil {
+				total += fi.Size()
+			}
 		}
-	}
+		return nil
+	})
 	if total > 4500 {
 		t.Errorf("cache holds %d bytes, cap is 4500", total)
 	}
@@ -122,8 +139,8 @@ func TestDirBlobCacheUnbounded(t *testing.T) {
 	}
 }
 
-// TestDirBlobCacheTmpSweep: temp files from a crashed writer are removed
-// on open; real blobs are not.
+// TestDirBlobCacheTmpSweep: temp files a crashed writer left are removed
+// on open once past the store's one-minute grace; real blobs are not.
 func TestDirBlobCacheTmpSweep(t *testing.T) {
 	dir := t.TempDir()
 	c, err := channel.NewDirBlobCacheMax(dir, 0)
@@ -132,8 +149,12 @@ func TestDirBlobCacheTmpSweep(t *testing.T) {
 	}
 	d, b := blob("keep", 100)
 	c.Put(d, b)
-	stray := filepath.Join(dir, "deadbeef.tmp")
+	stray := filepath.Join(filepath.Dir(entryPath(dir, d)), ".tmp-123")
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * time.Minute)
+	if err := os.Chtimes(stray, old, old); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,7 +163,7 @@ func TestDirBlobCacheTmpSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
-		t.Error("stray .tmp survived reopen")
+		t.Error("stray temp file survived reopen")
 	}
 	if _, ok := c2.Get(d); !ok {
 		t.Error("real blob removed by the tmp sweep")

@@ -23,8 +23,8 @@
 // itself (plus, optionally, an offline ed25519 signature), so
 // integrity — and, with a pinned key, authorship — is end to end:
 // whatever transport delivered the bytes, Subscribe verifies them
-// before they are interpreted. All publisher writes are atomic (temp
-// file + rename), so a crashed publish never leaves a half-written
+// before they are interpreted. All publisher writes go through
+// internal/atomicfile, so a crashed publish never leaves a half-written
 // manifest, tarball, or blob behind.
 package channel
 
@@ -40,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/core"
 	"gosplice/internal/diffutil"
 	"gosplice/internal/srctree"
@@ -127,6 +128,13 @@ const (
 	blobsDirName = "blobs"
 )
 
+// Crash points on the publisher's writes (tarballs, delta blobs and the
+// manifest) and on key files. They fire through the process-global hook.
+var (
+	cpPublishWrite = atomicfile.Point("publish.write")
+	cpPublishKey   = atomicfile.Point("publish.key")
+)
+
 // computeDigest returns the manifest's canonical digest: the sha256 of
 // its JSON encoding with the Digest and Signature fields cleared (the
 // signature is over the digest, so it cannot be under it).
@@ -208,13 +216,8 @@ func NewPublisher(dir string, tree *srctree.Tree) (*Publisher, error) {
 	// Crash resume: remove half-written temp files an interrupted
 	// publish left behind. They were never renamed into place, so
 	// nothing references them.
-	for _, d := range []string{dir, filepath.Join(dir, blobsDirName)} {
-		if strays, err := filepath.Glob(filepath.Join(d, ".tmp-*")); err == nil {
-			for _, s := range strays {
-				os.Remove(s)
-			}
-		}
-	}
+	atomicfile.SweepTemps(dir, 0)
+	atomicfile.SweepTemps(filepath.Join(dir, blobsDirName), 0)
 	p := &Publisher{
 		Dir:      dir,
 		manifest: Manifest{KernelVersion: tree.Version},
@@ -259,7 +262,7 @@ func (p *Publisher) writeBlob(payload []byte) (digest string, size int64, err er
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, err
 	}
-	if err := writeFileAtomic(path, payload); err != nil {
+	if err := writePublished(path, payload); err != nil {
 		return "", 0, err
 	}
 	return digest, size, nil
@@ -306,7 +309,7 @@ func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
 		return nil, err
 	}
 	file := u.Name + ".tar"
-	if err := writeFileAtomic(filepath.Join(p.Dir, file), b); err != nil {
+	if err := writePublished(filepath.Join(p.Dir, file), b); err != nil {
 		return nil, err
 	}
 	next, err := p.tree.Patch(patchText)
@@ -342,47 +345,12 @@ func (p *Publisher) writeManifest() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(filepath.Join(p.Dir, manifestName), append(b, '\n'))
+	return writePublished(filepath.Join(p.Dir, manifestName), append(b, '\n'))
 }
 
-// writeFileAtomic writes b to path via a temp file in the same
-// directory — fsynced before the rename, so the rename never installs
-// a file whose bytes are still in flight — and a rename, so readers
-// (and crash recovery) never observe a partial file. The ".tmp-"
-// prefix is what NewPublisher sweeps on resume.
-func writeFileAtomic(path string, b []byte) error {
-	return writeFileAtomicMode(path, b, 0o644)
-}
-
-func writeFileAtomicMode(path string, b []byte, mode os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), mode); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
+// writePublished durably writes one file of the channel directory.
+func writePublished(path string, b []byte) error {
+	return atomicfile.Write(path, b, 0o644, nil, cpPublishWrite)
 }
 
 // ReadManifest loads and verifies a channel directory's manifest.

@@ -1,21 +1,25 @@
 package channel
 
 // The crash-point sweep: a subscriber is killed at every labeled crash
-// point on its persistence paths (journal appends and compactions,
-// blob-cache writes), then "rebooted" — a fresh kernel, a fresh client
+// point on its persistence paths (journal appends and compactions, and
+// the blob cache's store writes), then "rebooted" — a fresh kernel, a fresh client
 // over the same state dir — and recovered through RestoreMachine. For
 // every (label, nth-hit) pair the swept machine must converge to the
 // channel head with memory byte-identical to a machine that never
 // crashed. A discovery pass with a crashpoint.Counter learns which
 // labels the scenario hits and how often, so the sweep is exhaustive
-// by construction: a new crash point in the client's write paths is
-// swept automatically, and a label the scenario never reaches fails
-// the test rather than silently shrinking coverage.
+// by construction: every crash point the client's write paths reach is
+// swept automatically, and a channel.* label the scenario never reaches
+// fails the test rather than silently shrinking coverage.
 
 import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -94,8 +98,8 @@ func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoi
 	return k, cl.Position(), death
 }
 
-// TestCrashPointSweep is the exhaustive sweep: every client-path crash
-// point × every hit count, one release.
+// TestCrashPointSweep is the exhaustive sweep: every crash point the
+// client reaches × every hit count, one release.
 func TestCrashPointSweep(t *testing.T) {
 	version := cvedb.Versions[0]
 	chanDir := publishSweep(t, version, sweepUpdates)
@@ -124,14 +128,27 @@ func TestCrashPointSweep(t *testing.T) {
 	counts := counter.Counts()
 
 	for _, label := range crashpoint.Catalog() {
-		if !strings.HasPrefix(label, "channel.") {
-			continue // store.* and simstate.* have their own tests
-		}
-		hits := counts[label]
-		if hits == 0 {
+		if strings.HasPrefix(label, "channel.") && counts[label] == 0 {
 			t.Errorf("scenario never reaches crash point %s — sweep coverage shrank", label)
-			continue
 		}
+	}
+	labels := make([]string, 0, len(counts))
+	for label := range counts {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	cells := 0
+	for _, label := range labels {
+		cells += counts[label]
+	}
+	// Journal appends and compactions plus the blob cache's writes: the
+	// sweep must never cover fewer cells than it did before the blob cache
+	// moved onto the store.
+	if cells < 26 {
+		t.Errorf("sweep covers %d (label × hit) cells, want at least 26", cells)
+	}
+	for _, label := range labels {
+		hits := counts[label]
 		for n := 1; n <= hits; n++ {
 			label, n := label, n
 			t.Run(fmt.Sprintf("%s/%d", label, n), func(t *testing.T) {
@@ -184,7 +201,7 @@ func TestClientCorruptStateRederives(t *testing.T) {
 	sweepAttempt(t, chanDir, stateDir, version, nil)
 
 	// Scribble over it.
-	if err := writeFileAtomic(JournalPath(stateDir), []byte("\x00\xff not a journal\n{half")); err != nil {
+	if err := os.WriteFile(JournalPath(stateDir), []byte("\x00\xff not a journal\n{half"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -223,5 +240,100 @@ func TestClientCorruptStateRederives(t *testing.T) {
 	}
 	if snap.CounterFamily(MetricRecoveries) == 0 {
 		t.Error("recoveries counter did not record the restore")
+	}
+}
+
+// publishRest reopens the channel in dir and publishes whatever of the
+// sweep's updates its manifest does not name yet — a publisher's restart
+// after a crash.
+func publishRest(t *testing.T, dir, version string) {
+	t.Helper()
+	pub, err := NewPublisher(dir, cvedb.Tree(version))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	cves := cvedb.ForVersion(version)
+	for i := len(pub.manifest.Updates); i < sweepUpdates; i++ {
+		if _, err := pub.Publish(cves[i].ID, cves[i].ID, cves[i].Patch()); err != nil {
+			t.Fatalf("publish %s: %v", cves[i].ID, err)
+		}
+	}
+}
+
+// channelFiles reads every file under a channel directory, keyed by its
+// relative path — stray temp files included, so they break equality.
+func channelFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPublisherCrashSweep kills a publish at every publish.* crash point
+// × every hit count, restarts the publisher over the surviving directory,
+// and finishes the channel. The manifest, every tarball and every delta
+// blob must come out byte-identical to a publish that never crashed, with
+// no stray temp file left behind.
+func TestPublisherCrashSweep(t *testing.T) {
+	version := cvedb.Versions[0]
+
+	// Reference publish, counting the crash points it passes.
+	counter := crashpoint.NewCounter()
+	refDir := t.TempDir()
+	restore := crashpoint.SetGlobal(counter.Hook())
+	publishRest(t, refDir, version)
+	restore()
+	want := channelFiles(t, refDir)
+
+	counts := counter.Counts()
+	var labels []string
+	for label := range counts {
+		if strings.HasPrefix(label, "publish.") {
+			labels = append(labels, label)
+		}
+	}
+	sort.Strings(labels)
+	if len(labels) == 0 {
+		t.Fatal("a publish passed no publish.* crash point")
+	}
+	for _, label := range labels {
+		for n := 1; n <= counts[label]; n++ {
+			label, n := label, n
+			t.Run(fmt.Sprintf("%s/%d", label, n), func(t *testing.T) {
+				dir := t.TempDir()
+				restore := crashpoint.SetGlobal(crashpoint.NewPlan(label, n).Hook())
+				death := crashpoint.Catch(func() { publishRest(t, dir, version) })
+				restore()
+				if death == nil || death.Label != label {
+					t.Fatalf("scheduled death at %s hit %d, got %v", label, n, death)
+				}
+				publishRest(t, dir, version)
+				got := channelFiles(t, dir)
+				for name := range got {
+					if want[name] == "" {
+						t.Errorf("%s: not in a never-crashed channel", name)
+					}
+				}
+				for name, b := range want {
+					if got[name] != b {
+						t.Errorf("%s differs from a never-crashed publish", name)
+					}
+				}
+			})
+		}
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"gosplice/internal/atomicfile"
 )
 
 // SignKey is a channel signing key (an ed25519 private key).
@@ -82,13 +84,13 @@ func ParseVerifyKeyHex(s string) (VerifyKey, error) {
 // keys — scp-able, diff-able, no parser to get wrong.
 
 // WriteSignKey stores k at path (0600) and its public half at
-// path+".pub", each via an fsynced atomic rename — a keygen killed
-// mid-write never leaves a torn key file.
+// path+".pub", each an atomicfile.Write — a keygen killed mid-write
+// never leaves a torn key file.
 func WriteSignKey(path string, k SignKey) error {
-	if err := writeFileAtomicMode(path, []byte(hex.EncodeToString(k)+"\n"), 0o600); err != nil {
+	if err := atomicfile.Write(path, []byte(hex.EncodeToString(k)+"\n"), 0o600, nil, cpPublishKey); err != nil {
 		return err
 	}
-	return writeFileAtomic(path+".pub", []byte(k.PublicHex()+"\n"))
+	return atomicfile.Write(path+".pub", []byte(k.PublicHex()+"\n"), 0o644, nil, cpPublishKey)
 }
 
 // LoadSignKey reads a signing key written by WriteSignKey.

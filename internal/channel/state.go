@@ -14,8 +14,8 @@ package channel
 // or verify and everything after it (a torn tail), and a journal whose
 // very first record is bad degrades to "re-derive from the kernel" —
 // position zero — rather than failing the subscribe. Compaction
-// rewrites the file as one rebase record via temp file + fsync +
-// atomic rename, the same discipline the store's disk tier uses.
+// rewrites the file as one rebase record through internal/atomicfile,
+// the same durable replace every other persisted file uses.
 //
 // Crash points (internal/crashpoint) are threaded through every write
 // so the sweep tests can kill a subscriber at each persistence step
@@ -29,9 +29,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/crashpoint"
 )
 
@@ -54,10 +54,7 @@ var (
 	cpJournalAppendBefore = crashpoint.L("channel.journal.append.before")
 	cpJournalAppendTorn   = crashpoint.L("channel.journal.append.torn")
 	cpJournalAppendSynced = crashpoint.L("channel.journal.append.synced")
-	cpJournalCompactTmp   = crashpoint.L("channel.journal.compact.tmp")
-	cpJournalCompactDone  = crashpoint.L("channel.journal.compact.renamed")
-	cpBlobPutTmp          = crashpoint.L("channel.blobcache.put.tmp")
-	cpBlobPutDone         = crashpoint.L("channel.blobcache.put.renamed")
+	cpJournalCompact      = atomicfile.Point("channel.journal.compact")
 )
 
 // journalRecord is one JSONL journal line.
@@ -150,14 +147,9 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 	if err := os.MkdirAll(stateDir, 0o755); err != nil {
 		return nil, Recovery{}, err
 	}
-	// Sweep temp files a compaction crash left behind.
-	if ents, err := os.ReadDir(stateDir); err == nil {
-		for _, e := range ents {
-			if strings.HasPrefix(e.Name(), ".tmp-journal") {
-				os.Remove(filepath.Join(stateDir, e.Name()))
-			}
-		}
-	}
+	// Sweep temp files crashed writers (a compaction; in the CLI, a
+	// machine-state save) left behind.
+	atomicfile.SweepTemps(stateDir, 0)
 	s := &ClientState{path: JournalPath(stateDir), crash: crash}
 	rec := Recovery{Journaled: true}
 
@@ -333,9 +325,9 @@ func (s *ClientState) Rebase(pos int, kver string) error {
 }
 
 // compact rewrites the journal as one rebase record carrying the
-// current position: temp file, fsync, atomic rename, then the append
-// handle moves to the new file. Callers hold s.mu. A crash before the
-// rename leaves the old journal authoritative; after it, the new one.
+// current position — an atomicfile.Write, after which the append handle
+// moves to the new file. Callers hold s.mu. A crash before the rename
+// leaves the old journal authoritative; after it, the new one.
 func (s *ClientState) compact() error {
 	r := journalRecord{Op: "rebase", Pos: s.pos, Kver: s.kver}
 	r.Sum = recordSum(&r)
@@ -343,35 +335,9 @@ func (s *ClientState) compact() error {
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(s.path)
-	tmp, err := os.CreateTemp(dir, ".tmp-journal-*")
-	if err != nil {
+	if err := atomicfile.Write(s.path, append(b, '\n'), 0o644, s.crash, cpJournalCompact); err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(s.crash, cpJournalCompactTmp)
-	if err := os.Rename(tmp.Name(), s.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	crashpoint.Fire(s.crash, cpJournalCompactDone)
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err

@@ -203,8 +203,8 @@ func TestJournalCrashPointsRecover(t *testing.T) {
 		cpJournalAppendBefore,
 		cpJournalAppendTorn,
 		cpJournalAppendSynced,
-		cpJournalCompactTmp,
-		cpJournalCompactDone,
+		cpJournalCompact.Tmp,
+		cpJournalCompact.Renamed,
 	}
 	for _, label := range labels {
 		t.Run(label, func(t *testing.T) {
@@ -251,7 +251,7 @@ func TestJournalCrashPointsRecover(t *testing.T) {
 			// No stray compaction temp files survive reopen.
 			ents, _ := os.ReadDir(dir)
 			for _, e := range ents {
-				if strings.HasPrefix(e.Name(), ".tmp-journal") {
+				if strings.HasPrefix(e.Name(), ".tmp-") {
 					t.Errorf("stray temp %s after recovery", e.Name())
 				}
 			}

@@ -261,10 +261,7 @@ func (m *Manager) Apply(u *Update, opts ApplyOptions) (*Applied, error) {
 		})
 		if err == nil {
 			spliced = true
-			_, pauses := m.K.StopMachineStats()
-			if len(pauses) > 0 {
-				a.Pause = pauses[len(pauses)-1]
-			}
+			a.Pause = m.K.LastPause()
 			break
 		}
 		if errors.Is(err, errBusy) && attempt < opts.MaxAttempts {

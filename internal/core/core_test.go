@@ -224,6 +224,40 @@ func TestApplyBlocksExploitWithoutReboot(t *testing.T) {
 	}
 }
 
+// TestPauseIsTheLatestStopMachine: every apply reports its own
+// stop_machine pause, while the kernel keeps no per-pause history — the
+// count and distribution of N captures live on its metrics registry.
+func TestPauseIsTheLatestStopMachine(t *testing.T) {
+	tree := testTree()
+	k := boot(t, tree)
+	m := NewManager(k)
+	u, err := CreateUpdate(tree, setuidPatch, CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cycles = 5
+	for i := 0; i < cycles; i++ {
+		a, err := m.Apply(u, ApplyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Attempts != 1 || a.Pause <= 0 || a.Pause != k.LastPause() {
+			t.Fatalf("cycle %d: attempts %d, pause %v, kernel's last pause %v", i, a.Attempts, a.Pause, k.LastPause())
+		}
+		if err := m.Undo(ApplyOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One capture per apply and one per undo.
+	const n = 2 * cycles
+	if got := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value(); got != n {
+		t.Errorf("stop_machine_total = %d, want %d", got, n)
+	}
+	if h := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil); h.Count() != n || h.Sum() <= 0 {
+		t.Errorf("pause histogram: count %d sum %g, want count %d and a positive sum", h.Count(), h.Sum(), n)
+	}
+}
+
 func TestRunPreAbortsOnWrongKernel(t *testing.T) {
 	tree := testTree()
 	k := boot(t, tree)

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gosplice/internal/codegen"
@@ -145,14 +146,13 @@ type Kernel struct {
 	}
 	cpuWG sync.WaitGroup
 
-	// StopMachine statistics. The call count and a pause histogram live
-	// on the kernel's telemetry registry (see Metrics); the exact pause
-	// durations are also retained under mu because StopMachineStats
-	// callers render full-precision pause tables.
-	met        *telemetry.Registry
-	cStops     *telemetry.Counter
-	hPause     *telemetry.Histogram
-	stopPauses []time.Duration
+	// StopMachine statistics: the call count and a pause histogram live
+	// on the kernel's telemetry registry (see Metrics). Only the latest
+	// pause is kept exactly, for LastPause.
+	met       *telemetry.Registry
+	cStops    *telemetry.Counter
+	hPause    *telemetry.Histogram
+	lastPause atomic.Int64
 }
 
 // Process-wide mirrors: every kernel instance's stop_machine activity

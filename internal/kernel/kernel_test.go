@@ -240,9 +240,10 @@ func TestBackgroundCPUsAndStopMachine(t *testing.T) {
 	if stepsDuring[0] != stepsDuring[1] {
 		t.Errorf("threads were scheduled during stop_machine: %d -> %d", stepsDuring[0], stepsDuring[1])
 	}
-	calls, pauses := k.StopMachineStats()
-	if calls != 1 || len(pauses) != 1 || pauses[0] < 2*time.Millisecond {
-		t.Errorf("stats: %d calls, %v", calls, pauses)
+	calls := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value()
+	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+	if calls != 1 || pauses.Count() != 1 || pauses.Sum() < 0.002 || k.LastPause() < 2*time.Millisecond {
+		t.Errorf("stats: %d calls, %d pauses summing to %gs, last %v", calls, pauses.Count(), pauses.Sum(), k.LastPause())
 	}
 	// Execution resumes after release.
 	before := k.TotalSteps()

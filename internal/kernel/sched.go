@@ -357,21 +357,14 @@ func (k *Kernel) StopMachine(fn func() error) error {
 	k.hPause.ObserveDuration(pause)
 	defStops.Inc()
 	defPause.ObserveDuration(pause)
-	k.mu.Lock()
-	k.stopPauses = append(k.stopPauses, pause)
-	k.mu.Unlock()
+	k.lastPause.Store(int64(pause))
 	return err
 }
 
-// StopMachineStats reports how many times stop_machine ran and the pause
-// durations (the interval during which no thread could be scheduled —
-// the paper's ~0.7 ms).
-func (k *Kernel) StopMachineStats() (calls int, pauses []time.Duration) {
-	calls = int(k.cStops.Value())
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return calls, append([]time.Duration(nil), k.stopPauses...)
-}
+// LastPause returns the latest stop_machine pause: the interval during
+// which no thread could be scheduled (the paper's ~0.7 ms). The count
+// and the distribution of all pauses are on Metrics().
+func (k *Kernel) LastPause() time.Duration { return time.Duration(k.lastPause.Load()) }
 
 // ReadMem copies size bytes at addr under the machine lock.
 func (k *Kernel) ReadMem(addr uint32, size int) ([]byte, error) {

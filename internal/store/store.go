@@ -12,10 +12,9 @@
 //	<dir>/objects/ab/cdef...
 //
 // where ab/cdef... splits the hex key git-style. Disk entries are written
-// atomically (temp file + rename), flate-compressed when that shrinks
-// them (a format byte keeps old raw caches readable), and carry a
-// checksum of the stored body; a truncated, bit-flipped, or otherwise
-// unreadable entry is treated as a miss — the artifact is recomputed,
+// atomically (internal/atomicfile), flate-compressed when that shrinks
+// them, and carry a checksum of the stored body; a truncated,
+// bit-flipped, or otherwise unreadable entry is treated as a miss — the artifact is recomputed,
 // never served corrupt. GC sweeps the disk tier down to a byte budget,
 // oldest entries first, without ever evicting an entry the sweeping
 // process has itself read.
@@ -49,6 +48,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/telemetry"
 )
@@ -57,11 +57,8 @@ import (
 // unset: generous for the 64-CVE corpus, bounded for many-tenant loads.
 const DefaultMaxBytes = 256 << 20
 
-// Crash-point labels on the disk tier's write path.
-var (
-	cpDiskWriteTmp  = crashpoint.L("store.disk.write.tmp")
-	cpDiskWriteDone = crashpoint.L("store.disk.write.renamed")
-)
+// Crash points on the disk tier's write path.
+var cpDiskWrite = atomicfile.Point("store.disk.write")
 
 // Source reports which tier satisfied a GetOrFill.
 type Source int
@@ -260,30 +257,22 @@ func New(o Options) (*Store, error) {
 	s.gMemEntries = met.Gauge("gosplice_store_mem_entries")
 	s.hFill = met.Histogram("gosplice_store_fill_seconds", nil)
 	if s.dir != "" {
-		if err := os.MkdirAll(filepath.Join(s.dir, "objects"), 0o755); err != nil {
+		root := filepath.Join(s.dir, "objects")
+		if err := os.MkdirAll(root, 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		s.sweepTemps()
+		// Reclaim temp files crashed writers left behind. Other live
+		// processes may share the directory, so only files older than a
+		// minute go: those cannot belong to a write still in flight.
+		if subs, err := os.ReadDir(root); err == nil {
+			for _, d := range subs {
+				if d.IsDir() {
+					atomicfile.SweepTemps(filepath.Join(root, d.Name()), time.Minute)
+				}
+			}
+		}
 	}
 	return s, nil
-}
-
-// sweepTemps removes temp files crashed writers left in the disk tier.
-// GC also cleans them (after an hour's grace, to spare other live
-// processes sharing the dir), but a store opening its own tier after a
-// crash reclaims them immediately: a ".tmp-" file older than a minute
-// cannot belong to a write still in flight.
-func (s *Store) sweepTemps() {
-	root := filepath.Join(s.dir, "objects")
-	filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), ".tmp-") {
-			return nil
-		}
-		if info, err := d.Info(); err == nil && time.Since(info.ModTime()) > time.Minute {
-			os.Remove(path)
-		}
-		return nil
-	})
 }
 
 // MustNew is New for static configuration that cannot fail (no disk dir).
@@ -376,11 +365,10 @@ func (s *Store) GetOrFill(key string, k Kind, fill func() (any, error)) (any, So
 
 // Put files an externally produced artifact under key: payload is the
 // artifact's encoded form (what Kind.Encode would produce). It is the
-// import path for artifacts that arrive over a distribution channel
-// rather than from a local fill — a subscriber seeds its store with
-// prebuilt blobs so later GetOrFill calls hit instead of recomputing.
-// The payload is decoded first, which validates it the same way a disk
-// read would; a payload that does not decode is rejected and nothing is
+// import path for artifacts that arrive from outside rather than from a
+// local fill — the subscriber's blob cache files every verified tarball
+// it receives this way. The payload is decoded first, which validates
+// it the same way a disk read would; a payload that does not decode is rejected and nothing is
 // stored. The decoded value is returned and, like every store value, is
 // shared and must not be mutated.
 func (s *Store) Put(key string, k Kind, payload []byte) (any, error) {
@@ -396,22 +384,6 @@ func (s *Store) Put(key string, k Kind, payload []byte) (any, error) {
 	s.mu.Unlock()
 	s.writeDisk(key, v, k)
 	return v, nil
-}
-
-// Contains reports whether key is available without running a fill: it
-// is resident in the memory tier, or (for a disk-backed store) present
-// on disk. The disk check is a stat, not a verified read — a corrupt
-// entry may report true and then demote to a miss when actually read,
-// which callers using Contains as a fetch-avoidance hint must tolerate.
-func (s *Store) Contains(key string) bool {
-	if _, ok := s.entries.Load(key); ok {
-		return true
-	}
-	if s.dir == "" || len(key) < 3 {
-		return false
-	}
-	_, err := os.Stat(s.objectPath(key))
-	return err == nil
 }
 
 func (s *Store) lookupOrFill(key string, k Kind, fill func() (any, error)) (any, Source, error) {
@@ -520,26 +492,17 @@ func (s *Store) DiskUsage() (entries int, bytes int64) {
 
 // --- Disk tier ---
 //
-// Entry layout: 4-byte magic, a sha256, then the body. Two generations
-// coexist:
-//
-//	GSC1  sha256 is over the raw payload, which follows directly.
-//	GSC2  sha256 is over everything after the header: one format byte
-//	      (0 = raw, 1 = flate) then the possibly-compressed payload.
-//
-// New entries are written as GSC2 — SOF bytes are highly redundant, so
-// the flate layer shrinks the on-disk footprint several-fold — while
-// GSC1 entries from older caches stay readable in place. The key is a
-// hash of the artifact's *inputs*, so it cannot authenticate the stored
-// bytes; the embedded digest does. Verification failures of any sort
-// (short file, flipped bit, bad magic, undecompressible body) count as
-// DiskErrors and fall back to recomputation; the broken file is removed
-// so it is rewritten.
+// Entry layout (GSC2): the 4-byte magic "GSC2", a sha256, then the body
+// — one format byte (0 = raw, 1 = flate) and the possibly-compressed
+// payload. The sha256 is over the whole body. SOF bytes are highly
+// redundant, so the flate layer shrinks the on-disk footprint
+// several-fold. The key is a hash of the artifact's *inputs*, so it
+// cannot authenticate the stored bytes; the embedded digest does.
+// Verification failures of any sort (short file, flipped bit, bad or
+// older magic, undecompressible body) count as DiskErrors and fall back
+// to recomputation; the broken file is removed so it is rewritten.
 
-var (
-	diskMagic  = [4]byte{'G', 'S', 'C', '1'}
-	diskMagic2 = [4]byte{'G', 'S', 'C', '2'}
-)
+var diskMagic = [4]byte{'G', 'S', 'C', '2'}
 
 const (
 	diskHeaderLen = 4 + sha256.Size
@@ -567,35 +530,21 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	if len(b) < diskHeaderLen {
+	if len(b) <= diskHeaderLen || [4]byte(b[:4]) != diskMagic {
 		s.dropDisk(key)
 		return nil, false
 	}
-	sum := [sha256.Size]byte(b[4:diskHeaderLen])
 	body := b[diskHeaderLen:]
+	if sha256.Sum256(body) != [sha256.Size]byte(b[4:diskHeaderLen]) {
+		s.dropDisk(key)
+		return nil, false
+	}
 	var payload []byte
-	switch [4]byte(b[:4]) {
-	case diskMagic: // legacy: raw payload, digest over it
-		if sha256.Sum256(body) != sum {
-			s.dropDisk(key)
-			return nil, false
-		}
-		payload = body
-	case diskMagic2: // format byte + body, digest over both
-		if len(body) < 1 || sha256.Sum256(body) != sum {
-			s.dropDisk(key)
-			return nil, false
-		}
-		switch body[0] {
-		case formatRaw:
-			payload = body[1:]
-		case formatFlate:
-			payload, err = inflate(body[1:])
-			if err != nil {
-				s.dropDisk(key)
-				return nil, false
-			}
-		default:
+	switch body[0] {
+	case formatRaw:
+		payload = body[1:]
+	case formatFlate:
+		if payload, err = inflate(body[1:]); err != nil {
 			s.dropDisk(key)
 			return nil, false
 		}
@@ -638,8 +587,7 @@ func (s *Store) dropDisk(key string) {
 func (s *Store) countDiskError() { s.cDiskErrors.Inc() }
 
 // writeDisk persists a freshly filled artifact: encode, compress when
-// that shrinks it, checksum, write to a temp file in the final directory,
-// rename into place. Failures are counted but not returned — the store
+// that shrinks it, checksum, then one atomicfile.Write. Failures are counted but not returned — the store
 // degrades to memory-only behaviour rather than failing the build.
 func (s *Store) writeDisk(key string, v any, k Kind) {
 	if s.dir == "" || !k.diskable() {
@@ -661,38 +609,13 @@ func (s *Store) writeDisk(key string, v any, k Kind) {
 	}
 	sum := sha256.Sum256(body)
 	buf := make([]byte, 0, diskHeaderLen+len(body))
-	buf = append(buf, diskMagic2[:]...)
+	buf = append(buf, diskMagic[:]...)
 	buf = append(buf, sum[:]...)
 	buf = append(buf, body...)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
+	if err := atomicfile.Write(s.objectPath(key), buf, 0o600, s.crash, cpDiskWrite); err != nil {
 		s.countDiskError()
 		return
 	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	crashpoint.Fire(s.crash, cpDiskWriteTmp)
-	if err := os.Rename(tmp.Name(), s.objectPath(key)); err != nil {
-		os.Remove(tmp.Name())
-		s.countDiskError()
-		return
-	}
-	crashpoint.Fire(s.crash, cpDiskWriteDone)
 	s.cDiskWrites.Inc()
 	s.cDiskWriteBytes.Add(uint64(len(body)))
 	s.mu.Lock()
@@ -700,14 +623,20 @@ func (s *Store) writeDisk(key string, v any, k Kind) {
 	s.mu.Unlock()
 }
 
+// flateWriters recycles compressors: a fresh flate.Writer allocates over
+// a megabyte of tables, far more than compressing one artifact costs.
+var flateWriters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed)
+	return w
+}}
+
 // deflate compresses b with flate, reporting false when compression does
 // not pay for itself.
 func deflate(b []byte) ([]byte, bool) {
 	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil, false
-	}
+	w := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(w)
+	w.Reset(&buf)
 	if _, err := w.Write(b); err != nil {
 		return nil, false
 	}
@@ -736,8 +665,8 @@ type GCResult struct {
 // without bound. Entries this store has read or written since it opened
 // are never evicted, so a sweep running concurrently with cache traffic
 // cannot delete an entry out from under its reader; at worst a racing
-// reader refetches on its next use. Stray temp files from crashed writers
-// are cleaned up when more than an hour old. maxBytes <= 0 sweeps
+// reader refetches on its next use. Temp files are not entries: New
+// reclaims the ones crashed writers leave. maxBytes <= 0 sweeps
 // everything unprotected.
 func (s *Store) GC(maxBytes int64) (GCResult, error) {
 	var res GCResult
@@ -752,17 +681,11 @@ func (s *Store) GC(maxBytes int64) (GCResult, error) {
 	var victims []victim
 	root := filepath.Join(s.dir, "objects")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil || d.IsDir() || strings.HasPrefix(d.Name(), ".") {
 			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
-			return nil
-		}
-		if strings.HasPrefix(d.Name(), ".tmp-") {
-			if time.Since(info.ModTime()) > time.Hour {
-				os.Remove(path)
-			}
 			return nil
 		}
 		victims = append(victims, victim{

@@ -245,6 +245,14 @@ var corruptions = map[string]func([]byte) []byte{
 		c[0] = 'X'
 		return c
 	},
+	// The retired GSC1 format — digest over the raw payload, no format
+	// byte — of the very value the test stores: a well-formed entry from
+	// an older build, and still a miss.
+	"legacy-gsc1": func([]byte) []byte {
+		want := blob(5, 200)
+		sum := sha256.Sum256(want)
+		return append(append([]byte("GSC1"), sum[:]...), want...)
+	},
 }
 
 // TestCorruptDiskEntriesFallBackToFill: every corruption mode demotes the
@@ -298,6 +306,9 @@ func TestCorruptDiskEntriesFallBackToFill(t *testing.T) {
 			}
 			if _, src, err := s3.GetOrFill(key, blobKind, fillWith(want, &calls)); err != nil || src != Disk {
 				t.Errorf("after refill: src=%v err=%v, want a clean disk hit", src, err)
+			}
+			if raw, err := os.ReadFile(path); err != nil || [4]byte(raw[:4]) != diskMagic {
+				t.Errorf("refilled entry is not GSC2 (err %v)", err)
 			}
 		})
 	}
@@ -469,7 +480,7 @@ func TestDiskEntriesAreCompressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if [4]byte(raw[:4]) != diskMagic2 {
+	if [4]byte(raw[:4]) != diskMagic {
 		t.Fatalf("new entry has magic %q, want GSC2", raw[:4])
 	}
 	if raw[diskHeaderLen] != formatFlate {
@@ -495,42 +506,9 @@ func TestDiskEntriesAreCompressed(t *testing.T) {
 	}
 }
 
-// TestLegacyRawEntriesStayReadable: a GSC1 entry written by an older
-// build (digest over the raw payload, no format byte) is still a disk
-// hit.
-func TestLegacyRawEntriesStayReadable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := New(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := blob(8, 300)
-	key := Key("legacy")
-	sum := sha256.Sum256(want)
-	raw := append(append(append([]byte(nil), diskMagic[:]...), sum[:]...), want...)
-	path := s.objectPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var calls atomic.Int64
-	v, src, err := s.GetOrFill(key, blobKind, fillWith(want, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src != Disk || calls.Load() != 0 {
-		t.Errorf("legacy entry: src=%v fills=%d, want a disk hit with no fill", src, calls.Load())
-	}
-	if !bytes.Equal(v.([]byte), want) {
-		t.Error("legacy entry round trip corrupted the value")
-	}
-}
-
 // TestGCSweepsOldestFirst: a sweep brings the disk tier under budget by
-// evicting the oldest entries, keeps newer ones, and cleans up stale
-// temp files.
+// evicting the oldest entries and keeps newer ones; the stale temp file
+// a crashed writer left is reclaimed when the sweeping store opens.
 func TestGCSweepsOldestFirst(t *testing.T) {
 	dir := t.TempDir()
 	writer, err := New(Options{Dir: dir})
@@ -591,7 +569,7 @@ func TestGCSweepsOldestFirst(t *testing.T) {
 		t.Errorf("%d entries missing, gc reported %d removed", gone, res.Removed)
 	}
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Error("stale temp file survived the sweep")
+		t.Error("stale temp file survived reopen")
 	}
 }
 
