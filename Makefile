@@ -10,7 +10,10 @@ test:
 
 # The strict gate: vet; a guard that every durable replace in non-test
 # code goes through internal/atomicfile (no other os.Rename or
-# os.CreateTemp); the full test suite under the race detector — among
+# os.CreateTemp); vet and the short tests of the bench module, so an
+# internal API change that breaks the benchmark harness fails here
+# rather than in the benchmark run; the full test suite under the race
+# detector — among
 # it the telemetry hammer, the store/unit-cache/parallel-build races,
 # both create determinism guards, the chaos soak (the whole 64-CVE
 # corpus served over faulty HTTP to concurrent subscribers with
@@ -41,6 +44,7 @@ test:
 check:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt
 	@echo "check: 128-machine canary rollout halted at the burst ring and rolled back"

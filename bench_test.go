@@ -513,7 +513,13 @@ func benchSubscribe(b *testing.B, url, version string, nCVEs int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	applied, err := channel.Subscribe(context.Background(), tr, core.NewManager(k), 0, channel.SubscribeOptions{Blobs: benchNullBlobs{}})
+	cl, err := channel.NewClient(channel.ClientConfig{Transport: tr, Blobs: benchNullBlobs{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Bind(core.NewManager(k), 0)
+	applied, err := cl.Sync(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}

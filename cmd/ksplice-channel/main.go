@@ -378,7 +378,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 
 	// Check the manifest against the pinned key BEFORE replaying the
 	// machine: a manifest from the wrong publisher is refused outright,
-	// exactly as Subscribe would refuse it. An unreachable channel is not
+	// exactly as Sync would refuse it. An unreachable channel is not
 	// fatal here — the sync below degrades to the position reached.
 	if _, _, err := cl.InstallBase(ctx); err != nil && strings.Contains(err.Error(), "refusing manifest") {
 		fatal(err)

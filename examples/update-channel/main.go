@@ -77,10 +77,17 @@ func main() {
 	mgr := core.NewManager(k)
 	fmt.Printf("machine booted: %s, uptime %d instructions\n", k.Version, k.TotalSteps())
 
-	t := channel.NewHTTPTransport(baseURL, channel.HTTPOptions{
-		Timeout: 5 * time.Second, MaxRetries: 4, Backoff: 10 * time.Millisecond,
+	cl, err := channel.NewClient(channel.ClientConfig{
+		Transport: channel.NewHTTPTransport(baseURL, channel.HTTPOptions{
+			Timeout: 5 * time.Second, MaxRetries: 4, Backoff: 10 * time.Millisecond,
+		}),
 	})
-	applied, err := channel.Subscribe(context.Background(), t, mgr, 0, channel.SubscribeOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Bind(mgr, 0)
+	applied, err := cl.Sync(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,10 +97,10 @@ func main() {
 	if n := pauses.Count(); n > 0 {
 		mean = pauses.Sum() / float64(n) * 1e9
 	}
-	st := plan.Stats()
 	fmt.Printf("subscribed: %d hot updates applied, %d stop_machine captures, mean pause %.0fns\n",
 		len(applied), calls, mean)
-	fmt.Printf("faults survived: %d injected (every tarball digest-verified before apply)\n", st.Total())
+	fmt.Printf("faults survived: %d injected (every tarball digest-verified before apply)\n",
+		plan.Metrics().Snapshot().CounterFamily(faultinject.MetricFired))
 	fmt.Printf("uptime now %d instructions — the machine never stopped being itself\n", k.TotalSteps())
 
 	// Prove the whole batch: every probe reports fixed behaviour and the

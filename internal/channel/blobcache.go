@@ -25,9 +25,10 @@ type BlobCache interface {
 	Put(digest string, b []byte)
 }
 
-// NewMemBlobCache returns an in-memory cache — what one Subscribe call
-// uses to chain deltas across the entries it fetches. Not safe for
-// concurrent use; each subscriber owns its cache.
+// NewMemBlobCache returns an in-memory cache — what a Client without a
+// StateDir uses to chain deltas across the entries it fetches. Not safe
+// for concurrent use; each client owns its cache and syncs one pass at
+// a time.
 func NewMemBlobCache() BlobCache {
 	return memBlobCache{}
 }

@@ -22,7 +22,7 @@
 // tarball, every delta its own digest, and the manifest a digest of
 // itself (plus, optionally, an offline ed25519 signature), so
 // integrity — and, with a pinned key, authorship — is end to end:
-// whatever transport delivered the bytes, Subscribe verifies them
+// whatever transport delivered the bytes, Client.Sync verifies them
 // before they are interpreted. All publisher writes go through
 // internal/atomicfile, so a crashed publish never leaves a half-written
 // manifest, tarball, or blob behind.
@@ -82,7 +82,7 @@ type Entry struct {
 	// CustomCode marks Table 1-style updates that carry hooks.
 	CustomCode bool `json:"custom_code,omitempty"`
 	// Sha256 is the hex digest of the tarball bytes; Size their length.
-	// Subscribe refuses to hand bytes that fail either check to Apply.
+	// Client.Sync refuses to hand bytes that fail either check to Apply.
 	Sha256 string `json:"sha256"`
 	Size   int64  `json:"size"`
 }

@@ -2,6 +2,7 @@ package channel
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -48,7 +49,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(k)
-	applied, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{Apply: core.ApplyOptions{MaxAttempts: 6}})
+	applied, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{Apply: core.ApplyOptions{MaxAttempts: 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 	}
 
 	// A machine already at position N gets nothing new.
-	more, err := SubscribeDir(dir, mgr, len(cves), SubscribeOptions{})
+	more, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, len(cves), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestSubscribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubscribeDir(dir, core.NewManager(k), 0, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), NewDirTransport(dir), core.NewManager(k), 0, ClientConfig{}); err == nil {
 		t.Error("cross-release subscription accepted")
 	}
 	// Impossible position.
@@ -228,11 +229,11 @@ func TestSubscribeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SubscribeDir(dir, core.NewManager(k2), 5, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), NewDirTransport(dir), core.NewManager(k2), 5, ClientConfig{}); err == nil {
 		t.Error("position beyond channel accepted")
 	}
 	// Missing channel.
-	if _, err := SubscribeDir(t.TempDir(), core.NewManager(k2), 0, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), NewDirTransport(t.TempDir()), core.NewManager(k2), 0, ClientConfig{}); err == nil {
 		t.Error("empty dir subscribed")
 	}
 }

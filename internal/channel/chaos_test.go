@@ -77,6 +77,11 @@ func memberPlans(release, member int) (server, client *faultinject.Plan) {
 	}
 }
 
+// injected reads how many faults of kind k plan p fired.
+func injected(p *faultinject.Plan, k faultinject.Kind) uint64 {
+	return p.Metrics().Counter(faultinject.MetricFired, telemetry.L("kind", k.String())).Value()
+}
+
 // nullBlobCache never holds anything: the delta base is always missing,
 // so full-fetch members fall back to whole tarballs on the /updates
 // route — the exact byte-for-byte fetch sequence the soak has always
@@ -97,7 +102,7 @@ func (nullBlobCache) Put(string, []byte)        {}
 // every applied tarball, all probes fixed at head, and exact counter
 // conservation across the reboots (applied == channel length, no
 // update lost or double-counted).
-func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published map[string][]byte) (string, []faultinject.Stats) {
+func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published map[string][]byte) (string, []*faultinject.Plan) {
 	serverPlan, clientPlan := memberPlans(ri, 3)
 	srv := httptest.NewServer(faultinject.Handler(channel.NewServer(dir), serverPlan))
 	defer srv.Close()
@@ -195,7 +200,7 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 			return fmt.Sprintf("update %s applied from bytes that differ from the published tarball", name), nil
 		}
 	}
-	return "", []faultinject.Stats{serverPlan.Stats(), clientPlan.Stats()}
+	return "", []*faultinject.Plan{serverPlan, clientPlan}
 }
 
 // TestChaosSoakHTTPFleet is the acceptance soak for the networked
@@ -204,7 +209,7 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 func TestChaosSoakHTTPFleet(t *testing.T) {
 	type memberResult struct {
 		name   string
-		stats  []faultinject.Stats
+		plans  []*faultinject.Plan
 		errmsg string
 	}
 	const membersPerRelease = 4 // member 3 is the kill/restart machine
@@ -256,7 +261,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 					mu.Unlock()
 				}
 				if mi == 3 {
-					res.errmsg, res.stats = chaosKillMember(ri, version, dir, cves, published)
+					res.errmsg, res.plans = chaosKillMember(ri, version, dir, cves, published)
 					mu.Lock()
 					results = append(results, res)
 					mu.Unlock()
@@ -281,7 +286,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 
 				var got [][]byte
 				var names []string
-				opts := channel.SubscribeOptions{
+				cfg := channel.ClientConfig{
 					FetchRetries: 3,
 					OnApplied: func(e channel.Entry, b []byte) error {
 						got = append(got, append([]byte(nil), b...))
@@ -293,9 +298,9 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 					// Full-fetch members: no delta bases, so their fault
 					// schedules align with manifest and tarball operations
 					// only.
-					opts.Blobs = nullBlobCache{}
+					cfg.Blobs = nullBlobCache{}
 				}
-				applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, opts)
+				applied, err := channel.SyncOnce(context.Background(), tr, mgr, 0, cfg)
 				pos := len(applied)
 				if err != nil {
 					pe, ok := channel.IsPosition(err)
@@ -338,7 +343,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 				// Graceful stop: resume over a clean transport reaches the
 				// head. (The faulty run already proved the failure handling.)
 				if pos < len(cves) {
-					more, err := channel.SubscribeDir(dir, mgr, pos, channel.SubscribeOptions{OnApplied: opts.OnApplied})
+					more, err := channel.SyncOnce(context.Background(), channel.NewDirTransport(dir), mgr, pos, channel.ClientConfig{OnApplied: cfg.OnApplied})
 					if err != nil {
 						fail("resume from %d: %v", pos, err)
 						return
@@ -372,7 +377,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 					fail("stress at head: %d, %v", bad, err)
 					return
 				}
-				res.stats = []faultinject.Stats{serverPlan.Stats(), clientPlan.Stats()}
+				res.plans = []*faultinject.Plan{serverPlan, clientPlan}
 				mu.Lock()
 				results = append(results, res)
 				mu.Unlock()
@@ -381,18 +386,19 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 	}
 	wg.Wait()
 
-	var total faultinject.Stats
+	var snaps []telemetry.Snapshot
 	for _, r := range results {
 		if r.errmsg != "" {
 			t.Errorf("%s: %s", r.name, r.errmsg)
 			continue
 		}
-		for _, st := range r.stats {
-			total.Ops += st.Ops
-			for k := range st.Fired {
-				total.Fired[k] += st.Fired[k]
-			}
+		for _, p := range r.plans {
+			snaps = append(snaps, p.Metrics().Snapshot())
 		}
+	}
+	total := telemetry.MergeSnapshots(snaps...)
+	fired := func(k faultinject.Kind) uint64 {
+		return total.Counter(faultinject.MetricFired + `{kind="` + k.String() + `"}`)
 	}
 	if t.Failed() {
 		return
@@ -400,7 +406,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 	// The soak must actually have exercised every fault class somewhere in
 	// the fleet, or it proves nothing.
 	for _, k := range []faultinject.Kind{faultinject.Error, faultinject.Truncate, faultinject.FlipBit, faultinject.Delay} {
-		if total.Injected(k) == 0 {
+		if fired(k) == 0 {
 			t.Errorf("fleet soak never injected a %v fault", k)
 		}
 	}
@@ -416,7 +422,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 	after := telemetry.Default().Snapshot()
 	delta := func(id string) uint64 { return after.Counter(id) - before.Counter(id) }
 	refetches := delta("gosplice_channel_integrity_refetches_total")
-	corruptions := uint64(total.Injected(faultinject.FlipBit) + total.Injected(faultinject.Truncate))
+	corruptions := fired(faultinject.FlipBit) + fired(faultinject.Truncate)
 	if refetches == 0 {
 		t.Errorf("telemetry: no integrity refetches recorded, but corrupting faults fired")
 	}
@@ -460,5 +466,5 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 		t.Errorf("telemetry: no 206 responses counted despite Range resumes")
 	}
 	t.Logf("fleet of %d machines survived %d injected faults over %d operations (%d refetches, %d server requests)",
-		len(results), total.Total(), total.Ops, refetches, reqDelta)
+		len(results), total.CounterFamily(faultinject.MetricFired), total.Counter(faultinject.MetricOps), refetches, reqDelta)
 }

@@ -10,6 +10,7 @@ package channel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -17,6 +18,7 @@ import (
 
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
+	"gosplice/internal/diffutil"
 	"gosplice/internal/telemetry"
 )
 
@@ -44,10 +46,8 @@ type ClientConfig struct {
 	// process death. Nil falls back to the process-global hook.
 	Crash crashpoint.Hook
 	// Blobs overrides the blob cache outright (StateDir then does not
-	// create one).
+	// create one). It is what lets binary deltas chain across Syncs.
 	Blobs BlobCache
-	// BlobCacheBytes caps the StateDir blob cache (0 = default cap).
-	BlobCacheBytes int64
 	// Registry, when non-nil, is the client's metric registry; nil
 	// creates a private one. Either way every increment also lands on
 	// the process-wide registry, so one /metrics stays coherent.
@@ -57,20 +57,33 @@ type ClientConfig struct {
 	// gives each member its own tracer so its Pusher ships exactly that
 	// member's spans upstream.
 	Tracer *telemetry.Tracer
-	// Apply, FetchRetries, VerifyKey, OnApplied pass through to
-	// Subscribe.
-	Apply        core.ApplyOptions
+	// Apply is passed through to core.Manager.Apply for every update, so
+	// a busy machine can raise MaxAttempts or stretch RetryDelay instead
+	// of inheriting hard-coded defaults.
+	Apply core.ApplyOptions
+	// FetchRetries bounds how many times one entry is re-fetched after
+	// an integrity failure — a digest or size mismatch, or a tarball
+	// that fails to parse (default 2, i.e. up to 3 fetches). Transport
+	// implementations retry transport-level failures internally; this
+	// guards the end-to-end check above them.
 	FetchRetries int
-	VerifyKey    VerifyKey
-	OnApplied    func(e Entry, b []byte) error
-	// Throttle, when > 0, sleeps this long after every applied update —
-	// how a fleet simulates slow machines. The sleep respects the Sync
-	// context.
-	Throttle time.Duration
+	// VerifyKey, when non-nil, pins the channel's publisher: the
+	// manifest must carry a valid ed25519 signature by this key or it is
+	// refused outright — a hard error, not a PositionError, because an
+	// unauthenticated manifest is an attack, not an outage.
+	VerifyKey VerifyKey
+	// OnApplied, when non-nil, is called after each update applies and
+	// its journal record commits, with its manifest entry and verified
+	// tarball bytes — the hook a subscriber uses to persist local copies
+	// for later replay. An error stops the Sync; the update stays applied
+	// and counted in the position. It runs inside the Sync's pass, so it
+	// must not call the client's Sync, RestoreMachine or Rollback.
+	OnApplied func(e Entry, b []byte) error
 }
 
 // Client is one subscriber machine's channel stack. Safe for concurrent
-// use, though a machine normally runs one Sync at a time.
+// use: Sync, RestoreMachine and Rollback each hold the client for their
+// whole pass, so two of them never act on one machine at once.
 type Client struct {
 	cfg      ClientConfig
 	t        Transport
@@ -81,6 +94,9 @@ type Client struct {
 	state    *ClientState
 	recovery Recovery
 
+	// run is held for a whole Sync, RestoreMachine or Rollback pass; mu
+	// guards the fields below and is only ever held briefly.
+	run     sync.Mutex
 	mu      sync.Mutex
 	mgr     *core.Manager
 	base    int // channel position when the manager was bound; Rollback's floor
@@ -98,6 +114,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Name == "" {
 		cfg.Name = "client"
+	}
+	if cfg.FetchRetries <= 0 {
+		cfg.FetchRetries = 2
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -120,11 +139,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	case cfg.Blobs != nil:
 		c.blobs = cfg.Blobs
 	case cfg.StateDir != "":
-		max := cfg.BlobCacheBytes
-		if max == 0 {
-			max = DefaultBlobCacheBytes
-		}
-		bc, err := NewDirBlobCacheMax(filepath.Join(cfg.StateDir, "blob-cache"), max)
+		bc, err := NewDirBlobCache(filepath.Join(cfg.StateDir, "blob-cache"))
 		if err != nil {
 			return nil, fmt.Errorf("channel: client blob cache: %w", err)
 		}
@@ -165,9 +180,6 @@ func (c *Client) Registry() *telemetry.Registry { return c.reg }
 // Tracer returns the client's span tracer.
 func (c *Client) Tracer() *telemetry.Tracer { return c.tracer }
 
-// Blobs returns the client's blob cache.
-func (c *Client) Blobs() BlobCache { return c.blobs }
-
 // Bind attaches the running machine: its update manager and its current
 // channel position. position becomes the floor Rollback will not undo
 // past — whatever was on the machine before this client managed it is
@@ -204,6 +216,8 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 		c.Bind(mgr, floor)
 		return floor, nil
 	}
+	c.run.Lock()
+	defer c.run.Unlock()
 	ctx, done, err := c.syncCtx(ctx)
 	if err != nil {
 		return 0, err
@@ -221,14 +235,9 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 		target = floor
 	}
 	if target > floor || pending != nil {
-		m, err := c.t.Manifest(ctx)
+		m, err := c.manifest(ctx, mgr, floor)
 		if err != nil {
 			return 0, fmt.Errorf("channel: client %s recovery: %w", c.cfg.Name, err)
-		}
-		if c.cfg.VerifyKey != nil {
-			if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
-				return 0, fmt.Errorf("channel: refusing manifest: %w", err)
-			}
 		}
 		if target > len(m.Updates) {
 			c.ms.tornDetected.Inc()
@@ -286,15 +295,11 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 	return target, nil
 }
 
-// replayEntry re-applies one committed update during recovery: bytes
-// from the blob cache when present, a verified transport fetch
-// otherwise.
+// replayEntry re-applies one committed update during recovery, through
+// the same fetch-and-verify step as Sync: bytes from the blob cache when
+// present, a verified transport fetch otherwise.
 func (c *Client) replayEntry(ctx context.Context, mgr *core.Manager, m *Manifest, e Entry) error {
-	retries := c.cfg.FetchRetries
-	if retries <= 0 {
-		retries = 2
-	}
-	u, _, err := fetchVerified(ctx, c.t, m, e, c.blobs, retries, c.ms)
+	u, _, err := c.fetchVerified(ctx, m, e)
 	if err != nil {
 		return err
 	}
@@ -321,9 +326,11 @@ func (c *Client) Position() int {
 }
 
 // syncCtx derives a cancellable context registered with Close, so a
-// closed client aborts every in-flight Sync (mid-backoff included).
+// closed client aborts every in-flight Sync (mid-backoff included). The
+// context carries the client's metric set, so the transport counts its
+// retries, backoffs and resumes into the client that asked.
 func (c *Client) syncCtx(ctx context.Context) (context.Context, func(), error) {
-	ctx, cancel := context.WithCancel(ctx)
+	ctx, cancel := context.WithCancel(context.WithValue(ctx, clientMetricsKey{}, c.ms))
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -342,15 +349,85 @@ func (c *Client) syncCtx(ctx context.Context) (context.Context, func(), error) {
 	return ctx, done, nil
 }
 
-// Sync subscribes the machine up to the channel head from its current
-// position, returning the updates applied this call. A PositionError
-// still advances the recorded position to wherever the machine actually
-// reached — the machine stays consistent, and the next Sync resumes
-// there. Cancelling ctx (or Close) stops the sync at the next safe
-// boundary.
+// manifest fetches the channel manifest and refuses it unless it carries
+// the pinned publisher's signature and, when mgr is non-nil, serves mgr's
+// kernel release. An unreachable channel comes back as a *PositionError
+// at pos — an outage the machine rides out where it is; a refusal is a
+// plain error.
+func (c *Client) manifest(ctx context.Context, mgr *core.Manager, pos int) (*Manifest, error) {
+	m, err := c.t.Manifest(ctx)
+	if err != nil {
+		return nil, &PositionError{Position: pos, Err: err}
+	}
+	if c.cfg.VerifyKey != nil {
+		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
+			return nil, fmt.Errorf("channel: refusing manifest: %w", err)
+		}
+	}
+	if mgr != nil && m.KernelVersion != mgr.K.Version {
+		return nil, fmt.Errorf("channel: serves %q, machine runs %q", m.KernelVersion, mgr.K.Version)
+	}
+	return m, nil
+}
+
+// PositionError reports a Sync that stopped before the channel head —
+// the channel became unreachable, an entry stayed corrupt through every
+// refetch, an apply or its journal record failed, or the caller's
+// context was cancelled. The machine remains consistent: exactly
+// Position updates are applied (the original position plus everything
+// the Sync managed), no update is partially applied, and the next Sync
+// resumes where this one stopped.
+type PositionError struct {
+	// Position is the machine's channel position after the partial
+	// sync.
+	Position int
+	// Entry names the update that could not be fetched or applied
+	// ("" when the manifest itself was unavailable).
+	Entry string
+	Err   error
+}
+
+func (e *PositionError) Error() string {
+	what := "manifest"
+	if e.Entry != "" {
+		what = e.Entry
+	}
+	return fmt.Sprintf("channel: stopped at position %d (%s): %v", e.Position, what, e.Err)
+}
+
+func (e *PositionError) Unwrap() error { return e.Err }
+
+// IsPosition reports whether err is a graceful partial-sync stop and
+// returns it when so.
+func IsPosition(err error) (*PositionError, bool) {
+	var pe *PositionError
+	if errors.As(err, &pe) {
+		return pe, true
+	}
+	return nil, false
+}
+
+// Sync applies every channel update the machine does not yet have, in
+// order, from its current position up to the channel head, and returns
+// the updates applied this call. The pass holds the client throughout:
+// a second Sync (or a Rollback) waits for it rather than racing it over
+// the same entries.
+//
+// Every tarball is verified against its manifest digest and size before
+// it is parsed; corrupt bytes are re-fetched up to FetchRetries times
+// and are never handed to Apply. With a StateDir, each apply is
+// bracketed by write-ahead journal records: begin once its bytes are
+// verified, commit once it is live, before it is counted. If the channel
+// becomes unreachable or an entry stays bad, Sync degrades gracefully:
+// the machine keeps running at the position it reached, the recorded
+// position advances to it, and the returned *PositionError reports how
+// far that is. Cancelling ctx (or Close) stops the sync at the next
+// update boundary, or mid-backoff inside the transport.
 func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
+	c.run.Lock()
+	defer c.run.Unlock()
 	c.mu.Lock()
-	mgr, pos := c.mgr, c.pos
+	mgr, from := c.mgr, c.pos
 	c.mu.Unlock()
 	if mgr == nil {
 		return nil, fmt.Errorf("channel: client %s has no machine bound", c.cfg.Name)
@@ -364,53 +441,189 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	// this trace, and the traceparent crosses the wire to the server.
 	sp := c.tracer.Start("client.sync",
 		telemetry.A("client", c.cfg.Name),
-		telemetry.A("from", fmt.Sprintf("%d", pos)))
+		telemetry.A("from", fmt.Sprintf("%d", from)))
 	defer sp.End()
 	ctx = telemetry.ContextWithSpan(ctx, sp)
-	opts := SubscribeOptions{
-		Apply:        c.cfg.Apply,
-		FetchRetries: c.cfg.FetchRetries,
-		VerifyKey:    c.cfg.VerifyKey,
-		Blobs:        c.blobs,
-		Registry:     c.reg,
-	}
-	if c.state != nil {
-		opts.OnApplying = func(m *Manifest, e Entry, pos int) error {
-			return c.state.Begin(JournalEntry{Pos: pos, Name: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: m.Digest}, mgr.K.Version)
+	applied, err := c.syncFrom(ctx, sp, mgr, from)
+	to := from + len(applied)
+	sp.SetAttr("applied", fmt.Sprintf("%d", len(applied)))
+	sp.SetAttr("to", fmt.Sprintf("%d", to))
+	c.mu.Lock()
+	c.pos = to
+	c.mu.Unlock()
+	c.ms.position.Set(int64(to))
+	return applied, err
+}
+
+// syncFrom is Sync's pass over the entries past from. Each entry gets
+// fetch and apply children under sp, and the fetch child's traceparent
+// rides the transport's requests, so the server's handler spans nest
+// inside it across the process boundary.
+func (c *Client) syncFrom(ctx context.Context, sp *telemetry.Span, mgr *core.Manager, from int) ([]*core.Update, error) {
+	m, err := c.manifest(ctx, mgr, from)
+	if err != nil {
+		if _, ok := IsPosition(err); ok {
+			c.ms.degraded.Inc()
 		}
-		opts.OnCommitted = func(e Entry, pos int) error {
-			return c.state.Commit(pos)
-		}
+		return nil, err
 	}
-	opts.OnApplied = func(e Entry, b []byte) error {
+	if from > len(m.Updates) {
+		return nil, fmt.Errorf("channel: machine claims %d updates, channel has %d", from, len(m.Updates))
+	}
+	var out []*core.Update
+	stop := func(e Entry, err error) ([]*core.Update, error) {
+		c.ms.degraded.Inc()
+		return out, &PositionError{Position: from + len(out), Entry: e.Name, Err: err}
+	}
+	for _, e := range m.Updates[from:] {
+		if err := ctx.Err(); err != nil {
+			return stop(e, err)
+		}
+		fsp := sp.Child("fetch", telemetry.A("entry", e.Name))
+		u, b, err := c.fetchVerified(telemetry.ContextWithSpan(ctx, fsp), m, e)
+		fsp.End()
+		if err != nil {
+			return stop(e, err)
+		}
+		pos := from + len(out) + 1
+		if c.state != nil {
+			if err := c.state.Begin(JournalEntry{Pos: pos, Name: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: m.Digest}, mgr.K.Version); err != nil {
+				return stop(e, fmt.Errorf("journaling begin: %w", err))
+			}
+		}
+		asp := sp.Child("apply", telemetry.A("entry", e.Name))
+		_, err = mgr.Apply(u, c.cfg.Apply)
+		asp.End()
+		if err != nil {
+			return stop(e, fmt.Errorf("applying: %w", err))
+		}
+		// Commit before the apply is counted, so a journal that says
+		// "committed" never claims an update the metrics have not seen.
+		var commitErr error
+		if c.state != nil {
+			commitErr = c.state.Commit(pos)
+		}
+		c.ms.applied.Inc()
+		out = append(out, u)
+		c.ms.position.Set(int64(pos))
+		if commitErr != nil {
+			return stop(e, fmt.Errorf("journaling commit: %w", commitErr))
+		}
 		if c.cfg.OnApplied != nil {
 			if err := c.cfg.OnApplied(e, b); err != nil {
-				return err
+				return stop(e, fmt.Errorf("on-applied hook: %w", err))
 			}
 		}
-		if c.cfg.Throttle > 0 {
-			timer := time.NewTimer(c.cfg.Throttle)
-			defer timer.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-timer.C:
+	}
+	return out, nil
+}
+
+// fetchVerified fetches one entry and verifies it end to end, re-fetching
+// on integrity failures. Transport errors are not retried here (the
+// transport already did); they surface immediately.
+//
+// When the manifest advertises a delta onto this tarball and the blob
+// cache holds its base, the bytes are reconstructed from the delta
+// first; any delta failure falls through to the full fetch below, so
+// deltas can only save bandwidth, never lose an update. Either way the
+// verified tarball is cached as the next entry's delta base.
+func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core.Update, []byte, error) {
+	if e.Sha256 != "" {
+		// Blob cache first: a machine that already verified these exact
+		// bytes (an earlier sync killed before its position committed, a
+		// rollback being re-applied) re-applies from local disk without
+		// touching the wire. Get re-verifies the digest, so a rotted blob
+		// falls through to the fetch below.
+		if b, ok := c.blobs.Get(e.Sha256); ok {
+			if u, err := decodeVerified(b, e); err == nil {
+				return u, b, nil
 			}
 		}
-		return nil
+		if b, ok := c.fetchViaDelta(ctx, m, e.Sha256); ok {
+			if u, err := decodeVerified(b, e); err == nil {
+				return u, b, nil
+			}
+		}
 	}
-	applied, err := Subscribe(ctx, c.t, mgr, pos, opts)
-	newPos := pos + len(applied)
-	if pe, ok := IsPosition(err); ok {
-		newPos = pe.Position
+	retries := c.cfg.FetchRetries
+	var lastErr error
+	for attempt := 0; attempt <= retries; attempt++ {
+		b, err := c.t.Fetch(ctx, e)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.ms.bytesOverWire.Add(uint64(len(b)))
+		u, err := decodeVerified(b, e)
+		if err == nil {
+			if e.Sha256 != "" {
+				c.blobs.Put(e.Sha256, b)
+			}
+			return u, b, nil
+		}
+		// Digest mismatch or unparseable bytes: the transport delivered
+		// garbage. Fetch again; never interpret or apply what we have.
+		c.ms.refetches.Inc()
+		lastErr = err
 	}
-	sp.SetAttr("applied", fmt.Sprintf("%d", len(applied)))
-	sp.SetAttr("to", fmt.Sprintf("%d", newPos))
-	c.mu.Lock()
-	c.pos = newPos
-	c.mu.Unlock()
-	c.ms.position.Set(int64(newPos))
-	return applied, err
+	return nil, nil, fmt.Errorf("corrupt after %d fetches: %w", retries+1, lastErr)
+}
+
+// fetchViaDelta reconstructs the blob with the given digest from an
+// advertised binary delta, when one exists and its base is in the local
+// cache. Every failure past "a delta was advertised" counts a full-fetch
+// fallback; the delta format is self-verifying (base and result digests
+// are in the header), so corrupt deltas and wrong bases are caught
+// before any reconstructed byte is trusted.
+func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, digest string) ([]byte, bool) {
+	d := m.DeltaFor(digest)
+	if d == nil {
+		return nil, false
+	}
+	base, ok := c.blobs.Get(d.BaseSha256)
+	if !ok {
+		c.ms.deltaFallback.Inc()
+		return nil, false
+	}
+	db, err := c.t.FetchBlob(ctx, d.Sha256, d.Size)
+	if err != nil {
+		c.ms.deltaFallback.Inc()
+		return nil, false
+	}
+	c.ms.bytesOverWire.Add(uint64(len(db)))
+	if blobDigest(db) != d.Sha256 {
+		c.ms.deltaFallback.Inc()
+		return nil, false
+	}
+	b, err := diffutil.ApplyDelta(base, db)
+	if err != nil {
+		c.ms.deltaFallback.Inc()
+		return nil, false
+	}
+	if blobDigest(b) != digest {
+		// Publisher advertised a delta whose result is not the blob —
+		// caught here, fall back to whole-blob fetch.
+		c.ms.deltaFallback.Inc()
+		return nil, false
+	}
+	c.ms.deltaApplied.Inc()
+	c.blobs.Put(digest, b)
+	return b, true
+}
+
+// decodeVerified turns fetched bytes into an update, enforcing the
+// manifest's digest and size. Entries published before digests existed
+// (empty Sha256) parse unverified.
+func decodeVerified(b []byte, e Entry) (*core.Update, error) {
+	if e.Sha256 == "" {
+		return core.ReadTarVerified(b, blobDigest(b), int64(len(b)))
+	}
+	return core.ReadTarVerified(b, e.Sha256, e.Size)
+}
+
+// blobDigest is the digest b would be advertised under.
+func blobDigest(b []byte) string {
+	d, _ := core.TarDigest(b)
+	return d
 }
 
 // Rollback undoes hot updates, most recent first, until the machine is
@@ -419,6 +632,8 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 // through the same quiescence machinery the applies did. It returns how
 // many updates were undone.
 func (c *Client) Rollback(to int) (int, error) {
+	c.run.Lock()
+	defer c.run.Unlock()
 	c.mu.Lock()
 	mgr := c.mgr
 	if to < c.base {
@@ -470,16 +685,8 @@ func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, erro
 		return nil, st, err
 	}
 	defer done()
-	m, err := c.t.Manifest(ctx)
-	if err != nil {
-		return nil, st, err
-	}
-	if c.cfg.VerifyKey != nil {
-		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
-			return nil, st, fmt.Errorf("channel: refusing manifest: %w", err)
-		}
-	}
-	return m, st, nil
+	m, err := c.manifest(ctx, nil, c.Position())
+	return m, st, err
 }
 
 // Pusher returns a telemetry pusher that reports this client's registry

@@ -59,7 +59,7 @@ func TestBackoffInterruptedByCancel(t *testing.T) {
 	}
 }
 
-// TestSubscribeCancelMidBackoff: a Subscribe blocked on an unreachable
+// TestSubscribeCancelMidBackoff: a Sync blocked on an unreachable
 // tarball degrades to a PositionError wrapping the context's error as
 // soon as the caller cancels — it does not sleep out the transport's
 // backoff schedule first.
@@ -89,7 +89,7 @@ func TestSubscribeCancelMidBackoff(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	applied, err := Subscribe(ctx, tr, mgr, 0, SubscribeOptions{})
+	applied, err := SyncOnce(ctx, tr, mgr, 0, ClientConfig{})
 	elapsed := time.Since(start)
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancelled subscribe returned after %s", elapsed)
@@ -189,7 +189,7 @@ func TestClientSyncAndRollback(t *testing.T) {
 	// The machine already runs the first update when the client binds it:
 	// position 1 is the rollback floor.
 	k, mgr := bootManager(t, version)
-	if _, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{}); err == nil {
+	if _, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{}); err == nil {
 		// Head is 3; this synced everything. Undo back to 1 so the client
 		// starts mid-channel.
 		for i := 0; i < 2; i++ {
@@ -238,5 +238,83 @@ func TestClientSyncAndRollback(t *testing.T) {
 	}
 	if bad, err := k.Call("stress_main", 50); err != nil || bad != 0 {
 		t.Errorf("stress after rollback: %d, %v", bad, err)
+	}
+}
+
+// TestConcurrentSyncsApplyEachEntryOnce: two Syncs racing on one client
+// apply every channel entry exactly once. The second pass waits for the
+// first and finds the machine at the head, rather than starting from
+// the same position and applying an entry twice (or tripping run-pre on
+// an entry the other pass already spliced in).
+func TestConcurrentSyncsApplyEachEntryOnce(t *testing.T) {
+	const updates, trials = 4, 20
+	version := cvedb.Versions[0]
+	dir := publishSweep(t, version, updates)
+	for trial := 0; trial < trials; trial++ {
+		_, mgr := bootManager(t, version)
+		cl, err := NewClient(ClientConfig{Name: "concurrent", Transport: NewDirTransport(dir)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Bind(mgr, 0)
+		type result struct {
+			applied int
+			err     error
+		}
+		results := make(chan result, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				applied, err := cl.Sync(context.Background())
+				results <- result{len(applied), err}
+			}()
+		}
+		total := 0
+		for i := 0; i < 2; i++ {
+			r := <-results
+			if r.err != nil {
+				t.Fatalf("trial %d: sync: %v", trial, r.err)
+			}
+			total += r.applied
+		}
+		cl.Close()
+		if n, pos := len(mgr.Applied()), cl.Position(); n != updates || pos != updates || total != updates {
+			t.Fatalf("trial %d: manager runs %d updates at position %d after %d applies, want all %d",
+				trial, n, pos, total, updates)
+		}
+	}
+}
+
+// TestTransportCountsIntoIssuingClient: the HTTP transport's retries
+// land in the registry of the client whose Sync made them, with no
+// registry wired into the transport itself.
+func TestTransportCountsIntoIssuingClient(t *testing.T) {
+	version := cvedb.Versions[0]
+	dir, _, _ := publishOne(t, version)
+	inner := NewServer(dir)
+	var reqs atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if reqs.Add(1) == 1 {
+			http.Error(w, "flaky", http.StatusServiceUnavailable)
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	cl, err := NewClient(ClientConfig{
+		Name:      "retry-attribution",
+		Transport: NewHTTPTransport(srv.URL, HTTPOptions{Backoff: time.Millisecond, Seed: 1}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, mgr := bootManager(t, version)
+	cl.Bind(mgr, 0)
+	if _, err := cl.Sync(context.Background()); err != nil {
+		t.Fatalf("sync through one 503: %v", err)
+	}
+	if n := cl.Registry().Snapshot().Counter("gosplice_channel_client_retries_total"); n < 1 {
+		t.Errorf("client registry counts %d transport retries, want >= 1", n)
 	}
 }

@@ -155,7 +155,7 @@ func TestSubscribeDeltaCorruptFallsBackFull(t *testing.T) {
 	_, mgr := bootRelease(t, version)
 	var got [][]byte
 	var names []string
-	applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, channel.SubscribeOptions{
+	applied, err := channel.SyncOnce(context.Background(), tr, mgr, 0, channel.ClientConfig{
 		OnApplied: func(e channel.Entry, b []byte) error {
 			got = append(got, append([]byte(nil), b...))
 			names = append(names, e.Name)
@@ -181,7 +181,7 @@ func TestSubscribeDeltaCorruptFallsBackFull(t *testing.T) {
 	if delta("gosplice_channel_delta_applied_total") == 0 {
 		t.Error("no later entry reconstructed from a delta")
 	}
-	if plan.Stats().Injected(faultinject.FlipBit) == 0 {
+	if injected(plan, faultinject.FlipBit) == 0 {
 		t.Error("the corrupting fault never fired — the test proved nothing")
 	}
 }
@@ -194,7 +194,7 @@ func TestSubscribeMissingBaseFallsBackFull(t *testing.T) {
 	reg := telemetry.Default()
 	before := reg.Snapshot()
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.Subscribe(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.SubscribeOptions{
+	applied, err := channel.SyncOnce(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.ClientConfig{
 		Blobs: nullBlobCache{},
 	})
 	if err != nil {
@@ -259,7 +259,7 @@ func TestPublisherResumeContinuesDeltas(t *testing.T) {
 func subscribeHead(t *testing.T, dir, version string, want int) {
 	t.Helper()
 	_, mgr := bootRelease(t, version)
-	applied, err := channel.SubscribeDir(dir, mgr, 0, channel.SubscribeOptions{})
+	applied, err := channel.SyncOnce(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"context"
 	"strconv"
 	"time"
 
@@ -211,9 +212,23 @@ func newClientMetrics(reg *telemetry.Registry, mirror *clientMetrics) *clientMet
 	return cm
 }
 
-// defaultClientMetrics is the process-wide set: what plain Subscribe
-// calls count into, and what every per-client set mirrors.
+// defaultClientMetrics is the process-wide set: what transport requests
+// made outside any client count into, and what every per-client set
+// mirrors.
 var defaultClientMetrics = newClientMetrics(telemetry.Default(), nil)
+
+// clientMetricsKey carries a client's metric set on the contexts its
+// passes derive (see Client.syncCtx).
+type clientMetricsKey struct{}
+
+// metricsFrom returns the metric set of the client whose pass derived
+// ctx, or the process-wide set for a request made without one.
+func metricsFrom(ctx context.Context) *clientMetrics {
+	if ms, ok := ctx.Value(clientMetricsKey{}).(*clientMetrics); ok {
+		return ms
+	}
+	return defaultClientMetrics
+}
 
 // registryClientMetrics returns the metric set for a per-instance
 // registry (mirrored into the process-wide set), or the process-wide set

@@ -54,7 +54,7 @@ func TestIntegrityRefetchCounterExact(t *testing.T) {
 	tr := faultinject.WrapTransport(channel.NewDirTransport(dir), plan)
 
 	before := telemetry.Default().Snapshot()
-	applied, err := channel.Subscribe(context.Background(), tr, mgr, 0, channel.SubscribeOptions{})
+	applied, err := channel.SyncOnce(context.Background(), tr, mgr, 0, channel.ClientConfig{})
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestIntegrityRefetchCounterExact(t *testing.T) {
 	if got := delta("gosplice_channel_subscribe_degraded_total"); got != 0 {
 		t.Errorf("degraded counter moved %d on a successful subscribe", got)
 	}
-	if got := plan.Stats().Injected(faultinject.FlipBit); got != 1 {
+	if got := injected(plan, faultinject.FlipBit); got != 1 {
 		t.Errorf("plan fired %d FlipBits, want 1", got)
 	}
 }

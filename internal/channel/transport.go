@@ -17,7 +17,7 @@ import (
 
 // Transport fetches a channel's manifest and tarballs. Implementations
 // deliver raw bytes and may retry internally, but they make no integrity
-// promise — Subscribe verifies every tarball against its manifest entry
+// promise — Client.Sync verifies every tarball against its manifest entry
 // before the bytes are interpreted, so a Transport (or the network under
 // it) can be arbitrarily faulty without a corrupt update ever reaching
 // Apply.
@@ -93,18 +93,12 @@ type HTTPOptions struct {
 	// Client overrides the underlying *http.Client (its Timeout is
 	// ignored in favour of per-request contexts).
 	Client *http.Client
-	// Registry, when non-nil, receives this transport's retry, backoff,
-	// and resume metrics (mirrored into the process-wide registry) — how
-	// a per-instance channel.Client attributes transport behaviour to
-	// itself. nil counts process-wide only.
-	Registry *telemetry.Registry
 }
 
 type httpTransport struct {
 	base   string
 	client *http.Client
 	opt    HTTPOptions
-	ms     *clientMetrics
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -115,7 +109,9 @@ type httpTransport struct {
 // and the caller's context; failures are retried with exponential backoff
 // and jitter (the sleeps select on the context, so cancellation is
 // immediate); a truncated tarball body is resumed from the byte where it
-// broke off via a Range request rather than refetched whole.
+// broke off via a Range request rather than refetched whole. Retries,
+// backoffs and resumes count into the metric set of the channel.Client
+// whose request it is (process-wide for requests made without one).
 func NewHTTPTransport(baseURL string, o HTTPOptions) Transport {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
@@ -138,7 +134,6 @@ func NewHTTPTransport(baseURL string, o HTTPOptions) Transport {
 		base:   strings.TrimSuffix(baseURL, "/"),
 		client: client,
 		opt:    o,
-		ms:     registryClientMetrics(o.Registry),
 		rng:    rand.New(rand.NewSource(seed)),
 	}
 }
@@ -152,8 +147,9 @@ func (t *httpTransport) backoff(ctx context.Context, attempt int) error {
 	t.mu.Lock()
 	jitter := time.Duration(t.rng.Int63n(int64(d)/2 + 1))
 	t.mu.Unlock()
-	t.ms.retries.Inc()
-	t.ms.backoff.ObserveDuration(d + jitter)
+	ms := metricsFrom(ctx)
+	ms.retries.Inc()
+	ms.backoff.ObserveDuration(d + jitter)
 	timer := time.NewTimer(d + jitter)
 	defer timer.Stop()
 	select {
@@ -238,7 +234,7 @@ func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
 
 // Fetch downloads one tarball, resuming from the last good byte when the
 // body is cut short. It returns the accumulated bytes unverified —
-// Subscribe owns the digest check.
+// Client.Sync owns the digest check.
 func (t *httpTransport) Fetch(ctx context.Context, e Entry) ([]byte, error) {
 	return t.download(ctx, "/updates/"+e.File, e.File, e.Size)
 }
@@ -281,7 +277,7 @@ func (t *httpTransport) download(ctx context.Context, path, label string, size i
 		switch {
 		case offset > 0 && resp.StatusCode == http.StatusPartialContent:
 			// Resuming where the last body broke off.
-			t.ms.resumes.Inc()
+			metricsFrom(ctx).resumes.Inc()
 		case resp.StatusCode == http.StatusOK:
 			// Full body (or the server ignored our Range): start over.
 			buf = buf[:0]

@@ -101,7 +101,7 @@ func TestManifestTamperDetected(t *testing.T) {
 }
 
 // TestCorruptTarballNeverApplied: a tarball corrupted at rest fails the
-// digest check on every fetch; Subscribe stops at a clean position and
+// digest check on every fetch; Sync stops at a clean position and
 // the machine still runs its original (vulnerable but consistent) code —
 // the corrupt bytes never reach Apply.
 func TestCorruptTarballNeverApplied(t *testing.T) {
@@ -128,7 +128,7 @@ func TestCorruptTarballNeverApplied(t *testing.T) {
 				t.Fatal(err)
 			}
 			k, mgr := bootManager(t, version)
-			applied, err := SubscribeDir(dir, mgr, 0, SubscribeOptions{})
+			applied, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{})
 			if err == nil || len(applied) != 0 {
 				t.Fatalf("corrupt tarball applied: %d updates, err=%v", len(applied), err)
 			}
@@ -169,7 +169,7 @@ func TestSubscribeMissingTarball(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, mgr := bootManager(t, cvedb.Versions[0])
-	_, err = SubscribeDir(dir, mgr, 0, SubscribeOptions{})
+	_, err = SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{})
 	pe, ok := IsPosition(err)
 	if !ok || pe.Position != 0 {
 		t.Fatalf("missing tarball: err=%v, want PositionError at 0", err)
@@ -212,7 +212,7 @@ func TestSubscribeRefetchRecovers(t *testing.T) {
 		return raw, nil
 	}}
 	k, mgr := bootManager(t, version)
-	applied, err := Subscribe(context.Background(), ft, mgr, 0, SubscribeOptions{})
+	applied, err := SyncOnce(context.Background(), ft, mgr, 0, ClientConfig{})
 	if err != nil || len(applied) != 1 {
 		t.Fatalf("subscribe: %d applied, err=%v", len(applied), err)
 	}
@@ -251,7 +251,7 @@ func TestSubscribeUnreachableMidway(t *testing.T) {
 		return inner.Fetch(context.Background(), e)
 	}}
 	k, mgr := bootManager(t, version)
-	applied, err := Subscribe(context.Background(), ft, mgr, 0, SubscribeOptions{})
+	applied, err := SyncOnce(context.Background(), ft, mgr, 0, ClientConfig{})
 	if len(applied) != 1 {
 		t.Fatalf("applied %d updates before the outage, want 1", len(applied))
 	}
@@ -267,7 +267,7 @@ func TestSubscribeUnreachableMidway(t *testing.T) {
 		t.Errorf("u1 probe = %d, want still-vulnerable %d", got, cves[1].Probe.VulnResult)
 	}
 	// Resuming from the reported position finishes the job.
-	if more, err := SubscribeDir(dir, mgr, pe.Position, SubscribeOptions{}); err != nil || len(more) != 1 {
+	if more, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, pe.Position, ClientConfig{}); err != nil || len(more) != 1 {
 		t.Fatalf("resume from position %d: %d applied, err=%v", pe.Position, len(more), err)
 	}
 	if got := runProbe(t, k, cves[1]); got != cves[1].Probe.FixedResult {

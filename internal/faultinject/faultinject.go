@@ -64,26 +64,12 @@ type Fault struct {
 	Sleep  time.Duration // Delay
 }
 
-// Stats counts what a plan actually did. It is a thin view over the
-// plan's telemetry registry (see Plan.Metrics).
-type Stats struct {
-	// Ops is how many operations passed through the plan.
-	Ops int
-	// Fired counts injected faults by class.
-	Fired [numKinds]int
-}
-
-// Injected reports how many faults of kind k fired.
-func (s Stats) Injected(k Kind) int { return s.Fired[k] }
-
-// Total is the number of faults fired across all classes.
-func (s Stats) Total() int {
-	n := 0
-	for _, c := range s.Fired {
-		n += c
-	}
-	return n
-}
+// A plan's metric families (see Plan.Metrics). Fired carries a "kind"
+// label, one child per fault class (Kind.String()).
+const (
+	MetricOps   = "gosplice_faultinject_ops_total"
+	MetricFired = "gosplice_faultinject_fired_total"
+)
 
 // Plan is a deterministic schedule of faults over a sequence of
 // operations. It is safe for concurrent use; concurrent operations are
@@ -107,10 +93,10 @@ type Plan struct {
 // without enumerating plans.
 var defaultFired = func() [numKinds]*telemetry.Counter {
 	d := telemetry.Default()
-	d.Help("gosplice_faultinject_fired_total", "injected faults by class, summed across all plans")
+	d.Help(MetricFired, "injected faults by class, summed across all plans")
 	var cs [numKinds]*telemetry.Counter
 	for k := Kind(0); k < numKinds; k++ {
-		cs[k] = d.Counter("gosplice_faultinject_fired_total", telemetry.L("kind", k.String()))
+		cs[k] = d.Counter(MetricFired, telemetry.L("kind", k.String()))
 	}
 	return cs
 }()
@@ -118,11 +104,11 @@ var defaultFired = func() [numKinds]*telemetry.Counter {
 // New builds a plan from explicit faults.
 func New(faults ...Fault) *Plan {
 	p := &Plan{byOp: map[int][]Fault{}, met: telemetry.NewRegistry()}
-	p.met.Help("gosplice_faultinject_ops_total", "operations that passed through this plan")
-	p.met.Help("gosplice_faultinject_fired_total", "injected faults by class")
-	p.cOps = p.met.Counter("gosplice_faultinject_ops_total")
+	p.met.Help(MetricOps, "operations that passed through this plan")
+	p.met.Help(MetricFired, "injected faults by class")
+	p.cOps = p.met.Counter(MetricOps)
 	for k := Kind(0); k < numKinds; k++ {
-		p.cFired[k] = p.met.Counter("gosplice_faultinject_fired_total", telemetry.L("kind", k.String()))
+		p.cFired[k] = p.met.Counter(MetricFired, telemetry.L("kind", k.String()))
 	}
 	for _, f := range faults {
 		p.byOp[f.Op] = append(p.byOp[f.Op], f)
@@ -198,17 +184,9 @@ func (p *Plan) Apply(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// Stats snapshots the plan's activity from its telemetry counters.
-func (p *Plan) Stats() Stats {
-	var s Stats
-	s.Ops = int(p.cOps.Value())
-	for k := Kind(0); k < numKinds; k++ {
-		s.Fired[k] = int(p.cFired[k].Value())
-	}
-	return s
-}
-
-// Metrics returns the plan's telemetry registry.
+// Metrics returns the plan's telemetry registry: MetricOps counts the
+// operations that passed through it, MetricFired the faults it injected
+// by kind.
 func (p *Plan) Metrics() *telemetry.Registry { return p.met }
 
 // --- channel.Transport wrapper ---

@@ -4,12 +4,19 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gosplice/internal/store"
+	"gosplice/internal/telemetry"
 )
+
+// injected reads how many faults of kind k plan p fired.
+func injected(p *Plan, k Kind) uint64 {
+	return p.Metrics().Counter(MetricFired, telemetry.L("kind", k.String())).Value()
+}
 
 func TestPlanAppliesScheduledFaults(t *testing.T) {
 	p := New(
@@ -53,13 +60,13 @@ func TestPlanAppliesScheduledFaults(t *testing.T) {
 		t.Errorf("op 5: %v %v, want clean", got, err)
 	}
 
-	st := p.Stats()
-	if st.Ops != 5 || st.Total() != 4 {
-		t.Errorf("stats = %+v, want 5 ops / 4 fired", st)
+	st := p.Metrics().Snapshot()
+	if ops, fired := st.Counter(MetricOps), st.CounterFamily(MetricFired); ops != 5 || fired != 4 {
+		t.Errorf("%d ops / %d fired, want 5 ops / 4 fired", ops, fired)
 	}
 	for _, k := range []Kind{Error, Truncate, FlipBit, Delay} {
-		if st.Injected(k) != 1 {
-			t.Errorf("%v fired %d times, want 1", k, st.Injected(k))
+		if n := injected(p, k); n != 1 {
+			t.Errorf("%v fired %d times, want 1", k, n)
 		}
 	}
 }
@@ -68,7 +75,7 @@ func TestPlanAppliesScheduledFaults(t *testing.T) {
 // dense-enough plan covers every fault class.
 func TestFromSeedIsDeterministic(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 2048)
-	run := func() ([]string, Stats) {
+	run := func() ([]string, *Plan) {
 		p := FromSeed(42, 40, 0.5)
 		var outs []string
 		for i := 0; i < 40; i++ {
@@ -76,20 +83,20 @@ func TestFromSeedIsDeterministic(t *testing.T) {
 			outs = append(outs, fmt.Sprintf("%d/%v", len(b), err != nil))
 			_ = b
 		}
-		return outs, p.Stats()
+		return outs, p
 	}
-	a, sa := run()
-	b, sb := run()
+	a, pa := run()
+	b, pb := run()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("op %d diverged across identical seeds: %s vs %s", i+1, a[i], b[i])
 		}
 	}
-	if sa != sb {
-		t.Errorf("stats diverged: %+v vs %+v", sa, sb)
+	if sa, sb := pa.Metrics().Snapshot().Counters, pb.Metrics().Snapshot().Counters; !reflect.DeepEqual(sa, sb) {
+		t.Errorf("plan counters diverged: %v vs %v", sa, sb)
 	}
 	for _, k := range []Kind{Error, Truncate, FlipBit, Delay} {
-		if sa.Injected(k) == 0 {
+		if injected(pa, k) == 0 {
 			t.Errorf("seed plan never injected %v", k)
 		}
 	}
@@ -182,7 +189,7 @@ func TestPlanWrapsStoreDiskTier(t *testing.T) {
 	if fills.Load() != 3 {
 		t.Errorf("fill ran %d times, want 3 (one per corruption)", fills.Load())
 	}
-	if st := plan.Stats(); st.Total() != 4 {
-		t.Errorf("plan fired %d faults, want 4: %+v", st.Total(), st)
+	if n := plan.Metrics().Snapshot().CounterFamily(MetricFired); n != 4 {
+		t.Errorf("plan fired %d faults, want 4", n)
 	}
 }

@@ -100,10 +100,9 @@ type Config struct {
 	// BurstClients is how many members of BurstRing get the burst
 	// (default: enough to trip Health.MaxUnhealthyFrac).
 	BurstClients int
-	// SlowEvery makes every Nth member a slow machine (0 = none).
+	// SlowEvery makes every Nth member a slow machine, one that pauses
+	// 2ms after every applied update (0 = none).
 	SlowEvery int
-	// Throttle is the slow machines' per-update delay (default 2ms).
-	Throttle time.Duration
 	// KillEvery makes every Nth member killable: it keeps its position
 	// in a persistent state dir (under StateRoot) and a crash schedule
 	// kills its process at a labeled persistence crash point mid-sync.
@@ -168,9 +167,6 @@ func (c *Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.Throttle <= 0 {
-		c.Throttle = 2 * time.Millisecond
 	}
 	if c.StressRounds == 0 {
 		c.StressRounds = 25
@@ -479,7 +475,6 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 		MaxRetries: 6,
 		Backoff:    time.Millisecond,
 		Seed:       o.cfg.Seed + int64(idx) + 1,
-		Registry:   m.reg,
 	})
 	var plan *faultinject.Plan
 	if burst {
@@ -493,6 +488,7 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 	} else if o.cfg.FaultPlan != nil {
 		plan = o.cfg.FaultPlan(idx)
 	}
+	slow := o.cfg.SlowEvery > 0 && idx%o.cfg.SlowEvery == o.cfg.SlowEvery-1
 	cfg := channel.ClientConfig{
 		Name:      m.name,
 		Transport: tr,
@@ -510,6 +506,9 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 				// and let the PositionError path record where it stopped.
 				cancel()
 			}
+			if slow {
+				time.Sleep(2 * time.Millisecond)
+			}
 			return nil
 		},
 	}
@@ -517,9 +516,6 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 		cfg.WrapTransport = func(t channel.Transport) channel.Transport {
 			return faultinject.WrapTransport(t, plan)
 		}
-	}
-	if o.cfg.SlowEvery > 0 && idx%o.cfg.SlowEvery == o.cfg.SlowEvery-1 {
-		cfg.Throttle = o.cfg.Throttle
 	}
 	if o.cfg.KillEvery > 0 && idx%o.cfg.KillEvery == o.cfg.KillEvery-1 {
 		// A killable machine: its position persists under stateRoot, and
