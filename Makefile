@@ -23,7 +23,8 @@ test:
 # converge; a fault burst in ring 2 must halt the gate and roll every
 # patched machine back via undo); a ksplice-fleet CLI smoke — 128
 # machines with a ring-2 burst, required to halt and roll back cleanly
-# (-expect halt); a cold-then-warm ksplice-create round trip through a
+# (-expect halt), with its -events-out JSONL journal required to hold a
+# gate_fail and a rollback event; a cold-then-warm ksplice-create round trip through a
 # shared -cache-dir — the tarballs must be byte-identical and the warm
 # process must compile nothing; a live observability smoke — a serving
 # channel's /metrics scraped and its exposition validated (store,
@@ -46,8 +47,12 @@ check:
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
-	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt
-	@echo "check: 128-machine canary rollout halted at the burst ring and rolled back"
+	@tmp=$$(mktemp -d) && \
+	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
+	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \
+	grep -q '"type":"rollback"' $$tmp/events.jsonl && \
+	echo "check: 128-machine canary rollout halted at the burst ring and rolled back (journal records gate_fail and rollback)" && \
+	rm -rf $$tmp
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-create -version sim-2.6.16-deb -cve CVE-2006-2451 -cache-dir $$tmp/store -cache-stats -o $$tmp/cold.tar >/dev/null 2>$$tmp/cold.log && \
 	$(GO) run ./cmd/ksplice-create -version sim-2.6.16-deb -cve CVE-2006-2451 -cache-dir $$tmp/store -cache-stats -o $$tmp/warm.tar >/dev/null 2>$$tmp/warm.log && \

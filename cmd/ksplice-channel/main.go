@@ -395,7 +395,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 		// Report after the sync so the snapshot carries its outcome and
 		// the pushed span batch carries the sync's distributed trace. A
 		// failed push never fails the subscribe — the updates are live.
-		if err := cl.Pusher(pushReport, 0).Push(ctx); err != nil {
+		if err := cl.Pusher(pushReport).Push(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "ksplice-channel: warning: telemetry push: %v\n", err)
 		} else {
 			fmt.Printf("pushed telemetry report to %s\n", pushReport)

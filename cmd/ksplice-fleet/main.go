@@ -26,6 +26,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -34,6 +35,7 @@ import (
 	"strings"
 	"time"
 
+	"gosplice/internal/channel"
 	"gosplice/internal/faultinject"
 	"gosplice/internal/fleet"
 	"gosplice/internal/telemetry"
@@ -46,41 +48,33 @@ func main() {
 	workers := flag.Int("workers", 16, "concurrent machine syncs")
 	seed := flag.Int64("seed", 1, "ring-assignment and jitter seed")
 	burstRing := flag.Int("burst-ring", 0, "inject a hard fault burst into this ring (1-based; 0 = none)")
-	burstClients := flag.Int("burst-clients", 0, "burst size (default: enough to trip the health gate)")
 	faultEvery := flag.Int("fault-every", 0, "give every Nth machine a recoverable corruption plan (0 = none)")
 	killEvery := flag.Int("kill-every", 0, "kill every Nth machine at a persistence crash point mid-sync and reboot it from its state dir (0 = none)")
-	killPoint := flag.String("kill-point", "", "crash-point label for -kill-every (default: any persistence point)")
 	stateRoot := flag.String("state-root", "", "root directory for killable machines' state dirs (default: under -work)")
 	slowEvery := flag.Int("slow-every", 0, "make every Nth machine slow (0 = none)")
 	joins := flag.Int("joins", 0, "machines that join mid-rollout before the final ring")
 	leaves := flag.Int("leaves", 0, "final-ring machines that power off after their first update")
 	maxUnhealthy := flag.Float64("max-unhealthy", 0.10, "max unhealthy fraction per ring before halting")
-	stress := flag.Int("stress", 25, "post-sync stress probe rounds per machine (-1 disables)")
-	pushEvery := flag.Duration("push-every", 0, "periodic telemetry push interval during sync (0 = push after sync only)")
 	workDir := flag.String("work", "", "directory for published channels (default: a temp dir)")
 	expect := flag.String("expect", "", "assert the outcome: \"converge\" or \"halt\"")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this loopback address during the rollout")
 	traceOut := flag.String("trace-out", "", "write the merged fleet Chrome trace (member + server spans) to this file on exit")
-	eventsOut := flag.String("events-out", "", "journal the rollout event timeline to this file as JSONL")
+	eventsOut := flag.String("events-out", "", "write the rollout event timeline to this file as JSONL on exit")
 	quiet := flag.Bool("q", false, "suppress rollout narration")
 	flag.Parse()
 
 	cfg := fleet.Config{
-		Clients:      *clients,
-		Workers:      *workers,
-		Seed:         *seed,
-		BurstRing:    *burstRing,
-		BurstClients: *burstClients,
-		SlowEvery:    *slowEvery,
-		Joins:        *joins,
-		Leaves:       *leaves,
-		StressRounds: *stress,
-		PushInterval: *pushEvery,
-		KillEvery:    *killEvery,
-		KillPoint:    *killPoint,
-		StateRoot:    *stateRoot,
+		Clients:          *clients,
+		Workers:          *workers,
+		Seed:             *seed,
+		MaxUnhealthyFrac: *maxUnhealthy,
+		BurstRing:        *burstRing,
+		SlowEvery:        *slowEvery,
+		Joins:            *joins,
+		Leaves:           *leaves,
+		KillEvery:        *killEvery,
+		StateRoot:        *stateRoot,
 	}
-	cfg.Health.MaxUnhealthyFrac = *maxUnhealthy
 	if *releases != "" {
 		cfg.Releases = strings.Split(*releases, ",")
 	}
@@ -119,7 +113,6 @@ func main() {
 		*workDir = dir
 	}
 	cfg.WorkDir = *workDir
-	cfg.EventLog = *eventsOut
 
 	if bound, stopMetrics, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
 		fatalf("%v", err)
@@ -158,6 +151,11 @@ func main() {
 			fatalf("trace out: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "fleet: merged trace written to %s (trace id %s)\n", *traceOut, res.TraceID)
+	}
+	if *eventsOut != "" {
+		if err := writeEvents(*eventsOut, res.Events); err != nil {
+			fatalf("events out: %v", err)
+		}
 	}
 
 	for _, rr := range res.Rings {
@@ -208,6 +206,23 @@ func main() {
 	default:
 		fatalf("bad -expect %q (want converge or halt)", *expect)
 	}
+}
+
+// writeEvents journals the rollout timeline as JSONL, one event per
+// line — the same records /fleet/events serves, oldest first.
+func writeEvents(path string, events []channel.FleetEvent) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	for _, ev := range events {
+		if err := enc.Encode(ev); err != nil {
+			f.Close()
+			return err
+		}
+	}
+	return f.Close()
 }
 
 func fatalf(format string, args ...any) {

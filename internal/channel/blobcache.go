@@ -85,8 +85,8 @@ var errBlobMiss = errors.New("channel: blob not cached")
 const blobNS = "bl"
 
 // SetCrashHook installs the cache's crash-point hook (nil falls back
-// to the process-global hook) — how a fault plan schedules a simulated
-// process death inside this cache's write path.
+// to the process-global hook) — how a crashpoint.Plan schedules a
+// simulated process death inside this cache's write path.
 func (c *DirBlobCache) SetCrashHook(h crashpoint.Hook) { c.crash = h }
 
 // NewDirBlobCache opens (creating if needed) a blob cache directory with

@@ -110,7 +110,7 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 	// Stagger the death across releases so kills land at different
 	// depths: inside the bind's journal compaction for release 0, deeper
 	// into appends and blob renames for the rest.
-	killPlan := faultinject.New().WithCrash("", 2+2*ri)
+	killPlan := crashpoint.NewPlan("", 2+2*ri)
 	stateDir, err := os.MkdirTemp("", "chaos-kill-")
 	if err != nil {
 		return err.Error(), nil
@@ -138,7 +138,7 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 			}), clientPlan),
 			Registry:     reg,
 			StateDir:     stateDir,
-			Crash:        killPlan.CrashHook(),
+			Crash:        killPlan.Hook(),
 			FetchRetries: 3,
 			OnApplied: func(e channel.Entry, b []byte) error {
 				got[e.Name] = append([]byte(nil), b...)

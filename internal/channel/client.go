@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
@@ -691,12 +690,11 @@ func (c *Client) InstallBase(ctx context.Context) (*Manifest, InstallStats, erro
 
 // Pusher returns a telemetry pusher that reports this client's registry
 // to a fleet aggregation endpoint under the client's name.
-func (c *Client) Pusher(url string, interval time.Duration) *telemetry.Pusher {
+func (c *Client) Pusher(url string) *telemetry.Pusher {
 	p := &telemetry.Pusher{
-		URL:      url,
-		Source:   c.cfg.Name,
-		Interval: interval,
-		Gather:   func() telemetry.Snapshot { return c.reg.Snapshot() },
+		URL:    url,
+		Source: c.cfg.Name,
+		Gather: func() telemetry.Snapshot { return c.reg.Snapshot() },
 	}
 	// The client's spans ride upstream with each report (deduped
 	// aggregator-side by span sequence). Fleets hand each member a

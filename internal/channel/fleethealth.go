@@ -71,17 +71,14 @@ func healthFromSnapshot(source string, seq uint64, s telemetry.Snapshot) ClientH
 	}
 }
 
-// HistoryCapDefault bounds each source's (and the fleet rollup's)
-// snapshot ring when FleetAggregator.HistoryCap is zero.
-const HistoryCapDefault = 64
-
-// SpanCapDefault bounds each source's retained span set when
-// FleetAggregator.SpanCap is zero.
-const SpanCapDefault = 4096
-
-// EventCapDefault bounds the in-memory rollout event ring when
-// FleetAggregator.EventCap is zero.
-const EventCapDefault = 1024
+// The aggregator's retention caps: each source's (and the fleet
+// rollup's) snapshot history, each source's span set, and the rollout
+// event ring.
+const (
+	historyCap = 64
+	spanCap    = 4096
+	eventCap   = 1024
+)
 
 // healthPoint is one retained snapshot sample: when it arrived, the
 // report sequence it carried, and the full cumulative snapshot (the
@@ -101,8 +98,9 @@ type healthPoint struct {
 // as rate series on /fleet/history), a per-source store of pushed
 // spans deduped by span sequence (merged with the server's own tracer
 // into the cross-process Chrome trace on /fleet/trace), and a typed
-// rollout event timeline (/fleet/events). Configure the exported
-// fields before the first Record; they are not synchronized.
+// rollout event timeline (/fleet/events), each capped in memory.
+// Configure the exported fields before the first Record; they are not
+// synchronized.
 type FleetAggregator struct {
 	// TTL, when positive, expires sources whose last accepted report is
 	// older than TTL at read time — a member that left without a Forget
@@ -112,16 +110,6 @@ type FleetAggregator struct {
 	TTL time.Duration
 	// Now overrides the clock (tests); nil means time.Now.
 	Now func() time.Time
-	// HistoryCap bounds each history ring (default HistoryCapDefault).
-	HistoryCap int
-	// SpanCap bounds each source's retained spans (default SpanCapDefault).
-	SpanCap int
-	// EventCap bounds the event ring (default EventCapDefault).
-	EventCap int
-	// EventSink, when non-nil, additionally receives every recorded
-	// event as one JSON line — the rollout journal. Writes happen under
-	// the aggregator lock; hand it an os.File or a locked buffer.
-	EventSink io.Writer
 	// LocalTracer supplies the server-side spans merged into
 	// /fleet/trace (nil means telemetry.DefaultTracer()).
 	LocalTracer *telemetry.Tracer
@@ -174,19 +162,19 @@ func (a *FleetAggregator) Record(rep telemetry.Report) bool {
 	a.absorbSpansLocked(rep.Source, rep.Spans)
 
 	// History: keep the cumulative snapshot (diffed into rates when
-	// served) and fold this interval's delta into the fleet rollup.
+	// served) and fold this interval's delta into the fleet rollup. The
+	// delta's base is the source's last retained history point, not its
+	// live report: Forget and TTL expiry clear the live view but keep the
+	// history, so a source that reports again is diffed against what the
+	// rollup already holds instead of being counted twice.
 	var base telemetry.Snapshot
-	if seen {
-		base = prev.Snapshot
+	if h := a.history[rep.Source]; len(h) > 0 {
+		base = h[len(h)-1].snap
 	}
 	delta := telemetry.DiffSnapshots(base, rep.Snapshot)
 	a.rollup = telemetry.MergeSnapshots(a.rollup, delta)
-	hc := a.HistoryCap
-	if hc <= 0 {
-		hc = HistoryCapDefault
-	}
-	a.history[rep.Source] = appendCapped(a.history[rep.Source], healthPoint{now, rep.Seq, rep.Snapshot}, hc)
-	a.fleetHist = appendCapped(a.fleetHist, healthPoint{now, rep.Seq, a.rollup}, hc)
+	a.history[rep.Source] = appendCapped(a.history[rep.Source], healthPoint{now, rep.Seq, rep.Snapshot}, historyCap)
+	a.fleetHist = appendCapped(a.fleetHist, healthPoint{now, rep.Seq, a.rollup}, historyCap)
 
 	rep.Spans = nil // retained separately; don't hold them twice
 	a.reports[rep.Source] = rep
@@ -205,7 +193,7 @@ func appendCapped(ring []healthPoint, p healthPoint, cap int) []healthPoint {
 // absorbSpansLocked merges a pushed span batch into the source's span
 // set, keyed by the tracer's commit sequence: duplicates (a re-sent
 // batch after a failed push) and out-of-order arrivals collapse to one
-// record each. Over SpanCap, the oldest sequences are evicted.
+// record each. Over spanCap, the oldest sequences are evicted.
 func (a *FleetAggregator) absorbSpansLocked(source string, batch []telemetry.SpanRecord) {
 	if len(batch) == 0 {
 		return
@@ -221,17 +209,13 @@ func (a *FleetAggregator) absorbSpansLocked(source string, batch []telemetry.Spa
 		}
 		set[rec.Seq] = rec
 	}
-	max := a.SpanCap
-	if max <= 0 {
-		max = SpanCapDefault
-	}
-	if len(set) > max {
+	if len(set) > spanCap {
 		seqs := make([]uint64, 0, len(set))
 		for s := range set {
 			seqs = append(seqs, s)
 		}
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		for _, s := range seqs[:len(set)-max] {
+		for _, s := range seqs[:len(set)-spanCap] {
 			delete(set, s)
 		}
 	}
@@ -376,11 +360,7 @@ func (a *FleetAggregator) History() FleetHistory {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.expireLocked()
-	hc := a.HistoryCap
-	if hc <= 0 {
-		hc = HistoryCapDefault
-	}
-	out := FleetHistory{Window: hc, Sources: map[string][]HealthPoint{}}
+	out := FleetHistory{Window: historyCap, Sources: map[string][]HealthPoint{}}
 	out.Fleet = ratePoints("fleet", a.fleetHist)
 	for src, ring := range a.history {
 		out.Sources[src] = ratePoints(src, ring)
@@ -418,9 +398,8 @@ type FleetEvent struct {
 	Detail  string    `json:"detail,omitempty"`
 }
 
-// RecordEvent stamps (sequence, time) onto ev, appends it to the
-// capped in-memory ring, and journals it as one JSON line to EventSink
-// when configured.
+// RecordEvent stamps (sequence, time) onto ev and appends it to the
+// capped in-memory ring.
 func (a *FleetAggregator) RecordEvent(ev FleetEvent) FleetEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -434,17 +413,8 @@ func (a *FleetAggregator) recordEventLocked(ev FleetEvent) FleetEvent {
 		ev.T = a.nowLocked()
 	}
 	a.events = append(a.events, ev)
-	ec := a.EventCap
-	if ec <= 0 {
-		ec = EventCapDefault
-	}
-	if len(a.events) > ec {
-		a.events = a.events[len(a.events)-ec:]
-	}
-	if a.EventSink != nil {
-		if b, err := json.Marshal(ev); err == nil {
-			a.EventSink.Write(append(b, '\n'))
-		}
+	if len(a.events) > eventCap {
+		a.events = a.events[len(a.events)-eventCap:]
 	}
 	return ev
 }

@@ -212,6 +212,65 @@ func TestFleetHistoryRates(t *testing.T) {
 	}
 }
 
+// TestFleetRollupSurvivesRejoin: a source that reports again after
+// Forget or TTL expiry is diffed against its last retained history
+// point, so the fleet rollup series' interval deltas always sum to the
+// source series' deltas — a returning source's cumulative snapshot is
+// never folded into the rollup twice.
+func TestFleetRollupSurvivesRejoin(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
+	agg := channel.NewFleetAggregator()
+	agg.TTL = time.Minute
+	agg.Now = func() time.Time { return now }
+	record := func(source string, seq uint64, applied, bytes uint64) {
+		t.Helper()
+		snap := machineRegistry(int64(applied), applied, 0, 0, bytes).Snapshot()
+		if !agg.Record(telemetry.Report{Source: source, Seq: seq, Snapshot: snap}) {
+			t.Fatalf("%s seq %d rejected", source, seq)
+		}
+	}
+
+	record("m-a", 1, 2, 100)
+	record("m-b", 1, 1, 50)
+	agg.Forget("m-a")
+	record("m-a", 2, 5, 400) // back after Forget
+	now = now.Add(2 * time.Minute)
+	record("m-c", 1, 4, 10)
+	if got := agg.Sources(); len(got) != 1 || got[0] != "m-c" {
+		t.Fatalf("sources after TTL = %v, want [m-c]", got)
+	}
+	record("m-b", 1, 3, 80) // back after expiry, sequence restarted
+
+	hist := agg.History()
+	if a := hist.Sources["m-a"]; len(a) != 2 || a[1].Applied != 3 {
+		t.Fatalf("m-a series = %+v, want a second interval of 3 applies", a)
+	}
+	if len(hist.Fleet) != 5 {
+		t.Fatalf("fleet series has %d points, want 5", len(hist.Fleet))
+	}
+	if d := hist.Fleet[2].Applied; d != 3 {
+		t.Errorf("fleet interval after m-a's return = %d applies, want 3", d)
+	}
+	var fleetApplied, fleetBytes, srcApplied, srcBytes uint64
+	for _, p := range hist.Fleet {
+		fleetApplied += p.Applied
+		fleetBytes += p.BytesOverWire
+	}
+	for _, series := range hist.Sources {
+		for _, p := range series {
+			srcApplied += p.Applied
+			srcBytes += p.BytesOverWire
+		}
+	}
+	if fleetApplied != srcApplied || fleetBytes != srcBytes {
+		t.Errorf("fleet rollup deltas sum to applied=%d bytes=%d, source deltas to applied=%d bytes=%d",
+			fleetApplied, fleetBytes, srcApplied, srcBytes)
+	}
+	if fleetApplied != 5+3+4 {
+		t.Errorf("fleet applied %d in total, want 12 (each source's final cumulative count)", fleetApplied)
+	}
+}
+
 // TestMergedTraceEndToEnd is the tentpole's proof in miniature: a real
 // client sync over HTTP against a real channel server, the client's
 // spans pushed to the aggregator, and /fleet/trace serving one Chrome
@@ -262,7 +321,7 @@ func TestMergedTraceEndToEnd(t *testing.T) {
 	if len(applied) != 1 {
 		t.Fatalf("applied %d updates, want 1", len(applied))
 	}
-	if err := cl.Pusher(hs.URL+"/fleet/report", 0).Push(ctx); err != nil {
+	if err := cl.Pusher(hs.URL + "/fleet/report").Push(ctx); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gosplice/internal/channel"
-	"gosplice/internal/crashpoint"
 	"gosplice/internal/telemetry"
 )
 
@@ -78,10 +77,6 @@ type Plan struct {
 	mu   sync.Mutex
 	op   int
 	byOp map[int][]Fault
-
-	// crash, when set, schedules a simulated process death at a labeled
-	// crash point (see crash.go / internal/crashpoint).
-	crash *crashpoint.Plan
 
 	met    *telemetry.Registry
 	cOps   *telemetry.Counter

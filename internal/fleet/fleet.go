@@ -24,7 +24,6 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
-	"os"
 	"sync"
 	"time"
 
@@ -39,36 +38,18 @@ import (
 	"gosplice/internal/telemetry"
 )
 
-// HealthPolicy is the per-ring promotion gate, evaluated over the
-// /fleet/health rows of the ring's members after the ring syncs.
-type HealthPolicy struct {
-	// MaxUnhealthyFrac is the fraction of a ring's members that may be
-	// unhealthy — degraded mid-subscribe or failing stress probes —
-	// before promotion halts (default 0.10; a 1% canary ring of a small
-	// fleet is one machine, so one bad canary halts everything, which is
-	// the point of canaries).
-	MaxUnhealthyFrac float64
-	// MaxRefetchesPerMember halts when integrity refetches averaged over
-	// the ring exceed it — a channel serving corrupt bytes is not safe
-	// to promote even if every member eventually recovered (default 16).
-	MaxRefetchesPerMember float64
-	// MaxDeltaFallbacksPerMember likewise bounds average delta
-	// reconstruction failures (default 32; fallbacks cost bandwidth, not
-	// correctness, so the default is loose).
-	MaxDeltaFallbacksPerMember float64
-}
+// The promotion gate's fixed per-member bounds, averaged over a ring's
+// members after it syncs. A channel serving corrupt bytes is not safe to
+// promote even if every member eventually recovered, so refetches are
+// bounded; delta fallbacks cost bandwidth, not correctness, so their
+// bound is loose.
+const (
+	maxRefetchesPerMember      = 16
+	maxDeltaFallbacksPerMember = 32
+)
 
-func (p *HealthPolicy) defaults() {
-	if p.MaxUnhealthyFrac <= 0 {
-		p.MaxUnhealthyFrac = 0.10
-	}
-	if p.MaxRefetchesPerMember <= 0 {
-		p.MaxRefetchesPerMember = 16
-	}
-	if p.MaxDeltaFallbacksPerMember <= 0 {
-		p.MaxDeltaFallbacksPerMember = 32
-	}
-}
+// stressRounds is the post-sync stress probe's workload per member.
+const stressRounds = 25
 
 // Config sizes and shapes one rollout.
 type Config struct {
@@ -81,12 +62,14 @@ type Config struct {
 	// Rings are cumulative fleet fractions per ring (default 1%, 10%,
 	// 100%).
 	Rings []float64
-	// Health gates promotion between rings.
-	Health HealthPolicy
+	// MaxUnhealthyFrac is the fraction of a ring's members that may be
+	// unhealthy — degraded mid-subscribe or failing stress probes —
+	// before promotion halts (default 0.10; a 1% canary ring of a small
+	// fleet is one machine, so one bad canary halts everything, which is
+	// the point of canaries).
+	MaxUnhealthyFrac float64
 	// Workers bounds concurrent member syncs (default 8).
 	Workers int
-	// Apply passes through to every member's update manager.
-	Apply core.ApplyOptions
 	// Seed drives ring assignment shuffling and per-member transport
 	// jitter (default 1).
 	Seed int64
@@ -94,31 +77,23 @@ type Config struct {
 	// plan by fleet index (nil return = no faults for that member).
 	FaultPlan func(i int) *faultinject.Plan
 	// BurstRing, when > 0, injects a hard fault burst into that ring
-	// (1-based): BurstClients of its members get transports that error
-	// outright, the failure mode that must halt the rollout.
+	// (1-based, at most len(Rings)): enough of its members to trip
+	// MaxUnhealthyFrac get transports that error outright, the failure
+	// mode that must halt the rollout.
 	BurstRing int
-	// BurstClients is how many members of BurstRing get the burst
-	// (default: enough to trip Health.MaxUnhealthyFrac).
-	BurstClients int
 	// SlowEvery makes every Nth member a slow machine, one that pauses
 	// 2ms after every applied update (0 = none).
 	SlowEvery int
 	// KillEvery makes every Nth member killable: it keeps its position
 	// in a persistent state dir (under StateRoot) and a crash schedule
-	// kills its process at a labeled persistence crash point mid-sync.
-	// The orchestrator then "reboots" it — a fresh kernel clone, a new
-	// client over the surviving state dir — recovers it through the
-	// apply journal, and the member rejoins its ring and finishes the
-	// sync. 0 = nobody dies.
+	// kills its process at the (1 + idx mod 7)th labeled persistence
+	// crash point its sync reaches — journal appends, blob-cache
+	// renames, whichever come first — so deaths land at different depths
+	// of the sync instead of all on the first write. The orchestrator
+	// then "reboots" it — a fresh kernel clone, a new client over the
+	// surviving state dir — recovers it through the apply journal, and
+	// the member rejoins its ring and finishes the sync. 0 = nobody dies.
 	KillEvery int
-	// KillPoint is the crash-point label killable members die at
-	// (default "": the first labeled point their sync reaches — journal
-	// appends, blob-cache renames, whichever comes first).
-	KillPoint string
-	// KillHit is which hit of KillPoint kills (default: staggered per
-	// member, 1 + idx mod 7, so deaths land at different depths of the
-	// sync instead of all on the first write).
-	KillHit int
 	// StateRoot roots killable members' state dirs (default
 	// WorkDir/state; required via one or the other when KillEvery > 0).
 	StateRoot string
@@ -130,13 +105,6 @@ type Config struct {
 	// the health view — exercising both context cancellation and
 	// aggregator Forget.
 	Leaves int
-	// StressRounds is the post-sync stress probe's workload per member
-	// (default 25; 0 < 0 disables — set to -1 to skip probes).
-	StressRounds int
-	// PushInterval, when > 0, additionally runs a periodic background
-	// pusher per member during its sync (members always push once after
-	// each sync regardless).
-	PushInterval time.Duration
 	// ChannelDirs maps release -> pre-published channel directory.
 	// Releases missing from the map are published into WorkDir. A bench
 	// harness pre-publishes once and reuses the dirs across runs.
@@ -144,10 +112,6 @@ type Config struct {
 	// WorkDir roots published channels when ChannelDirs does not supply
 	// them (required then).
 	WorkDir string
-	// EventLog, when non-empty, is a file path the rollout's typed event
-	// timeline is journaled to as JSONL (one event per line, the same
-	// records /fleet/events serves) — the post-mortem artifact.
-	EventLog string
 	// Logf, when non-nil, receives rollout narration.
 	Logf func(format string, args ...any)
 }
@@ -162,16 +126,15 @@ func (c *Config) defaults() {
 	if len(c.Rings) == 0 {
 		c.Rings = []float64{0.01, 0.10, 1.0}
 	}
+	if c.MaxUnhealthyFrac <= 0 {
+		c.MaxUnhealthyFrac = 0.10
+	}
 	if c.Workers <= 0 {
 		c.Workers = 8
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.StressRounds == 0 {
-		c.StressRounds = 25
-	}
-	c.Health.defaults()
 }
 
 // RingResult is one ring's outcome.
@@ -251,7 +214,7 @@ type member struct {
 	// too, but into a disarmed hook).
 	stateDir string
 	ccfg     channel.ClientConfig
-	killPlan *faultinject.Plan
+	killPlan *crashpoint.Plan
 	crashMu  sync.Mutex
 	crash    crashpoint.Hook
 
@@ -294,7 +257,6 @@ type Orchestrator struct {
 	tmpl      map[string]*kernel.Kernel
 	head      map[string]int // release -> channel length
 	stateRoot string         // killable members' state dirs live here
-	eventLog  io.Closer      // the EventLog file, closed with the servers
 
 	traceMu      sync.Mutex
 	rolloutTrace string // the rollout root span's trace id (set by Run)
@@ -320,6 +282,9 @@ func (o *Orchestrator) event(ev channel.FleetEvent) {
 // template kernels that members clone from.
 func New(cfg Config) (*Orchestrator, error) {
 	cfg.defaults()
+	if cfg.BurstRing < 0 || cfg.BurstRing > len(cfg.Rings) {
+		return nil, fmt.Errorf("fleet: BurstRing %d is outside rings 1..%d", cfg.BurstRing, len(cfg.Rings))
+	}
 	o := &Orchestrator{
 		cfg:  cfg,
 		agg:  channel.NewFleetAggregator(),
@@ -327,14 +292,6 @@ func New(cfg Config) (*Orchestrator, error) {
 		urls: map[string]string{},
 		tmpl: map[string]*kernel.Kernel{},
 		head: map[string]int{},
-	}
-	if cfg.EventLog != "" {
-		f, err := os.Create(cfg.EventLog)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: event log: %w", err)
-		}
-		o.agg.EventSink = f
-		o.eventLog = f
 	}
 	if cfg.KillEvery > 0 {
 		o.stateRoot = cfg.StateRoot
@@ -400,13 +357,10 @@ func New(cfg Config) (*Orchestrator, error) {
 	return o, nil
 }
 
-// Close shuts the channel servers down and closes the event log.
+// Close shuts the channel servers down.
 func (o *Orchestrator) Close() {
 	for _, s := range o.srvs {
 		s.Close()
-	}
-	if o.eventLog != nil {
-		o.eventLog.Close()
 	}
 }
 
@@ -494,7 +448,6 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 		Transport: tr,
 		Registry:  m.reg,
 		Tracer:    m.tracer,
-		Apply:     o.cfg.Apply,
 		OnApplied: func(channel.Entry, []byte) error {
 			m.mu.Lock()
 			m.applies++
@@ -521,12 +474,8 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 		// A killable machine: its position persists under stateRoot, and
 		// a crash schedule will kill it mid-sync. Hits are staggered
 		// across the fleet so deaths land at different sync depths.
-		hit := o.cfg.KillHit
-		if hit <= 0 {
-			hit = 1 + idx%7
-		}
 		m.stateDir = fmt.Sprintf("%s/%s", o.stateRoot, m.name)
-		m.killPlan = faultinject.New().WithCrash(o.cfg.KillPoint, hit)
+		m.killPlan = crashpoint.NewPlan("", 1+idx%7)
 		cfg.StateDir = m.stateDir
 		cfg.Crash = m.fireCrash
 	}
@@ -542,7 +491,7 @@ func (o *Orchestrator) newMember(idx, ring int, burst bool) (*member, error) {
 	cl.Bind(core.NewManager(k), 0)
 	m.client = cl
 	m.kernel = k
-	m.pusher = cl.Pusher(o.urls[rel]+"/fleet/report", o.cfg.PushInterval)
+	m.pusher = cl.Pusher(o.urls[rel] + "/fleet/report")
 	return m, nil
 }
 
@@ -554,19 +503,11 @@ func (o *Orchestrator) syncMember(ctx context.Context, m *member) {
 	m.mu.Unlock()
 	defer cancel()
 
-	var stopPush func()
-	if o.cfg.PushInterval > 0 {
-		pctx, pcancel := context.WithCancel(ctx)
-		done := make(chan struct{})
-		go func() { defer close(done); m.pusher.Run(pctx) }()
-		stopPush = func() { pcancel(); <-done }
-	}
-
 	var err error
 	for {
 		var death *crashpoint.Death
 		if m.killPlan != nil {
-			m.armCrash(m.killPlan.CrashHook())
+			m.armCrash(m.killPlan.Hook())
 			death = crashpoint.Catch(func() { _, err = m.client.Sync(sctx) })
 			m.armCrash(nil)
 		} else {
@@ -621,15 +562,13 @@ func (o *Orchestrator) syncMember(ctx context.Context, m *member) {
 	}
 	// Post-apply stress probe: a machine whose patched kernel misbehaves
 	// under load is unhealthy even though every apply "succeeded".
-	if o.cfg.StressRounds > 0 && !cancelled {
-		if bad, err := m.kernel.Call("stress_main", int64(o.cfg.StressRounds)); err != nil || bad != 0 {
+	if !cancelled {
+		if bad, err := m.kernel.Call("stress_main", stressRounds); err != nil || bad != 0 {
 			m.stress.Inc()
 			m.setUnhealthy()
 		}
 	}
-	if stopPush != nil {
-		stopPush() // final push on cancel covers the post-sync state
-	} else if err := m.pusher.Push(ctx); err != nil {
+	if err := m.pusher.Push(ctx); err != nil {
 		o.logf("fleet: %s report push: %v", m.name, err)
 	}
 }
@@ -719,14 +658,13 @@ func (o *Orchestrator) gate(h channel.FleetHealth, ring []*member) (int, bool) {
 	if n == 0 {
 		return 0, true
 	}
-	p := o.cfg.Health
-	if float64(unhealthy)/float64(n) > p.MaxUnhealthyFrac {
+	if float64(unhealthy)/float64(n) > o.cfg.MaxUnhealthyFrac {
 		return unhealthy, false
 	}
-	if float64(refetches)/float64(n) > p.MaxRefetchesPerMember {
+	if float64(refetches)/float64(n) > maxRefetchesPerMember {
 		return unhealthy, false
 	}
-	if float64(fallbacks)/float64(n) > p.MaxDeltaFallbacksPerMember {
+	if float64(fallbacks)/float64(n) > maxDeltaFallbacksPerMember {
 		return unhealthy, false
 	}
 	return unhealthy, true
@@ -771,20 +709,17 @@ func (o *Orchestrator) Run(ctx context.Context) (*Result, error) {
 		prev = end
 	}
 
-	// Build the fleet. Burst members are the first BurstClients of the
-	// burst ring, in fleet order.
+	// Build the fleet. Burst members are the first members of the burst
+	// ring, in fleet order, one more than the gate tolerates.
 	burstLeft := 0
 	if cfg.BurstRing > 0 {
-		burstLeft = cfg.BurstClients
-		if burstLeft <= 0 {
-			ringSize := 0
-			for _, r := range ringOf {
-				if r == cfg.BurstRing {
-					ringSize++
-				}
+		ringSize := 0
+		for _, r := range ringOf {
+			if r == cfg.BurstRing {
+				ringSize++
 			}
-			burstLeft = int(float64(ringSize)*cfg.Health.MaxUnhealthyFrac) + 1
 		}
+		burstLeft = int(float64(ringSize)*cfg.MaxUnhealthyFrac) + 1
 	}
 	rings := make([][]*member, len(cfg.Rings))
 	var all []*member

@@ -307,3 +307,16 @@ func TestFleetBurstHaltsAndRollsBack(t *testing.T) {
 			gateFailAt, rollbackAt, res.Events)
 	}
 }
+
+// TestFleetRejectsBurstRingOutOfRange: a burst aimed at a ring the
+// rollout does not have is a configuration error, not a silently
+// burst-free run that converges.
+func TestFleetRejectsBurstRingOutOfRange(t *testing.T) {
+	for _, ring := range []int{-1, 4} {
+		o, err := New(Config{Clients: 8, WorkDir: channelRoot, BurstRing: ring})
+		if err == nil {
+			o.Close()
+			t.Errorf("BurstRing %d accepted with the default 3 rings", ring)
+		}
+	}
+}

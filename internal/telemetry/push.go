@@ -36,9 +36,12 @@ type Report struct {
 // wire: pushers refuse to send more, aggregators refuse to read more.
 const MaxReportBytes = 8 << 20
 
-// Pusher periodically POSTs a registry snapshot to an aggregation
-// endpoint. Pushes are strictly best-effort: a failed POST costs the
-// operator one stale interval, never the subscriber anything — the next
+// pushClient bounds every push POST.
+var pushClient = &http.Client{Timeout: 5 * time.Second}
+
+// Pusher POSTs a registry snapshot to an aggregation endpoint, once per
+// Push. Pushes are strictly best-effort: a failed POST costs the
+// operator one stale report, never the subscriber anything — the next
 // push carries cumulative counters, so nothing is lost, only delayed.
 type Pusher struct {
 	// URL is the aggregation endpoint (e.g. http://host:port/fleet/report).
@@ -48,13 +51,6 @@ type Pusher struct {
 	// Gather produces the snapshot to push; nil uses the process-wide
 	// GatherSnapshot.
 	Gather func() Snapshot
-	// Interval paces Run (default 1s).
-	Interval time.Duration
-	// Client overrides the HTTP client (default: 5s timeout).
-	Client *http.Client
-	// OnError, when non-nil, observes push failures (Run never stops on
-	// them).
-	OnError func(error)
 	// Tracer, when non-nil, has its completed spans shipped alongside
 	// each snapshot. The span cursor only advances on a successful push,
 	// so a failed POST re-sends the batch (the aggregator dedupes by
@@ -92,11 +88,7 @@ func (p *Pusher) Push(ctx context.Context) error {
 		return fmt.Errorf("telemetry: push: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	client := p.Client
-	if client == nil {
-		client = &http.Client{Timeout: 5 * time.Second}
-	}
-	resp, err := client.Do(req)
+	resp, err := pushClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("telemetry: push: %w", err)
 	}
@@ -109,33 +101,6 @@ func (p *Pusher) Push(ctx context.Context) error {
 		p.lastSeq.Store(spanHigh)
 	}
 	return nil
-}
-
-// Run pushes every Interval until ctx is cancelled, then sends one final
-// push (on a fresh short-lived context, since ctx is already dead) so
-// the aggregator sees the source's terminal state.
-func (p *Pusher) Run(ctx context.Context) {
-	interval := p.Interval
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			fctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			if err := p.Push(fctx); err != nil && p.OnError != nil {
-				p.OnError(err)
-			}
-			cancel()
-			return
-		case <-t.C:
-			if err := p.Push(ctx); err != nil && p.OnError != nil {
-				p.OnError(err)
-			}
-		}
-	}
 }
 
 // ReadReport decodes one pushed report from an HTTP request body,

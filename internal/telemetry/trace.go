@@ -454,40 +454,6 @@ func (t *Tracer) Reset() {
 
 // --- Export ---
 
-// jsonlSpan is the JSONL export schema.
-type jsonlSpan struct {
-	ID      uint64            `json:"id"`
-	Parent  uint64            `json:"parent,omitempty"`
-	Root    uint64            `json:"root"`
-	TraceID string            `json:"trace_id,omitempty"`
-	Name    string            `json:"name"`
-	Start   time.Time         `json:"start"`
-	End     time.Time         `json:"end"`
-	DurNS   int64             `json:"dur_ns"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteJSONL writes one JSON object per completed span, oldest first.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range t.Snapshot() {
-		js := jsonlSpan{
-			ID: rec.ID, Parent: rec.Parent, Root: rec.Root, TraceID: rec.TraceID, Name: rec.Name,
-			Start: rec.Start, End: rec.End, DurNS: int64(rec.Duration()),
-		}
-		if len(rec.Attrs) > 0 {
-			js.Attrs = make(map[string]string, len(rec.Attrs))
-			for _, a := range rec.Attrs {
-				js.Attrs[a.Key] = a.Value
-			}
-		}
-		if err := enc.Encode(js); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // chromeTraceEvent is one trace_event in the Chrome trace JSON schema:
 // a complete ("ph":"X") event with microsecond timestamp and duration.
 type chromeTraceEvent struct {

@@ -153,38 +153,6 @@ func TestTracerConcurrent(t *testing.T) {
 	}
 }
 
-// TestWriteJSONL: one valid JSON object per line with the schema fields.
-func TestWriteJSONL(t *testing.T) {
-	tr := NewTracer(8)
-	root := tr.Start("patch", A("cve", "X"))
-	root.Child("apply").End()
-	root.End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	for _, line := range lines {
-		var obj struct {
-			ID    uint64            `json:"id"`
-			Root  uint64            `json:"root"`
-			Name  string            `json:"name"`
-			DurNS int64             `json:"dur_ns"`
-			Attrs map[string]string `json:"attrs"`
-		}
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", line, err)
-		}
-		if obj.ID == 0 || obj.Root == 0 || obj.Name == "" || obj.DurNS < 0 {
-			t.Errorf("incomplete span: %+v", obj)
-		}
-	}
-}
-
 // TestChromeTraceRoundTrip: the trace_event export parses back, spans
 // carry the complete-event shape, and trees share a tid lane.
 func TestChromeTraceRoundTrip(t *testing.T) {
