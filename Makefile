@@ -8,9 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# The strict gate: vet; a guard that every durable replace in non-test
+# The strict gate: vet; a guard that every atomic replace in non-test
 # code goes through internal/atomicfile (no other os.Rename or
-# os.CreateTemp); vet and the short tests of the bench module, so an
+# os.CreateTemp); a guard that non-test code fsyncs only there and in
+# the apply journal's group commit (internal/channel/state.go), so a new
+# fsync is a declared durability choice; vet and the short tests of the bench module, so an
 # internal API change that breaks the benchmark harness fails here
 # rather than in the benchmark run; the full test suite under the race
 # detector — among
@@ -45,6 +47,7 @@ test:
 check:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
+	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
 	@tmp=$$(mktemp -d) && \

@@ -725,7 +725,7 @@ func BenchmarkFleetRollout(b *testing.B) {
 }
 
 // BenchmarkCrashRecovery measures the cost of coming back from a kill:
-// each iteration a subscriber is crashed at a durable journal append
+// each iteration a subscriber is crashed at a written journal append
 // mid-sync (setup, untimed), then a "rebooted" process over the same
 // state dir boots a fresh kernel, replays the apply journal from the
 // local blob cache, and syncs the rest of the way to head — the timed

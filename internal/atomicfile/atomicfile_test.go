@@ -11,7 +11,10 @@ import (
 	"gosplice/internal/crashpoint"
 )
 
-var cpTest = Point("atomicfile.test")
+var (
+	cpTest      = Point("atomicfile.test")
+	cpTestCache = CachePoint("atomicfile.testcache")
+)
 
 // temps lists the temp files in dir.
 func temps(t *testing.T, dir string) []string {
@@ -56,23 +59,51 @@ func TestWriteReplacesAndHonoursMode(t *testing.T) {
 
 // TestWriteCrashPoints: a death at either label leaves the old file or
 // the new one, never a torn file — old before the rename, new after.
-func TestWriteCrashPoints(t *testing.T) {
+func TestWriteCrashPoints(t *testing.T) { checkCrashPoints(t, cpTest) }
+
+// TestCachePointWrite: a cache point's write skips the fsync a durable
+// point makes, yet still fires both crash points and still leaves the
+// old file or the new one.
+func TestCachePointWrite(t *testing.T) {
+	syncs := 0
+	defer func(orig func(*os.File) error) { Fsync = orig }(Fsync)
+	Fsync = func(f *os.File) error { syncs++; return f.Sync() }
+	path := filepath.Join(t.TempDir(), "f")
+	for _, tc := range []struct {
+		p         Labels
+		wantSyncs int
+	}{{cpTest, 1}, {cpTestCache, 0}} {
+		syncs = 0
+		if err := Write(path, []byte("x"), 0o644, nil, tc.p); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != tc.wantSyncs {
+			t.Errorf("%s: write made %d fsyncs, want %d", tc.p.Tmp, syncs, tc.wantSyncs)
+		}
+	}
+	checkCrashPoints(t, cpTestCache)
+}
+
+// checkCrashPoints dies at each of p's crash points in turn and checks
+// what the write left: the old file before the rename, the new one
+// after, and nothing a sweep cannot reclaim.
+func checkCrashPoints(t *testing.T, p Labels) {
 	old, next := []byte("old contents"), []byte("new, longer contents")
 	for _, tc := range []struct {
 		label string
 		want  []byte
 	}{
-		{cpTest.Tmp, old},
-		{cpTest.Renamed, next},
+		{p.Tmp, old},
+		{p.Renamed, next},
 	} {
 		t.Run(tc.label, func(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, "f")
-			if err := Write(path, old, 0o644, nil, cpTest); err != nil {
+			if err := Write(path, old, 0o644, nil, p); err != nil {
 				t.Fatal(err)
 			}
 			death := crashpoint.Catch(func() {
-				Write(path, next, 0o644, crashpoint.NewPlan(tc.label, 1).Hook(), cpTest)
+				Write(path, next, 0o644, crashpoint.NewPlan(tc.label, 1).Hook(), p)
 			})
 			if death == nil {
 				t.Fatalf("crash point %s never fired", tc.label)

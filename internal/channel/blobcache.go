@@ -79,9 +79,10 @@ var errBlobMiss = errors.New("channel: blob not cached")
 // blobNS prefixes every digest to form its store key. The store files key
 // k at objects/k[:2]/k[2:], so every blob lands in the one directory
 // objects/bl/ under its digest. Fanning out by digest instead would
-// create a directory for nearly every blob a fresh machine caches, and
-// on ext4 that mkdir, committed by the entry's fsync, doubles the cost
-// of a Put.
+// add a mkdir to nearly every Put a fresh machine makes. Entries are
+// written at a cache point (store.disk.write, no fsync): a power loss
+// may leave one empty or torn, and Get reads that as a miss and the
+// client fetches the blob again.
 const blobNS = "bl"
 
 // SetCrashHook installs the cache's crash-point hook (nil falls back

@@ -416,7 +416,8 @@ func IsPosition(err error) (*PositionError, bool) {
 // it is parsed; corrupt bytes are re-fetched up to FetchRetries times
 // and are never handed to Apply. With a StateDir, each apply is
 // bracketed by write-ahead journal records: begin once its bytes are
-// verified, commit once it is live, before it is counted. If the channel
+// verified, commit once it is live, before it is counted; the pass ends
+// with one journal fsync, whose failure is Sync's error. If the channel
 // becomes unreachable or an entry stays bad, Sync degrades gracefully:
 // the machine keeps running at the position it reached, the recorded
 // position advances to it, and the returned *PositionError reports how
@@ -444,6 +445,9 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	defer sp.End()
 	ctx = telemetry.ContextWithSpan(ctx, sp)
 	applied, err := c.syncFrom(ctx, sp, mgr, from)
+	if ferr := c.flush(); ferr != nil && err == nil {
+		err = ferr
+	}
 	to := from + len(applied)
 	sp.SetAttr("applied", fmt.Sprintf("%d", len(applied)))
 	sp.SetAttr("to", fmt.Sprintf("%d", to))
@@ -452,6 +456,18 @@ func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	c.mu.Unlock()
 	c.ms.position.Set(int64(to))
 	return applied, err
+}
+
+// flush group-commits the journal records a pass appended: one fsync,
+// after which the pass's position survives a power loss.
+func (c *Client) flush() error {
+	if c.state == nil {
+		return nil
+	}
+	if err := c.state.Flush(); err != nil {
+		return fmt.Errorf("channel: client %s flushing journal: %w", c.cfg.Name, err)
+	}
+	return nil
 }
 
 // syncFrom is Sync's pass over the entries past from. Each entry gets
@@ -629,7 +645,7 @@ func blobDigest(b []byte) string {
 // back at position to (floored at the position it had when bound). This
 // is the fleet-wide "pull the patch back out" path: every undo passes
 // through the same quiescence machinery the applies did. It returns how
-// many updates were undone.
+// many updates were undone. The pass ends with one journal fsync.
 func (c *Client) Rollback(to int) (int, error) {
 	c.run.Lock()
 	defer c.run.Unlock()
@@ -642,6 +658,16 @@ func (c *Client) Rollback(to int) (int, error) {
 	if mgr == nil {
 		return 0, fmt.Errorf("channel: client %s has no machine bound", c.cfg.Name)
 	}
+	n, err := c.rollback(mgr, to)
+	if ferr := c.flush(); ferr != nil && err == nil {
+		err = ferr
+	}
+	return n, err
+}
+
+// rollback is Rollback's pass: undo and journal one update at a time
+// until the machine is at position to.
+func (c *Client) rollback(mgr *core.Manager, to int) (int, error) {
 	n := 0
 	for {
 		c.mu.Lock()

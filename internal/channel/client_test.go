@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
 )
@@ -317,4 +320,64 @@ func TestTransportCountsIntoIssuingClient(t *testing.T) {
 	if n := cl.Registry().Snapshot().Counter("gosplice_channel_client_retries_total"); n < 1 {
 		t.Errorf("client registry counts %d transport retries, want >= 1", n)
 	}
+}
+
+// TestFreshSubscribeFsyncs pins what durability costs a fresh
+// subscriber: Bind's compaction and one group commit for the whole
+// Sync are its only fsyncs. Its blob-cache entries verify themselves on
+// read, so none of them is fsynced. A Sync with nothing to apply
+// fsyncs nothing, and a Rollback pass flushes its undo records once.
+func TestFreshSubscribeFsyncs(t *testing.T) {
+	const updates = 4
+	version := cvedb.Versions[0]
+	dir := publishSweep(t, version, updates)
+	stateDir := t.TempDir()
+	cacheDir := filepath.Join(stateDir, "blob-cache") + string(filepath.Separator)
+
+	var journal, cache, other int
+	defer func(orig func(*os.File) error) { atomicfile.Fsync = orig }(atomicfile.Fsync)
+	atomicfile.Fsync = func(f *os.File) error {
+		switch name := f.Name(); {
+		case strings.HasPrefix(name, cacheDir):
+			cache++
+		case filepath.Dir(name) == stateDir:
+			journal++ // the journal itself, or a compaction's temp file
+		default:
+			other++
+		}
+		return f.Sync()
+	}
+	count := func(step string, wantJournal int) {
+		t.Helper()
+		if journal != wantJournal || cache != 0 || other != 0 {
+			t.Errorf("%s: %d journal, %d blob-cache and %d other fsyncs; want %d, 0 and 0",
+				step, journal, cache, other, wantJournal)
+		}
+		journal, cache, other = 0, 0, 0
+	}
+
+	cl, err := NewClient(ClientConfig{Name: "fsyncs", Transport: NewDirTransport(dir), StateDir: stateDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, mgr := bootManager(t, version)
+	cl.Bind(mgr, 0)
+	count("bind", 1)
+	if applied, err := cl.Sync(context.Background()); err != nil || len(applied) != updates {
+		t.Fatalf("sync applied %d, %v; want %d", len(applied), err, updates)
+	}
+	count("fresh sync", 1)
+	blobs, err := os.ReadDir(filepath.Join(cacheDir, "objects", blobNS))
+	if err != nil || len(blobs) < updates {
+		t.Fatalf("blob cache holds %d entries (%v), want at least %d", len(blobs), err, updates)
+	}
+	if _, err := cl.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	count("up-to-date sync", 0)
+	if n, err := cl.Rollback(updates - 2); err != nil || n != 2 {
+		t.Fatalf("rollback undid %d, %v; want 2", n, err)
+	}
+	count("rollback", 1)
 }

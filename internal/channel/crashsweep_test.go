@@ -11,6 +11,11 @@ package channel
 // by construction: every crash point the client's write paths reach is
 // swept automatically, and a channel.* label the scenario never reaches
 // fails the test rather than silently shrinking coverage.
+//
+// The power-loss sweep reruns every cell with a power cut after the
+// death: the journal keeps only what its last fsync made durable and
+// every blob-cache entry, none of which is fsynced, is lost. The
+// rebooted machine must still converge byte-identically.
 
 import (
 	"context"
@@ -65,11 +70,12 @@ func memHash(k *kernel.Kernel) [32]byte {
 
 // sweepAttempt boots a fresh kernel over stateDir and drives it through
 // the whole subscriber lifecycle — RestoreMachine then Sync — under the
-// given crash hook. It returns the kernel, the position reached, and
-// the death if the hook fired. The client is closed either way; on
-// death, everything in memory is abandoned exactly as a real process
-// kill would abandon it, leaving only the state dir behind.
-func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoint.Hook) (*kernel.Kernel, int, *crashpoint.Death) {
+// given crash hook. It returns the kernel, the position reached, the
+// death if the hook fired, and the journal's length at its last fsync
+// when the attempt ended. The client is closed either way; on death,
+// everything in memory is abandoned exactly as a real process kill
+// would abandon it, leaving only the state dir behind.
+func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoint.Hook) (*kernel.Kernel, int, *crashpoint.Death, int64) {
 	t.Helper()
 	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
 	if err != nil {
@@ -95,18 +101,54 @@ func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoi
 			t.Fatalf("sync: %v", err)
 		}
 	})
-	return k, cl.Position(), death
+	return k, cl.Position(), death, cl.state.DurableLenForTest()
 }
 
-// TestCrashPointSweep is the exhaustive sweep: every crash point the
-// client reaches × every hit count, one release.
-func TestCrashPointSweep(t *testing.T) {
-	version := cvedb.Versions[0]
+// powerLoss cuts the power under a state dir whose process just died:
+// the apply journal falls back to its length at the last fsync, and
+// every blob-cache entry is lost — alternately zero-filled and
+// emptied, the two shapes an unsynced file takes after a power loss.
+// A death right after a compaction's rename still reports the old
+// journal's length, which models the unsynced rename itself being lost.
+func powerLoss(t *testing.T, stateDir string, durable int64) {
+	t.Helper()
+	if fi, err := os.Stat(JournalPath(stateDir)); err == nil && fi.Size() > durable {
+		if err := os.Truncate(JournalPath(stateDir), durable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 0
+	err := filepath.WalkDir(filepath.Join(stateDir, "blob-cache"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		n++
+		if n%2 == 0 {
+			return os.Truncate(path, 0)
+		}
+		fi, err := d.Info()
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(path, make([]byte, fi.Size()), 0o600)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sweepSetup publishes the sweep channel, runs the never-crashed
+// reference machine (twice, to prove its memory hash is deterministic)
+// and a discovery pass. It returns the channel, the reference hash and
+// the hits per crash-point label, failing if the scenario stops
+// reaching a channel.* label or covers fewer than 26 cells.
+func sweepSetup(t *testing.T, version string) (string, [32]byte, map[string]int) {
+	t.Helper()
 	chanDir := publishSweep(t, version, sweepUpdates)
 
 	// Reference machine: never crashes. Its memory hash is the target
 	// every swept machine must reproduce.
-	refK, refPos, refDeath := sweepAttempt(t, chanDir, t.TempDir(), version, nil)
+	refK, refPos, refDeath, _ := sweepAttempt(t, chanDir, t.TempDir(), version, nil)
 	if refDeath != nil {
 		t.Fatalf("reference run died: %v", refDeath)
 	}
@@ -117,7 +159,7 @@ func TestCrashPointSweep(t *testing.T) {
 
 	// Determinism check: a second clean machine must hash identically,
 	// or byte-identity below would be meaningless.
-	k2, _, _ := sweepAttempt(t, chanDir, t.TempDir(), version, nil)
+	k2, _, _, _ := sweepAttempt(t, chanDir, t.TempDir(), version, nil)
 	if memHash(k2) != refHash {
 		t.Fatal("two clean runs hash differently — kernel boot or apply is nondeterministic")
 	}
@@ -132,14 +174,9 @@ func TestCrashPointSweep(t *testing.T) {
 			t.Errorf("scenario never reaches crash point %s — sweep coverage shrank", label)
 		}
 	}
-	labels := make([]string, 0, len(counts))
-	for label := range counts {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
 	cells := 0
-	for _, label := range labels {
-		cells += counts[label]
+	for _, hits := range counts {
+		cells += hits
 	}
 	// Journal appends and compactions plus the blob cache's writes: the
 	// sweep must never cover fewer cells than it did before the blob cache
@@ -147,46 +184,91 @@ func TestCrashPointSweep(t *testing.T) {
 	if cells < 26 {
 		t.Errorf("sweep covers %d (label × hit) cells, want at least 26", cells)
 	}
+	return chanDir, refHash, counts
+}
+
+// sweepCells calls run, as a subtest named label/n, for every cell of
+// the discovered label × hit matrix.
+func sweepCells(t *testing.T, counts map[string]int, run func(t *testing.T, label string, n int)) {
+	labels := make([]string, 0, len(counts))
+	for label := range counts {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
 	for _, label := range labels {
-		hits := counts[label]
-		for n := 1; n <= hits; n++ {
-			label, n := label, n
-			t.Run(fmt.Sprintf("%s/%d", label, n), func(t *testing.T) {
-				stateDir := t.TempDir()
-				plan := crashpoint.NewPlan(label, n)
-				hook := plan.Hook()
-
-				// Attempt: must die at the scheduled point.
-				_, _, death := sweepAttempt(t, chanDir, stateDir, version, hook)
-				if death == nil {
-					t.Fatalf("plan %s hit %d never fired", label, n)
-				}
-				if death.Label != label {
-					t.Fatalf("died at %s, scheduled %s", death.Label, label)
-				}
-
-				// Reboot: fresh kernel, fresh client, same state dir, same
-				// (now inert) hook. Recovery must converge to the head.
-				k, pos, again := sweepAttempt(t, chanDir, stateDir, version, hook)
-				if again != nil {
-					t.Fatalf("recovery run died again: %v", again)
-				}
-				if pos != sweepUpdates {
-					t.Fatalf("recovered to position %d, want head %d", pos, sweepUpdates)
-				}
-				if memHash(k) != refHash {
-					t.Fatalf("recovered kernel memory differs from the never-crashed reference")
-				}
-
-				// A third boot over the same state dir replays the journal
-				// alone (everything is committed now) and still matches.
-				k3, pos3, _ := sweepAttempt(t, chanDir, stateDir, version, nil)
-				if pos3 != sweepUpdates || memHash(k3) != refHash {
-					t.Fatalf("second reboot diverged: position %d", pos3)
-				}
-			})
+		for n := 1; n <= counts[label]; n++ {
+			t.Run(fmt.Sprintf("%s/%d", label, n), func(t *testing.T) { run(t, label, n) })
 		}
 	}
+}
+
+// TestCrashPointSweep is the exhaustive sweep: every crash point the
+// client reaches × every hit count, one release.
+func TestCrashPointSweep(t *testing.T) {
+	version := cvedb.Versions[0]
+	chanDir, refHash, counts := sweepSetup(t, version)
+	sweepCells(t, counts, func(t *testing.T, label string, n int) {
+		stateDir := t.TempDir()
+		plan := crashpoint.NewPlan(label, n)
+		hook := plan.Hook()
+
+		// Attempt: must die at the scheduled point.
+		_, _, death, _ := sweepAttempt(t, chanDir, stateDir, version, hook)
+		if death == nil {
+			t.Fatalf("plan %s hit %d never fired", label, n)
+		}
+		if death.Label != label {
+			t.Fatalf("died at %s, scheduled %s", death.Label, label)
+		}
+
+		// Reboot: fresh kernel, fresh client, same state dir, same
+		// (now inert) hook. Recovery must converge to the head.
+		k, pos, again, _ := sweepAttempt(t, chanDir, stateDir, version, hook)
+		if again != nil {
+			t.Fatalf("recovery run died again: %v", again)
+		}
+		if pos != sweepUpdates {
+			t.Fatalf("recovered to position %d, want head %d", pos, sweepUpdates)
+		}
+		if memHash(k) != refHash {
+			t.Fatalf("recovered kernel memory differs from the never-crashed reference")
+		}
+
+		// A third boot over the same state dir replays the journal
+		// alone (everything is committed now) and still matches.
+		k3, pos3, _, _ := sweepAttempt(t, chanDir, stateDir, version, nil)
+		if pos3 != sweepUpdates || memHash(k3) != refHash {
+			t.Fatalf("second reboot diverged: position %d", pos3)
+		}
+	})
+}
+
+// TestPowerLossSweep is the sweep again with a power cut after each
+// death: every write the subscriber did not fsync is lost. A power loss
+// reboots the kernel too, so the journal losing its unflushed records
+// must only cost replays — never convergence or byte-identity.
+func TestPowerLossSweep(t *testing.T) {
+	version := cvedb.Versions[0]
+	chanDir, refHash, counts := sweepSetup(t, version)
+	sweepCells(t, counts, func(t *testing.T, label string, n int) {
+		stateDir := t.TempDir()
+		_, _, death, durable := sweepAttempt(t, chanDir, stateDir, version, crashpoint.NewPlan(label, n).Hook())
+		if death == nil || death.Label != label {
+			t.Fatalf("scheduled death at %s hit %d, got %v", label, n, death)
+		}
+		powerLoss(t, stateDir, durable)
+
+		k, pos, again, _ := sweepAttempt(t, chanDir, stateDir, version, nil)
+		if again != nil {
+			t.Fatalf("recovery run died: %v", again)
+		}
+		if pos != sweepUpdates {
+			t.Fatalf("recovered to position %d, want head %d", pos, sweepUpdates)
+		}
+		if memHash(k) != refHash {
+			t.Fatalf("recovered kernel memory differs from the never-crashed reference")
+		}
+	})
 }
 
 // TestClientCorruptStateRederives is the satellite regression test: a

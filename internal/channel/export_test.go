@@ -26,3 +26,11 @@ func SyncOnce(ctx context.Context, t Transport, mgr *core.Manager, applied int, 
 	cl.Bind(mgr, applied)
 	return cl.Sync(ctx)
 }
+
+// DurableLenForTest returns the journal's length at its last fsync —
+// all of it a power loss is sure to leave.
+func (s *ClientState) DurableLenForTest() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.synced
+}

@@ -2,12 +2,22 @@ package channel
 
 // The write-ahead apply journal: the client's crash-consistent record
 // of its channel position. Before an update applies, a begin record
-// (position, entry identity, manifest digest) is appended and fsynced;
-// after it applies, a commit record follows — so a process killed at
-// any instant leaves a journal from which recovery can re-derive the
-// machine's exact position and detect the one update that may have
-// been mid-flight. Undo and rebase records keep rollbacks and rebinds
-// durable the same way.
+// (position, entry identity, manifest digest) is appended; after it
+// applies, a commit record follows — so a process killed at any instant
+// leaves a journal from which recovery can re-derive the machine's
+// exact position and detect the one update that may have been
+// mid-flight. Undo and rebase records cover rollbacks and rebinds the
+// same way.
+//
+// Appends are not fsynced one by one: the journal group-commits. Each
+// client pass (a Sync or a Rollback) that appended records ends with
+// one Flush, the journal's only fsync outside compaction. A process
+// kill keeps the page cache, so it sees every record written. A power
+// loss can drop only a suffix of the unflushed records, and it also
+// reboots the kernel, which loses every hot update anyway: recovery
+// treats the first missing or bad record as the end, so the journal
+// only ever claims fewer updates than were applied, never more, and a
+// shorter journal means fewer replays and a longer next Sync.
 //
 // The journal is a single append-only JSONL file. Every record carries
 // a self-checksum; recovery drops the first record that fails to parse
@@ -19,7 +29,8 @@ package channel
 //
 // Crash points (internal/crashpoint) are threaded through every write
 // so the sweep tests can kill a subscriber at each persistence step
-// and prove recovery.
+// and prove recovery. channel.journal.append.synced fires once a record
+// is fully written; Flush, not the append, fsyncs it.
 
 import (
 	"bytes"
@@ -135,6 +146,8 @@ type ClientState struct {
 	pending *JournalEntry
 	recs    int
 	kver    string
+	size    int64 // journal length written
+	synced  int64 // journal length at the last fsync
 }
 
 // OpenClientState opens (creating if needed) the apply journal under
@@ -223,15 +236,16 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 		return nil, Recovery{}, err
 	}
 	s.f = f
+	s.size, s.synced = int64(good), int64(good)
 	rec.Position = s.pos
 	rec.KernelVersion = s.kver
 	rec.Pending = s.pending
 	return s, rec, nil
 }
 
-// append writes one record durably: marshal, checksum, write (in two
-// halves, with a crash point between them — the torn-write window),
-// fsync. Callers hold s.mu.
+// append writes one record: marshal, checksum, write (in two halves,
+// with a crash point between them — the torn-write window). Flush makes
+// it durable. Callers hold s.mu.
 func (s *ClientState) append(r journalRecord) error {
 	r.Sum = recordSum(&r)
 	b, err := json.Marshal(&r)
@@ -248,11 +262,25 @@ func (s *ClientState) append(r journalRecord) error {
 	if _, err := s.f.Write(line[half:]); err != nil {
 		return err
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
+	s.size += int64(len(line))
 	crashpoint.Fire(s.crash, cpJournalAppendSynced)
 	s.recs++
+	return nil
+}
+
+// Flush fsyncs the records appended since the last flush or compaction
+// — the journal's group commit, once per client pass. It is free when
+// nothing is pending.
+func (s *ClientState) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil || s.synced == s.size {
+		return nil
+	}
+	if err := atomicfile.Fsync(s.f); err != nil {
+		return err
+	}
+	s.synced = s.size
 	return nil
 }
 
@@ -335,7 +363,8 @@ func (s *ClientState) compact() error {
 	if err != nil {
 		return err
 	}
-	if err := atomicfile.Write(s.path, append(b, '\n'), 0o644, s.crash, cpJournalCompact); err != nil {
+	line := append(b, '\n')
+	if err := atomicfile.Write(s.path, line, 0o644, s.crash, cpJournalCompact); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -345,6 +374,7 @@ func (s *ClientState) compact() error {
 	s.f.Close()
 	s.f = f
 	s.recs = 1
+	s.size, s.synced = int64(len(line)), int64(len(line))
 	return nil
 }
 

@@ -239,7 +239,7 @@ func TestJournalCrashPointsRecover(t *testing.T) {
 			if rec.Corrupt {
 				t.Fatalf("recovery found a corrupt journal after %s", label)
 			}
-			// Position is 1 (crash before the second commit was durable)
+			// Position is 1 (crash before the second commit was written)
 			// or 2 (after); never anything else, and a pending begin may
 			// only name pos 2.
 			if rec.Position != 1 && rec.Position != 2 {

@@ -173,12 +173,22 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 	if n <= 0 || targetLen > deltaMaxTarget {
 		return nil, fmt.Errorf("diffutil: delta header corrupt")
 	}
-	ops, err := io.ReadAll(flate.NewReader(bytes.NewReader(rest[n:])))
+	// The header is untrusted, so allocation follows the bytes actually
+	// present. The inflated op stream is capped at twice targetLen plus
+	// slack: MakeDelta's streams stay within targetLen plus one literal
+	// op's overhead, since every copy op encodes a run longer than
+	// itself, so a flate bomb is cut off early. And out starts no larger
+	// than base plus the op stream can fill.
+	limit := 2*targetLen + 64
+	ops, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(rest[n:])), int64(limit)+1))
 	if err != nil {
 		return nil, fmt.Errorf("diffutil: delta op stream corrupt: %w", err)
 	}
+	if uint64(len(ops)) > limit {
+		return nil, fmt.Errorf("diffutil: delta op stream exceeds %d bytes for a %d-byte target", limit, targetLen)
+	}
 
-	out := make([]byte, 0, targetLen)
+	out := make([]byte, 0, min(targetLen, uint64(len(base))+uint64(len(ops))))
 	for len(ops) > 0 {
 		op := ops[0]
 		ops = ops[1:]

@@ -2,8 +2,13 @@ package diffutil
 
 import (
 	"bytes"
+	"compress/flate"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -176,5 +181,70 @@ func TestDeltaDeterministic(t *testing.T) {
 	d2 := MakeDelta(base, target)
 	if !bytes.Equal(d1, d2) {
 		t.Fatal("MakeDelta is not deterministic")
+	}
+}
+
+// allocBytes reports how many heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// hostileDelta builds a delta against base whose header declares
+// targetLen and whose op stream is opsLen bytes of zeros, compressed.
+func hostileDelta(t *testing.T, base []byte, targetLen uint64, opsLen int64) []byte {
+	t.Helper()
+	baseSum := sha256.Sum256(base)
+	d := append([]byte(deltaMagic), baseSum[:]...)
+	d = append(d, make([]byte, sha256.Size)...)
+	buf := bytes.NewBuffer(binary.AppendUvarint(d, targetLen))
+	w, _ := flate.NewWriter(buf, flate.BestCompression)
+	if _, err := io.CopyN(w, zeros{}, opsLen); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	return buf.Bytes()
+}
+
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestDeltaHostileHeaderBoundsAllocation: ApplyDelta's header is
+// untrusted, so neither a tiny delta that declares a 1 GiB target nor a
+// flate bomb may make it allocate what they claim. Both fail, each
+// allocating well under 64 MiB.
+func TestDeltaHostileHeaderBoundsAllocation(t *testing.T) {
+	base := []byte("the base blob")
+	for _, tc := range []struct {
+		name      string
+		targetLen uint64
+		opsLen    int64
+		maxDelta  int
+	}{
+		{"1GiB-claim", 1 << 30, 16, 96},
+		{"flate-bomb", 4096, 64 << 20, 128 << 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := hostileDelta(t, base, tc.targetLen, tc.opsLen)
+			if len(d) > tc.maxDelta {
+				t.Fatalf("hostile delta is %d bytes, want at most %d", len(d), tc.maxDelta)
+			}
+			var err error
+			n := allocBytes(func() { _, err = ApplyDelta(base, d) })
+			if err == nil {
+				t.Fatal("hostile delta applied")
+			}
+			if n >= 64<<20 {
+				t.Errorf("ApplyDelta allocated %d MiB before failing, want under 64", n>>20)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary serialization of SOF files. The format is little-endian
@@ -166,14 +167,34 @@ func (r *reader) count(what string) int {
 	return int(n)
 }
 
+// readChunk is the largest field read with one up-front allocation.
+// Longer claimed lengths grow the buffer a chunk at a time as the bytes
+// arrive, so a truncated or hostile input costs memory in proportion to
+// what it holds, not to what it claims.
+const readChunk = 64 << 10
+
+// field reads an n-byte field, or returns nil with r.err set.
+func (r *reader) field(n int) []byte {
+	buf := make([]byte, 0, min(n, readChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(r.r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			r.err = err
+			return nil
+		}
+	}
+	return buf
+}
+
 func (r *reader) str() string {
 	n := r.count("string")
 	if r.err != nil {
 		return ""
 	}
-	buf := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, buf)
-	return string(buf)
+	return string(r.field(n))
 }
 
 func (r *reader) bytes() []byte {
@@ -181,9 +202,7 @@ func (r *reader) bytes() []byte {
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	buf := make([]byte, n)
-	_, r.err = io.ReadFull(r.r, buf)
-	return buf
+	return r.field(n)
 }
 
 func (r *reader) bool() bool { return r.u8() != 0 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,27 @@ func TestReadRejectsJunk(t *testing.T) {
 	// Truncated after magic.
 	if _, err := Read(strings.NewReader("SOF1")); err == nil {
 		t.Error("empty body accepted")
+	}
+}
+
+// TestReadClaimedLengthBoundsAllocation: an 8-byte input that claims a
+// 16 MiB source path must fail having allocated memory for the bytes it
+// holds, not for the length it claims.
+func TestReadClaimedLengthBoundsAllocation(t *testing.T) {
+	in := binary.AppendUvarint([]byte("SOF1"), maxBlob)
+	if len(in) != 8 {
+		t.Fatalf("input is %d bytes, want 8", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated field accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("Read allocated %d KiB, want under 1 MiB", n>>10)
 	}
 }
 

@@ -57,8 +57,11 @@ import (
 // unset: generous for the 64-CVE corpus, bounded for many-tenant loads.
 const DefaultMaxBytes = 256 << 20
 
-// Crash points on the disk tier's write path.
-var cpDiskWrite = atomicfile.Point("store.disk.write")
+// Crash points on the disk tier's write path. It is a cache point: every
+// entry carries its checksum and a bad one reads as a miss, so a power
+// loss that empties or tears an entry costs a refill, and the write
+// skips the fsync.
+var cpDiskWrite = atomicfile.CachePoint("store.disk.write")
 
 // Source reports which tier satisfied a GetOrFill.
 type Source int
