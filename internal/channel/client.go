@@ -554,7 +554,7 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 				return u, b, nil
 			}
 		}
-		if b, ok := c.fetchViaDelta(ctx, m, e.Sha256); ok {
+		if b, ok := c.fetchViaDelta(ctx, m, e); ok {
 			if u, err := decodeVerified(b, e); err == nil {
 				return u, b, nil
 			}
@@ -583,14 +583,15 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 	return nil, nil, fmt.Errorf("corrupt after %d fetches: %w", retries+1, lastErr)
 }
 
-// fetchViaDelta reconstructs the blob with the given digest from an
-// advertised binary delta, when one exists and its base is in the local
-// cache. Every failure past "a delta was advertised" counts a full-fetch
-// fallback; the delta format is self-verifying (base and result digests
-// are in the header), so corrupt deltas and wrong bases are caught
-// before any reconstructed byte is trusted.
-func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, digest string) ([]byte, bool) {
-	d := m.DeltaFor(digest)
+// fetchViaDelta reconstructs e's blob from an advertised binary delta,
+// when one exists and its base is in the local cache. Every failure
+// past "a delta was advertised" counts a full-fetch fallback; the delta
+// format is self-verifying (base and result digests are in the header),
+// so corrupt deltas and wrong bases are caught before any reconstructed
+// byte is trusted, and a delta declaring any length but e.Size is
+// refused before it is inflated.
+func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byte, bool) {
+	d := m.DeltaFor(e.Sha256)
 	if d == nil {
 		return nil, false
 	}
@@ -609,19 +610,19 @@ func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, digest string) 
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
-	b, err := diffutil.ApplyDelta(base, db)
+	b, err := diffutil.ApplyDelta(base, db, e.Size)
 	if err != nil {
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
-	if blobDigest(b) != digest {
+	if blobDigest(b) != e.Sha256 {
 		// Publisher advertised a delta whose result is not the blob —
 		// caught here, fall back to whole-blob fetch.
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
 	c.ms.deltaApplied.Inc()
-	c.blobs.Put(digest, b)
+	c.blobs.Put(e.Sha256, b)
 	return b, true
 }
 

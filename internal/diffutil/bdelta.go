@@ -151,14 +151,24 @@ func MakeDelta(base, target []byte) []byte {
 }
 
 // ApplyDelta reconstructs the target blob from base and a delta produced
-// by MakeDelta. It verifies everything before handing bytes back: the
-// base digest embedded in the delta must match the supplied base (a
-// mismatch is a *DeltaBaseError), and the reconstruction must hash to
-// the embedded target digest — a truncated or bit-flipped delta returns
-// an error, never wrong bytes.
-func ApplyDelta(base, delta []byte) ([]byte, error) {
+// by MakeDelta. targetLen is the length the caller expects (a manifest
+// entry's size): a delta whose header declares any other length is
+// refused before anything is inflated. It verifies everything before
+// handing bytes back: the base digest embedded in the delta must match
+// the supplied base (a mismatch is a *DeltaBaseError), and the
+// reconstruction must hash to the embedded target digest — a truncated
+// or bit-flipped delta returns an error, never wrong bytes.
+func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
 	if len(delta) < deltaHeaderLen+1 || string(delta[:4]) != deltaMagic {
 		return nil, ErrNotDelta
+	}
+	rest := delta[deltaHeaderLen:]
+	declared, n := binary.Uvarint(rest)
+	if n <= 0 || declared > deltaMaxTarget {
+		return nil, fmt.Errorf("diffutil: delta header corrupt")
+	}
+	if targetLen < 0 || declared != uint64(targetLen) {
+		return nil, fmt.Errorf("diffutil: delta declares %d bytes, caller expects %d", declared, targetLen)
 	}
 	wantBase := delta[4 : 4+sha256.Size]
 	wantTarget := delta[4+sha256.Size : deltaHeaderLen]
@@ -168,27 +178,22 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 			Got:  hex.EncodeToString(got[:]),
 		}
 	}
-	rest := delta[deltaHeaderLen:]
-	targetLen, n := binary.Uvarint(rest)
-	if n <= 0 || targetLen > deltaMaxTarget {
-		return nil, fmt.Errorf("diffutil: delta header corrupt")
-	}
-	// The header is untrusted, so allocation follows the bytes actually
-	// present. The inflated op stream is capped at twice targetLen plus
-	// slack: MakeDelta's streams stay within targetLen plus one literal
-	// op's overhead, since every copy op encodes a run longer than
-	// itself, so a flate bomb is cut off early. And out starts no larger
-	// than base plus the op stream can fill.
-	limit := 2*targetLen + 64
+	// The op stream is still untrusted, so allocation follows the bytes
+	// actually present. The inflated stream is capped at twice the
+	// target length plus slack: MakeDelta's streams stay within the
+	// target length plus one literal op's overhead, since every copy op
+	// encodes a run longer than itself, so a flate bomb is cut off early.
+	// And out starts no larger than base plus the op stream can fill.
+	limit := 2*declared + 64
 	ops, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(rest[n:])), int64(limit)+1))
 	if err != nil {
 		return nil, fmt.Errorf("diffutil: delta op stream corrupt: %w", err)
 	}
 	if uint64(len(ops)) > limit {
-		return nil, fmt.Errorf("diffutil: delta op stream exceeds %d bytes for a %d-byte target", limit, targetLen)
+		return nil, fmt.Errorf("diffutil: delta op stream exceeds %d bytes for a %d-byte target", limit, declared)
 	}
 
-	out := make([]byte, 0, min(targetLen, uint64(len(base))+uint64(len(ops))))
+	out := make([]byte, 0, min(declared, uint64(len(base))+uint64(len(ops))))
 	for len(ops) > 0 {
 		op := ops[0]
 		ops = ops[1:]
@@ -218,12 +223,12 @@ func ApplyDelta(base, delta []byte) ([]byte, error) {
 		default:
 			return nil, fmt.Errorf("diffutil: delta op %#x unknown", op)
 		}
-		if uint64(len(out)) > targetLen {
-			return nil, fmt.Errorf("diffutil: delta reconstructs more than its declared %d bytes", targetLen)
+		if uint64(len(out)) > declared {
+			return nil, fmt.Errorf("diffutil: delta reconstructs more than its declared %d bytes", declared)
 		}
 	}
-	if uint64(len(out)) != targetLen {
-		return nil, fmt.Errorf("diffutil: delta reconstructed %d of %d declared bytes", len(out), targetLen)
+	if uint64(len(out)) != declared {
+		return nil, fmt.Errorf("diffutil: delta reconstructed %d of %d declared bytes", len(out), declared)
 	}
 	if got := sha256.Sum256(out); !bytes.Equal(got[:], wantTarget) {
 		return nil, fmt.Errorf("diffutil: delta reconstruction digest mismatch")

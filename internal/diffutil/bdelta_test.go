@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -57,8 +58,9 @@ func mutate(rng *rand.Rand, b []byte, edits int) []byte {
 }
 
 // TestDeltaRoundTripProperty: for random bases and random mutations of
-// them, ApplyDelta(base, MakeDelta(base, target)) == target, and related
-// targets produce deltas much smaller than the target itself.
+// them, ApplyDelta(base, MakeDelta(base, target), len(target)) ==
+// target, and related targets produce deltas much smaller than the
+// target itself.
 func TestDeltaRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -79,7 +81,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 			target = append([]byte(nil), base[rng.Intn(len(base)+1):]...)
 		}
 		d := MakeDelta(base, target)
-		got, err := ApplyDelta(base, d)
+		got, err := ApplyDelta(base, d, int64(len(target)))
 		if err != nil {
 			t.Fatalf("trial %d: ApplyDelta: %v (base=%d target=%d delta=%d)", trial, err, len(base), len(target), len(d))
 		}
@@ -103,7 +105,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 	}
 	for i, c := range cases {
 		d := MakeDelta(c.base, c.target)
-		got, err := ApplyDelta(c.base, d)
+		got, err := ApplyDelta(c.base, d, int64(len(c.target)))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -134,7 +136,7 @@ func TestDeltaWrongBaseRefused(t *testing.T) {
 	d := MakeDelta(base, target)
 	wrong := append([]byte(nil), base...)
 	wrong[100] ^= 1
-	_, err := ApplyDelta(wrong, d)
+	_, err := ApplyDelta(wrong, d, int64(len(target)))
 	var be *DeltaBaseError
 	if !errors.As(err, &be) {
 		t.Fatalf("wrong base: got %v, want *DeltaBaseError", err)
@@ -154,18 +156,18 @@ func TestDeltaCorruptionRefused(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := append([]byte(nil), d...)
 		c[rng.Intn(len(c))] ^= 1 << rng.Intn(8)
-		got, err := ApplyDelta(base, c)
+		got, err := ApplyDelta(base, c, int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("bit-flipped delta reconstructed wrong bytes without error")
 		}
 	}
 	for cut := 0; cut < len(d); cut += 7 {
-		got, err := ApplyDelta(base, d[:cut])
+		got, err := ApplyDelta(base, d[:cut], int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("delta truncated to %d bytes reconstructed wrong bytes without error", cut)
 		}
 	}
-	if _, err := ApplyDelta(base, []byte("not a delta at all")); !errors.Is(err, ErrNotDelta) {
+	if _, err := ApplyDelta(base, []byte("not a delta at all"), int64(len(target))); !errors.Is(err, ErrNotDelta) {
 		t.Fatalf("garbage input: got %v, want ErrNotDelta", err)
 	}
 }
@@ -219,8 +221,8 @@ func (zeros) Read(p []byte) (int, error) {
 
 // TestDeltaHostileHeaderBoundsAllocation: ApplyDelta's header is
 // untrusted, so neither a tiny delta that declares a 1 GiB target nor a
-// flate bomb may make it allocate what they claim. Both fail, each
-// allocating well under 64 MiB.
+// flate bomb may make it allocate what they claim, even when the caller
+// expects that length. Both fail, each allocating well under 64 MiB.
 func TestDeltaHostileHeaderBoundsAllocation(t *testing.T) {
 	base := []byte("the base blob")
 	for _, tc := range []struct {
@@ -238,7 +240,7 @@ func TestDeltaHostileHeaderBoundsAllocation(t *testing.T) {
 				t.Fatalf("hostile delta is %d bytes, want at most %d", len(d), tc.maxDelta)
 			}
 			var err error
-			n := allocBytes(func() { _, err = ApplyDelta(base, d) })
+			n := allocBytes(func() { _, err = ApplyDelta(base, d, int64(tc.targetLen)) })
 			if err == nil {
 				t.Fatal("hostile delta applied")
 			}
@@ -246,5 +248,38 @@ func TestDeltaHostileHeaderBoundsAllocation(t *testing.T) {
 				t.Errorf("ApplyDelta allocated %d MiB before failing, want under 64", n>>20)
 			}
 		})
+	}
+}
+
+// TestDeltaLengthBoundByCaller: a well-formed delta whose header
+// declares more than the caller's expected length (the manifest entry's
+// size) is refused before anything is inflated, so the refusal
+// allocates less than the expected length, let alone the declared one.
+func TestDeltaLengthBoundByCaller(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base := make([]byte, 1<<20)
+	rng.Read(base)
+	target := mutate(rng, base, 8)
+	d := MakeDelta(base, target)
+	// allocBytes counts the whole process, so take the least of three
+	// measurements to keep background allocation out of the figure.
+	const entrySize = 64 << 10
+	var err error
+	n := uint64(math.MaxUint64)
+	for range 3 {
+		n = min(n, allocBytes(func() { _, err = ApplyDelta(base, d, entrySize) }))
+	}
+	if err == nil {
+		t.Fatal("delta declaring more than the expected length applied")
+	}
+	if n >= entrySize {
+		t.Errorf("refusal allocated %d bytes, want under the %d-byte expected length", n, entrySize)
+	}
+	// One byte more than expected is refused too; the exact length applies.
+	if _, err := ApplyDelta(base, d, int64(len(target)-1)); err == nil {
+		t.Error("delta declaring one byte more than expected applied")
+	}
+	if got, err := ApplyDelta(base, d, int64(len(target))); err != nil || !bytes.Equal(got, target) {
+		t.Errorf("exact expected length: err=%v", err)
 	}
 }

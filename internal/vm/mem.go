@@ -62,7 +62,7 @@ type Memory struct {
 	// (MemoryOver), whose backing bytes can change without going through
 	// a Memory writer.
 	gen     []uint32
-	dc      []dcEntry
+	dc      *[dcSize]dcEntry
 	noCache bool
 }
 
@@ -391,37 +391,72 @@ func (m *Memory) window(off int, buf []byte) []byte {
 }
 
 // DecodeAt decodes the instruction at off, reading across page
-// boundaries as needed. Decodes of in-page instructions are served from
-// the direct-mapped cache when the page has not been written since the
-// entry was filled; the interpreter re-decodes every instruction it
-// steps, so this is its hottest read path. Like every other method,
-// DecodeAt assumes a single owner: it mutates the cache.
+// boundaries as needed. It is the by-value form of the one cache path —
+// cached, then fill on a miss — that the interpreter steps through in
+// place: on a hit Step points into the cache entry instead of copying
+// the instruction out. That is sound because an entry is overwritten
+// only by a fill, never by a store (a store bumps the page generation,
+// so the next lookup misses). A fill — this call included — may
+// overwrite the entry a running Step points at, which is why Step
+// copies what it needs before a TRAP handler runs. Like every other
+// method, DecodeAt assumes a single owner: it mutates the cache.
 func (m *Memory) DecodeAt(off int) (isa.Insn, error) {
-	if off < 0 || off >= m.size {
-		return isa.Insn{}, fmt.Errorf("isa: decode offset %#x out of range", off)
+	if in := m.cached(off); in != nil {
+		return *in, nil
 	}
-	if m.dc == nil {
-		if m.noCache {
-			var buf [maxInsnWindow]byte
-			return isa.Decode(m.window(off, buf[:]), 0)
+	var buf isa.Insn
+	in, err := m.fill(off, &buf)
+	if err != nil {
+		return isa.Insn{}, err
+	}
+	return *in, nil
+}
+
+// cached returns the decode cache entry's instruction for off, or nil
+// on a miss. The pointer is valid while the page has not been written
+// since the entry was filled; it survives stores and dies at the next
+// fill of the same slot (off & dcMask). It is small enough to inline
+// into Step, which is the point.
+func (m *Memory) cached(off int) *isa.Insn {
+	if m.dc != nil {
+		// Only fills set e.off, and only to in-range offsets, so a match
+		// also bounds-checks off.
+		e := &m.dc[off&dcMask]
+		if int(e.off) == off && e.in.Len > 0 && e.gen == m.gen[off>>PageShift] {
+			return &e.in
 		}
+	}
+	return nil
+}
+
+// fill is the miss path, kept out of line: range check, lazy cache
+// allocation, decode, and the fill. It returns a pointer to the filled
+// entry, or, for an instruction straddling a page boundary (never
+// cached, so one page generation covers every entry), to *buf holding
+// the decode.
+//
+//go:noinline
+func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
+	if off < 0 || off >= m.size {
+		return nil, fmt.Errorf("isa: decode offset %#x out of range", off)
+	}
+	if m.dc == nil && !m.noCache {
 		m.gen = make([]uint32, len(m.pages))
-		m.dc = make([]dcEntry, dcSize)
+		m.dc = new([dcSize]dcEntry)
+	}
+	var w [maxInsnWindow]byte
+	in, err := isa.Decode(m.window(off, w[:]), 0)
+	if err != nil {
+		return nil, err
 	}
 	pg := off >> PageShift
-	g := m.gen[pg]
-	e := &m.dc[off&dcMask]
-	if e.off == int32(off) && e.gen == g && e.in.Len > 0 {
-		return e.in, nil
+	if m.dc != nil && (off&pageMask)+in.Len <= len(m.pages[pg]) {
+		e := &m.dc[off&dcMask]
+		*e = dcEntry{off: int32(off), gen: m.gen[pg], in: in}
+		return &e.in, nil
 	}
-	var buf [maxInsnWindow]byte
-	in, err := isa.Decode(m.window(off, buf[:]), 0)
-	if err == nil && (off&pageMask)+in.Len <= len(m.pages[pg]) {
-		// Cache only instructions wholly inside one page, so a single
-		// page generation covers the entry's validity.
-		*e = dcEntry{off: int32(off), gen: g, in: in}
-	}
-	return in, err
+	*buf = in
+	return buf, nil
 }
 
 // SkipNops returns the offset of the first non-no-op byte at or after

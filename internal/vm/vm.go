@@ -204,9 +204,16 @@ func (m *Machine) Step(t *Thread) error {
 	if ip < m.LowGuard {
 		return m.fault(ip, "execution in guard page (jump through null pointer)")
 	}
-	in, err := m.Mem.DecodeAt(int(ip))
-	if err != nil {
-		return m.fault(ip, "decode: %v", err)
+	// in points into the decode cache, or at buf for an instruction the
+	// cache cannot hold. Stores never rewrite a cache entry, but a fill
+	// can: see the TRAP case.
+	in := m.Mem.cached(int(ip))
+	if in == nil {
+		var buf isa.Insn
+		var err error
+		if in, err = m.Mem.fill(int(ip), &buf); err != nil {
+			return m.fault(ip, "decode: %v", err)
+		}
 	}
 	next := ip + uint32(in.Len)
 	t.Steps++
@@ -225,6 +232,7 @@ func (m *Machine) Step(t *Thread) error {
 	case isa.OpLD8U, isa.OpLD8S, isa.OpLD16U, isa.OpLD16S, isa.OpLD32U, isa.OpLD32S, isa.OpLD64:
 		addr := uint32(t.R[rs]) + uint32(in.Disp)
 		var v uint64
+		var err error
 		switch in.Op {
 		case isa.OpLD8U, isa.OpLD8S:
 			v, err = m.Load(ip, addr, 1)
@@ -413,13 +421,17 @@ func (m *Machine) Step(t *Thread) error {
 		t.R[rd] = v
 
 	case isa.OpTRAP:
-		fn, ok := m.traps[uint16(in.Imm)]
+		// A handler may run guest code, whose decodes can refill the
+		// cache slot in points at: copy the number now, never read in
+		// after fn.
+		num := in.Imm
+		fn, ok := m.traps[uint16(num)]
 		if !ok {
-			return m.fault(ip, "unregistered trap %d", in.Imm)
+			return m.fault(ip, "unregistered trap %d", num)
 		}
 		t.IP = next
 		if err := fn(t); err != nil {
-			return m.fault(ip, "trap %d: %v", in.Imm, err)
+			return m.fault(ip, "trap %d: %v", num, err)
 		}
 		return nil
 
