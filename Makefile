@@ -44,12 +44,14 @@ test:
 # spans upstream, with -check-trace required to find client and server
 # spans sharing one trace id with a parent/child link across the two
 # processes in /fleet/trace.
+# It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) for 10s.
 check:
 	$(GO) vet ./...
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
 	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

@@ -79,7 +79,7 @@ func main() {
 	verifyKey := flag.String("verify-key", "", "refuse manifests not signed by this public key file (subscribe)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this extra address (host:0 picks a port); -serve exposes them on -addr regardless")
 	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
-	fleetAgg := flag.Bool("fleet", false, "serve: also aggregate pushed fleet telemetry (/fleet/report, /fleet/health, /fleet/history, /fleet/events, /fleet/trace)")
+	fleetAgg := flag.Bool("fleet", false, "serve: also aggregate pushed fleet telemetry (/fleet/report, /fleet/health, /fleet/trace)")
 	pushReport := flag.String("push-report", "", "subscribe: push this machine's telemetry snapshot and spans to this /fleet/report URL after syncing")
 	checkTrace := flag.String("check-trace", "", "fetch this /fleet/trace URL and verify it is a merged cross-process trace")
 	flag.Parse()

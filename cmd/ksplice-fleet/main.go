@@ -208,8 +208,8 @@ func main() {
 	}
 }
 
-// writeEvents journals the rollout timeline as JSONL, one event per
-// line — the same records /fleet/events serves, oldest first.
+// writeEvents journals the rollout timeline (Result.Events) as JSONL,
+// one event per line, oldest first.
 func writeEvents(path string, events []channel.FleetEvent) error {
 	f, err := os.Create(path)
 	if err != nil {

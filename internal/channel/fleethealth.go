@@ -3,10 +3,10 @@ package channel
 // Fleet aggregation: the server half of telemetry.Pusher. Subscribers
 // POST their registry snapshots to /fleet/report; the aggregator keeps
 // the latest report per source (sequence numbers discard reordered
-// arrivals) and serves two merged views — the full merged snapshot, and
-// the compact per-client health table /fleet/health renders, which is
-// what the fleet orchestrator's promotion gate and the operator's watch
-// loop both read.
+// arrivals) and serves the compact per-client health table
+// /fleet/health renders — what the fleet orchestrator's promotion gate
+// and the operator's watch loop both read — plus the pushed spans,
+// merged with the server's own, as one Chrome trace on /fleet/trace.
 
 import (
 	"encoding/json"
@@ -71,45 +71,24 @@ func healthFromSnapshot(source string, seq uint64, s telemetry.Snapshot) ClientH
 	}
 }
 
-// The aggregator's retention caps: each source's (and the fleet
-// rollup's) snapshot history, each source's span set, and the rollout
-// event ring.
+// The aggregator's retention caps: each source's span set and the
+// rollout event ring.
 const (
-	historyCap = 64
-	spanCap    = 4096
-	eventCap   = 1024
+	spanCap  = 4096
+	eventCap = 1024
 )
-
-// healthPoint is one retained snapshot sample: when it arrived, the
-// report sequence it carried, and the full cumulative snapshot (the
-// history endpoint diffs consecutive points into rates on demand).
-type healthPoint struct {
-	t    time.Time
-	seq  uint64
-	snap telemetry.Snapshot
-}
 
 // FleetAggregator collects pushed telemetry reports, latest per source.
 // Safe for concurrent use; one aggregator can back several Server
 // instances (a fleet spanning channels still has one health view).
 //
-// Beyond latest-per-source it is the fleet's temporal memory: a
-// capped snapshot history per source plus a fleet-wide rollup (served
-// as rate series on /fleet/history), a per-source store of pushed
-// spans deduped by span sequence (merged with the server's own tracer
-// into the cross-process Chrome trace on /fleet/trace), and a typed
-// rollout event timeline (/fleet/events), each capped in memory.
-// Configure the exported fields before the first Record; they are not
-// synchronized.
+// Beside latest-per-source it keeps a per-source store of pushed spans
+// deduped by span sequence (merged with the server's own tracer into
+// the cross-process Chrome trace on /fleet/trace) and the in-process
+// rollout event timeline the orchestrator records, each capped in
+// memory. Configure the exported fields before the first Record; they
+// are not synchronized.
 type FleetAggregator struct {
-	// TTL, when positive, expires sources whose last accepted report is
-	// older than TTL at read time — a member that left without a Forget
-	// no longer pins a stale row into every future gate decision.
-	// Expiries count into gosplice_fleet_sources_expired_total and emit
-	// a source_expired event.
-	TTL time.Duration
-	// Now overrides the clock (tests); nil means time.Now.
-	Now func() time.Time
 	// LocalTracer supplies the server-side spans merged into
 	// /fleet/trace (nil means telemetry.DefaultTracer()).
 	LocalTracer *telemetry.Tracer
@@ -117,40 +96,25 @@ type FleetAggregator struct {
 	// (default "server").
 	LocalProc string
 
-	mu        sync.Mutex
-	reports   map[string]telemetry.Report
-	arrival   map[string]time.Time
-	history   map[string][]healthPoint
-	rollup    telemetry.Snapshot // running fleet-wide cumulative deltas
-	fleetHist []healthPoint
-	spans     map[string]map[uint64]telemetry.SpanRecord // source -> span Seq -> record
-	events    []FleetEvent
-	eventSeq  uint64
-	expired   uint64
+	mu       sync.Mutex
+	reports  map[string]telemetry.Report
+	spans    map[string]map[uint64]telemetry.SpanRecord // source -> span Seq -> record
+	events   []FleetEvent
+	eventSeq uint64
 }
 
 // NewFleetAggregator returns an empty aggregator.
 func NewFleetAggregator() *FleetAggregator {
 	return &FleetAggregator{
 		reports: map[string]telemetry.Report{},
-		arrival: map[string]time.Time{},
-		history: map[string][]healthPoint{},
 		spans:   map[string]map[uint64]telemetry.SpanRecord{},
 	}
 }
 
-func (a *FleetAggregator) nowLocked() time.Time {
-	if a.Now != nil {
-		return a.Now()
-	}
-	return time.Now()
-}
-
 // Record stores a report if it is newer than the source's last one;
 // stale (reordered) reports are dropped and reported as such. Accepted
-// reports also extend the source's health history, fold the interval's
-// delta into the fleet rollup, and absorb the report's span batch
-// (deduped by span sequence, so re-sent batches are harmless).
+// reports also absorb their span batch (deduped by span sequence, so
+// re-sent batches are harmless).
 func (a *FleetAggregator) Record(rep telemetry.Report) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -158,36 +122,10 @@ func (a *FleetAggregator) Record(rep telemetry.Report) bool {
 	if seen && rep.Seq <= prev.Seq {
 		return false
 	}
-	now := a.nowLocked()
 	a.absorbSpansLocked(rep.Source, rep.Spans)
-
-	// History: keep the cumulative snapshot (diffed into rates when
-	// served) and fold this interval's delta into the fleet rollup. The
-	// delta's base is the source's last retained history point, not its
-	// live report: Forget and TTL expiry clear the live view but keep the
-	// history, so a source that reports again is diffed against what the
-	// rollup already holds instead of being counted twice.
-	var base telemetry.Snapshot
-	if h := a.history[rep.Source]; len(h) > 0 {
-		base = h[len(h)-1].snap
-	}
-	delta := telemetry.DiffSnapshots(base, rep.Snapshot)
-	a.rollup = telemetry.MergeSnapshots(a.rollup, delta)
-	a.history[rep.Source] = appendCapped(a.history[rep.Source], healthPoint{now, rep.Seq, rep.Snapshot}, historyCap)
-	a.fleetHist = appendCapped(a.fleetHist, healthPoint{now, rep.Seq, a.rollup}, historyCap)
-
 	rep.Spans = nil // retained separately; don't hold them twice
 	a.reports[rep.Source] = rep
-	a.arrival[rep.Source] = now
 	return true
-}
-
-func appendCapped(ring []healthPoint, p healthPoint, cap int) []healthPoint {
-	ring = append(ring, p)
-	if len(ring) > cap {
-		ring = ring[len(ring)-cap:]
-	}
-	return ring
 }
 
 // absorbSpansLocked merges a pushed span batch into the source's span
@@ -221,76 +159,19 @@ func (a *FleetAggregator) absorbSpansLocked(source string, batch []telemetry.Spa
 	}
 }
 
-// expireLocked drops sources whose last accepted report is older than
-// TTL, counting and journaling each expiry. Called from every read
-// path so a silent member ages out without any write traffic.
-func (a *FleetAggregator) expireLocked() {
-	if a.TTL <= 0 {
-		return
-	}
-	now := a.nowLocked()
-	for src, at := range a.arrival {
-		if now.Sub(at) <= a.TTL {
-			continue
-		}
-		delete(a.reports, src)
-		delete(a.arrival, src)
-		a.expired++
-		cSourcesExpired.Inc()
-		a.recordEventLocked(FleetEvent{Type: EventSourceExpired, Member: src,
-			Detail: fmt.Sprintf("last report %s ago exceeds ttl %s", now.Sub(at).Round(time.Millisecond), a.TTL)})
-	}
-}
-
-// Expired reports how many sources the TTL has aged out.
-func (a *FleetAggregator) Expired() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.expireLocked()
-	return a.expired
-}
-
 // Forget drops a source from the view — what a fleet does when a
 // machine leaves mid-rollout, so a departed client's last report does
-// not hold the health gate forever. History, spans, and events are
-// kept: the post-mortem outlives the member.
+// not hold the health gate forever. Spans and events are kept: the
+// post-mortem outlives the member.
 func (a *FleetAggregator) Forget(source string) {
 	a.mu.Lock()
 	delete(a.reports, source)
-	delete(a.arrival, source)
 	a.mu.Unlock()
-}
-
-// Sources returns the reporting source names, sorted.
-func (a *FleetAggregator) Sources() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.expireLocked()
-	out := make([]string, 0, len(a.reports))
-	for s := range a.reports {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merged folds every source's latest snapshot into one — the fleet-wide
-// /debug/vars equivalent.
-func (a *FleetAggregator) Merged() telemetry.Snapshot {
-	a.mu.Lock()
-	a.expireLocked()
-	snaps := make([]telemetry.Snapshot, 0, len(a.reports))
-	for _, rep := range a.reports {
-		snaps = append(snaps, rep.Snapshot)
-	}
-	a.mu.Unlock()
-	return telemetry.MergeSnapshots(snaps...)
 }
 
 // Health renders the merged fleet-health view.
 func (a *FleetAggregator) Health() FleetHealth {
 	a.mu.Lock()
-	a.expireLocked()
 	rows := make([]ClientHealth, 0, len(a.reports))
 	for src, rep := range a.reports {
 		rows = append(rows, healthFromSnapshot(src, rep.Seq, rep.Snapshot))
@@ -312,76 +193,18 @@ func (a *FleetAggregator) Health() FleetHealth {
 	return h
 }
 
-// --- Health history ---
-
-// HealthPoint is one interval of a health-history series: the counter
-// fields of the embedded ClientHealth are deltas over the interval
-// (Position and Seq stay absolute), and IntervalMS is the interval's
-// wall-clock extent — divide to get rates.
-type HealthPoint struct {
-	T          time.Time `json:"t"`
-	IntervalMS int64     `json:"interval_ms"`
-	ClientHealth
-}
-
-// FleetHistory is the /fleet/history response: the fleet-wide rollup
-// rate series plus one series per source, oldest first, each at most
-// Window points long.
-type FleetHistory struct {
-	Window  int                      `json:"window"`
-	Fleet   []HealthPoint            `json:"fleet"`
-	Sources map[string][]HealthPoint `json:"sources"`
-}
-
-// ratePoints diffs consecutive snapshot samples into interval deltas.
-// The first sample diffs against the empty snapshot: a source's first
-// report is itself the activity of its first interval.
-func ratePoints(source string, ring []healthPoint) []HealthPoint {
-	out := make([]HealthPoint, 0, len(ring))
-	var base telemetry.Snapshot
-	var baseT time.Time
-	for i, p := range ring {
-		d := telemetry.DiffSnapshots(base, p.snap)
-		row := healthFromSnapshot(source, p.seq, d)
-		row.Position = p.snap.Gauge(MetricPosition) // absolute, not a delta
-		hp := HealthPoint{T: p.t, ClientHealth: row}
-		if i > 0 {
-			hp.IntervalMS = p.t.Sub(baseT).Milliseconds()
-		}
-		out = append(out, hp)
-		base, baseT = p.snap, p.t
-	}
-	return out
-}
-
-// History renders the health-history view: counters→rates via
-// DiffSnapshots between consecutive retained snapshots.
-func (a *FleetAggregator) History() FleetHistory {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.expireLocked()
-	out := FleetHistory{Window: historyCap, Sources: map[string][]HealthPoint{}}
-	out.Fleet = ratePoints("fleet", a.fleetHist)
-	for src, ring := range a.history {
-		out.Sources[src] = ratePoints(src, ring)
-	}
-	return out
-}
-
 // --- Rollout events ---
 
-// Fleet event types. The orchestrator emits the rollout lifecycle;
-// the aggregator itself emits source_expired.
+// Fleet event types: the orchestrator's rollout lifecycle.
 const (
-	EventRingStart     = "ring_start"
-	EventPromote       = "promote"
-	EventGateFail      = "gate_fail"
-	EventRollback      = "rollback"
-	EventJoin          = "join"
-	EventLeave         = "leave"
-	EventKill          = "kill"
-	EventRecover       = "recover"
-	EventSourceExpired = "source_expired"
+	EventRingStart = "ring_start"
+	EventPromote   = "promote"
+	EventGateFail  = "gate_fail"
+	EventRollback  = "rollback"
+	EventJoin      = "join"
+	EventLeave     = "leave"
+	EventKill      = "kill"
+	EventRecover   = "recover"
 )
 
 // FleetEvent is one typed entry in the rollout timeline. TraceID, when
@@ -403,14 +226,10 @@ type FleetEvent struct {
 func (a *FleetAggregator) RecordEvent(ev FleetEvent) FleetEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.recordEventLocked(ev)
-}
-
-func (a *FleetAggregator) recordEventLocked(ev FleetEvent) FleetEvent {
 	a.eventSeq++
 	ev.Seq = a.eventSeq
 	if ev.T.IsZero() {
-		ev.T = a.nowLocked()
+		ev.T = time.Now()
 	}
 	a.events = append(a.events, ev)
 	if len(a.events) > eventCap {
@@ -423,7 +242,6 @@ func (a *FleetAggregator) recordEventLocked(ev FleetEvent) FleetEvent {
 func (a *FleetAggregator) Events() []FleetEvent {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.expireLocked()
 	return append([]FleetEvent(nil), a.events...)
 }
 
@@ -499,23 +317,6 @@ func (a *FleetAggregator) serveFleet(w http.ResponseWriter, r *http.Request) {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		enc.Encode(a.Health())
-	case "/fleet/vars":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(a.Merged())
-	case "/fleet/history":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(a.History())
-	case "/fleet/events":
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(struct {
-			Events []FleetEvent `json:"events"`
-		}{a.Events()})
 	case "/fleet/trace":
 		w.Header().Set("Content-Type", "application/json")
 		a.WriteMergedTrace(w)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"gosplice/internal/channel"
@@ -169,6 +170,19 @@ func TestFleetReportSequencing(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /fleet/report: %d, want 405", resp.StatusCode)
 	}
+	// The aggregator serves /fleet/report, /fleet/health and /fleet/trace
+	// only; anything else under /fleet/ is unknown.
+	for _, route := range []string{"/fleet/history", "/fleet/vars", "/fleet/events"} {
+		resp, err := http.Get(hs.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: %d, want 404", route, resp.StatusCode)
+		}
+	}
 	bare := httptest.NewServer(channel.NewServer(dir))
 	defer bare.Close()
 	resp2, err := http.Get(bare.URL + "/fleet/health")
@@ -180,4 +194,45 @@ func TestFleetReportSequencing(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Errorf("fleet route on a server without an aggregator: %d, want 404", resp2.StatusCode)
 	}
+}
+
+// FuzzFleetReport: any pair of bodies POSTed to /fleet/report — decoded
+// by ReadReport and, when they decode, recorded in turn — leaves every
+// read view of the aggregator (health, spans, merged trace) able to
+// render without panicking. The seeds are the golden test's reports, a
+// report carrying spans, and a histogram pair whose second member has
+// the first's bounds but fewer counts.
+func FuzzFleetReport(f *testing.F) {
+	seed := func(rep telemetry.Report) []byte {
+		b, err := json.Marshal(rep)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	f.Add(seed(telemetry.Report{Source: "m-a", Seq: 1, Snapshot: machineRegistry(3, 3, 0, 1, 4096).Snapshot()}),
+		seed(telemetry.Report{Source: "m-b", Seq: 1, Snapshot: machineRegistry(1, 1, 1, 0, 1024).Snapshot()}))
+	f.Add(seed(telemetry.Report{Source: "m-a", Seq: 1, Spans: []telemetry.SpanRecord{
+		{ID: 100, Root: 100, Seq: 1, Name: "client.sync", TraceID: strings.Repeat("a", 32)},
+		{ID: 101, Parent: 100, Root: 100, Seq: 2, Name: "client.fetch", TraceID: strings.Repeat("a", 32)},
+	}}), seed(telemetry.Report{Source: "m-a", Seq: 2, Spans: []telemetry.SpanRecord{
+		{ID: 101, Parent: 100, Root: 100, Seq: 2, Name: "client.fetch", TraceID: strings.Repeat("a", 32)},
+	}}))
+	f.Add([]byte(`{"source":"m-a","seq":1,"snapshot":{"histograms":{"h":{"bounds":[1],"counts":[1,2]}}}}`),
+		[]byte(`{"source":"m-b","seq":1,"snapshot":{"histograms":{"h":{"bounds":[1],"counts":[]}}}}`))
+
+	f.Fuzz(func(t *testing.T, first, second []byte) {
+		agg := channel.NewFleetAggregator()
+		agg.LocalTracer = telemetry.NewTracer(4)
+		for _, body := range [][]byte{first, second} {
+			if rep, err := telemetry.ReadReport(bytes.NewReader(body)); err == nil {
+				agg.Record(rep)
+			}
+		}
+		agg.Health()
+		agg.SpanRecords()
+		if err := agg.WriteMergedTrace(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -79,19 +79,7 @@ const (
 	// journal tail dropped by the checksum scan, a wholly corrupt
 	// journal, or a begin record with no commit (a mid-flight apply).
 	MetricTornState = "gosplice_channel_torn_state_detected_total"
-	// MetricSourcesExpired counts sources aged out of a FleetAggregator
-	// by its staleness TTL — a member that left without a Forget no
-	// longer pins a stale row into gate decisions.
-	MetricSourcesExpired = "gosplice_fleet_sources_expired_total"
 )
-
-// cSourcesExpired is the process-wide mirror of aggregator TTL expiries.
-var cSourcesExpired = func() *telemetry.Counter {
-	d := telemetry.Default()
-	d.Help(MetricSourcesExpired,
-		"fleet-aggregator sources dropped by the staleness TTL (departed members)")
-	return d.Counter(MetricSourcesExpired)
-}()
 
 // mCounter is a counter plus an optional process-wide mirror: a
 // per-client increment also moves the fleet-wide total, the same pattern

@@ -1,12 +1,11 @@
 // Observability tests: traceparent adoption on the server, the
-// aggregator's span dedup / TTL expiry / health history, and the full
-// cross-process distributed trace — client sync spans pushed upstream
-// and merged with the server's handler spans into one Chrome trace.
+// aggregator's span dedup, and the full cross-process distributed
+// trace — client sync spans pushed upstream and merged with the
+// server's handler spans into one Chrome trace.
 package channel_test
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -112,162 +111,6 @@ func TestAggregatorSpanDedup(t *testing.T) {
 		if r.Proc != "m-a" {
 			t.Errorf("pushed span proc = %q, want source name", r.Proc)
 		}
-	}
-}
-
-// TestAggregatorTTLExpiry: a source that stops reporting ages out of
-// every read view, counts into the expiry metric, and leaves a
-// source_expired event behind.
-func TestAggregatorTTLExpiry(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	agg := channel.NewFleetAggregator()
-	agg.TTL = time.Minute
-	agg.Now = func() time.Time { return now }
-
-	before := telemetry.Default().Snapshot().CounterFamily(channel.MetricSourcesExpired)
-	agg.Record(telemetry.Report{Source: "m-old", Seq: 1, Snapshot: machineRegistry(1, 1, 0, 0, 0).Snapshot()})
-	now = now.Add(2 * time.Minute)
-	agg.Record(telemetry.Report{Source: "m-new", Seq: 1, Snapshot: machineRegistry(2, 2, 0, 0, 0).Snapshot()})
-
-	if got := agg.Sources(); len(got) != 1 || got[0] != "m-new" {
-		t.Fatalf("sources after TTL = %v, want [m-new]", got)
-	}
-	if got := agg.Expired(); got != 1 {
-		t.Errorf("Expired() = %d, want 1", got)
-	}
-	after := telemetry.Default().Snapshot().CounterFamily(channel.MetricSourcesExpired)
-	if after-before != 1 {
-		t.Errorf("%s moved by %d, want 1", channel.MetricSourcesExpired, after-before)
-	}
-	var expiredEv *channel.FleetEvent
-	for _, ev := range agg.Events() {
-		if ev.Type == channel.EventSourceExpired {
-			e := ev
-			expiredEv = &e
-		}
-	}
-	if expiredEv == nil {
-		t.Fatal("no source_expired event recorded")
-	}
-	if expiredEv.Member != "m-old" || expiredEv.Detail == "" {
-		t.Errorf("expiry event = %+v", expiredEv)
-	}
-	// A fresh report from the expired source is a brand-new row, not a
-	// stale-sequence reject — its old sequence watermark died with it.
-	if !agg.Record(telemetry.Report{Source: "m-old", Seq: 1, Snapshot: machineRegistry(3, 3, 0, 0, 0).Snapshot()}) {
-		t.Error("re-joining source rejected after expiry")
-	}
-}
-
-// TestFleetHistoryRates: /fleet/history serves per-source and fleet
-// rollup series whose counters are interval deltas (Position stays
-// absolute) with wall-clock intervals.
-func TestFleetHistoryRates(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	agg := channel.NewFleetAggregator()
-	agg.Now = func() time.Time { return now }
-	srv := channel.NewServer(t.TempDir())
-	srv.Fleet = agg
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-
-	agg.Record(telemetry.Report{Source: "m-a", Seq: 1, Snapshot: machineRegistry(2, 2, 0, 1, 100).Snapshot()})
-	now = now.Add(10 * time.Second)
-	agg.Record(telemetry.Report{Source: "m-a", Seq: 2, Snapshot: machineRegistry(5, 5, 1, 1, 400).Snapshot()})
-
-	resp, err := http.Get(hs.URL + "/fleet/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hist channel.FleetHistory
-	if err := json.NewDecoder(resp.Body).Decode(&hist); err != nil {
-		t.Fatal(err)
-	}
-	if hist.Window <= 0 {
-		t.Errorf("window = %d", hist.Window)
-	}
-	series := hist.Sources["m-a"]
-	if len(series) != 2 {
-		t.Fatalf("m-a series has %d points, want 2", len(series))
-	}
-	// First interval: the first report itself. Second: the delta.
-	if series[0].Applied != 2 || series[1].Applied != 3 {
-		t.Errorf("applied deltas = %d, %d; want 2, 3", series[0].Applied, series[1].Applied)
-	}
-	if series[1].Degraded != 1 || series[1].BytesOverWire != 300 {
-		t.Errorf("second interval deltas = %+v", series[1])
-	}
-	if series[0].Position != 2 || series[1].Position != 5 {
-		t.Errorf("positions = %d, %d; want absolute 2, 5", series[0].Position, series[1].Position)
-	}
-	if series[1].IntervalMS != 10_000 {
-		t.Errorf("interval = %dms, want 10000", series[1].IntervalMS)
-	}
-	if len(hist.Fleet) != 2 {
-		t.Fatalf("fleet series has %d points, want 2", len(hist.Fleet))
-	}
-	if hist.Fleet[0].Applied != 2 || hist.Fleet[1].Applied != 3 {
-		t.Errorf("fleet applied deltas = %d, %d; want 2, 3", hist.Fleet[0].Applied, hist.Fleet[1].Applied)
-	}
-}
-
-// TestFleetRollupSurvivesRejoin: a source that reports again after
-// Forget or TTL expiry is diffed against its last retained history
-// point, so the fleet rollup series' interval deltas always sum to the
-// source series' deltas — a returning source's cumulative snapshot is
-// never folded into the rollup twice.
-func TestFleetRollupSurvivesRejoin(t *testing.T) {
-	now := time.Unix(1_700_000_000, 0)
-	agg := channel.NewFleetAggregator()
-	agg.TTL = time.Minute
-	agg.Now = func() time.Time { return now }
-	record := func(source string, seq uint64, applied, bytes uint64) {
-		t.Helper()
-		snap := machineRegistry(int64(applied), applied, 0, 0, bytes).Snapshot()
-		if !agg.Record(telemetry.Report{Source: source, Seq: seq, Snapshot: snap}) {
-			t.Fatalf("%s seq %d rejected", source, seq)
-		}
-	}
-
-	record("m-a", 1, 2, 100)
-	record("m-b", 1, 1, 50)
-	agg.Forget("m-a")
-	record("m-a", 2, 5, 400) // back after Forget
-	now = now.Add(2 * time.Minute)
-	record("m-c", 1, 4, 10)
-	if got := agg.Sources(); len(got) != 1 || got[0] != "m-c" {
-		t.Fatalf("sources after TTL = %v, want [m-c]", got)
-	}
-	record("m-b", 1, 3, 80) // back after expiry, sequence restarted
-
-	hist := agg.History()
-	if a := hist.Sources["m-a"]; len(a) != 2 || a[1].Applied != 3 {
-		t.Fatalf("m-a series = %+v, want a second interval of 3 applies", a)
-	}
-	if len(hist.Fleet) != 5 {
-		t.Fatalf("fleet series has %d points, want 5", len(hist.Fleet))
-	}
-	if d := hist.Fleet[2].Applied; d != 3 {
-		t.Errorf("fleet interval after m-a's return = %d applies, want 3", d)
-	}
-	var fleetApplied, fleetBytes, srcApplied, srcBytes uint64
-	for _, p := range hist.Fleet {
-		fleetApplied += p.Applied
-		fleetBytes += p.BytesOverWire
-	}
-	for _, series := range hist.Sources {
-		for _, p := range series {
-			srcApplied += p.Applied
-			srcBytes += p.BytesOverWire
-		}
-	}
-	if fleetApplied != srcApplied || fleetBytes != srcBytes {
-		t.Errorf("fleet rollup deltas sum to applied=%d bytes=%d, source deltas to applied=%d bytes=%d",
-			fleetApplied, fleetBytes, srcApplied, srcBytes)
-	}
-	if fleetApplied != 5+3+4 {
-		t.Errorf("fleet applied %d in total, want 12 (each source's final cumulative count)", fleetApplied)
 	}
 }
 

@@ -40,7 +40,7 @@ type Server struct {
 	//
 	//	POST /fleet/report   accept one pushed telemetry snapshot
 	//	GET  /fleet/health   merged per-client fleet-health view
-	//	GET  /fleet/vars     merged raw snapshot across all sources
+	//	GET  /fleet/trace    pushed and local spans as one Chrome trace
 	//
 	// Several servers may share one aggregator — a fleet spanning
 	// multiple channels still has one health view.

@@ -264,9 +264,3 @@ func Tree(version string) *srctree.Tree {
 	treeCacheMu.Unlock()
 	return t.Clone()
 }
-
-// FixedTree builds the tree with one CVE's fix applied (for tests that
-// need the post state directly).
-func FixedTree(version string, c *CVE) (*srctree.Tree, error) {
-	return Tree(version).Patch(c.Patch())
-}

@@ -250,12 +250,3 @@ func (p *Patch) ChangedLines() int {
 	}
 	return r
 }
-
-// Paths lists the files the patch touches, in patch order.
-func (p *Patch) Paths() []string {
-	var out []string
-	for _, fp := range p.Files {
-		out = append(out, fp.Path())
-	}
-	return out
-}

@@ -174,8 +174,8 @@ type Result struct {
 	// event carries it, so the timeline and the distributed trace
 	// cross-reference.
 	TraceID string
-	// Events is the rollout's typed event timeline (what /fleet/events
-	// served), oldest first.
+	// Events is the rollout's typed event timeline, oldest first — the
+	// records ksplice-fleet -events-out journals.
 	Events []channel.FleetEvent
 	// Kills is how many members were killed mid-sync by their crash
 	// schedule; Reboots is how many came back through journal recovery
@@ -262,8 +262,8 @@ type Orchestrator struct {
 	rolloutTrace string // the rollout root span's trace id (set by Run)
 }
 
-// Aggregator exposes the shared fleet aggregator — the health, history,
-// event, and merged-trace store every server serves from.
+// Aggregator exposes the shared fleet aggregator — the health, event,
+// and merged-trace store every server serves from.
 func (o *Orchestrator) Aggregator() *channel.FleetAggregator { return o.agg }
 
 // event records one typed rollout event, stamped with the rollout's

@@ -409,16 +409,3 @@ func (k *Kernel) LockedMem() *vm.Memory { return k.M.Mem }
 
 // LockedTasks exposes the task list to callers that hold the lock.
 func (k *Kernel) LockedTasks() []*Task { return k.tasks }
-
-// CurrentIPs returns the instruction pointer of every live task.
-func (k *Kernel) CurrentIPs() map[int]uint32 {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	out := map[int]uint32{}
-	for _, t := range k.tasks {
-		if t.Runnable() {
-			out[t.ID] = t.Th.IP
-		}
-	}
-	return out
-}

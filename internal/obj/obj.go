@@ -15,7 +15,6 @@ package obj
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -179,16 +178,6 @@ func (f *File) Section(name string) *Section {
 	return nil
 }
 
-// SectionIndex returns the index of the named section, or -1.
-func (f *File) SectionIndex(name string) int {
-	for i, s := range f.Sections {
-		if s.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Symbol returns the symbol with the given name, or nil. File-local symbol
 // names are unique within one file.
 func (f *File) Symbol(name string) *Symbol {
@@ -217,24 +206,6 @@ func (f *File) SymbolIndex(name string) int {
 func (f *File) AddSection(s *Section) int {
 	f.Sections = append(f.Sections, s)
 	return len(f.Sections) - 1
-}
-
-// DefinedFuncs returns the file's defined function symbols in section
-// order, which is the compiler's emission order.
-func (f *File) DefinedFuncs() []*Symbol {
-	var out []*Symbol
-	for _, s := range f.Symbols {
-		if s.Func && s.Defined() {
-			out = append(out, s)
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Section != out[j].Section {
-			return out[i].Section < out[j].Section
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
 }
 
 // FuncSectionPrefix is the section-name prefix used for per-function text

@@ -365,56 +365,6 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// DiffSnapshots returns what happened between two snapshots of the same
-// source: counters subtract (saturating at zero, so a restarted source —
-// whose counters reset — reads as its new absolute values rather than a
-// huge unsigned wraparound), gauges subtract signed, and histograms
-// subtract slot-wise when their bounds match (keeping the later shape
-// otherwise). Metrics present only in the later snapshot pass through
-// unchanged. This is how an aggregator attributes activity to an
-// interval: Diff(previousReport, latestReport).
-func DiffSnapshots(before, after Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   make(map[string]uint64, len(after.Counters)),
-		Gauges:     make(map[string]int64, len(after.Gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(after.Histograms)),
-		Help:       map[string]string{},
-	}
-	for id, v := range after.Counters {
-		if prev := before.Counters[id]; prev <= v {
-			out.Counters[id] = v - prev
-		} else {
-			out.Counters[id] = v
-		}
-	}
-	for id, v := range after.Gauges {
-		out.Gauges[id] = v - before.Gauges[id]
-	}
-	for id, h := range after.Histograms {
-		prev, ok := before.Histograms[id]
-		if !ok || len(prev.Bounds) != len(h.Bounds) || !equalBounds(prev.Bounds, h.Bounds) {
-			out.Histograms[id] = h
-			continue
-		}
-		d := HistogramSnapshot{
-			Bounds: h.Bounds,
-			Counts: make([]uint64, len(h.Counts)),
-			Count:  h.Count - prev.Count,
-			Sum:    h.Sum - prev.Sum,
-		}
-		for i := range d.Counts {
-			if prev.Counts[i] <= h.Counts[i] {
-				d.Counts[i] = h.Counts[i] - prev.Counts[i]
-			}
-		}
-		out.Histograms[id] = d
-	}
-	for k, v := range after.Help {
-		out.Help[k] = v
-	}
-	return out
-}
-
 func equalBounds(a, b []float64) bool {
 	for i := range a {
 		if a[i] != b[i] {

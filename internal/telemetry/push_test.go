@@ -91,69 +91,6 @@ func TestMergeSnapshotsHistograms(t *testing.T) {
 	}
 }
 
-// TestDiffSnapshots: counters subtract saturating at zero (a restarted
-// source reads as its new absolute values), gauges subtract signed, and
-// after-only metrics pass through.
-func TestDiffSnapshots(t *testing.T) {
-	before, after := NewRegistry(), NewRegistry()
-	before.Counter("ops_total").Add(10)
-	after.Counter("ops_total").Add(25)
-	// Restarted source: the counter went backwards.
-	before.Counter("restarts_total").Add(100)
-	after.Counter("restarts_total").Add(4)
-	// Appears only after.
-	after.Counter("new_total").Add(6)
-	before.Gauge("pos").Set(9)
-	after.Gauge("pos").Set(3)
-
-	d := DiffSnapshots(before.Snapshot(), after.Snapshot())
-	if got := d.Counter("ops_total"); got != 15 {
-		t.Errorf("ops diff = %d, want 15", got)
-	}
-	if got := d.Counter("restarts_total"); got != 4 {
-		t.Errorf("restarted counter diff = %d, want the new absolute 4", got)
-	}
-	if got := d.Counter("new_total"); got != 6 {
-		t.Errorf("after-only counter = %d, want 6", got)
-	}
-	if got := d.Gauge("pos"); got != -6 {
-		t.Errorf("gauge diff = %d, want -6", got)
-	}
-}
-
-// TestDiffSnapshotsHistograms: slot-wise subtraction when bounds match;
-// a reshaped histogram keeps the later snapshot whole.
-func TestDiffSnapshotsHistograms(t *testing.T) {
-	bounds := []float64{1, 10}
-	before, after := NewRegistry(), NewRegistry()
-	hb := before.Histogram("lat", bounds)
-	ha := after.Histogram("lat", bounds)
-	hb.Observe(0.5)
-	for _, v := range []float64{0.5, 5, 50} {
-		ha.Observe(v)
-	}
-	d := DiffSnapshots(before.Snapshot(), after.Snapshot())
-	h := d.Histograms["lat"]
-	if h.Count != 2 {
-		t.Errorf("diff count = %d, want 2 new observations", h.Count)
-	}
-	var slots uint64
-	for _, c := range h.Counts {
-		slots += c
-	}
-	if slots != 2 {
-		t.Errorf("diff slots total %d, want 2", slots)
-	}
-
-	reshaped := NewRegistry()
-	reshaped.Histogram("lat", []float64{3}).Observe(2)
-	d2 := DiffSnapshots(before.Snapshot(), reshaped.Snapshot())
-	h2 := d2.Histograms["lat"]
-	if len(h2.Bounds) != 1 || h2.Count != 1 {
-		t.Errorf("reshaped histogram did not pass through whole: %+v", h2)
-	}
-}
-
 // TestPusherRoundtrip: Push wraps the gathered snapshot in a
 // seq-numbered report that ReadReport decodes intact, and sequence
 // numbers strictly increase across pushes.
