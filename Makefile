@@ -8,7 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# The strict gate: vet; a guard that every atomic replace in non-test
+# The strict gate: vet; a formatting guard (`gofmt -l internal cmd
+# examples *.go` must print nothing); a guard that every atomic replace in non-test
 # code goes through internal/atomicfile (no other os.Rename or
 # os.CreateTemp); a guard that non-test code fsyncs only there and in
 # the apply journal's group commit (internal/channel/state.go), so a new
@@ -47,6 +48,7 @@ test:
 # It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) for 10s.
 check:
 	$(GO) vet ./...
+	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
 	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...

@@ -34,8 +34,9 @@ import (
 	"gosplice/internal/telemetry"
 )
 
-// TestMain exports the process-wide telemetry snapshot (every registry
-// GatherAll knows about, merged) to $GOSPLICE_TELEMETRY_OUT after the
+// TestMain exports the process-wide telemetry snapshot (the Default
+// registry, which every instance registry rolls up into) to
+// $GOSPLICE_TELEMETRY_OUT after the
 // benchmarks run; `make bench-json` feeds the file to benchjson so
 // BENCH_eval.json carries the counters behind the custom metrics.
 func TestMain(m *testing.M) {
@@ -43,7 +44,7 @@ func TestMain(m *testing.M) {
 	if path := os.Getenv("GOSPLICE_TELEMETRY_OUT"); path != "" {
 		f, err := os.Create(path)
 		if err == nil {
-			err = telemetry.WriteJSON(f, telemetry.GatherAll()...)
+			err = telemetry.WriteJSON(f, telemetry.Default())
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}

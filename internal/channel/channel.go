@@ -150,11 +150,18 @@ func (m *Manifest) computeDigest() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Verify checks the manifest's self-digest (when present — manifests
-// published before digests existed carry none and pass).
+// Verify checks the manifest's self-digest and that every entry pins
+// its tarball with a sha256 and a positive size. Both are required: a
+// manifest or entry without them would let a subscriber apply whatever
+// bytes arrived.
 func (m *Manifest) Verify() error {
 	if m.Digest == "" {
-		return nil
+		return errors.New("channel: manifest carries no digest")
+	}
+	for _, e := range m.Updates {
+		if !validDigest(e.Sha256) || e.Size <= 0 {
+			return fmt.Errorf("channel: manifest entry %q lacks a sha256 digest or a positive size", e.Name)
+		}
 	}
 	want, err := m.computeDigest()
 	if err != nil {

@@ -3,6 +3,7 @@ package channel
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -201,6 +202,76 @@ func TestDecodeManifestRefusesLegacyFields(t *testing.T) {
 		if _, err := NewPublisher(dir, cvedb.Tree(version)); err == nil || !strings.Contains(err.Error(), `"`+field+`"`) {
 			t.Errorf("%s: NewPublisher error %v, want one naming the field", field, err)
 		}
+	}
+}
+
+// TestManifestRequiresDigests: every manifest carries its self-digest
+// and pins each entry with a 64-hex sha256 and a positive size. Anyone
+// between publisher and subscriber can strip them, so DecodeManifest
+// refuses a manifest without them, and a subscriber syncing from one
+// applies nothing.
+func TestManifestRequiresDigests(t *testing.T) {
+	version := cvedb.Versions[0]
+	dir := t.TempDir()
+	pub, err := NewPublisher(dir, cvedb.Tree(version))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cvedb.ForVersion(version)[0]
+	if _, err := pub.Publish("u0", c.ID, c.Patch()); err != nil {
+		t.Fatal(err)
+	}
+	good, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// variant edits a copy of the published manifest's first entry and,
+	// when redigest is set, gives it a valid self-digest, so only the
+	// entry check can refuse it.
+	variant := func(edit func(e *Entry), redigest bool) []byte {
+		m := *good
+		m.Updates = append([]Entry(nil), good.Updates...)
+		edit(&m.Updates[0])
+		m.Digest = ""
+		if redigest {
+			d, err := m.computeDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Digest = d
+		}
+		b, err := json.Marshal(&m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	stripped := variant(func(e *Entry) { e.Sha256, e.Size = "", 0 }, false)
+	for name, b := range map[string][]byte{
+		"no digest, no entry hash": stripped,
+		"no digest":                variant(func(*Entry) {}, false),
+		"empty entry sha256":       variant(func(e *Entry) { e.Sha256 = "" }, true),
+		"short entry sha256":       variant(func(e *Entry) { e.Sha256 = e.Sha256[:32] }, true),
+		"non-hex entry sha256":     variant(func(e *Entry) { e.Sha256 = strings.Repeat("zz", 32) }, true),
+		"zero entry size":          variant(func(e *Entry) { e.Size = 0 }, true),
+		"negative entry size":      variant(func(e *Entry) { e.Size = -1 }, true),
+		"empty sha256 and no size": variant(func(e *Entry) { e.Sha256, e.Size = "", 0 }, true),
+	} {
+		if _, err := DecodeManifest(b); err == nil {
+			t.Errorf("%s: DecodeManifest accepted it", name)
+		}
+	}
+
+	if err := os.WriteFile(filepath.Join(dir, manifestName), stripped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, err := SyncOnce(context.Background(), NewDirTransport(dir), core.NewManager(k), 0, ClientConfig{})
+	if err == nil || len(applied) != 0 {
+		t.Fatalf("sync from a stripped manifest: applied %d, err %v; want a refusal", len(applied), err)
 	}
 }
 

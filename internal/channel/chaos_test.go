@@ -386,19 +386,20 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 	}
 	wg.Wait()
 
-	var snaps []telemetry.Snapshot
+	// Fleet-wide fault totals, summed over this soak's own plans.
+	var plans []*faultinject.Plan
 	for _, r := range results {
 		if r.errmsg != "" {
 			t.Errorf("%s: %s", r.name, r.errmsg)
 			continue
 		}
-		for _, p := range r.plans {
-			snaps = append(snaps, p.Metrics().Snapshot())
-		}
+		plans = append(plans, r.plans...)
 	}
-	total := telemetry.MergeSnapshots(snaps...)
-	fired := func(k faultinject.Kind) uint64 {
-		return total.Counter(faultinject.MetricFired + `{kind="` + k.String() + `"}`)
+	fired := func(k faultinject.Kind) (n uint64) {
+		for _, p := range plans {
+			n += injected(p, k)
+		}
+		return n
 	}
 	if t.Failed() {
 		return
@@ -465,6 +466,12 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 		before.Counter(`gosplice_channel_requests_total{code="206",route="update"}`); d == 0 {
 		t.Errorf("telemetry: no 206 responses counted despite Range resumes")
 	}
+	var faults, ops uint64
+	for _, p := range plans {
+		st := p.Metrics().Snapshot()
+		faults += st.CounterFamily(faultinject.MetricFired)
+		ops += st.Counter(faultinject.MetricOps)
+	}
 	t.Logf("fleet of %d machines survived %d injected faults over %d operations (%d refetches, %d server requests)",
-		len(results), total.CounterFamily(faultinject.MetricFired), total.Counter(faultinject.MetricOps), refetches, reqDelta)
+		len(results), faults, ops, refetches, reqDelta)
 }

@@ -48,8 +48,9 @@ type ClientConfig struct {
 	// create one). It is what lets binary deltas chain across Syncs.
 	Blobs BlobCache
 	// Registry, when non-nil, is the client's metric registry; nil
-	// creates a private one. Either way every increment also lands on
-	// the process-wide registry, so one /metrics stays coherent.
+	// creates a private one. A registry from telemetry.NewRegistry rolls
+	// up into the process-wide one, so every increment also lands there
+	// and one /metrics stays coherent.
 	Registry *telemetry.Registry
 	// Tracer, when non-nil, records this client's spans (Sync roots,
 	// fetch/apply children); nil uses the process-wide tracer. A fleet
@@ -133,7 +134,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if c.tracer == nil {
 		c.tracer = telemetry.DefaultTracer()
 	}
-	c.ms = registryClientMetrics(c.reg)
+	c.ms = newClientMetrics(c.reg)
 	switch {
 	case cfg.Blobs != nil:
 		c.blobs = cfg.Blobs
@@ -256,7 +257,7 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 			if pending.Pos == target+1 && target < len(m.Updates) {
 				e := m.Updates[target]
 				if b, ok := c.blobs.Get(e.Sha256); ok {
-					if u, err := decodeVerified(b, e); err == nil {
+					if u, err := core.ReadTarVerified(b, e.Sha256, e.Size); err == nil {
 						if _, err := mgr.Apply(u, c.cfg.Apply); err != nil {
 							return 0, fmt.Errorf("channel: client %s rolling forward %s: %w", c.cfg.Name, e.Name, err)
 						}
@@ -543,21 +544,19 @@ func (c *Client) syncFrom(ctx context.Context, sp *telemetry.Span, mgr *core.Man
 // deltas can only save bandwidth, never lose an update. Either way the
 // verified tarball is cached as the next entry's delta base.
 func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core.Update, []byte, error) {
-	if e.Sha256 != "" {
-		// Blob cache first: a machine that already verified these exact
-		// bytes (an earlier sync killed before its position committed, a
-		// rollback being re-applied) re-applies from local disk without
-		// touching the wire. Get re-verifies the digest, so a rotted blob
-		// falls through to the fetch below.
-		if b, ok := c.blobs.Get(e.Sha256); ok {
-			if u, err := decodeVerified(b, e); err == nil {
-				return u, b, nil
-			}
+	// Blob cache first: a machine that already verified these exact
+	// bytes (an earlier sync killed before its position committed, a
+	// rollback being re-applied) re-applies from local disk without
+	// touching the wire. Get re-verifies the digest, so a rotted blob
+	// falls through to the fetch below.
+	if b, ok := c.blobs.Get(e.Sha256); ok {
+		if u, err := core.ReadTarVerified(b, e.Sha256, e.Size); err == nil {
+			return u, b, nil
 		}
-		if b, ok := c.fetchViaDelta(ctx, m, e); ok {
-			if u, err := decodeVerified(b, e); err == nil {
-				return u, b, nil
-			}
+	}
+	if b, ok := c.fetchViaDelta(ctx, m, e); ok {
+		if u, err := core.ReadTarVerified(b, e.Sha256, e.Size); err == nil {
+			return u, b, nil
 		}
 	}
 	retries := c.cfg.FetchRetries
@@ -568,11 +567,9 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 			return nil, nil, err
 		}
 		c.ms.bytesOverWire.Add(uint64(len(b)))
-		u, err := decodeVerified(b, e)
+		u, err := core.ReadTarVerified(b, e.Sha256, e.Size)
 		if err == nil {
-			if e.Sha256 != "" {
-				c.blobs.Put(e.Sha256, b)
-			}
+			c.blobs.Put(e.Sha256, b)
 			return u, b, nil
 		}
 		// Digest mismatch or unparseable bytes: the transport delivered
@@ -624,16 +621,6 @@ func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byt
 	c.ms.deltaApplied.Inc()
 	c.blobs.Put(e.Sha256, b)
 	return b, true
-}
-
-// decodeVerified turns fetched bytes into an update, enforcing the
-// manifest's digest and size. Entries published before digests existed
-// (empty Sha256) parse unverified.
-func decodeVerified(b []byte, e Entry) (*core.Update, error) {
-	if e.Sha256 == "" {
-		return core.ReadTarVerified(b, blobDigest(b), int64(len(b)))
-	}
-	return core.ReadTarVerified(b, e.Sha256, e.Size)
 }
 
 // blobDigest is the digest b would be advertised under.

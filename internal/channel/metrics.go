@@ -3,7 +3,6 @@ package channel
 import (
 	"context"
 	"strconv"
-	"time"
 
 	"gosplice/internal/telemetry"
 )
@@ -14,11 +13,11 @@ import (
 // a process serves at most a handful of channels. Client-side families
 // count the transport's retry/backoff/resume behaviour and the
 // subscriber's end-to-end integrity enforcement; they are built as
-// clientMetrics sets so that a channel.Client can own a private registry
-// (what it pushes upstream in fleet reports) while every increment also
-// lands on the process-wide mirror — the chaos soak asserts its
-// conservation invariants over the mirrors, and a process full of
-// clients still scrapes one coherent /metrics.
+// clientMetrics sets on each channel.Client's own registry (what it
+// pushes upstream in fleet reports). That registry rolls up into the
+// process-wide one, so a process full of clients still scrapes one
+// coherent /metrics, and the chaos soak asserts its conservation
+// invariants over the process-wide totals.
 
 var (
 	cRequests = func() func(route string, code int) *telemetry.Counter {
@@ -81,39 +80,6 @@ const (
 	MetricTornState = "gosplice_channel_torn_state_detected_total"
 )
 
-// mCounter is a counter plus an optional process-wide mirror: a
-// per-client increment also moves the fleet-wide total, the same pattern
-// faultinject plans use.
-type mCounter struct {
-	own, mirror *telemetry.Counter
-}
-
-func (c mCounter) Inc() {
-	c.own.Inc()
-	if c.mirror != nil {
-		c.mirror.Inc()
-	}
-}
-
-func (c mCounter) Add(n uint64) {
-	c.own.Add(n)
-	if c.mirror != nil {
-		c.mirror.Add(n)
-	}
-}
-
-// mHistogram mirrors like mCounter.
-type mHistogram struct {
-	own, mirror *telemetry.Histogram
-}
-
-func (h mHistogram) ObserveDuration(d time.Duration) {
-	h.own.ObserveDuration(d)
-	if h.mirror != nil {
-		h.mirror.ObserveDuration(d)
-	}
-}
-
 // clientMetrics is one subscriber's view of the client-side families:
 // transport behaviour (retries, backoff, resumes), end-to-end integrity
 // (refetches), subscribe outcomes (applied, degraded), and the delta
@@ -121,18 +87,18 @@ func (h mHistogram) ObserveDuration(d time.Duration) {
 type clientMetrics struct {
 	reg *telemetry.Registry
 
-	retries        mCounter
-	resumes        mCounter
-	refetches      mCounter
-	applied        mCounter
-	degraded       mCounter
-	deltaApplied   mCounter
-	deltaFallback  mCounter
-	bytesOverWire  mCounter
-	recoveries     mCounter
-	journalReplays mCounter
-	tornDetected   mCounter
-	backoff        mHistogram
+	retries        *telemetry.Counter
+	resumes        *telemetry.Counter
+	refetches      *telemetry.Counter
+	applied        *telemetry.Counter
+	degraded       *telemetry.Counter
+	deltaApplied   *telemetry.Counter
+	deltaFallback  *telemetry.Counter
+	bytesOverWire  *telemetry.Counter
+	recoveries     *telemetry.Counter
+	journalReplays *telemetry.Counter
+	tornDetected   *telemetry.Counter
+	backoff        *telemetry.Histogram
 	position       *telemetry.Gauge
 }
 
@@ -166,44 +132,30 @@ func clientHelps(r *telemetry.Registry) {
 		"torn persistent state detected on open (dropped journal records, corrupt journals, mid-flight applies)")
 }
 
-// newClientMetrics builds a metric set on reg, mirrored into mirror
-// (pass nil for the un-mirrored set — i.e. the process-wide one).
-func newClientMetrics(reg *telemetry.Registry, mirror *clientMetrics) *clientMetrics {
+// newClientMetrics builds a metric set on reg.
+func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 	clientHelps(reg)
-	cm := &clientMetrics{reg: reg, position: reg.Gauge(MetricPosition)}
-	cm.retries.own = reg.Counter("gosplice_channel_client_retries_total")
-	cm.resumes.own = reg.Counter("gosplice_channel_client_resumes_total")
-	cm.refetches.own = reg.Counter(MetricRefetches)
-	cm.applied.own = reg.Counter(MetricApplied)
-	cm.degraded.own = reg.Counter(MetricDegraded)
-	cm.deltaApplied.own = reg.Counter("gosplice_channel_delta_applied_total")
-	cm.deltaFallback.own = reg.Counter(MetricDeltaFallback)
-	cm.bytesOverWire.own = reg.Counter(MetricBytesOverWire)
-	cm.recoveries.own = reg.Counter(MetricRecoveries)
-	cm.journalReplays.own = reg.Counter(MetricJournalReplays)
-	cm.tornDetected.own = reg.Counter(MetricTornState)
-	cm.backoff.own = reg.Histogram("gosplice_channel_client_backoff_seconds", nil)
-	if mirror != nil {
-		cm.retries.mirror = mirror.retries.own
-		cm.resumes.mirror = mirror.resumes.own
-		cm.refetches.mirror = mirror.refetches.own
-		cm.applied.mirror = mirror.applied.own
-		cm.degraded.mirror = mirror.degraded.own
-		cm.deltaApplied.mirror = mirror.deltaApplied.own
-		cm.deltaFallback.mirror = mirror.deltaFallback.own
-		cm.bytesOverWire.mirror = mirror.bytesOverWire.own
-		cm.recoveries.mirror = mirror.recoveries.own
-		cm.journalReplays.mirror = mirror.journalReplays.own
-		cm.tornDetected.mirror = mirror.tornDetected.own
-		cm.backoff.mirror = mirror.backoff.own
+	return &clientMetrics{
+		reg:            reg,
+		retries:        reg.Counter("gosplice_channel_client_retries_total"),
+		resumes:        reg.Counter("gosplice_channel_client_resumes_total"),
+		refetches:      reg.Counter(MetricRefetches),
+		applied:        reg.Counter(MetricApplied),
+		degraded:       reg.Counter(MetricDegraded),
+		deltaApplied:   reg.Counter("gosplice_channel_delta_applied_total"),
+		deltaFallback:  reg.Counter(MetricDeltaFallback),
+		bytesOverWire:  reg.Counter(MetricBytesOverWire),
+		recoveries:     reg.Counter(MetricRecoveries),
+		journalReplays: reg.Counter(MetricJournalReplays),
+		tornDetected:   reg.Counter(MetricTornState),
+		backoff:        reg.Histogram("gosplice_channel_client_backoff_seconds", nil),
+		position:       reg.Gauge(MetricPosition),
 	}
-	return cm
 }
 
 // defaultClientMetrics is the process-wide set: what transport requests
-// made outside any client count into, and what every per-client set
-// mirrors.
-var defaultClientMetrics = newClientMetrics(telemetry.Default(), nil)
+// made outside any client count into.
+var defaultClientMetrics = newClientMetrics(telemetry.Default())
 
 // clientMetricsKey carries a client's metric set on the contexts its
 // passes derive (see Client.syncCtx).
@@ -216,14 +168,4 @@ func metricsFrom(ctx context.Context) *clientMetrics {
 		return ms
 	}
 	return defaultClientMetrics
-}
-
-// registryClientMetrics returns the metric set for a per-instance
-// registry (mirrored into the process-wide set), or the process-wide set
-// itself when reg is nil or the Default registry.
-func registryClientMetrics(reg *telemetry.Registry) *clientMetrics {
-	if reg == nil || reg == telemetry.Default() {
-		return defaultClientMetrics
-	}
-	return newClientMetrics(reg, defaultClientMetrics)
 }

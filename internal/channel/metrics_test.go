@@ -109,7 +109,7 @@ func TestServerMetricsRoutes(t *testing.T) {
 		return resp, b
 	}
 
-	before := telemetry.GatherSnapshot()
+	before := telemetry.Default().Snapshot()
 
 	if resp, _ := get("/channel.json", nil); resp.StatusCode != 200 {
 		t.Fatalf("manifest: %s", resp.Status)
@@ -141,7 +141,7 @@ func TestServerMetricsRoutes(t *testing.T) {
 		t.Errorf("/debug/vars: %s, body %.40q", resp.Status, body)
 	}
 
-	after := telemetry.GatherSnapshot()
+	after := telemetry.Default().Snapshot()
 	for _, id := range []string{
 		`gosplice_channel_requests_total{code="200",route="manifest"}`,
 		`gosplice_channel_requests_total{code="206",route="update"}`,

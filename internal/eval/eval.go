@@ -102,11 +102,11 @@ func (c CacheStats) sub(b CacheStats) CacheStats {
 		UnitMisses: c.UnitMisses - b.UnitMisses,
 		BuildHits:  c.BuildHits - b.BuildHits, BuildMisses: c.BuildMisses - b.BuildMisses,
 		LinkHits: c.LinkHits - b.LinkHits, LinkDiskHits: c.LinkDiskHits - b.LinkDiskHits,
-		LinkMisses:       c.LinkMisses - b.LinkMisses,
-		FingerprintSkips: c.FingerprintSkips - b.FingerprintSkips,
-		DeepCompares:     c.DeepCompares - b.DeepCompares,
-		StoreEvictions:   c.StoreEvictions - b.StoreEvictions,
-		StoreDiskWrites:  c.StoreDiskWrites - b.StoreDiskWrites,
+		LinkMisses:          c.LinkMisses - b.LinkMisses,
+		FingerprintSkips:    c.FingerprintSkips - b.FingerprintSkips,
+		DeepCompares:        c.DeepCompares - b.DeepCompares,
+		StoreEvictions:      c.StoreEvictions - b.StoreEvictions,
+		StoreDiskWrites:     c.StoreDiskWrites - b.StoreDiskWrites,
 		StoreDiskWriteBytes: c.StoreDiskWriteBytes - b.StoreDiskWriteBytes,
 		StoreDiskErrors:     c.StoreDiskErrors - b.StoreDiskErrors,
 		// Gauges: keep the end-of-run values.

@@ -83,18 +83,16 @@ type Plan struct {
 	cFired [numKinds]*telemetry.Counter
 }
 
-// Process-wide mirrors: every plan's fired faults also count here, so a
-// fleet-level scrape (or the chaos soak) sees total injected faults
-// without enumerating plans.
-var defaultFired = func() [numKinds]*telemetry.Counter {
+// The process-wide fired family exists from package init, one child per
+// fault class, so a fresh process scrapes it at zero; every plan's
+// registry rolls up into it.
+func init() {
 	d := telemetry.Default()
 	d.Help(MetricFired, "injected faults by class, summed across all plans")
-	var cs [numKinds]*telemetry.Counter
 	for k := Kind(0); k < numKinds; k++ {
-		cs[k] = d.Counter(MetricFired, telemetry.L("kind", k.String()))
+		d.Counter(MetricFired, telemetry.L("kind", k.String()))
 	}
-	return cs
-}()
+}
 
 // New builds a plan from explicit faults.
 func New(faults ...Fault) *Plan {
@@ -150,7 +148,6 @@ func (p *Plan) Apply(b []byte) ([]byte, error) {
 	var failErr error
 	for _, f := range faults {
 		p.cFired[f.Kind].Inc()
-		defaultFired[f.Kind].Inc()
 		switch f.Kind {
 		case Error:
 			failErr = fmt.Errorf("faultinject: planned error on op %d", p.op)

@@ -155,21 +155,16 @@ type Kernel struct {
 	lastPause atomic.Int64
 }
 
-// Process-wide mirrors: every kernel instance's stop_machine activity
-// also counts here, so one scrape aggregates across the per-patch
-// kernels an evaluation boots.
-var (
-	defStops = func() *telemetry.Counter {
-		telemetry.Default().Help("gosplice_kernel_stop_machine_total",
-			"stop_machine invocations, summed across all kernel instances")
-		return telemetry.Default().Counter("gosplice_kernel_stop_machine_total")
-	}()
-	defPause = func() *telemetry.Histogram {
-		telemetry.Default().Help("gosplice_kernel_stop_machine_pause_seconds",
-			"stop_machine pause durations, summed across all kernel instances")
-		return telemetry.Default().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
-	}()
-)
+// The process-wide families exist from package init, so a fresh
+// process scrapes them at zero; every kernel's registry rolls up into
+// them.
+func init() {
+	d := telemetry.Default()
+	d.Help("gosplice_kernel_stop_machine_total", "stop_machine invocations, summed across all kernel instances")
+	d.Help("gosplice_kernel_stop_machine_pause_seconds", "stop_machine pause durations, summed across all kernel instances")
+	d.Counter("gosplice_kernel_stop_machine_total")
+	d.Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+}
 
 // initMetrics gives a kernel its private telemetry registry.
 func (k *Kernel) initMetrics() {

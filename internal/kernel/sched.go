@@ -355,8 +355,6 @@ func (k *Kernel) StopMachine(fn func() error) error {
 
 	k.cStops.Inc()
 	k.hPause.ObserveDuration(pause)
-	defStops.Inc()
-	defPause.ObserveDuration(pause)
 	k.lastPause.Store(int64(pause))
 	return err
 }

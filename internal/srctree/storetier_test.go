@@ -3,12 +3,17 @@ package srctree
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"gosplice/internal/codegen"
 	"gosplice/internal/store"
+	"gosplice/internal/telemetry"
 )
 
 // TestUnitCacheDiskWarmStart: a build served by a fresh store over a
@@ -203,4 +208,52 @@ func TestBuildParallelFirstError(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: error %q, want the sequential build's %q", procs, err, want)
 		}
 	}
+}
+
+// TestScrapedStoreCountersMonotonic: swapping the artifact store — as
+// eval.Run does when given one — must not move any scraped store counter
+// backwards. The process-wide /metrics sums every store ever made, not
+// just the active one.
+func TestScrapedStoreCountersMonotonic(t *testing.T) {
+	defer SetUnitCache(SetUnitCache(true))
+	defer SetStore(SetStore(store.MustNew(store.Options{})))
+	if _, err := Build(cacheTree("v-scrape-monotonic"), codegen.KspliceBuild()); err != nil {
+		t.Fatal(err)
+	}
+	before := scrapeStoreCounters(t)
+	if before[`gosplice_store_gets_total{outcome="miss"}`] == 0 {
+		t.Fatalf("a cold build scraped no store misses: %v", before)
+	}
+	SetStore(store.MustNew(store.Options{}))
+	after := scrapeStoreCounters(t)
+	for id, v := range before {
+		if after[id] < v {
+			t.Errorf("%s went backwards across SetStore: %d -> %d", id, v, after[id])
+		}
+	}
+}
+
+// scrapeStoreCounters reads /metrics through the process-wide handler
+// and returns every gosplice_store_* counter sample by id.
+func scrapeStoreCounters(t *testing.T) map[string]uint64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	telemetry.HTTPHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	out := map[string]uint64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, "gosplice_store_") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		id := line[:i]
+		if name, _, _ := strings.Cut(id, "{"); !strings.HasSuffix(name, "_total") {
+			continue
+		}
+		v, err := strconv.ParseUint(line[i+1:], 10, 64)
+		if err != nil {
+			t.Fatalf("counter sample %q: %v", line, err)
+		}
+		out[id] = v
+	}
+	return out
 }

@@ -72,11 +72,6 @@ func init() {
 	artifacts.Store(store.MustNew(store.Options{}))
 	telemetry.Default().Help("gosplice_build_cache_total",
 		"build cache outcomes by cache kind (unit, build, link) and serving tier (mem, disk, miss)")
-	// Fold the active artifact store's registry into process-wide
-	// scrapes, so /metrics and -metrics-addr see the store tiers live.
-	telemetry.RegisterGatherSource(func() []*telemetry.Registry {
-		return []*telemetry.Registry{ActiveStore().Metrics()}
-	})
 }
 
 // SetStore installs the artifact store behind every srctree cache and

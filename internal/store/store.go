@@ -124,10 +124,6 @@ type Options struct {
 	// process between a temp-file write and its rename. Nil falls back to
 	// the process-global hook.
 	Crash crashpoint.Hook
-	// Metrics is the telemetry registry the store reports into; nil gives
-	// the store a private registry (reachable via Metrics()), so multiple
-	// stores in one process never mix their counters.
-	Metrics *telemetry.Registry
 }
 
 // Stats is a snapshot of store activity. The counters are monotonic;
@@ -135,8 +131,8 @@ type Options struct {
 // MemEntries are gauges of the in-memory tier at snapshot time.
 //
 // Stats is a thin view over the store's telemetry registry (see
-// Metrics()); the registry is the source of truth and is what /metrics
-// scrapes expose live.
+// Metrics()); the registry is the source of truth, and what it counts
+// rolls up into the process-wide registry /metrics scrapes live.
 type Stats struct {
 	MemHits  uint64 // served by the memory tier's lock-free fast path
 	DiskHits uint64 // deserialized from the disk tier
@@ -220,10 +216,7 @@ func New(o Options) (*Store, error) {
 	if o.MaxBytes <= 0 {
 		o.MaxBytes = DefaultMaxBytes
 	}
-	met := o.Metrics
-	if met == nil {
-		met = telemetry.NewRegistry()
-	}
+	met := telemetry.NewRegistry()
 	s := &Store{
 		maxBytes:  o.MaxBytes,
 		dir:       o.Dir,
@@ -467,8 +460,9 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Metrics returns the store's telemetry registry, for folding into a
-// live /metrics scrape alongside the process-wide default registry.
+// Metrics returns the store's own telemetry registry. It rolls up into
+// the process-wide default registry, so /metrics sums every store the
+// process has made.
 func (s *Store) Metrics() *telemetry.Registry { return s.met }
 
 // Dir returns the disk tier's root directory ("" when memory-only).

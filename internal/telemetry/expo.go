@@ -18,31 +18,21 @@ import (
 // exposition (hand-rolled, format version 0.0.4), the /debug/vars JSON
 // snapshot, a syntax validator for the exposition (used by the CI
 // scrape smoke), and the HTTP plumbing every cmd tool's -metrics-addr
-// flag and channel.Server's /metrics route share.
+// flag and channel.Server's /metrics route share. Each renders one
+// registry; the live endpoints render Default, which already holds the
+// sum of every instance registry (see Registry), so no scrape merges
+// anything at read time.
 
-// WritePrometheus renders the merged snapshot of regs in Prometheus
-// text exposition format. Output is deterministic: families sort
+// WritePrometheus renders a snapshot of r in Prometheus text
+// exposition format. Output is deterministic: families sort
 // alphabetically, children sort by canonical id, histograms expand into
 // cumulative _bucket/_sum/_count series.
-func WritePrometheus(w io.Writer, regs ...*Registry) error {
-	snaps := make([]Snapshot, 0, len(regs))
-	seen := map[*Registry]bool{}
-	for _, r := range regs {
-		if r == nil || seen[r] {
-			continue
-		}
-		seen[r] = true
-		snaps = append(snaps, r.Snapshot())
+func WritePrometheus(w io.Writer, r *Registry) error {
+	s := r.Snapshot()
+	type sample struct {
+		id    string
+		value string
 	}
-	return writePrometheusSnapshot(w, MergeSnapshots(snaps...))
-}
-
-type sample struct {
-	id    string
-	value string
-}
-
-func writePrometheusSnapshot(w io.Writer, s Snapshot) error {
 	type family struct {
 		typ     string
 		samples []sample
@@ -134,20 +124,11 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WriteJSON renders the merged snapshot of regs as indented JSON — the
-// /debug/vars body. encoding/json sorts map keys, so the output is
-// deterministic for a fixed snapshot.
-func WriteJSON(w io.Writer, regs ...*Registry) error {
-	snaps := make([]Snapshot, 0, len(regs))
-	seen := map[*Registry]bool{}
-	for _, r := range regs {
-		if r == nil || seen[r] {
-			continue
-		}
-		seen[r] = true
-		snaps = append(snaps, r.Snapshot())
-	}
-	b, err := json.MarshalIndent(MergeSnapshots(snaps...), "", "  ")
+// WriteJSON renders a snapshot of r as indented JSON — the /debug/vars
+// body. encoding/json sorts map keys, so the output is deterministic for
+// a fixed snapshot.
+func WriteJSON(w io.Writer, r *Registry) error {
+	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
 	if err != nil {
 		return err
 	}
@@ -157,25 +138,25 @@ func WriteJSON(w io.Writer, regs ...*Registry) error {
 }
 
 // Handler serves /metrics (Prometheus text) and /debug/vars (JSON) from
-// the registries gather returns per request. Any other path 404s.
-func Handler(gather func() []*Registry) http.Handler {
+// reg, snapshotted per request. Any other path 404s.
+func Handler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/metrics":
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			WritePrometheus(w, gather()...)
+			WritePrometheus(w, reg)
 		case "/debug/vars", "/debug/vars/":
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			WriteJSON(w, gather()...)
+			WriteJSON(w, reg)
 		default:
 			http.NotFound(w, r)
 		}
 	})
 }
 
-// HTTPHandler is Handler over GatherAll — the process-wide scrape
-// surface.
-func HTTPHandler() http.Handler { return Handler(GatherAll) }
+// HTTPHandler is Handler over Default — the process-wide scrape
+// surface, which every instance registry rolls up into.
+func HTTPHandler() http.Handler { return Handler(Default()) }
 
 // ServeLoopback starts serving /metrics, /debug/vars, and the
 // net/http/pprof profile endpoints under /debug/pprof/ on addr (pass
@@ -293,16 +274,12 @@ func ValidateExposition(b []byte) error {
 // TYPE comment's family name.
 func baseFamily(name string) string {
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if base := strings.TrimSuffix(name, suffix); base != name && typedElsewhere(base) {
+		if base := strings.TrimSuffix(name, suffix); base != name {
 			return base
 		}
 	}
 	return name
 }
-
-// typedElsewhere is a hook point for stricter grouping; the validator
-// accepts any base whose suffix was stripped.
-func typedElsewhere(string) bool { return true }
 
 func validMetricName(s string) bool {
 	if s == "" {

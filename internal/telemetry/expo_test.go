@@ -52,15 +52,14 @@ gosplice_store_gets_total{outcome="miss",tier="disk"} 2
 }
 
 // TestPrometheusDeterministic: repeated renders of the same state are
-// byte-identical, and duplicate registries in the argument list are
-// dropped rather than double-counted.
+// byte-identical.
 func TestPrometheusDeterministic(t *testing.T) {
 	r := NewRegistry()
 	for i := 0; i < 50; i++ {
 		r.Counter("c_total", L("i", string(rune('a'+i%5)))).Add(uint64(i))
 	}
 	var a, b bytes.Buffer
-	if err := WritePrometheus(&a, r, r, nil); err != nil {
+	if err := WritePrometheus(&a, r); err != nil {
 		t.Fatal(err)
 	}
 	if err := WritePrometheus(&b, r); err != nil {
@@ -113,7 +112,7 @@ func TestWriteJSON(t *testing.T) {
 func TestHandlerRoutes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("served_total").Add(9)
-	srv := httptest.NewServer(Handler(func() []*Registry { return []*Registry{r} }))
+	srv := httptest.NewServer(Handler(r))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {

@@ -19,9 +19,12 @@
 //
 // Most subsystems report into the process-wide Default registry.
 // Objects that need per-instance accuracy (a Store, a fault-injection
-// Plan, a Kernel) own a private Registry and keep their legacy stats
-// accessors as thin views over its snapshot; RegisterGatherSource lets
-// the live endpoints fold those instance registries into one scrape.
+// Plan, a Kernel, a channel Client) own a registry from NewRegistry and
+// keep their stats accessors as thin views over its snapshot. Every
+// such registry is a child of Default: its metrics are linked to
+// Default's metrics of the same id, so each update is summed into
+// Default where it is written, and a scrape of Default is the whole
+// process — including instances since discarded.
 package telemetry
 
 import (
@@ -44,28 +47,43 @@ func L(key, value string) Label { return Label{Key: key, Value: value} }
 
 // Counter is a monotonically increasing uint64.
 type Counter struct {
-	v atomic.Uint64
+	v      atomic.Uint64
+	parent *Counter // the same id on the parent registry; nil on Default
 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+// Add adds n, here and on every ancestor registry's counter.
+func (c *Counter) Add(n uint64) {
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
+	}
+}
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is an instantaneous int64 that may go up and down.
 type Gauge struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Gauge
 }
 
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set replaces the value and moves the ancestors' gauges by the
+// difference, so a parent holds the sum of its children's values.
+func (g *Gauge) Set(v int64) {
+	old := g.v.Swap(v)
+	g.parent.Add(v - old) // Add is nil-safe: a root gauge has no parent
+}
 
-// Add moves the value by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
+// Add moves the value by delta (negative to decrease), here and on every
+// ancestor.
+func (g *Gauge) Add(delta int64) {
+	for ; g != nil; g = g.parent {
+		g.v.Add(delta)
+	}
+}
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
@@ -82,22 +100,25 @@ var DefBuckets = []float64{
 // semantics); internally each slot counts its own range, with one extra
 // slot for observations above the last boundary.
 type Histogram struct {
-	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
+	bounds  []float64
+	counts  []atomic.Uint64 // len(bounds)+1; last is +Inf
+	count   atomic.Uint64
 	sumBits atomic.Uint64 // math.Float64bits of the running sum
+	parent  *Histogram
 }
 
-// Observe records one value.
+// Observe records one value, here and on every ancestor (each into its
+// own buckets).
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		new := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, new) {
-			return
+	for ; h != nil; h = h.parent {
+		i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
+		h.counts[i].Add(1)
+		h.count.Add(1)
+		for {
+			old := h.sumBits.Load()
+			if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+				break
+			}
 		}
 	}
 }
@@ -113,8 +134,14 @@ func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()
 
 // Registry holds a process- or instance-scoped set of metrics. All
 // methods are safe for concurrent use; the metric objects themselves
-// are lock-free atomics, so hot paths pay one atomic op per update.
+// are lock-free atomics, so a hot path pays one atomic op per update
+// per registry it rolls up into.
+//
+// Every registry but Default is Default's child: each metric it creates
+// is linked to Default's metric with the same id, so every update also
+// lands there and Default always holds the process-wide sum.
 type Registry struct {
+	parent   *Registry
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -122,9 +149,12 @@ type Registry struct {
 	help     map[string]string // family name -> help text
 }
 
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+// NewRegistry creates an empty registry that rolls up into Default.
+func NewRegistry() *Registry { return newRegistry(defaultRegistry) }
+
+func newRegistry(parent *Registry) *Registry {
 	return &Registry{
+		parent:   parent,
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
@@ -132,9 +162,10 @@ func NewRegistry() *Registry {
 	}
 }
 
-var defaultRegistry = NewRegistry()
+var defaultRegistry = newRegistry(nil)
 
-// Default is the process-wide registry most subsystems report into.
+// Default is the process-wide registry: subsystems without instances
+// report into it directly, and every other registry rolls up into it.
 func Default() *Registry { return defaultRegistry }
 
 // metricID renders the canonical child identity: the bare family name,
@@ -170,12 +201,18 @@ func familyOf(id string) string {
 // Counter returns (creating on first use) the counter child for
 // name+labels.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	id := metricID(name, labels)
+	return r.counter(metricID(name, labels))
+}
+
+func (r *Registry) counter(id string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[id]
 	if !ok {
 		c = &Counter{}
+		if r.parent != nil {
+			c.parent = r.parent.counter(id)
+		}
 		r.counters[id] = c
 	}
 	return c
@@ -183,12 +220,18 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 
 // Gauge returns (creating on first use) the gauge child for name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	id := metricID(name, labels)
+	return r.gauge(metricID(name, labels))
+}
+
+func (r *Registry) gauge(id string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[id]
 	if !ok {
 		g = &Gauge{}
+		if r.parent != nil {
+			g.parent = r.parent.gauge(id)
+		}
 		r.gauges[id] = g
 	}
 	return g
@@ -199,7 +242,10 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // bucket boundaries are fixed at first creation — later calls for the
 // same child ignore the argument.
 func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *Histogram {
-	id := metricID(name, labels)
+	return r.histogram(metricID(name, labels), buckets)
+}
+
+func (r *Registry) histogram(id string, buckets []float64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[id]
@@ -211,20 +257,32 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 			bounds: append([]float64(nil), buckets...),
 			counts: make([]atomic.Uint64, len(buckets)+1),
 		}
+		if r.parent != nil {
+			h.parent = r.parent.histogram(id, buckets)
+		}
 		r.hists[id] = h
 	}
 	return h
 }
 
-// Help registers the family's help text for exposition.
+// Help registers the family's help text for exposition, and on each
+// ancestor that has none for the family yet.
 func (r *Registry) Help(name, text string) {
 	r.mu.Lock()
 	r.help[name] = text
 	r.mu.Unlock()
+	for p := r.parent; p != nil; p = p.parent {
+		p.mu.Lock()
+		if _, ok := p.help[name]; !ok {
+			p.help[name] = text
+		}
+		p.mu.Unlock()
+	}
 }
 
 // Reset zeroes every metric in place (children stay registered, so
-// pointers held by instrumented code remain valid). For tests.
+// pointers held by instrumented code remain valid). Ancestors keep what
+// this registry rolled up into them. For tests.
 func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,8 +311,7 @@ type HistogramSnapshot struct {
 	Sum    float64   `json:"sum"`
 }
 
-// Snapshot is a frozen, JSON-marshalable view of a registry (or a merge
-// of several). Keys are canonical metric ids (name{k="v",...}).
+// Snapshot is a frozen, JSON-marshalable view of a registry. Keys are canonical metric ids (name{k="v",...}).
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters,omitempty"`
 	Gauges     map[string]int64             `json:"gauges,omitempty"`
@@ -316,107 +373,4 @@ func (s Snapshot) CounterFamily(name string) uint64 {
 		}
 	}
 	return total
-}
-
-// MergeSnapshots folds several snapshots into one: counters and gauges
-// sum; histograms with identical bounds sum slot-wise (mismatched
-// bounds keep the first). Summing gauges is the behaviour live scrapes
-// want — e.g. memory resident across every store instance.
-func MergeSnapshots(snaps ...Snapshot) Snapshot {
-	out := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramSnapshot{},
-		Help:       map[string]string{},
-	}
-	for _, s := range snaps {
-		for id, v := range s.Counters {
-			out.Counters[id] += v
-		}
-		for id, v := range s.Gauges {
-			out.Gauges[id] += v
-		}
-		for id, h := range s.Histograms {
-			prev, ok := out.Histograms[id]
-			if !ok {
-				out.Histograms[id] = h
-				continue
-			}
-			if len(prev.Bounds) != len(h.Bounds) || !equalBounds(prev.Bounds, h.Bounds) {
-				continue
-			}
-			merged := HistogramSnapshot{
-				Bounds: prev.Bounds,
-				Counts: make([]uint64, len(prev.Counts)),
-				Count:  prev.Count + h.Count,
-				Sum:    prev.Sum + h.Sum,
-			}
-			for i := range merged.Counts {
-				merged.Counts[i] = prev.Counts[i] + h.Counts[i]
-			}
-			out.Histograms[id] = merged
-		}
-		for k, v := range s.Help {
-			if _, ok := out.Help[k]; !ok {
-				out.Help[k] = v
-			}
-		}
-	}
-	return out
-}
-
-func equalBounds(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// --- Gather sources ---
-
-var (
-	gatherMu      sync.Mutex
-	gatherSources []func() []*Registry
-)
-
-// RegisterGatherSource adds a provider of instance registries (e.g. the
-// active artifact store's) that GatherAll folds into live scrapes. Safe
-// to call from package init; providers may return nil entries.
-func RegisterGatherSource(f func() []*Registry) {
-	gatherMu.Lock()
-	gatherSources = append(gatherSources, f)
-	gatherMu.Unlock()
-}
-
-// GatherAll returns the Default registry plus every registered source's
-// registries, deduplicated by identity.
-func GatherAll() []*Registry {
-	gatherMu.Lock()
-	sources := append([]func() []*Registry(nil), gatherSources...)
-	gatherMu.Unlock()
-	seen := map[*Registry]bool{defaultRegistry: true}
-	out := []*Registry{defaultRegistry}
-	for _, f := range sources {
-		for _, r := range f() {
-			if r == nil || seen[r] {
-				continue
-			}
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// GatherSnapshot merges a snapshot of every gathered registry — the
-// JSON body /debug/vars serves and the source for the Prometheus view.
-func GatherSnapshot() Snapshot {
-	regs := GatherAll()
-	snaps := make([]Snapshot, len(regs))
-	for i, r := range regs {
-		snaps[i] = r.Snapshot()
-	}
-	return MergeSnapshots(snaps...)
 }

@@ -132,27 +132,77 @@ func TestResetZeroesInPlace(t *testing.T) {
 	}
 }
 
-// TestMergeSnapshots sums counters and gauges and folds histograms
-// slot-wise.
-func TestMergeSnapshots(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("c_total").Add(1)
-	b.Counter("c_total").Add(2)
-	a.Gauge("g").Set(10)
-	b.Gauge("g").Set(5)
-	a.Histogram("h", []float64{1}).Observe(0.5)
-	b.Histogram("h", []float64{1}).Observe(2)
+// TestRegistryRollUp: a child registry's metrics are linked to its
+// parent's metrics of the same id, so the parent holds the sum of its
+// children where they are written — counters and histograms add, label
+// children stay apart, gauges move by each Set's difference — while
+// siblings never see each other. NewRegistry's parent is Default.
+func TestRegistryRollUp(t *testing.T) {
+	root := newRegistry(nil)
+	a, b := newRegistry(root), newRegistry(root)
 
-	m := MergeSnapshots(a.Snapshot(), b.Snapshot())
-	if m.Counter("c_total") != 3 {
-		t.Errorf("merged counter = %d", m.Counter("c_total"))
+	a.Counter("ops_total", L("kind", "fetch")).Add(7)
+	b.Counter("ops_total", L("kind", "fetch")).Add(5)
+	a.Counter("ops_total", L("kind", "apply")).Add(3)
+	b.Counter("ops_total", L("kind", "undo")).Inc()
+	if got := root.Counter("ops_total", L("kind", "fetch")).Value(); got != 12 {
+		t.Errorf("same id from two registries = %d, want 7+5", got)
 	}
-	if m.Gauge("g") != 15 {
-		t.Errorf("merged gauge = %d", m.Gauge("g"))
+	rs := root.Snapshot()
+	if got := rs.Counter(`ops_total{kind="apply"}`); got != 3 {
+		t.Errorf("label child apply = %d, want 3", got)
 	}
-	h := m.Histograms["h"]
-	if h.Count != 2 || h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Errorf("merged histogram = %+v", h)
+	if got := rs.Counter(`ops_total{kind="undo"}`); got != 1 {
+		t.Errorf("label child undo = %d, want 1", got)
+	}
+	if got := rs.CounterFamily("ops_total"); got != 16 {
+		t.Errorf("family total = %d, want 16", got)
+	}
+
+	ga, gb := a.Gauge("position"), b.Gauge("position")
+	ga.Set(4)
+	gb.Set(9)
+	if got := root.Gauge("position").Value(); got != 13 {
+		t.Errorf("gauges after Set = %d, want 4+9", got)
+	}
+	ga.Set(1)
+	gb.Add(-2)
+	if got := root.Gauge("position").Value(); got != 8 {
+		t.Errorf("gauges after Set(1) and Add(-2) = %d, want 1+7", got)
+	}
+
+	bounds := []float64{1, 10, 100}
+	for _, v := range []float64{0.5, 5, 50, 500} {
+		a.Histogram("latency", bounds).Observe(v)
+	}
+	b.Histogram("latency", bounds).Observe(5)
+	h := root.Snapshot().Histograms["latency"]
+	if h.Count != 5 || h.Sum != 560.5 || !reflect.DeepEqual(h.Counts, []uint64{1, 2, 1, 1}) {
+		t.Errorf("parent histogram = %+v, want 5 observations summing to 560.5 in slots [1 2 1 1]", h)
+	}
+
+	as := a.Snapshot()
+	if got := as.Counter(`ops_total{kind="fetch"}`); got != 7 {
+		t.Errorf("sibling a's counter = %d, want its own 7", got)
+	}
+	if _, ok := as.Counters[`ops_total{kind="undo"}`]; ok {
+		t.Error("sibling a sees b's undo child")
+	}
+	if got, hb := as.Gauge("position"), b.Snapshot().Histograms["latency"]; got != 1 || hb.Count != 1 {
+		t.Errorf("siblings mixed: a position %d (want 1), b latency count %d (want 1)", got, hb.Count)
+	}
+
+	a.Help("ops_total", "from a")
+	b.Help("ops_total", "from b")
+	if got := root.Snapshot().Help["ops_total"]; got != "from a" {
+		t.Errorf("parent help = %q, want the first child's", got)
+	}
+
+	const id = "telemetry_rollup_test_total"
+	before := Default().Counter(id).Value()
+	NewRegistry().Counter(id).Add(3)
+	if got := Default().Counter(id).Value() - before; got != 3 {
+		t.Errorf("NewRegistry's counter moved Default by %d, want 3", got)
 	}
 }
 
@@ -164,26 +214,6 @@ func TestCounterFamily(t *testing.T) {
 	r.Counter("other_total").Add(100)
 	if got := r.Snapshot().CounterFamily("reqs_total"); got != 5 {
 		t.Fatalf("family sum = %d, want 5", got)
-	}
-}
-
-// TestGatherSources: registered instance registries appear in GatherAll
-// exactly once.
-func TestGatherSources(t *testing.T) {
-	inst := NewRegistry()
-	inst.Counter("inst_total").Add(4)
-	RegisterGatherSource(func() []*Registry { return []*Registry{inst, nil, inst} })
-	found := 0
-	for _, r := range GatherAll() {
-		if r == inst {
-			found++
-		}
-	}
-	if found != 1 {
-		t.Fatalf("instance registry gathered %d times", found)
-	}
-	if got := GatherSnapshot().Counter("inst_total"); got < 4 {
-		t.Fatalf("gathered snapshot misses instance counter: %d", got)
 	}
 }
 

@@ -48,8 +48,8 @@ type Pusher struct {
 	URL string
 	// Source identifies this pusher in the fleet view.
 	Source string
-	// Gather produces the snapshot to push; nil uses the process-wide
-	// GatherSnapshot.
+	// Gather produces the snapshot to push; nil snapshots Default, the
+	// whole process.
 	Gather func() Snapshot
 	// Tracer, when non-nil, has its completed spans shipped alongside
 	// each snapshot. The span cursor only advances on a successful push,
@@ -66,7 +66,7 @@ type Pusher struct {
 func (p *Pusher) Push(ctx context.Context) error {
 	gather := p.Gather
 	if gather == nil {
-		gather = GatherSnapshot
+		gather = Default().Snapshot
 	}
 	rep := Report{Source: p.Source, Seq: p.seq.Add(1), Snapshot: gather()}
 	var spanHigh uint64
