@@ -13,7 +13,10 @@ test:
 # code goes through internal/atomicfile (no other os.Rename or
 # os.CreateTemp); a guard that non-test code fsyncs only there and in
 # the apply journal's group commit (internal/channel/state.go), so a new
-# fsync is a declared durability choice; vet and the short tests of the bench module, so an
+# fsync is a declared durability choice; a guard that non-test code
+# makes and installs artifact stores only in internal/srctree (tools go
+# through srctree.UseDiskStore) and the channel blob cache
+# (internal/channel/blobcache.go), so there is one build path; vet and the short tests of the bench module, so an
 # internal API change that breaks the benchmark harness fails here
 # rather than in the benchmark run; the full test suite under the race
 # detector — among
@@ -51,6 +54,7 @@ check:
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
 	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
+	@! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(store\.(New|MustNew)|srctree\.SetStore)\(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/srctree/' -e '^internal/channel/blobcache\.go:' || { echo "check: make and install artifact stores only in internal/srctree (srctree.UseDiskStore) and internal/channel/blobcache.go"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel

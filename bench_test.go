@@ -141,14 +141,17 @@ func BenchmarkEvalAll64DiskStore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eval.Run(eval.Options{StressRounds: 20, Workers: 1, Store: s1}); err != nil {
+		prev := srctree.SetStore(s1)
+		if _, err := eval.Run(eval.Options{StressRounds: 20, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 		s2, err := store.New(store.Options{Dir: dir})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := eval.Run(eval.Options{StressRounds: 20, Workers: 1, Store: s2})
+		srctree.SetStore(s2)
+		res, err := eval.Run(eval.Options{StressRounds: 20, Workers: 1})
+		srctree.SetStore(prev)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -351,28 +354,32 @@ func BenchmarkRunPreMatch(b *testing.B) {
 }
 
 // BenchmarkPrePostDiff measures cold ksplice-create end to end for a
-// small security patch (section 3): two full tree builds plus object
-// extraction, with the per-unit cache disabled.
+// small security patch (section 3), as a fresh process would run it:
+// each iteration starts from an empty artifact store, so the pre build
+// compiles every unit, the post build recompiles the patched one, and
+// both fill the store.
 func BenchmarkPrePostDiff(b *testing.B) {
-	defer srctree.SetUnitCache(srctree.SetUnitCache(false))
-	benchPrePostDiff(b)
+	defer srctree.SetStore(srctree.ActiveStore())
+	benchPrePostDiff(b, true)
 }
 
-// BenchmarkPrePostDiffIncremental is the same create with the per-unit
-// cache on: unchanged units assemble from cache and the differ skips
-// them by pointer identity, so the cost is proportional to the patch
-// rather than the tree. Compare against BenchmarkPrePostDiff.
+// BenchmarkPrePostDiffIncremental is the same create over a warm store:
+// both builds are served whole and the differ skips unchanged units by
+// pointer identity, so the cost is the patch, the tree hashes and the
+// diff. Compare against BenchmarkPrePostDiff.
 func BenchmarkPrePostDiffIncremental(b *testing.B) {
-	defer srctree.SetUnitCache(srctree.SetUnitCache(true))
-	benchPrePostDiff(b)
+	benchPrePostDiff(b, false)
 }
 
-func benchPrePostDiff(b *testing.B) {
+func benchPrePostDiff(b *testing.B, cold bool) {
 	c, _ := cvedb.ByID("CVE-2008-0600")
 	tree := cvedb.Tree(c.Version)
 	patch := c.Patch()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold {
+			srctree.SetStore(store.MustNew(store.Options{}))
+		}
 		u, err := core.CreateUpdate(tree, patch, core.CreateOptions{})
 		if err != nil {
 			b.Fatal(err)
@@ -429,13 +436,15 @@ func benchDiffGranularity(b *testing.B, opts codegen.Options) {
 }
 
 // BenchmarkKernelBuild measures a full cold corpus kernel build (74
-// units: lex, parse, check, inline, codegen, relax). The per-unit cache
-// is disabled so every iteration pays the real compile cost.
+// units: lex, parse, check, inline, codegen, relax, and the store
+// inserts). Each iteration builds into an empty artifact store, so every
+// iteration pays the real compile cost.
 func BenchmarkKernelBuild(b *testing.B) {
-	defer srctree.SetUnitCache(srctree.SetUnitCache(false))
+	defer srctree.SetStore(srctree.ActiveStore())
 	tree := cvedb.Tree(cvedb.Versions[0])
 	for i := 0; i < b.N; i++ {
-		if _, err := srctree.Build(tree, codegen.KernelBuild()); err != nil {
+		srctree.SetStore(store.MustNew(store.Options{}))
+		if _, err := srctree.BuildCached(tree, codegen.KernelBuild()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -447,21 +456,20 @@ func BenchmarkKernelBuild(b *testing.B) {
 // one unit really recompiles and the rest assemble from the unit cache;
 // compare against BenchmarkKernelBuild for the incremental speedup.
 func BenchmarkKernelBuildIncremental(b *testing.B) {
-	defer srctree.SetUnitCache(srctree.SetUnitCache(true))
 	base := cvedb.Tree(cvedb.Versions[0])
 	const unit = "drivers/dst_ca.mc"
 	if _, ok := base.Files[unit]; !ok {
 		b.Fatalf("corpus tree lacks %s", unit)
 	}
 	// Warm the cache with the unmodified tree.
-	if _, err := srctree.Build(base, codegen.KernelBuild()); err != nil {
+	if _, err := srctree.BuildCached(base, codegen.KernelBuild()); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tree := base.Clone()
 		tree.Files[unit] += fmt.Sprintf("// rev %d\n", i)
-		if _, err := srctree.Build(tree, codegen.KernelBuild()); err != nil {
+		if _, err := srctree.BuildCached(tree, codegen.KernelBuild()); err != nil {
 			b.Fatal(err)
 		}
 	}

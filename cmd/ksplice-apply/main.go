@@ -18,7 +18,6 @@ import (
 	"gosplice/internal/core"
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
-	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
 )
 
@@ -29,7 +28,6 @@ func main() {
 	applyAttempts := flag.Int("apply-attempts", 0, "quiescence attempts per update (0 = default)")
 	applyDelay := flag.Duration("apply-retry-delay", 0, "delay between quiescence attempts (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheMax := flag.Int64("cache-max-bytes", store.DefaultMaxBytes, "in-memory artifact cache cap in bytes")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
 	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
@@ -50,17 +48,8 @@ func main() {
 		}
 	}()
 
-	if *cacheDir != "" || *cacheMax != store.DefaultMaxBytes {
-		s, err := store.New(store.Options{Dir: *cacheDir, MaxBytes: *cacheMax})
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheGC > 0 {
-			if _, err := s.GC(*cacheGC); err != nil {
-				fatal(err)
-			}
-		}
-		srctree.SetStore(s)
+	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
+		fatal(err)
 	}
 	apply := core.ApplyOptions{MaxAttempts: *applyAttempts, RetryDelay: *applyDelay}
 

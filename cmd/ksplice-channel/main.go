@@ -52,7 +52,6 @@ import (
 	_ "gosplice/internal/eval" // expose the gosplice_eval_* families on /metrics
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
-	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
 )
 
@@ -71,7 +70,6 @@ func main() {
 	applyAttempts := flag.Int("apply-attempts", 0, "quiescence attempts per update (0 = default)")
 	applyDelay := flag.Duration("apply-retry-delay", 0, "delay between quiescence attempts (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheMax := flag.Int64("cache-max-bytes", store.DefaultMaxBytes, "in-memory artifact cache cap in bytes")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	scrape := flag.String("scrape", "", "fetch this /metrics URL, validate the exposition, and summarise it")
 	keygen := flag.String("keygen", "", "generate an ed25519 signing key pair at this path (and .pub) and exit")
@@ -106,17 +104,8 @@ func main() {
 		}
 	}()
 
-	if *cacheDir != "" || *cacheMax != store.DefaultMaxBytes {
-		s, err := store.New(store.Options{Dir: *cacheDir, MaxBytes: *cacheMax})
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheGC > 0 {
-			if _, err := s.GC(*cacheGC); err != nil {
-				fatal(err)
-			}
-		}
-		srctree.SetStore(s)
+	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
+		fatal(err)
 	}
 	apply := core.ApplyOptions{MaxAttempts: *applyAttempts, RetryDelay: *applyDelay}
 

@@ -30,7 +30,6 @@ import (
 	"gosplice/internal/cvedb"
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
-	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
 )
 
@@ -41,7 +40,6 @@ func main() {
 	cveID := flag.String("cve", "", "use the corpus patch for this CVE")
 	out := flag.String("o", "", "output tarball (default <name>.tar)")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheMax := flag.Int64("cache-max-bytes", store.DefaultMaxBytes, "in-memory artifact cache cap in bytes")
 	cacheStats := flag.Bool("cache-stats", false, "print artifact cache counters to stderr on exit")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
@@ -59,17 +57,8 @@ func main() {
 		}
 	}()
 
-	if *cacheDir != "" || *cacheMax != store.DefaultMaxBytes {
-		s, err := store.New(store.Options{Dir: *cacheDir, MaxBytes: *cacheMax})
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheGC > 0 {
-			if _, err := s.GC(*cacheGC); err != nil {
-				fatal(err)
-			}
-		}
-		srctree.SetStore(s)
+	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
+		fatal(err)
 	}
 
 	var tree *srctree.Tree

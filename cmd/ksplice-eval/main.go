@@ -31,7 +31,7 @@ import (
 	"strings"
 
 	"gosplice/internal/eval"
-	"gosplice/internal/store"
+	"gosplice/internal/srctree"
 	"gosplice/internal/telemetry"
 )
 
@@ -49,7 +49,6 @@ func main() {
 	stacked := flag.Bool("stacked", false, "leave every update applied (one kernel per release accumulates all its fixes)")
 	jobs := flag.Int("j", runtime.NumCPU(), "patches evaluated concurrently (stacked mode is always sequential); the tables are identical for any -j")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheMax := flag.Int64("cache-max-bytes", store.DefaultMaxBytes, "in-memory artifact cache cap in bytes")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
 	traceOut := flag.String("trace-out", "", "write the run's spans as a Chrome trace (chrome://tracing) to this file on exit")
@@ -78,19 +77,9 @@ func main() {
 	}
 
 	opts := eval.Options{StressRounds: *stress, KeepApplied: *stacked, Workers: *jobs, Verbose: *verbose}
-	if *cacheDir != "" || *cacheMax != store.DefaultMaxBytes {
-		s, err := store.New(store.Options{Dir: *cacheDir, MaxBytes: *cacheMax})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-			os.Exit(1)
-		}
-		if *cacheGC > 0 {
-			if _, err := s.GC(*cacheGC); err != nil {
-				fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-				os.Exit(1)
-			}
-		}
-		opts.Store = s
+	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
+		fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
+		os.Exit(1)
 	}
 	if *verbose {
 		opts.Log = os.Stderr

@@ -16,7 +16,6 @@ import (
 	"gosplice/internal/cvedb"
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
-	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
 )
 
@@ -27,7 +26,6 @@ func main() {
 	probe := flag.String("probe", "", "after boot, run this kernel function and print its result")
 	uid := flag.Int("uid", 0, "credential for -probe")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheMax := flag.Int64("cache-max-bytes", store.DefaultMaxBytes, "in-memory artifact cache cap in bytes")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
 	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
@@ -44,17 +42,8 @@ func main() {
 		}
 	}()
 
-	if *cacheDir != "" || *cacheMax != store.DefaultMaxBytes {
-		s, err := store.New(store.Options{Dir: *cacheDir, MaxBytes: *cacheMax})
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheGC > 0 {
-			if _, err := s.GC(*cacheGC); err != nil {
-				fatal(err)
-			}
-		}
-		srctree.SetStore(s)
+	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
+		fatal(err)
 	}
 
 	if *list {

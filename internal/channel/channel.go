@@ -304,10 +304,9 @@ func (p *Publisher) publishDelta(base, result []byte) error {
 // point leaves the channel consistent: either the update is fully
 // published or it is absent.
 func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
-	// The build cache is sound here: builds are bit-for-bit
-	// deterministic, so successive publishes of one release share the
-	// accumulated pre builds.
-	u, err := core.CreateUpdate(p.tree, patchText, core.CreateOptions{Name: name, BuildCache: true})
+	// CreateUpdate builds through the artifact store, so successive
+	// publishes of one release share the accumulated pre builds.
+	u, err := core.CreateUpdate(p.tree, patchText, core.CreateOptions{Name: name})
 	if err != nil {
 		return nil, err
 	}

@@ -298,7 +298,15 @@ func TestRunPreAbortsOnCompilerMismatch(t *testing.T) {
 	tree := testTree()
 	noInline := codegen.KernelBuild()
 	noInline.Inline = false
-	k, err := kernel.Boot(kernel.Config{Tree: tree, Opts: &noInline})
+	br, err := srctree.BuildCached(tree, noInline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := srctree.LinkKernelCached(br, kernel.KernelBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.BootImage(br, im, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 // the one created cold — and the warm pass must compile nothing at all,
 // since the cold pass already persisted every pre and post unit.
 func TestCreateUpdateDeterministicAcrossDiskStore(t *testing.T) {
-	defer srctree.SetUnitCache(srctree.SetUnitCache(true))
 	dir := t.TempDir()
 	defer srctree.SetStore(srctree.SetStore(store.MustNew(store.Options{Dir: dir})))
 	createTar := func(c *cvedb.CVE) ([]byte, error) {

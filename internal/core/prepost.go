@@ -22,20 +22,18 @@ var ErrNoChanges = errors.New("core: patch produces no object code changes")
 type CreateOptions struct {
 	// Name overrides the generated ksplice-xxxxxx update name.
 	Name string
-	// BuildOpts overrides the pre/post build options. The default is
-	// codegen.KspliceBuild(): per-function and per-data sections. Using
-	// the same compiler version as the running kernel's build is
-	// advisable (paper section 4.3); run-pre matching is the backstop.
-	BuildOpts *codegen.Options
-	// BuildCache consults the process-wide srctree build cache for the
-	// pre and post builds instead of rebuilding. Builds are bit-for-bit
-	// deterministic, so the cache is semantics-preserving; callers that
-	// want to measure real build cost leave it off.
+	// BuildCache is ignored: the pre and post builds always go through
+	// the process-wide artifact store (srctree.BuildCached). Builds are
+	// bit-for-bit deterministic, so the store is semantics-preserving;
+	// a fresh store is how a caller makes every compile really run.
 	BuildCache bool
 }
 
 // CreateUpdate implements ksplice-create: it builds the tree before and
-// after the patch, diffs the object code, and packages a hot update.
+// after the patch with codegen.KspliceBuild() (per-function and per-data
+// sections), diffs the object code, and packages a hot update. Using the
+// same compiler version as the running kernel's build is advisable
+// (paper section 4.3); run-pre matching is the backstop.
 //
 // The tree must be the source of the running kernel — including any
 // previously hot-applied patches when stacking updates (section 5.4).
@@ -49,18 +47,11 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 		return nil, fmt.Errorf("core: applying source patch: %w", err)
 	}
 	buildOpts := codegen.KspliceBuild()
-	if o.BuildOpts != nil {
-		buildOpts = *o.BuildOpts
-	}
-	build := srctree.Build
-	if o.BuildCache {
-		build = srctree.BuildCached
-	}
-	preB, err := build(tree, buildOpts)
+	preB, err := srctree.BuildCached(tree, buildOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: pre build: %w", err)
 	}
-	postB, err := build(post, buildOpts)
+	postB, err := srctree.BuildCached(post, buildOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: post build: %w", err)
 	}

@@ -21,7 +21,6 @@ import (
 	"gosplice/internal/cvedb"
 	"gosplice/internal/kernel"
 	"gosplice/internal/srctree"
-	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
 )
 
@@ -205,13 +204,6 @@ type Options struct {
 	Workers int
 	// Log receives progress lines when non-nil.
 	Log io.Writer
-	// Store, when non-nil, is installed as the process-wide artifact
-	// store for the duration of the run (and restored afterwards). A
-	// disk-backed store makes a cold process warm-start from artifacts
-	// a previous run persisted; nil keeps whatever store is active.
-	// Because the store is process-wide, concurrent Runs should either
-	// share one Store or leave this nil.
-	Store *store.Store
 	// Tracer receives the run's span tree: one root "patch" span per
 	// vulnerability with a child span per stage (clone, create, run_pre,
 	// apply, stress, undo), plus per-release "build" and "boot" spans.
@@ -288,9 +280,6 @@ func Run(opts Options) (*Result, error) {
 	}
 	if opts.Tracer == nil {
 		opts.Tracer = telemetry.DefaultTracer()
-	}
-	if opts.Store != nil {
-		defer srctree.SetStore(srctree.SetStore(opts.Store))
 	}
 	cache0 := cacheSnapshot()
 
@@ -578,12 +567,12 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 		}
 	}
 
-	// 2. ksplice-create. The build cache is sound here: tree builds are
-	// deterministic, so every patch of a release shares one pre build.
+	// 2. ksplice-create. Builds go through the artifact store, so every
+	// patch of a release shares one pre build.
 	// Each stage runs under a span; StageTimings reads the span
 	// durations, so the report table and the trace agree by construction.
 	sp := patch.Child("create", telemetry.A("cve", c.ID))
-	u, err := core.CreateUpdate(tree, c.Patch(), core.CreateOptions{Name: "ksplice-" + c.ID, BuildCache: true})
+	u, err := core.CreateUpdate(tree, c.Patch(), core.CreateOptions{Name: "ksplice-" + c.ID})
 	sp.End()
 	pr.Timings.Create = sp.Duration()
 	observeStage("create", pr.Timings.Create)

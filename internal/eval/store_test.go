@@ -16,11 +16,11 @@ import (
 func TestCrossReleaseUnitSharing(t *testing.T) {
 	defer srctree.SetStore(srctree.SetStore(store.MustNew(store.Options{})))
 	opts := codegen.KernelBuild()
-	if _, err := srctree.Build(cvedb.Tree(cvedb.Versions[0]), opts); err != nil {
+	if _, err := srctree.BuildCached(cvedb.Tree(cvedb.Versions[0]), opts); err != nil {
 		t.Fatal(err)
 	}
 	c0 := srctree.Counters()
-	if _, err := srctree.Build(cvedb.Tree(cvedb.Versions[1]), opts); err != nil {
+	if _, err := srctree.BuildCached(cvedb.Tree(cvedb.Versions[1]), opts); err != nil {
 		t.Fatal(err)
 	}
 	c1 := srctree.Counters()
@@ -33,7 +33,7 @@ func TestCrossReleaseUnitSharing(t *testing.T) {
 	t.Logf("%s after %s: %d units shared, %d recompiled", cvedb.Versions[1], cvedb.Versions[0], hits, misses)
 }
 
-// TestEvalDiskWarmStart: an evaluation run handed a fresh store over a
+// TestEvalDiskWarmStart: an evaluation run over a fresh store on a
 // directory a previous run populated — ksplice-eval restarted — serves
 // every unit compile and kernel link from the disk tier, recompiling and
 // relinking nothing, and reports the same results.
@@ -49,11 +49,11 @@ func TestEvalDiskWarmStart(t *testing.T) {
 		t.Skipf("release %s has %d patches, need 2+", version, len(ids))
 	}
 	dir := t.TempDir()
-	s1, err := store.New(store.Options{Dir: dir})
-	if err != nil {
+	defer srctree.SetStore(srctree.ActiveStore())
+	if err := srctree.UseDiskStore(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	res1, err := Run(Options{Only: ids, StressRounds: 5, Store: s1})
+	res1, err := Run(Options{Only: ids, StressRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +61,10 @@ func TestEvalDiskWarmStart(t *testing.T) {
 		t.Fatalf("cold run wrote nothing to the disk tier: %+v", res1.Cache)
 	}
 
-	s2, err := store.New(store.Options{Dir: dir})
-	if err != nil {
+	if err := srctree.UseDiskStore(dir, 0); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Run(Options{Only: ids, StressRounds: 5, Store: s2})
+	res2, err := Run(Options{Only: ids, StressRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,11 @@ import (
 	"time"
 
 	"gosplice/internal/channel"
-	"gosplice/internal/codegen"
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
 	"gosplice/internal/faultinject"
 	"gosplice/internal/kernel"
-	"gosplice/internal/srctree"
 	"gosplice/internal/telemetry"
 )
 
@@ -334,20 +332,9 @@ func New(cfg Config) (*Orchestrator, error) {
 		o.srvs = append(o.srvs, hs)
 		o.urls[rel] = "http://" + ln.Addr().String()
 
-		// Template kernel: built and linked through the process-wide
-		// srctree caches, booted once; every member of this release
-		// clones it instead of re-booting.
-		br, err := srctree.BuildCached(cvedb.Tree(rel), codegen.KernelBuild())
-		if err != nil {
-			o.Close()
-			return nil, fmt.Errorf("fleet: building %s: %w", rel, err)
-		}
-		im, err := srctree.LinkKernelCached(br, kernel.KernelBase)
-		if err != nil {
-			o.Close()
-			return nil, fmt.Errorf("fleet: linking %s: %w", rel, err)
-		}
-		k, err := kernel.BootImage(br, im, 0)
+		// Template kernel: booted once through the artifact store; every
+		// member of this release clones it instead of re-booting.
+		k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(rel)})
 		if err != nil {
 			o.Close()
 			return nil, fmt.Errorf("fleet: booting %s: %w", rel, err)

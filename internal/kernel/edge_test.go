@@ -215,7 +215,15 @@ func TestKernelBuildOptionsPreserved(t *testing.T) {
 	files["m.mc"] = `int f(void) { return 1; }`
 	opts := codegen.KernelBuild()
 	opts.Version = "minicc 0.9-test"
-	k, err := Boot(Config{Tree: srctree.New("opt", files), Opts: &opts})
+	br, err := srctree.BuildCached(srctree.New("opt", files), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im, err := srctree.LinkKernelCached(br, KernelBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := BootImage(br, im, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,5 +234,38 @@ func TestKernelBuildOptionsPreserved(t *testing.T) {
 		if f.Compiler != "minicc 0.9-test" {
 			t.Errorf("%s compiled with %q", f.SourcePath, f.Compiler)
 		}
+	}
+}
+
+// TestBootGoesThroughStore: a second Boot of the same tree content
+// compiles and links nothing — the build and the image come from the
+// artifact store, shared with the first kernel.
+func TestBootGoesThroughStore(t *testing.T) {
+	files := Lib()
+	files["m.mc"] = `int twice(int x) { return x * 2; }`
+	k1, err := Boot(Config{Tree: srctree.New("store-boot", files)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c0 := srctree.Counters()
+	k2, err := Boot(Config{Tree: srctree.New("store-boot", files)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1 := srctree.Counters()
+	if n := c1.UnitMisses - c0.UnitMisses; n != 0 {
+		t.Errorf("second boot compiled %d units, want 0", n)
+	}
+	if n := c1.BuildMisses - c0.BuildMisses; n != 0 {
+		t.Errorf("second boot built %d trees, want 0", n)
+	}
+	if n := c1.LinkMisses - c0.LinkMisses; n != 0 {
+		t.Errorf("second boot linked %d images, want 0", n)
+	}
+	if k2.Build != k1.Build || k2.Image != k1.Image {
+		t.Error("second boot did not reuse the stored build and image")
+	}
+	if got, err := k2.Call("twice", 21); err != nil || got != 42 {
+		t.Errorf("twice(21) on the second kernel = %d, %v", got, err)
 	}
 }

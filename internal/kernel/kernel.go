@@ -45,7 +45,7 @@ const (
 	// memory; each stack is StackSize bytes.
 	StackSize = 64 << 10
 
-	// DefaultMemSize is the machine size if the config does not specify.
+	// DefaultMemSize is the machine size BootImage uses for a zero size.
 	DefaultMemSize = 16 << 20
 )
 
@@ -181,35 +181,24 @@ func (k *Kernel) Metrics() *telemetry.Registry { return k.met }
 // Config configures Boot.
 type Config struct {
 	Tree *srctree.Tree
-	// Opts defaults to codegen.KernelBuild(): whole-.text units, branch
-	// relaxation, inlining — a distributor's kernel.
-	Opts *codegen.Options
-	// MemSize defaults to DefaultMemSize.
-	MemSize int
 }
 
-// Boot builds the tree, links the image, and starts a kernel. If the tree
-// defines a unique global function "kinit", it runs to completion on a
-// bootstrap thread before Boot returns.
+// Boot builds the tree with codegen.KernelBuild() — whole-.text units,
+// branch relaxation, inlining: a distributor's kernel — and links the
+// image, both through the artifact store, then starts a kernel with
+// BootImage. A second Boot of the same tree content compiles and links
+// nothing. If the tree defines a unique global function "kinit", it
+// runs to completion on a bootstrap thread before Boot returns.
 func Boot(cfg Config) (*Kernel, error) {
-	opts := codegen.KernelBuild()
-	if cfg.Opts != nil {
-		opts = *cfg.Opts
-	}
-	br, err := srctree.Build(cfg.Tree, opts)
+	br, err := srctree.BuildCached(cfg.Tree, codegen.KernelBuild())
 	if err != nil {
 		return nil, err
 	}
-	return BootBuild(br, cfg.MemSize)
-}
-
-// BootBuild boots from an existing build result.
-func BootBuild(br *srctree.BuildResult, memSize int) (*Kernel, error) {
-	im, err := srctree.LinkKernel(br, KernelBase)
+	im, err := srctree.LinkKernelCached(br, KernelBase)
 	if err != nil {
 		return nil, err
 	}
-	return BootImage(br, im, memSize)
+	return BootImage(br, im, 0)
 }
 
 // BootImage boots from a build result and an image already linked at

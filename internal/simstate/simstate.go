@@ -15,7 +15,6 @@ import (
 	"path/filepath"
 
 	"gosplice/internal/atomicfile"
-	"gosplice/internal/codegen"
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
 	"gosplice/internal/kernel"
@@ -152,21 +151,12 @@ func (st *State) Tree() (*srctree.Tree, error) {
 // Replay boots the machine and re-applies its updates under apply,
 // returning the running kernel and its Ksplice manager. Callers thread
 // their own core.ApplyOptions through so a busy machine can tune
-// MaxAttempts/RetryDelay; the zero value keeps the defaults. The boot
-// goes through the artifact store's cached build and link paths, so with
-// a disk-backed store (srctree.SetStore) a replay in a fresh process
-// reuses the compiled units and linked image an earlier tool run left
-// behind.
+// MaxAttempts/RetryDelay; the zero value keeps the defaults. kernel.Boot
+// goes through the artifact store, so with a disk-backed store
+// (srctree.UseDiskStore) a replay in a fresh process reuses the compiled
+// units and linked image an earlier tool run left behind.
 func (st *State) Replay(apply core.ApplyOptions) (*kernel.Kernel, *core.Manager, error) {
-	br, err := srctree.BuildCached(cvedb.Tree(st.Version), codegen.KernelBuild())
-	if err != nil {
-		return nil, nil, err
-	}
-	im, err := srctree.LinkKernelCached(br, kernel.KernelBase)
-	if err != nil {
-		return nil, nil, err
-	}
-	k, err := kernel.BootImage(br, im, 0)
+	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(st.Version)})
 	if err != nil {
 		return nil, nil, err
 	}

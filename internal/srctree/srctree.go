@@ -118,6 +118,10 @@ func (t *Tree) ParseUnit(path string) (*minic.Unit, error) {
 type BuildResult struct {
 	Tree    *Tree
 	Options codegen.Options
+	// TreeHash is Tree.Hash() as it was when the objects were built: the
+	// linked image is filed under it, so editing Tree afterwards cannot
+	// file these objects' image under the edited content.
+	TreeHash string
 	// Objects holds one object file per unit, in Units() order.
 	Objects []*obj.File
 }
@@ -132,34 +136,20 @@ func (br *BuildResult) Object(path string) *obj.File {
 	return nil
 }
 
-// Build compiles every unit in the tree with the given options. Units
-// compile concurrently under a bounded worker pool — compilation is a
-// pure function of (source, options), and the artifact store's
-// singleflight already serializes duplicate keys — and go through the
-// process-wide per-unit compile cache (see unitcache.go), so a build of
-// a patched tree recompiles only the units the patch reaches and
-// assembles the rest from cache; SetUnitCache(false) forces every
-// compile to really run. The object list is in Units() order and any
-// error is the first failing unit's in that same order, so results are
-// deterministic for every worker count. Objects from a cache-enabled
-// build are shared and must not be mutated.
-func Build(t *Tree, opts codegen.Options) (*BuildResult, error) {
+// build is the fill behind BuildCached: it compiles every unit in the
+// tree with the given options. Units compile concurrently under a
+// bounded worker pool — compilation is a pure function of (source,
+// options), and the artifact store's singleflight already serializes
+// duplicate keys — and go through the per-unit compile cache (see
+// unitcache.go), so a build of a patched tree recompiles only the units
+// the patch reaches and assembles the rest from the store. The object
+// list is in Units() order and any error is the first failing unit's in
+// that same order, so results are deterministic for every worker count.
+// The objects are shared and must not be mutated.
+func build(t *Tree, opts codegen.Options) (*BuildResult, error) {
 	units := t.Units()
 	br := &BuildResult{Tree: t, Options: opts, Objects: make([]*obj.File, len(units))}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if workers <= 1 {
-		for i, path := range units {
-			f, err := compileUnit(t, path, opts)
-			if err != nil {
-				return nil, err
-			}
-			br.Objects[i] = f
-		}
-		return br, nil
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(units))
 	errs := make([]error, len(units))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -204,15 +194,16 @@ func buildUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
 	return f, nil
 }
 
-// BuildUnit compiles a single unit. It bypasses the per-unit cache:
+// BuildUnit compiles a single unit. It bypasses the artifact store:
 // benchmarks use it to measure real compile cost, and its result is
 // freshly allocated and safe to mutate.
 func BuildUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
 	return buildUnit(t, path, opts)
 }
 
-// LinkKernel links a build into a bootable image at the given base.
-func LinkKernel(br *BuildResult, base uint32) (*obj.Image, error) {
+// linkKernel is the fill behind LinkKernelCached: it links a build into
+// a bootable image at the given base.
+func linkKernel(br *BuildResult, base uint32) (*obj.Image, error) {
 	im, err := obj.Link(br.Objects, obj.LinkOptions{Base: base})
 	if err != nil {
 		return nil, fmt.Errorf("srctree: link kernel %s: %w", br.Tree.Version, err)
@@ -222,25 +213,33 @@ func LinkKernel(br *BuildResult, base uint32) (*obj.Image, error) {
 
 // --- Build and link caches ---
 //
-// The evaluation pipeline builds the same vulnerable tree once per CVE it
-// processes (every ksplice-create pre build compiles the unpatched tree),
-// and boots one kernel per release. Builds are deterministic, so both
-// artifacts are cached in the content-addressed store, keyed by tree
-// content hash and build options. The build memo is memory-only (its
-// value is a list of pointers into disk-backed unit artifacts); linked
-// images persist to the store's disk tier, so a cold process boots
-// without relinking. Cached results are shared: callers must treat the
-// returned BuildResult and Image as immutable, which every consumer in
-// the repo already does (obj.Link and kernel boot only read them).
+// Every build and link goes through the content-addressed store, keyed
+// by tree content hash and build options: builds are deterministic, so
+// the store is always sound, and an empty store is how a caller makes
+// every compile really run. The evaluation pipeline builds the same
+// vulnerable tree once per CVE it processes (every ksplice-create pre
+// build compiles the unpatched tree), and boots one kernel per release.
+// The build memo is memory-only (its value is a list of pointers into
+// disk-backed unit artifacts); linked images persist to the store's disk
+// tier, so a cold process boots without relinking. Cached results are
+// shared: callers must treat the returned BuildResult and Image as
+// immutable, which every consumer in the repo already does (obj.Link
+// and kernel boot only read them).
 
-// BuildCached is Build behind the process-wide store, keyed by tree
-// content hash and options. Concurrent callers with the same key share
-// one build; distinct keys build in parallel. The returned BuildResult is
-// shared and must not be mutated.
+// BuildCached compiles the tree through the process-wide store, keyed by
+// tree content hash and options. Concurrent callers with the same key
+// share one build; distinct keys build in parallel. The returned
+// BuildResult is shared and must not be mutated.
 func BuildCached(t *Tree, opts codegen.Options) (*BuildResult, error) {
-	key := store.Key("build", t.Hash(), opts.CacheKey())
+	hash := t.Hash()
+	key := store.Key("build", hash, opts.CacheKey())
 	v, src, err := ActiveStore().GetOrFill(key, buildKind, func() (any, error) {
-		return Build(t, opts)
+		br, err := build(t, opts)
+		if err != nil {
+			return nil, err
+		}
+		br.TreeHash = hash
+		return br, nil
 	})
 	count(src, buildHits, buildHits, buildMisses)
 	if err != nil {
@@ -249,14 +248,15 @@ func BuildCached(t *Tree, opts codegen.Options) (*BuildResult, error) {
 	return v.(*BuildResult), nil
 }
 
-// LinkKernelCached is LinkKernel behind the same store. The returned
-// Image is shared and must not be mutated; kernel boot copies its bytes
-// into machine memory. With a disk-backed store, images written by one
+// LinkKernelCached links a BuildCached result through the same store,
+// keyed by the content the objects were built from. The returned Image
+// is shared and must not be mutated; kernel boot copies its bytes into
+// machine memory. With a disk-backed store, images written by one
 // process are linked exactly once across every later process.
 func LinkKernelCached(br *BuildResult, base uint32) (*obj.Image, error) {
-	key := store.Key("image", br.Tree.Hash(), br.Options.CacheKey(), fmt.Sprintf("base=%#x", base))
+	key := store.Key("image", br.TreeHash, br.Options.CacheKey(), fmt.Sprintf("base=%#x", base))
 	v, src, err := ActiveStore().GetOrFill(key, imageKind, func() (any, error) {
-		return LinkKernel(br, base)
+		return linkKernel(br, base)
 	})
 	count(src, linkHits, linkDiskHits, linkMisses)
 	if err != nil {

@@ -35,7 +35,7 @@ func TestUnitsSelection(t *testing.T) {
 
 func TestBuildAndLink(t *testing.T) {
 	tr := sample()
-	br, err := Build(tr, codegen.KernelBuild())
+	br, err := BuildCached(tr, codegen.KernelBuild())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildAndLink(t *testing.T) {
 	if br.Object("nope.mc") != nil {
 		t.Error("phantom object")
 	}
-	im, err := LinkKernel(br, 0x100000)
+	im, err := LinkKernelCached(br, 0x100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,23 +94,26 @@ func TestPatchTree(t *testing.T) {
 
 func TestBuildErrors(t *testing.T) {
 	tr := New("bad", map[string]string{"x.mc": "int broken( { return 0; }\n"})
-	if _, err := Build(tr, codegen.KernelBuild()); err == nil {
+	if _, err := BuildCached(tr, codegen.KernelBuild()); err == nil {
 		t.Error("syntax error built")
 	}
 	tr = New("bad2", map[string]string{"x.mcs": "bogus instruction\n"})
-	if _, err := Build(tr, codegen.KernelBuild()); err == nil {
+	if _, err := BuildCached(tr, codegen.KernelBuild()); err == nil {
 		t.Error("bad assembly built")
 	}
 	tr = New("bad3", map[string]string{"x.mc": `#include "missing.h"` + "\n"})
-	if _, err := Build(tr, codegen.KernelBuild()); err == nil {
+	if _, err := BuildCached(tr, codegen.KernelBuild()); err == nil {
 		t.Error("missing include built")
 	}
 }
 
+// TestBuildDeterminism: two builds of one tree, each from an empty
+// store, serialize to the same bytes.
 func TestBuildDeterminism(t *testing.T) {
 	tr := sample()
 	digest := func() string {
-		br, err := Build(tr, codegen.KspliceBuild())
+		useFreshStore(t)
+		br, err := BuildCached(tr, codegen.KspliceBuild())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,12 +21,11 @@ import (
 // recompile nothing: every unit comes off the disk tier, and the decoded
 // objects are byte-identical to the originals.
 func TestUnitCacheDiskWarmStart(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	dir := t.TempDir()
 	defer SetStore(SetStore(store.MustNew(store.Options{Dir: dir})))
 	opts := codegen.KspliceBuild()
 	tree := cacheTree("v-disk-warm")
-	br1, err := Build(tree, opts)
+	br1, err := build(tree, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestUnitCacheDiskWarmStart(t *testing.T) {
 	// memory tier is empty, the disk tier is warm.
 	SetStore(store.MustNew(store.Options{Dir: dir}))
 	c0 := Counters()
-	br2, err := Build(tree, opts)
+	br2, err := build(tree, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +57,6 @@ func TestUnitCacheDiskWarmStart(t *testing.T) {
 // tier, so a fresh store over the same directory serves the link without
 // relinking — the warm-start every state-replaying tool relies on.
 func TestLinkCacheDiskWarmStart(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	dir := t.TempDir()
 	defer SetStore(SetStore(store.MustNew(store.Options{Dir: dir})))
 	opts := codegen.KernelBuild()
@@ -101,17 +99,50 @@ func TestLinkCacheDiskWarmStart(t *testing.T) {
 	}
 }
 
+// TestLinkKeyedOnBuiltContent: the linked image is filed under the
+// content the objects were built from, not the tree as it reads at link
+// time. Editing the tree between BuildCached and LinkKernelCached must
+// not leave the old objects' image to be served for the new content.
+func TestLinkKeyedOnBuiltContent(t *testing.T) {
+	useFreshStore(t)
+	opts := codegen.KernelBuild()
+	const base = 0x100000
+	tree := New("v-link-key", map[string]string{"f.mc": "int f(void) { return 1; }\n"})
+	br1, err := BuildCached(tree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree.Files["f.mc"] = "int f(void) { return 2; }\n"
+	if _, err := LinkKernelCached(br1, base); err != nil {
+		t.Fatal(err)
+	}
+	br2, err := BuildCached(tree, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached, err := LinkKernelCached(br2, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := linkKernel(br2, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cached.Bytes, fresh.Bytes) {
+		t.Error("the edited tree was served the image of the objects built before the edit")
+	}
+}
+
 // TestStoreEvictionUnderPressure: under a cap far smaller than one
 // build's artifacts, the memory tier evicts continuously; builds, the
 // build memo, and the link cache all stay correct — objects may stop
 // being pointer-shared, but every artifact served equals a fresh
 // compile. This is the safety property the LRU cap rests on.
 func TestStoreEvictionUnderPressure(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	defer SetStore(SetStore(store.MustNew(store.Options{MaxBytes: 512})))
 	opts := codegen.KspliceBuild()
 	tree := cacheTree("v-evict")
-	if _, err := Build(tree, opts); err != nil {
+	if _, err := build(tree, opts); err != nil {
 		t.Fatal(err)
 	}
 	br, err := BuildCached(tree, opts)
@@ -131,7 +162,7 @@ func TestStoreEvictionUnderPressure(t *testing.T) {
 	// Rebuild under the same pressure: whatever mix of hits and
 	// recompiles the evictions produce, the objects must equal fresh
 	// uncached compiles.
-	br2, err := Build(tree, opts)
+	br2, err := build(tree, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +178,9 @@ func TestStoreEvictionUnderPressure(t *testing.T) {
 }
 
 // TestBuildParallelDeterministic: the worker-pool build produces the
-// same object list, in Units() order, for every worker count.
+// same object list, in Units() order, for every worker count. Each
+// count builds from an empty store, so every compile really runs.
 func TestBuildParallelDeterministic(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(false))
 	tree := cacheTree("v-par")
 	for i := 0; i < 24; i++ {
 		tree.Files[fmt.Sprintf("gen%02d.mc", i)] = fmt.Sprintf("int gen%d(void) { return %d; }\n", i, i)
@@ -159,8 +190,9 @@ func TestBuildParallelDeterministic(t *testing.T) {
 
 	var want *BuildResult
 	for _, procs := range []int{1, 2, 8} {
+		useFreshStore(t)
 		old := runtime.GOMAXPROCS(procs)
-		br, err := Build(tree, opts)
+		br, err := build(tree, opts)
 		runtime.GOMAXPROCS(old)
 		if err != nil {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
@@ -186,7 +218,6 @@ func TestBuildParallelDeterministic(t *testing.T) {
 // count reports the same error — the first failing unit's, in Units()
 // order — so error output is reproducible too.
 func TestBuildParallelFirstError(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(false))
 	tree := cacheTree("v-par-err")
 	tree.Files["a.mc"] = "int broken("
 	tree.Files["c.mc"] = "int alsobroken("
@@ -194,8 +225,9 @@ func TestBuildParallelFirstError(t *testing.T) {
 
 	var want string
 	for _, procs := range []int{1, 4} {
+		useFreshStore(t)
 		old := runtime.GOMAXPROCS(procs)
-		_, err := Build(tree, opts)
+		_, err := build(tree, opts)
 		runtime.GOMAXPROCS(old)
 		if err == nil {
 			t.Fatalf("GOMAXPROCS=%d: build of broken tree succeeded", procs)
@@ -211,13 +243,12 @@ func TestBuildParallelFirstError(t *testing.T) {
 }
 
 // TestScrapedStoreCountersMonotonic: swapping the artifact store — as
-// eval.Run does when given one — must not move any scraped store counter
+// every tool's -cache-dir flag does — must not move any scraped store counter
 // backwards. The process-wide /metrics sums every store ever made, not
 // just the active one.
 func TestScrapedStoreCountersMonotonic(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	defer SetStore(SetStore(store.MustNew(store.Options{})))
-	if _, err := Build(cacheTree("v-scrape-monotonic"), codegen.KspliceBuild()); err != nil {
+	if _, err := build(cacheTree("v-scrape-monotonic"), codegen.KspliceBuild()); err != nil {
 		t.Fatal(err)
 	}
 	before := scrapeStoreCounters(t)

@@ -39,16 +39,9 @@ import (
 
 var (
 	// artifacts is the process-wide store. Tools with a -cache-dir flag
-	// swap in a disk-backed store via SetStore; the default is a
+	// swap in a disk-backed store via UseDiskStore; the default is a
 	// memory-only store with the default cap.
 	artifacts atomic.Pointer[store.Store]
-
-	// unitCacheOn gates the unit compile cache; disabled only by
-	// benchmarks that measure cold-build cost and by the determinism
-	// guard that proves cached and uncached creates emit identical
-	// updates. The build memo and link cache are reached only through
-	// BuildCached/LinkKernelCached, so they need no gate.
-	unitCacheOn atomic.Bool
 
 	// Build cache outcome counters, one family per cache split by tier,
 	// on the process-wide telemetry registry.
@@ -68,7 +61,6 @@ func buildCounter(kind, tier string) *telemetry.Counter {
 }
 
 func init() {
-	unitCacheOn.Store(true)
 	artifacts.Store(store.MustNew(store.Options{}))
 	telemetry.Default().Help("gosplice_build_cache_total",
 		"build cache outcomes by cache kind (unit, build, link) and serving tier (mem, disk, miss)")
@@ -85,11 +77,25 @@ func SetStore(s *store.Store) *store.Store {
 // ActiveStore returns the store currently backing the srctree caches.
 func ActiveStore() *store.Store { return artifacts.Load() }
 
-// SetUnitCache enables or disables the per-unit compile cache and returns
-// the previous setting. The cache is on by default; turning it off is for
-// benchmarks and determinism tests that need every compile to really run.
-func SetUnitCache(on bool) bool {
-	return unitCacheOn.Swap(on)
+// UseDiskStore installs a store persisting to dir, first sweeping dir
+// down to gcBytes when gcBytes is positive — the -cache-dir and
+// -cache-gc-bytes flags every tool takes. An empty dir keeps the active
+// store.
+func UseDiskStore(dir string, gcBytes int64) error {
+	if dir == "" {
+		return nil
+	}
+	s, err := store.New(store.Options{Dir: dir})
+	if err != nil {
+		return err
+	}
+	if gcBytes > 0 {
+		if _, err := s.GC(gcBytes); err != nil {
+			return err
+		}
+	}
+	SetStore(s)
+	return nil
 }
 
 // CacheCounters is a snapshot of the process-wide build cache activity:
@@ -250,14 +256,10 @@ func unitHash(t *Tree, path string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compileUnit compiles one unit through the artifact store (when the
-// unit cache is enabled). Concurrent callers with the same key share one
-// compile; distinct keys compile in parallel. The returned object is
-// shared and must not be mutated.
+// compileUnit compiles one unit through the artifact store. Concurrent
+// callers with the same key share one compile; distinct keys compile in
+// parallel. The returned object is shared and must not be mutated.
 func compileUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
-	if !unitCacheOn.Load() {
-		return buildUnit(t, path, opts)
-	}
 	key := store.Key("unit", unitHash(t, path), opts.CacheKey())
 	v, src, err := ActiveStore().GetOrFill(key, unitKind, func() (any, error) {
 		return buildUnit(t, path, opts)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/store"
 )
 
 // cacheTree returns a tree whose versions differ only in content, so
@@ -22,21 +23,27 @@ func cacheTree(version string) *Tree {
 	})
 }
 
+// useFreshStore installs an empty memory store for the rest of the test,
+// so every compile and link it makes really runs.
+func useFreshStore(t testing.TB) {
+	prev := SetStore(store.MustNew(store.Options{}))
+	t.Cleanup(func() { SetStore(prev) })
+}
+
 // TestUnitCacheSharesUnchangedUnits: building a patched tree recompiles
 // only the units the patch reaches; every other object is the same
 // pointer as in the base build, and the recompiled object matches a
 // fresh uncached compile byte for byte (never served stale).
 func TestUnitCacheSharesUnchangedUnits(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	opts := codegen.KspliceBuild()
 	base := cacheTree("v-cache-share")
-	br1, err := Build(base, opts)
+	br1, err := build(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	patched := base.Clone()
 	patched.Files["b.mc"] = "int helper(int x) { return x * 3; }\n"
-	br2, err := Build(patched, opts)
+	br2, err := build(patched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +77,15 @@ func TestUnitCacheSharesUnchangedUnits(t *testing.T) {
 // whose include closure reaches it — including transitively — and leaves
 // the rest shared.
 func TestUnitCacheHeaderInvalidation(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	opts := codegen.KspliceBuild()
 	base := cacheTree("v-cache-hdr")
-	br1, err := Build(base, opts)
+	br1, err := build(base, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	patched := base.Clone()
 	patched.Files["defs.h"] = "#define LIMIT 5\nint helper(int x);\n"
-	br2, err := Build(patched, opts)
+	br2, err := build(patched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,15 +103,14 @@ func TestUnitCacheHeaderInvalidation(t *testing.T) {
 // TestUnitCacheKeySensitivity: the same source under different codegen
 // options must miss — every option field is part of the key.
 func TestUnitCacheKeySensitivity(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	tree := cacheTree("v-cache-key")
 	optA := codegen.KspliceBuild()
-	if _, err := Build(tree, optA); err != nil {
+	if _, err := build(tree, optA); err != nil {
 		t.Fatal(err)
 	}
 
 	c0 := Counters()
-	if _, err := Build(tree, optA); err != nil {
+	if _, err := build(tree, optA); err != nil {
 		t.Fatal(err)
 	}
 	c1 := Counters()
@@ -136,7 +141,7 @@ func TestUnitCacheKeySensitivity(t *testing.T) {
 	variants = append(variants, o)
 	for i, v := range variants {
 		c0 = Counters()
-		if _, err := Build(tree, v); err != nil {
+		if _, err := build(tree, v); err != nil {
 			t.Fatal(err)
 		}
 		c1 = Counters()
@@ -154,7 +159,6 @@ func TestUnitCacheKeySensitivity(t *testing.T) {
 // resulting object agrees with a fresh uncached compile. Run under -race
 // this is the data-race soak for the unit cache.
 func TestUnitCacheConcurrentBuilds(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(true))
 	base := cacheTree("v-cache-race")
 	variant := func(i int) *Tree {
 		tr := base.Clone()
@@ -171,7 +175,7 @@ func TestUnitCacheConcurrentBuilds(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w], errs[w] = Build(variant(w%4), allOpts[w%2])
+			results[w], errs[w] = build(variant(w%4), allOpts[w%2])
 		}(w)
 	}
 	wg.Wait()
@@ -179,7 +183,7 @@ func TestUnitCacheConcurrentBuilds(t *testing.T) {
 		if errs[w] != nil {
 			t.Fatalf("worker %d: %v", w, errs[w])
 		}
-		want, err := Build(variant(w%4), allOpts[w%2])
+		want, err := build(variant(w%4), allOpts[w%2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,31 +216,6 @@ func TestScanIncludes(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("scanIncludes[%d] = %q, want %q", i, got[i], want[i])
-		}
-	}
-}
-
-// TestUnitCacheDisabled: with the cache off, repeated builds never share
-// objects and the counters stand still.
-func TestUnitCacheDisabled(t *testing.T) {
-	defer SetUnitCache(SetUnitCache(false))
-	tree := cacheTree("v-cache-off")
-	c0 := Counters()
-	br1, err := Build(tree, codegen.KspliceBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	br2, err := Build(tree, codegen.KspliceBuild())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := Counters()
-	if c0 != c1 {
-		t.Errorf("cache counters moved while disabled: %+v -> %+v", c0, c1)
-	}
-	for i := range br1.Objects {
-		if br1.Objects[i] == br2.Objects[i] {
-			t.Errorf("%s: objects shared with cache disabled", br1.Objects[i].SourcePath)
 		}
 	}
 }

@@ -36,7 +36,7 @@ const maxInsnWindow = 16
 
 // Memory is byte-addressed machine memory as an array of pages with
 // copy-on-write semantics. The zero value is not usable; construct with
-// NewMemory or MemoryOver.
+// NewMemory.
 //
 // Memory performs no internal locking: like the rest of Machine, callers
 // serialize access (the kernel's machine lock). The one cross-instance
@@ -58,12 +58,9 @@ type Memory struct {
 	// decodes (self-modifying code — trampoline splice and undo — stays
 	// correct). Both are allocated lazily on the first DecodeAt, so
 	// memories that never execute (build artifacts, match views) pay
-	// nothing. noCache disables the cache for aliased memories
-	// (MemoryOver), whose backing bytes can change without going through
-	// a Memory writer.
-	gen     []uint32
-	dc      *[dcSize]dcEntry
-	noCache bool
+	// nothing.
+	gen []uint32
+	dc  *[dcSize]dcEntry
 }
 
 // The decode cache is direct-mapped by the low offset bits: hot loops
@@ -96,27 +93,6 @@ func NewMemory(size int) *Memory {
 	return m
 }
 
-// MemoryOver wraps an existing byte slice as a Memory without copying:
-// pages alias directly into b, so writes through the Memory mutate b and
-// vice versa. It exists for callers that already hold a flat image
-// (tests, run-pre matching over synthetic memories) and supports
-// arbitrary, non-page-multiple lengths.
-func MemoryOver(b []byte) *Memory {
-	n := (len(b) + PageSize - 1) >> PageShift
-	m := &Memory{
-		size:  len(b),
-		pages: make([][]byte, n),
-		priv:  make([]bool, n),
-	}
-	for i := range m.pages {
-		lo := i << PageShift
-		m.pages[i] = b[lo : lo+m.pageLen(i)]
-		m.priv[i] = true
-	}
-	m.noCache = true
-	return m
-}
-
 // pageLen is the logical length of page i (the last page may be short).
 func (m *Memory) pageLen(i int) int {
 	if rem := m.size - i<<PageShift; rem < PageSize {
@@ -137,10 +113,9 @@ func (m *Memory) Clone() *Memory {
 		m.priv[i] = false
 	}
 	return &Memory{
-		size:    m.size,
-		pages:   append([][]byte(nil), m.pages...),
-		priv:    make([]bool, len(m.pages)),
-		noCache: m.noCache,
+		size:  m.size,
+		pages: append([][]byte(nil), m.pages...),
+		priv:  make([]bool, len(m.pages)),
 	}
 }
 
@@ -156,10 +131,9 @@ func (m *Memory) Truncate(n int) *Memory {
 	}
 	np := (n + PageSize - 1) >> PageShift
 	t := &Memory{
-		size:    n,
-		pages:   append([][]byte(nil), m.pages[:np]...),
-		priv:    make([]bool, np),
-		noCache: m.noCache,
+		size:  n,
+		pages: append([][]byte(nil), m.pages[:np]...),
+		priv:  make([]bool, np),
 	}
 	if np > 0 {
 		// The last page of the view may be shorter than the source page.
@@ -440,7 +414,7 @@ func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
 	if off < 0 || off >= m.size {
 		return nil, fmt.Errorf("isa: decode offset %#x out of range", off)
 	}
-	if m.dc == nil && !m.noCache {
+	if m.dc == nil {
 		m.gen = make([]uint32, len(m.pages))
 		m.dc = new([dcSize]dcEntry)
 	}
@@ -450,7 +424,7 @@ func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
 		return nil, err
 	}
 	pg := off >> PageShift
-	if m.dc != nil && (off&pageMask)+in.Len <= len(m.pages[pg]) {
+	if (off&pageMask)+in.Len <= len(m.pages[pg]) {
 		e := &m.dc[off&dcMask]
 		*e = dcEntry{off: int32(off), gen: m.gen[pg], in: in}
 		return &e.in, nil

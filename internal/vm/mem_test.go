@@ -183,24 +183,6 @@ func TestMemoryClonePagesAreLazy(t *testing.T) {
 	}
 }
 
-func TestMemoryOverAliasesBase(t *testing.T) {
-	b := make([]byte, PageSize+100)
-	for i := range b {
-		b[i] = byte(i)
-	}
-	m := MemoryOver(b)
-	if m.Len() != len(b) {
-		t.Fatalf("Len = %d", m.Len())
-	}
-	if m.Byte(PageSize+50) != b[PageSize+50] {
-		t.Error("MemoryOver does not read the backing slice")
-	}
-	m.SetByte(3, 0xEE)
-	if b[3] != 0xEE {
-		t.Error("MemoryOver write did not reach the backing slice")
-	}
-}
-
 func TestMemoryTruncateView(t *testing.T) {
 	m := NewMemory(2 * PageSize)
 	code := isa.MOVI(nil, isa.R0, 7)
