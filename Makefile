@@ -27,7 +27,10 @@ test:
 # wire-contract tests, the subscriber and publisher crash-point sweeps,
 # and the canary-ring fleet rollouts (a recoverable-fault fleet must
 # converge; a fault burst in ring 2 must halt the gate and roll every
-# patched machine back via undo); a ksplice-fleet CLI smoke — 128
+# patched machine back via undo); the three live-load apply tests run
+# 20 times over, the only tests whose threads move between quiescence
+# attempts, so the fixed retry bound (5 attempts, 500 µs apart) is
+# held against a real scheduler; a ksplice-fleet CLI smoke — 128
 # machines with a ring-2 burst, required to halt and roll back cleanly
 # (-expect halt), with its -events-out JSONL journal required to hold a
 # gate_fail and a rollback event; a cold-then-warm ksplice-create round trip through a
@@ -57,6 +60,7 @@ check:
 	@! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(store\.(New|MustNew)|srctree\.SetStore)\(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/srctree/' -e '^internal/channel/blobcache\.go:' || { echo "check: make and install artifact stores only in internal/srctree (srctree.UseDiskStore) and internal/channel/blobcache.go"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
+	$(GO) test -run 'TestApplyUnderLiveLoad|TestSoakUnderBackgroundLoad|TestDynAMOSStyleNonQuiescentUpdate' -count=20 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \

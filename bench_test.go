@@ -244,7 +244,7 @@ func BenchmarkStopMachinePause(b *testing.B) {
 	k := busyKernel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := k.StopMachine(func() error { return nil }); err != nil {
+		if _, err := k.StopMachine(func() error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,7 +6,9 @@
 // The machine (a deterministic simulation persisted as its boot source
 // plus applied-update list) is replayed, the new update is spliced in
 // under stop_machine with full run-pre matching, the stress workload is
-// run as a health check, and the state file is extended.
+// run as a health check, and the state file is extended. A patched
+// function that stays busy is retried a fixed 5 times, 500 µs apart,
+// before the update is abandoned; there is no setting for it.
 package main
 
 import (
@@ -25,8 +27,6 @@ func main() {
 	statePath := flag.String("state", "machine.json", "machine state file")
 	trust := flag.Bool("trust-symtab", false, "UNSAFE: skip run-pre matching (ablation mode)")
 	stress := flag.Int("stress", 100, "post-update stress workload rounds (0 to skip)")
-	applyAttempts := flag.Int("apply-attempts", 0, "quiescence attempts per update (0 = default)")
-	applyDelay := flag.Duration("apply-retry-delay", 0, "delay between quiescence attempts (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
@@ -51,7 +51,6 @@ func main() {
 	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
 		fatal(err)
 	}
-	apply := core.ApplyOptions{MaxAttempts: *applyAttempts, RetryDelay: *applyDelay}
 
 	st, err := simstate.Load(*statePath)
 	if err != nil {
@@ -59,7 +58,7 @@ func main() {
 	}
 	// The replay of already-applied updates always runs fully checked;
 	// -trust-symtab (the ablation mode) affects only the new update.
-	k, mgr, err := st.Replay(apply)
+	k, mgr, err := st.Replay()
 	if err != nil {
 		fatal(err)
 	}
@@ -80,9 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "  run-pre matching will abort on any resulting code difference.\n")
 	}
 
-	newApply := apply
-	newApply.TrustSymtab = *trust
-	a, err := mgr.Apply(u, newApply)
+	a, err := mgr.Apply(u, core.ApplyOptions{TrustSymtab: *trust})
 	if err != nil {
 		fatal(err)
 	}

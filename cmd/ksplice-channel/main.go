@@ -46,7 +46,6 @@ import (
 
 	"gosplice/internal/atomicfile"
 	"gosplice/internal/channel"
-	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
 	_ "gosplice/internal/eval" // expose the gosplice_eval_* families on /metrics
@@ -67,8 +66,6 @@ func main() {
 	statePath := flag.String("state", "machine.json", "machine state file (subscribe)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout (subscribe -url)")
 	retries := flag.Int("retries", 4, "HTTP retries per fetch, with exponential backoff (subscribe -url)")
-	applyAttempts := flag.Int("apply-attempts", 0, "quiescence attempts per update (0 = default)")
-	applyDelay := flag.Duration("apply-retry-delay", 0, "delay between quiescence attempts (0 = default)")
 	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
 	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	scrape := flag.String("scrape", "", "fetch this /metrics URL, validate the exposition, and summarise it")
@@ -107,7 +104,6 @@ func main() {
 	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
 		fatal(err)
 	}
-	apply := core.ApplyOptions{MaxAttempts: *applyAttempts, RetryDelay: *applyDelay}
 
 	switch {
 	case *keygen != "":
@@ -117,7 +113,7 @@ func main() {
 	case *serve:
 		doServe(*dir, *addr, *fleetAgg)
 	case *subscribe:
-		doSubscribe(*dir, *url, *statePath, *verifyKey, *timeout, *retries, apply, *pushReport)
+		doSubscribe(*dir, *url, *statePath, *verifyKey, *timeout, *retries, *pushReport)
 	case *scrape != "":
 		doScrape(*scrape, *timeout)
 	case *checkTrace != "":
@@ -278,7 +274,7 @@ func doScrape(url string, timeout time.Duration) {
 	fmt.Printf("scraped %s: valid exposition, %d families (store, channel, and eval all present)\n", url, len(families))
 }
 
-func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duration, retries int, apply core.ApplyOptions, pushReport string) {
+func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duration, retries int, pushReport string) {
 	// Ctrl-C cancels the subscribe cleanly: the client exits mid-backoff
 	// in milliseconds, the machine keeps the position it reached, and the
 	// state file records exactly the updates that are live.
@@ -303,7 +299,6 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 		Name:      "ksplice-channel",
 		Transport: tr,
 		StateDir:  stateDir,
-		Apply:     apply,
 	}
 	if verifyKeyPath != "" {
 		if cfg.VerifyKey, err = channel.LoadVerifyKey(verifyKeyPath); err != nil {
@@ -372,7 +367,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	if _, _, err := cl.InstallBase(ctx); err != nil && strings.Contains(err.Error(), "refusing manifest") {
 		fatal(err)
 	}
-	_, mgr, err := st.Replay(apply)
+	_, mgr, err := st.Replay()
 	if err != nil {
 		fatal(err)
 	}

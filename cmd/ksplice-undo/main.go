@@ -17,12 +17,9 @@ import (
 
 func main() {
 	statePath := flag.String("state", "machine.json", "machine state file")
-	applyAttempts := flag.Int("apply-attempts", 0, "quiescence attempts (0 = default)")
-	applyDelay := flag.Duration("apply-retry-delay", 0, "delay between quiescence attempts (0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
 	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
 	flag.Parse()
-	apply := core.ApplyOptions{MaxAttempts: *applyAttempts, RetryDelay: *applyDelay}
 
 	if bound, _, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
 		fatal(err)
@@ -42,13 +39,13 @@ func main() {
 	if len(st.Updates) == 0 {
 		fatal(fmt.Errorf("no updates applied to this machine"))
 	}
-	_, mgr, err := st.Replay(apply)
+	_, mgr, err := st.Replay()
 	if err != nil {
 		fatal(err)
 	}
 	applied := mgr.Applied()
 	last := applied[len(applied)-1]
-	if err := mgr.Undo(apply); err != nil {
+	if err := mgr.Undo(core.ApplyOptions{}); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("reversed %s: %d function(s) restored\n",

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
@@ -57,7 +56,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	k, _, err := st.Replay(core.ApplyOptions{})
+	k, _, err := st.Replay()
 	if err != nil {
 		fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(k)
-	applied, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{Apply: core.ApplyOptions{MaxAttempts: 6}})
+	applied, err := SyncOnce(context.Background(), NewDirTransport(dir), mgr, 0, ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,10 +136,9 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 				Backoff:    time.Millisecond,
 				Seed:       int64(100*ri + 4),
 			}), clientPlan),
-			Registry:     reg,
-			StateDir:     stateDir,
-			Crash:        killPlan.Hook(),
-			FetchRetries: 3,
+			Registry: reg,
+			StateDir: stateDir,
+			Crash:    killPlan.Hook(),
 			OnApplied: func(e channel.Entry, b []byte) error {
 				got[e.Name] = append([]byte(nil), b...)
 				return nil
@@ -287,7 +286,6 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 				var got [][]byte
 				var names []string
 				cfg := channel.ClientConfig{
-					FetchRetries: 3,
 					OnApplied: func(e channel.Entry, b []byte) error {
 						got = append(got, append([]byte(nil), b...))
 						names = append(names, e.Name)

@@ -57,16 +57,6 @@ type ClientConfig struct {
 	// gives each member its own tracer so its Pusher ships exactly that
 	// member's spans upstream.
 	Tracer *telemetry.Tracer
-	// Apply is passed through to core.Manager.Apply for every update, so
-	// a busy machine can raise MaxAttempts or stretch RetryDelay instead
-	// of inheriting hard-coded defaults.
-	Apply core.ApplyOptions
-	// FetchRetries bounds how many times one entry is re-fetched after
-	// an integrity failure — a digest or size mismatch, or a tarball
-	// that fails to parse (default 2, i.e. up to 3 fetches). Transport
-	// implementations retry transport-level failures internally; this
-	// guards the end-to-end check above them.
-	FetchRetries int
 	// VerifyKey, when non-nil, pins the channel's publisher: the
 	// manifest must carry a valid ed25519 signature by this key or it is
 	// refused outright — a hard error, not a PositionError, because an
@@ -80,6 +70,13 @@ type ClientConfig struct {
 	// must not call the client's Sync, RestoreMachine or Rollback.
 	OnApplied func(e Entry, b []byte) error
 }
+
+// maxRefetches bounds how many times one entry is re-fetched after an
+// integrity failure — a digest or size mismatch, or a tarball that fails
+// to parse — so an entry gets at most 3 fetches. Transport
+// implementations retry transport-level failures internally; this
+// guards the end-to-end check above them.
+const maxRefetches = 2
 
 // Client is one subscriber machine's channel stack. Safe for concurrent
 // use: Sync, RestoreMachine and Rollback each hold the client for their
@@ -114,9 +111,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	if cfg.Name == "" {
 		cfg.Name = "client"
-	}
-	if cfg.FetchRetries <= 0 {
-		cfg.FetchRetries = 2
 	}
 	c := &Client{
 		cfg:     cfg,
@@ -258,7 +252,7 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 				e := m.Updates[target]
 				if b, ok := c.blobs.Get(e.Sha256); ok {
 					if u, err := core.ReadTarVerified(b, e.Sha256, e.Size); err == nil {
-						if _, err := mgr.Apply(u, c.cfg.Apply); err != nil {
+						if _, err := mgr.Apply(u, core.ApplyOptions{}); err != nil {
 							return 0, fmt.Errorf("channel: client %s rolling forward %s: %w", c.cfg.Name, e.Name, err)
 						}
 						if err := c.state.Commit(target + 1); err != nil {
@@ -303,7 +297,7 @@ func (c *Client) replayEntry(ctx context.Context, mgr *core.Manager, m *Manifest
 	if err != nil {
 		return err
 	}
-	if _, err := mgr.Apply(u, c.cfg.Apply); err != nil {
+	if _, err := mgr.Apply(u, core.ApplyOptions{}); err != nil {
 		return err
 	}
 	c.ms.journalReplays.Inc()
@@ -414,15 +408,16 @@ func IsPosition(err error) (*PositionError, bool) {
 // the same entries.
 //
 // Every tarball is verified against its manifest digest and size before
-// it is parsed; corrupt bytes are re-fetched up to FetchRetries times
-// and are never handed to Apply. With a StateDir, each apply is
-// bracketed by write-ahead journal records: begin once its bytes are
-// verified, commit once it is live, before it is counted; the pass ends
-// with one journal fsync, whose failure is Sync's error. If the channel
-// becomes unreachable or an entry stays bad, Sync degrades gracefully:
-// the machine keeps running at the position it reached, the recorded
-// position advances to it, and the returned *PositionError reports how
-// far that is. Cancelling ctx (or Close) stops the sync at the next
+// it is parsed; corrupt bytes are re-fetched at most twice and are
+// never handed to Apply. With a StateDir, each apply is bracketed by
+// write-ahead journal records: begin once its bytes are verified, commit
+// once it is live, before it is counted; an update whose post_apply hook
+// fails is live, so it is committed and counted before the pass stops
+// with the hook's error. The pass ends with one journal fsync, whose
+// failure is Sync's error. If the channel becomes unreachable or an
+// entry stays bad, Sync degrades gracefully: the machine keeps running
+// at the position it reached, the recorded position advances to it, and
+// the returned *PositionError reports how far that is. Cancelling ctx (or Close) stops the sync at the next
 // update boundary, or mid-backoff inside the transport.
 func (c *Client) Sync(ctx context.Context) ([]*core.Update, error) {
 	c.run.Lock()
@@ -508,13 +503,14 @@ func (c *Client) syncFrom(ctx context.Context, sp *telemetry.Span, mgr *core.Man
 			}
 		}
 		asp := sp.Child("apply", telemetry.A("entry", e.Name))
-		_, err = mgr.Apply(u, c.cfg.Apply)
+		a, applyErr := mgr.Apply(u, core.ApplyOptions{})
 		asp.End()
-		if err != nil {
-			return stop(e, fmt.Errorf("applying: %w", err))
+		if a == nil {
+			return stop(e, fmt.Errorf("applying: %w", applyErr))
 		}
-		// Commit before the apply is counted, so a journal that says
-		// "committed" never claims an update the metrics have not seen.
+		// The update is live, even when a post_apply hook failed. Commit
+		// before it is counted, so a journal that says "committed" never
+		// claims an update the metrics have not seen.
 		var commitErr error
 		if c.state != nil {
 			commitErr = c.state.Commit(pos)
@@ -524,6 +520,9 @@ func (c *Client) syncFrom(ctx context.Context, sp *telemetry.Span, mgr *core.Man
 		c.ms.position.Set(int64(pos))
 		if commitErr != nil {
 			return stop(e, fmt.Errorf("journaling commit: %w", commitErr))
+		}
+		if applyErr != nil {
+			return stop(e, fmt.Errorf("applying: %w", applyErr))
 		}
 		if c.cfg.OnApplied != nil {
 			if err := c.cfg.OnApplied(e, b); err != nil {
@@ -559,9 +558,8 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 			return u, b, nil
 		}
 	}
-	retries := c.cfg.FetchRetries
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= maxRefetches; attempt++ {
 		b, err := c.t.Fetch(ctx, e)
 		if err != nil {
 			return nil, nil, err
@@ -577,7 +575,7 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 		c.ms.refetches.Inc()
 		lastErr = err
 	}
-	return nil, nil, fmt.Errorf("corrupt after %d fetches: %w", retries+1, lastErr)
+	return nil, nil, fmt.Errorf("corrupt after %d fetches: %w", maxRefetches+1, lastErr)
 }
 
 // fetchViaDelta reconstructs e's blob from an advertised binary delta,
@@ -633,7 +631,9 @@ func blobDigest(b []byte) string {
 // back at position to (floored at the position it had when bound). This
 // is the fleet-wide "pull the patch back out" path: every undo passes
 // through the same quiescence machinery the applies did. It returns how
-// many updates were undone. The pass ends with one journal fsync.
+// many updates were undone, counting one whose post_reverse hook failed
+// after the reversal (the pass stops there with the hook's error). The
+// pass ends with one journal fsync.
 func (c *Client) Rollback(to int) (int, error) {
 	c.run.Lock()
 	defer c.run.Unlock()
@@ -664,8 +664,12 @@ func (c *Client) rollback(mgr *core.Manager, to int) (int, error) {
 			return n, nil
 		}
 		c.mu.Unlock()
-		if err := mgr.Undo(c.cfg.Apply); err != nil {
-			return n, fmt.Errorf("channel: client %s rollback: %w", c.cfg.Name, err)
+		// A failing post_reverse hook still pops the update, so the
+		// position follows the stack, not the error.
+		live := len(mgr.Applied())
+		undoErr := mgr.Undo(core.ApplyOptions{})
+		if len(mgr.Applied()) == live {
+			return n, fmt.Errorf("channel: client %s rollback: %w", c.cfg.Name, undoErr)
 		}
 		c.mu.Lock()
 		c.pos--
@@ -678,6 +682,9 @@ func (c *Client) rollback(mgr *core.Manager, to int) (int, error) {
 		}
 		c.ms.position.Set(int64(pos))
 		n++
+		if undoErr != nil {
+			return n, fmt.Errorf("channel: client %s rollback: %w", c.cfg.Name, undoErr)
+		}
 	}
 }
 

@@ -16,6 +16,9 @@ import (
 	"gosplice/internal/atomicfile"
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/diffutil"
+	"gosplice/internal/kernel"
+	"gosplice/internal/srctree"
 )
 
 // blockedServer always answers 503, pinning any client in its
@@ -241,6 +244,70 @@ func TestClientSyncAndRollback(t *testing.T) {
 	}
 	if bad, err := k.Call("stress_main", 50); err != nil || bad != 0 {
 		t.Errorf("stress after rollback: %d, %v", bad, err)
+	}
+}
+
+// TestClientTracksUpdatesWhoseLateHooksFail: a post_apply hook fails
+// after the splice is live and a post_reverse hook fails after the
+// original code is back. Either way the machine changed, so the client's
+// position, journal and applied count follow the machine, and the pass
+// stops with the hook's error.
+func TestClientTracksUpdatesWhoseLateHooksFail(t *testing.T) {
+	vuln := func(fn string) string { return "int " + fn + "(int x) { return x + 1; }\n" }
+	hooked := func(fn, kind string) string {
+		return "int " + fn + `(int x) { return x + 2; }
+void ` + fn + `_hook(void) {
+	int *p = (int *)0;
+	*p = 1;
+}
+ksplice_` + kind + "(" + fn + "_hook);\n"
+	}
+	files := kernel.Lib()
+	files["a.mc"], files["b.mc"] = vuln("victim_a"), vuln("victim_b")
+	tree := srctree.New("late-hooks-1.0", files)
+	dir := t.TempDir()
+	pub, err := NewPublisher(dir, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish("post-apply", "", diffutil.DiffFiles("a.mc", files["a.mc"], hooked("victim_a", "post_apply"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish("post-reverse", "", diffutil.DiffFiles("b.mc", files["b.mc"], hooked("victim_b", "post_reverse"))); err != nil {
+		t.Fatal(err)
+	}
+	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := core.NewManager(k)
+	cl, err := NewClient(ClientConfig{Name: "late-hooks", Transport: NewDirTransport(dir), StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cl.Bind(mgr, 0)
+
+	applied, err := cl.Sync(context.Background())
+	if pe, ok := IsPosition(err); !ok || pe.Position != 1 || !strings.Contains(err.Error(), "post_apply hook failed") {
+		t.Fatalf("sync over a failing post_apply hook: %v", err)
+	}
+	if len(applied) != 1 || cl.Position() != 1 || len(mgr.Applied()) != 1 {
+		t.Fatalf("%d applied, position %d, %d live; want the live update counted", len(applied), cl.Position(), len(mgr.Applied()))
+	}
+	if n := cl.Registry().Snapshot().CounterFamily(MetricApplied); n != 1 {
+		t.Errorf("applied counter %d, want 1", n)
+	}
+	if applied, err := cl.Sync(context.Background()); err != nil || len(applied) != 1 || cl.Position() != 2 {
+		t.Fatalf("second sync: %d applied to position %d, %v", len(applied), cl.Position(), err)
+	}
+
+	n, err := cl.Rollback(0)
+	if err == nil || !strings.Contains(err.Error(), "post_reverse hook failed") || n != 1 || cl.Position() != 1 || len(mgr.Applied()) != 1 {
+		t.Fatalf("rollback over a failing post_reverse hook: %d undone to position %d, %d live, %v", n, cl.Position(), len(mgr.Applied()), err)
+	}
+	if n, err := cl.Rollback(0); err != nil || n != 1 || cl.Position() != 0 || len(mgr.Applied()) != 0 {
+		t.Fatalf("second rollback: %d undone to position %d, %v", n, cl.Position(), err)
 	}
 }
 

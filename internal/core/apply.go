@@ -63,25 +63,12 @@ type Applied struct {
 
 // ApplyOptions tunes Apply.
 type ApplyOptions struct {
-	// MaxAttempts bounds quiescence retries (default 5).
-	MaxAttempts int
-	// RetryDelay separates attempts (default 500µs).
-	RetryDelay time.Duration
 	// TrustSymtab is the unsafe ablation mode: skip run-pre matching and
 	// resolve every import from the first kallsyms candidate, the way a
 	// symbol-table-driven hot update system would. Exists to demonstrate
 	// (in the evaluation) why run-pre matching is necessary; never use it
 	// otherwise.
 	TrustSymtab bool
-}
-
-func (o *ApplyOptions) defaults() {
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = 5
-	}
-	if o.RetryDelay == 0 {
-		o.RetryDelay = 500 * time.Microsecond
-	}
 }
 
 // Manager owns the Ksplice state of one kernel: the stack of applied
@@ -107,9 +94,11 @@ func (m *Manager) Applied() []*Applied {
 }
 
 // Apply splices an update into the running kernel. On success the kernel
-// is running the patched code; on any error the kernel is unchanged.
+// is running the patched code; on an error with a nil *Applied the kernel
+// is unchanged. An error with a non-nil *Applied means a post_apply hook
+// failed after the splice: the update is live and on the stack, and Undo
+// reverses it.
 func (m *Manager) Apply(u *Update, opts ApplyOptions) (*Applied, error) {
-	opts.defaults()
 	if err := u.Validate(); err != nil {
 		return nil, err
 	}
@@ -228,64 +217,29 @@ func (m *Manager) Apply(u *Update, opts ApplyOptions) (*Applied, error) {
 	}
 
 	// Stage 5: capture the CPUs and splice, retrying while non-quiescent.
-	spliced := false
-	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
-		a.Attempts = attempt
-		err := m.K.StopMachine(func() error {
-			if err := m.safetyCheck(trampolineRanges(a.Trampolines)); err != nil {
-				return err
-			}
-			// Write the jumps.
-			m.K.Lock()
-			mem := m.K.LockedMem()
-			for i := range a.Trampolines {
-				tr := &a.Trampolines[i]
-				tr.Saved = mem.ReadBytes(tr.Addr, isa.TrampolineLen)
-				mem.WriteAt(tr.Addr, isa.Trampoline(tr.Addr, tr.Target))
-			}
-			m.K.Unlock()
-			// ksplice_apply hooks run with the machine stopped.
-			for _, h := range hooks[".ksplice.apply"] {
-				if _, err := m.K.CallIsolatedAddr(h); err != nil {
-					// Roll the jumps back; the update fails atomically.
-					m.K.Lock()
-					for i := range a.Trampolines {
-						tr := &a.Trampolines[i]
-						m.K.LockedMem().WriteAt(tr.Addr, tr.Saved)
-					}
-					m.K.Unlock()
-					return fmt.Errorf("core: apply hook failed: %w", err)
-				}
-			}
-			return nil
-		})
-		if err == nil {
-			spliced = true
-			a.Pause = m.K.LastPause()
-			break
-		}
-		if errors.Is(err, errBusy) && attempt < opts.MaxAttempts {
-			time.Sleep(opts.RetryDelay)
-			continue
-		}
-		if errors.Is(err, errBusy) {
-			return fail(ErrNotQuiescent)
-		}
+	jumps := make([]entryPatch, len(a.Trampolines))
+	for i, tr := range a.Trampolines {
+		jumps[i] = entryPatch{tr.Addr, isa.Trampoline(tr.Addr, tr.Target)}
+	}
+	saved, attempts, pause, err := m.swapStopped(trampolineRanges(a.Trampolines), jumps, hooks, "apply")
+	a.Attempts, a.Pause = attempts, pause
+	if err != nil {
 		return fail(err)
 	}
-	if !spliced {
-		return fail(ErrNotQuiescent)
+	for i := range a.Trampolines {
+		a.Trampolines[i].Saved = saved[i].code
 	}
 
-	// Stage 6: post hooks, bookkeeping.
+	// Stage 6: the splice is live, so the update is on the stack before
+	// the post hooks run. A failing post hook is reported with the
+	// update, not rolled back: it runs outside the atomic window by
+	// design, and Undo reverses it like any other.
+	m.applied = append(m.applied, a)
 	for _, h := range hooks[".ksplice.post_apply"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
-			// The splice is live; a failing post hook is reported but not
-			// rolled back (it runs outside the atomic window by design).
 			return a, fmt.Errorf("core: post_apply hook failed after splice: %w", err)
 		}
 	}
-	m.applied = append(m.applied, a)
 	return a, nil
 }
 
@@ -316,6 +270,65 @@ func (m *Manager) trampolineCanon() func(uint32) uint32 {
 // errBusy distinguishes the retryable safety-check failure.
 var errBusy = errors.New("core: a thread is using a patched function")
 
+// A busy safety check is retried a few times after a short delay, then
+// the update is abandoned (paper section 5.2).
+const (
+	quiesceAttempts = 5
+	quiesceDelay    = 500 * time.Microsecond
+)
+
+// entryPatch is one write of the update step: code over the bytes at addr.
+type entryPatch struct {
+	addr uint32
+	code []byte
+}
+
+// swapStopped is the update step of paper section 5.2, shared by Apply
+// and Undo. With the machine stopped it refuses while any thread is
+// inside one of the busy ranges, otherwise writes every patch and runs
+// the stage's in-window hooks (.ksplice.<stage>); if a hook fails it
+// restores the bytes it wrote, so the step is all or nothing. A refusal
+// is retried quiesceAttempts times, quiesceDelay apart, then reported as
+// ErrNotQuiescent. It returns the inverse patches (the bytes displaced),
+// the captures used and the pause of the last one.
+func (m *Manager) swapStopped(busy [][2]uint32, patches []entryPatch, hooks map[string][]uint32, stage string) (inverse []entryPatch, attempts int, pause time.Duration, err error) {
+	for attempts = 1; ; attempts++ {
+		pause, err = m.K.StopMachine(func() error {
+			if err := m.safetyCheck(busy); err != nil {
+				return err
+			}
+			inverse = m.writeEntries(patches)
+			for _, h := range hooks[".ksplice."+stage] {
+				if _, err := m.K.CallIsolatedAddr(h); err != nil {
+					m.writeEntries(inverse)
+					return fmt.Errorf("core: %s hook failed: %w", stage, err)
+				}
+			}
+			return nil
+		})
+		switch {
+		case !errors.Is(err, errBusy):
+			return inverse, attempts, pause, err
+		case attempts == quiesceAttempts:
+			return nil, attempts, pause, ErrNotQuiescent
+		}
+		time.Sleep(quiesceDelay)
+	}
+}
+
+// writeEntries writes each patch and returns the patches that undo it.
+func (m *Manager) writeEntries(patches []entryPatch) []entryPatch {
+	m.K.Lock()
+	defer m.K.Unlock()
+	mem := m.K.LockedMem()
+	inverse := make([]entryPatch, len(patches))
+	for i, p := range patches {
+		inverse[i] = entryPatch{p.addr, mem.ReadBytes(p.addr, len(p.code))}
+		mem.WriteAt(p.addr, p.code)
+	}
+	return inverse
+}
+
 // trampolineRanges converts the plan into address ranges for the safety
 // check.
 func trampolineRanges(trs []Trampoline) [][2]uint32 {
@@ -329,8 +342,9 @@ func trampolineRanges(trs []Trampoline) [][2]uint32 {
 // safetyCheck enforces the paper's update condition (section 5.2): no
 // thread's instruction pointer may fall within a function being replaced,
 // and no thread's kernel stack may contain a return address within one.
-// The stack test is conservative: every aligned word in the live stack
-// area that lands in a patched range counts.
+// The stack test is conservative: every 4-byte-aligned word in the live
+// stack area that lands in a patched range counts, so a return address
+// the frame layout leaves at 4 mod 8 is seen too.
 func (m *Manager) safetyCheck(ranges [][2]uint32) error {
 	inRange := func(v uint32) bool {
 		for _, rg := range ranges {
@@ -350,9 +364,9 @@ func (m *Manager) safetyCheck(ranges [][2]uint32) error {
 		if inRange(t.Th.IP) {
 			return fmt.Errorf("%w: task %d (%s) executing at %#x", errBusy, t.ID, t.Name, t.Th.IP)
 		}
-		sp := t.Th.SP() &^ 7
-		for addr := sp; addr+8 <= t.StackHi; addr += 8 {
-			word := uint32(mem.LoadLE(addr, 8))
+		sp := t.Th.SP() &^ 3
+		for addr := sp; addr+4 <= t.StackHi; addr += 4 {
+			word := uint32(mem.LoadLE(addr, 4))
 			if inRange(word) {
 				return fmt.Errorf("%w: task %d (%s) stack slot %#x holds %#x", errBusy, t.ID, t.Name, addr, word)
 			}
@@ -443,10 +457,13 @@ func (m *Manager) hookAddrs(mod *kernel.Module) (map[string][]uint32, error) {
 
 // Undo reverses the most recently applied update: the original function
 // entries are restored and the primary module is unloaded. Reversal uses
-// the same machinery in the opposite direction — safety check against the
-// replacement code, then byte restoration inside stop_machine.
+// the same update step in the opposite direction — safety check against
+// the replacement code, then byte restoration inside stop_machine. A
+// failing in-window reverse hook leaves the update applied; a failing
+// post_reverse hook is reported after the reversal completes. Reversal
+// has no settings: opts is ignored, and kept so that existing callers
+// (bench/harness passes ApplyOptions{}) still compile.
 func (m *Manager) Undo(opts ApplyOptions) error {
-	opts.defaults()
 	if len(m.applied) == 0 {
 		return errors.New("core: no applied update to undo")
 	}
@@ -468,55 +485,27 @@ func (m *Manager) Undo(opts ApplyOptions) error {
 
 	// No thread may be inside any replacement function (or past it on a
 	// stack) while we cut the jumps over.
-	ranges := replacementRanges(mod, a)
-
-	done := false
-	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
-		err := m.K.StopMachine(func() error {
-			if err := m.safetyCheck(ranges); err != nil {
-				return err
-			}
-			m.K.Lock()
-			mem := m.K.LockedMem()
-			for _, tr := range a.Trampolines {
-				mem.WriteAt(tr.Addr, tr.Saved)
-			}
-			m.K.Unlock()
-			for _, h := range hooks[".ksplice.reverse"] {
-				if _, err := m.K.CallIsolatedAddr(h); err != nil {
-					return fmt.Errorf("core: reverse hook failed: %w", err)
-				}
-			}
-			return nil
-		})
-		if err == nil {
-			done = true
-			break
-		}
-		if errors.Is(err, errBusy) {
-			if attempt < opts.MaxAttempts {
-				time.Sleep(opts.RetryDelay)
-				continue
-			}
-			return ErrNotQuiescent
-		}
+	restore := make([]entryPatch, len(a.Trampolines))
+	for i, tr := range a.Trampolines {
+		restore[i] = entryPatch{tr.Addr, tr.Saved}
+	}
+	if _, _, _, err := m.swapStopped(replacementRanges(mod, a), restore, hooks, "reverse"); err != nil {
 		return err
 	}
-	if !done {
-		return ErrNotQuiescent
-	}
 
+	var hookErr error
 	for _, h := range hooks[".ksplice.post_reverse"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
-			return fmt.Errorf("core: post_reverse hook failed: %w", err)
+			hookErr = fmt.Errorf("core: post_reverse hook failed after reversal: %w", err)
+			break
 		}
 	}
 	if err := m.K.UnloadModule(a.ModuleName); err != nil {
-		return err
+		return errors.Join(hookErr, err)
 	}
 	a.reversed = true
 	m.applied = m.applied[:len(m.applied)-1]
-	return nil
+	return hookErr
 }
 
 // replacementRanges computes the extents of the replacement functions in

@@ -224,9 +224,10 @@ func TestApplyBlocksExploitWithoutReboot(t *testing.T) {
 	}
 }
 
-// TestPauseIsTheLatestStopMachine: every apply reports its own
-// stop_machine pause, while the kernel keeps no per-pause history — the
-// count and distribution of N captures live on its metrics registry.
+// TestPauseIsTheLatestStopMachine: every apply reports the pause of the
+// stop_machine capture that spliced it, while the kernel keeps no
+// per-pause history — the count and distribution of N captures live on
+// its metrics registry.
 func TestPauseIsTheLatestStopMachine(t *testing.T) {
 	tree := testTree()
 	k := boot(t, tree)
@@ -236,14 +237,16 @@ func TestPauseIsTheLatestStopMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cycles = 5
+	var applyPauses time.Duration
 	for i := 0; i < cycles; i++ {
 		a, err := m.Apply(u, ApplyOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Attempts != 1 || a.Pause <= 0 || a.Pause != k.LastPause() {
-			t.Fatalf("cycle %d: attempts %d, pause %v, kernel's last pause %v", i, a.Attempts, a.Pause, k.LastPause())
+		if a.Attempts != 1 || a.Pause <= 0 {
+			t.Fatalf("cycle %d: attempts %d, pause %v", i, a.Attempts, a.Pause)
 		}
+		applyPauses += a.Pause
 		if err := m.Undo(ApplyOptions{}); err != nil {
 			t.Fatal(err)
 		}
@@ -253,8 +256,8 @@ func TestPauseIsTheLatestStopMachine(t *testing.T) {
 	if got := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value(); got != n {
 		t.Errorf("stop_machine_total = %d, want %d", got, n)
 	}
-	if h := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil); h.Count() != n || h.Sum() <= 0 {
-		t.Errorf("pause histogram: count %d sum %g, want count %d and a positive sum", h.Count(), h.Sum(), n)
+	if h := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil); h.Count() != n || h.Sum() < applyPauses.Seconds()*(1-1e-9) {
+		t.Errorf("pause histogram: count %d sum %g, want count %d and at least the applies' %v", h.Count(), h.Sum(), n, applyPauses)
 	}
 }
 
@@ -420,7 +423,7 @@ func TestNonQuiescentFunctionAbandoned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Apply(u, ApplyOptions{MaxAttempts: 3, RetryDelay: 1})
+	_, err = m.Apply(u, ApplyOptions{})
 	if !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("apply to non-quiescent function: %v", err)
 	}
@@ -716,7 +719,7 @@ int load_loop(int rounds) {
 		k.StopCPUs()
 		t.Fatal(err)
 	}
-	a, err := m.Apply(u, ApplyOptions{MaxAttempts: 50})
+	a, err := m.Apply(u, ApplyOptions{})
 	if err != nil {
 		k.StopCPUs()
 		t.Fatalf("apply under load: %v", err)

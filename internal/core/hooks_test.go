@@ -162,3 +162,110 @@ ksplice_apply(exploding_apply);
 		t.Error("module leaked")
 	}
 }
+
+// explodingHookPatch fixes victim to return x + 2 and registers a hook of
+// the given kind that faults.
+func explodingHookPatch(kind string) string {
+	return diffutil.DiffFiles("hooked.mc", hookedVuln, `#include "klib.h"
+int hook_trace[8];
+int trace_n = 0;
+int victim(int x) { return x + 2; }
+
+void exploding_hook(void) {
+	int *p = (int *)0;
+	*p = 1;
+}
+ksplice_`+kind+`(exploding_hook);
+`)
+}
+
+// baseVictim calls the base kernel's victim(1), through any trampoline.
+func baseVictim(k *kernel.Kernel) (int64, error) {
+	addr, _ := baseFuncAddr(k, "victim")
+	return k.CallIsolatedAddr(addr, 1)
+}
+
+// TestFailingPostApplyHookKeepsUpdateUndoable: the splice is live when a
+// post_apply hook fails, so the update must be on the stack and Undo must
+// reverse it.
+func TestFailingPostApplyHookKeepsUpdateUndoable(t *testing.T) {
+	tree := hookTree()
+	k := boot(t, tree)
+	m := NewManager(k)
+	u, err := CreateUpdate(tree, explodingHookPatch("post_apply"), CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.Apply(u, ApplyOptions{})
+	if a == nil || err == nil || !strings.Contains(err.Error(), "post_apply hook failed") {
+		t.Fatalf("apply with exploding post_apply hook: %v, %v", a, err)
+	}
+	if v, err := baseVictim(k); err != nil || v != 3 {
+		t.Errorf("victim = %d, %v, want the fixed 3", v, err)
+	}
+	if n := len(m.Applied()); n != 1 {
+		t.Fatalf("%d updates applied, want the live one", n)
+	}
+	if err := m.Undo(ApplyOptions{}); err != nil {
+		t.Fatalf("undo: %v", err)
+	}
+	if v, err := baseVictim(k); err != nil || v != 2 {
+		t.Errorf("victim after undo = %d, %v, want the original 2", v, err)
+	}
+	if len(k.Modules()) != 0 {
+		t.Error("module leaked after undo")
+	}
+}
+
+// TestFailingReverseHookKeepsUpdateApplied: a reverse hook runs inside the
+// stop_machine window, so its failure must put the trampolines back and
+// leave the update applied, exactly as a failing apply hook leaves the
+// kernel unpatched.
+func TestFailingReverseHookKeepsUpdateApplied(t *testing.T) {
+	tree := hookTree()
+	k := boot(t, tree)
+	m := NewManager(k)
+	u, err := CreateUpdate(tree, explodingHookPatch("reverse"), CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Undo(ApplyOptions{})
+	if err == nil || !strings.Contains(err.Error(), "reverse hook failed") {
+		t.Fatalf("undo with exploding reverse hook: %v", err)
+	}
+	if v, err := baseVictim(k); err != nil || v != 3 {
+		t.Errorf("victim = %d, %v, want the fixed 3 (trampoline not restored)", v, err)
+	}
+	if len(m.Applied()) != 1 || len(k.Modules()) != 1 {
+		t.Errorf("%d updates applied, %d modules loaded; want the update still live", len(m.Applied()), len(k.Modules()))
+	}
+}
+
+// TestFailingPostReverseHookStillUndoes: the original code is running
+// again when a post_reverse hook fails, so Undo must still unload the
+// module and pop the update before reporting the hook's error.
+func TestFailingPostReverseHookStillUndoes(t *testing.T) {
+	tree := hookTree()
+	k := boot(t, tree)
+	m := NewManager(k)
+	u, err := CreateUpdate(tree, explodingHookPatch("post_reverse"), CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	err = m.Undo(ApplyOptions{})
+	if err == nil || !strings.Contains(err.Error(), "post_reverse hook failed") {
+		t.Fatalf("undo with exploding post_reverse hook: %v", err)
+	}
+	if v, err := baseVictim(k); err != nil || v != 2 {
+		t.Errorf("victim = %d, %v, want the original 2", v, err)
+	}
+	if len(m.Applied()) != 0 || len(k.Modules()) != 0 {
+		t.Errorf("%d updates applied, %d modules loaded; want none", len(m.Applied()), len(k.Modules()))
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/diffutil"
 	"gosplice/internal/isa"
 	"gosplice/internal/kernel"
 	"gosplice/internal/obj"
@@ -227,7 +228,7 @@ int outer_victim(int x) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Apply(u, ApplyOptions{MaxAttempts: 2, RetryDelay: 1})
+	_, err = m.Apply(u, ApplyOptions{})
 	if !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("apply with return address on stack: %v", err)
 	}
@@ -302,7 +303,7 @@ int spin2_body(void) {
 	// kyield, but its stack then holds a return address into the
 	// replacement loop — either way the safety check must refuse).
 
-	if err := m.Undo(ApplyOptions{MaxAttempts: 2, RetryDelay: 1}); !errors.Is(err, ErrNotQuiescent) {
+	if err := m.Undo(ApplyOptions{}); !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("undo with thread in replacement: %v", err)
 	}
 
@@ -314,6 +315,113 @@ int spin2_body(void) {
 	k.ReapExited()
 	if err := m.Undo(ApplyOptions{}); err != nil {
 		t.Fatalf("undo after drain: %v", err)
+	}
+}
+
+// skewedStackTree ships an assembly entry that moves sp by skew bytes
+// before calling skew_outer, which lives in its own unit and calls a
+// spinner parked in a kyield loop. With skew 4 every return address below
+// the entry sits in a slot at 4 mod 8.
+func skewedStackTree(skew int) *srctree.Tree {
+	files := kernel.Lib()
+	files["skew_entry.mcs"] = fmt.Sprintf(`.global skew_entry
+.func skew_entry
+	push fp
+	mov fp, sp
+	addi64 sp, %d
+	call skew_outer
+	mov sp, fp
+	pop fp
+	ret
+.endfunc
+`, -skew)
+	files["skew_spin.mc"] = `#include "klib.h"
+int skew_flag = 1;
+int skew_spin(void) {
+	while (skew_flag) {
+		kyield();
+	}
+	return 0;
+}
+`
+	files["skew_outer.mc"] = skewOuter
+	return srctree.New("skew-1.0", files)
+}
+
+const skewOuter = `int skew_spin(void);
+int skew_outer(void) {
+	return skew_spin() + 1;
+}
+`
+
+// TestSafetyCheckSeesEveryStackAlignment: hand-written assembly can leave
+// sp at any offset, so the return address into a patched function may
+// sit at 4 mod 8. Both Apply and Undo must still refuse while a thread
+// has such a return address pending.
+func TestSafetyCheckSeesEveryStackAlignment(t *testing.T) {
+	patch := diffutil.DiffFiles("skew_outer.mc", skewOuter, strings.Replace(skewOuter, "+ 1;", "+ 2;", 1))
+	for _, skew := range []int{0, 4} {
+		t.Run(fmt.Sprintf("skew%d", skew), func(t *testing.T) {
+			tree := skewedStackTree(skew)
+			k := boot(t, tree)
+			m := NewManager(k)
+			u, err := CreateUpdate(tree, patch, CreateOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			flag := mustAddr(t, k, "skew_flag")
+			park := func() *kernel.Task {
+				t.Helper()
+				if err := k.WriteMem(flag, []byte{1, 0, 0, 0}); err != nil {
+					t.Fatal(err)
+				}
+				task, err := k.Spawn("skewed", "skew_entry", 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k.RunSteps(10_000)
+				if !task.Runnable() {
+					t.Fatal("premise: skewed task died")
+				}
+				if sym, ok := k.Syms.FuncAt(task.Th.IP); ok && sym.Name == "skew_outer" {
+					t.Fatalf("premise: IP %#x inside skew_outer", task.Th.IP)
+				}
+				if got := task.Th.SP() & 7; got != uint32(skew) {
+					t.Fatalf("premise: sp %% 8 = %d, want %d", got, skew)
+				}
+				return task
+			}
+			release := func(task *kernel.Task, want int) {
+				t.Helper()
+				if err := k.WriteMem(flag, []byte{0, 0, 0, 0}); err != nil {
+					t.Fatal(err)
+				}
+				k.RunSteps(200_000)
+				if task.Runnable() || task.ExitCode != int64(want) {
+					t.Fatalf("skewed task runnable=%v exit=%d, want exit %d", task.Runnable(), task.ExitCode, want)
+				}
+				k.ReapExited()
+			}
+
+			task := park()
+			if _, err := m.Apply(u, ApplyOptions{}); !errors.Is(err, ErrNotQuiescent) {
+				t.Fatalf("apply with a return address into skew_outer on the stack: %v", err)
+			}
+			release(task, 1)
+			if _, err := m.Apply(u, ApplyOptions{}); err != nil {
+				t.Fatalf("apply after drain: %v", err)
+			}
+
+			// A second thread enters the replacement the same way.
+			task = park()
+			if err := m.Undo(ApplyOptions{}); !errors.Is(err, ErrNotQuiescent) {
+				t.Fatalf("undo with a return address into the replacement on the stack: %v", err)
+			}
+			release(task, 2)
+			if err := m.Undo(ApplyOptions{}); err != nil {
+				t.Fatalf("undo after drain: %v", err)
+			}
+		})
 	}
 }
 
@@ -443,7 +551,7 @@ int daemon_body(void) {
 	// use background CPUs for realism.
 	k.StartCPUs(1)
 	defer k.StopCPUs()
-	if _, err := m.Apply(u, ApplyOptions{MaxAttempts: 100}); err != nil {
+	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
 		t.Fatalf("DynAMOS-style apply: %v", err)
 	}
 	k.ReapExited()

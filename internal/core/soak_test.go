@@ -98,10 +98,10 @@ int churn(int rounds) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
-		if _, err := m.Apply(u, ApplyOptions{MaxAttempts: 100}); err != nil {
+		if _, err := m.Apply(u, ApplyOptions{}); err != nil {
 			t.Fatalf("cycle %d apply: %v", i, err)
 		}
-		if err := m.Undo(ApplyOptions{MaxAttempts: 100}); err != nil {
+		if err := m.Undo(ApplyOptions{}); err != nil {
 			t.Fatalf("cycle %d undo: %v", i, err)
 		}
 	}

@@ -190,11 +190,6 @@ type Options struct {
 	// KeepApplied leaves each update applied instead of undoing it (the
 	// "eliminate all reboots" stacking mode). Undo checks are skipped.
 	KeepApplied bool
-	// Apply is threaded through to core.Manager.Apply and Undo for every
-	// patch, so a run can tune quiescence retries (MaxAttempts,
-	// RetryDelay) instead of inheriting the hard-coded defaults. The
-	// zero value keeps them.
-	Apply core.ApplyOptions
 	// Workers bounds how many patches are evaluated concurrently. Zero
 	// or negative means runtime.NumCPU(). Stacking mode (KeepApplied) is
 	// order-dependent — run-pre matching binds against the previous
@@ -583,7 +578,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 	// 3. ksplice-apply.
 	t0 := time.Now()
 	sp = patch.Child("apply", telemetry.A("cve", c.ID))
-	a, err := mgr.Apply(u, opts.Apply)
+	a, err := mgr.Apply(u, core.ApplyOptions{})
 	sp.End()
 	if err != nil {
 		pr.Timings.Apply = sp.Duration()
@@ -646,7 +641,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 		return pr
 	}
 	sp = patch.Child("undo", telemetry.A("cve", c.ID))
-	err = mgr.Undo(opts.Apply)
+	err = mgr.Undo(core.ApplyOptions{})
 	sp.End()
 	pr.Timings.Undo = sp.Duration()
 	observeStage("undo", pr.Timings.Undo)

@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gosplice/internal/codegen"
@@ -147,12 +146,10 @@ type Kernel struct {
 	cpuWG sync.WaitGroup
 
 	// StopMachine statistics: the call count and a pause histogram live
-	// on the kernel's telemetry registry (see Metrics). Only the latest
-	// pause is kept exactly, for LastPause.
-	met       *telemetry.Registry
-	cStops    *telemetry.Counter
-	hPause    *telemetry.Histogram
-	lastPause atomic.Int64
+	// on the kernel's telemetry registry (see Metrics).
+	met    *telemetry.Registry
+	cStops *telemetry.Counter
+	hPause *telemetry.Histogram
 }
 
 // The process-wide families exist from package init, so a fresh

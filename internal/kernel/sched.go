@@ -336,11 +336,12 @@ func (k *Kernel) cpuLoop(id int) {
 }
 
 // StopMachine captures every virtual CPU, runs fn with the machine
-// quiescent, then releases the CPUs (paper section 5.2). It returns fn's
-// error and records the pause duration. With no background CPUs running it
-// degenerates to calling fn directly, which is the synchronous-scheduler
-// case.
-func (k *Kernel) StopMachine(fn func() error) error {
+// quiescent, then releases the CPUs (paper section 5.2). It returns the
+// pause — the interval during which no thread could be scheduled, the
+// paper's ~0.7 ms — and fn's error; the count and the distribution of all
+// pauses are on Metrics(). With no background CPUs running it degenerates
+// to calling fn directly, which is the synchronous-scheduler case.
+func (k *Kernel) StopMachine(fn func() error) (time.Duration, error) {
 	k.stop.mu.Lock()
 	k.stop.req = true
 	for k.stop.parked < k.stop.active {
@@ -355,14 +356,8 @@ func (k *Kernel) StopMachine(fn func() error) error {
 
 	k.cStops.Inc()
 	k.hPause.ObserveDuration(pause)
-	k.lastPause.Store(int64(pause))
-	return err
+	return pause, err
 }
-
-// LastPause returns the latest stop_machine pause: the interval during
-// which no thread could be scheduled (the paper's ~0.7 ms). The count
-// and the distribution of all pauses are on Metrics().
-func (k *Kernel) LastPause() time.Duration { return time.Duration(k.lastPause.Load()) }
 
 // ReadMem copies size bytes at addr under the machine lock.
 func (k *Kernel) ReadMem(addr uint32, size int) ([]byte, error) {

@@ -148,14 +148,12 @@ func (st *State) Tree() (*srctree.Tree, error) {
 	return tree, nil
 }
 
-// Replay boots the machine and re-applies its updates under apply,
-// returning the running kernel and its Ksplice manager. Callers thread
-// their own core.ApplyOptions through so a busy machine can tune
-// MaxAttempts/RetryDelay; the zero value keeps the defaults. kernel.Boot
+// Replay boots the machine and re-applies its updates, returning the
+// running kernel and its Ksplice manager. kernel.Boot
 // goes through the artifact store, so with a disk-backed store
 // (srctree.UseDiskStore) a replay in a fresh process reuses the compiled
 // units and linked image an earlier tool run left behind.
-func (st *State) Replay(apply core.ApplyOptions) (*kernel.Kernel, *core.Manager, error) {
+func (st *State) Replay() (*kernel.Kernel, *core.Manager, error) {
 	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(st.Version)})
 	if err != nil {
 		return nil, nil, err
@@ -166,7 +164,7 @@ func (st *State) Replay(apply core.ApplyOptions) (*kernel.Kernel, *core.Manager,
 		if err != nil {
 			return nil, nil, err
 		}
-		if _, err := mgr.Apply(u, apply); err != nil {
+		if _, err := mgr.Apply(u, core.ApplyOptions{}); err != nil {
 			return nil, nil, fmt.Errorf("simstate: replaying %s: %w", p, err)
 		}
 	}

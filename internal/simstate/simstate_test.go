@@ -87,7 +87,7 @@ func TestReplayLifecycle(t *testing.T) {
 
 	// ksplice-apply: replay then apply, persist. Non-default ApplyOptions
 	// thread through the replay untouched.
-	k, mgr, err := st.Replay(core.ApplyOptions{MaxAttempts: 7})
+	k, mgr, err := st.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReplayLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, mgr2, err := st2.Replay(core.ApplyOptions{})
+	k2, mgr2, err := st2.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
