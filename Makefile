@@ -51,7 +51,9 @@ test:
 # spans upstream, with -check-trace required to find client and server
 # spans sharing one trace id with a parent/child link across the two
 # processes in /fleet/trace.
-# It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) for 10s.
+# It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) and
+# FuzzDecodeManifest (manifest bytes as a subscriber receives them) for
+# 10s each.
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
@@ -62,6 +64,7 @@ check:
 	$(GO) test -race ./...
 	$(GO) test -run 'TestApplyUnderLiveLoad|TestSoakUnderBackgroundLoad|TestDynAMOSStyleNonQuiescentUpdate' -count=20 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/channel
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

@@ -26,6 +26,7 @@ import (
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/diffutil"
 	"gosplice/internal/eval"
 	"gosplice/internal/fleet"
 	"gosplice/internal/kernel"
@@ -120,9 +121,6 @@ func benchEvalAll64(b *testing.B, workers int, tracer *telemetry.Tracer) {
 		c := res.Cache
 		if total := c.UnitHits + c.UnitMisses; total > 0 {
 			b.ReportMetric(100*float64(c.UnitHits)/float64(total), "unit-cache-hit-%")
-		}
-		if total := c.FingerprintSkips + c.DeepCompares; total > 0 {
-			b.ReportMetric(100*float64(c.FingerprintSkips)/float64(total), "diff-fingerprint-skip-%")
 		}
 	}
 }
@@ -223,7 +221,7 @@ func BenchmarkTable1Updates(b *testing.B) {
 func busyKernel(b *testing.B) *kernel.Kernel {
 	b.Helper()
 	tree := cvedb.Tree(cvedb.Versions[0])
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -259,7 +257,7 @@ func BenchmarkStopMachinePause(b *testing.B) {
 func BenchmarkApplyUndo(b *testing.B) {
 	c, _ := cvedb.ByID("CVE-2006-2451")
 	tree := cvedb.Tree(c.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -294,7 +292,7 @@ func BenchmarkCallPatched(b *testing.B) {
 func benchCallOverhead(b *testing.B, patched bool) {
 	c, _ := cvedb.ByID("CVE-2006-3626")
 	tree := cvedb.Tree(c.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -330,7 +328,7 @@ func benchCallOverhead(b *testing.B, patched bool) {
 func BenchmarkRunPreMatch(b *testing.B) {
 	c, _ := cvedb.ByID("CVE-2005-4639")
 	tree := cvedb.Tree(c.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,17 +456,25 @@ func BenchmarkKernelBuild(b *testing.B) {
 func BenchmarkKernelBuildIncremental(b *testing.B) {
 	base := cvedb.Tree(cvedb.Versions[0])
 	const unit = "drivers/dst_ca.mc"
-	if _, ok := base.Files[unit]; !ok {
+	src, ok := base.File(unit)
+	if !ok {
 		b.Fatalf("corpus tree lacks %s", unit)
 	}
 	// Warm the cache with the unmodified tree.
 	if _, err := srctree.BuildCached(base, codegen.KernelBuild()); err != nil {
 		b.Fatal(err)
 	}
+	// Derive every edited tree up front: the loop times the builds only.
+	trees := make([]*srctree.Tree, b.N)
+	for i := range trees {
+		t, err := base.Patch(diffutil.DiffFiles(unit, src, src+fmt.Sprintf("// rev %d\n", i)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		trees[i] = t
+	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tree := base.Clone()
-		tree.Files[unit] += fmt.Sprintf("// rev %d\n", i)
+	for _, tree := range trees {
 		if _, err := srctree.BuildCached(tree, codegen.KernelBuild()); err != nil {
 			b.Fatal(err)
 		}
@@ -610,7 +616,7 @@ func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 func BenchmarkBoot(b *testing.B) {
 	tree := cvedb.Tree(cvedb.Versions[0])
 	for i := 0; i < b.N; i++ {
-		if _, err := kernel.Boot(kernel.Config{Tree: tree}); err != nil {
+		if _, err := kernel.Boot(tree); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -620,7 +626,7 @@ func BenchmarkBoot(b *testing.B) {
 // in-memory sys_call_table. Metric: guest instructions per syscall.
 func BenchmarkSyscallRoundTrip(b *testing.B) {
 	tree := cvedb.Tree(cvedb.Versions[0])
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -646,7 +652,7 @@ func BenchmarkStackedUpdates(b *testing.B) {
 	c, _ := cvedb.ByID("CVE-2005-4639")
 	base := cvedb.Tree(c.Version)
 	for i := 0; i < b.N; i++ {
-		k, err := kernel.Boot(kernel.Config{Tree: base})
+		k, err := kernel.Boot(base)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -747,7 +753,7 @@ func BenchmarkCrashRecovery(b *testing.B) {
 	tr := channel.NewDirTransport(dir)
 	head := len(cvedb.ForVersion(version))
 	run := func(stateDir string, hook crashpoint.Hook) (int, *crashpoint.Death) {
-		k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+		k, err := kernel.Boot(cvedb.Tree(version))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -137,7 +137,7 @@ func dumpUpdate(path string) {
 }
 
 func dumpKernel(version, fnName string) {
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		fatal(err)
 	}

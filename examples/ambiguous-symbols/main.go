@@ -25,7 +25,7 @@ func main() {
 	tree := cvedb.Tree(cve.Version)
 
 	run := func(trust bool) {
-		k, err := kernel.Boot(kernel.Config{Tree: tree})
+		k, err := kernel.Boot(tree)
 		if err != nil {
 			log.Fatal(err)
 		}

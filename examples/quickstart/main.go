@@ -23,7 +23,7 @@ func main() {
 	// 1. Boot the vulnerable kernel.
 	cve, _ := cvedb.ByID("CVE-2006-2451")
 	tree := cvedb.Tree(cve.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 func main() {
 	cve, _ := cvedb.ByID("CVE-2005-2709")
 	tree := cvedb.Tree(cve.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func callBase(k *kernel.Kernel, name string, args ...int64) int64 {
 func main() {
 	cve, _ := cvedb.ByID("CVE-2005-4639")
 	tree := cvedb.Tree(cve.Version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func main() {
 	fmt.Printf("\nchannel served at %s (with one injected truncation fault)\n", baseURL)
 
 	// A long-running production machine subscribes over the network.
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		log.Fatal(err)
 	}

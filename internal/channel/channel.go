@@ -188,6 +188,11 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("channel: manifest: trailing data after the JSON object")
 	}
+	// Marshal omits an empty delta list, so "deltas": [] must decode
+	// like no list at all.
+	if len(m.Deltas) == 0 {
+		m.Deltas = nil
+	}
 	if err := m.Verify(); err != nil {
 		return nil, err
 	}
@@ -227,8 +232,8 @@ func NewPublisher(dir string, tree *srctree.Tree) (*Publisher, error) {
 	atomicfile.SweepTemps(filepath.Join(dir, blobsDirName), 0)
 	p := &Publisher{
 		Dir:      dir,
-		manifest: Manifest{KernelVersion: tree.Version},
-		tree:     tree.Clone(),
+		manifest: Manifest{KernelVersion: tree.Version()},
+		tree:     tree,
 	}
 	m, err := ReadManifest(dir)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -239,8 +244,8 @@ func NewPublisher(dir string, tree *srctree.Tree) (*Publisher, error) {
 	}
 	// Resume an existing channel: replay its patches over the base tree,
 	// keeping the newest tarball's bytes as the next delta base.
-	if m.KernelVersion != tree.Version {
-		return nil, fmt.Errorf("channel: directory serves %q, tree is %q", m.KernelVersion, tree.Version)
+	if m.KernelVersion != tree.Version() {
+		return nil, fmt.Errorf("channel: directory serves %q, tree is %q", m.KernelVersion, tree.Version())
 	}
 	p.manifest = *m
 	for _, e := range m.Updates {

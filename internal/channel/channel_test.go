@@ -45,7 +45,7 @@ func TestPublishAndSubscribe(t *testing.T) {
 	}
 
 	// Subscribe a vulnerable machine: every probe flips.
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestManifestRequiresDigests(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, manifestName), stripped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestSubscribeErrors(t *testing.T) {
 	}
 
 	// Wrong release.
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(cvedb.Versions[1])})
+	k, err := kernel.Boot(cvedb.Tree(cvedb.Versions[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestSubscribeErrors(t *testing.T) {
 		t.Error("cross-release subscription accepted")
 	}
 	// Impossible position.
-	k2, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k2, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,7 @@ func chaosKillMember(ri int, version, dir string, cves []*cvedb.CVE, published m
 	var k *kernel.Kernel
 	pos, kills := 0, 0
 	for life := 0; life < 12 && pos < len(cves); life++ {
-		kk, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+		kk, err := kernel.Boot(cvedb.Tree(version))
 		if err != nil {
 			return fmt.Sprintf("boot (life %d): %v", life, err), nil
 		}
@@ -270,7 +270,7 @@ func TestChaosSoakHTTPFleet(t *testing.T) {
 				srv := httptest.NewServer(faultinject.Handler(channel.NewServer(dir), serverPlan))
 				defer srv.Close()
 
-				k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+				k, err := kernel.Boot(cvedb.Tree(version))
 				if err != nil {
 					fail("boot: %v", err)
 					return

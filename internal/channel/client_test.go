@@ -276,7 +276,7 @@ ksplice_` + kind + "(" + fn + "_hook);\n"
 	if _, err := pub.Publish("post-reverse", "", diffutil.DiffFiles("b.mc", files["b.mc"], hooked("victim_b", "post_reverse"))); err != nil {
 		t.Fatal(err)
 	}
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

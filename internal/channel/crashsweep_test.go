@@ -77,7 +77,7 @@ func memHash(k *kernel.Kernel) [32]byte {
 // would abandon it, leaving only the state dir behind.
 func sweepAttempt(t *testing.T, chanDir, stateDir, version string, hook crashpoint.Hook) (*kernel.Kernel, int, *crashpoint.Death, int64) {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestClientCorruptStateRederives(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}

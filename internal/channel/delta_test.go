@@ -271,7 +271,7 @@ func subscribeHead(t *testing.T, dir, version string, want int) {
 // bootRelease boots a vulnerable machine for version.
 func bootRelease(t *testing.T, version string) (*kernel.Kernel, *core.Manager) {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}

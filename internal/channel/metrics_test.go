@@ -33,7 +33,7 @@ func publishOne(t *testing.T) (dir string, k *kernel.Kernel, cve *cvedb.CVE) {
 	if _, err := pub.Publish("ksplice-"+cve.ID, cve.ID, cve.Patch()); err != nil {
 		t.Fatal(err)
 	}
-	k, err = kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err = kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func TestMergedTraceEndToEnd(t *testing.T) {
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}

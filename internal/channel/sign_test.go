@@ -5,11 +5,20 @@ package channel_test
 
 import (
 	"context"
+	"crypto/ed25519"
+	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime/metrics"
 	"strings"
 	"testing"
 
 	"gosplice/internal/channel"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/diffutil"
+	"gosplice/internal/srctree"
 )
 
 // publishSigned publishes the first n fixes of version into a signed
@@ -139,4 +148,69 @@ func mustKeyPair(t *testing.T) (channel.SignKey, channel.VerifyKey) {
 		t.Fatal(err)
 	}
 	return k, vk
+}
+
+// FuzzDecodeManifest: DecodeManifest is the first thing a subscriber
+// runs on bytes from the network. For any input it must not panic; a
+// manifest it accepts must come back unchanged from a json.Marshal
+// round trip; and what it allocates must stay linear in the input. The
+// seeds are the manifests of a two-update channel published unsigned
+// and signed. Its tree is one tiny unit, so every fuzz worker publishes
+// the seeds in milliseconds.
+func FuzzDecodeManifest(f *testing.F) {
+	const src = "int f(void) { return 1; }\n"
+	tree := srctree.New("fuzz-1.0", map[string]string{"f.mc": src})
+	for _, key := range []channel.SignKey{nil, channel.SignKey(ed25519.NewKeyFromSeed(make([]byte, ed25519.SeedSize)))} {
+		dir := f.TempDir()
+		pub, err := channel.NewPublisher(dir, tree)
+		if err != nil {
+			f.Fatal(err)
+		}
+		pub.SignKey = key
+		prev := src
+		for i, next := range []string{"int f(void) { return 2; }\n", "int f(void) { return 3; }\n"} {
+			if _, err := pub.Publish(fmt.Sprintf("u%d", i), "", diffutil.DiffFiles("f.mc", prev, next)); err != nil {
+				f.Fatal(err)
+			}
+			prev = next
+		}
+		b, err := os.ReadFile(filepath.Join(dir, "channel.json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+
+	// Heap allocation is read through runtime/metrics, which, unlike
+	// runtime.ReadMemStats, does not stop the world on every input.
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(allocs)
+		return allocs[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		before := allocated()
+		m, err := channel.DecodeManifest(b)
+		// A decoded entry is ~90 bytes from as few as 3 input bytes ("{},")
+		// and slices grow by half, hence the factor; the constant covers
+		// the decoder's fixed buffers, the digest, and the span-sized
+		// granularity of the runtime's allocation count.
+		if alloc, limit := allocated()-before, 256*uint64(len(b))+1<<20; alloc > limit {
+			t.Errorf("decoding %d bytes allocated %d, want at most %d", len(b), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		re, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m2, err := channel.DecodeManifest(re)
+		if err != nil {
+			t.Fatalf("re-encoded manifest refused: %v\n%s", err, re)
+		}
+		if !reflect.DeepEqual(m, m2) {
+			t.Fatalf("manifest changed across a json.Marshal round trip:\n%+v\n%+v", m, m2)
+		}
+	})
 }

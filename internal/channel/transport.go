@@ -191,6 +191,11 @@ func retriableStatus(code int) bool {
 	return code >= 500 || code == http.StatusTooManyRequests
 }
 
+// maxBodyBytes caps a response body whose length no manifest entry
+// pins: the manifest itself, or a blob advertised without a size. A
+// hostile or broken server cannot make the transport buffer more.
+const maxBodyBytes = 8 << 20
+
 func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
 	var lastErr error
 	for attempt := 0; attempt <= t.opt.MaxRetries; attempt++ {
@@ -207,7 +212,7 @@ func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
 			lastErr = err
 			continue
 		}
-		b, err := io.ReadAll(resp.Body)
+		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
 		resp.Body.Close()
 		cancel()
 		switch {
@@ -216,6 +221,8 @@ func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
 			if !retriableStatus(resp.StatusCode) {
 				return nil, lastErr
 			}
+		case len(b) > maxBodyBytes:
+			return nil, fmt.Errorf("channel: manifest: body runs past byte %d", maxBodyBytes)
 		case err != nil:
 			lastErr = fmt.Errorf("channel: manifest: reading body: %w", err)
 		default:
@@ -252,8 +259,10 @@ func (t *httpTransport) FetchBlob(ctx context.Context, digest string, size int64
 
 // download is the shared body of Fetch and FetchBlob: bounded attempts,
 // exponential backoff, and resume-from-last-good-byte on truncation.
-// label only decorates errors; size (when > 0) catches clean-but-early
-// connection closes.
+// label only decorates errors. size (when > 0) catches clean-but-early
+// connection closes and bounds the read: an attempt reads at most one
+// byte past the advertised end, and a body that runs past it is
+// discarded and retried. An unsized body is capped at maxBodyBytes.
 func (t *httpTransport) download(ctx context.Context, path, label string, size int64) ([]byte, error) {
 	var (
 		buf     []byte
@@ -282,7 +291,6 @@ func (t *httpTransport) download(ctx context.Context, path, label string, size i
 			// Full body (or the server ignored our Range): start over.
 			buf = buf[:0]
 		default:
-			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			cancel()
 			lastErr = fmt.Errorf("channel: %s: server returned %s", label, resp.Status)
@@ -291,9 +299,21 @@ func (t *httpTransport) download(ctx context.Context, path, label string, size i
 			}
 			continue
 		}
-		b, err := io.ReadAll(resp.Body)
+		end := int64(maxBodyBytes)
+		if size > 0 {
+			end = size
+		}
+		limit := end - int64(len(buf))
+		b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 		resp.Body.Close()
 		cancel()
+		if int64(len(b)) > limit {
+			// Longer than advertised: nothing received can be trusted
+			// as a prefix to resume from.
+			buf = buf[:0]
+			lastErr = fmt.Errorf("channel: %s: body runs past byte %d", label, end)
+			continue
+		}
 		buf = append(buf, b...)
 		if err != nil {
 			// Truncated body: keep what arrived and resume from there.

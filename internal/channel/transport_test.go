@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,7 +46,7 @@ func publishOne(t *testing.T, version string) (string, *cvedb.CVE, []byte) {
 
 func bootManager(t *testing.T, version string) (*kernel.Kernel, *core.Manager) {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(version)})
+	k, err := kernel.Boot(cvedb.Tree(version))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,6 +386,94 @@ func TestHTTPTransportResumesTruncatedBody(t *testing.T) {
 	}
 	if got := resumeFrom.Load(); got != int64(cut) {
 		t.Errorf("resume requested from byte %d, want %d (the truncation point)", got, cut)
+	}
+}
+
+// countingClient is an http.Client that records, per response, how many
+// body bytes its caller read.
+type countingClient struct {
+	base  http.RoundTripper
+	mu    sync.Mutex
+	reads []*atomic.Int64
+}
+
+func (c *countingClient) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.base.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	n := new(atomic.Int64)
+	c.mu.Lock()
+	c.reads = append(c.reads, n)
+	c.mu.Unlock()
+	resp.Body = countingBody{resp.Body, n}
+	return resp, nil
+}
+
+// take returns the per-response read counts so far and starts afresh.
+func (c *countingClient) take() []int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]int64, len(c.reads))
+	for i, n := range c.reads {
+		out[i] = n.Load()
+	}
+	c.reads = nil
+	return out
+}
+
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+// TestHTTPTransportBoundsBodies: a hostile server streams 64 MiB for
+// every request. A download reads at most one byte past the entry's
+// advertised size per attempt and fails; the manifest read stops at
+// maxBodyBytes.
+func TestHTTPTransportBoundsBodies(t *testing.T) {
+	chunk := make([]byte, 64<<10)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for sent := 0; sent < 64<<20; sent += len(chunk) {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+	}))
+	defer srv.Close()
+	rt := &http.Transport{}
+	defer rt.CloseIdleConnections()
+	cc := &countingClient{base: rt}
+	const retries = 2
+	tr := NewHTTPTransport(srv.URL, HTTPOptions{Timeout: 5 * time.Second, MaxRetries: retries, Backoff: time.Millisecond, Seed: 1, Client: &http.Client{Transport: cc}})
+
+	const size = 1 << 10
+	if _, err := tr.Fetch(context.Background(), Entry{Name: "big", File: "big.tar", Size: size}); err == nil {
+		t.Error("a body longer than its advertised size was accepted")
+	}
+	reads := cc.take()
+	if len(reads) != retries+1 {
+		t.Errorf("%d download attempts, want MaxRetries+1 = %d", len(reads), retries+1)
+	}
+	for i, n := range reads {
+		if n > size+1 {
+			t.Errorf("download attempt %d read %d bytes of a %d-byte entry, want at most %d", i, n, size, size+1)
+		}
+	}
+
+	if _, err := tr.Manifest(context.Background()); err == nil {
+		t.Error("a 64 MiB manifest was accepted")
+	}
+	for i, n := range cc.take() {
+		if n > maxBodyBytes+1 {
+			t.Errorf("manifest attempt %d read %d bytes, want at most %d", i, n, maxBodyBytes+1)
+		}
 	}
 }
 

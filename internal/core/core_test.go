@@ -11,11 +11,12 @@ import (
 	"gosplice/internal/srctree"
 )
 
-// testTree assembles the miniature kernel used across the core tests:
+// testFiles assembles the miniature kernel used across the core tests:
 // syscalls behind a table, an inlinable permission helper in a header,
 // ambiguous static symbols in two driver files, and a spinner for
-// quiescence tests.
-func testTree() *srctree.Tree {
+// quiescence tests. Each call returns a fresh map, so a test can vary
+// it before building a tree.
+func testFiles() map[string]string {
 	files := kernel.Lib()
 	files["sys.h"] = `
 int sys_getsecret(void);
@@ -72,8 +73,11 @@ int read_secret(void) {
 	return (int)syscall0(0);
 }
 `
-	return srctree.New("sim-2.6.16", files)
+	return files
 }
+
+// testTree is the core tests' kernel as a tree.
+func testTree() *srctree.Tree { return srctree.New("sim-2.6.16", testFiles()) }
 
 // callBase invokes the base kernel's copy of a function (whose entry may
 // carry a trampoline). After an update the bare name is ambiguous in
@@ -98,7 +102,7 @@ func callBase(t *testing.T, k *kernel.Kernel, name string, args ...int64) int64 
 
 func boot(t *testing.T, tree *srctree.Tree) *kernel.Kernel {
 	t.Helper()
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -269,8 +273,9 @@ func TestRunPreAbortsOnWrongKernel(t *testing.T) {
 	// Same version string, different code: the paper's "original source
 	// does not correspond to the running kernel" hazard. Only run-pre
 	// matching can catch it.
-	wrong := testTree()
-	wrong.Files["sys.mc"] = strings.Replace(wrong.Files["sys.mc"], "return secret;", "return secret + 1;", 1)
+	files := testFiles()
+	files["sys.mc"] = strings.Replace(files["sys.mc"], "return secret;", "return secret + 1;", 1)
+	wrong := srctree.New("sim-2.6.16", files)
 	u, err := CreateUpdate(wrong, setuidPatch, CreateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -284,8 +289,7 @@ func TestRunPreAbortsOnWrongKernel(t *testing.T) {
 	}
 
 	// A different version string is rejected before matching.
-	other := testTree()
-	other.Version = "sim-2.6.20"
+	other := srctree.New("sim-2.6.20", testFiles())
 	u2, err := CreateUpdate(other, setuidPatch, CreateOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -687,8 +691,7 @@ func TestApplyUnderLiveLoad(t *testing.T) {
 	// Splice while background CPUs are scheduling threads that call the
 	// patched syscall in a loop; the update must land and nothing may
 	// fault.
-	tree := testTree()
-	files := tree.Files
+	files := testFiles()
 	files["load.mc"] = `#include "klib.h"
 int load_loop(int rounds) {
 	int i;
@@ -701,6 +704,7 @@ int load_loop(int rounds) {
 	return bad;
 }
 `
+	tree := srctree.New("sim-2.6.16", files)
 	k := boot(t, tree)
 	m := NewManager(k)
 

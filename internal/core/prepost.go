@@ -63,7 +63,7 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 	}
 	u := &Update{
 		Name:          name,
-		KernelVersion: tree.Version,
+		KernelVersion: tree.Version(),
 		Compiler:      buildOpts.Version,
 		PatchLines:    patch.ChangedLines(),
 		PatchText:     patchText,
@@ -158,16 +158,11 @@ func sectionsEqual(a *obj.Section, af *obj.File, b *obj.Section, bf *obj.File) b
 
 // filesEqual reports whether two object files are entirely equivalent.
 // Unchanged units compiled through the unit cache are pointer-identical
-// and skip immediately; otherwise equal memoized fingerprints prove
-// equality without a deep walk (the fingerprint covers every field the
-// walk would compare). Unequal fingerprints fall through to the full
-// comparison, which remains authoritative.
+// and skip immediately; every other pair gets the full walk.
 func filesEqual(a, b *obj.File) bool {
-	if a == b || a.Fingerprint() == b.Fingerprint() {
-		fingerprintSkips.Add(1)
+	if a == b {
 		return true
 	}
-	deepCompares.Add(1)
 	if len(a.Sections) != len(b.Sections) || len(a.Symbols) != len(b.Symbols) {
 		return false
 	}

@@ -153,8 +153,9 @@ func TestRunPreMismatchErrorsAreDiagnosable(t *testing.T) {
 	k := boot(t, tree)
 
 	// Build a helper from subtly different source.
-	wrong := testTree()
-	wrong.Files["sys.mc"] = strings.Replace(wrong.Files["sys.mc"], "return secret;", "return secret + 2;", 1)
+	files := testFiles()
+	files["sys.mc"] = strings.Replace(files["sys.mc"], "return secret;", "return secret + 2;", 1)
+	wrong := srctree.New("sim-2.6.16", files)
 	helper, err := srctree.BuildUnit(wrong, "sys.mc", codegen.KspliceBuild())
 	if err != nil {
 		t.Fatal(err)

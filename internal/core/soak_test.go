@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"gosplice/internal/srctree"
 )
 
 // TestApplyUndoSoak cycles one update a few hundred times on a kernel
@@ -68,8 +70,7 @@ func TestApplyUndoSoak(t *testing.T) {
 // TestSoakUnderBackgroundLoad runs a shorter soak with virtual CPUs
 // grinding a workload the whole time.
 func TestSoakUnderBackgroundLoad(t *testing.T) {
-	tree := testTree()
-	files := tree.Files
+	files := testFiles()
 	files["churn.mc"] = `#include "klib.h"
 int churn(int rounds) {
 	int i;
@@ -83,6 +84,7 @@ int churn(int rounds) {
 	return 0;
 }
 `
+	tree := srctree.New("sim-2.6.16", files)
 	k := boot(t, tree)
 	m := NewManager(k)
 	for i := 0; i < 3; i++ {

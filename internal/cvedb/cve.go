@@ -225,23 +225,17 @@ var (
 	treeCache   = map[string]*srctree.Tree{}
 )
 
-// Tree builds the vulnerable kernel source tree for a release: the shared
-// runtime plus every corpus file. All releases share subsystem content
-// (the corpus is a single population; the paper likewise tested each
-// patch on whichever release it applied to). Assembly is memoized per
-// release; callers get an independent clone, so mutating a returned tree
-// never leaks into later calls.
-//
-// The lock covers only the cache lookup and insert; the per-caller
-// Clone — a deep copy of the whole file map — runs outside it. Every
-// patch of a parallel eval run calls Tree, so cloning under the lock
-// serialized the create stage across workers.
+// Tree returns the vulnerable kernel source tree for a release: the
+// shared runtime plus every corpus file. All releases share subsystem
+// content (the corpus is a single population; the paper likewise tested
+// each patch on whichever release it applied to). A tree is immutable,
+// so it is assembled once per release and every call returns that one
+// tree; a fix is applied by deriving a new tree with Patch.
 func Tree(version string) *srctree.Tree {
 	treeCacheMu.Lock()
-	t, ok := treeCache[version]
-	treeCacheMu.Unlock()
-	if ok {
-		return t.Clone()
+	defer treeCacheMu.Unlock()
+	if t, ok := treeCache[version]; ok {
+		return t
 	}
 	files := baseFiles()
 	for _, c := range corpus() {
@@ -252,15 +246,7 @@ func Tree(version string) *srctree.Tree {
 			files[p] = s
 		}
 	}
-	t = srctree.New(version, files)
-	treeCacheMu.Lock()
-	// A racing caller may have assembled the same release concurrently;
-	// keep the first insert so every caller clones one canonical tree.
-	if prev, ok := treeCache[version]; ok {
-		t = prev
-	} else {
-		treeCache[version] = t
-	}
-	treeCacheMu.Unlock()
-	return t.Clone()
+	t := srctree.New(version, files)
+	treeCache[version] = t
+	return t
 }

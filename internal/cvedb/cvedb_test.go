@@ -155,13 +155,8 @@ func TestFigure3Histogram(t *testing.T) {
 func TestPatchesParseAndApply(t *testing.T) {
 	tree := Tree(Versions[0])
 	for _, c := range All() {
-		p, err := diffutil.ParsePatch(c.Patch())
-		if err != nil {
-			t.Errorf("%s: patch does not parse: %v", c.ID, err)
-			continue
-		}
-		if _, err := p.Apply(tree.Files); err != nil {
-			t.Errorf("%s: patch does not apply: %v", c.ID, err)
+		if _, err := tree.Patch(c.Patch()); err != nil {
+			t.Errorf("%s: patch does not parse and apply: %v", c.ID, err)
 		}
 		if _, err := diffutil.ParsePatch(c.PlainPatch()); err != nil {
 			t.Errorf("%s: plain patch does not parse: %v", c.ID, err)
@@ -170,7 +165,7 @@ func TestPatchesParseAndApply(t *testing.T) {
 }
 
 func TestVulnerableKernelBootsAndProbes(t *testing.T) {
-	k, err := kernel.Boot(kernel.Config{Tree: Tree(Versions[0])})
+	k, err := kernel.Boot(Tree(Versions[0]))
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -190,7 +185,7 @@ func TestVulnerableKernelBootsAndProbes(t *testing.T) {
 }
 
 func TestExploitsWorkOnVulnerableKernel(t *testing.T) {
-	k, err := kernel.Boot(kernel.Config{Tree: Tree(Versions[0])})
+	k, err := kernel.Boot(Tree(Versions[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +231,7 @@ func TestFixedKernelFlipsProbes(t *testing.T) {
 			t.Errorf("%s: fixed tree: %v", id, err)
 			continue
 		}
-		k, err := kernel.Boot(kernel.Config{Tree: fixed})
+		k, err := kernel.Boot(fixed)
 		if err != nil {
 			t.Errorf("%s: fixed boot: %v", id, err)
 			continue
@@ -256,7 +251,7 @@ func TestFixedKernelFlipsProbes(t *testing.T) {
 }
 
 func TestStressWorkloadHealthy(t *testing.T) {
-	k, err := kernel.Boot(kernel.Config{Tree: Tree(Versions[1])})
+	k, err := kernel.Boot(Tree(Versions[1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,8 +267,11 @@ func TestStressWorkloadHealthy(t *testing.T) {
 func TestTreeDistinctVersions(t *testing.T) {
 	for _, v := range Versions {
 		tr := Tree(v)
-		if tr.Version != v {
-			t.Errorf("tree version %q", tr.Version)
+		if tr.Version() != v {
+			t.Errorf("tree version %q", tr.Version())
+		}
+		if Tree(v) != tr {
+			t.Errorf("%s: a second Tree call assembled a second tree", v)
 		}
 		if len(tr.Units()) < 60 {
 			t.Errorf("%s: only %d units", v, len(tr.Units()))

@@ -54,21 +54,17 @@ func (t StageTimings) Total() time.Duration {
 	return t.Build + t.Boot + t.Create + t.RunPre + t.Apply + t.Stress + t.Undo
 }
 
-// CacheStats attributes build-cache and differ activity to one Run: unit
-// compiles served from the artifact store's memory and disk tiers vs.
-// compiled, whole-tree build memo hits, kernel link cache hits per tier,
-// store-level eviction/persistence activity, and how many pre/post unit
-// comparisons the differ short-circuited by fingerprint instead of
-// walking byte-for-byte. Like StageTimings these are measurements, not
-// results: a second run in the same process sees warmer caches, and
-// concurrent runs share the process-wide counters, so the numbers are
-// excluded from the deterministic tables.
+// CacheStats attributes build-cache activity to one Run: unit compiles
+// served from the artifact store's memory and disk tiers vs. compiled,
+// whole-tree build memo hits, kernel link cache hits per tier, and
+// store-level eviction/persistence activity. Like StageTimings these are
+// measurements, not results: a second run in the same process sees
+// warmer caches, and concurrent runs share the process-wide counters, so
+// the numbers are excluded from the deterministic tables.
 type CacheStats struct {
 	UnitHits, UnitDiskHits, UnitMisses uint64 // per-unit compile cache, by tier
 	BuildHits, BuildMisses             uint64 // whole-tree build memo
 	LinkHits, LinkDiskHits, LinkMisses uint64 // kernel image link cache, by tier
-	FingerprintSkips                   uint64 // differ short-circuits (pointer/fingerprint)
-	DeepCompares                       uint64 // differ full byte-for-byte walks
 
 	// Store-level activity: LRU evictions, artifacts persisted to disk
 	// (count and payload bytes), corrupt disk entries demoted to misses.
@@ -83,12 +79,10 @@ type CacheStats struct {
 
 func cacheSnapshot() CacheStats {
 	sc := srctree.Counters()
-	dc := core.DiffStats()
 	return CacheStats{
 		UnitHits: sc.UnitHits, UnitDiskHits: sc.UnitDiskHits, UnitMisses: sc.UnitMisses,
 		BuildHits: sc.BuildHits, BuildMisses: sc.BuildMisses,
 		LinkHits: sc.LinkHits, LinkDiskHits: sc.LinkDiskHits, LinkMisses: sc.LinkMisses,
-		FingerprintSkips: dc.FingerprintSkips, DeepCompares: dc.DeepCompares,
 		StoreEvictions: sc.Store.Evictions, StoreDiskWrites: sc.Store.DiskWrites,
 		StoreDiskWriteBytes: sc.Store.DiskWriteBytes, StoreDiskErrors: sc.Store.DiskErrors,
 		StoreMemBytes: sc.Store.MemBytes, StoreMemEntries: sc.Store.MemEntries,
@@ -102,8 +96,6 @@ func (c CacheStats) sub(b CacheStats) CacheStats {
 		BuildHits:  c.BuildHits - b.BuildHits, BuildMisses: c.BuildMisses - b.BuildMisses,
 		LinkHits: c.LinkHits - b.LinkHits, LinkDiskHits: c.LinkDiskHits - b.LinkDiskHits,
 		LinkMisses:          c.LinkMisses - b.LinkMisses,
-		FingerprintSkips:    c.FingerprintSkips - b.FingerprintSkips,
-		DeepCompares:        c.DeepCompares - b.DeepCompares,
 		StoreEvictions:      c.StoreEvictions - b.StoreEvictions,
 		StoreDiskWrites:     c.StoreDiskWrites - b.StoreDiskWrites,
 		StoreDiskWriteBytes: c.StoreDiskWriteBytes - b.StoreDiskWriteBytes,

@@ -26,24 +26,23 @@ func TestRandomizedPatchPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260705))
 	version := cvedb.Versions[3]
 	tree := cvedb.Tree(version)
-	k, err := kernel.Boot(kernel.Config{Tree: tree})
+	k, err := kernel.Boot(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := core.NewManager(k)
 
-	// Files with padding functions (they contain "acc += NNN;" lines).
+	// Units with padding functions (they contain "acc += NNN;" lines),
+	// in Units' sorted order so the RNG is deterministic.
 	var candidates []string
-	for path, src := range tree.Files {
-		if strings.Contains(src, "_stats(int x)") {
+	for _, path := range tree.Units() {
+		if src, _ := tree.File(path); strings.Contains(src, "_stats(int x)") {
 			candidates = append(candidates, path)
 		}
 	}
 	if len(candidates) < 10 {
 		t.Fatalf("only %d padding files", len(candidates))
 	}
-	// Deterministic order for the RNG.
-	sortStrings(candidates)
 
 	// Baseline probe results for a sample of CVEs.
 	sample := cvedb.ForVersion(version)[:6]
@@ -62,11 +61,12 @@ func TestRandomizedPatchPipeline(t *testing.T) {
 	}
 	for i := 0; i < iterations; i++ {
 		path := candidates[rng.Intn(len(candidates))]
-		patched, changed := mutateStats(tree.Files[path], rng)
+		src, _ := tree.File(path)
+		patched, changed := mutateStats(src, rng)
 		if changed == 0 {
 			continue
 		}
-		patch := diffutil.DiffFiles(path, tree.Files[path], patched)
+		patch := diffutil.DiffFiles(path, src, patched)
 		u, err := core.CreateUpdate(tree, patch, core.CreateOptions{Name: fmt.Sprintf("fuzz-%d", i)})
 		if err != nil {
 			t.Fatalf("iter %d (%s): create: %v", i, path, err)
@@ -121,14 +121,4 @@ func mutateStats(src string, rng *rand.Rand) (string, int) {
 		}
 	}
 	return strings.Join(lines, "\n"), changed
-}
-
-func sortStrings(s []string) {
-	for i := 0; i < len(s); i++ {
-		for j := i + 1; j < len(s); j++ {
-			if s[j] < s[i] {
-				s[i], s[j] = s[j], s[i]
-			}
-		}
-	}
 }

@@ -192,8 +192,7 @@ func (r *Result) TimingsTable() string {
 // CacheTable summarizes the incremental-build machinery's effectiveness
 // during this run: how many unit compiles were served from the artifact
 // store (split by memory and disk tier — misses are real recompiles),
-// how often whole builds and links were memoized, how many pre/post unit
-// comparisons the differ skipped by fingerprint, and the store's own
+// how often whole builds and links were memoized, and the store's own
 // eviction/persistence activity. Like the timings, these are
 // measurements of this run (warm caches in the same process raise the
 // rates) and are excluded from the deterministic tables.
@@ -213,13 +212,6 @@ func (r *Result) CacheTable() string {
 	row("unit compile cache", c.UnitHits, c.UnitDiskHits, c.UnitMisses)
 	row("tree build memo", c.BuildHits, 0, c.BuildMisses)
 	row("kernel link cache", c.LinkHits, c.LinkDiskHits, c.LinkMisses)
-	if total := c.FingerprintSkips + c.DeepCompares; total == 0 {
-		fmt.Fprintf(&sb, "  %-28s %8s\n", "diff fingerprint skips", "unused")
-	} else {
-		fmt.Fprintf(&sb, "  %-28s %8d of %-8d (%.1f%% hit)\n",
-			"diff fingerprint skips", c.FingerprintSkips, total,
-			100*float64(c.FingerprintSkips)/float64(total))
-	}
 	fmt.Fprintf(&sb, "  %-28s %8d evictions, %d disk writes (%s), %d disk errors\n",
 		"artifact store", c.StoreEvictions, c.StoreDiskWrites,
 		byteCount(c.StoreDiskWriteBytes), c.StoreDiskErrors)
@@ -275,7 +267,7 @@ func VerifyInliningCensus() ([]string, error) {
 				if len(callers) == 0 {
 					continue
 				}
-				if functionSourceChanged(tree.Files[path], fixedContent, name) {
+				if src, _ := tree.File(path); functionSourceChanged(src, fixedContent, name) {
 					inlinedSomewhere = true
 				}
 			}

@@ -334,7 +334,7 @@ func New(cfg Config) (*Orchestrator, error) {
 
 		// Template kernel: booted once through the artifact store; every
 		// member of this release clones it instead of re-booting.
-		k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(rel)})
+		k, err := kernel.Boot(cvedb.Tree(rel))
 		if err != nil {
 			o.Close()
 			return nil, fmt.Errorf("fleet: booting %s: %w", rel, err)

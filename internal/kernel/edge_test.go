@@ -27,7 +27,7 @@ int hog(void) {
 	return -1;
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("heap", files)})
+	k, err := Boot(srctree.New("heap", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ int doublefree(void) {
 	return 0;
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("df", files)})
+	k, err := Boot(srctree.New("df", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ void speak(void) {
 	printk("rld\n");
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("con", files)})
+	k, err := Boot(srctree.New("con", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ void speak(void) {
 func TestModuleTooLargeRejected(t *testing.T) {
 	files := Lib()
 	files["m.mc"] = `int probe_target(void) { return 1; }`
-	k, err := Boot(Config{Tree: srctree.New("big", files)})
+	k, err := Boot(srctree.New("big", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ int forever(void) {
 	return 0;
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("fv", files)})
+	k, err := Boot(srctree.New("fv", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ int forever(void) {
 func TestStackRecycling(t *testing.T) {
 	files := Lib()
 	files["m.mc"] = `int quick(void) { return 7; }`
-	k, err := Boot(Config{Tree: srctree.New("sr", files)})
+	k, err := Boot(srctree.New("sr", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ int fold(int n) {
 	return acc;
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("dec", files)})
+	k, err := Boot(srctree.New("dec", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +198,14 @@ int fold(int n) {
 func TestBootRejectsBrokenTree(t *testing.T) {
 	files := Lib()
 	files["bad.mc"] = "int broken("
-	if _, err := Boot(Config{Tree: srctree.New("bad", files)}); err == nil {
+	if _, err := Boot(srctree.New("bad", files)); err == nil {
 		t.Error("broken tree booted")
 	}
 	// Duplicate global across units.
 	files = Lib()
 	files["a.mc"] = "int dup(void) { return 1; }"
 	files["b.mc"] = "int dup(void) { return 2; }"
-	if _, err := Boot(Config{Tree: srctree.New("dup", files)}); err == nil {
+	if _, err := Boot(srctree.New("dup", files)); err == nil {
 		t.Error("duplicate global booted")
 	}
 }
@@ -243,12 +243,12 @@ func TestKernelBuildOptionsPreserved(t *testing.T) {
 func TestBootGoesThroughStore(t *testing.T) {
 	files := Lib()
 	files["m.mc"] = `int twice(int x) { return x * 2; }`
-	k1, err := Boot(Config{Tree: srctree.New("store-boot", files)})
+	k1, err := Boot(srctree.New("store-boot", files))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c0 := srctree.Counters()
-	k2, err := Boot(Config{Tree: srctree.New("store-boot", files)})
+	k2, err := Boot(srctree.New("store-boot", files))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,19 +175,14 @@ func (k *Kernel) initMetrics() {
 // Metrics returns the kernel's telemetry registry.
 func (k *Kernel) Metrics() *telemetry.Registry { return k.met }
 
-// Config configures Boot.
-type Config struct {
-	Tree *srctree.Tree
-}
-
 // Boot builds the tree with codegen.KernelBuild() — whole-.text units,
 // branch relaxation, inlining: a distributor's kernel — and links the
 // image, both through the artifact store, then starts a kernel with
 // BootImage. A second Boot of the same tree content compiles and links
 // nothing. If the tree defines a unique global function "kinit", it
 // runs to completion on a bootstrap thread before Boot returns.
-func Boot(cfg Config) (*Kernel, error) {
-	br, err := srctree.BuildCached(cfg.Tree, codegen.KernelBuild())
+func Boot(t *srctree.Tree) (*Kernel, error) {
+	br, err := srctree.BuildCached(t, codegen.KernelBuild())
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +210,7 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 		Image:    im,
 		Syms:     NewSymTab(im),
 		Build:    br,
-		Version:  br.Tree.Version,
+		Version:  br.Tree.Version(),
 		taskOf:   map[*vm.Thread]*Task{},
 		modules:  map[string]*Module{},
 		shadows:  map[shadowKey]uint32{},

@@ -89,7 +89,7 @@ int badsyscall(void) {
 
 func bootTest(t *testing.T) *Kernel {
 	t.Helper()
-	k, err := Boot(Config{Tree: testTree()})
+	k, err := Boot(testTree())
 	if err != nil {
 		t.Fatalf("boot: %v", err)
 	}
@@ -332,7 +332,7 @@ func TestAmbiguityCensus(t *testing.T) {
 	files["a.mc"] = `static int debug = 1; int fa(void) { return debug; }`
 	files["b.mc"] = `static int debug = 2; int fb(void) { return debug; }`
 	files["c.mc"] = `int unique_c = 3; int fc(void) { return unique_c; }`
-	k, err := Boot(Config{Tree: srctree.New("amb", files)})
+	k, err := Boot(srctree.New("amb", files))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +389,7 @@ int attach_and_use(void) {
 	return v;
 }
 `
-	k, err := Boot(Config{Tree: srctree.New("sh", files)})
+	k, err := Boot(srctree.New("sh", files))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ package obj
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // SectionKind classifies a section for segment layout.
@@ -161,11 +160,6 @@ type File struct {
 	Compiler string
 	Sections []*Section
 	Symbols  []*Symbol
-
-	// Fingerprint memoization (see Fingerprint). Embedding the Once makes
-	// File non-copyable by value; every user passes *File already.
-	fpOnce sync.Once
-	fp     string
 }
 
 // Section returns the section with the given name, or nil.

@@ -154,7 +154,7 @@ func (st *State) Tree() (*srctree.Tree, error) {
 // (srctree.UseDiskStore) a replay in a fresh process reuses the compiled
 // units and linked image an earlier tool run left behind.
 func (st *State) Replay() (*kernel.Kernel, *core.Manager, error) {
-	k, err := kernel.Boot(kernel.Config{Tree: cvedb.Tree(st.Version)})
+	k, err := kernel.Boot(cvedb.Tree(st.Version))
 	if err != nil {
 		return nil, nil, err
 	}

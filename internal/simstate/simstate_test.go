@@ -127,7 +127,8 @@ func TestReplayLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for p := range c.Fixed {
-		if tree2.Files[p] == tree.Files[p] {
+		got, _ := tree2.File(p)
+		if base, _ := tree.File(p); got == base {
 			t.Errorf("previously-patched tree does not include the fix in %s", p)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"strings"
@@ -24,42 +25,47 @@ import (
 	"gosplice/internal/store"
 )
 
-// Tree is an in-memory source tree.
+// Tree is an immutable in-memory source tree. Its files are reachable
+// only through File, so a tree that has been built is exactly the tree
+// its objects were compiled from; Patch derives a new tree instead of
+// editing one in place.
 type Tree struct {
-	// Files maps tree-relative paths to contents.
-	Files map[string]string
-	// Version labels the kernel release this tree builds (shown by tools
-	// and recorded in machine images).
-	Version string
+	files   map[string]string
+	version string
+	hash    func() string
 }
 
-// New creates a tree from a file map.
+// New creates a tree from a copy of a file map: later edits to files
+// do not reach the tree.
 func New(version string, files map[string]string) *Tree {
-	return &Tree{Files: files, Version: version}
+	return newTree(version, maps.Clone(files))
 }
 
-// Clone deep-copies the tree.
-func (t *Tree) Clone() *Tree {
-	files := make(map[string]string, len(t.Files))
-	for k, v := range t.Files {
-		files[k] = v
-	}
-	return &Tree{Files: files, Version: t.Version}
+// newTree wraps a file map the caller hands over and never touches again.
+func newTree(version string, files map[string]string) *Tree {
+	t := &Tree{files: files, version: version}
+	t.hash = sync.OnceValue(t.computeHash)
+	return t
+}
+
+// Version labels the kernel release this tree builds (shown by tools
+// and recorded in machine images).
+func (t *Tree) Version() string { return t.version }
+
+// File returns the contents of the file at a tree-relative path.
+func (t *Tree) File(path string) (string, bool) {
+	s, ok := t.files[path]
+	return s, ok
 }
 
 // Provider adapts the tree for the MiniC lexer's #include resolution.
-func (t *Tree) Provider() minic.FileProvider {
-	return func(path string) (string, bool) {
-		s, ok := t.Files[path]
-		return s, ok
-	}
-}
+func (t *Tree) Provider() minic.FileProvider { return t.File }
 
 // Units returns the tree's compilation unit paths in sorted order:
 // every .mc and .mcs file. Headers (.h) are only reached via #include.
 func (t *Tree) Units() []string {
 	var out []string
-	for p := range t.Files {
+	for p := range t.files {
 		if strings.HasSuffix(p, ".mc") || strings.HasSuffix(p, ".mcs") {
 			out = append(out, p)
 		}
@@ -70,20 +76,23 @@ func (t *Tree) Units() []string {
 
 // Hash returns a content hash of the tree: version plus every path and
 // file body. Builds are bit-for-bit deterministic for a (tree, options)
-// pair, so the hash is a sound cache key for build artifacts.
-func (t *Tree) Hash() string {
+// pair, so the hash is a sound cache key for build artifacts. The tree
+// is immutable, so the hash is computed once.
+func (t *Tree) Hash() string { return t.hash() }
+
+func (t *Tree) computeHash() string {
 	h := sha256.New()
-	h.Write([]byte(t.Version))
+	h.Write([]byte(t.version))
 	h.Write([]byte{0})
-	var paths []string
-	for p := range t.Files {
+	paths := make([]string, 0, len(t.files))
+	for p := range t.files {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
 	for _, p := range paths {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
-		h.Write([]byte(t.Files[p]))
+		h.Write([]byte(t.files[p]))
 		h.Write([]byte{0})
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -95,11 +104,11 @@ func (t *Tree) Patch(patchText string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	files, err := p.Apply(t.Files)
+	files, err := p.Apply(t.files)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{Files: files, Version: t.Version}, nil
+	return newTree(t.version, files), nil
 }
 
 // ParseUnit parses and checks one compilation unit (MiniC only).
@@ -116,12 +125,10 @@ func (t *Tree) ParseUnit(path string) (*minic.Unit, error) {
 
 // BuildResult is the object code produced by compiling a tree.
 type BuildResult struct {
+	// Tree is the tree the objects were compiled from; it is immutable,
+	// so its hash keys the linked image.
 	Tree    *Tree
 	Options codegen.Options
-	// TreeHash is Tree.Hash() as it was when the objects were built: the
-	// linked image is filed under it, so editing Tree afterwards cannot
-	// file these objects' image under the edited content.
-	TreeHash string
 	// Objects holds one object file per unit, in Units() order.
 	Objects []*obj.File
 }
@@ -177,7 +184,7 @@ func build(t *Tree, opts codegen.Options) (*BuildResult, error) {
 
 func buildUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
 	if strings.HasSuffix(path, ".mcs") {
-		f, err := codegen.AssembleFile(path, t.Files[path], opts)
+		f, err := codegen.AssembleFile(path, t.files[path], opts)
 		if err != nil {
 			return nil, fmt.Errorf("srctree: assemble %s: %w", path, err)
 		}
@@ -206,7 +213,7 @@ func BuildUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
 func linkKernel(br *BuildResult, base uint32) (*obj.Image, error) {
 	im, err := obj.Link(br.Objects, obj.LinkOptions{Base: base})
 	if err != nil {
-		return nil, fmt.Errorf("srctree: link kernel %s: %w", br.Tree.Version, err)
+		return nil, fmt.Errorf("srctree: link kernel %s: %w", br.Tree.version, err)
 	}
 	return im, nil
 }
@@ -231,15 +238,9 @@ func linkKernel(br *BuildResult, base uint32) (*obj.Image, error) {
 // share one build; distinct keys build in parallel. The returned
 // BuildResult is shared and must not be mutated.
 func BuildCached(t *Tree, opts codegen.Options) (*BuildResult, error) {
-	hash := t.Hash()
-	key := store.Key("build", hash, opts.CacheKey())
+	key := store.Key("build", t.Hash(), opts.CacheKey())
 	v, src, err := ActiveStore().GetOrFill(key, buildKind, func() (any, error) {
-		br, err := build(t, opts)
-		if err != nil {
-			return nil, err
-		}
-		br.TreeHash = hash
-		return br, nil
+		return build(t, opts)
 	})
 	count(src, buildHits, buildHits, buildMisses)
 	if err != nil {
@@ -254,7 +255,7 @@ func BuildCached(t *Tree, opts codegen.Options) (*BuildResult, error) {
 // machine memory. With a disk-backed store, images written by one
 // process are linked exactly once across every later process.
 func LinkKernelCached(br *BuildResult, base uint32) (*obj.Image, error) {
-	key := store.Key("image", br.TreeHash, br.Options.CacheKey(), fmt.Sprintf("base=%#x", base))
+	key := store.Key("image", br.Tree.Hash(), br.Options.CacheKey(), fmt.Sprintf("base=%#x", base))
 	v, src, err := ActiveStore().GetOrFill(key, imageKind, func() (any, error) {
 		return linkKernel(br, base)
 	})

@@ -60,12 +60,41 @@ func TestBuildAndLink(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
+// TestNewCopiesFiles: a tree owns a copy of the map it was made from,
+// so a later edit to the caller's map changes neither its files nor its
+// hash. Images are keyed by the tree's hash; this is what keeps a built
+// tree's image from being served for edited content.
+func TestNewCopiesFiles(t *testing.T) {
+	files := map[string]string{"f.mc": "int f(void) { return 1; }\n"}
+	tr := New("v-copy", files)
+	hash := tr.Hash()
+	files["f.mc"] = "int f(void) { return 2; }\n"
+	files["g.mc"] = "int g(void) { return 3; }\n"
+	if src, _ := tr.File("f.mc"); src != "int f(void) { return 1; }\n" {
+		t.Errorf("f.mc reads %q after the caller's edit", src)
+	}
+	if _, ok := tr.File("g.mc"); ok {
+		t.Error("a file added to the caller's map appeared in the tree")
+	}
+	if got := tr.Hash(); got != hash {
+		t.Errorf("hash changed after the caller's edit: %s -> %s", hash, got)
+	}
+	if New("v-copy", files).Hash() == hash {
+		t.Error("trees of different content share a hash")
+	}
+}
+
+// TestHashComputedOnce: a tree hashes its content once; later calls
+// return the memoized hash without allocating.
+func TestHashComputedOnce(t *testing.T) {
 	tr := sample()
-	cp := tr.Clone()
-	cp.Files["a.mc"] = "int entry(void) { return 1; }\n"
-	if tr.Files["a.mc"] == cp.Files["a.mc"] {
-		t.Error("clone shares file map")
+	want := tr.Hash()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if tr.Hash() != want {
+			t.Fatal("hash changed between calls")
+		}
+	}); allocs != 0 {
+		t.Errorf("repeat Hash allocates %.0f times, want 0", allocs)
 	}
 }
 
@@ -81,11 +110,14 @@ func TestPatchTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(patched.Files["b.mc"], "x * 3") {
-		t.Errorf("patched b.mc: %q", patched.Files["b.mc"])
+	if src, _ := patched.File("b.mc"); !strings.Contains(src, "x * 3") {
+		t.Errorf("patched b.mc: %q", src)
 	}
-	if !strings.Contains(tr.Files["b.mc"], "x * 2") {
+	if src, _ := tr.File("b.mc"); !strings.Contains(src, "x * 2") {
 		t.Error("original tree mutated")
+	}
+	if patched.Version() != tr.Version() || patched.Hash() == tr.Hash() {
+		t.Errorf("patched tree: version %q, same hash %v", patched.Version(), patched.Hash() == tr.Hash())
 	}
 	if _, err := tr.Patch("garbage"); err == nil {
 		t.Error("garbage patch accepted")
@@ -117,13 +149,11 @@ func TestBuildDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sb strings.Builder
+		var s string
 		for _, f := range br.Objects {
-			if err := f.Write(&sb); err != nil {
-				t.Fatal(err)
-			}
+			s += objBytes(t, f)
 		}
-		return sb.String()
+		return s
 	}
 	if digest() != digest() {
 		t.Error("builds differ")

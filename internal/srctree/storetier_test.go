@@ -47,7 +47,7 @@ func TestUnitCacheDiskWarmStart(t *testing.T) {
 		t.Errorf("cold-process build recompiled %d units, want 0", got)
 	}
 	for i, f := range br2.Objects {
-		if f.Fingerprint() != br1.Objects[i].Fingerprint() {
+		if objBytes(t, f) != objBytes(t, br1.Objects[i]) {
 			t.Errorf("%s: disk round trip changed the object", f.SourcePath)
 		}
 	}
@@ -99,40 +99,6 @@ func TestLinkCacheDiskWarmStart(t *testing.T) {
 	}
 }
 
-// TestLinkKeyedOnBuiltContent: the linked image is filed under the
-// content the objects were built from, not the tree as it reads at link
-// time. Editing the tree between BuildCached and LinkKernelCached must
-// not leave the old objects' image to be served for the new content.
-func TestLinkKeyedOnBuiltContent(t *testing.T) {
-	useFreshStore(t)
-	opts := codegen.KernelBuild()
-	const base = 0x100000
-	tree := New("v-link-key", map[string]string{"f.mc": "int f(void) { return 1; }\n"})
-	br1, err := BuildCached(tree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree.Files["f.mc"] = "int f(void) { return 2; }\n"
-	if _, err := LinkKernelCached(br1, base); err != nil {
-		t.Fatal(err)
-	}
-	br2, err := BuildCached(tree, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := LinkKernelCached(br2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := linkKernel(br2, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cached.Bytes, fresh.Bytes) {
-		t.Error("the edited tree was served the image of the objects built before the edit")
-	}
-}
-
 // TestStoreEvictionUnderPressure: under a cap far smaller than one
 // build's artifacts, the memory tier evicts continuously; builds, the
 // build memo, and the link cache all stay correct — objects may stop
@@ -171,7 +137,7 @@ func TestStoreEvictionUnderPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if br2.Object(path).Fingerprint() != fresh.Fingerprint() {
+		if objBytes(t, br2.Object(path)) != objBytes(t, fresh) {
 			t.Errorf("%s: artifact served under eviction pressure differs from a fresh compile", path)
 		}
 	}
@@ -181,10 +147,11 @@ func TestStoreEvictionUnderPressure(t *testing.T) {
 // same object list, in Units() order, for every worker count. Each
 // count builds from an empty store, so every compile really runs.
 func TestBuildParallelDeterministic(t *testing.T) {
-	tree := cacheTree("v-par")
+	files := cacheFiles()
 	for i := 0; i < 24; i++ {
-		tree.Files[fmt.Sprintf("gen%02d.mc", i)] = fmt.Sprintf("int gen%d(void) { return %d; }\n", i, i)
+		files[fmt.Sprintf("gen%02d.mc", i)] = fmt.Sprintf("int gen%d(void) { return %d; }\n", i, i)
 	}
+	tree := New("v-par", files)
 	opts := codegen.KspliceBuild()
 	units := tree.Units()
 
@@ -207,7 +174,7 @@ func TestBuildParallelDeterministic(t *testing.T) {
 			continue
 		}
 		for i, f := range br.Objects {
-			if f.Fingerprint() != want.Objects[i].Fingerprint() {
+			if objBytes(t, f) != objBytes(t, want.Objects[i]) {
 				t.Errorf("GOMAXPROCS=%d: %s differs from the single-worker build", procs, f.SourcePath)
 			}
 		}
@@ -218,9 +185,10 @@ func TestBuildParallelDeterministic(t *testing.T) {
 // count reports the same error — the first failing unit's, in Units()
 // order — so error output is reproducible too.
 func TestBuildParallelFirstError(t *testing.T) {
-	tree := cacheTree("v-par-err")
-	tree.Files["a.mc"] = "int broken("
-	tree.Files["c.mc"] = "int alsobroken("
+	files := cacheFiles()
+	files["a.mc"] = "int broken("
+	files["c.mc"] = "int alsobroken("
+	tree := New("v-par-err", files)
 	opts := codegen.KspliceBuild()
 
 	var want string

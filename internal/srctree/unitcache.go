@@ -240,7 +240,7 @@ func unitHash(t *Tree, path string) string {
 		seen[p] = true
 		h.Write([]byte(p))
 		h.Write([]byte{0})
-		src, ok := t.Files[p]
+		src, ok := t.files[p]
 		if !ok {
 			h.Write([]byte{1})
 			return

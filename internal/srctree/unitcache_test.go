@@ -7,20 +7,35 @@ import (
 	"testing"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/obj"
 	"gosplice/internal/store"
 )
 
-// cacheTree returns a tree whose versions differ only in content, so
-// unit-cache keys depend purely on file bytes and options.
-func cacheTree(version string) *Tree {
-	return New(version, map[string]string{
+// cacheFiles returns a fresh copy of the unit-cache tests' source files.
+func cacheFiles() map[string]string {
+	return map[string]string{
 		"defs.h":  "#define LIMIT 4\nint helper(int x);\n",
 		"deep.h":  "#include \"defs.h\"\n#define DEEP 1\n",
 		"a.mc":    "#include \"deep.h\"\nint entry(int x) { return helper(x) + LIMIT + DEEP; }\n",
 		"b.mc":    "int helper(int x) { return x * 2; }\n",
 		"c.mc":    "int lone(void) { return 9; }\n",
 		"asm.mcs": ".global araw\n.func araw\n ret\n.endfunc\n",
-	})
+	}
+}
+
+// cacheTree returns a tree whose versions differ only in content, so
+// unit-cache keys depend purely on file bytes and options.
+func cacheTree(version string) *Tree { return New(version, cacheFiles()) }
+
+// objBytes returns an object file's SOF serialization: two objects are
+// equivalent exactly when their serializations are equal.
+func objBytes(t testing.TB, f *obj.File) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := f.Write(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }
 
 // useFreshStore installs an empty memory store for the rest of the test,
@@ -41,8 +56,9 @@ func TestUnitCacheSharesUnchangedUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := base.Clone()
-	patched.Files["b.mc"] = "int helper(int x) { return x * 3; }\n"
+	files := cacheFiles()
+	files["b.mc"] = "int helper(int x) { return x * 3; }\n"
+	patched := New("v-cache-share", files)
 	br2, err := build(patched, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +69,7 @@ func TestUnitCacheSharesUnchangedUnits(t *testing.T) {
 			if o1 == o2 {
 				t.Errorf("%s: patched unit served from cache", path)
 			}
-			if o1.Fingerprint() == o2.Fingerprint() {
+			if objBytes(t, o1) == objBytes(t, o2) {
 				t.Errorf("%s: patched unit compiled to identical object", path)
 			}
 			// The recompiled object must agree with an uncached compile
@@ -62,7 +78,7 @@ func TestUnitCacheSharesUnchangedUnits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if o2.Fingerprint() != fresh.Fingerprint() {
+			if objBytes(t, o2) != objBytes(t, fresh) {
 				t.Errorf("%s: cached compile differs from fresh compile", path)
 			}
 			continue
@@ -83,8 +99,9 @@ func TestUnitCacheHeaderInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	patched := base.Clone()
-	patched.Files["defs.h"] = "#define LIMIT 5\nint helper(int x);\n"
+	files := cacheFiles()
+	files["defs.h"] = "#define LIMIT 5\nint helper(int x);\n"
+	patched := New("v-cache-hdr", files)
 	br2, err := build(patched, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -159,11 +176,10 @@ func TestUnitCacheKeySensitivity(t *testing.T) {
 // resulting object agrees with a fresh uncached compile. Run under -race
 // this is the data-race soak for the unit cache.
 func TestUnitCacheConcurrentBuilds(t *testing.T) {
-	base := cacheTree("v-cache-race")
 	variant := func(i int) *Tree {
-		tr := base.Clone()
-		tr.Files["c.mc"] = fmt.Sprintf("int lone(void) { return %d; }\n", i)
-		return tr
+		files := cacheFiles()
+		files["c.mc"] = fmt.Sprintf("int lone(void) { return %d; }\n", i)
+		return New("v-cache-race", files)
 	}
 	allOpts := []codegen.Options{codegen.KernelBuild(), codegen.KspliceBuild()}
 
@@ -188,7 +204,7 @@ func TestUnitCacheConcurrentBuilds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, f := range results[w].Objects {
-			if f.Fingerprint() != want.Objects[i].Fingerprint() {
+			if objBytes(t, f) != objBytes(t, want.Objects[i]) {
 				t.Errorf("worker %d: object %s differs from deterministic rebuild", w, f.SourcePath)
 			}
 		}
