@@ -9,9 +9,11 @@ test:
 	$(GO) test ./...
 
 # The strict gate: vet; a formatting guard (`gofmt -l internal cmd
-# examples *.go` must print nothing); a guard that every atomic replace in non-test
-# code goes through internal/atomicfile (no other os.Rename or
-# os.CreateTemp); a guard that non-test code fsyncs only there and in
+# examples *.go` must print nothing); a guard that every file non-test
+# code writes goes through internal/atomicfile (no other os.Rename,
+# os.CreateTemp, os.Create or os.WriteFile; the one exemption is
+# ksplice-eval's -cpuprofile, which pprof streams for the whole run); a
+# guard that non-test code fsyncs only in internal/atomicfile and in
 # the apply journal's group commit (internal/channel/state.go), so a new
 # fsync is a declared durability choice; a guard that non-test code
 # makes and installs artifact stores only in internal/srctree (tools go
@@ -50,14 +52,18 @@ test:
 # subscriber syncing over HTTP against a -fleet server and pushing its
 # spans upstream, with -check-trace required to find client and server
 # spans sharing one trace id with a parent/child link across the two
-# processes in /fleet/trace.
+# processes in /fleet/trace; and an exit-trace smoke — on a freshly
+# booted machine ksplice-undo must exit 1 and still leave a -trace-out
+# Chrome trace whose ksplice-undo span carries the "no updates applied"
+# error, and a successful ksplice-apply's trace must hold its
+# ksplice-apply span.
 # It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) and
 # FuzzDecodeManifest (manifest bytes as a subscriber receives them) for
 # 10s each.
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
-	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' || { echo "check: write files through internal/atomicfile"; exit 1; }
+	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' -e 'os\.Create(' -e 'os\.WriteFile(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^cmd/ksplice-eval/main\.go:[0-9]*:.*os\.Create(cpuPath)' || { echo "check: write files through internal/atomicfile (only the -cpuprofile stream may os.Create)"; exit 1; }
 	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
 	@! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(store\.(New|MustNew)|srctree\.SetStore)\(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/srctree/' -e '^internal/channel/blobcache\.go:' || { echo "check: make and install artifact stores only in internal/srctree (srctree.UseDiskStore) and internal/channel/blobcache.go"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
@@ -130,6 +136,17 @@ check:
 	   $$tmp/ksplice-channel -check-trace "http://$$addr/fleet/trace"; then ok=1; else ok=0; cat $$tmp/serve.log; fi; \
 	kill $$(cat $$tmp/pid) 2>/dev/null; rm -rf $$tmp; \
 	[ $$ok -eq 1 ] && echo "check: merged cross-process trace round trip OK (subscriber and server spans share one trace id)"
+	@tmp=$$(mktemp -d) && \
+	$(GO) build -o $$tmp/ ./cmd/simboot ./cmd/ksplice-create ./cmd/ksplice-apply ./cmd/ksplice-undo && \
+	$$tmp/simboot -version sim-2.6.16-deb -state $$tmp/machine.json >/dev/null && \
+	{ $$tmp/ksplice-undo -state $$tmp/machine.json -trace-out $$tmp/undo.json 2>/dev/null; [ $$? -eq 1 ]; } && \
+	grep -q '"name": "ksplice-undo"' $$tmp/undo.json && \
+	grep -q '"error": "no updates applied to this machine"' $$tmp/undo.json && \
+	$$tmp/ksplice-create -version sim-2.6.16-deb -cve CVE-2006-2451 -o $$tmp/update.tar >/dev/null && \
+	$$tmp/ksplice-apply -state $$tmp/machine.json -trace-out $$tmp/apply.json $$tmp/update.tar >/dev/null && \
+	grep -q '"name": "ksplice-apply"' $$tmp/apply.json && \
+	echo "check: failing ksplice-undo and successful ksplice-apply both leave a trace with their root span" && \
+	rm -rf $$tmp
 
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'

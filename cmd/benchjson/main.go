@@ -18,7 +18,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"gosplice/internal/atomicfile"
 )
+
+// cpOut marks the -out write: the record is regenerated from the
+// benchmark log, so it is a cache point, no fsync.
+var cpOut = atomicfile.CachePoint("cli.benchjson")
 
 // benchLine is one benchmark result. NsPerOp is pulled out of Metrics
 // because every consumer wants it; the rest (including custom units like
@@ -161,7 +167,7 @@ func main() {
 		os.Stdout.Write(enc)
 		return
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	if err := atomicfile.Write(*out, enc, 0o644, nil, cpOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

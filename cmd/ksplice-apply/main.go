@@ -17,60 +17,43 @@ import (
 	"os"
 	"path/filepath"
 
+	"gosplice/internal/cli"
 	"gosplice/internal/core"
 	"gosplice/internal/simstate"
-	"gosplice/internal/srctree"
-	"gosplice/internal/telemetry"
 )
 
 func main() {
+	rt := cli.New("ksplice-apply")
+	rt.StoreFlags()
 	statePath := flag.String("state", "machine.json", "machine state file")
 	trust := flag.Bool("trust-symtab", false, "UNSAFE: skip run-pre matching (ablation mode)")
 	stress := flag.Int("stress", 100, "post-update stress workload rounds (0 to skip)")
-	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
-	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
 	flag.Parse()
+	rt.Start()
 	if flag.NArg() != 1 {
-		fatal(fmt.Errorf("usage: ksplice-apply [-state file] update.tar"))
+		rt.Fatal(fmt.Errorf("usage: ksplice-apply [-state file] update.tar"))
 	}
 	tarPath := flag.Arg(0)
 
-	if bound, _, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
-		fatal(err)
-	} else if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", bound)
-	}
-	defer func() {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "ksplice-apply:", err)
-		}
-	}()
-
-	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
-		fatal(err)
-	}
-
 	st, err := simstate.Load(*statePath)
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 	// The replay of already-applied updates always runs fully checked;
 	// -trust-symtab (the ablation mode) affects only the new update.
 	k, mgr, err := st.Replay()
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 
 	f, err := os.Open(tarPath)
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 	u, err := core.ReadTar(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 
 	if u.Compiler != k.Build.Options.Version {
@@ -81,7 +64,7 @@ func main() {
 
 	a, err := mgr.Apply(u, core.ApplyOptions{TrustSymtab: *trust})
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 	fmt.Printf("Done!\n")
 	fmt.Printf("  update %s applied in %d attempt(s); machine stopped for %v\n",
@@ -96,10 +79,10 @@ func main() {
 	if *stress > 0 {
 		bad, err := k.Call("stress_main", int64(*stress))
 		if err != nil {
-			fatal(fmt.Errorf("stress workload: %w", err))
+			rt.Fatal(fmt.Errorf("stress workload: %w", err))
 		}
 		if bad != 0 {
-			fatal(fmt.Errorf("stress workload reported %d inconsistencies", bad))
+			rt.Fatal(fmt.Errorf("stress workload reported %d inconsistencies", bad))
 		}
 		fmt.Printf("  stress workload: %d rounds clean\n", *stress)
 	}
@@ -110,11 +93,7 @@ func main() {
 	}
 	st.Updates = append(st.Updates, rel)
 	if err := st.Save(*statePath); err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ksplice-apply:", err)
-	os.Exit(1)
+	rt.Exit(0)
 }

@@ -46,15 +46,17 @@ import (
 
 	"gosplice/internal/atomicfile"
 	"gosplice/internal/channel"
+	"gosplice/internal/cli"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
 	_ "gosplice/internal/eval" // expose the gosplice_eval_* families on /metrics
 	"gosplice/internal/simstate"
-	"gosplice/internal/srctree"
 	"gosplice/internal/telemetry"
 )
 
 func main() {
+	rt := cli.New("ksplice-channel")
+	rt.StoreFlags()
 	publish := flag.Bool("publish", false, "publish updates into the channel")
 	subscribe := flag.Bool("subscribe", false, "apply the channel's missing updates to a machine")
 	serve := flag.Bool("serve", false, "serve the channel directory over HTTP")
@@ -66,93 +68,81 @@ func main() {
 	statePath := flag.String("state", "machine.json", "machine state file (subscribe)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request HTTP timeout (subscribe -url)")
 	retries := flag.Int("retries", 4, "HTTP retries per fetch, with exponential backoff (subscribe -url)")
-	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
 	scrape := flag.String("scrape", "", "fetch this /metrics URL, validate the exposition, and summarise it")
 	keygen := flag.String("keygen", "", "generate an ed25519 signing key pair at this path (and .pub) and exit")
 	signKey := flag.String("sign-key", "", "sign published manifests with this ed25519 key file (publish)")
 	verifyKey := flag.String("verify-key", "", "refuse manifests not signed by this public key file (subscribe)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this extra address (host:0 picks a port); -serve exposes them on -addr regardless")
-	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
 	fleetAgg := flag.Bool("fleet", false, "serve: also aggregate pushed fleet telemetry (/fleet/report, /fleet/health, /fleet/trace)")
 	pushReport := flag.String("push-report", "", "subscribe: push this machine's telemetry snapshot and spans to this /fleet/report URL after syncing")
 	checkTrace := flag.String("check-trace", "", "fetch this /fleet/trace URL and verify it is a merged cross-process trace")
 	flag.Parse()
+	rt.Start()
 
 	// GOSPLICE_CRASH=label[:N] schedules a simulated process death at the
 	// Nth hit of a labeled persistence crash point — the knob the
 	// crash-recovery smoke test uses to kill a subscriber mid-apply. The
 	// death is an uncaught panic, a kill rather than a graceful exit, so
 	// whatever the state dir holds at that instant is what recovery sees.
-	if plan, err := crashpoint.FromEnv(os.Getenv("GOSPLICE_CRASH")); err != nil {
-		fatal(err)
+	plan, err := crashpoint.FromEnv(os.Getenv("GOSPLICE_CRASH"))
+	if err != nil {
+		rt.Fatal(err)
 	} else if plan != nil {
 		crashpoint.SetGlobal(plan.Hook())
 	}
 
-	if bound, _, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
-		fatal(err)
-	} else if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", bound)
-	}
-	defer func() {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "ksplice-channel:", err)
-		}
-	}()
-
-	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
-		fatal(err)
-	}
-
 	switch {
 	case *keygen != "":
-		doKeygen(*keygen)
+		err = doKeygen(*keygen)
 	case *publish:
-		doPublish(*dir, *version, *cveID, *signKey)
+		err = doPublish(*dir, *version, *cveID, *signKey)
 	case *serve:
-		doServe(*dir, *addr, *fleetAgg)
+		err = doServe(*dir, *addr, *fleetAgg)
 	case *subscribe:
-		doSubscribe(*dir, *url, *statePath, *verifyKey, *timeout, *retries, *pushReport)
+		err = doSubscribe(*dir, *url, *statePath, *verifyKey, *timeout, *retries, *pushReport)
 	case *scrape != "":
-		doScrape(*scrape, *timeout)
+		err = doScrape(*scrape, *timeout)
 	case *checkTrace != "":
-		doCheckTrace(*checkTrace, *timeout)
+		err = doCheckTrace(*checkTrace, *timeout)
 	default:
-		fatal(fmt.Errorf("need -keygen, -publish, -serve, -subscribe, -scrape, or -check-trace"))
+		err = fmt.Errorf("need -keygen, -publish, -serve, -subscribe, -scrape, or -check-trace")
 	}
+	if err != nil {
+		rt.Fatal(err)
+	}
+	rt.Exit(0)
 }
 
-func doKeygen(path string) {
+func doKeygen(path string) error {
 	k, err := channel.GenerateSignKey()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := channel.WriteSignKey(path, k); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("wrote signing key %s (mode 0600) and public key %s.pub\n", path, path)
 	fmt.Printf("public key: %s\n", k.PublicHex())
+	return nil
 }
 
-func doPublish(dir, version, cveID, signKeyPath string) {
+func doPublish(dir, version, cveID, signKeyPath string) error {
 	if version == "" {
-		fatal(fmt.Errorf("-publish needs -version"))
+		return fmt.Errorf("-publish needs -version")
 	}
 	pub, err := channel.NewPublisher(dir, cvedb.Tree(version))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if signKeyPath != "" {
 		if pub.SignKey, err = channel.LoadSignKey(signKeyPath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	var cves []*cvedb.CVE
 	if cveID != "" {
 		c, ok := cvedb.ByID(cveID)
 		if !ok {
-			fatal(fmt.Errorf("unknown CVE %q", cveID))
+			return fmt.Errorf("unknown CVE %q", cveID)
 		}
 		cves = append(cves, c)
 	} else {
@@ -161,7 +151,7 @@ func doPublish(dir, version, cveID, signKeyPath string) {
 	for _, c := range cves {
 		u, err := pub.Publish("ksplice-"+c.ID, c.ID, c.Patch())
 		if err != nil {
-			fatal(fmt.Errorf("publishing %s: %w", c.ID, err))
+			return fmt.Errorf("publishing %s: %w", c.ID, err)
 		}
 		extra := ""
 		if u.HasHooks() {
@@ -170,18 +160,19 @@ func doPublish(dir, version, cveID, signKeyPath string) {
 		fmt.Printf("published %s: %d-line patch, replaces %v%s\n",
 			u.Name, u.PatchLines, u.PatchedFuncs(), extra)
 	}
+	return nil
 }
 
-func doServe(dir, addr string, fleetAgg bool) {
+func doServe(dir, addr string, fleetAgg bool) error {
 	m, err := channel.ReadManifest(dir)
 	if err != nil {
-		fatal(fmt.Errorf("cannot serve %s: %w", dir, err))
+		return fmt.Errorf("cannot serve %s: %w", dir, err)
 	}
 	// Listen before announcing, so :0 prints the port actually bound and
 	// a supervisor (or the make-check smoke test) can scrape immediately.
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	srv := channel.NewServer(dir)
 	if fleetAgg {
@@ -191,9 +182,7 @@ func doServe(dir, addr string, fleetAgg bool) {
 	}
 	fmt.Printf("serving %s (%s, %d updates) on %s\n", dir, m.KernelVersion, len(m.Updates), ln.Addr())
 	fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
-	if err := http.Serve(ln, srv); err != nil {
-		fatal(err)
-	}
+	return http.Serve(ln, srv)
 }
 
 // doCheckTrace fetches a merged Chrome trace (a /fleet/trace URL, or a
@@ -201,47 +190,48 @@ func doServe(dir, addr string, fleetAgg bool) {
 // cross-process: at least one trace id spanning two processes with a
 // parent/child link across them. This is the make-check smoke's proof
 // that client and server spans joined one distributed trace.
-func doCheckTrace(url string, timeout time.Duration) {
+func doCheckTrace(url string, timeout time.Duration) error {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(url)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("check-trace %s: server returned %s", url, resp.Status))
+		return fmt.Errorf("check-trace %s: server returned %s", url, resp.Status)
 	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	chk, err := telemetry.CheckMergedTrace(b)
 	if err != nil {
-		fatal(fmt.Errorf("check-trace %s: %w", url, err))
+		return fmt.Errorf("check-trace %s: %w", url, err)
 	}
 	fmt.Printf("checked %s: %d spans across processes %s; %d cross-process trace(s) with parent/child links\n",
 		url, chk.Spans, strings.Join(chk.Procs, ", "), len(chk.CrossTraces))
+	return nil
 }
 
 // doScrape fetches a serving channel's /metrics, validates the
 // exposition, and summarises the families it carries — the operator-side
 // check that a fleet's update server is observable.
-func doScrape(url string, timeout time.Duration) {
+func doScrape(url string, timeout time.Duration) error {
 	client := &http.Client{Timeout: timeout}
 	resp, err := client.Get(url)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		fatal(fmt.Errorf("scrape %s: server returned %s", url, resp.Status))
+		return fmt.Errorf("scrape %s: server returned %s", url, resp.Status)
 	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if err := telemetry.ValidateExposition(b); err != nil {
-		fatal(fmt.Errorf("scrape %s: invalid exposition: %w", url, err))
+		return fmt.Errorf("scrape %s: invalid exposition: %w", url, err)
 	}
 	families := map[string]int{}
 	for _, line := range strings.Split(string(b), "\n") {
@@ -269,12 +259,13 @@ func doScrape(url string, timeout time.Duration) {
 		}
 	}
 	if len(missing) > 0 {
-		fatal(fmt.Errorf("scrape %s: exposition lacks %s", url, strings.Join(missing, ", ")))
+		return fmt.Errorf("scrape %s: exposition lacks %s", url, strings.Join(missing, ", "))
 	}
 	fmt.Printf("scraped %s: valid exposition, %d families (store, channel, and eval all present)\n", url, len(families))
+	return nil
 }
 
-func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duration, retries int, pushReport string) {
+func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duration, retries int, pushReport string) error {
 	// Ctrl-C cancels the subscribe cleanly: the client exits mid-backoff
 	// in milliseconds, the machine keeps the position it reached, and the
 	// state file records exactly the updates that are live.
@@ -291,7 +282,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	}
 	st, err := loadMachineState(ctx, tr, statePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	stateDir := filepath.Dir(statePath)
@@ -302,7 +293,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	}
 	if verifyKeyPath != "" {
 		if cfg.VerifyKey, err = channel.LoadVerifyKey(verifyKeyPath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	// record persists the state file after EVERY applied update, not once
@@ -323,7 +314,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 		// machine needs no network.
 		local := filepath.Join(stateDir, "channel-cache")
 		if err := os.MkdirAll(local, 0o755); err != nil {
-			fatal(err)
+			return err
 		}
 		atomicfile.SweepTemps(local, 0)
 		cfg.OnApplied = func(e channel.Entry, b []byte) error {
@@ -348,7 +339,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	}
 	cl, err := channel.NewClient(cfg)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer cl.Close()
 	// Opening the client replayed the apply journal; surface anything it
@@ -365,11 +356,11 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	// exactly as Sync would refuse it. An unreachable channel is not
 	// fatal here — the sync below degrades to the position reached.
 	if _, _, err := cl.InstallBase(ctx); err != nil && strings.Contains(err.Error(), "refusing manifest") {
-		fatal(err)
+		return err
 	}
 	_, mgr, err := st.Replay()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	before := len(st.Updates)
@@ -389,7 +380,7 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 	// every applied update is already live in the kernel.
 	if len(applied) > 0 || subErr == nil {
 		if err := st.Save(statePath); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	if subErr != nil {
@@ -397,13 +388,14 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 			fmt.Printf("machine stopped at channel position %d (%d update(s) applied this run); it keeps running and can re-subscribe later\n",
 				pe.Position, len(applied))
 		}
-		fatal(subErr)
+		return subErr
 	}
 	if len(applied) == 0 {
 		fmt.Println("machine is up to date")
-		return
+		return nil
 	}
 	fmt.Printf("machine now carries %d hot updates; zero reboots\n", len(st.Updates))
+	return nil
 }
 
 // loadMachineState reads the machine's state file. A missing file stays
@@ -436,8 +428,3 @@ func loadMachineState(ctx context.Context, tr channel.Transport, statePath strin
 // cpCacheWrite marks the channel-cache write: a subscriber killed
 // mid-write never leaves a torn tarball in its channel cache.
 var cpCacheWrite = atomicfile.Point("cli.cache.write")
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ksplice-channel:", err)
-	os.Exit(1)
-}

@@ -26,40 +26,30 @@ import (
 	"os"
 	"strings"
 
+	"gosplice/internal/atomicfile"
+	"gosplice/internal/cli"
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
 	"gosplice/internal/simstate"
 	"gosplice/internal/srctree"
-	"gosplice/internal/telemetry"
 )
 
+// cpTarball marks the -o write: the tarball is encoded in memory and
+// installed in one atomic, durable replace, so an interrupted create
+// never leaves a torn or truncated tarball.
+var cpTarball = atomicfile.Point("cli.tarball")
+
 func main() {
+	rt := cli.New("ksplice-create")
+	rt.StoreFlags()
 	statePath := flag.String("state", "", "machine state file naming the running kernel")
 	version := flag.String("version", "", "kernel release (alternative to -state)")
 	patchPath := flag.String("patch", "", "unified diff to convert into a hot update")
 	cveID := flag.String("cve", "", "use the corpus patch for this CVE")
 	out := flag.String("o", "", "output tarball (default <name>.tar)")
-	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
 	cacheStats := flag.Bool("cache-stats", false, "print artifact cache counters to stderr on exit")
-	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
-	traceOut := flag.String("trace-out", "", "write recorded spans as a Chrome trace to this file on exit")
 	flag.Parse()
-
-	if bound, _, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
-		fatal(err)
-	} else if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", bound)
-	}
-	defer func() {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "ksplice-create:", err)
-		}
-	}()
-
-	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
-		fatal(err)
-	}
+	rt.Start()
 
 	var tree *srctree.Tree
 	var err error
@@ -67,20 +57,20 @@ func main() {
 	case *statePath != "":
 		st, err2 := simstate.Load(*statePath)
 		if err2 != nil {
-			fatal(err2)
+			rt.Fatal(err2)
 		}
 		tree, err = st.Tree()
 	case *version != "":
 		st, err2 := simstate.New(*version)
 		if err2 != nil {
-			fatal(err2)
+			rt.Fatal(err2)
 		}
 		tree, err = st.Tree()
 	default:
-		fatal(fmt.Errorf("need -state or -version"))
+		rt.Fatal(fmt.Errorf("need -state or -version"))
 	}
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 
 	var patchText, name string
@@ -88,23 +78,23 @@ func main() {
 	case *patchPath != "":
 		b, err := os.ReadFile(*patchPath)
 		if err != nil {
-			fatal(err)
+			rt.Fatal(err)
 		}
 		patchText = string(b)
 	case *cveID != "":
 		c, ok := cvedb.ByID(*cveID)
 		if !ok {
-			fatal(fmt.Errorf("unknown CVE %q", *cveID))
+			rt.Fatal(fmt.Errorf("unknown CVE %q", *cveID))
 		}
 		patchText = c.Patch()
 		name = "ksplice-" + strings.ToLower(strings.TrimPrefix(c.ID, "CVE-"))
 	default:
-		fatal(fmt.Errorf("need -patch or -cve"))
+		rt.Fatal(fmt.Errorf("need -patch or -cve"))
 	}
 
 	u, err := core.CreateUpdate(tree, patchText, core.CreateOptions{Name: name})
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
 
 	if changes := u.DataInitChanges(); len(changes) > 0 && !u.HasHooks() {
@@ -117,15 +107,12 @@ func main() {
 	if path == "" {
 		path = u.Name + ".tar"
 	}
-	f, err := os.Create(path)
+	b, _, _, err := u.EncodeTar()
 	if err != nil {
-		fatal(err)
+		rt.Fatal(err)
 	}
-	if err := u.WriteTar(f); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
+	if err := atomicfile.Write(path, b, 0o644, nil, cpTarball); err != nil {
+		rt.Fatal(err)
 	}
 
 	fmt.Printf("Ksplice update tarball written to %s\n", path)
@@ -144,9 +131,5 @@ func main() {
 			c.UnitHits, c.UnitDiskHits, c.UnitMisses,
 			c.Store.DiskWrites, c.Store.Evictions, c.Store.DiskErrors)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ksplice-create:", err)
-	os.Exit(1)
+	rt.Exit(0)
 }

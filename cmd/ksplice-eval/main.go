@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -30,16 +31,29 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	"gosplice/internal/atomicfile"
+	"gosplice/internal/cli"
 	"gosplice/internal/eval"
-	"gosplice/internal/srctree"
-	"gosplice/internal/telemetry"
 )
 
-// flushTrace exports -trace-out; fatal exit paths call it so a failed
-// run still leaves its trace behind.
-var flushTrace = func() {}
+// cpMutexProfile marks the -mutexprofile dump, a diagnostic the next
+// run rewrites: a cache point, no fsync.
+var cpMutexProfile = atomicfile.CachePoint("cli.mutexprofile")
+
+// tables maps each -table name to its renderer.
+var tables = map[string]func(*eval.Result) string{
+	"headline": (*eval.Result).Headline,
+	"1":        (*eval.Result).Table1,
+	"inlining": (*eval.Result).InliningTable,
+	"symbols":  (*eval.Result).SymbolsTable,
+	"pause":    (*eval.Result).PauseTable,
+	"timings":  (*eval.Result).TimingsTable,
+	"cache":    (*eval.Result).CacheTable,
+}
 
 func main() {
+	rt := cli.New("ksplice-eval")
+	rt.StoreFlags()
 	all := flag.Bool("all", false, "print every table and figure")
 	table := flag.String("table", "", "print one table: headline, 1, inlining, symbols, pause, timings, cache")
 	figure := flag.Int("figure", 0, "print one figure (3)")
@@ -48,39 +62,30 @@ func main() {
 	stress := flag.Int("stress", 50, "stress workload rounds per update")
 	stacked := flag.Bool("stacked", false, "leave every update applied (one kernel per release accumulates all its fixes)")
 	jobs := flag.Int("j", runtime.NumCPU(), "patches evaluated concurrently (stacked mode is always sequential); the tables are identical for any -j")
-	cacheDir := flag.String("cache-dir", "", "persist build artifacts in this directory (shared across processes)")
-	cacheGC := flag.Int64("cache-gc-bytes", 0, "sweep the on-disk artifact cache down to this many bytes before running (0 = no sweep)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /debug/vars on this address while running (host:0 picks a port)")
-	traceOut := flag.String("trace-out", "", "write the run's spans as a Chrome trace (chrome://tracing) to this file on exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile of the run to this file")
 	flag.Parse()
+	rt.Start()
 
-	if !*all && *table == "" && *figure == 0 {
-		*all = true
+	var render func(*eval.Result) string
+	switch {
+	case *all || *table == "" && *figure == 0:
+		render = (*eval.Result).Report
+	case *figure == 3:
+		render = (*eval.Result).Figure3
+	default:
+		render = tables[*table]
 	}
-	if bound, _, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
-		fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-		os.Exit(1)
-	} else if bound != "" {
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", bound)
-	}
-	flushTrace = func() {
-		if err := telemetry.WriteChromeTraceFile(*traceOut, nil); err != nil {
-			fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-		}
+	if render == nil {
+		fmt.Fprintf(os.Stderr, "ksplice-eval: unknown table/figure\n")
+		rt.Exit(2)
 	}
 	stopProfiles, err := startProfiles(*cpuProfile, *mutexProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-		os.Exit(1)
+		rt.Fatal(err)
 	}
 
 	opts := eval.Options{StressRounds: *stress, KeepApplied: *stacked, Workers: *jobs, Verbose: *verbose}
-	if err := srctree.UseDiskStore(*cacheDir, *cacheGC); err != nil {
-		fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-		os.Exit(1)
-	}
 	if *verbose {
 		opts.Log = os.Stderr
 	}
@@ -92,55 +97,28 @@ func main() {
 	}
 
 	res, err := eval.Run(opts)
-	if err != nil {
-		flushTrace()
-		stopProfiles()
-		fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-		os.Exit(1)
-	}
-
-	switch {
-	case *all:
-		fmt.Print(res.Report())
-	case *figure == 3:
-		fmt.Print(res.Figure3())
-	case *table == "headline":
-		fmt.Print(res.Headline())
-	case *table == "1":
-		fmt.Print(res.Table1())
-	case *table == "inlining":
-		fmt.Print(res.InliningTable())
-	case *table == "symbols":
-		fmt.Print(res.SymbolsTable())
-	case *table == "pause":
-		fmt.Print(res.PauseTable())
-	case *table == "timings":
-		fmt.Print(res.TimingsTable())
-	case *table == "cache":
-		fmt.Print(res.CacheTable())
-	default:
-		fmt.Fprintf(os.Stderr, "ksplice-eval: unknown table/figure\n")
-		os.Exit(2)
-	}
-
-	flushTrace()
 	stopProfiles()
-	failed := 0
+	if err != nil {
+		rt.Fatal(err)
+	}
+	fmt.Print(render(res))
+
+	code := 0
 	for _, p := range res.Patches {
 		if !p.OK() {
-			failed++
+			code = 1
 			fmt.Fprintf(os.Stderr, "FAILED %s: %s\n", p.ID, p.Err)
 		}
 	}
-	if failed > 0 {
-		os.Exit(1)
-	}
+	rt.Exit(code)
 }
 
 // startProfiles turns on the requested pprof profiles and returns a
-// flush-and-close function. Mutex profiling samples every contention
-// event (fraction 1): the eval run is short and the point of the profile
-// is to see create-stage and store contention at all, not to sample it.
+// function that stops them and writes them out. Mutex profiling samples
+// every contention event (fraction 1): the eval run is short and the
+// point of the profile is to see create-stage and store contention at
+// all, not to sample it. The CPU profile streams to its file for the
+// whole run, so it is the one output not written through atomicfile.
 func startProfiles(cpuPath, mutexPath string) (stop func(), err error) {
 	var cpuF *os.File
 	if cpuPath != "" {
@@ -156,26 +134,20 @@ func startProfiles(cpuPath, mutexPath string) (stop func(), err error) {
 	if mutexPath != "" {
 		runtime.SetMutexProfileFraction(1)
 	}
-	done := false
 	return func() {
-		if done {
-			return
-		}
-		done = true
 		if cpuF != nil {
 			pprof.StopCPUProfile()
 			cpuF.Close()
 		}
 		if mutexPath != "" {
-			f, err := os.Create(mutexPath)
+			var buf bytes.Buffer
+			err := pprof.Lookup("mutex").WriteTo(&buf, 0)
+			if err == nil {
+				err = atomicfile.Write(mutexPath, buf.Bytes(), 0o644, nil, cpMutexProfile)
+			}
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-				return
 			}
-			if err := pprof.Lookup("mutex").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "ksplice-eval:", err)
-			}
-			f.Close()
 		}
 	}, nil
 }

@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -35,13 +36,19 @@ import (
 	"strings"
 	"time"
 
+	"gosplice/internal/atomicfile"
 	"gosplice/internal/channel"
+	"gosplice/internal/cli"
 	"gosplice/internal/faultinject"
 	"gosplice/internal/fleet"
-	"gosplice/internal/telemetry"
 )
 
+// cpEvents marks the -events-out write, a report the next run rewrites:
+// a cache point, no fsync.
+var cpEvents = atomicfile.CachePoint("cli.events")
+
 func main() {
+	rt := cli.New("ksplice-fleet")
 	clients := flag.Int("clients", 512, "fleet size")
 	releases := flag.String("releases", "", "comma-separated base releases (default: every corpus release)")
 	rings := flag.String("rings", "0.01,0.10,1.0", "cumulative ring fractions")
@@ -57,11 +64,10 @@ func main() {
 	maxUnhealthy := flag.Float64("max-unhealthy", 0.10, "max unhealthy fraction per ring before halting")
 	workDir := flag.String("work", "", "directory for published channels (default: a temp dir)")
 	expect := flag.String("expect", "", "assert the outcome: \"converge\" or \"halt\"")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /debug/vars, and /debug/pprof on this loopback address during the rollout")
-	traceOut := flag.String("trace-out", "", "write the merged fleet Chrome trace (member + server spans) to this file on exit")
 	eventsOut := flag.String("events-out", "", "write the rollout event timeline to this file as JSONL on exit")
 	quiet := flag.Bool("q", false, "suppress rollout narration")
 	flag.Parse()
+	rt.Start()
 
 	cfg := fleet.Config{
 		Clients:          *clients,
@@ -74,6 +80,7 @@ func main() {
 		Leaves:           *leaves,
 		KillEvery:        *killEvery,
 		StateRoot:        *stateRoot,
+		WorkDir:          *workDir,
 	}
 	if *releases != "" {
 		cfg.Releases = strings.Split(*releases, ",")
@@ -81,7 +88,7 @@ func main() {
 	for _, f := range strings.Split(*rings, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil || v <= 0 || v > 1 {
-			fatalf("bad -rings fraction %q", f)
+			rt.Fatal(fmt.Errorf("bad -rings fraction %q", f))
 		}
 		cfg.Rings = append(cfg.Rings, v)
 	}
@@ -104,57 +111,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	if *workDir == "" {
-		dir, err := os.MkdirTemp("", "ksplice-fleet-")
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer os.RemoveAll(dir)
-		*workDir = dir
-	}
-	cfg.WorkDir = *workDir
-
-	if bound, stopMetrics, err := telemetry.ServeLoopback(*metricsAddr); err != nil {
-		fatalf("%v", err)
-	} else if bound != "" {
-		defer stopMetrics()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s/metrics\n", bound)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	start := time.Now()
-	o, err := fleet.New(cfg)
+	res, err := rollout(rt, cfg)
 	if err != nil {
-		fatalf("%v", err)
-	}
-	defer o.Close()
-	fmt.Printf("fleet health: %s\n", o.HealthURL())
-
-	res, err := o.Run(ctx)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if *traceOut != "" {
-		// The merged fleet trace: every member's pushed spans plus the
-		// orchestrator process's own (rollout root, server handlers),
-		// one Chrome process lane each.
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := o.Aggregator().WriteMergedTrace(f); err != nil {
-			fatalf("trace out: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("trace out: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "fleet: merged trace written to %s (trace id %s)\n", *traceOut, res.TraceID)
+		rt.Fatal(err)
 	}
 	if *eventsOut != "" {
 		if err := writeEvents(*eventsOut, res.Events); err != nil {
-			fatalf("events out: %v", err)
+			rt.Fatal(fmt.Errorf("events out: %w", err))
 		}
 	}
 
@@ -187,45 +152,64 @@ func main() {
 		fmt.Println("fleet: rollout converged")
 	}
 
+	code := 0
 	switch *expect {
 	case "":
 		if res.Halted {
-			os.Exit(3)
+			code = 3
 		}
 	case "converge":
 		if res.Halted {
-			fatalf("expected convergence, rollout halted at ring %d", res.HaltedRing)
+			rt.Fatal(fmt.Errorf("expected convergence, rollout halted at ring %d", res.HaltedRing))
 		}
 	case "halt":
 		if !res.Halted {
-			fatalf("expected a halt, rollout converged")
+			rt.Fatal(fmt.Errorf("expected a halt, rollout converged"))
 		}
 		if res.RollbackFailures > 0 {
-			fatalf("halt rolled back with %d failures", res.RollbackFailures)
+			rt.Fatal(fmt.Errorf("halt rolled back with %d failures", res.RollbackFailures))
 		}
 	default:
-		fatalf("bad -expect %q (want converge or halt)", *expect)
+		rt.Fatal(fmt.Errorf("bad -expect %q (want converge or halt)", *expect))
 	}
+	rt.Exit(code)
+}
+
+// rollout runs cfg's canary rollout to its end, in a temp work dir it
+// removes afterwards when cfg names none, and hands rt the merged fleet
+// trace — every member's pushed spans plus this process's own (rollout
+// root, server handlers), one Chrome process lane each — for -trace-out.
+func rollout(rt *cli.Runtime, cfg fleet.Config) (*fleet.Result, error) {
+	if cfg.WorkDir == "" {
+		dir, err := os.MkdirTemp("", "ksplice-fleet-")
+		if err != nil {
+			return nil, err
+		}
+		defer os.RemoveAll(dir)
+		cfg.WorkDir = dir
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	o, err := fleet.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer o.Close()
+	rt.SetTrace(o.Aggregator().WriteMergedTrace)
+	fmt.Printf("fleet health: %s\n", o.HealthURL())
+	return o.Run(ctx)
 }
 
 // writeEvents journals the rollout timeline (Result.Events) as JSONL,
 // one event per line, oldest first.
 func writeEvents(path string, events []channel.FleetEvent) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	for _, ev := range events {
 		if err := enc.Encode(ev); err != nil {
-			f.Close()
 			return err
 		}
 	}
-	return f.Close()
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ksplice-fleet: "+format+"\n", args...)
-	os.Exit(1)
+	return atomicfile.Write(path, buf.Bytes(), 0o644, nil, cpEvents)
 }

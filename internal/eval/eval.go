@@ -54,57 +54,6 @@ func (t StageTimings) Total() time.Duration {
 	return t.Build + t.Boot + t.Create + t.RunPre + t.Apply + t.Stress + t.Undo
 }
 
-// CacheStats attributes build-cache activity to one Run: unit compiles
-// served from the artifact store's memory and disk tiers vs. compiled,
-// whole-tree build memo hits, kernel link cache hits per tier, and
-// store-level eviction/persistence activity. Like StageTimings these are
-// measurements, not results: a second run in the same process sees
-// warmer caches, and concurrent runs share the process-wide counters, so
-// the numbers are excluded from the deterministic tables.
-type CacheStats struct {
-	UnitHits, UnitDiskHits, UnitMisses uint64 // per-unit compile cache, by tier
-	BuildHits, BuildMisses             uint64 // whole-tree build memo
-	LinkHits, LinkDiskHits, LinkMisses uint64 // kernel image link cache, by tier
-
-	// Store-level activity: LRU evictions, artifacts persisted to disk
-	// (count and payload bytes), corrupt disk entries demoted to misses.
-	StoreEvictions      uint64
-	StoreDiskWrites     uint64
-	StoreDiskWriteBytes uint64
-	StoreDiskErrors     uint64
-	// Gauges at the end of the run (not deltas): bytes and entries
-	// resident in the store's memory tier.
-	StoreMemBytes, StoreMemEntries uint64
-}
-
-func cacheSnapshot() CacheStats {
-	sc := srctree.Counters()
-	return CacheStats{
-		UnitHits: sc.UnitHits, UnitDiskHits: sc.UnitDiskHits, UnitMisses: sc.UnitMisses,
-		BuildHits: sc.BuildHits, BuildMisses: sc.BuildMisses,
-		LinkHits: sc.LinkHits, LinkDiskHits: sc.LinkDiskHits, LinkMisses: sc.LinkMisses,
-		StoreEvictions: sc.Store.Evictions, StoreDiskWrites: sc.Store.DiskWrites,
-		StoreDiskWriteBytes: sc.Store.DiskWriteBytes, StoreDiskErrors: sc.Store.DiskErrors,
-		StoreMemBytes: sc.Store.MemBytes, StoreMemEntries: sc.Store.MemEntries,
-	}
-}
-
-func (c CacheStats) sub(b CacheStats) CacheStats {
-	return CacheStats{
-		UnitHits: c.UnitHits - b.UnitHits, UnitDiskHits: c.UnitDiskHits - b.UnitDiskHits,
-		UnitMisses: c.UnitMisses - b.UnitMisses,
-		BuildHits:  c.BuildHits - b.BuildHits, BuildMisses: c.BuildMisses - b.BuildMisses,
-		LinkHits: c.LinkHits - b.LinkHits, LinkDiskHits: c.LinkDiskHits - b.LinkDiskHits,
-		LinkMisses:          c.LinkMisses - b.LinkMisses,
-		StoreEvictions:      c.StoreEvictions - b.StoreEvictions,
-		StoreDiskWrites:     c.StoreDiskWrites - b.StoreDiskWrites,
-		StoreDiskWriteBytes: c.StoreDiskWriteBytes - b.StoreDiskWriteBytes,
-		StoreDiskErrors:     c.StoreDiskErrors - b.StoreDiskErrors,
-		// Gauges: keep the end-of-run values.
-		StoreMemBytes: c.StoreMemBytes, StoreMemEntries: c.StoreMemEntries,
-	}
-}
-
 // PatchResult records one vulnerability's trip through the pipeline.
 type PatchResult struct {
 	ID      string
@@ -168,9 +117,13 @@ type Result struct {
 	// Timings aggregates wall-clock cost across the whole run: the
 	// per-version build/boot work plus every patch's stages.
 	Timings StageTimings
-	// Cache attributes build-cache and differ fast-path activity to this
-	// run (a counter delta over the process-wide caches).
-	Cache CacheStats
+	// Cache attributes build-cache activity to this run: a delta of the
+	// process-wide counters, with the store's memory-tier gauges at their
+	// end-of-run values. Like Timings these are measurements, not
+	// results: a second run in the same process sees warmer caches, and
+	// concurrent runs share the counters, so they stay out of the
+	// deterministic tables.
+	Cache srctree.CacheCounters
 }
 
 // Options tunes Run.
@@ -268,7 +221,7 @@ func Run(opts Options) (*Result, error) {
 	if opts.Tracer == nil {
 		opts.Tracer = telemetry.DefaultTracer()
 	}
-	cache0 := cacheSnapshot()
+	cache0 := srctree.Counters()
 
 	// The deterministic job list: release order, then corpus order
 	// within the release.
@@ -450,7 +403,7 @@ func Run(opts Options) (*Result, error) {
 	if k, err := boots[jobs[0].version].get(opts.Tracer, jobs[0].version); err == nil {
 		res.Ambiguity = k.Syms.Ambiguity()
 	}
-	res.Cache = cacheSnapshot().sub(cache0)
+	res.Cache = srctree.Counters().Sub(cache0)
 	return res, nil
 }
 

@@ -213,10 +213,10 @@ func (r *Result) CacheTable() string {
 	row("tree build memo", c.BuildHits, 0, c.BuildMisses)
 	row("kernel link cache", c.LinkHits, c.LinkDiskHits, c.LinkMisses)
 	fmt.Fprintf(&sb, "  %-28s %8d evictions, %d disk writes (%s), %d disk errors\n",
-		"artifact store", c.StoreEvictions, c.StoreDiskWrites,
-		byteCount(c.StoreDiskWriteBytes), c.StoreDiskErrors)
+		"artifact store", c.Store.Evictions, c.Store.DiskWrites,
+		byteCount(c.Store.DiskWriteBytes), c.Store.DiskErrors)
 	fmt.Fprintf(&sb, "  %-28s %8d entries, %s resident\n",
-		"store memory tier", c.StoreMemEntries, byteCount(c.StoreMemBytes))
+		"store memory tier", c.Store.MemEntries, byteCount(c.Store.MemBytes))
 	return sb.String()
 }
 

@@ -57,7 +57,7 @@ func TestEvalDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res1.Cache.StoreDiskWrites == 0 {
+	if res1.Cache.Store.DiskWrites == 0 {
 		t.Fatalf("cold run wrote nothing to the disk tier: %+v", res1.Cache)
 	}
 
@@ -78,8 +78,8 @@ func TestEvalDiskWarmStart(t *testing.T) {
 	if c.LinkDiskHits == 0 {
 		t.Errorf("warm run relinked instead of loading the image: %+v", c)
 	}
-	if c.StoreDiskErrors != 0 {
-		t.Errorf("warm run saw %d disk errors", c.StoreDiskErrors)
+	if c.Store.DiskErrors != 0 {
+		t.Errorf("warm run saw %d disk errors", c.Store.DiskErrors)
 	}
 	if got, want := res2.Headline(), res1.Headline(); got != want {
 		t.Errorf("warm-start run changed the headline:\ncold: %swarm: %s", want, got)

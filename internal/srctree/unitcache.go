@@ -123,6 +123,28 @@ func Counters() CacheCounters {
 	}
 }
 
+// Sub returns the activity between an earlier snapshot b and c: every
+// counter is a difference, while the store's memory-tier gauges
+// (MemBytes, MemEntries) keep c's values.
+func (c CacheCounters) Sub(b CacheCounters) CacheCounters {
+	c.UnitHits -= b.UnitHits
+	c.UnitDiskHits -= b.UnitDiskHits
+	c.UnitMisses -= b.UnitMisses
+	c.BuildHits -= b.BuildHits
+	c.BuildMisses -= b.BuildMisses
+	c.LinkHits -= b.LinkHits
+	c.LinkDiskHits -= b.LinkDiskHits
+	c.LinkMisses -= b.LinkMisses
+	c.Store.MemHits -= b.Store.MemHits
+	c.Store.DiskHits -= b.Store.DiskHits
+	c.Store.Misses -= b.Store.Misses
+	c.Store.Evictions -= b.Store.Evictions
+	c.Store.DiskWrites -= b.Store.DiskWrites
+	c.Store.DiskWriteBytes -= b.Store.DiskWriteBytes
+	c.Store.DiskErrors -= b.Store.DiskErrors
+	return c
+}
+
 // count records one store outcome into a (mem, disk, miss) counter trio.
 func count(src store.Source, mem, disk, miss *telemetry.Counter) {
 	switch src {

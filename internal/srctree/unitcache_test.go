@@ -235,3 +235,14 @@ func TestScanIncludes(t *testing.T) {
 		}
 	}
 }
+
+// TestCacheCountersSub: a delta subtracts every counter, the store's
+// included, and keeps the later snapshot's memory-tier gauges.
+func TestCacheCountersSub(t *testing.T) {
+	b := CacheCounters{UnitHits: 1, LinkMisses: 2, Store: store.Stats{DiskWrites: 3, MemBytes: 100, MemEntries: 10}}
+	c := CacheCounters{UnitHits: 5, LinkMisses: 2, Store: store.Stats{DiskWrites: 7, MemBytes: 40, MemEntries: 4}}
+	want := CacheCounters{UnitHits: 4, Store: store.Stats{DiskWrites: 4, MemBytes: 40, MemEntries: 4}}
+	if got := c.Sub(b); got != want {
+		t.Errorf("Sub = %+v, want %+v", got, want)
+	}
+}

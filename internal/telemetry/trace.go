@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -657,28 +656,4 @@ func CheckMergedTrace(b []byte) (MergedTraceCheck, error) {
 		return chk, fmt.Errorf("telemetry: cross-process trace present but no parent/child link crosses a process boundary")
 	}
 	return chk, nil
-}
-
-// WriteChromeTraceFile exports tracer t (DefaultTracer when nil) to
-// path, or does nothing when path is empty — the -trace-out flag's
-// exit hook.
-func WriteChromeTraceFile(path string, t *Tracer) error {
-	if path == "" {
-		return nil
-	}
-	if t == nil {
-		t = DefaultTracer()
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: trace out: %w", err)
-	}
-	if err := t.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: trace out: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: trace out: %w", err)
-	}
-	return nil
 }

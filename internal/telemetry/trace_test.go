@@ -3,8 +3,6 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -209,30 +207,5 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 		if out.TraceEvents[i].Ts < out.TraceEvents[i-1].Ts {
 			t.Errorf("events unsorted at %d", i)
 		}
-	}
-}
-
-// TestWriteChromeTraceFile: the -trace-out exit hook writes a parseable
-// file and treats "" as a no-op.
-func TestWriteChromeTraceFile(t *testing.T) {
-	if err := WriteChromeTraceFile("", nil); err != nil {
-		t.Fatalf("empty path should be a no-op: %v", err)
-	}
-	tr := NewTracer(4)
-	tr.Start("x").End()
-	path := filepath.Join(t.TempDir(), "trace.json")
-	if err := WriteChromeTraceFile(path, tr); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out map[string]any
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatalf("trace file not JSON: %v", err)
-	}
-	if _, ok := out["traceEvents"]; !ok {
-		t.Fatalf("trace file missing traceEvents: %s", b)
 	}
 }
