@@ -33,6 +33,7 @@ import (
 
 	"gosplice/internal/atomicfile"
 	"gosplice/internal/cli"
+	"gosplice/internal/cvedb"
 	"gosplice/internal/eval"
 )
 
@@ -77,12 +78,7 @@ func main() {
 		render = tables[*table]
 	}
 	if render == nil {
-		fmt.Fprintf(os.Stderr, "ksplice-eval: unknown table/figure\n")
-		rt.Exit(2)
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *mutexProfile)
-	if err != nil {
-		rt.Fatal(err)
+		rt.Usage(fmt.Errorf("unknown table/figure"))
 	}
 
 	opts := eval.Options{StressRounds: *stress, KeepApplied: *stacked, Workers: *jobs, Verbose: *verbose}
@@ -92,10 +88,18 @@ func main() {
 	if *only != "" {
 		opts.Only = map[string]bool{}
 		for _, id := range strings.Split(*only, ",") {
-			opts.Only[strings.TrimSpace(id)] = true
+			id = strings.TrimSpace(id)
+			if _, ok := cvedb.ByID(id); !ok {
+				rt.Usage(fmt.Errorf("-only: unknown CVE %q", id))
+			}
+			opts.Only[id] = true
 		}
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *mutexProfile)
+	if err != nil {
+		rt.Fatal(err)
+	}
 	res, err := eval.Run(opts)
 	stopProfiles()
 	if err != nil {

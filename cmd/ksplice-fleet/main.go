@@ -21,7 +21,8 @@
 // Exit status: 0 when the rollout converges, 3 when it halts on a
 // failed health gate (with the fleet rolled back), 1 on hard errors.
 // With -expect the status instead reports whether the outcome matched,
-// so a fault-burst smoke can assert the halt happened.
+// so a fault-burst smoke can assert the halt happened. A bad command
+// line (an unknown -expect) exits 2 before anything is published.
 package main
 
 import (
@@ -68,6 +69,11 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress rollout narration")
 	flag.Parse()
 	rt.Start()
+	switch *expect {
+	case "", "converge", "halt":
+	default:
+		rt.Usage(fmt.Errorf("bad -expect %q (want converge or halt)", *expect))
+	}
 
 	cfg := fleet.Config{
 		Clients:          *clients,
@@ -169,8 +175,6 @@ func main() {
 		if res.RollbackFailures > 0 {
 			rt.Fatal(fmt.Errorf("halt rolled back with %d failures", res.RollbackFailures))
 		}
-	default:
-		rt.Fatal(fmt.Errorf("bad -expect %q (want converge or halt)", *expect))
 	}
 	rt.Exit(code)
 }

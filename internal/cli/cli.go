@@ -1,9 +1,10 @@
 // Package cli is the runtime the command-line tools share. New
 // registers the flags every tool takes, Start serves metrics, installs
 // the artifact store and opens one root span named after the tool, and
-// Fatal and Exit are the only ways out: both end the root span and
-// write -trace-out before the process exits, so a failed run leaves
-// its trace behind too.
+// Fatal, Usage and Exit are the only ways out: all end the root span
+// and write -trace-out before the process exits, so a failed run leaves
+// its trace behind too. Usage is Fatal for a bad command line, with
+// exit status 2.
 package cli
 
 import (
@@ -72,10 +73,16 @@ func (r *Runtime) Start() {
 func (r *Runtime) SetTrace(write func(io.Writer) error) { r.trace = write }
 
 // Fatal prints err on stderr, records it on the root span and exits 1.
-func (r *Runtime) Fatal(err error) {
+func (r *Runtime) Fatal(err error) { r.fail(err, 1) }
+
+// Usage is Fatal for a command line that asks for something the tool
+// does not have: it exits 2, before any work is done.
+func (r *Runtime) Usage(err error) { r.fail(err, 2) }
+
+func (r *Runtime) fail(err error, code int) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
 	r.span.SetAttr("error", err.Error())
-	r.Exit(1)
+	r.Exit(code)
 }
 
 // Exit ends the root span, writes -trace-out and exits with code. A

@@ -41,7 +41,7 @@ type relocRef struct {
 	addend int32
 }
 
-type fragKind int
+type fragKind uint8
 
 const (
 	fragRaw    fragKind = iota // literal bytes, possibly with relocs
@@ -52,15 +52,16 @@ const (
 type frag struct {
 	kind fragKind
 
-	// fragRaw
-	data   []byte
-	relocs []relocRef
-
 	// fragBranch
 	class  isa.BranchClass
 	cc     isa.CC
-	target string // label name or external symbol name
 	near   bool   // forced or grown to near form
+	target string // label name or external symbol name
+
+	// fragRaw: the payload is the builder's code[start:end]; relocs
+	// are at offsets within it.
+	start, end uint32
+	relocs     []relocRef
 
 	// fragAlign
 	align uint32
@@ -74,7 +75,13 @@ type frag struct {
 // with branch relaxation and emitting relocations for everything else.
 type Builder struct {
 	name  string
-	frags []*frag
+	frags []frag
+	// code holds every raw frag's payload, in order.
+	code []byte
+	// pinned is the frag index the latest label or symbol marker
+	// points at: literal bytes join the previous raw frag unless a
+	// marker sits between them.
+	pinned int
 	// labels maps a label to the index of the frag it precedes.
 	labels map[string]int
 	// syms records symbol extents: label -> start marker; sizes computed
@@ -114,6 +121,7 @@ func (b *Builder) Label(name string) {
 		return
 	}
 	b.labels[name] = len(b.frags)
+	b.pinned = len(b.frags)
 }
 
 // HasLabel reports whether name is defined as a local label.
@@ -131,6 +139,7 @@ func (b *Builder) BeginSym(name string) {
 // EndSym marks the end of a named symbol.
 func (b *Builder) EndSym(name string) {
 	b.symEnd[name] = len(b.frags)
+	b.pinned = len(b.frags)
 }
 
 // Raw appends literal bytes.
@@ -138,35 +147,49 @@ func (b *Builder) Raw(data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	b.frags = append(b.frags, &frag{kind: fragRaw, data: data})
+	b.raw(data)
 }
 
 // RawReloc appends literal bytes carrying one relocation at off.
 func (b *Builder) RawReloc(data []byte, off uint32, typ obj.RelocType, sym string, addend int32) {
-	b.frags = append(b.frags, &frag{
-		kind: fragRaw, data: data,
-		relocs: []relocRef{{off: off, typ: typ, sym: sym, addend: addend}},
-	})
+	f := b.raw(data)
+	off += f.end - f.start - uint32(len(data))
+	f.relocs = append(f.relocs, relocRef{off: off, typ: typ, sym: sym, addend: addend})
+}
+
+// raw appends data to the open raw frag, opening one when the last
+// frag is not raw or a marker points past it, and returns that frag.
+func (b *Builder) raw(data []byte) *frag {
+	n := len(b.frags)
+	if n == 0 || n == b.pinned || b.frags[n-1].kind != fragRaw {
+		at := uint32(len(b.code))
+		b.frags = append(b.frags, frag{kind: fragRaw, start: at, end: at})
+		n++
+	}
+	f := &b.frags[n-1]
+	b.code = append(b.code, data...)
+	f.end = uint32(len(b.code))
+	return f
 }
 
 // Align pads to an n-byte boundary with no-op instructions.
 func (b *Builder) Align(n uint32) {
-	b.frags = append(b.frags, &frag{kind: fragAlign, align: n})
+	b.frags = append(b.frags, frag{kind: fragAlign, align: n})
 }
 
 // Jmp appends an unconditional jump to a local label or external symbol.
 func (b *Builder) Jmp(target string) {
-	b.frags = append(b.frags, &frag{kind: fragBranch, class: isa.BranchJmp, target: target})
+	b.frags = append(b.frags, frag{kind: fragBranch, class: isa.BranchJmp, target: target})
 }
 
 // Jcc appends a conditional jump.
 func (b *Builder) Jcc(cc isa.CC, target string) {
-	b.frags = append(b.frags, &frag{kind: fragBranch, class: isa.BranchJcc, cc: cc, target: target})
+	b.frags = append(b.frags, frag{kind: fragBranch, class: isa.BranchJcc, cc: cc, target: target})
 }
 
 // Call appends a call. Calls always use the near form.
 func (b *Builder) Call(target string) {
-	b.frags = append(b.frags, &frag{kind: fragBranch, class: isa.BranchCall, target: target, near: true})
+	b.frags = append(b.frags, frag{kind: fragBranch, class: isa.BranchCall, target: target, near: true})
 }
 
 func (f *frag) branchNearSize() uint32 {
@@ -194,7 +217,8 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 	// Initial sizing: short where permitted (local target and relaxation
 	// on), near otherwise. Then grow monotonically until every short
 	// branch fits; alignment pads are recomputed every pass.
-	for _, f := range b.frags {
+	for i := range b.frags {
+		f := &b.frags[i]
 		if f.kind != fragBranch {
 			continue
 		}
@@ -213,11 +237,12 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 		}
 		// Compute offsets.
 		var off uint32
-		for _, f := range b.frags {
+		for i := range b.frags {
+			f := &b.frags[i]
 			f.off = off
 			switch f.kind {
 			case fragRaw:
-				f.size = uint32(len(f.data))
+				f.size = f.end - f.start
 			case fragBranch:
 				if f.near {
 					f.size = f.branchNearSize()
@@ -231,7 +256,8 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 		}
 		// Grow out-of-range short branches.
 		changed := false
-		for _, f := range b.frags {
+		for i := range b.frags {
+			f := &b.frags[i]
 			if f.kind != fragBranch || f.near {
 				continue
 			}
@@ -252,16 +278,17 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 
 	// Emit.
 	sec := &obj.Section{Name: b.name, Kind: kind, Align: align}
-	var out []byte
+	out := make([]byte, 0, b.fragOffset(len(b.frags)))
 	var refs []relocRef
-	for _, f := range b.frags {
+	for i := range b.frags {
+		f := &b.frags[i]
 		base := uint32(len(out))
 		if base != f.off {
 			return nil, nil, fmt.Errorf("codegen: layout drift in %s: %#x != %#x", b.name, base, f.off)
 		}
 		switch f.kind {
 		case fragRaw:
-			out = append(out, f.data...)
+			out = append(out, b.code[f.start:f.end]...)
 			for _, r := range f.relocs {
 				r.off += base
 				refs = append(refs, r)
@@ -338,7 +365,7 @@ func (b *Builder) fragOffset(idx int) uint32 {
 		if len(b.frags) == 0 {
 			return 0
 		}
-		last := b.frags[len(b.frags)-1]
+		last := &b.frags[len(b.frags)-1]
 		return last.off + last.size
 	}
 	return b.frags[idx].off

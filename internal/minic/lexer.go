@@ -74,7 +74,10 @@ func LexAll(path string, provider FileProvider) ([]Token, error) {
 	if err != nil {
 		return nil, err
 	}
-	var toks []Token
+	// Size the slice from the root file: half a token per source byte
+	// holds most units without growing; included headers can still
+	// push a unit past it.
+	toks := make([]Token, 0, len(l.stack[0].src)/2+16)
 	for {
 		t, err := l.Next()
 		if err != nil {
@@ -435,32 +438,65 @@ func (l *Lexer) scanToken(f *lexFile) (Token, error) {
 	}
 
 	// Punctuation: longest match first.
-	three := ""
-	if f.off+2 <= len(f.src) {
-		three = f.src[f.off : f.off+2]
+	if f.off+1 < len(f.src) {
+		if k := punct2(f.src[f.off : f.off+2]); k != EOF {
+			f.off += 2
+			return Token{Kind: k, Pos: pos}, nil
+		}
 	}
-	puncts2 := map[string]Kind{
-		"->": Arrow, "==": Eq, "!=": Ne, "<=": Le, ">=": Ge,
-		"<<": Shl, ">>": Shr, "&&": AndAnd, "||": OrOr,
-		"++": Inc, "--": Dec, "+=": PlusAssign, "-=": MinusAssign,
-		"*=": StarAssign, "/=": SlashAssign,
-	}
-	if k, ok := puncts2[three]; ok {
-		f.off += 2
-		return Token{Kind: k, Pos: pos}, nil
-	}
-	puncts1 := map[byte]Kind{
-		'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
-		'[': LBracket, ']': RBracket, ';': Semi, ',': Comma, '.': Dot,
-		'?': Question, ':': Colon, '=': AssignEq, '+': Plus, '-': Minus,
-		'*': Star, '/': Slash, '%': Percent, '&': Amp, '|': Pipe,
-		'^': Caret, '~': Tilde, '!': Not, '<': Lt, '>': Gt,
-	}
-	if k, ok := puncts1[c]; ok {
+	if k := punct1[c]; k != EOF {
 		f.off++
 		return Token{Kind: k, Pos: pos}, nil
 	}
 	return Token{}, fmt.Errorf("%s: unexpected character %q", pos, rune(c))
+}
+
+// punct2 returns the two-byte operator s, or EOF (which no operator
+// is) when s is none.
+func punct2(s string) Kind {
+	switch s {
+	case "->":
+		return Arrow
+	case "==":
+		return Eq
+	case "!=":
+		return Ne
+	case "<=":
+		return Le
+	case ">=":
+		return Ge
+	case "<<":
+		return Shl
+	case ">>":
+		return Shr
+	case "&&":
+		return AndAnd
+	case "||":
+		return OrOr
+	case "++":
+		return Inc
+	case "--":
+		return Dec
+	case "+=":
+		return PlusAssign
+	case "-=":
+		return MinusAssign
+	case "*=":
+		return StarAssign
+	case "/=":
+		return SlashAssign
+	}
+	return EOF
+}
+
+// punct1 maps each one-byte punctuator to its kind; every other byte
+// maps to EOF, which no punctuator is.
+var punct1 = [256]Kind{
+	'(': LParen, ')': RParen, '{': LBrace, '}': RBrace,
+	'[': LBracket, ']': RBracket, ';': Semi, ',': Comma, '.': Dot,
+	'?': Question, ':': Colon, '=': AssignEq, '+': Plus, '-': Minus,
+	'*': Star, '/': Slash, '%': Percent, '&': Amp, '|': Pipe,
+	'^': Caret, '~': Tilde, '!': Not, '<': Lt, '>': Gt,
 }
 
 func isIdentByte(c byte) bool {

@@ -447,12 +447,17 @@ func (m *Memory) SkipNops(off int) int {
 	return off
 }
 
-// Bytes returns a flat copy of the whole memory. It is O(size) — a
-// diagnostic and test affordance, not a data path.
+// Bytes returns a flat copy of the whole memory — a diagnostic and test
+// affordance, not a data path. Pages still backed by the shared zero
+// page are already zero in the fresh copy and are skipped, so the parts
+// of the copy that mirror never-written memory are never touched and
+// need not become resident.
 func (m *Memory) Bytes() []byte {
 	out := make([]byte, m.size)
 	for i, pg := range m.pages {
-		copy(out[i<<PageShift:], pg)
+		if &pg[0] != &zeroPage[0] {
+			copy(out[i<<PageShift:], pg)
+		}
 	}
 	return out
 }

@@ -312,3 +312,37 @@ func TestMachineCloneRunsIndependently(t *testing.T) {
 		t.Errorf("parent counter = %d, want 41 (clone run leaked)", got)
 	}
 }
+
+// TestMemoryBytesMatchesPages holds Bytes, which skips pages still
+// backed by the shared zero page, to a page-by-page copy over every kind
+// of page: never written, shared with a clone, private, zeroed back to
+// the zero page, private but all zero, and a short last page.
+func TestMemoryBytesMatchesPages(t *testing.T) {
+	const size = 7*PageSize + 100
+	m := NewMemory(size)
+	m.WriteAt(PageSize+5, []byte("shared with the clone"))
+	m.WriteAt(3*PageSize, bytes.Repeat([]byte{0xAB}, PageSize))
+	m.WriteAt(7*PageSize+90, []byte("short tail"))
+	c := m.Clone()
+	m.WriteAt(2*PageSize+PageSize-4, []byte("straddles")) // pages 2 and 3 go private
+	m.ZeroRange(3*PageSize, PageSize)                     // page 3 back to the zero page
+	m.SetByte(5*PageSize+7, 0)                            // page 5 private, still all zero
+	c.WriteAt(6*PageSize, []byte("clone-only page"))
+
+	reference := func(m *Memory) []byte {
+		var out []byte
+		for i := 0; i*PageSize < m.Len(); i++ {
+			out = append(out, m.ReadBytes(uint32(i*PageSize), m.pageLen(i))...)
+		}
+		return out
+	}
+	for name, mem := range map[string]*Memory{"parent": m, "clone": c} {
+		got, want := mem.Bytes(), reference(mem)
+		if len(got) != size || !bytes.Equal(got, want) {
+			t.Errorf("%s: Bytes() differs from the page-by-page copy", name)
+		}
+	}
+	if bytes.Equal(m.Bytes(), c.Bytes()) {
+		t.Error("parent and clone diverged but their Bytes() are equal")
+	}
+}
