@@ -57,9 +57,12 @@ test:
 # Chrome trace whose ksplice-undo span carries the "no updates applied"
 # error, and a successful ksplice-apply's trace must hold its
 # ksplice-apply span.
-# It also runs FuzzFleetReport (two bodies POSTed to /fleet/report) and
-# FuzzDecodeManifest (manifest bytes as a subscriber receives them) for
-# 10s each.
+# It also runs FuzzFleetReport (two bodies POSTed to /fleet/report),
+# FuzzDecodeManifest (manifest bytes as a subscriber receives them) and
+# FuzzApplyDelta (a delta blob, its base and the expected length, plus a
+# MakeDelta round trip) for 10s each. FuzzApplyDelta minimizes a new
+# input for at most 100 runs: each run pays one MakeDelta, so a full
+# minimization would take most of the 10s.
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
@@ -71,6 +74,7 @@ check:
 	$(GO) test -run 'TestApplyUnderLiveLoad|TestSoakUnderBackgroundLoad|TestDynAMOSStyleNonQuiescentUpdate' -count=20 ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/channel
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/diffutil
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

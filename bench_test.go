@@ -566,22 +566,36 @@ func BenchmarkChannelSubscribeSourceBuild(b *testing.B) {
 // adjacent pair in all four releases: the full tarball, a flate of it
 // (the best a compression-only scheme does), and the published binary
 // delta. The delta-reduction ratio is the acceptance number (>= 5x).
+// Each iteration reconstructs every pair's tarball from its base and
+// delta and checks the result against the manifest digest, so ns/op and
+// allocs/op price the subscriber's delta-apply layer.
 func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 	type sums struct{ full, compressed, delta int64 }
+	type pair struct {
+		base, delta []byte
+		result      channel.Entry
+	}
 	var s sums
-	pairs := 0
+	var pairs []pair
 	for _, version := range cvedb.Versions {
 		dir := publishBenchChannel(b, version)
 		m, err := channel.ReadManifest(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
+		var prev []byte
 		for _, e := range m.Updates {
+			raw, err := os.ReadFile(dir + "/" + e.File)
+			if err != nil {
+				b.Fatal(err)
+			}
+			base := prev
+			prev = raw
 			d := m.DeltaFor(e.Sha256)
 			if d == nil {
 				continue // position 0 has no predecessor
 			}
-			raw, err := os.ReadFile(dir + "/" + e.File)
+			delta, err := os.ReadFile(dir + "/blobs/" + d.Sha256)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -592,23 +606,32 @@ func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 			s.full += e.Size
 			s.compressed += int64(buf.Len())
 			s.delta += d.Size
-			pairs++
+			pairs = append(pairs, pair{base: base, delta: delta, result: e})
 		}
 	}
-	if pairs == 0 {
+	if len(pairs) == 0 {
 		b.Fatal("no adjacent-position deltas published")
 	}
 	if s.delta*5 > s.full {
 		b.Fatalf("delta bytes %d not 5x smaller than full %d", s.delta, s.full)
 	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The measured quantities are properties of the published
-		// channel, not of a loop body; iterations just satisfy the
-		// harness.
+		for _, p := range pairs {
+			out, err := diffutil.ApplyDelta(p.base, p.delta, p.result.Size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if digest, _ := core.TarDigest(out); digest != p.result.Sha256 {
+				b.Fatalf("%s: reconstructed digest %.12s…, manifest says %.12s…", p.result.Name, digest, p.result.Sha256)
+			}
+		}
 	}
-	b.ReportMetric(float64(s.full)/float64(pairs), "full-bytes/update")
-	b.ReportMetric(float64(s.compressed)/float64(pairs), "compressed-bytes/update")
-	b.ReportMetric(float64(s.delta)/float64(pairs), "delta-bytes/update")
+	b.StopTimer()
+	n := float64(len(pairs))
+	b.ReportMetric(float64(s.full)/n, "full-bytes/update")
+	b.ReportMetric(float64(s.compressed)/n, "compressed-bytes/update")
+	b.ReportMetric(float64(s.delta)/n, "delta-bytes/update")
 	b.ReportMetric(float64(s.full)/float64(s.delta), "delta-reduction-x")
 }
 

@@ -111,18 +111,6 @@ func (m *Manifest) DeltaFor(resultSha256 string) *DeltaEntry {
 	return nil
 }
 
-// blobAdvertised reports whether the manifest names digest as a delta
-// blob (tarballs are looked up separately). The server refuses to serve
-// blobs the manifest does not advertise.
-func (m *Manifest) blobAdvertised(digest string) bool {
-	for i := range m.Deltas {
-		if m.Deltas[i].Sha256 == digest {
-			return true
-		}
-	}
-	return false
-}
-
 const (
 	manifestName = "channel.json"
 	blobsDirName = "blobs"

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"gosplice/internal/telemetry"
@@ -26,9 +27,12 @@ import (
 // that supports Range requests and serves the content digest as a
 // strong ETag, so a subscriber whose download was cut short resumes
 // from the last good byte instead of
-// refetching the whole thing. The manifest is re-read per request, so a
-// publisher appending to the directory is picked up immediately, and only
-// files the manifest names are ever served (no path traversal).
+// refetching the whole thing. Every content request re-reads the
+// manifest's bytes, so a publisher appending to the directory is picked
+// up immediately; decoding and verifying them is memoized until the
+// bytes change, and bytes that fail to verify are never answered from
+// the memo. Only files the manifest names are ever served (no path
+// traversal).
 //
 // Every channel request counts into gosplice_channel_requests_total
 // (route x status, so Range resumes surface as 206s and ETag
@@ -52,6 +56,63 @@ type Server struct {
 	// distributed trace; a missing or garbage header degrades to a
 	// fresh root trace.
 	Tracer *telemetry.Tracer
+
+	memo atomic.Pointer[manifestMemo]
+}
+
+// manifestMemo is one verified manifest, keyed by the exact bytes it
+// was decoded from. index maps each servable request path
+// (/updates/<file> and /blob/<sha256>) to what it serves. A memo is
+// never mutated; a changed manifest swaps in a new one.
+type manifestMemo struct {
+	raw   []byte
+	index map[string]servedFile
+}
+
+// servedFile is what one request path serves: rel is the file's path
+// under Dir, name is what ServeContent reports, and etag is the content
+// digest.
+type servedFile struct{ rel, name, ctype, etag string }
+
+// newManifestMemo indexes m. The first tarball claiming a file name or
+// digest wins, and a tarball wins over a delta with the same digest.
+func newManifestMemo(raw []byte, m *Manifest) *manifestMemo {
+	c := &manifestMemo{raw: raw, index: make(map[string]servedFile, 2*len(m.Updates)+len(m.Deltas))}
+	add := func(path string, f servedFile) {
+		if _, ok := c.index[path]; !ok {
+			c.index[path] = f
+		}
+	}
+	for _, e := range m.Updates {
+		f := servedFile{filepath.Base(e.File), e.File, "application/x-tar", e.Sha256}
+		add("/updates/"+e.File, f)
+		add("/blob/"+e.Sha256, f)
+	}
+	for _, d := range m.Deltas {
+		add("/blob/"+d.Sha256, servedFile{filepath.Join(blobsDirName, filepath.Base(d.Sha256)), d.Sha256, "application/octet-stream", d.Sha256})
+	}
+	return c
+}
+
+// manifestIndex re-reads the manifest's bytes and returns the index of
+// the verified manifest they encode, decoding only when they differ
+// from the memo's. ok is false when the manifest is missing or fails to
+// verify.
+func (s *Server) manifestIndex() (index map[string]servedFile, ok bool) {
+	b, err := os.ReadFile(filepath.Join(s.Dir, manifestName))
+	if err != nil {
+		return nil, false
+	}
+	if c := s.memo.Load(); c != nil && bytes.Equal(c.raw, b) {
+		return c.index, true
+	}
+	m, err := DecodeManifest(b)
+	if err != nil {
+		return nil, false
+	}
+	c := newManifestMemo(b, m)
+	s.memo.Store(c)
+	return c.index, true
 }
 
 // NewServer serves the channel directory dir.
@@ -98,10 +159,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch route {
 	case "manifest":
 		s.serveManifest(sw, r)
-	case "update":
-		s.serveUpdate(sw, r, strings.TrimPrefix(r.URL.Path, "/updates/"))
-	case "blob":
-		s.serveBlob(sw, r, strings.TrimPrefix(r.URL.Path, "/blob/"))
+	case "update", "blob":
+		s.serveContent(sw, r)
 	default:
 		http.NotFound(sw, r)
 	}
@@ -150,63 +209,33 @@ func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
 	http.ServeContent(w, r, manifestName, time.Time{}, bytes.NewReader(b))
 }
 
-// serveUpdate serves one tarball addressed by manifest file name. The
-// lookup goes through the manifest, never straight to the filesystem.
-func (s *Server) serveUpdate(w http.ResponseWriter, r *http.Request, file string) {
-	m, err := ReadManifest(s.Dir)
-	if err != nil {
+// serveContent serves one tarball by manifest file name
+// (/updates/<file>) or any advertised content by digest (/blob/<sha256>):
+// an update tarball, or a binary delta from blobs/. The lookup goes
+// through the verified manifest, never straight to the filesystem. It is
+// the one code path every tarball and delta response goes through: a
+// bytes.Reader hands ServeContent a size and a Seek (that is what makes
+// client Range resume work after a truncation), and the content digest
+// doubles as a strong ETag so revalidations come back 304.
+func (s *Server) serveContent(w http.ResponseWriter, r *http.Request) {
+	index, ok := s.manifestIndex()
+	if !ok {
 		http.Error(w, "channel has no manifest", http.StatusNotFound)
 		return
 	}
-	for i := range m.Updates {
-		e := &m.Updates[i]
-		if e.File == file {
-			s.serveVerifiable(w, r, filepath.Base(e.File), e.File, "application/x-tar", e.Sha256)
-			return
-		}
-	}
-	http.NotFound(w, r)
-}
-
-// serveBlob serves one content-addressed blob: an update tarball by its
-// digest, or a binary delta from blobs/. Only digests the manifest
-// advertises are ever served.
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, digest string) {
-	m, err := ReadManifest(s.Dir)
-	if err != nil {
-		http.Error(w, "channel has no manifest", http.StatusNotFound)
+	f, ok := index[r.URL.Path]
+	if !ok {
+		http.NotFound(w, r)
 		return
 	}
-	for i := range m.Updates {
-		e := &m.Updates[i]
-		if e.Sha256 == digest {
-			s.serveVerifiable(w, r, filepath.Base(e.File), e.File, "application/x-tar", e.Sha256)
-			return
-		}
-	}
-	if m.blobAdvertised(digest) {
-		rel := filepath.Join(blobsDirName, filepath.Base(digest))
-		s.serveVerifiable(w, r, rel, digest, "application/octet-stream", digest)
-		return
-	}
-	http.NotFound(w, r)
-}
-
-// serveVerifiable is the one code path every tarball and delta
-// response goes through: a bytes.Reader hands ServeContent a size
-// and a Seek (that is what makes client Range resume work after a
-// truncation), and the content digest doubles as a strong ETag so
-// revalidations come back 304. rel is the file's path under Dir; name
-// is what ServeContent reports.
-func (s *Server) serveVerifiable(w http.ResponseWriter, r *http.Request, rel, name, ctype, etag string) {
-	b, err := os.ReadFile(filepath.Join(s.Dir, rel))
+	b, err := os.ReadFile(filepath.Join(s.Dir, f.rel))
 	if err != nil {
 		http.Error(w, "content missing from channel", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", ctype)
-	if etag != "" {
-		w.Header().Set("ETag", `"`+etag+`"`)
+	w.Header().Set("Content-Type", f.ctype)
+	if f.etag != "" {
+		w.Header().Set("ETag", `"`+f.etag+`"`)
 	}
-	http.ServeContent(w, r, name, time.Time{}, bytes.NewReader(b))
+	http.ServeContent(w, r, f.name, time.Time{}, bytes.NewReader(b))
 }

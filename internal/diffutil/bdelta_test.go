@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 )
 
@@ -282,4 +283,66 @@ func TestDeltaLengthBoundByCaller(t *testing.T) {
 	if got, err := ApplyDelta(base, d, int64(len(target))); err != nil || !bytes.Equal(got, target) {
 		t.Errorf("exact expected length: err=%v", err)
 	}
+}
+
+// FuzzApplyDelta: a delta is untrusted wire input. Whatever the base,
+// delta and caller-expected length, ApplyDelta does not panic and
+// allocates no more than a small multiple of what it was handed and
+// asked to build; and for the fuzzed base and target bytes, a delta
+// MakeDelta produced reconstructs the target exactly.
+func FuzzApplyDelta(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	// Seeds stay a few hundred bytes long: the fuzzer minimizes every
+	// new input byte by byte, at one MakeDelta per candidate.
+	text := bytes.Repeat([]byte("int f(void) { return 1; }\n"), 8)
+	for _, c := range []struct{ base, target []byte }{
+		{nil, nil},
+		{nil, []byte("hello")},
+		{[]byte("hello"), nil},
+		{text, text},
+		{text, mutate(rng, text, 3)},
+		{random(256), random(64)},
+		{bytes.Repeat([]byte{0}, 128), bytes.Repeat([]byte{0}, 512)},
+	} {
+		f.Add(c.base, c.target, MakeDelta(c.base, c.target), int64(len(c.target)))
+	}
+
+	// Heap allocation is read through runtime/metrics, which, unlike
+	// runtime.ReadMemStats, does not stop the world on every input.
+	allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	allocated := func() uint64 {
+		metrics.Read(allocs)
+		return allocs[0].Value.Uint64()
+	}
+	f.Fuzz(func(t *testing.T, base, target, delta []byte, targetLen int64) {
+		before := allocated()
+		out, err := ApplyDelta(base, delta, targetLen)
+		alloc := allocated() - before
+		if err == nil && int64(len(out)) != targetLen {
+			t.Errorf("applied delta returned %d bytes, caller expected %d", len(out), targetLen)
+		}
+		// The op stream may inflate to twice the target length and
+		// io.ReadAll's doublings add as much again, hence the factor; the
+		// constant covers the inflater's window and the span-sized
+		// granularity of the runtime's allocation count. A length past
+		// deltaMaxTarget is refused before anything is allocated.
+		asked := uint64(min(max(targetLen, 0), deltaMaxTarget))
+		if limit := 8*(uint64(len(base)+len(delta))+asked) + 1<<20; alloc > limit {
+			t.Errorf("applying a %d-byte delta to a %d-byte base for %d bytes allocated %d, want at most %d",
+				len(delta), len(base), targetLen, alloc, limit)
+		}
+
+		got, err := ApplyDelta(base, MakeDelta(base, target), int64(len(target)))
+		if err != nil {
+			t.Fatalf("round trip of a %d-byte target over a %d-byte base: %v", len(target), len(base), err)
+		}
+		if !bytes.Equal(got, target) {
+			t.Fatalf("round trip of a %d-byte target over a %d-byte base returned different bytes", len(target), len(base))
+		}
+	})
 }
