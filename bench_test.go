@@ -216,11 +216,14 @@ func BenchmarkTable1Updates(b *testing.B) {
 	}
 }
 
-// busyKernel boots a corpus kernel with background CPUs grinding worker
-// threads, for pause measurements.
-func busyKernel(b *testing.B) *kernel.Kernel {
-	b.Helper()
-	tree := cvedb.Tree(cvedb.Versions[0])
+// BenchmarkStopMachinePause measures the stop_machine interruption window
+// of a real splice on a busy kernel — the paper's ~0.7 ms claim (sections
+// 2 and 5.2). Four stress_main threads run between iterations, so each
+// capture finds them somewhere new. The pause-ns metric is the mean
+// Applied.Pause: the window during which no thread can be scheduled.
+func BenchmarkStopMachinePause(b *testing.B) {
+	c, _ := cvedb.ByID("CVE-2006-2451")
+	tree := cvedb.Tree(c.Version)
 	k, err := kernel.Boot(tree)
 	if err != nil {
 		b.Fatal(err)
@@ -230,25 +233,26 @@ func busyKernel(b *testing.B) *kernel.Kernel {
 			b.Fatal(err)
 		}
 	}
-	k.StartCPUs(2)
-	b.Cleanup(k.StopCPUs)
-	return k
-}
-
-// BenchmarkStopMachinePause measures the stop_machine interruption window
-// on a busy kernel — the paper's ~0.7 ms claim (sections 2 and 5.2). The
-// pause-ns metric is the window during which no thread can be scheduled.
-func BenchmarkStopMachinePause(b *testing.B) {
-	k := busyKernel(b)
+	mgr := core.NewManager(k)
+	u, err := core.CreateUpdate(tree, c.Patch(), core.CreateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pause time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.StopMachine(func() error { return nil }); err != nil {
+		k.RunSteps(10_000)
+		a, err := mgr.Apply(u, core.ApplyOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pause += a.Pause
+		if err := mgr.Undo(core.ApplyOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
-	b.ReportMetric(pauses.Sum()/float64(pauses.Count())*1e9, "pause-ns")
+	b.ReportMetric(float64(pause.Nanoseconds())/float64(b.N), "pause-ns")
 }
 
 // BenchmarkApplyUndo measures a full splice cycle — run-pre matching,

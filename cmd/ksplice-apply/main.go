@@ -7,8 +7,9 @@
 // plus applied-update list) is replayed, the new update is spliced in
 // under stop_machine with full run-pre matching, the stress workload is
 // run as a health check, and the state file is extended. A patched
-// function that stays busy is retried a fixed 5 times, 500 µs apart,
-// before the update is abandoned; there is no setting for it.
+// function that stays busy is retried a fixed 5 times, with the guest
+// advanced by a fixed step budget between attempts, before the update is
+// abandoned; there is no setting for it.
 package main
 
 import (

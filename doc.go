@@ -17,7 +17,7 @@
 //	internal/codegen  MiniC compiler and mini assembler
 //	internal/diffutil unified diffs: generate (Myers), parse, apply
 //	internal/srctree  source trees and deterministic builds
-//	internal/kernel   the simulated kernel: threads, CPUs, stop_machine,
+//	internal/kernel   the simulated kernel: threads, scheduler, stop_machine,
 //	                  kallsyms, modules, syscalls, kmalloc
 //	internal/core     the Ksplice engine (the paper's contribution)
 //	internal/cvedb    the 64-entry synthetic vulnerability corpus

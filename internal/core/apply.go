@@ -270,11 +270,14 @@ func (m *Manager) trampolineCanon() func(uint32) uint32 {
 // errBusy distinguishes the retryable safety-check failure.
 var errBusy = errors.New("core: a thread is using a patched function")
 
-// A busy safety check is retried a few times after a short delay, then
-// the update is abandoned (paper section 5.2).
+// A busy safety check is retried a few times, the guest running a fixed
+// budget of instructions between attempts so the busy threads can leave
+// the patched functions, then the update is abandoned (paper section
+// 5.2). A refusal thus costs (quiesceAttempts-1)*quiesceSteps guest
+// instructions and replays exactly.
 const (
 	quiesceAttempts = 5
-	quiesceDelay    = 500 * time.Microsecond
+	quiesceSteps    = 4 * kernel.Quantum
 )
 
 // entryPatch is one write of the update step: code over the bytes at addr.
@@ -287,10 +290,12 @@ type entryPatch struct {
 // and Undo. With the machine stopped it refuses while any thread is
 // inside one of the busy ranges, otherwise writes every patch and runs
 // the stage's in-window hooks (.ksplice.<stage>); if a hook fails it
-// restores the bytes it wrote, so the step is all or nothing. A refusal
-// is retried quiesceAttempts times, quiesceDelay apart, then reported as
-// ErrNotQuiescent. It returns the inverse patches (the bytes displaced),
-// the captures used and the pause of the last one.
+// restores the bytes it wrote, so the step is all or nothing. After a
+// refusal the guest runs quiesceSteps instructions on this goroutine and
+// the capture is retried, up to quiesceAttempts captures in all; the
+// last refusal is reported as ErrNotQuiescent. It returns the inverse
+// patches (the bytes displaced), the captures used and the pause of the
+// last one.
 func (m *Manager) swapStopped(busy [][2]uint32, patches []entryPatch, hooks map[string][]uint32, stage string) (inverse []entryPatch, attempts int, pause time.Duration, err error) {
 	for attempts = 1; ; attempts++ {
 		pause, err = m.K.StopMachine(func() error {
@@ -312,7 +317,7 @@ func (m *Manager) swapStopped(busy [][2]uint32, patches []entryPatch, hooks map[
 		case attempts == quiesceAttempts:
 			return nil, attempts, pause, ErrNotQuiescent
 		}
-		time.Sleep(quiesceDelay)
+		m.K.RunSteps(quiesceSteps)
 	}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/isa"
 	"gosplice/internal/kernel"
 	"gosplice/internal/srctree"
 )
@@ -427,12 +429,26 @@ func TestNonQuiescentFunctionAbandoned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	entry := mustAddr(t, k, "spinner_body")
+	code, err := k.ReadMem(entry, isa.TrampolineLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := k.TotalSteps()
 	_, err = m.Apply(u, ApplyOptions{})
 	if !errors.Is(err, ErrNotQuiescent) {
 		t.Fatalf("apply to non-quiescent function: %v", err)
 	}
 	if len(k.Modules()) != 0 {
 		t.Error("module left loaded after abandoned update")
+	}
+	// The refusal ran the guest between captures, a fixed budget each
+	// time, and wrote nothing over the busy function.
+	if got, want := k.TotalSteps()-before, uint64((quiesceAttempts-1)*quiesceSteps); got != want {
+		t.Errorf("refusal ran %d guest steps, want %d", got, want)
+	}
+	if after, err := k.ReadMem(entry, isa.TrampolineLen); err != nil || !bytes.Equal(after, code) {
+		t.Errorf("spinner_body entry changed after refusal: % x -> % x (%v)", code, after, err)
 	}
 
 	// Let the spinner exit, then the same update applies cleanly.
@@ -687,77 +703,87 @@ func TestCommentOnlyPatchHasNoChanges(t *testing.T) {
 	}
 }
 
+// getsecretPatch changes the refusal sys_getsecret returns to an
+// unprivileged caller, so a caller can tell which version answered.
+const getsecretPatch = `--- a/sys.mc
++++ b/sys.mc
+@@ -5,6 +5,6 @@
+ int sys_getsecret(void) {
+ 	if (!capable(current_uid())) {
+-		return -1;
++		return -13;
+ 	}
+ 	return secret;
+ }
+`
+
+// TestApplyUnderLiveLoad splices sys_getsecret while unprivileged
+// threads call it in a loop, at every pre-apply step offset in a range,
+// each on a clone of one booted kernel. Every worker must see the old
+// refusal (-1) until it sees the new one (-13) and never the old again,
+// nothing may fault, and the offsets must reach the retry: some capture
+// finds a worker inside the function and lets the guest run on.
 func TestApplyUnderLiveLoad(t *testing.T) {
-	// Splice while background CPUs are scheduling threads that call the
-	// patched syscall in a loop; the update must land and nothing may
-	// fault.
 	files := testFiles()
 	files["load.mc"] = `#include "klib.h"
 int load_loop(int rounds) {
 	int i;
 	int bad = 0;
+	int seen_new = 0;
 	for (i = 0; i < rounds; i++) {
 		long r = syscall0(0);
-		if (r != -1 && r != 4242) bad++;
+		if (r == -13) {
+			seen_new = 1;
+		} else if (r != -1 || seen_new) {
+			bad++;
+		}
 		kyield();
+	}
+	if (!seen_new) {
+		bad++;
 	}
 	return bad;
 }
 `
 	tree := srctree.New("sim-2.6.16", files)
-	k := boot(t, tree)
-	m := NewManager(k)
+	base := boot(t, tree)
+	u, err := CreateUpdate(tree, getsecretPatch, CreateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	var workers []*kernel.Task
-	for i := 0; i < 3; i++ {
-		w, err := k.Spawn("load", "load_loop", 1000, 30_000)
+	const offsets = 400
+	byAttempts := map[int]int{}
+	for off := 0; off < offsets; off++ {
+		k, err := base.Clone()
 		if err != nil {
 			t.Fatal(err)
 		}
-		workers = append(workers, w)
-	}
-	k.StartCPUs(2)
-
-	u, err := CreateUpdate(tree, setuidPatch, CreateOptions{})
-	if err != nil {
-		k.StopCPUs()
-		t.Fatal(err)
-	}
-	a, err := m.Apply(u, ApplyOptions{})
-	if err != nil {
-		k.StopCPUs()
-		t.Fatalf("apply under load: %v", err)
-	}
-	t.Logf("applied after %d attempts, pause %v", a.Attempts, a.Pause)
-
-	// Drain the workers (reading task state needs the machine lock while
-	// CPUs are live).
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		k.Lock()
-		live := 0
+		var workers []*kernel.Task
+		for i := 0; i < 3; i++ {
+			w, err := k.Spawn("load", "load_loop", 1000, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers = append(workers, w)
+		}
+		k.RunSteps(off)
+		a, err := NewManager(k).Apply(u, ApplyOptions{})
+		if err != nil {
+			t.Fatalf("offset %d: apply under load: %v", off, err)
+		}
+		byAttempts[a.Attempts]++
 		for _, w := range workers {
-			if w.Runnable() {
-				live++
+			if err := k.RunUntilExit(w, 10_000_000); err != nil {
+				t.Fatalf("offset %d: worker: %v", off, err)
+			}
+			if w.ExitCode != 0 {
+				t.Errorf("offset %d: worker observed %d bad syscall results", off, w.ExitCode)
 			}
 		}
-		k.Unlock()
-		if live == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			k.StopCPUs()
-			t.Fatal("workers did not finish")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	k.StopCPUs()
-	for _, w := range workers {
-		if w.Fault != nil {
-			t.Errorf("worker faulted: %v", w.Fault)
-		}
-		if w.ExitCode != 0 {
-			t.Errorf("worker observed %d bad syscall results", w.ExitCode)
-		}
+	t.Logf("offsets by capture attempts: %v", byAttempts)
+	if byAttempts[1] == offsets {
+		t.Errorf("all %d offsets applied at the first capture; the retry was never reached", offsets)
 	}
 }

@@ -545,15 +545,16 @@ int daemon_body(void) {
 		t.Fatal(err)
 	}
 
-	// The hook flips the flag before stop_machine; the daemon needs to be
-	// scheduled once more to leave the function, which the retry loop's
-	// delay allows (background CPUs); in synchronous mode we drive it
-	// between attempts by running steps from another goroutine-free path:
-	// use background CPUs for realism.
-	k.StartCPUs(1)
-	defer k.StopCPUs()
-	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
+	// The hook flips the flag before stop_machine, so the first capture
+	// still finds the daemon inside daemon_body; the guest budget run
+	// before the retry lets it see the flag and leave, and the second
+	// capture splices.
+	a, err := m.Apply(u, ApplyOptions{})
+	if err != nil {
 		t.Fatalf("DynAMOS-style apply: %v", err)
+	}
+	if a.Attempts != 2 {
+		t.Errorf("DynAMOS-style apply took %d captures, want 2", a.Attempts)
 	}
 	k.ReapExited()
 

@@ -67,8 +67,9 @@ func TestApplyUndoSoak(t *testing.T) {
 	}
 }
 
-// TestSoakUnderBackgroundLoad runs a shorter soak with virtual CPUs
-// grinding a workload the whole time.
+// TestSoakUnderBackgroundLoad runs a shorter soak with threads grinding
+// a workload between the splices: the guest runs before every apply and
+// every undo, so each capture finds the threads somewhere new.
 func TestSoakUnderBackgroundLoad(t *testing.T) {
 	files := testFiles()
 	files["churn.mc"] = `#include "klib.h"
@@ -92,17 +93,17 @@ int churn(int rounds) {
 			t.Fatal(err)
 		}
 	}
-	k.StartCPUs(2)
-	defer k.StopCPUs()
 
 	u, err := CreateUpdate(tree, setuidPatch, CreateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 25; i++ {
+		k.RunSteps(5_000)
 		if _, err := m.Apply(u, ApplyOptions{}); err != nil {
 			t.Fatalf("cycle %d apply: %v", i, err)
 		}
+		k.RunSteps(5_000)
 		if err := m.Undo(ApplyOptions{}); err != nil {
 			t.Fatalf("cycle %d undo: %v", i, err)
 		}

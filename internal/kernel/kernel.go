@@ -1,13 +1,19 @@
 // Package kernel implements the simulated operating system kernel that
 // Ksplice updates: a SIM32 machine running a kernel image built from a
-// MiniC source tree, with kernel threads, a round-robin scheduler over
-// one or more virtual CPUs, a stop_machine facility, kallsyms, loadable
-// modules, a syscall table, and a kmalloc heap.
+// MiniC source tree, with kernel threads, a stop_machine facility,
+// kallsyms, loadable modules, a syscall table, and a kmalloc heap.
+//
+// Guest code runs only on the goroutine of a caller that asks for it:
+// RunSteps, a deterministic round robin in Quantum slices, is the one
+// scheduler, and the Call helpers step through it or through a single
+// thread. No thread moves between such calls, so StopMachine needs no
+// rendezvous: it times its callback as the pause, and the same kernel
+// state and step budgets always replay the same schedule.
 //
 // The kernel's executable behaviour lives entirely in guest MiniC code;
 // the host side supplies only the machine services a real kernel gets
 // from hardware and its lowest-level assembly: trap dispatch, the
-// allocator, console output, and thread/CPU bookkeeping. Security
+// allocator, console output, and thread bookkeeping. Security
 // vulnerabilities and their fixes are therefore properties of guest code,
 // and hot updates change guest behaviour with no host involvement —
 // the property the whole reproduction turns on.
@@ -87,8 +93,7 @@ type Task struct {
 	ExitCode int64
 	Fault    error
 
-	yield   bool
-	running bool
+	yield bool
 }
 
 // Runnable reports whether the task can be scheduled.
@@ -134,16 +139,6 @@ type Kernel struct {
 
 	totalSteps uint64
 	bootedAt   time.Time
-
-	stop struct {
-		mu     sync.Mutex
-		cond   *sync.Cond
-		req    bool
-		active int
-		parked int
-		quit   bool
-	}
-	cpuWG sync.WaitGroup
 
 	// StopMachine statistics: the call count and a pause histogram live
 	// on the kernel's telemetry registry (see Metrics).
@@ -218,7 +213,6 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 		bootedAt: time.Now(),
 	}
 	k.initMetrics()
-	k.stop.cond = sync.NewCond(&k.stop.mu)
 	k.M.LowGuard = LowGuard
 	k.M.Mem.WriteAt(KernelBase, im.Bytes)
 	// Exit stub: TRAP exit; HLT as a backstop.
@@ -241,18 +235,12 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 // Clone snapshots a quiescent kernel into an independent instance: machine
 // memory, the heap, the symbol table, shadow bindings, loaded modules and
 // counters are all copied, so the clone and the original never share
-// mutable state. The kernel must have no live tasks and no background
-// CPUs running — the snapshot is taken between instructions, like booting
-// a second machine from a memory image. The evaluation pipeline boots one
-// template kernel per release and clones it per patch, which skips the
-// build, link and kinit cost of a fresh boot.
+// mutable state. The kernel must have no live tasks — the snapshot is
+// taken between instructions, like booting a second machine from a
+// memory image. The evaluation pipeline boots one template kernel per
+// release and clones it per patch, which skips the build, link and
+// kinit cost of a fresh boot.
 func (k *Kernel) Clone() (*Kernel, error) {
-	k.stop.mu.Lock()
-	active := k.stop.active
-	k.stop.mu.Unlock()
-	if active > 0 {
-		return nil, fmt.Errorf("kernel: cannot clone with %d background CPUs running", active)
-	}
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if n := len(k.tasks); n > 0 {
@@ -284,7 +272,6 @@ func (k *Kernel) Clone() (*Kernel, error) {
 	n.console.Write(k.console.Bytes())
 	n.reports = append([]int64(nil), k.reports...)
 	n.initMetrics()
-	n.stop.cond = sync.NewCond(&n.stop.mu)
 	// n.M shares k's memory copy-on-write: both sides fault pages private
 	// on write, so neither can observe the other's mutations.
 	n.installTraps()

