@@ -1,10 +1,12 @@
 package codegen
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"gosplice/internal/isa"
+	"gosplice/internal/minic"
 	"gosplice/internal/obj"
 )
 
@@ -202,5 +204,50 @@ target:
 	// nop (1 byte) + pad to 8 -> ret at offset 8.
 	if sec.Data[8] != byte(isa.OpRET) {
 		t.Errorf("ret at wrong offset: % x", sec.Data)
+	}
+}
+
+// TestAsmShortOperandLists feeds every mnemonic that takes operands no
+// operands at all and one operand too few: each must come back as an
+// *asmError naming the statement, never as a panic.
+func TestAsmShortOperandLists(t *testing.T) {
+	operands := map[string]int{
+		".align": 1, "jmp": 1, "call": 1, "callr": 1, "jmpr": 1, "push": 1, "pop": 1, "trap": 1,
+		"movi": 2, "movi64": 2, "mov": 2, "lea": 2, "addi64": 2,
+		"cmpi32": 2, "cmpi64": 2, "cmp32": 2, "cmp64": 2, "setcc": 2, "jcc": 2,
+	}
+	for mn := range loadByName {
+		operands[mn] = 2
+	}
+	for mn := range storeByName {
+		operands[mn] = 2
+	}
+	for mn := range aluByName {
+		operands[mn] = 2
+	}
+	for mn := range alu1ByName {
+		operands[mn] = 1
+	}
+	for mn, n := range operands {
+		for _, stmt := range []string{mn, mn + " r0"}[:n] {
+			src := ".func f\n" + stmt + "\n ret\n.endfunc\n"
+			_, err := AssembleFile("short.mcs", src, KspliceBuild())
+			var ae *asmError
+			if !errors.As(err, &ae) || ae.line != stmt {
+				t.Errorf("%q: got %v, want an *asmError for the statement", stmt, err)
+			}
+		}
+	}
+
+	// The same statement inside a MiniC asm() fails the compile.
+	u, err := minic.ParseString("a.mc", `int f(void) { asm("mov r0"); return 0; }`)
+	if err == nil {
+		err = minic.Check(u)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compile(u, KernelBuild()); err == nil || !strings.Contains(err.Error(), `asm "mov r0"`) {
+		t.Errorf(`asm("mov r0"): got %v, want the assembler's error`, err)
 	}
 }

@@ -68,6 +68,29 @@ var storeByName = map[string]isa.Op{
 	"st8": isa.OpST8, "st16": isa.OpST16, "st32": isa.OpST32, "st64": isa.OpST64,
 }
 
+// arity is the operand count of each mnemonic outside the tables above;
+// nop, ret, hlt and brk take none and ignore any they are given.
+var arity = map[string]int{
+	".align": 1, "jmp": 1, "call": 1, "callr": 1, "jmpr": 1, "push": 1, "pop": 1, "trap": 1,
+	"movi": 2, "movi64": 2, "mov": 2, "lea": 2, "addi64": 2,
+	"cmpi32": 2, "cmpi64": 2, "cmp32": 2, "cmp64": 2, "setcc": 2, "jcc": 2,
+}
+
+// operands returns the operand count of mnemonic mn, and false for a
+// mnemonic whose operands are not counted.
+func operands(mn string) (int, bool) {
+	if n, ok := arity[mn]; ok {
+		return n, true
+	}
+	if _, ok := alu1ByName[mn]; ok {
+		return 1, true
+	}
+	_, ld := loadByName[mn]
+	_, st := storeByName[mn]
+	_, alu := aluByName[mn]
+	return 2, ld || st || alu
+}
+
 type asmError struct {
 	pos  minic.Pos
 	line string
@@ -180,6 +203,9 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	}
 	mn = strings.ToLower(mn)
 	args := splitOperands(rest)
+	if n, ok := operands(mn); ok && len(args) != n {
+		return fail("need %d operand(s), got %d", n, len(args))
+	}
 
 	target := func(name string) string {
 		name = strings.TrimSpace(name)
@@ -194,9 +220,6 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 		b.Raw(isa.Nop(nil, 1))
 		return nil
 	case ".align":
-		if len(args) != 1 {
-			return fail("need alignment")
-		}
 		n, ok := parseImm(args[0])
 		if !ok || n <= 0 {
 			return fail("bad alignment")
@@ -204,9 +227,6 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 		b.Align(uint32(n))
 		return nil
 	case "movi", "movi64":
-		if len(args) != 2 {
-			return fail("need 2 operands")
-		}
 		rd, ok := parseReg(args[0])
 		if !ok {
 			return fail("bad register %q", args[0])
@@ -228,15 +248,12 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	case "mov":
 		rd, ok1 := parseReg(args[0])
 		rs, ok2 := parseReg(args[1])
-		if len(args) != 2 || !ok1 || !ok2 {
+		if !ok1 || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.MOV(nil, rd, rs))
 		return nil
 	case "lea":
-		if len(args) != 2 {
-			return fail("need 2 operands")
-		}
 		rd, ok := parseReg(args[0])
 		rs, disp, ok2 := parseMem(args[1])
 		if !ok || !ok2 {
@@ -247,7 +264,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	case "addi64":
 		rd, ok := parseReg(args[0])
 		v, ok2 := parseImm(args[1])
-		if len(args) != 2 || !ok || !ok2 {
+		if !ok || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.ADDI64(nil, rd, int32(v)))
@@ -255,7 +272,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	case "cmpi32", "cmpi64":
 		rd, ok := parseReg(args[0])
 		v, ok2 := parseImm(args[1])
-		if len(args) != 2 || !ok || !ok2 {
+		if !ok || !ok2 {
 			return fail("bad operands")
 		}
 		op := isa.OpCMPI32
@@ -267,7 +284,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	case "cmp32", "cmp64":
 		ra, ok := parseReg(args[0])
 		rb, ok2 := parseReg(args[1])
-		if len(args) != 2 || !ok || !ok2 {
+		if !ok || !ok2 {
 			return fail("bad operands")
 		}
 		op := isa.OpCMP32
@@ -279,21 +296,15 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	case "setcc":
 		rd, ok := parseReg(args[0])
 		cc, ok2 := ccByName[strings.TrimSpace(args[1])]
-		if len(args) != 2 || !ok || !ok2 {
+		if !ok || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.SETCC(nil, rd, cc))
 		return nil
 	case "jmp":
-		if len(args) != 1 {
-			return fail("need target")
-		}
 		b.Jmp(target(args[0]))
 		return nil
 	case "jcc":
-		if len(args) != 2 {
-			return fail("need cc, target")
-		}
 		cc, ok := ccByName[strings.TrimSpace(args[0])]
 		if !ok {
 			return fail("bad condition %q", args[0])
@@ -301,15 +312,9 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 		b.Jcc(cc, target(args[1]))
 		return nil
 	case "call":
-		if len(args) != 1 {
-			return fail("need target")
-		}
 		b.Call(target(args[0]))
 		return nil
 	case "callr", "jmpr", "push", "pop":
-		if len(args) != 1 {
-			return fail("need register")
-		}
 		r, ok := parseReg(args[0])
 		if !ok {
 			return fail("bad register %q", args[0])
@@ -335,9 +340,6 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 		b.Raw(append([]byte{}, byte(isa.OpBRK)))
 		return nil
 	case "trap":
-		if len(args) != 1 {
-			return fail("need trap number")
-		}
 		v, ok := parseImm(args[0])
 		if !ok || v < 0 || v > 0xffff {
 			return fail("bad trap number %q", args[0])
@@ -349,7 +351,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	if op, ok := loadByName[mn]; ok {
 		rd, ok1 := parseReg(args[0])
 		rs, disp, ok2 := parseMem(args[1])
-		if len(args) != 2 || !ok1 || !ok2 {
+		if !ok1 || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.Load(nil, op, rd, rs, disp))
@@ -358,7 +360,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	if op, ok := storeByName[mn]; ok {
 		rd, disp, ok1 := parseMem(args[0])
 		rs, ok2 := parseReg(args[1])
-		if len(args) != 2 || !ok1 || !ok2 {
+		if !ok1 || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.Store(nil, op, rd, disp, rs))
@@ -367,7 +369,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	if op, ok := aluByName[mn]; ok {
 		rd, ok1 := parseReg(args[0])
 		rs, ok2 := parseReg(args[1])
-		if len(args) != 2 || !ok1 || !ok2 {
+		if !ok1 || !ok2 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.ALU(nil, op, rd, rs))
@@ -375,7 +377,7 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]bool, ma
 	}
 	if op, ok := alu1ByName[mn]; ok {
 		rd, ok1 := parseReg(args[0])
-		if len(args) != 1 || !ok1 {
+		if !ok1 {
 			return fail("bad operands")
 		}
 		b.Raw(isa.ALU1(nil, op, rd))

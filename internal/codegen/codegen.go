@@ -55,36 +55,14 @@ func (g *funcGen) assignFrame() {
 	for i, p := range g.fn.Params {
 		p.Obj.FrameOff = 16 + int32(i)*8
 	}
-	var walkStmt func(s minic.Stmt)
-	walkStmt = func(s minic.Stmt) {
-		switch n := s.(type) {
-		case *minic.Block:
-			for _, st := range n.Stmts {
-				walkStmt(st)
-			}
-		case *minic.If:
-			walkStmt(n.Then)
-			if n.Else != nil {
-				walkStmt(n.Else)
-			}
-		case *minic.While:
-			walkStmt(n.Body)
-		case *minic.For:
-			if n.Init != nil {
-				walkStmt(n.Init)
-			}
-			if n.Post != nil {
-				walkStmt(n.Post)
-			}
-			walkStmt(n.Body)
-		case *minic.DeclStmt:
-			if n.Decl.Obj.Kind == minic.ObjLocal {
-				g.frameSize += slotSize(n.Decl.Type)
-				n.Decl.Obj.FrameOff = -g.frameSize
-			}
+	minic.Inspect(g.fn.Body, func(n minic.Node) bool {
+		if d, ok := n.(*minic.DeclStmt); ok && d.Decl.Obj.Kind == minic.ObjLocal {
+			g.frameSize += slotSize(d.Decl.Type)
+			d.Decl.Obj.FrameOff = -g.frameSize
 		}
-	}
-	walkStmt(g.fn.Body)
+		_, isExpr := n.(minic.Expr)
+		return !isExpr // declarations are statements
+	})
 }
 
 // gen generates the whole function.

@@ -28,7 +28,7 @@ func inlineUnit(u *minic.Unit, maxNodes int) {
 				continue
 			}
 			inl.caller = fn
-			inl.block(fn.Body)
+			minic.Rewrite(fn.Body, inl.inline)
 		}
 		if !inl.changed {
 			return
@@ -66,85 +66,38 @@ func (il *inliner) inlinable(fn *minic.FuncDecl) (minic.Expr, bool) {
 	return ret.Expr, true
 }
 
+// exprNodes counts the expression nodes of e, leaves included.
 func exprNodes(e minic.Expr) int {
-	n := 1
-	switch x := e.(type) {
-	case *minic.Unary:
-		n += exprNodes(x.X)
-	case *minic.Binary:
-		n += exprNodes(x.X) + exprNodes(x.Y)
-	case *minic.Assign:
-		n += exprNodes(x.LHS) + exprNodes(x.RHS)
-	case *minic.Cond:
-		n += exprNodes(x.C) + exprNodes(x.Then) + exprNodes(x.Else)
-	case *minic.Call:
-		n += exprNodes(x.Callee)
-		for _, a := range x.Args {
-			n += exprNodes(a)
-		}
-	case *minic.Index:
-		n += exprNodes(x.X) + exprNodes(x.I)
-	case *minic.Member:
-		n += exprNodes(x.X)
-	case *minic.Cast:
-		n += exprNodes(x.X)
-	}
+	n := 0
+	minic.Inspect(e, func(minic.Node) bool {
+		n++
+		return true
+	})
 	return n
 }
 
 func referencesFunc(e minic.Expr, fn *minic.FuncDecl) bool {
 	found := false
-	walk(e, func(x minic.Expr) {
+	minic.Inspect(e, func(x minic.Node) bool {
 		if id, ok := x.(*minic.Ident); ok && id.Obj != nil && id.Obj.Func == fn {
 			found = true
 		}
+		return !found
 	})
 	return found
 }
 
 func takesParamAddress(e minic.Expr) bool {
 	found := false
-	walk(e, func(x minic.Expr) {
+	minic.Inspect(e, func(x minic.Node) bool {
 		if un, ok := x.(*minic.Unary); ok && un.Op == minic.UAddr {
 			if id, ok := un.X.(*minic.Ident); ok && id.Obj != nil && id.Obj.Kind == minic.ObjParam {
 				found = true
 			}
 		}
+		return !found
 	})
 	return found
-}
-
-func walk(e minic.Expr, f func(minic.Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	switch x := e.(type) {
-	case *minic.Unary:
-		walk(x.X, f)
-	case *minic.Binary:
-		walk(x.X, f)
-		walk(x.Y, f)
-	case *minic.Assign:
-		walk(x.LHS, f)
-		walk(x.RHS, f)
-	case *minic.Cond:
-		walk(x.C, f)
-		walk(x.Then, f)
-		walk(x.Else, f)
-	case *minic.Call:
-		walk(x.Callee, f)
-		for _, a := range x.Args {
-			walk(a, f)
-		}
-	case *minic.Index:
-		walk(x.X, f)
-		walk(x.I, f)
-	case *minic.Member:
-		walk(x.X, f)
-	case *minic.Cast:
-		walk(x.X, f)
-	}
 }
 
 // pure reports whether evaluating e has no side effects, so it can be
@@ -186,10 +139,11 @@ func cheap(e minic.Expr) bool {
 
 func countParamUses(e minic.Expr, obj *minic.Object) int {
 	n := 0
-	walk(e, func(x minic.Expr) {
+	minic.Inspect(e, func(x minic.Node) bool {
 		if id, ok := x.(*minic.Ident); ok && id.Obj == obj {
 			n++
 		}
+		return true
 	})
 	return n
 }
@@ -282,82 +236,17 @@ func cloneExpr(e minic.Expr, sub map[*minic.Object]minic.Expr) minic.Expr {
 	return e
 }
 
-// rewrite walks an expression tree bottom-up, inlining calls.
-func (il *inliner) rewrite(e minic.Expr) minic.Expr {
-	switch x := e.(type) {
-	case *minic.Unary:
-		x.X = il.rewrite(x.X)
-	case *minic.Binary:
-		x.X = il.rewrite(x.X)
-		x.Y = il.rewrite(x.Y)
-	case *minic.Assign:
-		x.LHS = il.rewrite(x.LHS)
-		x.RHS = il.rewrite(x.RHS)
-	case *minic.Cond:
-		x.C = il.rewrite(x.C)
-		x.Then = il.rewrite(x.Then)
-		x.Else = il.rewrite(x.Else)
-	case *minic.Call:
-		x.Callee = il.rewrite(x.Callee)
-		for i, a := range x.Args {
-			x.Args[i] = il.rewrite(a)
-		}
-		if repl := il.tryInline(x); repl != nil {
+// inline is the inliner's rewrite step, applied children-first to every
+// expression of a caller's body: it replaces an inlinable call with the
+// callee's substituted body expression and returns anything else as is.
+func (il *inliner) inline(e minic.Expr) minic.Expr {
+	if call, ok := e.(*minic.Call); ok {
+		if repl := il.tryInline(call); repl != nil {
 			il.changed = true
 			return repl
 		}
-	case *minic.Index:
-		x.X = il.rewrite(x.X)
-		x.I = il.rewrite(x.I)
-	case *minic.Member:
-		x.X = il.rewrite(x.X)
-	case *minic.Cast:
-		x.X = il.rewrite(x.X)
 	}
 	return e
-}
-
-func (il *inliner) block(b *minic.Block) {
-	for _, s := range b.Stmts {
-		il.stmt(s)
-	}
-}
-
-func (il *inliner) stmt(s minic.Stmt) {
-	switch n := s.(type) {
-	case *minic.Block:
-		il.block(n)
-	case *minic.If:
-		n.Cond = il.rewrite(n.Cond)
-		il.stmt(n.Then)
-		if n.Else != nil {
-			il.stmt(n.Else)
-		}
-	case *minic.While:
-		n.Cond = il.rewrite(n.Cond)
-		il.stmt(n.Body)
-	case *minic.For:
-		if n.Init != nil {
-			il.stmt(n.Init)
-		}
-		if n.Cond != nil {
-			n.Cond = il.rewrite(n.Cond)
-		}
-		if n.Post != nil {
-			il.stmt(n.Post)
-		}
-		il.stmt(n.Body)
-	case *minic.Return:
-		if n.Expr != nil {
-			n.Expr = il.rewrite(n.Expr)
-		}
-	case *minic.ExprStmt:
-		n.Expr = il.rewrite(n.Expr)
-	case *minic.DeclStmt:
-		if n.Decl.Init != nil {
-			n.Decl.Init = il.rewrite(n.Decl.Init)
-		}
-	}
 }
 
 // InlinedCalls reports, for analysis and the evaluation's inlining census,
@@ -375,58 +264,16 @@ func InlinedCalls(u *minic.Unit, maxNodes int) map[string][]string {
 			continue
 		}
 		il.caller = fn
-		var visit func(e minic.Expr)
-		visit = func(e minic.Expr) {
-			walk(e, func(x minic.Expr) {
-				if call, ok := x.(*minic.Call); ok {
-					if callee := call.Direct(); callee != nil {
-						if _, ok := il.inlinable(callee); ok {
-							out[callee.Name] = append(out[callee.Name], fn.Name)
-						}
+		minic.Inspect(fn.Body, func(n minic.Node) bool {
+			if call, ok := n.(*minic.Call); ok {
+				if callee := call.Direct(); callee != nil {
+					if _, ok := il.inlinable(callee); ok {
+						out[callee.Name] = append(out[callee.Name], fn.Name)
 					}
 				}
-			})
-		}
-		var walkStmt func(s minic.Stmt)
-		walkStmt = func(s minic.Stmt) {
-			switch n := s.(type) {
-			case *minic.Block:
-				for _, st := range n.Stmts {
-					walkStmt(st)
-				}
-			case *minic.If:
-				visit(n.Cond)
-				walkStmt(n.Then)
-				if n.Else != nil {
-					walkStmt(n.Else)
-				}
-			case *minic.While:
-				visit(n.Cond)
-				walkStmt(n.Body)
-			case *minic.For:
-				if n.Init != nil {
-					walkStmt(n.Init)
-				}
-				if n.Cond != nil {
-					visit(n.Cond)
-				}
-				if n.Post != nil {
-					walkStmt(n.Post)
-				}
-				walkStmt(n.Body)
-			case *minic.Return:
-				if n.Expr != nil {
-					visit(n.Expr)
-				}
-			case *minic.ExprStmt:
-				visit(n.Expr)
-			case *minic.DeclStmt:
-				if n.Decl.Init != nil {
-					visit(n.Decl.Init)
-				}
 			}
-		}
-		walkStmt(fn.Body)
+			return true
+		})
 	}
 	return out
 }

@@ -59,89 +59,21 @@ func (uc *unitCompiler) intern(s string) string {
 // discards unreferenced static functions.
 func (uc *unitCompiler) usedFuncs() map[*minic.FuncDecl]bool {
 	referenced := map[string]bool{}
-	var walkExpr func(e minic.Expr)
-	walkExpr = func(e minic.Expr) {
-		switch n := e.(type) {
-		case *minic.Ident:
-			if n.Obj != nil && n.Obj.Kind == minic.ObjFunc {
-				referenced[n.Obj.Name] = true
-			}
-		case *minic.Unary:
-			walkExpr(n.X)
-		case *minic.Binary:
-			walkExpr(n.X)
-			walkExpr(n.Y)
-		case *minic.Assign:
-			walkExpr(n.LHS)
-			walkExpr(n.RHS)
-		case *minic.Cond:
-			walkExpr(n.C)
-			walkExpr(n.Then)
-			walkExpr(n.Else)
-		case *minic.Call:
-			walkExpr(n.Callee)
-			for _, a := range n.Args {
-				walkExpr(a)
-			}
-		case *minic.Index:
-			walkExpr(n.X)
-			walkExpr(n.I)
-		case *minic.Member:
-			walkExpr(n.X)
-		case *minic.Cast:
-			walkExpr(n.X)
+	mark := func(n minic.Node) bool {
+		if id, ok := n.(*minic.Ident); ok && id.Obj != nil && id.Obj.Kind == minic.ObjFunc {
+			referenced[id.Obj.Name] = true
 		}
-	}
-	var walkStmt func(s minic.Stmt)
-	walkStmt = func(s minic.Stmt) {
-		switch n := s.(type) {
-		case *minic.Block:
-			for _, st := range n.Stmts {
-				walkStmt(st)
-			}
-		case *minic.If:
-			walkExpr(n.Cond)
-			walkStmt(n.Then)
-			if n.Else != nil {
-				walkStmt(n.Else)
-			}
-		case *minic.While:
-			walkExpr(n.Cond)
-			walkStmt(n.Body)
-		case *minic.For:
-			if n.Init != nil {
-				walkStmt(n.Init)
-			}
-			if n.Cond != nil {
-				walkExpr(n.Cond)
-			}
-			if n.Post != nil {
-				walkStmt(n.Post)
-			}
-			walkStmt(n.Body)
-		case *minic.Return:
-			if n.Expr != nil {
-				walkExpr(n.Expr)
-			}
-		case *minic.ExprStmt:
-			walkExpr(n.Expr)
-		case *minic.DeclStmt:
-			if n.Decl.Init != nil {
-				walkExpr(n.Decl.Init)
-			}
-		}
+		return true
 	}
 	for _, fn := range uc.u.Funcs {
 		if fn.Body != nil {
-			walkStmt(fn.Body)
+			minic.Inspect(fn.Body, mark)
 		}
 	}
 	for _, g := range uc.u.Globals {
-		if g.Init != nil {
-			walkExpr(g.Init)
-		}
+		minic.Inspect(g.Init, mark)
 		for _, e := range g.InitList {
-			walkExpr(e)
+			minic.Inspect(e, mark)
 		}
 	}
 	for _, h := range uc.u.Hooks {

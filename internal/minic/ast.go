@@ -114,7 +114,7 @@ type FuncDecl struct {
 	StaticLocals []*VarDecl
 }
 
-// Type returns the function's type.
+// FuncType returns the function's type.
 func (f *FuncDecl) FuncType() *Type {
 	params := make([]*Type, len(f.Params))
 	for i, p := range f.Params {

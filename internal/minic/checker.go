@@ -188,8 +188,8 @@ func (c *checker) declareFunc(fn *FuncDecl) {
 		if prev.Kind != ObjFunc {
 			c.fail(fn.Pos, "%s redeclared as a function", fn.Name)
 		}
-		if !prev.Func.FuncType().Equal(fn.FuncType()) {
-			c.fail(fn.Pos, "%s redeclared with a different type (was %s)", fn.Name, prev.Func.FuncType())
+		if !prev.Type.Equal(fn.FuncType()) {
+			c.fail(fn.Pos, "%s redeclared with a different type (was %s)", fn.Name, prev.Type)
 		}
 		if fn.Body != nil {
 			if prev.Func.Body != nil {
