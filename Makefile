@@ -59,9 +59,11 @@ test:
 # error, and a successful ksplice-apply's trace must hold its
 # ksplice-apply span.
 # It also runs FuzzFleetReport (two bodies POSTed to /fleet/report),
-# FuzzDecodeManifest (manifest bytes as a subscriber receives them) and
+# FuzzDecodeManifest (manifest bytes as a subscriber receives them),
 # FuzzApplyDelta (a delta blob, its base and the expected length, plus a
-# MakeDelta round trip) for 10s each. FuzzApplyDelta minimizes a new
+# MakeDelta round trip) and FuzzDecode (SIM32 bytes: no panic, and an
+# instruction Decode accepts survives Encode→Decode and
+# String→ParseInsn unchanged) for 10s each. FuzzApplyDelta minimizes a new
 # input for at most 100 runs: each run pays one MakeDelta, so a full
 # minimization would take most of the 10s.
 check:
@@ -75,6 +77,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/diffutil
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

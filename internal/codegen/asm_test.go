@@ -26,88 +26,71 @@ func assembleOne(t *testing.T, stmt string) ([]byte, *obj.File) {
 	return sec.Data, f
 }
 
-// TestEveryMnemonicAssembles decodes each assembled statement back and
-// checks the opcode.
-func TestEveryMnemonicAssembles(t *testing.T) {
-	cases := []struct {
-		stmt string
-		op   isa.Op
-	}{
-		{"nop", isa.OpNOP},
-		{"movi r0, 42", isa.OpMOVI},
-		{"movi64 r1, 0x123456789", isa.OpMOVI64},
-		{"mov r2, r3", isa.OpMOV},
-		{"lea r0, [fp-8]", isa.OpLEA},
-		{"ld8u r0, [r1]", isa.OpLD8U},
-		{"ld8s r0, [r1+4]", isa.OpLD8S},
-		{"ld16u r0, [r1-4]", isa.OpLD16U},
-		{"ld16s r0, [r1+0]", isa.OpLD16S},
-		{"ld32u r0, [sp+16]", isa.OpLD32U},
-		{"ld32s r0, [fp+16]", isa.OpLD32S},
-		{"ld64 r0, [fp+24]", isa.OpLD64},
-		{"st8 [r1], r0", isa.OpST8},
-		{"st16 [r1+2], r0", isa.OpST16},
-		{"st32 [r1+4], r0", isa.OpST32},
-		{"st64 [sp+0], r0", isa.OpST64},
-		{"add32 r0, r1", isa.OpADD32},
-		{"sub32 r0, r1", isa.OpSUB32},
-		{"mul32 r0, r1", isa.OpMUL32},
-		{"div32s r0, r1", isa.OpDIV32S},
-		{"div32u r0, r1", isa.OpDIV32U},
-		{"mod32s r0, r1", isa.OpMOD32S},
-		{"mod32u r0, r1", isa.OpMOD32U},
-		{"and32 r0, r1", isa.OpAND32},
-		{"or32 r0, r1", isa.OpOR32},
-		{"xor32 r0, r1", isa.OpXOR32},
-		{"shl32 r0, r1", isa.OpSHL32},
-		{"shr32 r0, r1", isa.OpSHR32},
-		{"sar32 r0, r1", isa.OpSAR32},
-		{"add64 r0, r1", isa.OpADD64},
-		{"sub64 r0, r1", isa.OpSUB64},
-		{"mul64 r0, r1", isa.OpMUL64},
-		{"div64s r0, r1", isa.OpDIV64S},
-		{"div64u r0, r1", isa.OpDIV64U},
-		{"mod64s r0, r1", isa.OpMOD64S},
-		{"mod64u r0, r1", isa.OpMOD64U},
-		{"and64 r0, r1", isa.OpAND64},
-		{"or64 r0, r1", isa.OpOR64},
-		{"xor64 r0, r1", isa.OpXOR64},
-		{"shl64 r0, r1", isa.OpSHL64},
-		{"shr64 r0, r1", isa.OpSHR64},
-		{"sar64 r0, r1", isa.OpSAR64},
-		{"neg32 r0", isa.OpNEG32},
-		{"not32 r0", isa.OpNOT32},
-		{"zext32 r0", isa.OpZEXT32},
-		{"neg64 r0", isa.OpNEG64},
-		{"not64 r0", isa.OpNOT64},
-		{"sext8 r0", isa.OpSEXT8},
-		{"sext16 r0", isa.OpSEXT16},
-		{"sext32 r0", isa.OpSEXT32},
-		{"zext8 r0", isa.OpZEXT8},
-		{"zext16 r0", isa.OpZEXT16},
-		{"addi64 sp, -32", isa.OpADDI64},
-		{"cmpi32 r0, 'a'", isa.OpCMPI32},
-		{"cmpi64 r0, -1", isa.OpCMPI64},
-		{"cmp32 r0, r1", isa.OpCMP32},
-		{"cmp64 r0, r1", isa.OpCMP64},
-		{"setcc r0, uge", isa.OpSETCC},
-		{"callr r4", isa.OpCALLR},
-		{"jmpr r4", isa.OpJMPR},
-		{"push r5", isa.OpPUSH},
-		{"pop r5", isa.OpPOP},
-		{"trap 16", isa.OpTRAP},
-		{"hlt", isa.OpHLT},
-		{"brk", isa.OpBRK},
-	}
-	for _, c := range cases {
-		code, _ := assembleOne(t, c.stmt)
-		in, err := isa.Decode(code, 0)
-		if err != nil {
-			t.Errorf("%q: decode: %v", c.stmt, err)
-			continue
+// canonical returns an instruction of every defined opcode, with
+// operands in the form Decode produces.
+func canonical(t *testing.T) []isa.Insn {
+	t.Helper()
+	var out []isa.Insn
+	for v := range 256 {
+		if op := isa.Op(v); op.Valid() {
+			in, err := isa.Decode(isa.Encode(nil, isa.Insn{
+				Op: op, Rd: isa.R1, Rs: isa.FP, CC: isa.CCUGE, Imm: -42, Disp: -8, Rel: 3,
+			}), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, in)
 		}
-		if in.Op != c.op {
-			t.Errorf("%q assembled to %s, want %s", c.stmt, in.Op.Name(), c.op.Name())
+	}
+	return out
+}
+
+// TestEveryMnemonicAssembles assembles every mnemonic of the instruction
+// table, written as isa.Insn.String writes it, and decodes it back. A
+// branch takes a label; the hand-written operand forms are pinned too.
+func TestEveryMnemonicAssembles(t *testing.T) {
+	for _, want := range canonical(t) {
+		stmt := want.String()
+		if want.Op.Branch() != isa.BranchNone {
+			stmt = "l: ; " + want.Op.Name() + " l"
+			if want.Op.Branch() == isa.BranchJcc {
+				stmt = "l: ; " + want.Op.Name() + " " + want.CC.String() + ", l"
+			}
+		}
+		code, _ := assembleOne(t, stmt)
+		got, err := isa.Decode(code, 0)
+		switch {
+		case err != nil:
+			t.Errorf("%q: decode: %v", stmt, err)
+		case want.Op.Branch() != isa.BranchNone:
+			if got.Op.Branch() != want.Op.Branch() || got.CC != want.CC {
+				t.Errorf("%q assembled to %v", stmt, got)
+			}
+		case got != want:
+			t.Errorf("%q assembled to %v", stmt, got)
+		}
+	}
+
+	forms := []struct {
+		stmt string
+		want isa.Insn
+	}{
+		{"movi64 r1, 0x123456789", isa.Insn{Op: isa.OpMOVI64, Rd: isa.R1, Imm: 0x123456789}},
+		{"lea r0, [fp-8]", isa.Insn{Op: isa.OpLEA, Rd: isa.R0, Rs: isa.FP, Disp: -8}},
+		{"ld8u r0, [r1]", isa.Insn{Op: isa.OpLD8U, Rd: isa.R0, Rs: isa.R1}},
+		{"ld16u r0, [r1-4]", isa.Insn{Op: isa.OpLD16U, Rd: isa.R0, Rs: isa.R1, Disp: -4}},
+		{"st8 [r1], r0", isa.Insn{Op: isa.OpST8, Rd: isa.R1, Rs: isa.R0}},
+		{"addi64 sp, -32", isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: -32}},
+		{"cmpi32 r0, 'a'", isa.Insn{Op: isa.OpCMPI32, Rd: isa.R0, Imm: 'a'}},
+		{"cmpi64 r0, -1", isa.Insn{Op: isa.OpCMPI64, Rd: isa.R0, Imm: -1}},
+		{"trap 0x10", isa.Insn{Op: isa.OpTRAP, Imm: 16}},
+		{"MOV r2, r3", isa.Insn{Op: isa.OpMOV, Rd: isa.R2, Rs: isa.R3}},
+	}
+	for _, c := range forms {
+		code, _ := assembleOne(t, c.stmt)
+		c.want.Len = c.want.Op.Len()
+		if got, err := isa.Decode(code, 0); err != nil || got != c.want {
+			t.Errorf("%q assembled to %v (%v), want %v", c.stmt, got, err, c.want)
 		}
 	}
 }
@@ -165,25 +148,36 @@ done:
 	}
 }
 
+// TestAsmOperandErrors: each statement is refused with an *asmError
+// naming it, never assembled with a truncated or ignored operand.
 func TestAsmOperandErrors(t *testing.T) {
 	bad := []string{
-		"movi r0",          // missing immediate
-		"movi r0, r1, r2",  // too many
-		"mov r0, [r1]",     // memory where register expected
-		"ld32s r0, r1",     // register where memory expected
-		"setcc r0, zz",     // bad condition
-		"jcc loop",         // missing condition
-		"trap 99999",       // out of range
-		"addi64 sp, bogus", // non-numeric
-		".align zero",      // bad alignment
+		"movi r0",                   // missing immediate
+		"movi r0, r1, r2",           // too many
+		"ret r0",                    // operand on a mnemonic that takes none
+		"mov r0, [r1]",              // memory where register expected
+		"ld32s r0, r1",              // register where memory expected
+		"mov r0, r6",                // no such register name
+		"setcc r0, zz",              // bad condition
+		"jcc loop",                  // missing condition
+		"jmp",                       // missing target
+		"trap 99999",                // out of range
+		"movi r0, 0x100000000",      // fits 32 bits neither signed nor unsigned
+		"addi64 sp, 0x100000008",    // ditto
+		"ld64 r0, [r1+0x100000000]", // ditto, a displacement
+		"cmpi32 r0, 0x1ffffffff",    // ditto
+		"addi64 sp, bogus",          // non-numeric
+		"movi64 r0, #sym",           // a symbol's address is an imm32
+		"cmpi32 r0, #sym",           // only movi takes a symbol
+		"frob r0",                   // unknown mnemonic
+		".align zero",               // bad alignment
 	}
 	for _, stmt := range bad {
 		src := ".func f\n" + stmt + "\n ret\n.endfunc\n"
-		if _, err := AssembleFile("bad.mcs", src, KernelBuild()); err == nil {
-			t.Errorf("accepted %q", stmt)
-		} else if !strings.Contains(err.Error(), "asm") && !strings.Contains(err.Error(), stmt[:3]) {
-			// Error text should point at assembly problems.
-			_ = err
+		_, err := AssembleFile("bad.mcs", src, KernelBuild())
+		var ae *asmError
+		if !errors.As(err, &ae) || ae.line != stmt {
+			t.Errorf("%q: got %v, want an *asmError for the statement", stmt, err)
 		}
 	}
 }
@@ -207,35 +201,28 @@ target:
 	}
 }
 
-// TestAsmShortOperandLists feeds every mnemonic that takes operands no
-// operands at all and one operand too few: each must come back as an
-// *asmError naming the statement, never as a panic.
+// TestAsmShortOperandLists feeds every mnemonic of the instruction table
+// that takes operands no operands at all and each shorter prefix of its
+// operand list: each must come back as an *asmError naming the
+// statement, never as a panic.
 func TestAsmShortOperandLists(t *testing.T) {
-	operands := map[string]int{
-		".align": 1, "jmp": 1, "call": 1, "callr": 1, "jmpr": 1, "push": 1, "pop": 1, "trap": 1,
-		"movi": 2, "movi64": 2, "mov": 2, "lea": 2, "addi64": 2,
-		"cmpi32": 2, "cmpi64": 2, "cmp32": 2, "cmp64": 2, "setcc": 2, "jcc": 2,
+	stmts := []string{".align"}
+	for _, in := range canonical(t) {
+		mn, rest, ok := strings.Cut(in.String(), " ")
+		if !ok {
+			continue
+		}
+		ops := strings.Split(rest, ",")
+		for n := range ops {
+			stmts = append(stmts, strings.TrimSpace(mn+" "+strings.Join(ops[:n], ",")))
+		}
 	}
-	for mn := range loadByName {
-		operands[mn] = 2
-	}
-	for mn := range storeByName {
-		operands[mn] = 2
-	}
-	for mn := range aluByName {
-		operands[mn] = 2
-	}
-	for mn := range alu1ByName {
-		operands[mn] = 1
-	}
-	for mn, n := range operands {
-		for _, stmt := range []string{mn, mn + " r0"}[:n] {
-			src := ".func f\n" + stmt + "\n ret\n.endfunc\n"
-			_, err := AssembleFile("short.mcs", src, KspliceBuild())
-			var ae *asmError
-			if !errors.As(err, &ae) || ae.line != stmt {
-				t.Errorf("%q: got %v, want an *asmError for the statement", stmt, err)
-			}
+	for _, stmt := range stmts {
+		src := ".func f\n" + stmt + "\n ret\n.endfunc\n"
+		_, err := AssembleFile("short.mcs", src, KspliceBuild())
+		var ae *asmError
+		if !errors.As(err, &ae) || ae.line != stmt {
+			t.Errorf("%q: got %v, want an *asmError for the statement", stmt, err)
 		}
 	}
 
@@ -247,7 +234,9 @@ func TestAsmShortOperandLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(u, KernelBuild()); err == nil || !strings.Contains(err.Error(), `asm "mov r0"`) {
-		t.Errorf(`asm("mov r0"): got %v, want the assembler's error`, err)
+	_, err = Compile(u, KernelBuild())
+	var ae *asmError
+	if !errors.As(err, &ae) || ae.line != "mov r0" {
+		t.Errorf(`asm("mov r0"): got %v, want the assembler's *asmError`, err)
 	}
 }

@@ -124,12 +124,6 @@ func (b *Builder) Label(name string) {
 	b.pinned = len(b.frags)
 }
 
-// HasLabel reports whether name is defined as a local label.
-func (b *Builder) HasLabel(name string) bool {
-	_, ok := b.labels[name]
-	return ok
-}
-
 // BeginSym marks the start of a named symbol (function or data object).
 func (b *Builder) BeginSym(name string) {
 	b.Label(name)
@@ -142,34 +136,31 @@ func (b *Builder) EndSym(name string) {
 	b.pinned = len(b.frags)
 }
 
-// Raw appends literal bytes.
-func (b *Builder) Raw(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	b.raw(data)
+// Emit appends one instruction, encoded straight into the code buffer.
+func (b *Builder) Emit(in isa.Insn) {
+	f := b.rawFrag()
+	b.code = isa.Encode(b.code, in)
+	f.end = uint32(len(b.code))
 }
 
-// RawReloc appends literal bytes carrying one relocation at off.
-func (b *Builder) RawReloc(data []byte, off uint32, typ obj.RelocType, sym string, addend int32) {
-	f := b.raw(data)
-	off += f.end - f.start - uint32(len(data))
-	f.relocs = append(f.relocs, relocRef{off: off, typ: typ, sym: sym, addend: addend})
+// MoviSym appends "movi rd, #sym": its imm32, after the opcode and
+// register bytes, carries an absolute relocation against sym.
+func (b *Builder) MoviSym(rd isa.Reg, sym string) {
+	f := b.rawFrag()
+	f.relocs = append(f.relocs, relocRef{off: f.end - f.start + 2, typ: obj.RelAbs32, sym: sym})
+	b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: rd})
 }
 
-// raw appends data to the open raw frag, opening one when the last
-// frag is not raw or a marker points past it, and returns that frag.
-func (b *Builder) raw(data []byte) *frag {
+// rawFrag returns the open raw frag, opening one when the last frag is
+// not raw or a marker points past it.
+func (b *Builder) rawFrag() *frag {
 	n := len(b.frags)
 	if n == 0 || n == b.pinned || b.frags[n-1].kind != fragRaw {
 		at := uint32(len(b.code))
 		b.frags = append(b.frags, frag{kind: fragRaw, start: at, end: at})
 		n++
 	}
-	f := &b.frags[n-1]
-	b.code = append(b.code, data...)
-	f.end = uint32(len(b.code))
-	return f
+	return &b.frags[n-1]
 }
 
 // Align pads to an n-byte boundary with no-op instructions.
@@ -192,18 +183,22 @@ func (b *Builder) Call(target string) {
 	b.frags = append(b.frags, frag{kind: fragBranch, class: isa.BranchCall, target: target, near: true})
 }
 
-func (f *frag) branchNearSize() uint32 {
-	if f.class == isa.BranchJcc {
-		return 6
-	}
-	return 5
+// branchOps holds each branch class's near and short opcode. A call
+// has no short form.
+var branchOps = [...][2]isa.Op{
+	isa.BranchJmp:  {isa.OpJMP, isa.OpJMPS},
+	isa.BranchJcc:  {isa.OpJCC, isa.OpJCCS},
+	isa.BranchCall: {isa.OpCALL, isa.OpCALL},
 }
 
-func (f *frag) branchShortSize() uint32 {
-	if f.class == isa.BranchJcc {
-		return 3
+// insn returns the branch instruction f lays out as, without its
+// displacement.
+func (f *frag) insn() isa.Insn {
+	op := branchOps[f.class][1]
+	if f.near {
+		op = branchOps[f.class][0]
 	}
-	return 2
+	return isa.Insn{Op: op, CC: f.cc}
 }
 
 // Finalize lays out the section, relaxing branches and computing
@@ -244,11 +239,7 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 			case fragRaw:
 				f.size = f.end - f.start
 			case fragBranch:
-				if f.near {
-					f.size = f.branchNearSize()
-				} else {
-					f.size = f.branchShortSize()
-				}
+				f.size = uint32(f.insn().Op.Len())
 			case fragAlign:
 				f.size = pad(off, f.align)
 			}
@@ -296,42 +287,18 @@ func (b *Builder) Finalize(kind obj.SectionKind, align uint32) (*obj.Section, ma
 		case fragAlign:
 			out = isa.Nop(out, int(f.size))
 		case fragBranch:
-			if ti, local := b.labels[f.target]; local {
-				rel := int64(b.fragOffset(ti)) - int64(f.off+f.size)
-				if f.near {
-					switch f.class {
-					case isa.BranchJmp:
-						out = isa.JMP(out, int32(rel))
-					case isa.BranchJcc:
-						out = isa.JCC(out, f.cc, int32(rel))
-					case isa.BranchCall:
-						out = isa.CALL(out, int32(rel))
-					}
-				} else {
-					switch f.class {
-					case isa.BranchJmp:
-						out = isa.JMPS(out, int8(rel))
-					case isa.BranchJcc:
-						out = isa.JCCS(out, f.cc, int8(rel))
-					}
-				}
-			} else {
-				// External: near form with a PC-relative relocation. The
-				// displacement field sits 4 bytes before the end of the
-				// instruction, hence addend -4.
-				var fieldOff uint32
-				switch f.class {
-				case isa.BranchJmp:
-					out = isa.JMP(out, 0)
-					fieldOff = 1
-				case isa.BranchJcc:
-					out = isa.JCC(out, f.cc, 0)
-					fieldOff = 2
-				case isa.BranchCall:
-					out = isa.CALL(out, 0)
-					fieldOff = 1
-				}
-				refs = append(refs, relocRef{off: base + fieldOff, typ: obj.RelPC32, sym: f.target, addend: -4})
+			in := f.insn()
+			ti, local := b.labels[f.target]
+			if local {
+				in.Rel = int32(int64(b.fragOffset(ti)) - int64(f.off+f.size))
+			}
+			out = isa.Encode(out, in)
+			if !local {
+				// External: near form with a PC-relative relocation on
+				// the displacement, which is measured from the end of
+				// the instruction (addend -4 for a field that ends it).
+				off, _, _ := in.RelInfo()
+				refs = append(refs, relocRef{off: base + uint32(off), typ: obj.RelPC32, sym: f.target, addend: int32(off - int(f.size))})
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"gosplice/internal/isa"
 	"gosplice/internal/minic"
-	"gosplice/internal/obj"
 )
 
 // funcGen generates code for one function body into a Builder.
@@ -34,7 +33,7 @@ type funcGen struct {
 
 func (g *funcGen) fail(pos minic.Pos, format string, args ...any) {
 	if g.err == nil {
-		g.err = fmt.Errorf("%s: codegen %s: %s", pos, g.fn.Name, fmt.Sprintf(format, args...))
+		g.err = fmt.Errorf("%s: codegen %s: "+format, append([]any{pos, g.fn.Name}, args...)...)
 	}
 }
 
@@ -71,17 +70,17 @@ func (g *funcGen) gen() error {
 	g.epilogue = g.label("ret")
 
 	// Prologue. Always at least TrampolineLen bytes.
-	g.b.Raw(isa.PUSH(nil, isa.FP))
-	g.b.Raw(isa.MOV(nil, isa.FP, isa.SP))
-	g.b.Raw(isa.ADDI64(nil, isa.SP, -g.frameSize))
+	g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.FP})
+	g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.FP, Rs: isa.SP})
+	g.b.Emit(isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: int64(-g.frameSize)})
 
 	g.stmt(g.fn.Body)
 
 	// Epilogue.
 	g.b.Label(g.epilogue)
-	g.b.Raw(isa.MOV(nil, isa.SP, isa.FP))
-	g.b.Raw(isa.POP(nil, isa.FP))
-	g.b.Raw(isa.RET(nil))
+	g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.SP, Rs: isa.FP})
+	g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.FP})
+	g.b.Emit(isa.Insn{Op: isa.OpRET})
 	return g.err
 }
 
@@ -105,7 +104,7 @@ func (g *funcGen) stmt(s minic.Stmt) {
 		}
 		if v.Init != nil {
 			g.value(v.Init)
-			g.b.Raw(isa.Store(nil, storeOp(v.Type), isa.FP, v.Obj.FrameOff, isa.R0))
+			g.b.Emit(isa.Insn{Op: storeOp(v.Type), Rd: isa.FP, Disp: v.Obj.FrameOff, Rs: isa.R0})
 		}
 
 	case *minic.If:
@@ -182,8 +181,8 @@ func (g *funcGen) stmt(s minic.Stmt) {
 		g.b.Jmp(g.contLbl[len(g.contLbl)-1])
 
 	case *minic.AsmStmt:
-		if err := assembleInto(g.b, n.Text, g.fn.Name, n.Pos); err != nil {
-			g.fail(n.Pos, "%v", err)
+		if err := assembleInto(g.b, splitStmts(n.Text), ".Lasm."+g.fn.Name+".", n.Pos); err != nil {
+			g.fail(n.Pos, "%w", err)
 		}
 
 	default:
@@ -201,9 +200,9 @@ func (g *funcGen) condFalse(cond minic.Expr, target string) {
 // cmpZero compares R0 against zero at the width of t.
 func (g *funcGen) cmpZero(t *minic.Type) {
 	if t.IsInt() && t.Size == 8 {
-		g.b.Raw(isa.CMPI(nil, isa.OpCMPI64, isa.R0, 0))
+		g.b.Emit(isa.Insn{Op: isa.OpCMPI64, Rd: isa.R0})
 	} else {
-		g.b.Raw(isa.CMPI(nil, isa.OpCMPI32, isa.R0, 0))
+		g.b.Emit(isa.Insn{Op: isa.OpCMPI32, Rd: isa.R0})
 	}
 }
 
@@ -264,14 +263,13 @@ func (g *funcGen) value(e minic.Expr) {
 	switch n := e.(type) {
 	case *minic.NumLit:
 		if n.Val >= -0x80000000 && n.Val <= 0x7fffffff {
-			g.b.Raw(isa.MOVI(nil, isa.R0, int32(n.Val)))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R0, Imm: n.Val})
 		} else {
-			g.b.Raw(isa.MOVI64(nil, isa.R0, n.Val))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI64, Rd: isa.R0, Imm: n.Val})
 		}
 
 	case *minic.StrLit:
-		sym := g.intern(n.Val)
-		g.b.RawReloc(isa.MOVI(nil, isa.R0, 0), 2, obj.RelAbs32, sym, 0)
+		g.addrOfSym(g.intern(n.Val))
 
 	case *minic.Ident:
 		obj := n.Obj
@@ -280,14 +278,14 @@ func (g *funcGen) value(e minic.Expr) {
 			g.fail(n.Position(), "function %s used as a value without decay", obj.Name)
 		case minic.ObjLocal, minic.ObjParam:
 			if n.T.Kind == minic.TArray || n.T.Kind == minic.TStruct {
-				g.b.Raw(isa.LEA(nil, isa.R0, isa.FP, obj.FrameOff))
+				g.b.Emit(isa.Insn{Op: isa.OpLEA, Rd: isa.R0, Rs: isa.FP, Disp: obj.FrameOff})
 			} else {
-				g.b.Raw(isa.Load(nil, loadOp(n.T), isa.R0, isa.FP, obj.FrameOff))
+				g.b.Emit(isa.Insn{Op: loadOp(n.T), Rd: isa.R0, Rs: isa.FP, Disp: obj.FrameOff})
 			}
 		default: // global, static local
 			g.addrOfSym(obj.Sym)
 			if n.T.Kind != minic.TArray && n.T.Kind != minic.TStruct {
-				g.b.Raw(isa.Load(nil, loadOp(n.T), isa.R0, isa.R0, 0))
+				g.b.Emit(isa.Insn{Op: loadOp(n.T), Rd: isa.R0, Rs: isa.R0})
 			}
 		}
 
@@ -316,7 +314,7 @@ func (g *funcGen) value(e minic.Expr) {
 		g.addr(e)
 		t := e.Type()
 		if t.Kind != minic.TArray && t.Kind != minic.TStruct {
-			g.b.Raw(isa.Load(nil, loadOp(t), isa.R0, isa.R0, 0))
+			g.b.Emit(isa.Insn{Op: loadOp(t), Rd: isa.R0, Rs: isa.R0})
 		}
 
 	case *minic.Cast:
@@ -327,16 +325,11 @@ func (g *funcGen) value(e minic.Expr) {
 	}
 }
 
-// addrOfSym loads the absolute address of a named symbol into R0.
+// addrOfSym loads the absolute address of a named symbol into R0. A
+// symbol in the same section still needs the relocation: absolute
+// addresses are unknown until link time.
 func (g *funcGen) addrOfSym(sym string) {
-	if g.b.HasLabel(sym) {
-		// Same-section symbol in whole-.text mode: the assembler still
-		// needs a relocation because absolute addresses are unknown until
-		// link time.
-		g.b.RawReloc(isa.MOVI(nil, isa.R0, 0), 2, obj.RelAbs32, sym, 0)
-		return
-	}
-	g.b.RawReloc(isa.MOVI(nil, isa.R0, 0), 2, obj.RelAbs32, sym, 0)
+	g.b.MoviSym(isa.R0, sym)
 }
 
 // addr generates the address of an lvalue into R0.
@@ -348,7 +341,7 @@ func (g *funcGen) addr(e minic.Expr) {
 	case *minic.Ident:
 		switch n.Obj.Kind {
 		case minic.ObjLocal, minic.ObjParam:
-			g.b.Raw(isa.LEA(nil, isa.R0, isa.FP, n.Obj.FrameOff))
+			g.b.Emit(isa.Insn{Op: isa.OpLEA, Rd: isa.R0, Rs: isa.FP, Disp: n.Obj.FrameOff})
 		case minic.ObjFunc:
 			g.addrOfSym(n.Obj.Sym)
 		default:
@@ -364,14 +357,14 @@ func (g *funcGen) addr(e minic.Expr) {
 
 	case *minic.Index:
 		g.value(n.X) // base pointer
-		g.b.Raw(isa.PUSH(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 		g.value(n.I)
 		if n.Scale != 1 {
-			g.b.Raw(isa.MOVI(nil, isa.R1, int32(n.Scale)))
-			g.b.Raw(isa.ALU(nil, isa.OpMUL64, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R1, Imm: int64(n.Scale)})
+			g.b.Emit(isa.Insn{Op: isa.OpMUL64, Rd: isa.R0, Rs: isa.R1})
 		}
-		g.b.Raw(isa.POP(nil, isa.R1))
-		g.b.Raw(isa.ALU(nil, isa.OpADD64, isa.R0, isa.R1))
+		g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R1})
+		g.b.Emit(isa.Insn{Op: isa.OpADD64, Rd: isa.R0, Rs: isa.R1})
 
 	case *minic.Member:
 		if n.Arrow {
@@ -380,12 +373,11 @@ func (g *funcGen) addr(e minic.Expr) {
 			g.addr(n.X)
 		}
 		if n.Field.Offset != 0 {
-			g.b.Raw(isa.LEA(nil, isa.R0, isa.R0, int32(n.Field.Offset)))
+			g.b.Emit(isa.Insn{Op: isa.OpLEA, Rd: isa.R0, Rs: isa.R0, Disp: int32(n.Field.Offset)})
 		}
 
 	case *minic.StrLit:
-		sym := g.intern(n.Val)
-		g.b.RawReloc(isa.MOVI(nil, isa.R0, 0), 2, obj.RelAbs32, sym, 0)
+		g.addrOfSym(g.intern(n.Val))
 
 	case *minic.Cast:
 		// Address of a decayed array: address of the underlying lvalue.
@@ -401,29 +393,29 @@ func (g *funcGen) unary(n *minic.Unary) {
 	case minic.UNeg:
 		g.value(n.X)
 		if is64(n.T) {
-			g.b.Raw(isa.ALU1(nil, isa.OpNEG64, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpNEG64, Rd: isa.R0})
 		} else {
-			g.b.Raw(isa.ALU1(nil, isa.OpNEG32, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpNEG32, Rd: isa.R0})
 		}
 
 	case minic.UBitNot:
 		g.value(n.X)
 		if is64(n.T) {
-			g.b.Raw(isa.ALU1(nil, isa.OpNOT64, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpNOT64, Rd: isa.R0})
 		} else {
-			g.b.Raw(isa.ALU1(nil, isa.OpNOT32, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpNOT32, Rd: isa.R0})
 		}
 
 	case minic.UNot:
 		g.value(n.X)
 		g.cmpZero(n.X.Type())
-		g.b.Raw(isa.SETCC(nil, isa.R0, isa.CCEQ))
+		g.b.Emit(isa.Insn{Op: isa.OpSETCC, Rd: isa.R0, CC: isa.CCEQ})
 
 	case minic.UDeref:
 		g.value(n.X)
 		t := n.T
 		if t.Kind != minic.TArray && t.Kind != minic.TStruct {
-			g.b.Raw(isa.Load(nil, loadOp(t), isa.R0, isa.R0, 0))
+			g.b.Emit(isa.Insn{Op: loadOp(t), Rd: isa.R0, Rs: isa.R0})
 		}
 
 	case minic.UAddr:
@@ -439,18 +431,18 @@ func (g *funcGen) unary(n *minic.Unary) {
 
 func (g *funcGen) incdec(n *minic.Unary) {
 	t := n.T
-	step := int32(1)
+	step := int64(1)
 	if t.IsPtr() {
-		step = int32(t.Elem.Sizeof())
+		step = int64(t.Elem.Sizeof())
 	}
 	g.addr(n.X)
-	g.b.Raw(isa.MOV(nil, isa.R2, isa.R0))
-	g.b.Raw(isa.Load(nil, loadOp(t), isa.R0, isa.R2, 0))
+	g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R2, Rs: isa.R0})
+	g.b.Emit(isa.Insn{Op: loadOp(t), Rd: isa.R0, Rs: isa.R2})
 	post := n.Op == minic.UPostInc || n.Op == minic.UPostDec
 	if post {
-		g.b.Raw(isa.MOV(nil, isa.R3, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R3, Rs: isa.R0})
 	}
-	g.b.Raw(isa.MOVI(nil, isa.R1, step))
+	g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R1, Imm: step})
 	dec := n.Op == minic.UPreDec || n.Op == minic.UPostDec
 	var op isa.Op
 	switch {
@@ -467,10 +459,10 @@ func (g *funcGen) incdec(n *minic.Unary) {
 			op = isa.OpADD32
 		}
 	}
-	g.b.Raw(isa.ALU(nil, op, isa.R0, isa.R1))
-	g.b.Raw(isa.Store(nil, storeOp(t), isa.R2, 0, isa.R0))
+	g.b.Emit(isa.Insn{Op: op, Rd: isa.R0, Rs: isa.R1})
+	g.b.Emit(isa.Insn{Op: storeOp(t), Rd: isa.R2, Disp: 0, Rs: isa.R0})
 	if post {
-		g.b.Raw(isa.MOV(nil, isa.R0, isa.R3))
+		g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R0, Rs: isa.R3})
 	}
 }
 
@@ -575,67 +567,67 @@ func (g *funcGen) binary(n *minic.Binary) {
 		}
 		g.value(n.Y)
 		g.cmpZero(n.Y.Type())
-		g.b.Raw(isa.SETCC(nil, isa.R0, isa.CCNE))
+		g.b.Emit(isa.Insn{Op: isa.OpSETCC, Rd: isa.R0, CC: isa.CCNE})
 		g.b.Jmp(endL)
 		g.b.Label(shortL)
 		if n.Op == minic.BLogAnd {
-			g.b.Raw(isa.MOVI(nil, isa.R0, 0))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R0})
 		} else {
-			g.b.Raw(isa.MOVI(nil, isa.R0, 1))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R0, Imm: 1})
 		}
 		g.b.Label(endL)
 		return
 
 	case minic.BEq, minic.BNe, minic.BLt, minic.BLe, minic.BGt, minic.BGe:
 		g.value(n.X)
-		g.b.Raw(isa.PUSH(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 		g.value(n.Y)
-		g.b.Raw(isa.MOV(nil, isa.R1, isa.R0))
-		g.b.Raw(isa.POP(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R1, Rs: isa.R0})
+		g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R0})
 		ot := n.X.Type()
 		if is64(ot) {
-			g.b.Raw(isa.CMP(nil, isa.OpCMP64, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpCMP64, Rd: isa.R0, Rs: isa.R1})
 		} else {
-			g.b.Raw(isa.CMP(nil, isa.OpCMP32, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpCMP32, Rd: isa.R0, Rs: isa.R1})
 		}
-		g.b.Raw(isa.SETCC(nil, isa.R0, relCC(n.Op, ot.IsInt() && ot.Unsigned)))
+		g.b.Emit(isa.Insn{Op: isa.OpSETCC, Rd: isa.R0, CC: relCC(n.Op, ot.IsInt() && ot.Unsigned)})
 		return
 	}
 
 	// Pointer difference: (x - y) / scale.
 	if n.Op == minic.BSub && n.X.Type().IsPtr() && n.Y.Type().IsPtr() {
 		g.value(n.X)
-		g.b.Raw(isa.PUSH(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 		g.value(n.Y)
-		g.b.Raw(isa.MOV(nil, isa.R1, isa.R0))
-		g.b.Raw(isa.POP(nil, isa.R0))
-		g.b.Raw(isa.ALU(nil, isa.OpSUB64, isa.R0, isa.R1))
+		g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R1, Rs: isa.R0})
+		g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R0})
+		g.b.Emit(isa.Insn{Op: isa.OpSUB64, Rd: isa.R0, Rs: isa.R1})
 		if n.Scale > 1 {
-			g.b.Raw(isa.MOVI(nil, isa.R1, int32(n.Scale)))
-			g.b.Raw(isa.ALU(nil, isa.OpDIV64S, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R1, Imm: int64(n.Scale)})
+			g.b.Emit(isa.Insn{Op: isa.OpDIV64S, Rd: isa.R0, Rs: isa.R1})
 		}
-		g.b.Raw(isa.ALU1(nil, isa.OpSEXT32, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpSEXT32, Rd: isa.R0})
 		return
 	}
 
 	g.value(n.X)
-	g.b.Raw(isa.PUSH(nil, isa.R0))
+	g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 	g.value(n.Y)
 	if n.Scale > 1 {
-		g.b.Raw(isa.MOVI(nil, isa.R1, int32(n.Scale)))
-		g.b.Raw(isa.ALU(nil, isa.OpMUL64, isa.R0, isa.R1))
+		g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R1, Imm: int64(n.Scale)})
+		g.b.Emit(isa.Insn{Op: isa.OpMUL64, Rd: isa.R0, Rs: isa.R1})
 	}
-	g.b.Raw(isa.MOV(nil, isa.R1, isa.R0))
-	g.b.Raw(isa.POP(nil, isa.R0))
+	g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R1, Rs: isa.R0})
+	g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R0})
 
 	if n.T.IsPtr() {
 		// Pointer ± integer.
 		if n.Op == minic.BAdd {
-			g.b.Raw(isa.ALU(nil, isa.OpADD64, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpADD64, Rd: isa.R0, Rs: isa.R1})
 		} else {
-			g.b.Raw(isa.ALU(nil, isa.OpSUB64, isa.R0, isa.R1))
+			g.b.Emit(isa.Insn{Op: isa.OpSUB64, Rd: isa.R0, Rs: isa.R1})
 		}
-		g.b.Raw(isa.ALU1(nil, isa.OpZEXT32, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpZEXT32, Rd: isa.R0})
 		return
 	}
 
@@ -644,32 +636,32 @@ func (g *funcGen) binary(n *minic.Binary) {
 		g.fail(n.Position(), "unhandled binary op %d", n.Op)
 		return
 	}
-	g.b.Raw(isa.ALU(nil, op, isa.R0, isa.R1))
+	g.b.Emit(isa.Insn{Op: op, Rd: isa.R0, Rs: isa.R1})
 }
 
 func (g *funcGen) assign(n *minic.Assign) {
 	lt := n.LHS.Type()
 	if n.Op == minic.AsnPlain {
 		g.value(n.RHS)
-		g.b.Raw(isa.PUSH(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 		g.addr(n.LHS)
-		g.b.Raw(isa.MOV(nil, isa.R1, isa.R0))
-		g.b.Raw(isa.POP(nil, isa.R0))
-		g.b.Raw(isa.Store(nil, storeOp(lt), isa.R1, 0, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R1, Rs: isa.R0})
+		g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R0})
+		g.b.Emit(isa.Insn{Op: storeOp(lt), Rd: isa.R1, Disp: 0, Rs: isa.R0})
 		return
 	}
 
 	// Compound assignment.
 	g.addr(n.LHS)
-	g.b.Raw(isa.PUSH(nil, isa.R0))
+	g.b.Emit(isa.Insn{Op: isa.OpPUSH, Rd: isa.R0})
 	g.value(n.RHS)
 	if n.Scale > 1 {
-		g.b.Raw(isa.MOVI(nil, isa.R1, int32(n.Scale)))
-		g.b.Raw(isa.ALU(nil, isa.OpMUL64, isa.R0, isa.R1))
+		g.b.Emit(isa.Insn{Op: isa.OpMOVI, Rd: isa.R1, Imm: int64(n.Scale)})
+		g.b.Emit(isa.Insn{Op: isa.OpMUL64, Rd: isa.R0, Rs: isa.R1})
 	}
-	g.b.Raw(isa.MOV(nil, isa.R1, isa.R0))
-	g.b.Raw(isa.POP(nil, isa.R2))
-	g.b.Raw(isa.Load(nil, loadOp(lt), isa.R0, isa.R2, 0))
+	g.b.Emit(isa.Insn{Op: isa.OpMOV, Rd: isa.R1, Rs: isa.R0})
+	g.b.Emit(isa.Insn{Op: isa.OpPOP, Rd: isa.R2})
+	g.b.Emit(isa.Insn{Op: loadOp(lt), Rd: isa.R0, Rs: isa.R2})
 
 	var op isa.Op
 	if lt.IsPtr() {
@@ -690,17 +682,17 @@ func (g *funcGen) assign(n *minic.Assign) {
 			return
 		}
 	}
-	g.b.Raw(isa.ALU(nil, op, isa.R0, isa.R1))
+	g.b.Emit(isa.Insn{Op: op, Rd: isa.R0, Rs: isa.R1})
 	if lt.IsPtr() {
-		g.b.Raw(isa.ALU1(nil, isa.OpZEXT32, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpZEXT32, Rd: isa.R0})
 	}
-	g.b.Raw(isa.Store(nil, storeOp(lt), isa.R2, 0, isa.R0))
+	g.b.Emit(isa.Insn{Op: storeOp(lt), Rd: isa.R2, Disp: 0, Rs: isa.R0})
 }
 
 func (g *funcGen) call(n *minic.Call) {
-	nargs := int32(len(n.Args))
+	nargs := int64(len(n.Args))
 	if nargs > 0 {
-		g.b.Raw(isa.ADDI64(nil, isa.SP, -8*nargs))
+		g.b.Emit(isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: -8 * nargs})
 	}
 	for i, a := range n.Args {
 		g.value(a)
@@ -709,16 +701,16 @@ func (g *funcGen) call(n *minic.Call) {
 		// a header physically change every caller's object code (paper
 		// section 3.1). The callee loads each parameter at the same
 		// width.
-		g.b.Raw(isa.Store(nil, storeOp(a.Type()), isa.SP, int32(i)*8, isa.R0))
+		g.b.Emit(isa.Insn{Op: storeOp(a.Type()), Rd: isa.SP, Disp: int32(i) * 8, Rs: isa.R0})
 	}
 	if fn := n.Direct(); fn != nil {
 		g.b.Call(fn.Obj.Sym)
 	} else {
 		g.value(n.Callee)
-		g.b.Raw(isa.CALLR(nil, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpCALLR, Rd: isa.R0})
 	}
 	if nargs > 0 {
-		g.b.Raw(isa.ADDI64(nil, isa.SP, 8*nargs))
+		g.b.Emit(isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: 8 * nargs})
 	}
 }
 
@@ -745,7 +737,7 @@ func (g *funcGen) cast(n *minic.Cast) {
 		if from.IsPtr() {
 			return
 		}
-		g.b.Raw(isa.ALU1(nil, isa.OpZEXT32, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpZEXT32, Rd: isa.R0})
 		return
 	}
 	// to is an integer type.
@@ -757,22 +749,22 @@ func (g *funcGen) cast(n *minic.Cast) {
 		if from.IsInt() && from.Size == 4 && from.Unsigned {
 			// unsigned int widens by zero-extension; the canonical form
 			// of 32-bit values is sign-extended, so normalize.
-			g.b.Raw(isa.ALU1(nil, isa.OpZEXT32, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpZEXT32, Rd: isa.R0})
 		}
 		// Signed and narrower sources are already canonical.
 	case 4:
-		g.b.Raw(isa.ALU1(nil, isa.OpSEXT32, isa.R0))
+		g.b.Emit(isa.Insn{Op: isa.OpSEXT32, Rd: isa.R0})
 	case 2:
 		if to.Unsigned {
-			g.b.Raw(isa.ALU1(nil, isa.OpZEXT16, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpZEXT16, Rd: isa.R0})
 		} else {
-			g.b.Raw(isa.ALU1(nil, isa.OpSEXT16, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpSEXT16, Rd: isa.R0})
 		}
 	case 1:
 		if to.Unsigned {
-			g.b.Raw(isa.ALU1(nil, isa.OpZEXT8, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpZEXT8, Rd: isa.R0})
 		} else {
-			g.b.Raw(isa.ALU1(nil, isa.OpSEXT8, isa.R0))
+			g.b.Emit(isa.Insn{Op: isa.OpSEXT8, Rd: isa.R0})
 		}
 	}
 }

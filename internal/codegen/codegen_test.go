@@ -66,22 +66,21 @@ func callFunc(t *testing.T, m *vm.Machine, th *vm.Thread, im *obj.Image, name st
 	// call the target, halt.
 	const stubAddr = 0x400
 	var stub []byte
-	n := int32(len(args))
+	n := int64(len(args))
 	if n > 0 {
-		stub = isa.ADDI64(stub, isa.SP, -8*n)
+		stub = isa.Encode(stub, isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: -8 * n})
 	}
 	for i, a := range args {
-		stub = isa.MOVI64(stub, isa.R0, a)
-		stub = isa.Store(stub, isa.OpST64, isa.SP, int32(i)*8, isa.R0)
+		stub = isa.Encode(stub, isa.Insn{Op: isa.OpMOVI64, Rd: isa.R0, Imm: a})
+		stub = isa.Encode(stub, isa.Insn{Op: isa.OpST64, Rd: isa.SP, Disp: int32(i) * 8, Rs: isa.R0})
 	}
-	callOff := len(stub)
-	stub = isa.CALL(stub, 0)
+	callEnd := stubAddr + len(stub) + isa.OpCALL.Len()
+	stub = isa.Encode(stub, isa.Insn{Op: isa.OpCALL, Rel: int32(fn.Addr) - int32(callEnd)})
 	if n > 0 {
-		stub = isa.ADDI64(stub, isa.SP, 8*n)
+		stub = isa.Encode(stub, isa.Insn{Op: isa.OpADDI64, Rd: isa.SP, Imm: 8 * n})
 	}
-	stub = isa.HLT(stub)
+	stub = isa.Encode(stub, isa.Insn{Op: isa.OpHLT})
 	m.Mem.WriteAt(stubAddr, stub)
-	m.Mem.StoreLE(uint32(stubAddr+callOff+1), 4, uint64(uint32(int32(fn.Addr)-int32(stubAddr+callOff+5))))
 
 	th.IP = stubAddr
 	th.Halted = false

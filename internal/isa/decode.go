@@ -2,7 +2,10 @@ package isa
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 )
 
 // Insn is one decoded SIM32 instruction.
@@ -101,6 +104,9 @@ func Decode(code []byte, off int) (Insn, error) {
 	if (in.Op == OpJCC || in.Op == OpJCCS || in.Op == OpSETCC) && in.CC >= NumCC {
 		return Insn{}, fmt.Errorf("isa: invalid condition code %d at offset %#x", in.CC, off)
 	}
+	if in.Rd >= NumRegs || in.Rs >= NumRegs {
+		return Insn{}, fmt.Errorf("isa: invalid register in %s at offset %#x", info.name, off)
+	}
 	return in, nil
 }
 
@@ -112,23 +118,13 @@ func NopLen(code []byte, off int) int {
 	if off < 0 || off >= len(code) {
 		return 0
 	}
-	var n int
-	switch Op(code[off]) {
-	case OpNOP:
-		n = 1
-	case OpNOP2:
-		n = 2
-	case OpNOP3:
-		n = 3
-	case OpNOP4:
-		n = 4
-	default:
-		return 0
+	switch op := Op(code[off]); op {
+	case OpNOP, OpNOP2, OpNOP3, OpNOP4:
+		if n := op.Len(); off+n <= len(code) {
+			return n
+		}
 	}
-	if off+n > len(code) {
-		return 0
-	}
-	return n
+	return 0
 }
 
 // SkipNops returns the offset of the first non-no-op byte at or after off.
@@ -155,7 +151,7 @@ func (in Insn) String() string {
 	case layRegImm, layRegImm64:
 		return fmt.Sprintf("%s %s, %d", info.name, in.Rd, in.Imm)
 	case layRegDisp:
-		if Op(in.Op) >= OpST8 && Op(in.Op) <= OpST64 {
+		if in.Op.isStore() {
 			return fmt.Sprintf("%s [%s%+d], %s", info.name, in.Rd, in.Disp, in.Rs)
 		}
 		return fmt.Sprintf("%s %s, [%s%+d]", info.name, in.Rd, in.Rs, in.Disp)
@@ -169,6 +165,142 @@ func (in Insn) String() string {
 		return fmt.Sprintf("%s %d", info.name, in.Imm)
 	}
 	return info.name
+}
+
+// ParseInsn parses one instruction written as String writes it: the
+// mnemonic, then the operands its layout takes, separated by commas. It
+// also reads the forms hand-written assembly uses: hex, unsigned and
+// character ('a') immediates, and a memory operand without a
+// displacement ([r1]). A value must fit its field as a signed or an
+// unsigned number, and is stored as Decode would read it back.
+func ParseInsn(text string) (Insn, error) {
+	text = strings.TrimSpace(text)
+	mn, rest := text, ""
+	if i := strings.IndexAny(text, " \t"); i >= 0 {
+		mn, rest = text[:i], strings.TrimSpace(text[i+1:])
+	}
+	op, ok := LookupOp(mn)
+	if !ok {
+		return Insn{}, fmt.Errorf("isa: unknown mnemonic %q", mn)
+	}
+	var a []string
+	if rest != "" {
+		a = strings.Split(rest, ",")
+		for i := range a {
+			a[i] = strings.TrimSpace(a[i])
+		}
+	}
+	lay := opInfos[op].layout
+	if want := layoutOperands[lay]; len(a) != want {
+		return Insn{}, fmt.Errorf("isa: %s takes %d operand(s), got %d", mn, want, len(a))
+	}
+	var p operands
+	in := Insn{Op: op, Len: op.Len()}
+	switch lay {
+	case layRegs:
+		in.Rd, in.Rs = p.reg(a[0]), p.reg(a[1])
+	case layReg:
+		in.Rd = p.reg(a[0])
+	case layRegImm:
+		in.Rd, in.Imm = p.reg(a[0]), p.value(a[1], 32)
+	case layRegImm64:
+		in.Rd, in.Imm = p.reg(a[0]), p.value(a[1], 64)
+	case layRegDisp:
+		if op.isStore() {
+			in.Rd, in.Disp = p.mem(a[0])
+			in.Rs = p.reg(a[1])
+		} else {
+			in.Rd = p.reg(a[0])
+			in.Rs, in.Disp = p.mem(a[1])
+		}
+	case layRegCC:
+		in.Rd, in.CC = p.reg(a[0]), p.cc(a[1])
+	case layRel32:
+		in.Rel = int32(p.value(a[0], 32))
+	case layRel8:
+		in.Rel = int32(p.value(a[0], 8))
+	case layCCRel32:
+		in.CC, in.Rel = p.cc(a[0]), int32(p.value(a[1], 32))
+	case layCCRel8:
+		in.CC, in.Rel = p.cc(a[0]), int32(p.value(a[1], 8))
+	case layImm16:
+		in.Imm = p.value(a[0], 16) & 0xffff // Decode zero-extends imm16
+	}
+	if p.err != nil {
+		return Insn{}, fmt.Errorf("isa: %s: %w", mn, p.err)
+	}
+	return in, nil
+}
+
+// operands parses operand text, keeping the first error.
+type operands struct{ err error }
+
+func (p *operands) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (p *operands) reg(s string) Reg {
+	for r, name := range regNames {
+		if s == name {
+			return Reg(r)
+		}
+	}
+	p.fail("bad register %q", s)
+	return 0
+}
+
+func (p *operands) cc(s string) CC {
+	for c, name := range ccNames {
+		if s == name {
+			return CC(c)
+		}
+	}
+	p.fail("bad condition %q", s)
+	return 0
+}
+
+// mem parses [reg], [reg+disp] or [reg-disp].
+func (p *operands) mem(s string) (Reg, int32) {
+	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
+		p.fail("bad memory operand %q", s)
+		return 0, 0
+	}
+	inner := s[1 : len(s)-1]
+	j := strings.IndexAny(inner, "+-")
+	if j < 0 {
+		return p.reg(strings.TrimSpace(inner)), 0
+	}
+	return p.reg(strings.TrimSpace(inner[:j])), int32(p.value(strings.TrimSpace(inner[j:]), 32))
+}
+
+// value parses s as the value of a bits-wide field: a number that fits
+// the field as a signed or an unsigned number, or a character literal.
+// The result is sign-extended from bits, as Decode reads the field.
+func (p *operands) value(s string, bits uint) int64 {
+	var v int64
+	var err error
+	if len(s) == 3 && s[0] == '\'' && s[2] == '\'' {
+		v = int64(s[1])
+	} else if v, err = strconv.ParseInt(s, 0, 64); err != nil {
+		// Past int64, a number fits only a 64-bit field, as unsigned.
+		var u uint64
+		if u, err = strconv.ParseUint(s, 0, 64); err == nil && bits < 64 {
+			err = strconv.ErrRange
+		}
+		v = int64(u)
+	}
+	if err == nil && bits < 64 && (v < -1<<(bits-1) || v >= 1<<bits) {
+		err = strconv.ErrRange
+	}
+	switch {
+	case errors.Is(err, strconv.ErrRange):
+		p.fail("%s does not fit in %d bits", s, bits)
+	case err != nil:
+		p.fail("bad immediate %q", s)
+	}
+	return v << (64 - bits) >> (64 - bits)
 }
 
 // Disasm disassembles the instruction at code[off], returning its textual

@@ -28,4 +28,11 @@
 // (NopLen) and basic instruction-set facts — instruction lengths and the
 // set of PC-relative instructions (Decode and Insn.RelInfo) — as obtained
 // from a disassembler (Disasm).
+//
+// One table, opInfos, describes every opcode: its mnemonic, its operand
+// layout (and so its length) and its branch class. Its four readers are
+// inverse pairs over that layout: Decode and Encode between bytes and
+// Insn, String and ParseInsn between Insn and assembly text. The
+// compiler, the assembler and branch relaxation encode through them and
+// restate no layout of their own.
 package isa

@@ -2,173 +2,64 @@ package isa
 
 import "encoding/binary"
 
-// Append-style encoders. Each appends one encoded instruction to b and
-// returns the extended slice. The assembler and code generator are the
-// only intended callers; branch displacement fields may be appended as
-// zero and fixed up later (see PatchRel32/PatchRel8).
+// nopPad fills the ignored payload bytes of NOP2..NOP4.
+const nopPad = 0x66
 
 func regs(rd, rs Reg) byte { return byte(rd&0x0f) | byte(rs&0x0f)<<4 }
 
-func appendU16(b []byte, v uint16) []byte {
-	return append(b, byte(v), byte(v>>8))
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	return append(b, buf[:]...)
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return append(b, buf[:]...)
+// Encode appends the encoding of in to b and returns the extended slice.
+// It is the inverse of Decode: the opcode's layout says which of in's
+// fields are written and where, and in.Len is ignored. Encode panics if
+// in.Op is not a defined opcode.
+func Encode(b []byte, in Insn) []byte {
+	info := &opInfos[in.Op]
+	if info.name == "" {
+		panic("isa: Encode of undefined opcode " + in.Op.Name())
+	}
+	le := binary.LittleEndian
+	b = append(b, byte(in.Op))
+	switch info.layout {
+	case layNone:
+	case layPad1, layPad2, layPad3:
+		for n := layoutLen[info.layout]; n > 1; n-- {
+			b = append(b, nopPad)
+		}
+	case layRegs:
+		b = append(b, regs(in.Rd, in.Rs))
+	case layReg:
+		b = append(b, regs(in.Rd, 0))
+	case layRegImm:
+		b = le.AppendUint32(append(b, regs(in.Rd, 0)), uint32(in.Imm))
+	case layRegImm64:
+		b = le.AppendUint64(append(b, regs(in.Rd, 0)), uint64(in.Imm))
+	case layRegDisp:
+		b = le.AppendUint32(append(b, regs(in.Rd, in.Rs)), uint32(in.Disp))
+	case layRegCC:
+		b = append(b, regs(in.Rd, 0), byte(in.CC))
+	case layRel32:
+		b = le.AppendUint32(b, uint32(in.Rel))
+	case layRel8:
+		b = append(b, byte(in.Rel))
+	case layCCRel32:
+		b = le.AppendUint32(append(b, byte(in.CC)), uint32(in.Rel))
+	case layCCRel8:
+		b = append(b, byte(in.CC), byte(in.Rel))
+	case layImm16:
+		b = le.AppendUint16(b, uint16(in.Imm))
+	}
+	return b
 }
 
 // Nop appends n bytes of no-op padding using the canonical multi-byte
 // no-op sequences (longest first), matching what the assembler emits for
 // alignment.
 func Nop(b []byte, n int) []byte {
-	for n >= 4 {
-		b = append(b, byte(OpNOP4), 0x66, 0x66, 0x66)
-		n -= 4
-	}
-	switch n {
-	case 3:
-		b = append(b, byte(OpNOP3), 0x66, 0x66)
-	case 2:
-		b = append(b, byte(OpNOP2), 0x66)
-	case 1:
-		b = append(b, byte(OpNOP))
+	for n > 0 {
+		k := min(n, 4)
+		b = Encode(b, Insn{Op: OpNOP + Op(k-1)}) // OpNOP..OpNOP4 are 1..4 bytes
+		n -= k
 	}
 	return b
-}
-
-// MOVI appends rd <- sign-extended imm32.
-func MOVI(b []byte, rd Reg, imm int32) []byte {
-	return appendU32(append(b, byte(OpMOVI), regs(rd, 0)), uint32(imm))
-}
-
-// MOVI64 appends rd <- imm64.
-func MOVI64(b []byte, rd Reg, imm int64) []byte {
-	return appendU64(append(b, byte(OpMOVI64), regs(rd, 0)), uint64(imm))
-}
-
-// MOV appends rd <- rs.
-func MOV(b []byte, rd, rs Reg) []byte {
-	return append(b, byte(OpMOV), regs(rd, rs))
-}
-
-// LEA appends rd <- rs + disp.
-func LEA(b []byte, rd, rs Reg, disp int32) []byte {
-	return appendU32(append(b, byte(OpLEA), regs(rd, rs)), uint32(disp))
-}
-
-// Load appends a load of the given opcode: rd <- mem[rs+disp].
-func Load(b []byte, op Op, rd, rs Reg, disp int32) []byte {
-	return appendU32(append(b, byte(op), regs(rd, rs)), uint32(disp))
-}
-
-// Store appends a store of the given opcode: mem[rd+disp] <- rs.
-func Store(b []byte, op Op, rd Reg, disp int32, rs Reg) []byte {
-	return appendU32(append(b, byte(op), regs(rd, rs)), uint32(disp))
-}
-
-// ALU appends a two-register ALU operation rd <- rd op rs.
-func ALU(b []byte, op Op, rd, rs Reg) []byte {
-	return append(b, byte(op), regs(rd, rs))
-}
-
-// ALU1 appends a one-register operation (NEG/NOT/SEXT/ZEXT).
-func ALU1(b []byte, op Op, rd Reg) []byte {
-	return append(b, byte(op), regs(rd, 0))
-}
-
-// ADDI64 appends rd <- rd + sign-extended imm32.
-func ADDI64(b []byte, rd Reg, imm int32) []byte {
-	return appendU32(append(b, byte(OpADDI64), regs(rd, 0)), uint32(imm))
-}
-
-// CMPI appends a register/immediate comparison (OpCMPI32 or OpCMPI64).
-func CMPI(b []byte, op Op, ra Reg, imm int32) []byte {
-	return appendU32(append(b, byte(op), regs(ra, 0)), uint32(imm))
-}
-
-// CMP appends a register/register comparison (OpCMP32 or OpCMP64).
-func CMP(b []byte, op Op, ra, rb Reg) []byte {
-	return append(b, byte(op), regs(ra, rb))
-}
-
-// SETCC appends rd <- (flags satisfy cc) ? 1 : 0.
-func SETCC(b []byte, rd Reg, cc CC) []byte {
-	return append(b, byte(OpSETCC), regs(rd, 0), byte(cc))
-}
-
-// JMP appends a near jump with the given rel32 displacement.
-func JMP(b []byte, rel int32) []byte {
-	return appendU32(append(b, byte(OpJMP)), uint32(rel))
-}
-
-// JMPS appends a short jump with the given rel8 displacement.
-func JMPS(b []byte, rel int8) []byte {
-	return append(b, byte(OpJMPS), byte(rel))
-}
-
-// JCC appends a near conditional jump.
-func JCC(b []byte, cc CC, rel int32) []byte {
-	return appendU32(append(b, byte(OpJCC), byte(cc)), uint32(rel))
-}
-
-// JCCS appends a short conditional jump.
-func JCCS(b []byte, cc CC, rel int8) []byte {
-	return append(b, byte(OpJCCS), byte(cc), byte(rel))
-}
-
-// CALL appends a near call with the given rel32 displacement.
-func CALL(b []byte, rel int32) []byte {
-	return appendU32(append(b, byte(OpCALL)), uint32(rel))
-}
-
-// CALLR appends an indirect call through rs.
-func CALLR(b []byte, rs Reg) []byte {
-	return append(b, byte(OpCALLR), regs(rs, 0))
-}
-
-// RET appends a return.
-func RET(b []byte) []byte { return append(b, byte(OpRET)) }
-
-// JMPR appends an indirect jump through rs.
-func JMPR(b []byte, rs Reg) []byte {
-	return append(b, byte(OpJMPR), regs(rs, 0))
-}
-
-// PUSH appends an 8-byte push of rs.
-func PUSH(b []byte, rs Reg) []byte {
-	return append(b, byte(OpPUSH), regs(rs, 0))
-}
-
-// POP appends an 8-byte pop into rd.
-func POP(b []byte, rd Reg) []byte {
-	return append(b, byte(OpPOP), regs(rd, 0))
-}
-
-// TRAP appends a host-service trap.
-func TRAP(b []byte, num uint16) []byte {
-	return appendU16(append(b, byte(OpTRAP)), num)
-}
-
-// HLT appends a halt.
-func HLT(b []byte) []byte { return append(b, byte(OpHLT)) }
-
-// PatchRel32 writes a 32-bit little-endian value at code[off], used to fix
-// up displacement and immediate fields after layout is known.
-func PatchRel32(code []byte, off int, v int32) {
-	binary.LittleEndian.PutUint32(code[off:], uint32(v))
-}
-
-// PatchRel8 writes an 8-bit displacement at code[off].
-func PatchRel8(code []byte, off int, v int8) {
-	code[off] = byte(v)
 }
 
 // Trampoline returns the 5-byte near-jump sequence that redirects
@@ -176,5 +67,5 @@ func PatchRel8(code []byte, off int, v int8) {
 // is the jump instruction Ksplice writes over an obsolete function.
 func Trampoline(from, to uint32) []byte {
 	rel := int32(to) - (int32(from) + TrampolineLen)
-	return JMP(make([]byte, 0, TrampolineLen), rel)
+	return Encode(make([]byte, 0, TrampolineLen), Insn{Op: OpJMP, Rel: rel})
 }

@@ -20,15 +20,13 @@ const (
 	NumRegs = 8
 )
 
+var regNames = [NumRegs]string{"r0", "r1", "r2", "r3", "r4", "r5", "fp", "sp"}
+
 func (r Reg) String() string {
-	switch r {
-	case FP:
-		return "fp"
-	case SP:
-		return "sp"
-	default:
-		return fmt.Sprintf("r%d", byte(r))
+	if int(r) < len(regNames) {
+		return regNames[r]
 	}
+	return fmt.Sprintf("r%d", byte(r))
 }
 
 // CC is a condition code tested by JCC/JCCS/SETCC against the flags set by
@@ -193,7 +191,8 @@ const (
 	OpBRK  Op = 0x7A // debug breakpoint
 )
 
-// operand layout kinds used by the decoder.
+// operand layout kinds: which fields an instruction carries and where.
+// Decode, Encode, String and ParseInsn each switch on the layout.
 type layout byte
 
 const (
@@ -230,6 +229,21 @@ var layoutLen = [...]int{
 	layCCRel32:  6,
 	layCCRel8:   3,
 	layImm16:    3,
+}
+
+// layoutOperands is the number of assembly operands each layout takes.
+var layoutOperands = [...]int{
+	layRegs:     2,
+	layReg:      1,
+	layRegImm:   2,
+	layRegImm64: 2,
+	layRegDisp:  2,
+	layRegCC:    2,
+	layRel32:    1,
+	layRel8:     1,
+	layCCRel32:  2,
+	layCCRel8:   2,
+	layImm16:    1,
 }
 
 // BranchClass groups control-transfer opcodes whose short and near
@@ -345,6 +359,21 @@ var opInfos = [256]opInfo{
 func (op Op) Valid() bool {
 	return opInfos[op].name != ""
 }
+
+// LookupOp returns the opcode whose mnemonic is name, the inverse of
+// Name for defined opcodes.
+func LookupOp(name string) (Op, bool) {
+	for op := range opInfos {
+		if opInfos[op].name == name && name != "" {
+			return Op(op), true
+		}
+	}
+	return 0, false
+}
+
+// isStore reports whether op writes its register operand to memory,
+// which puts the memory operand first in assembly text.
+func (op Op) isStore() bool { return op >= OpST8 && op <= OpST64 }
 
 // Name returns the mnemonic for op, or a hex placeholder if undefined.
 func (op Op) Name() string {

@@ -1,56 +1,134 @@
 package isa
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
 
-func TestOpLenMatchesEncoders(t *testing.T) {
-	cases := []struct {
-		name string
-		code []byte
-	}{
-		{"nop", Nop(nil, 1)},
-		{"movi", MOVI(nil, R1, -7)},
-		{"movi64", MOVI64(nil, R2, 1<<40)},
-		{"mov", MOV(nil, R0, R3)},
-		{"lea", LEA(nil, R1, FP, -16)},
-		{"ld32s", Load(nil, OpLD32S, R0, FP, 8)},
-		{"st64", Store(nil, OpST64, FP, -8, R1)},
-		{"add32", ALU(nil, OpADD32, R0, R1)},
-		{"neg64", ALU1(nil, OpNEG64, R2)},
-		{"addi64", ADDI64(nil, SP, -32)},
-		{"cmpi32", CMPI(nil, OpCMPI32, R0, 10)},
-		{"cmp64", CMP(nil, OpCMP64, R0, R1)},
-		{"setcc", SETCC(nil, R0, CCLE)},
-		{"jmp", JMP(nil, 100)},
-		{"jmps", JMPS(nil, -5)},
-		{"jcc", JCC(nil, CCNE, 64)},
-		{"jccs", JCCS(nil, CCEQ, 3)},
-		{"call", CALL(nil, 1234)},
-		{"callr", CALLR(nil, R4)},
-		{"ret", RET(nil)},
-		{"push", PUSH(nil, R5)},
-		{"pop", POP(nil, R5)},
-		{"trap", TRAP(nil, 7)},
-		{"hlt", HLT(nil)},
+// samples returns instructions covering every defined opcode, each in
+// the form Decode produces, with operands per layout that reach the
+// edges of their fields.
+func samples() []Insn {
+	var out []Insn
+	for v := range 256 {
+		op := Op(v)
+		if !op.Valid() {
+			continue
+		}
+		var variants []Insn
+		switch opInfos[op].layout {
+		case layNone, layPad1, layPad2, layPad3:
+			variants = []Insn{{}}
+		case layRegs:
+			variants = []Insn{{Rd: R0, Rs: R3}, {Rd: SP, Rs: FP}}
+		case layReg:
+			variants = []Insn{{Rd: R5}, {Rd: SP}}
+		case layRegImm:
+			variants = []Insn{{Rd: R1, Imm: -7}, {Rd: SP, Imm: math.MinInt32}, {Rd: FP, Imm: math.MaxInt32}}
+		case layRegImm64:
+			variants = []Insn{{Rd: R2, Imm: 1 << 40}, {Rd: R0, Imm: math.MinInt64}, {Rd: R4, Imm: -1}}
+		case layRegDisp:
+			variants = []Insn{{Rd: R1, Rs: FP, Disp: -16}, {Rd: FP, Rs: R2, Disp: 0}, {Rd: SP, Rs: SP, Disp: math.MaxInt32}}
+		case layRegCC:
+			variants = []Insn{{Rd: R0, CC: CCLE}, {Rd: R5, CC: CCUGE}}
+		case layRel32:
+			variants = []Insn{{Rel: 100}, {Rel: math.MinInt32}}
+		case layRel8:
+			variants = []Insn{{Rel: -5}, {Rel: -128}, {Rel: 127}}
+		case layCCRel32:
+			variants = []Insn{{CC: CCNE, Rel: 64}, {CC: CCUGE, Rel: -1000}}
+		case layCCRel8:
+			variants = []Insn{{CC: CCEQ, Rel: 3}, {CC: CCULT, Rel: -128}}
+		case layImm16:
+			variants = []Insn{{Imm: 7}, {Imm: 0xffff}}
+		}
+		for _, in := range variants {
+			in.Op, in.Len = op, op.Len()
+			out = append(out, in)
+		}
 	}
-	for _, c := range cases {
-		in, err := Decode(c.code, 0)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", c.name, err)
+	return out
+}
+
+// TestEncodeRoundTrip: for every defined opcode, Encode writes Op.Len()
+// bytes that Decode reads back, and ParseInsn reads back String.
+func TestEncodeRoundTrip(t *testing.T) {
+	seen := map[Op]bool{}
+	for _, in := range samples() {
+		seen[in.Op] = true
+		code := Encode(nil, in)
+		if len(code) != in.Op.Len() {
+			t.Errorf("%v: encoded %d bytes, Op.Len()=%d", in, len(code), in.Op.Len())
 		}
-		if in.Len != len(c.code) {
-			t.Errorf("%s: decoded len %d, encoded %d bytes", c.name, in.Len, len(c.code))
+		if got, err := Decode(code, 0); err != nil || got != in {
+			t.Errorf("%v: Decode(Encode) = %+v, %v", in, got, err)
 		}
-		if got := in.Op.Len(); got != len(c.code) {
-			t.Errorf("%s: Op.Len()=%d, encoded %d bytes", c.name, got, len(c.code))
+		if got, err := ParseInsn(in.String()); err != nil || got != in {
+			t.Errorf("%v: ParseInsn(String) = %+v, %v", in, got, err)
+		}
+	}
+	for v := range 256 {
+		if Op(v).Valid() && !seen[Op(v)] {
+			t.Errorf("opcode %s has no sample", Op(v).Name())
+		}
+	}
+}
+
+// TestParseInsnForms pins the hand-written forms ParseInsn reads beyond
+// what String prints, and the operands it refuses.
+func TestParseInsnForms(t *testing.T) {
+	ok := []struct {
+		text string
+		want Insn
+	}{
+		{"ld8u r0, [r1]", Insn{Op: OpLD8U, Rd: R0, Rs: R1}},
+		{"ld16u r0, [r1-4]", Insn{Op: OpLD16U, Rd: R0, Rs: R1, Disp: -4}},
+		{"st16 [ r1+0x10 ], r0", Insn{Op: OpST16, Rd: R1, Rs: R0, Disp: 16}},
+		{"cmpi32 r0, 'a'", Insn{Op: OpCMPI32, Rd: R0, Imm: 'a'}},
+		{"movi64 r1, 0x123456789", Insn{Op: OpMOVI64, Rd: R1, Imm: 0x123456789}},
+		{"movi64 r1, 0xffffffffffffffff", Insn{Op: OpMOVI64, Rd: R1, Imm: -1}},
+		{"movi r0, 0xffffffff", Insn{Op: OpMOVI, Rd: R0, Imm: -1}},
+		{"addi64 sp, -32", Insn{Op: OpADDI64, Rd: SP, Imm: -32}},
+		{"jmps 0xff", Insn{Op: OpJMPS, Rel: -1}},
+		{"trap 0xffff", Insn{Op: OpTRAP, Imm: 0xffff}},
+		{"  nop4\t", Insn{Op: OpNOP4}},
+	}
+	for _, c := range ok {
+		c.want.Len = c.want.Op.Len()
+		if got, err := ParseInsn(c.text); err != nil || got != c.want {
+			t.Errorf("ParseInsn(%q) = %+v, %v; want %+v", c.text, got, err, c.want)
+		}
+	}
+	bad := []string{
+		"movi r0, 0x100000000",
+		"addi64 sp, 0x100000008",
+		"ld64 r0, [r1+0x100000000]",
+		"cmpi32 r0, 0x1ffffffff",
+		"movi r0, -0x80000001",
+		"jmps 256",
+		"jccs eq, -129",
+		"trap 99999",
+		"movi64 r0, 0x10000000000000000",
+		"ret r0",
+		"mov r0",
+		"mov r0, r6",
+		"mov r0, [r1]",
+		"ld32s r0, r1",
+		"setcc r0, zz",
+		"st8 [r1, r0",
+		"movi r0, bogus",
+		"frob r0",
+	}
+	for _, text := range bad {
+		if in, err := ParseInsn(text); err == nil {
+			t.Errorf("ParseInsn(%q) accepted as %v", text, in)
 		}
 	}
 }
 
 func TestDecodeOperands(t *testing.T) {
-	code := MOVI(nil, R3, -42)
+	code := Encode(nil, Insn{Op: OpMOVI, Rd: R3, Imm: -42})
 	in, err := Decode(code, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +137,7 @@ func TestDecodeOperands(t *testing.T) {
 		t.Errorf("movi decoded as %+v", in)
 	}
 
-	code = Store(nil, OpST32, FP, -12, R2)
+	code = Encode(nil, Insn{Op: OpST32, Rd: FP, Disp: -12, Rs: R2})
 	in, err = Decode(code, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +146,7 @@ func TestDecodeOperands(t *testing.T) {
 		t.Errorf("st32 decoded as %+v", in)
 	}
 
-	code = JCC(nil, CCUGE, -1000)
+	code = Encode(nil, Insn{Op: OpJCC, CC: CCUGE, Rel: -1000})
 	in, err = Decode(code, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +163,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode([]byte{0xff}, 0); err == nil {
 		t.Error("undefined opcode decoded without error")
 	}
-	if _, err := Decode(JMP(nil, 1)[:3], 0); err == nil {
+	if _, err := Decode(Encode(nil, Insn{Op: OpJMP, Rel: 1})[:3], 0); err == nil {
 		t.Error("truncated jmp decoded without error")
 	}
 	if _, err := Decode(nil, 0); err == nil {
@@ -93,6 +171,12 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode([]byte{byte(OpJCC), 99, 0, 0, 0, 0}, 0); err == nil {
 		t.Error("invalid condition code decoded without error")
+	}
+	// Register fields name r0-r5, fp and sp only.
+	for _, code := range [][]byte{{byte(OpMOV), 0x80}, {byte(OpMOV), 0x08}, {byte(OpPUSH), 0x0f}} {
+		if in, err := Decode(code, 0); err == nil {
+			t.Errorf("% x decoded as %v, want an invalid-register error", code, in)
+		}
 	}
 }
 
@@ -104,11 +188,12 @@ func TestNopLenAndSkip(t *testing.T) {
 	if n := NopLen(code, 4); n != 3 {
 		t.Errorf("NopLen at 4 = %d, want 3", n)
 	}
-	code = append(code, RET(nil)...)
+	ret := Encode(nil, Insn{Op: OpRET})
+	code = append(code, ret...)
 	if off := SkipNops(code, 0); off != 7 {
 		t.Errorf("SkipNops = %d, want 7", off)
 	}
-	if n := NopLen(RET(nil), 0); n != 0 {
+	if n := NopLen(ret, 0); n != 0 {
 		t.Errorf("NopLen on ret = %d, want 0", n)
 	}
 	// A truncated multi-byte no-op is not a no-op.
@@ -134,7 +219,7 @@ func TestNopPaddingLengths(t *testing.T) {
 
 func TestBranchTargetAndTrampoline(t *testing.T) {
 	// A jump at address 0x1000 to 0x1020: rel = 0x1020 - 0x1005.
-	code := JMP(nil, 0x1b)
+	code := Encode(nil, Insn{Op: OpJMP, Rel: 0x1b})
 	in, err := Decode(code, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -204,21 +289,8 @@ func TestDecodeNeverPanicsProperty(t *testing.T) {
 	}
 }
 
-// PatchRel32 followed by decode must observe the patched displacement.
-func TestPatchRelProperty(t *testing.T) {
-	f := func(rel int32) bool {
-		code := JMP(nil, 0)
-		PatchRel32(code, 1, rel)
-		in, err := Decode(code, 0)
-		return err == nil && in.Rel == rel
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestDisasm(t *testing.T) {
-	code := CALL(nil, 0x10)
+	code := Encode(nil, Insn{Op: OpCALL, Rel: 0x10})
 	text, n, err := Disasm(code, 0, 0x400000)
 	if err != nil || n != 5 {
 		t.Fatalf("Disasm: %q %d %v", text, n, err)

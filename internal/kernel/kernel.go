@@ -216,9 +216,8 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 	k.M.LowGuard = LowGuard
 	k.M.Mem.WriteAt(KernelBase, im.Bytes)
 	// Exit stub: TRAP exit; HLT as a backstop.
-	stub := isa.TRAP(nil, TrapExit)
-	stub = isa.HLT(stub)
-	k.M.Mem.WriteAt(ExitStub, stub)
+	stub := isa.Encode(nil, isa.Insn{Op: isa.OpTRAP, Imm: TrapExit})
+	k.M.Mem.WriteAt(ExitStub, isa.Encode(stub, isa.Insn{Op: isa.OpHLT}))
 
 	k.moduleCursor = (im.End() + 0xFFF) &^ 0xFFF
 	k.heap = newHeap(HeapBase, HeapEnd)

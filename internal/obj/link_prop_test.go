@@ -19,19 +19,19 @@ func randomFiles(rng *rand.Rand, nFiles int) []*File {
 		for i := 0; i < nf; i++ {
 			name := fmt.Sprintf("fn_%d_%d", fi, i)
 			sec := &Section{Name: FuncSectionPrefix + name, Kind: Text, Align: 16}
-			body := isa.PUSH(nil, isa.FP)
-			body = isa.MOV(body, isa.FP, isa.SP)
+			body := isa.Encode(nil, isa.Insn{Op: isa.OpPUSH, Rd: isa.FP})
+			body = isa.Encode(body, isa.Insn{Op: isa.OpMOV, Rd: isa.FP, Rs: isa.SP})
 			// Possibly call an earlier global; the reloc's symbol index
 			// is fixed up once all of the file's symbols exist.
 			if len(allGlobals) > 0 && rng.Intn(2) == 0 {
 				callee := allGlobals[rng.Intn(len(allGlobals))]
 				off := uint32(len(body)) + 1
-				body = isa.CALL(body, 0)
+				body = isa.Encode(body, isa.Insn{Op: isa.OpCALL})
 				sec.Relocs = append(sec.Relocs, Reloc{Offset: off, Type: RelPC32, Sym: 0, Addend: -4})
 				pendingCalls = append(pendingCalls, pendingCall{f, len(f.Sections), len(sec.Relocs) - 1, callee})
 			}
-			body = isa.POP(body, isa.FP)
-			body = isa.RET(body)
+			body = isa.Encode(body, isa.Insn{Op: isa.OpPOP, Rd: isa.FP})
+			body = isa.Encode(body, isa.Insn{Op: isa.OpRET})
 			sec.Data = body
 			si := f.AddSection(sec)
 			f.Symbols = append(f.Symbols, &Symbol{

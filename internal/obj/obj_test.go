@@ -19,8 +19,8 @@ func sampleFiles() []*File {
 	a := &File{SourcePath: "a.mc", Compiler: "minicc-1.0"}
 	text := &Section{Name: ".text.f", Kind: Text, Align: 16}
 	// f: call g; ret  — call displacement filled by relocation.
-	text.Data = isa.CALL(nil, 0)
-	text.Data = isa.RET(text.Data)
+	text.Data = isa.Encode(nil, isa.Insn{Op: isa.OpCALL})
+	text.Data = isa.Encode(text.Data, isa.Insn{Op: isa.OpRET})
 	a.AddSection(text)
 	data := &Section{Name: ".data.debug", Kind: Data, Align: 8, Data: make([]byte, 8)}
 	a.AddSection(data)
@@ -32,7 +32,7 @@ func sampleFiles() []*File {
 	text.Relocs = []Reloc{{Offset: 1, Type: RelPC32, Sym: 2, Addend: -4}}
 
 	b := &File{SourcePath: "b.mc", Compiler: "minicc-1.0"}
-	gtext := &Section{Name: ".text.g", Kind: Text, Align: 16, Data: isa.RET(nil)}
+	gtext := &Section{Name: ".text.g", Kind: Text, Align: 16, Data: isa.Encode(nil, isa.Insn{Op: isa.OpRET})}
 	b.AddSection(gtext)
 	bdata := &Section{Name: ".data.debug", Kind: Data, Align: 8, Data: make([]byte, 8)}
 	b.AddSection(bdata)
@@ -176,8 +176,8 @@ func TestLinkLayoutAndRelocs(t *testing.T) {
 func TestLinkAbsReloc(t *testing.T) {
 	f := &File{SourcePath: "t.mc"}
 	text := &Section{Name: ".text.h", Kind: Text, Align: 16}
-	text.Data = isa.MOVI(nil, isa.R0, 0) // imm field patched by abs32 reloc
-	text.Data = isa.RET(text.Data)
+	text.Data = isa.Encode(nil, isa.Insn{Op: isa.OpMOVI, Rd: isa.R0}) // imm field patched by abs32 reloc
+	text.Data = isa.Encode(text.Data, isa.Insn{Op: isa.OpRET})
 	f.AddSection(text)
 	data := &Section{Name: ".data.v", Kind: Data, Align: 8, Data: make([]byte, 8)}
 	f.AddSection(data)
@@ -202,7 +202,7 @@ func TestLinkErrors(t *testing.T) {
 	// Duplicate globals.
 	mk := func(name string) *File {
 		f := &File{SourcePath: name}
-		f.AddSection(&Section{Name: ".text.dup", Kind: Text, Align: 16, Data: isa.RET(nil)})
+		f.AddSection(&Section{Name: ".text.dup", Kind: Text, Align: 16, Data: isa.Encode(nil, isa.Insn{Op: isa.OpRET})})
 		f.Symbols = []*Symbol{{Name: "dup", Section: 0, Size: 1, Func: true}}
 		return f
 	}
@@ -212,7 +212,7 @@ func TestLinkErrors(t *testing.T) {
 
 	// Unresolved symbol without resolver.
 	f := &File{SourcePath: "u.mc"}
-	text := &Section{Name: ".text.u", Kind: Text, Align: 16, Data: isa.CALL(nil, 0)}
+	text := &Section{Name: ".text.u", Kind: Text, Align: 16, Data: isa.Encode(nil, isa.Insn{Op: isa.OpCALL})}
 	text.Relocs = []Reloc{{Offset: 1, Type: RelPC32, Sym: 1, Addend: -4}}
 	f.AddSection(text)
 	f.Symbols = []*Symbol{
@@ -244,7 +244,7 @@ func TestLinkErrors(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	f := &File{SourcePath: "bad.mc"}
-	sec := &Section{Name: ".text.x", Kind: Text, Align: 16, Data: isa.RET(nil)}
+	sec := &Section{Name: ".text.x", Kind: Text, Align: 16, Data: isa.Encode(nil, isa.Insn{Op: isa.OpRET})}
 	sec.Relocs = []Reloc{{Offset: 100, Type: RelAbs32, Sym: 0}}
 	f.AddSection(sec)
 	f.Symbols = []*Symbol{{Name: "x", Section: 0, Size: 1, Func: true}}
@@ -278,9 +278,9 @@ func TestFuncSectionNames(t *testing.T) {
 func TestPC8RangeError(t *testing.T) {
 	f := &File{SourcePath: "p8.mc"}
 	text := &Section{Name: ".text.a", Kind: Text, Align: 16}
-	text.Data = isa.JMPS(nil, 0)
+	text.Data = isa.Encode(nil, isa.Insn{Op: isa.OpJMPS})
 	text.Data = isa.Nop(text.Data, 300)
-	text.Data = isa.RET(text.Data)
+	text.Data = isa.Encode(text.Data, isa.Insn{Op: isa.OpRET})
 	f.AddSection(text)
 	f.Symbols = []*Symbol{
 		{Name: "a", Section: 0, Size: uint32(len(text.Data)), Func: true},

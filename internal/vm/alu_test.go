@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -10,10 +11,12 @@ import (
 // runALU2 executes a single two-register op with the given operands.
 func runALU2(t *testing.T, op isa.Op, a, b int64) (uint64, error) {
 	t.Helper()
-	code := isa.MOVI64(nil, isa.R0, a)
-	code = isa.MOVI64(code, isa.R1, b)
-	code = isa.ALU(code, op, isa.R0, isa.R1)
-	code = isa.HLT(code)
+	code := asm(
+		fmt.Sprintf("movi64 r0, %d", a),
+		fmt.Sprintf("movi64 r1, %d", b),
+		fmt.Sprintf("%s r0, r1", op.Name()),
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	_, err := m.Run(th, 10)
 	return th.R[isa.R0], err
@@ -21,9 +24,11 @@ func runALU2(t *testing.T, op isa.Op, a, b int64) (uint64, error) {
 
 func runALU1(t *testing.T, op isa.Op, a int64) uint64 {
 	t.Helper()
-	code := isa.MOVI64(nil, isa.R0, a)
-	code = isa.ALU1(code, op, isa.R0)
-	code = isa.HLT(code)
+	code := asm(
+		fmt.Sprintf("movi64 r0, %d", a),
+		fmt.Sprintf("%s r0", op.Name()),
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 10); err != nil {
 		t.Fatal(err)
@@ -171,15 +176,18 @@ func TestOneRegisterOps(t *testing.T) {
 func TestIndirectJumpAndCall(t *testing.T) {
 	// A jump table: JMPR through a register; CALLR for the call flavor.
 	const fnAddr = 0x300
-	code := isa.MOVI(nil, isa.R2, fnAddr)
-	code = isa.CALLR(code, isa.R2)
-	code = isa.MOVI(code, isa.R3, fnAddr)
-	code = isa.JMPR(code, isa.R3)
-	// (unreached)
-	code = isa.MOVI(code, isa.R0, 999)
+	code := asm(
+		fmt.Sprintf("movi r2, %d", fnAddr),
+		"callr r2",
+		fmt.Sprintf("movi r3, %d", fnAddr),
+		"jmpr r3",
+		"movi r0, 999", // unreached
+	)
 
-	fn := isa.MOVI(nil, isa.R0, 42)
-	fn = isa.RET(fn)
+	fn := asm(
+		"movi r0, 42",
+		"ret",
+	)
 
 	m, th := load(code, 0x100)
 	m.Mem.WriteAt(fnAddr, fn)
@@ -203,8 +211,10 @@ func TestIndirectJumpAndCall(t *testing.T) {
 
 func TestMOVI64RoundTrip(t *testing.T) {
 	f := func(v int64) bool {
-		code := isa.MOVI64(nil, isa.R4, v)
-		code = isa.HLT(code)
+		code := asm(
+			fmt.Sprintf("movi64 r4, %d", v),
+			"hlt",
+		)
 		m, th := load(code, 0x100)
 		if _, err := m.Run(th, 10); err != nil {
 			return false
@@ -217,8 +227,10 @@ func TestMOVI64RoundTrip(t *testing.T) {
 }
 
 func TestLowGuardFaults(t *testing.T) {
-	code := isa.MOVI(nil, isa.R1, 0x10) // below the guard
-	code = isa.Load(code, isa.OpLD32S, isa.R0, isa.R1, 0)
+	code := asm(
+		"movi r1, 0x10", // below the guard
+		"ld32s r0, [r1]",
+	)
 	m, th := load(code, 0x2000)
 	m.LowGuard = 0x1000
 	if _, err := m.Run(th, 10); err == nil {
@@ -234,13 +246,15 @@ func TestLowGuardFaults(t *testing.T) {
 
 func TestCMP64AndSETCCWidths(t *testing.T) {
 	// 64-bit comparison distinguishes values equal in their low 32 bits.
-	code := isa.MOVI64(nil, isa.R1, 1<<40|5)
-	code = isa.MOVI64(code, isa.R2, 5)
-	code = isa.CMP(code, isa.OpCMP64, isa.R1, isa.R2)
-	code = isa.SETCC(code, isa.R0, isa.CCEQ)
-	code = isa.CMP(code, isa.OpCMP32, isa.R1, isa.R2)
-	code = isa.SETCC(code, isa.R3, isa.CCEQ)
-	code = isa.HLT(code)
+	code := asm(
+		fmt.Sprintf("movi64 r1, %d", 1<<40|5),
+		"movi64 r2, 5",
+		"cmp64 r1, r2",
+		"setcc r0, eq",
+		"cmp32 r1, r2",
+		"setcc r3, eq",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 20); err != nil {
 		t.Fatal(err)
@@ -254,10 +268,12 @@ func TestCMP64AndSETCCWidths(t *testing.T) {
 }
 
 func TestCMPI64Semantics(t *testing.T) {
-	code := isa.MOVI64(nil, isa.R1, -5)
-	code = isa.CMPI(code, isa.OpCMPI64, isa.R1, -5)
-	code = isa.SETCC(code, isa.R0, isa.CCEQ)
-	code = isa.HLT(code)
+	code := asm(
+		"movi64 r1, -5",
+		"cmpi64 r1, -5",
+		"setcc r0, eq",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 10); err != nil {
 		t.Fatal(err)

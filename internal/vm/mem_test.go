@@ -185,8 +185,10 @@ func TestMemoryClonePagesAreLazy(t *testing.T) {
 
 func TestMemoryTruncateView(t *testing.T) {
 	m := NewMemory(2 * PageSize)
-	code := isa.MOVI(nil, isa.R0, 7)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r0, 7",
+		"hlt",
+	)
 	m.WriteAt(PageSize-2, code) // straddles the page boundary
 	cut := int(PageSize) + 1
 	v := m.Truncate(cut)
@@ -211,7 +213,7 @@ func TestMemoryTruncateView(t *testing.T) {
 func TestMemoryDecodeAtPageBoundary(t *testing.T) {
 	m := NewMemory(2 * PageSize)
 	// A MOVI64 (10 bytes, the longest encoding) straddling the boundary.
-	code := isa.MOVI64(nil, isa.R3, 0x0123456789ABCDEF)
+	code := asm("movi64 r3, 0x0123456789ABCDEF")
 	addr := PageSize - 5
 	m.WriteAt(uint32(addr), code)
 	in, err := m.DecodeAt(addr)
@@ -222,11 +224,11 @@ func TestMemoryDecodeAtPageBoundary(t *testing.T) {
 		t.Errorf("decoded %v imm %#x", in.Op, in.Imm)
 	}
 	// SkipNops across a boundary.
-	nops := isa.Nop(isa.Nop(nil, 3), 4)
+	nops := asm("nop3", "nop4")
 	m2 := NewMemory(2 * PageSize)
 	start := int(PageSize) - 3
 	m2.WriteAt(uint32(start), nops)
-	m2.WriteAt(uint32(start+len(nops)), isa.HLT(nil))
+	m2.WriteAt(uint32(start+len(nops)), asm("hlt"))
 	if got := m2.SkipNops(start); got != start+len(nops) {
 		t.Errorf("SkipNops = %#x, want %#x", got, start+len(nops))
 	}
@@ -240,7 +242,7 @@ func TestMemoryDecodeAtPageBoundary(t *testing.T) {
 func TestDecodeCacheSeesWrites(t *testing.T) {
 	m := NewMemory(2 * PageSize)
 	addr := uint32(0x40)
-	m.WriteAt(addr, isa.MOVI(nil, isa.R1, 7))
+	m.WriteAt(addr, asm("movi r1, 7"))
 	in, err := m.DecodeAt(int(addr))
 	if err != nil || in.Op != isa.OpMOVI {
 		t.Fatalf("initial decode: %v %v", in.Op, err)
@@ -249,7 +251,7 @@ func TestDecodeCacheSeesWrites(t *testing.T) {
 	if in, _ = m.DecodeAt(int(addr)); in.Op != isa.OpMOVI {
 		t.Fatalf("cached decode: %v", in.Op)
 	}
-	m.WriteAt(addr, isa.HLT(nil))
+	m.WriteAt(addr, asm("hlt"))
 	if in, _ = m.DecodeAt(int(addr)); in.Op != isa.OpHLT {
 		t.Errorf("decode after WriteAt = %v, want hlt (stale cache)", in.Op)
 	}
@@ -261,7 +263,7 @@ func TestDecodeCacheSeesWrites(t *testing.T) {
 	if in, _ = m.DecodeAt(int(addr)); in.Op != isa.OpNOP {
 		t.Errorf("decode after StoreLE = %v, want nop (stale cache)", in.Op)
 	}
-	m.WriteAt(addr, isa.MOVI(nil, isa.R2, 9))
+	m.WriteAt(addr, asm("movi r2, 9"))
 	if in, _ = m.DecodeAt(int(addr)); in.Op != isa.OpMOVI || in.Rd != isa.R2 {
 		t.Errorf("decode after rewrite = %v rd=%v, want movi r2", in.Op, in.Rd)
 	}
@@ -271,12 +273,12 @@ func TestDecodeCacheSeesWrites(t *testing.T) {
 	}
 	// A clone inherits the bytes but not the cache; its own writes must
 	// not be masked by the parent's history.
-	m.WriteAt(addr, isa.MOVI(nil, isa.R3, 1))
+	m.WriteAt(addr, asm("movi r3, 1"))
 	c := m.Clone()
 	if in, _ = c.DecodeAt(int(addr)); in.Op != isa.OpMOVI || in.Rd != isa.R3 {
 		t.Fatalf("clone decode: %v rd=%v", in.Op, in.Rd)
 	}
-	c.WriteAt(addr, isa.HLT(nil))
+	c.WriteAt(addr, asm("hlt"))
 	if in, _ = c.DecodeAt(int(addr)); in.Op != isa.OpHLT {
 		t.Errorf("clone decode after write = %v, want hlt", in.Op)
 	}
@@ -288,12 +290,14 @@ func TestDecodeCacheSeesWrites(t *testing.T) {
 func TestMachineCloneRunsIndependently(t *testing.T) {
 	// A counter-bump program run on a clone must not disturb the parent's
 	// memory image.
-	code := isa.MOVI(nil, isa.R1, 0x3000)
-	code = isa.Load(code, isa.OpLD32U, isa.R0, isa.R1, 0)
-	code = isa.MOVI(code, isa.R2, 1)
-	code = isa.ALU(code, isa.OpADD32, isa.R0, isa.R2)
-	code = isa.Store(code, isa.OpST32, isa.R1, 0, isa.R0)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r1, 0x3000",
+		"ld32u r0, [r1]",
+		"movi r2, 1",
+		"add32 r0, r2",
+		"st32 [r1], r0",
+		"hlt",
+	)
 
 	m := New(1 << 16)
 	m.Mem.WriteAt(0x100, code)

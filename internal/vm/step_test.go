@@ -3,6 +3,7 @@ package vm
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -13,19 +14,18 @@ import (
 // instruction mix: ALU, load, store, compare, call, push/pop, return
 // and a backward jump.
 func warmLoop() []byte {
-	code := isa.ADDI64(nil, isa.R1, 1)
-	code = isa.MOVI(code, isa.R2, 0x8000)
-	code = isa.Store(code, isa.OpST64, isa.R2, 0, isa.R1)
-	code = isa.Load(code, isa.OpLD64, isa.R3, isa.R2, 0)
-	code = isa.CMP(code, isa.OpCMP64, isa.R1, isa.R3)
-	callAt := len(code)
-	code = isa.CALL(code, 0)
-	code = isa.JMP(code, 0)
-	isa.PatchRel32(code, len(code)-4, -int32(len(code)))
-	isa.PatchRel32(code, callAt+1, int32(len(code)-(callAt+5)))
-	code = isa.PUSH(code, isa.R1)
-	code = isa.POP(code, isa.R4)
-	return isa.RET(code)
+	return asm(
+		"addi64 r1, 1",
+		"movi r2, 0x8000",
+		"st64 [r2], r1",
+		"ld64 r3, [r2]",
+		"cmp64 r1, r3",
+		"call +5", // to the push
+		"jmp -36", // to the start
+		"push r1",
+		"pop r4",
+		"ret",
+	)
 }
 
 // TestStepAllocsZero is the interpreter's allocation gate: a warm loop
@@ -59,27 +59,28 @@ func TestStepAllocsZero(t *testing.T) {
 // invalidate the entry the first execution filled.
 func TestSelfModifyingCodeThroughStep(t *testing.T) {
 	const base = 0x100
-	old := isa.Nop(isa.MOVI(nil, isa.R0, 1), 2)
-	repl := isa.Nop(isa.ADDI64(nil, isa.R0, 41), 2)
+	old := asm("movi r0, 1", "nop2")
+	repl := asm("addi64 r0, 41", "nop2")
 	if len(old) != 8 || len(repl) != 8 {
 		t.Fatalf("patch site is %d bytes, replacement %d; want 8 each", len(old), len(repl))
 	}
 	prologue := func(target uint32) []byte {
-		code := isa.MOVI(nil, isa.R2, int32(target))
-		code = isa.MOVI64(code, isa.R3, int64(binary.LittleEndian.Uint64(repl)))
-		return isa.MOVI(code, isa.R4, 0)
+		return asm(
+			fmt.Sprintf("movi r2, %d", target),
+			fmt.Sprintf("movi64 r3, %d", int64(binary.LittleEndian.Uint64(repl))),
+			"movi r4, 0",
+		)
 	}
 	target := uint32(base + len(prologue(0)))
 	code := append(prologue(target), old...)
-	code = isa.CMPI(code, isa.OpCMPI64, isa.R4, 0)
-	code = isa.JCCS(code, isa.CCNE, 0)
-	jccEnd := len(code)
-	code = isa.Store(code, isa.OpST64, isa.R2, 0, isa.R3)
-	code = isa.ADDI64(code, isa.R4, 1)
-	code = isa.JMP(code, 0)
-	isa.PatchRel32(code, len(code)-4, int32(target-base)-int32(len(code)))
-	isa.PatchRel8(code, jccEnd-1, int8(len(code)-jccEnd))
-	code = isa.HLT(code)
+	code = append(code, asm(
+		"cmpi64 r4, 0",
+		"jccs ne, +17", // to the hlt
+		"st64 [r2], r3",
+		"addi64 r4, 1",
+		fmt.Sprintf("jmp %+d", int(target-base)-56), // to old; the jmp ends at 56
+		"hlt",
+	)...)
 
 	m, th := load(code, base)
 	if _, err := m.Run(th, 100); err != nil {
@@ -101,8 +102,8 @@ func TestSelfModifyingCodeThroughStep(t *testing.T) {
 func TestTrapFaultSurvivesCacheRefill(t *testing.T) {
 	const ip = 0x100
 	const alias = ip + dcSize
-	m, th := load(isa.HLT(isa.TRAP(nil, 7)), ip)
-	m.Mem.WriteAt(alias, isa.TRAP(nil, 9))
+	m, th := load(asm("trap 7", "hlt"), ip)
+	m.Mem.WriteAt(alias, asm("trap 9"))
 	m.Handle(7, func(*Thread) error {
 		in, err := m.Mem.DecodeAt(alias)
 		if err != nil || in.Op != isa.OpTRAP || in.Imm != 9 {

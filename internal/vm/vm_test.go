@@ -1,12 +1,27 @@
 package vm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"gosplice/internal/isa"
 )
+
+// asm encodes one SIM32 instruction per line, written as isa.ParseInsn
+// reads it.
+func asm(lines ...string) []byte {
+	var code []byte
+	for _, line := range lines {
+		in, err := isa.ParseInsn(line)
+		if err != nil {
+			panic(err)
+		}
+		code = isa.Encode(code, in)
+	}
+	return code
+}
 
 // load copies code into a fresh machine at addr and returns a thread ready
 // to run it with a stack at the top of memory.
@@ -20,10 +35,12 @@ func load(code []byte, addr uint32) (*Machine, *Thread) {
 
 func TestArith32SignExtension(t *testing.T) {
 	// r0 = 0x7fffffff; r1 = 1; add32 -> wraps to -2^31, sign-extended.
-	code := isa.MOVI(nil, isa.R0, 0x7fffffff)
-	code = isa.MOVI(code, isa.R1, 1)
-	code = isa.ALU(code, isa.OpADD32, isa.R0, isa.R1)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r0, 0x7fffffff",
+		"movi r1, 1",
+		"add32 r0, r1",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -34,10 +51,12 @@ func TestArith32SignExtension(t *testing.T) {
 }
 
 func TestArith64(t *testing.T) {
-	code := isa.MOVI64(nil, isa.R0, 1<<40)
-	code = isa.MOVI64(code, isa.R1, 3<<40)
-	code = isa.ALU(code, isa.OpADD64, isa.R0, isa.R1)
-	code = isa.HLT(code)
+	code := asm(
+		"movi64 r0, 1099511627776",
+		"movi64 r1, 3298534883328",
+		"add64 r0, r1",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -49,10 +68,12 @@ func TestArith64(t *testing.T) {
 
 func TestSignedVsUnsignedDivision(t *testing.T) {
 	// -7 / 2 signed = -3; same bits unsigned = huge.
-	code := isa.MOVI(nil, isa.R0, -7)
-	code = isa.MOVI(code, isa.R1, 2)
-	code = isa.ALU(code, isa.OpDIV32S, isa.R0, isa.R1)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r0, -7",
+		"movi r1, 2",
+		"div32s r0, r1",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -61,10 +82,12 @@ func TestSignedVsUnsignedDivision(t *testing.T) {
 		t.Errorf("div32s: %d", int64(th.R[isa.R0]))
 	}
 
-	code = isa.MOVI(nil, isa.R0, -7)
-	code = isa.MOVI(code, isa.R1, 2)
-	code = isa.ALU(code, isa.OpDIV32U, isa.R0, isa.R1)
-	code = isa.HLT(code)
+	code = asm(
+		"movi r0, -7",
+		"movi r1, 2",
+		"div32u r0, r1",
+		"hlt",
+	)
 	m, th = load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -75,9 +98,11 @@ func TestSignedVsUnsignedDivision(t *testing.T) {
 }
 
 func TestDivideByZeroFaults(t *testing.T) {
-	code := isa.MOVI(nil, isa.R0, 1)
-	code = isa.MOVI(code, isa.R1, 0)
-	code = isa.ALU(code, isa.OpDIV32S, isa.R0, isa.R1)
+	code := asm(
+		"movi r0, 1",
+		"movi r1, 0",
+		"div32s r0, r1",
+	)
 	m, th := load(code, 0x100)
 	_, err := m.Run(th, 100)
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
@@ -100,17 +125,19 @@ func asFault(err error, out **Fault) bool {
 func TestLoadStoreWidths(t *testing.T) {
 	// Store -1 as 8/16/32/64 at different addresses, reload signed and
 	// unsigned, verify extension behaviour.
-	code := isa.MOVI(nil, isa.R0, -1)
-	code = isa.MOVI(code, isa.R1, 0x8000) // base address
-	code = isa.Store(code, isa.OpST8, isa.R1, 0, isa.R0)
-	code = isa.Store(code, isa.OpST16, isa.R1, 8, isa.R0)
-	code = isa.Store(code, isa.OpST32, isa.R1, 16, isa.R0)
-	code = isa.Store(code, isa.OpST64, isa.R1, 24, isa.R0)
-	code = isa.Load(code, isa.OpLD8U, isa.R2, isa.R1, 0)
-	code = isa.Load(code, isa.OpLD8S, isa.R3, isa.R1, 0)
-	code = isa.Load(code, isa.OpLD16U, isa.R4, isa.R1, 8)
-	code = isa.Load(code, isa.OpLD32S, isa.R5, isa.R1, 16)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r0, -1",
+		"movi r1, 0x8000", // base address
+		"st8 [r1], r0",
+		"st16 [r1+8], r0",
+		"st32 [r1+16], r0",
+		"st64 [r1+24], r0",
+		"ld8u r2, [r1]",
+		"ld8s r3, [r1]",
+		"ld16u r4, [r1+8]",
+		"ld32s r5, [r1+16]",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -131,20 +158,20 @@ func TestLoadStoreWidths(t *testing.T) {
 
 func TestCallRetAndStack(t *testing.T) {
 	// main: movi r0,5; call f; hlt   f: addi r0,+1... via ALU; ret
-	main := isa.MOVI(nil, isa.R0, 5)
-	callOff := len(main)
-	main = isa.CALL(main, 0) // patched below
-	main = isa.HLT(main)
 	fAddr := uint32(0x300)
-	f := isa.MOVI(nil, isa.R1, 37)
-	f = isa.ALU(f, isa.OpADD32, isa.R0, isa.R1)
-	f = isa.RET(f)
+	main := asm(
+		"movi r0, 5",
+		fmt.Sprintf("call %+d", fAddr-(0x100+11)), // to f, from the end of the call
+		"hlt",
+	)
+	f := asm(
+		"movi r1, 37",
+		"add32 r0, r1",
+		"ret",
+	)
 
 	m, th := load(main, 0x100)
 	m.Mem.WriteAt(fAddr, f)
-	// Patch the call displacement: target - next.
-	next := uint32(0x100 + callOff + 5)
-	m.Mem.StoreLE(uint32(0x100+callOff+1), 4, uint64(uint32(fAddr-next)))
 
 	sp0 := th.SP()
 	if _, err := m.Run(th, 100); err != nil {
@@ -178,14 +205,16 @@ func TestConditionalBranches(t *testing.T) {
 		{2, 2, isa.CCUGT, 2},
 	}
 	for _, c := range cases {
-		code := isa.MOVI(nil, isa.R1, c.a)
-		code = isa.MOVI(code, isa.R2, c.b)
-		code = isa.CMP(code, isa.OpCMP32, isa.R1, isa.R2)
-		code = isa.JCCS(code, c.cc, 8) // skip the else arm (movi=6 + jmps=2)
-		code = isa.MOVI(code, isa.R0, 2)
-		code = isa.JMPS(code, 6) // skip then arm
-		code = isa.MOVI(code, isa.R0, 1)
-		code = isa.HLT(code)
+		code := asm(
+			fmt.Sprintf("movi r1, %d", c.a),
+			fmt.Sprintf("movi r2, %d", c.b),
+			"cmp32 r1, r2",
+			fmt.Sprintf("jccs %s, +8", c.cc), // skip the else arm (movi=6 + jmps=2)
+			"movi r0, 2",
+			"jmps +6", // skip then arm
+			"movi r0, 1",
+			"hlt",
+		)
 		m, th := load(code, 0x100)
 		if _, err := m.Run(th, 100); err != nil {
 			t.Fatalf("%v %s %v: %v", c.a, c.cc, c.b, err)
@@ -197,11 +226,13 @@ func TestConditionalBranches(t *testing.T) {
 }
 
 func TestSETCC(t *testing.T) {
-	code := isa.MOVI(nil, isa.R1, 10)
-	code = isa.CMPI(code, isa.OpCMPI32, isa.R1, 10)
-	code = isa.SETCC(code, isa.R0, isa.CCEQ)
-	code = isa.SETCC(code, isa.R2, isa.CCNE)
-	code = isa.HLT(code)
+	code := asm(
+		"movi r1, 10",
+		"cmpi32 r1, 10",
+		"setcc r0, eq",
+		"setcc r2, ne",
+		"hlt",
+	)
 	m, th := load(code, 0x100)
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
@@ -215,13 +246,17 @@ func TestTrapDispatchAndRedirect(t *testing.T) {
 	// Trap 5 doubles r0. Trap 9 redirects execution to a handler address,
 	// the way syscall dispatch enters kernel code.
 	handlerAddr := uint32(0x400)
-	code := isa.MOVI(nil, isa.R0, 21)
-	code = isa.TRAP(code, 5)
-	code = isa.TRAP(code, 9)
-	code = isa.HLT(code) // skipped by the redirect
+	code := asm(
+		"movi r0, 21",
+		"trap 5",
+		"trap 9",
+		"hlt", // skipped by the redirect
+	)
 
-	handler := isa.MOVI(nil, isa.R3, 99)
-	handler = isa.HLT(handler)
+	handler := asm(
+		"movi r3, 99",
+		"hlt",
+	)
 
 	m, th := load(code, 0x100)
 	m.Mem.WriteAt(handlerAddr, handler)
@@ -238,7 +273,7 @@ func TestTrapDispatchAndRedirect(t *testing.T) {
 
 func TestFaults(t *testing.T) {
 	// Unregistered trap.
-	m, th := load(isa.TRAP(nil, 77), 0x100)
+	m, th := load(asm("trap 77"), 0x100)
 	if _, err := m.Run(th, 10); err == nil {
 		t.Error("unregistered trap ran")
 	}
@@ -247,15 +282,23 @@ func TestFaults(t *testing.T) {
 	if _, err := m.Run(th, 10); err == nil {
 		t.Error("undefined opcode ran")
 	}
+	// A register field past sp (mov r0, r8) faults instead of indexing
+	// past the register file.
+	m, th = load([]byte{byte(isa.OpMOV), 0x80}, 0x100)
+	if _, err := m.Run(th, 10); err == nil {
+		t.Error("register r8 ran")
+	}
 	// Out-of-range store.
-	code := isa.MOVI(nil, isa.R1, 1<<30)
-	code = isa.Store(code, isa.OpST32, isa.R1, 0, isa.R0)
+	code := asm(
+		"movi r1, 1073741824",
+		"st32 [r1], r0",
+	)
 	m, th = load(code, 0x100)
 	if _, err := m.Run(th, 10); err == nil {
 		t.Error("wild store ran")
 	}
 	// Stepping a halted thread.
-	m, th = load(isa.HLT(nil), 0x100)
+	m, th = load(asm("hlt"), 0x100)
 	if _, err := m.Run(th, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +309,7 @@ func TestFaults(t *testing.T) {
 
 func TestRunStepBudget(t *testing.T) {
 	// An infinite loop must stop exactly at the step budget.
-	code := isa.JMPS(nil, -2)
+	code := asm("jmps -2")
 	m, th := load(code, 0x100)
 	n, err := m.Run(th, 1000)
 	if err != nil || n != 1000 {
@@ -292,10 +335,12 @@ func TestALU32MatchesGoProperty(t *testing.T) {
 	for _, o := range ops {
 		op, f := o.op, o.f
 		check := func(a, b int32) bool {
-			code := isa.MOVI(nil, isa.R0, a)
-			code = isa.MOVI(code, isa.R1, b)
-			code = isa.ALU(code, op, isa.R0, isa.R1)
-			code = isa.HLT(code)
+			code := asm(
+				fmt.Sprintf("movi r0, %d", a),
+				fmt.Sprintf("movi r1, %d", b),
+				fmt.Sprintf("%s r0, r1", op.Name()),
+				"hlt",
+			)
 			m, th := load(code, 0x100)
 			if _, err := m.Run(th, 10); err != nil {
 				return false
@@ -312,11 +357,13 @@ func TestALU32MatchesGoProperty(t *testing.T) {
 func TestCompareMatchesGoProperty(t *testing.T) {
 	check := func(a, b int32, ccRaw uint8) bool {
 		cc := isa.CC(ccRaw % isa.NumCC)
-		code := isa.MOVI(nil, isa.R1, a)
-		code = isa.MOVI(code, isa.R2, b)
-		code = isa.CMP(code, isa.OpCMP32, isa.R1, isa.R2)
-		code = isa.SETCC(code, isa.R0, cc)
-		code = isa.HLT(code)
+		code := asm(
+			fmt.Sprintf("movi r1, %d", a),
+			fmt.Sprintf("movi r2, %d", b),
+			"cmp32 r1, r2",
+			fmt.Sprintf("setcc r0, %s", cc),
+			"hlt",
+		)
 		m, th := load(code, 0x100)
 		if _, err := m.Run(th, 10); err != nil {
 			return false
