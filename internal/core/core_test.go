@@ -474,6 +474,21 @@ func mustAddr(t *testing.T, k *kernel.Kernel, name string) uint32 {
 	return addr
 }
 
+// funcAt names the function covering addr in the boot image or in any
+// loaded module, so a premise about where a thread is parked also sees
+// replacement code.
+func funcAt(k *kernel.Kernel, addr uint32) (string, bool) {
+	if s, ok := k.Image.FuncAt(addr); ok {
+		return s.Name, true
+	}
+	for _, m := range k.Modules() {
+		if s, ok := m.Image.FuncAt(addr); ok {
+			return s.Name, true
+		}
+	}
+	return "", false
+}
+
 func TestStackedUpdates(t *testing.T) {
 	tree := testTree()
 	k := boot(t, tree)

@@ -268,9 +268,11 @@ type preScan struct {
 // abort the whole match rather than just one candidate.
 func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 	pre := sec.Data
-	relocAt := map[uint32]obj.Reloc{}
-	for _, r := range sec.Relocs {
-		relocAt[r.Offset] = r
+	// relocAt indexes sec.Relocs by field offset; of two relocations at
+	// one offset, the later one counts.
+	relocAt := make(map[uint32]int, len(sec.Relocs))
+	for i, r := range sec.Relocs {
+		relocAt[r.Offset] = i
 	}
 	scan := &preScan{data: pre}
 	badPre := func(p uint32, format string, args ...any) error {
@@ -289,9 +291,9 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 		st := preStep{off: p, in: preIn}
 		// Relocation inside this pre instruction?
 		for off := p; off < p+uint32(preIn.Len); off++ {
-			if rr, ok := relocAt[off]; ok {
-				st.rel = &rr
-				st.sym = preF.Symbols[rr.Sym].Name
+			if i, ok := relocAt[off]; ok {
+				st.rel = &sec.Relocs[i]
+				st.sym = preF.Symbols[st.rel.Sym].Name
 				break
 			}
 		}

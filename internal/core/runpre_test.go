@@ -3,10 +3,13 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/cvedb"
 	"gosplice/internal/diffutil"
 	"gosplice/internal/isa"
 	"gosplice/internal/kernel"
@@ -210,7 +213,7 @@ int outer_victim(int x) {
 	// Premise: the thread's IP is parked below outer_victim (in blocker
 	// or kyield), so only the stack scan can see the pending return into
 	// the function being patched.
-	if sym, ok := k.Syms.FuncAt(task.Th.IP); ok && sym.Name == "outer_victim" {
+	if name, ok := funcAt(k, task.Th.IP); ok && name == "outer_victim" {
 		t.Fatalf("premise: thread IP %#x still inside outer_victim", task.Th.IP)
 	}
 
@@ -384,7 +387,7 @@ func TestSafetyCheckSeesEveryStackAlignment(t *testing.T) {
 				if !task.Runnable() {
 					t.Fatal("premise: skewed task died")
 				}
-				if sym, ok := k.Syms.FuncAt(task.Th.IP); ok && sym.Name == "skew_outer" {
+				if name, ok := funcAt(k, task.Th.IP); ok && name == "skew_outer" {
 					t.Fatalf("premise: IP %#x inside skew_outer", task.Th.IP)
 				}
 				if got := task.Th.SP() & 7; got != uint32(skew) {
@@ -772,5 +775,136 @@ func TestRunPreRelocFieldOverrunIsMismatch(t *testing.T) {
 	_, err = MatchUnit(mem, k.Syms, helper)
 	if !errors.Is(err, ErrRunPreMismatch) {
 		t.Fatalf("overrunning relocation field: err = %v, want run-pre mismatch", err)
+	}
+}
+
+// TestRunPreDuplicateRelocations pins which relocation the pre scan
+// takes when a (corrupt or hostile) helper carries two inside one
+// instruction: of two at one offset the later in the list counts, and of
+// two at different offsets the lower offset counts. The extra relocation
+// is a pc32 on a non-branch, which is refused, so the outcome shows
+// which one was taken.
+func TestRunPreDuplicateRelocations(t *testing.T) {
+	tree := testTree()
+	k := boot(t, tree)
+	k.Lock()
+	mem := k.LockedMem()
+	k.Unlock()
+	build := func() (*obj.File, *obj.Section) {
+		helper, err := srctree.BuildUnit(tree, "sys.mc", codegen.KspliceBuild())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := helper.Section(obj.FuncSectionPrefix + "sys_getsecret")
+		if sec == nil {
+			t.Fatal("no pre section for sys_getsecret")
+		}
+		return helper, sec
+	}
+	helper, _ := build()
+	clean, err := MatchUnit(mem, k.Syms, helper)
+	if err != nil {
+		t.Fatalf("premise: unmodified helper does not match: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		refused bool
+		// edit adds bogus, a pc32 copy of an absolute relocation whose
+		// instruction starts at insn.
+		edit func(relocs []obj.Reloc, bogus obj.Reloc, insn uint32) []obj.Reloc
+	}{
+		{"same offset, listed first", false, func(rs []obj.Reloc, b obj.Reloc, _ uint32) []obj.Reloc {
+			return append([]obj.Reloc{b}, rs...)
+		}},
+		{"same offset, listed last", true, func(rs []obj.Reloc, b obj.Reloc, _ uint32) []obj.Reloc {
+			return append(rs, b)
+		}},
+		{"higher offset, listed first", false, func(rs []obj.Reloc, b obj.Reloc, _ uint32) []obj.Reloc {
+			b.Offset++
+			return append([]obj.Reloc{b}, rs...)
+		}},
+		{"instruction start, listed last", true, func(rs []obj.Reloc, b obj.Reloc, insn uint32) []obj.Reloc {
+			b.Offset = insn
+			return append(rs, b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			helper, sec := build()
+			i := slices.IndexFunc(sec.Relocs, func(r obj.Reloc) bool { return r.Type == obj.RelAbs32 })
+			if i < 0 {
+				t.Fatal("no absolute relocation in sys_getsecret")
+			}
+			insn := -1
+			for off := 0; off < len(sec.Data); {
+				in, err := isa.Decode(sec.Data, off)
+				if err != nil {
+					t.Fatalf("pre decode at %#x: %v", off, err)
+				}
+				if r := sec.Relocs[i].Offset; r >= uint32(off) && r < uint32(off+in.Len) {
+					insn = off
+					break
+				}
+				off += in.Len
+			}
+			// Both bogus offsets must stay inside the instruction and off
+			// the relocation's own.
+			if r := sec.Relocs[i].Offset; insn < 0 || r == uint32(insn) {
+				t.Fatalf("premise: relocation at pre+%#x is not past the start of its instruction", r)
+			}
+			bogus := sec.Relocs[i]
+			bogus.Type = obj.RelPC32
+			sec.Relocs = tc.edit(slices.Clone(sec.Relocs), bogus, uint32(insn))
+
+			res, err := MatchUnit(mem, k.Syms, helper)
+			if tc.refused {
+				if !errors.Is(err, ErrRunPreMismatch) || !strings.Contains(err.Error(), "pc32 relocation on non-branch") {
+					t.Fatalf("err = %v, want the pc32 relocation refused", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("err = %v, want the absolute relocation used", err)
+			}
+			if !maps.Equal(res.Vals, clean.Vals) {
+				t.Errorf("inferred %v, want %v", res.Vals, clean.Vals)
+			}
+		})
+	}
+}
+
+// TestMatchUnitAllocs gates run-pre matching's allocations on the
+// corpus's largest helper. The bound counts functions and relocations,
+// never pre bytes: scanning a pre instruction must not allocate.
+func TestMatchUnitAllocs(t *testing.T) {
+	c, ok := cvedb.ByID("CVE-2005-2709")
+	if !ok {
+		t.Fatal("CVE-2005-2709 not in the corpus")
+	}
+	tree := cvedb.Tree(c.Version)
+	k := boot(t, tree)
+	helper, err := srctree.BuildUnit(tree, "ipc/c2005_2709.mc", codegen.KspliceBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var funcs, relocs, preBytes int
+	for _, sec := range helper.Sections {
+		if obj.FuncNameOfSection(sec.Name) != "" {
+			funcs++
+			relocs += len(sec.Relocs)
+			preBytes += len(sec.Data)
+		}
+	}
+	k.Lock()
+	mem := k.LockedMem()
+	k.Unlock()
+	got := testing.AllocsPerRun(10, func() {
+		if _, err := MatchUnit(mem, k.Syms, helper); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := 24*funcs + 4*relocs + 16; got > float64(bound) {
+		t.Errorf("MatchUnit: %.0f allocs/op over %d pre bytes, want <= %d (%d functions, %d relocations)",
+			got, preBytes, bound, funcs, relocs)
 	}
 }

@@ -237,9 +237,9 @@ func TestBaseAddrResolution(t *testing.T) {
 		{Name: "dup_fn", Addr: 0x300, Size: 8, Func: true, File: "q.mc"},
 		{Name: "data_sym", Addr: 0x400, Size: 4, File: "p.mc"},
 	}})
-	st.AddModule("mod", &obj.Image{Symbols: []obj.ImageSymbol{
+	st.AddModule(&kernel.Module{Name: "mod", Image: &obj.Image{Symbols: []obj.ImageSymbol{
 		{Name: "mod_fn", Addr: 0x500, Size: 8, Func: true, File: "m.mc"},
-	}})
+	}}})
 
 	if addr, err := baseAddr(st, "plain_fn"); err != nil || addr != 0x100 {
 		t.Errorf("plain_fn = %#x, %v", addr, err)

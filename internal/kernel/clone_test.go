@@ -63,6 +63,30 @@ int clone_mod_fn(int x) {
 	if syms := k.Syms.Lookup("clone_mod_fn"); len(syms) != 0 {
 		t.Errorf("original kallsyms sees the clone's module (%d entries)", len(syms))
 	}
+
+	// A module the original loads after cloning stays out of the clone.
+	loadTestModule(t, k, "b", 2)
+	if _, ok := c.Module("b"); ok {
+		t.Error("clone lists a module the original loaded after cloning")
+	}
+	if n := len(c.Syms.Lookup("fn_b")); n != 0 {
+		t.Errorf("clone kallsyms sees the original's later module (%d entries)", n)
+	}
+
+	// A clone unloading a module the original keeps leaves the original's
+	// module list, kallsyms and code alone.
+	c2, err := k.Clone()
+	if err != nil {
+		t.Fatalf("second clone: %v", err)
+	}
+	if err := c2.UnloadModule("b"); err != nil {
+		t.Fatal(err)
+	}
+	checkModules(t, c2)
+	checkModules(t, k, "b")
+	if got, err := k.Call("fn_b"); err != nil || got != 1002 {
+		t.Errorf("original fn_b = %d, %v after a clone unloaded it; want 1002", got, err)
+	}
 }
 
 // TestCloneRefusesLiveState: a kernel with live tasks is not a

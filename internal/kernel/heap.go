@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -50,25 +51,28 @@ func (h *heap) alloc(size uint32) uint32 {
 	return 0
 }
 
-// freeBlock releases a block returned by alloc.
+// freeBlock releases a block returned by alloc, merging it in place
+// with the free spans that end where it starts and start where it ends.
 func (h *heap) freeBlock(addr uint32) error {
 	size, ok := h.live[addr]
 	if !ok {
 		return fmt.Errorf("kernel: kfree of unallocated address %#x", addr)
 	}
 	delete(h.live, addr)
-	h.free = append(h.free, span{addr, size})
-	sort.Slice(h.free, func(i, j int) bool { return h.free[i].addr < h.free[j].addr })
-	// Coalesce.
-	var out []span
-	for _, s := range h.free {
-		if n := len(out); n > 0 && out[n-1].addr+out[n-1].size == s.addr {
-			out[n-1].size += s.size
-		} else {
-			out = append(out, s)
-		}
+	i := sort.Search(len(h.free), func(j int) bool { return h.free[j].addr > addr })
+	joinPrev := i > 0 && h.free[i-1].addr+h.free[i-1].size == addr
+	joinNext := i < len(h.free) && addr+size == h.free[i].addr
+	switch {
+	case joinPrev && joinNext:
+		h.free[i-1].size += size + h.free[i].size
+		h.free = slices.Delete(h.free, i, i+1)
+	case joinPrev:
+		h.free[i-1].size += size
+	case joinNext:
+		h.free[i] = span{addr, size + h.free[i].size}
+	default:
+		h.free = slices.Insert(h.free, i, span{addr, size})
 	}
-	h.free = out
 	return nil
 }
 

@@ -22,6 +22,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,6 +107,9 @@ type Module struct {
 	Files []*obj.File
 	Base  uint32
 	Size  uint32
+
+	// syms indexes Image's symbols; SymTab.AddModule builds it.
+	syms *symIndex
 }
 
 type shadowKey struct{ obj, key uint32 }
@@ -131,7 +135,6 @@ type Kernel struct {
 
 	heap         *heap
 	moduleCursor uint32
-	modules      map[string]*Module
 	shadows      map[shadowKey]uint32
 
 	console bytes.Buffer
@@ -207,7 +210,6 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 		Build:    br,
 		Version:  br.Tree.Version(),
 		taskOf:   map[*vm.Thread]*Task{},
-		modules:  map[string]*Module{},
 		shadows:  map[shadowKey]uint32{},
 		stackCur: uint32(memSize),
 		bootedAt: time.Now(),
@@ -232,11 +234,12 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 }
 
 // Clone snapshots a quiescent kernel into an independent instance: machine
-// memory, the heap, the symbol table, shadow bindings, loaded modules and
-// counters are all copied, so the clone and the original never share
-// mutable state. The kernel must have no live tasks — the snapshot is
-// taken between instructions, like booting a second machine from a
-// memory image. The evaluation pipeline boots one template kernel per
+// memory, the heap, shadow bindings, the module list and counters are
+// all copied, so the clone and the original never share mutable state.
+// The boot image's kallsyms and the loaded modules themselves are never
+// written, so the clone shares them. The kernel must have no live tasks
+// — the snapshot is taken between instructions, like booting a second
+// machine from a memory image. The evaluation pipeline boots one template kernel per
 // release and clones it per patch, which skips the build, link and
 // kinit cost of a fresh boot.
 func (k *Kernel) Clone() (*Kernel, error) {
@@ -248,7 +251,7 @@ func (k *Kernel) Clone() (*Kernel, error) {
 	n := &Kernel{
 		M:            k.M.Clone(),
 		Image:        k.Image,
-		Syms:         k.Syms.Clone(),
+		Syms:         &SymTab{base: k.Syms.base, mods: slices.Clone(k.Syms.mods)},
 		Build:        k.Build,
 		Version:      k.Version,
 		taskOf:       map[*vm.Thread]*Task{},
@@ -257,13 +260,9 @@ func (k *Kernel) Clone() (*Kernel, error) {
 		freeStacks:   append([]uint32(nil), k.freeStacks...),
 		heap:         k.heap.clone(),
 		moduleCursor: k.moduleCursor,
-		modules:      make(map[string]*Module, len(k.modules)),
 		shadows:      make(map[shadowKey]uint32, len(k.shadows)),
 		totalSteps:   k.totalSteps,
 		bootedAt:     time.Now(),
-	}
-	for name, mod := range k.modules {
-		n.modules[name] = mod
 	}
 	for key, addr := range k.shadows {
 		n.shadows[key] = addr

@@ -336,21 +336,6 @@ func TestAmbiguityCensus(t *testing.T) {
 	}
 }
 
-func TestFuncAt(t *testing.T) {
-	k := bootTest(t)
-	addr, err := k.Syms.ResolveUnique("sys_add")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sym, ok := k.Syms.FuncAt(addr + 3)
-	if !ok || sym.Name != "sys_add" {
-		t.Errorf("FuncAt = %+v, %v", sym, ok)
-	}
-	if _, ok := k.Syms.FuncAt(0x500); ok {
-		t.Error("FuncAt matched unmapped address")
-	}
-}
-
 func TestShadowTraps(t *testing.T) {
 	files := Lib()
 	files["s.mc"] = `#include "klib.h"

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"gosplice/internal/obj"
 )
@@ -22,7 +23,7 @@ func (k *Kernel) LoadModule(name string, files []*obj.File, resolve Resolver) (*
 }
 
 func (k *Kernel) loadModuleLocked(name string, files []*obj.File, resolve Resolver) (*Module, error) {
-	if _, dup := k.modules[name]; dup {
+	if k.Syms.moduleIndex(name) >= 0 {
 		return nil, fmt.Errorf("kernel: module %q already loaded", name)
 	}
 	base := (k.moduleCursor + 0xF) &^ 0xF
@@ -48,8 +49,7 @@ func (k *Kernel) loadModuleLocked(name string, files []*obj.File, resolve Resolv
 		Name: name, Image: im, Files: files,
 		Base: base, Size: uint32(len(im.Bytes)),
 	}
-	k.modules[name] = mod
-	k.Syms.AddModule(name, im)
+	k.Syms.AddModule(mod)
 	return mod, nil
 }
 
@@ -59,53 +59,40 @@ func (k *Kernel) loadModuleLocked(name string, files []*obj.File, resolve Resolv
 func (k *Kernel) UnloadModule(name string) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	mod, ok := k.modules[name]
-	if !ok {
+	i := k.Syms.moduleIndex(name)
+	if i < 0 {
 		return fmt.Errorf("kernel: module %q not loaded", name)
 	}
-	delete(k.modules, name)
-	k.Syms.RemoveModule(name)
+	mod := k.Syms.mods[i]
+	k.Syms.mods = slices.Delete(k.Syms.mods, i, i+1)
 	k.M.Mem.ZeroRange(mod.Base, mod.Size)
 	// Reclaim trailing address space: the allocation cursor falls back to
-	// the highest extent still in use. In the common case — Ksplice undo
-	// removing the most recently loaded primary — repeated apply/undo
-	// cycles reuse the same addresses instead of creeping toward the
-	// heap.
+	// the end of the last live module, the highest one. In the common
+	// case — Ksplice undo removing the most recently loaded primary —
+	// repeated apply/undo cycles reuse the same addresses instead of
+	// creeping toward the heap.
 	top := (k.Image.End() + 0xFFF) &^ 0xFFF
-	for _, other := range k.modules {
-		if other.Image.End() > top {
-			top = other.Image.End()
-		}
+	if n := len(k.Syms.mods); n > 0 {
+		top = max(top, k.Syms.mods[n-1].Image.End())
 	}
-	if top < k.moduleCursor {
-		k.moduleCursor = top
-	}
+	k.moduleCursor = min(k.moduleCursor, top)
 	return nil
 }
 
-// Modules lists loaded module names in load order.
+// Modules lists the loaded modules in load order, which is also base
+// address order.
 func (k *Kernel) Modules() []*Module {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	out := make([]*Module, 0, len(k.modules))
-	// Deterministic order by base address.
-	for _, m := range k.modules {
-		out = append(out, m)
-	}
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			if out[j].Base < out[i].Base {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
+	return slices.Clone(k.Syms.mods)
 }
 
 // Module returns a loaded module by name.
 func (k *Kernel) Module(name string) (*Module, bool) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	m, ok := k.modules[name]
-	return m, ok
+	if i := k.Syms.moduleIndex(name); i >= 0 {
+		return k.Syms.mods[i], true
+	}
+	return nil, false
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gosplice/internal/obj"
@@ -25,107 +26,77 @@ type Sym struct {
 	Module string
 }
 
-// SymTab is the kernel's runtime symbol table (kallsyms plus loaded
-// modules).
-type SymTab struct {
+// symIndex is one linked image's symbols: all of them in image order,
+// and each name's entries, also in image order. It is never written
+// after newSymIndex, so a kernel and all its clones share it.
+type symIndex struct {
 	syms   []Sym
-	byName map[string][]int
+	byName map[string][]Sym
+}
+
+func newSymIndex(im *obj.Image, module string) *symIndex {
+	ix := &symIndex{
+		syms:   make([]Sym, len(im.Symbols)),
+		byName: make(map[string][]Sym, len(im.Symbols)),
+	}
+	count := make(map[string]int, len(im.Symbols))
+	for i, s := range im.Symbols {
+		ix.syms[i] = Sym{
+			Name: s.Name, Addr: s.Addr, Size: s.Size,
+			Func: s.Func, Local: s.Local, Owner: s.File, Module: module,
+		}
+		count[s.Name]++
+	}
+	// Each name's entries are one capped run of a grouped copy, so an
+	// append to a lookup result copies instead of overwriting a neighbour.
+	grouped := make([]Sym, len(ix.syms))
+	at := 0
+	for _, s := range ix.syms {
+		run, ok := ix.byName[s.Name]
+		if !ok {
+			n := count[s.Name]
+			run, at = grouped[at:at:at+n], at+n
+		}
+		ix.byName[s.Name] = append(run, s)
+	}
+	return ix
+}
+
+// SymTab is the kernel's runtime symbol table: the boot image's
+// kallsyms, shared by the kernel and every clone of it, and the loaded
+// modules in load order, each carrying its own image's symbols. The
+// module list is the kernel's only record of what is loaded. Load order
+// is address order, because a module always loads past the end of every
+// live one.
+type SymTab struct {
+	base *symIndex
+	mods []*Module
 }
 
 // NewSymTab builds a symbol table from a linked kernel image.
 func NewSymTab(im *obj.Image) *SymTab {
-	st := &SymTab{byName: map[string][]int{}}
-	for _, s := range im.Symbols {
-		st.add(Sym{
-			Name: s.Name, Addr: s.Addr, Size: s.Size,
-			Func: s.Func, Local: s.Local, Owner: s.File,
-		})
-	}
-	return st
+	return &SymTab{base: newSymIndex(im, "")}
 }
 
-func (st *SymTab) add(s Sym) {
-	st.byName[s.Name] = append(st.byName[s.Name], len(st.syms))
-	st.syms = append(st.syms, s)
+// AddModule indexes a loaded module's symbols and appends it to the
+// load-ordered module list.
+func (st *SymTab) AddModule(mod *Module) {
+	mod.syms = newSymIndex(mod.Image, mod.Name)
+	st.mods = append(st.mods, mod)
 }
 
-// Clone deep-copies the symbol table, for kernel snapshots: module
-// loads/unloads on a cloned kernel must not touch the original's table.
-func (st *SymTab) Clone() *SymTab {
-	n := &SymTab{
-		syms:   append([]Sym(nil), st.syms...),
-		byName: make(map[string][]int, len(st.byName)),
-	}
-	for name, idxs := range st.byName {
-		n.byName[name] = append([]int(nil), idxs...)
-	}
-	return n
+// moduleIndex returns the named module's position in load order, or -1.
+func (st *SymTab) moduleIndex(name string) int {
+	return slices.IndexFunc(st.mods, func(m *Module) bool { return m.Name == name })
 }
 
-// AddModule registers a loaded module's symbols.
-func (st *SymTab) AddModule(module string, im *obj.Image) {
-	for _, s := range im.Symbols {
-		st.add(Sym{
-			Name: s.Name, Addr: s.Addr, Size: s.Size,
-			Func: s.Func, Local: s.Local, Owner: s.File, Module: module,
-		})
-	}
-}
-
-// RemoveModule drops all symbols belonging to module. Modules are
-// registered append-only, so unloading the most recently loaded module —
-// the common case: apply/undo pairs nest — removes a suffix of the
-// table, which is handled by truncation instead of rebuilding the name
-// index (an every-undo allocation hot spot in the eval pipeline).
-func (st *SymTab) RemoveModule(module string) {
-	first := len(st.syms)
-	for first > 0 && st.syms[first-1].Module == module {
-		first--
-	}
-	onlySuffix := true
-	for _, s := range st.syms[:first] {
-		if s.Module == module {
-			onlySuffix = false
-			break
-		}
-	}
-	if onlySuffix {
-		// Pop each suffix symbol from its name's index list back to front;
-		// index lists are append-ordered, so ours is always the tail entry.
-		for j := len(st.syms) - 1; j >= first; j-- {
-			name := st.syms[j].Name
-			idxs := st.byName[name]
-			if n := len(idxs); n > 0 && idxs[n-1] == j {
-				if n == 1 {
-					delete(st.byName, name)
-				} else {
-					st.byName[name] = idxs[:n-1]
-				}
-			}
-		}
-		st.syms = st.syms[:first]
-		return
-	}
-	// Interleaved loads: filter in place and rebuild the index.
-	kept := st.syms[:0]
-	for _, s := range st.syms {
-		if s.Module != module {
-			kept = append(kept, s)
-		}
-	}
-	st.syms = kept
-	st.byName = make(map[string][]int, len(kept))
-	for i, s := range st.syms {
-		st.byName[s.Name] = append(st.byName[s.Name], i)
-	}
-}
-
-// Lookup returns every symbol with the given name.
+// Lookup returns every symbol with the given name: the boot image's in
+// image order, then each loaded module's in load order. The result may
+// be the table's own storage; callers only read it.
 func (st *SymTab) Lookup(name string) []Sym {
-	idxs := st.byName[name]
-	out := make([]Sym, 0, len(idxs))
-	for _, i := range idxs {
-		out = append(out, st.syms[i])
+	out := st.base.byName[name]
+	for _, m := range st.mods {
+		out = append(out, m.syms.byName[name]...)
 	}
 	return out
 }
@@ -146,26 +117,12 @@ func (st *SymTab) ResolveUnique(name string) (uint32, error) {
 	}
 }
 
-// FuncAt returns the function symbol covering addr, preferring the
-// innermost (largest-address) match.
-func (st *SymTab) FuncAt(addr uint32) (Sym, bool) {
-	best := -1
-	for i, s := range st.syms {
-		if s.Func && addr >= s.Addr && addr < s.Addr+s.Size {
-			if best < 0 || s.Addr > st.syms[best].Addr {
-				best = i
-			}
-		}
-	}
-	if best < 0 {
-		return Sym{}, false
-	}
-	return st.syms[best], true
-}
-
 // All returns a copy of every symbol, address-sorted.
 func (st *SymTab) All() []Sym {
-	out := append([]Sym(nil), st.syms...)
+	out := slices.Clone(st.base.syms)
+	for _, m := range st.mods {
+		out = append(out, m.syms.syms...)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
 	return out
 }
@@ -181,18 +138,16 @@ type AmbiguityStats struct {
 	UnitsWithAmbig   int
 }
 
-// Ambiguity computes the census over the base kernel's symbols.
+// Ambiguity computes the census over the base kernel's symbols; loaded
+// modules do not change it.
 func (st *SymTab) Ambiguity() AmbiguityStats {
 	var stats AmbiguityStats
 	unitHas := map[string]bool{}
 	units := map[string]bool{}
-	for _, s := range st.syms {
-		if s.Module != "" {
-			continue
-		}
+	for _, s := range st.base.syms {
 		stats.TotalSymbols++
 		units[s.Owner] = true
-		if len(st.byName[s.Name]) > 1 {
+		if len(st.base.byName[s.Name]) > 1 {
 			stats.AmbiguousSymbols++
 			unitHas[s.Owner] = true
 		}
