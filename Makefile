@@ -18,7 +18,10 @@ test:
 # fsync is a declared durability choice; a guard that non-test code
 # makes and installs artifact stores only in internal/srctree (tools go
 # through srctree.UseDiskStore) and the channel blob cache
-# (internal/channel/blobcache.go), so there is one build path; vet and the short tests of the bench module, so an
+# (internal/channel/blobcache.go), so there is one build path; a guard
+# that non-test code sets a machine's trap entry point (vm.Machine.Traps)
+# only in internal/kernel, so the host services a guest can reach have
+# one owner, the kernel's Trap method; vet and the short tests of the bench module, so an
 # internal API change that breaks the benchmark harness fails here
 # rather than in the benchmark run; the full test suite under the race
 # detector — among
@@ -72,6 +75,7 @@ check:
 	@! grep -rn --include='*.go' -e 'os\.Rename(' -e 'os\.CreateTemp(' -e 'os\.Create(' -e 'os\.WriteFile(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^cmd/ksplice-eval/main\.go:[0-9]*:.*os\.Create(cpuPath)' || { echo "check: write files through internal/atomicfile (only the -cpuprofile stream may os.Create)"; exit 1; }
 	@! grep -rn --include='*.go' -e '\.Sync()' -e 'Fsync(' -e 'Fdatasync(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/atomicfile/' -e '^internal/channel/state\.go:' || { echo "check: fsync only in internal/atomicfile and the apply journal's group commit (internal/channel/state.go)"; exit 1; }
 	@! grep -rnE --include='*.go' '(^|[^[:alnum:]_])(store\.(New|MustNew)|srctree\.SetStore)\(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/srctree/' -e '^internal/channel/blobcache\.go:' || { echo "check: make and install artifact stores only in internal/srctree (srctree.UseDiskStore) and internal/channel/blobcache.go"; exit 1; }
+	@! grep -rnE --include='*.go' '(\.Traps[[:space:]]*=[^=]|[{,][[:space:]]*Traps:)' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/kernel/' || { echo "check: set vm.Machine.Traps only in internal/kernel (the kernel's Trap method serves every TRAP)"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel

@@ -25,6 +25,7 @@ import (
 	"gosplice/internal/cvedb"
 	"gosplice/internal/faultinject"
 	"gosplice/internal/kernel"
+	"gosplice/internal/telemetry"
 )
 
 func main() {
@@ -91,8 +92,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	calls := k.Metrics().Counter("gosplice_kernel_stop_machine_total").Value()
-	pauses := k.Metrics().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+	// stop_machine is counted process-wide; this process runs one kernel.
+	calls := telemetry.Default().Counter("gosplice_kernel_stop_machine_total").Value()
+	pauses := telemetry.Default().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
 	var mean float64
 	if n := pauses.Count(); n > 0 {
 		mean = pauses.Sum() / float64(n) * 1e9

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -41,6 +42,17 @@ func run(t *testing.T, fs []*obj.File, name string, args ...int64) uint64 {
 	t.Helper()
 	m, th, im := load(t, fs)
 	return callFunc(t, m, th, im, name, args...)
+}
+
+// trapTable serves each TRAP number from its own function.
+type trapTable map[uint16]func(*vm.Thread) error
+
+func (tt trapTable) Trap(num uint16, t *vm.Thread) error {
+	fn, ok := tt[num]
+	if !ok {
+		return fmt.Errorf("unregistered trap %d", num)
+	}
+	return fn(t)
 }
 
 func load(t *testing.T, fs []*obj.File) (*vm.Machine, *vm.Thread, *obj.Image) {
@@ -418,7 +430,7 @@ int with_asm(int a) {
 	fs := compileUnits(t, files, []string{"t.mc"}, KernelBuild())
 	m, th, im := load(t, fs)
 	hit := false
-	m.Handle(42, func(t *vm.Thread) error { hit = true; return nil })
+	m.Traps = trapTable{42: func(*vm.Thread) error { hit = true; return nil }}
 	if got := callFunc(t, m, th, im, "with_asm", 9); got != 10 || !hit {
 		t.Errorf("with_asm = %d, trap hit = %v", got, hit)
 	}

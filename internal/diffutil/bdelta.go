@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 const (
@@ -150,6 +151,12 @@ func MakeDelta(base, target []byte) []byte {
 	return buf.Bytes()
 }
 
+// inflaters recycles decompressors: a fresh flate reader allocates its
+// 32 KiB window, most of what one reconstruction costs. Every reader is
+// reset as it leaves the pool, so one that failed on a corrupt stream
+// carries nothing into its next use.
+var inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+
 // ApplyDelta reconstructs the target blob from base and a delta produced
 // by MakeDelta. targetLen is the length the caller expects (a manifest
 // entry's size): a delta whose header declares any other length is
@@ -185,7 +192,10 @@ func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
 	// encodes a run longer than itself, so a flate bomb is cut off early.
 	// And out starts no larger than base plus the op stream can fill.
 	limit := 2*declared + 64
-	ops, err := io.ReadAll(io.LimitReader(flate.NewReader(bytes.NewReader(rest[n:])), int64(limit)+1))
+	fr := inflaters.Get().(io.ReadCloser)
+	fr.(flate.Resetter).Reset(bytes.NewReader(rest[n:]), nil)
+	ops, err := io.ReadAll(io.LimitReader(fr, int64(limit)+1))
+	inflaters.Put(fr)
 	if err != nil {
 		return nil, fmt.Errorf("diffutil: delta op stream corrupt: %w", err)
 	}

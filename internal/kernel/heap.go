@@ -30,8 +30,12 @@ func newHeap(base, end uint32) *heap {
 const heapAlign = 8
 
 // alloc returns the address of a fresh size-byte block, or 0 when the
-// heap is exhausted (kmalloc returning NULL).
+// heap is exhausted or the request is larger than the whole arena
+// (kmalloc returning NULL).
 func (h *heap) alloc(size uint32) uint32 {
+	if size > h.end-h.base {
+		return 0
+	}
 	if size == 0 {
 		size = heapAlign
 	}

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"gosplice/internal/isa"
+	"gosplice/internal/vm"
 )
 
 // heapModel is the reference the allocator is checked against. It keeps
@@ -36,21 +39,29 @@ func (m *heapModel) freeList() []span {
 	return out
 }
 
+// alloc rounds in 64 bits, so a request near 4 GiB cannot wrap to a
+// small block.
 func (m *heapModel) alloc(size uint32) uint32 {
-	size = max(heapAlign, (size+heapAlign-1)&^(heapAlign-1))
+	rounded := max(heapAlign, (uint64(size)+heapAlign-1)&^(heapAlign-1))
 	for _, s := range m.freeList() {
-		if s.size >= size {
-			m.live[s.addr] = size
+		if uint64(s.size) >= rounded {
+			m.live[s.addr] = uint32(rounded)
 			return s.addr
 		}
 	}
 	return 0
 }
 
+// hugeSizes are requests larger than any test arena, up to ones whose
+// rounding to heapAlign overflows 32 bits.
+var hugeSizes = []uint32{4097, 1 << 31, 0xFFFFFFF8, 0xFFFFFFF9, 0xFFFFFFFF}
+
 // TestHeapMatchesModel runs seeded alloc/free sequences (frees of live
-// blocks, of addresses never allocated, and of blocks already freed)
-// against heap and heapModel: after every step both must return the same
-// address or error and hold the same free list.
+// blocks, of addresses never allocated, and of blocks already freed, and
+// requests larger than the arena) against heap and heapModel: after every
+// step both must return the same address or error and hold the same free
+// list. Then it drives the kmalloc and shadow_attach traps with sizes
+// that do not fit in 32 bits, which must be refused, not truncated.
 func TestHeapMatchesModel(t *testing.T) {
 	const base, end = 0x10000, 0x10000 + 4096
 	for seed := int64(1); seed <= 8; seed++ {
@@ -63,6 +74,9 @@ func TestHeapMatchesModel(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 55:
 				size := uint32(rng.Intn(300))
+				if r < 3 {
+					size = hugeSizes[rng.Intn(len(hugeSizes))]
+				}
 				if got, want := h.alloc(size), m.alloc(size); got != want {
 					t.Fatalf("seed %d step %d: alloc(%d) = %#x, model %#x", seed, step, size, got, want)
 				}
@@ -108,5 +122,38 @@ func TestHeapMatchesModel(t *testing.T) {
 				t.Fatalf("seed %d step %d (%s): free list %v, model %v", seed, step, what, h.free, want)
 			}
 		}
+	}
+
+	// The trap ABI passes sizes in 64-bit registers.
+	k := bootTest(t)
+	trap := func(num uint16, r0, r1, r2 uint64) uint64 {
+		t.Helper()
+		if err := k.WriteMem(HeapEnd, isa.Encode(nil, isa.Insn{Op: isa.OpTRAP, Imm: int64(num)})); err != nil {
+			t.Fatal(err)
+		}
+		th := vm.Thread{IP: HeapEnd}
+		th.R[isa.R0], th.R[isa.R1], th.R[isa.R2] = r0, r1, r2
+		k.Lock()
+		defer k.Unlock()
+		if err := k.M.Step(&th); err != nil {
+			t.Fatalf("trap %d: %v", num, err)
+		}
+		return th.R[isa.R0]
+	}
+	const tooBig = 1<<32 + 16
+	for _, size := range []uint64{tooBig, 0xFFFFFFFF, 1<<64 - 1} {
+		if addr := trap(TrapKmalloc, size, 0, 0); addr != 0 {
+			t.Errorf("kmalloc(%#x) = %#x, want 0", size, addr)
+		}
+	}
+	if addr := trap(TrapShadowAtt, 0x1234, 1, tooBig); addr != 0 {
+		t.Errorf("shadow_attach of %#x bytes = %#x, want 0", uint64(tooBig), addr)
+	}
+	if addr := trap(TrapShadowGet, 0x1234, 1, 0); addr != 0 {
+		t.Errorf("refused shadow_attach left a binding at %#x", addr)
+	}
+	a, b := trap(TrapKmalloc, 16, 0, 0), trap(TrapKmalloc, 16, 0, 0)
+	if a == 0 || b == 0 || a == b {
+		t.Errorf("two kmalloc(16) after the refusals = %#x, %#x, want two distinct blocks", a, b)
 	}
 }

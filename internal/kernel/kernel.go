@@ -22,6 +22,7 @@ package kernel
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -142,36 +143,22 @@ type Kernel struct {
 
 	totalSteps uint64
 	bootedAt   time.Time
-
-	// StopMachine statistics: the call count and a pause histogram live
-	// on the kernel's telemetry registry (see Metrics).
-	met    *telemetry.Registry
-	cStops *telemetry.Counter
-	hPause *telemetry.Histogram
 }
 
-// The process-wide families exist from package init, so a fresh
-// process scrapes them at zero; every kernel's registry rolls up into
-// them.
+// StopMachine statistics are process-wide: every kernel counts into the
+// same families, which exist from package init, so a fresh process
+// scrapes them at zero. The per-update record is core.Applied's Pause
+// and Attempts.
+var (
+	stopMachines = telemetry.Default().Counter("gosplice_kernel_stop_machine_total")
+	stopPauses   = telemetry.Default().Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
+)
+
 func init() {
 	d := telemetry.Default()
 	d.Help("gosplice_kernel_stop_machine_total", "stop_machine invocations, summed across all kernel instances")
 	d.Help("gosplice_kernel_stop_machine_pause_seconds", "stop_machine pause durations, summed across all kernel instances")
-	d.Counter("gosplice_kernel_stop_machine_total")
-	d.Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
 }
-
-// initMetrics gives a kernel its private telemetry registry.
-func (k *Kernel) initMetrics() {
-	k.met = telemetry.NewRegistry()
-	k.met.Help("gosplice_kernel_stop_machine_total", "stop_machine invocations")
-	k.met.Help("gosplice_kernel_stop_machine_pause_seconds", "stop_machine pause durations")
-	k.cStops = k.met.Counter("gosplice_kernel_stop_machine_total")
-	k.hPause = k.met.Histogram("gosplice_kernel_stop_machine_pause_seconds", nil)
-}
-
-// Metrics returns the kernel's telemetry registry.
-func (k *Kernel) Metrics() *telemetry.Registry { return k.met }
 
 // Boot builds the tree with codegen.KernelBuild() — whole-.text units,
 // branch relaxation, inlining: a distributor's kernel — and links the
@@ -214,8 +201,8 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 		stackCur: uint32(memSize),
 		bootedAt: time.Now(),
 	}
-	k.initMetrics()
 	k.M.LowGuard = LowGuard
+	k.M.Traps = k
 	k.M.Mem.WriteAt(KernelBase, im.Bytes)
 	// Exit stub: TRAP exit; HLT as a backstop.
 	stub := isa.Encode(nil, isa.Insn{Op: isa.OpTRAP, Imm: TrapExit})
@@ -223,7 +210,6 @@ func BootImage(br *srctree.BuildResult, im *obj.Image, memSize int) (*Kernel, er
 
 	k.moduleCursor = (im.End() + 0xFFF) &^ 0xFFF
 	k.heap = newHeap(HeapBase, HeapEnd)
-	k.installTraps()
 
 	if syms := k.Syms.Lookup("kinit"); len(syms) == 1 {
 		if _, err := k.Call("kinit"); err != nil {
@@ -269,112 +255,93 @@ func (k *Kernel) Clone() (*Kernel, error) {
 	}
 	n.console.Write(k.console.Bytes())
 	n.reports = append([]int64(nil), k.reports...)
-	n.initMetrics()
 	// n.M shares k's memory copy-on-write: both sides fault pages private
 	// on write, so neither can observe the other's mutations.
-	n.installTraps()
+	n.M.Traps = n
 	return n, nil
 }
 
-// installTraps registers the host service handlers. Handlers run while
-// the calling CPU holds the machine lock; they must not re-acquire it.
-func (k *Kernel) installTraps() {
-	m := k.M
-	m.Handle(TrapSyscall, k.trapSyscall)
-	m.Handle(TrapPutchar, func(t *vm.Thread) error {
-		k.console.WriteByte(byte(t.R[isa.R0]))
-		return nil
-	})
-	m.Handle(TrapPuts, func(t *vm.Thread) error {
-		s, err := k.readCString(uint32(t.R[isa.R0]), 4096)
+// Trap serves the host side of the trap ABI; it is the kernel's
+// vm.Traps. It runs while the calling CPU holds the machine lock and must
+// not re-acquire it.
+func (k *Kernel) Trap(num uint16, t *vm.Thread) error {
+	r0 := t.R[isa.R0]
+	switch num {
+	case TrapSyscall:
+		return k.trapSyscall(t)
+	case TrapPutchar:
+		k.console.WriteByte(byte(r0))
+	case TrapPuts:
+		s, err := k.readCString(uint32(r0), 4096)
 		if err != nil {
 			return err
 		}
 		k.console.WriteString(s)
-		return nil
-	})
-	m.Handle(TrapKmalloc, func(t *vm.Thread) error {
-		addr := k.heap.alloc(uint32(t.R[isa.R0]))
-		if addr != 0 {
-			// Zero the block, like kzalloc; deterministic guest state.
-			k.M.Mem.ZeroRange(addr, k.heap.live[addr])
+	case TrapKmalloc:
+		t.R[isa.R0] = uint64(k.kzalloc(r0))
+	case TrapKfree:
+		if addr := uint32(r0); addr != 0 {
+			return k.heap.freeBlock(addr)
 		}
-		t.R[isa.R0] = uint64(addr)
-		return nil
-	})
-	m.Handle(TrapKfree, func(t *vm.Thread) error {
-		addr := uint32(t.R[isa.R0])
-		if addr == 0 {
-			return nil
-		}
-		return k.heap.freeBlock(addr)
-	})
-	m.Handle(TrapYield, func(t *vm.Thread) error {
+	case TrapYield:
 		if task := k.taskOf[t]; task != nil {
 			task.yield = true
 		}
-		return nil
-	})
-	m.Handle(TrapExit, func(t *vm.Thread) error {
-		task := k.taskOf[t]
-		if task == nil {
-			t.Halted = true
-			return nil
-		}
-		task.Exited = true
-		task.ExitCode = int64(t.R[isa.R0])
+	case TrapExit:
 		t.Halted = true
-		return nil
-	})
-	m.Handle(TrapGetpid, func(t *vm.Thread) error {
+		if task := k.taskOf[t]; task != nil {
+			task.Exited = true
+			task.ExitCode = int64(r0)
+		}
+	case TrapGetpid:
 		if task := k.taskOf[t]; task != nil {
 			t.R[isa.R0] = uint64(task.ID)
 		}
-		return nil
-	})
-	m.Handle(TrapGetuid, func(t *vm.Thread) error {
+	case TrapGetuid:
 		if task := k.taskOf[t]; task != nil {
 			t.R[isa.R0] = uint64(uint32(task.UID))
 		}
-		return nil
-	})
-	m.Handle(TrapSetuid, func(t *vm.Thread) error {
+	case TrapSetuid:
 		if task := k.taskOf[t]; task != nil {
-			task.UID = int(int32(t.R[isa.R0]))
+			task.UID = int(int32(r0))
 		}
-		return nil
-	})
-	m.Handle(TrapShadowGet, func(t *vm.Thread) error {
-		key := shadowKey{uint32(t.R[isa.R0]), uint32(t.R[isa.R1])}
-		t.R[isa.R0] = uint64(k.shadows[key])
-		return nil
-	})
-	m.Handle(TrapShadowAtt, func(t *vm.Thread) error {
-		key := shadowKey{uint32(t.R[isa.R0]), uint32(t.R[isa.R1])}
-		if addr, ok := k.shadows[key]; ok {
-			t.R[isa.R0] = uint64(addr)
-			return nil
-		}
-		addr := k.heap.alloc(uint32(t.R[isa.R2]))
-		if addr != 0 {
-			k.M.Mem.ZeroRange(addr, k.heap.live[addr])
-			k.shadows[key] = addr
+	case TrapShadowGet:
+		t.R[isa.R0] = uint64(k.shadows[shadowKey{uint32(r0), uint32(t.R[isa.R1])}])
+	case TrapShadowAtt:
+		key := shadowKey{uint32(r0), uint32(t.R[isa.R1])}
+		addr, ok := k.shadows[key]
+		if !ok {
+			if addr = k.kzalloc(t.R[isa.R2]); addr != 0 {
+				k.shadows[key] = addr
+			}
 		}
 		t.R[isa.R0] = uint64(addr)
-		return nil
-	})
-	m.Handle(TrapShadowDet, func(t *vm.Thread) error {
-		key := shadowKey{uint32(t.R[isa.R0]), uint32(t.R[isa.R1])}
+	case TrapShadowDet:
+		key := shadowKey{uint32(r0), uint32(t.R[isa.R1])}
 		if addr, ok := k.shadows[key]; ok {
 			delete(k.shadows, key)
 			return k.heap.freeBlock(addr)
 		}
-		return nil
-	})
-	m.Handle(TrapReport, func(t *vm.Thread) error {
-		k.reports = append(k.reports, int64(t.R[isa.R0]))
-		return nil
-	})
+	case TrapReport:
+		k.reports = append(k.reports, int64(r0))
+	default:
+		return fmt.Errorf("no such trap")
+	}
+	return nil
+}
+
+// kzalloc allocates a zeroed block of size bytes, like kzalloc, so guest
+// state stays deterministic. It returns 0 (NULL) when the heap cannot
+// serve the request, and for a size that does not fit in 32 bits.
+func (k *Kernel) kzalloc(size uint64) uint32 {
+	if size > math.MaxUint32 {
+		return 0
+	}
+	addr := k.heap.alloc(uint32(size))
+	if addr != 0 {
+		k.M.Mem.ZeroRange(addr, k.heap.live[addr])
+	}
+	return addr
 }
 
 // trapSyscall dispatches through the in-memory sys_call_table, entering

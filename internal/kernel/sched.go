@@ -267,8 +267,9 @@ func (k *Kernel) CallIsolatedAddr(addr uint32, args ...int64) (int64, error) {
 
 // StopMachine runs fn with the machine stopped (paper section 5.2) and
 // returns the pause — fn's wall-clock time, the paper's ~0.7 ms — and
-// fn's error; the count and the distribution of all pauses are on
-// Metrics(). Guest threads advance only inside a caller's RunSteps (or a
+// fn's error; the count and the distribution of all pauses, over every
+// kernel in the process, are on telemetry.Default(). Guest threads
+// advance only inside a caller's RunSteps (or a
 // Call built on it), so with that caller here the machine is already
 // stopped: the capture is the call itself, and no thread can be
 // scheduled until fn returns.
@@ -276,8 +277,8 @@ func (k *Kernel) StopMachine(fn func() error) (time.Duration, error) {
 	start := time.Now()
 	err := fn()
 	pause := time.Since(start)
-	k.cStops.Inc()
-	k.hPause.ObserveDuration(pause)
+	stopMachines.Inc()
+	stopPauses.ObserveDuration(pause)
 	return pause, err
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"gosplice/internal/isa"
 )
@@ -13,8 +15,8 @@ import (
 // only when someone writes it. The evaluation pipeline clones one booted
 // template kernel per patch; before paging, each clone paid a full
 // memory copy (16 MB) up front — the dominant cost of the whole parallel
-// run. With COW a clone costs one page-table copy (~100 KB of slice
-// headers) and thereafter only the pages it actually dirties.
+// run. With COW a clone costs one copy of its page table (32 KiB of
+// pointers for 16 MB) and thereafter only the pages it actually dirties.
 const (
 	// PageShift selects 4 KiB pages: small enough that a patch's dirty
 	// set (a few stacks, some heap, the module area) stays in the tens
@@ -24,11 +26,23 @@ const (
 	pageMask  = PageSize - 1
 )
 
+// page is one page of memory. owner is the generation of the one Memory
+// that may write it in place; every other Memory holding the page copies
+// it before writing. A page's owner is set before the page is published
+// and never changes, so memories sharing a page read it without
+// synchronization.
+type page struct {
+	b     [PageSize]byte
+	owner uint64
+}
+
 // zeroPage backs every never-written page of a fresh Memory. It is
-// shared by all machines in the process and must never be written —
-// pages referencing it are always marked shared, so writes fault into a
-// private copy first.
-var zeroPage = make([]byte, PageSize)
+// shared by all machines in the process and must never be written: no
+// Memory has generation 0, so writes always fault into a private copy.
+var zeroPage = new(page)
+
+// generations hands out memory generations, starting at 1.
+var generations atomic.Uint64
 
 // maxInsnWindow bounds the byte window instruction decoding needs: the
 // longest SIM32 encoding is 10 bytes (opcode + reg + 8-byte immediate).
@@ -40,17 +54,21 @@ const maxInsnWindow = 16
 //
 // Memory performs no internal locking: like the rest of Machine, callers
 // serialize access (the kernel's machine lock). The one cross-instance
-// invariant is that a page marked shared (priv[i] == false) is never
-// written in place by anyone — writers first copy it — so two clones may
+// invariant is that a page owned by another generation is never written
+// in place by this Memory — it copies the page first — so two clones may
 // read the same underlying page concurrently without synchronization.
 type Memory struct {
+	// size bounds every access. The last page may extend past it; those
+	// bytes are never read or written.
 	size  int
-	pages [][]byte
-	priv  []bool // priv[i]: pages[i] is exclusively ours, writable in place
+	pages []*page
+	// owner is this memory's generation: pages whose owner equals it are
+	// exclusively ours, writable in place.
+	owner uint64
 
 	// arena suballocates freshly faulted pages in chunks so a boot or a
-	// busy clone does not pay one make() per 4 KiB page.
-	arena []byte
+	// busy clone does not pay one allocation per 4 KiB page.
+	arena []page
 
 	// Decoded-instruction cache. dc is a direct-mapped cache of decoded
 	// instructions keyed by offset; gen holds a per-page write generation
@@ -81,24 +99,15 @@ type dcEntry struct {
 // shared zero page and is materialized on first write, so a large,
 // mostly-untouched machine costs only its page table.
 func NewMemory(size int) *Memory {
-	n := (size + PageSize - 1) >> PageShift
 	m := &Memory{
 		size:  size,
-		pages: make([][]byte, n),
-		priv:  make([]bool, n),
+		pages: make([]*page, (size+PageSize-1)>>PageShift),
+		owner: generations.Add(1),
 	}
 	for i := range m.pages {
-		m.pages[i] = zeroPage[:m.pageLen(i)]
+		m.pages[i] = zeroPage
 	}
 	return m
-}
-
-// pageLen is the logical length of page i (the last page may be short).
-func (m *Memory) pageLen(i int) int {
-	if rem := m.size - i<<PageShift; rem < PageSize {
-		return rem
-	}
-	return PageSize
 }
 
 // Len returns the memory size in bytes.
@@ -108,60 +117,42 @@ func (m *Memory) Len() int { return m.size }
 // between parent and clone (including by the parent: its next write to a
 // page also faults a private copy, so the snapshot is immutable from
 // both sides). Cost is one page-table copy, independent of memory size.
-func (m *Memory) Clone() *Memory {
-	for i := range m.priv {
-		m.priv[i] = false
-	}
-	return &Memory{
-		size:  m.size,
-		pages: append([][]byte(nil), m.pages...),
-		priv:  make([]bool, len(m.pages)),
-	}
-}
+func (m *Memory) Clone() *Memory { return m.Truncate(m.size) }
 
-// Truncate returns a read-oriented view of the first n bytes, sharing
-// pages copy-on-write like Clone. Run-pre matching tests use it to model
-// a machine whose memory ends mid-function.
+// Truncate returns a copy-on-write snapshot of the first n bytes, sharing
+// pages like Clone. Run-pre matching tests use it to model a machine
+// whose memory ends mid-function. Both sides take fresh generations, so
+// every page either holds becomes shared at once.
 func (m *Memory) Truncate(n int) *Memory {
 	if n < 0 || n > m.size {
 		panic(fmt.Sprintf("vm: Truncate(%d) outside memory of %d bytes", n, m.size))
 	}
-	for i := range m.priv {
-		m.priv[i] = false
-	}
-	np := (n + PageSize - 1) >> PageShift
-	t := &Memory{
+	m.owner = generations.Add(1)
+	return &Memory{
 		size:  n,
-		pages: append([][]byte(nil), m.pages[:np]...),
-		priv:  make([]bool, np),
+		pages: slices.Clone(m.pages[:(n+PageSize-1)>>PageShift]),
+		owner: generations.Add(1),
 	}
-	if np > 0 {
-		// The last page of the view may be shorter than the source page.
-		if last := t.pageLen(np - 1); last < len(t.pages[np-1]) {
-			t.pages[np-1] = t.pages[np-1][:last]
-		}
-	}
-	return t
 }
 
-// writable returns page i as a private, in-place-writable slice,
-// faulting a copy if the page is currently shared.
-func (m *Memory) writable(i int) []byte {
-	if m.priv[i] {
-		return m.pages[i]
+// writable returns page i as a private, in-place-writable page,
+// faulting a copy if another generation owns it.
+func (m *Memory) writable(i int) *page {
+	p := m.pages[i]
+	if p.owner == m.owner {
+		return p
 	}
-	n := m.pageLen(i)
-	if len(m.arena) < n {
+	if len(m.arena) == 0 {
 		// Chunked allocation: 32 pages at a time keeps fault cost low
 		// without over-committing for lightly-dirtied clones.
-		m.arena = make([]byte, 32*PageSize)
+		m.arena = make([]page, 32)
 	}
-	p := m.arena[:n:n]
-	m.arena = m.arena[n:]
-	copy(p, m.pages[i])
-	m.pages[i] = p
-	m.priv[i] = true
-	return p
+	q := &m.arena[0]
+	m.arena = m.arena[1:]
+	q.b = p.b
+	q.owner = m.owner
+	m.pages[i] = q
+	return q
 }
 
 // bump records a write to page i for decode-cache invalidation. gen is
@@ -179,7 +170,7 @@ func (m *Memory) Byte(addr uint32) byte {
 	if int(addr) >= m.size {
 		panic(fmt.Sprintf("vm: Byte(%#x) outside memory of %d bytes", addr, m.size))
 	}
-	return m.pages[addr>>PageShift][addr&pageMask]
+	return m.pages[addr>>PageShift].b[addr&pageMask]
 }
 
 // SetByte writes one byte, faulting the page private if shared.
@@ -188,7 +179,7 @@ func (m *Memory) SetByte(addr uint32, v byte) {
 		panic(fmt.Sprintf("vm: SetByte(%#x) outside memory of %d bytes", addr, m.size))
 	}
 	i := int(addr >> PageShift)
-	m.writable(i)[addr&pageMask] = v
+	m.writable(i).b[addr&pageMask] = v
 	m.bump(i)
 }
 
@@ -199,9 +190,7 @@ func (m *Memory) ReadAt(dst []byte, addr uint32) {
 		panic(fmt.Sprintf("vm: ReadAt(%#x, %d) outside memory of %d bytes", addr, len(dst), m.size))
 	}
 	for len(dst) > 0 {
-		pg := m.pages[addr>>PageShift]
-		off := int(addr & pageMask)
-		n := copy(dst, pg[off:])
+		n := copy(dst, m.pages[addr>>PageShift].b[addr&pageMask:])
 		dst = dst[n:]
 		addr += uint32(n)
 	}
@@ -222,46 +211,33 @@ func (m *Memory) WriteAt(addr uint32, src []byte) {
 	}
 	for len(src) > 0 {
 		i := int(addr >> PageShift)
-		pg := m.writable(i)
+		n := copy(m.writable(i).b[addr&pageMask:], src)
 		m.bump(i)
-		off := int(addr & pageMask)
-		n := copy(pg[off:], src)
 		src = src[n:]
 		addr += uint32(n)
 	}
 }
 
 // ZeroRange zeroes n bytes at addr. Pages wholly covered by the range
-// are re-pointed at the shared zero page instead of being scrubbed, so
-// zeroing large extents (module unload, kzalloc of big blocks) is
-// O(pages), and a clone's zeroed pages cost no private memory at all.
+// (the last page counts as covered when the range reaches the end of
+// memory) are re-pointed at the shared zero page instead of being
+// scrubbed, so zeroing large extents (module unload, kzalloc of big
+// blocks) is O(pages), and a clone's zeroed pages cost no private memory
+// at all.
 func (m *Memory) ZeroRange(addr uint32, n uint32) {
 	if int64(addr)+int64(n) > int64(m.size) {
 		panic(fmt.Sprintf("vm: ZeroRange(%#x, %d) outside memory of %d bytes", addr, n, m.size))
 	}
 	for n > 0 {
 		i := int(addr >> PageShift)
-		off := int(addr & pageMask)
-		if off == 0 && int(n) >= m.pageLen(i) {
-			// Whole page: drop the backing store, share the zero page.
-			step := m.pageLen(i)
-			m.pages[i] = zeroPage[:step]
-			m.priv[i] = false
-			m.bump(i)
-			addr += uint32(step)
-			n -= uint32(step)
-			continue
+		off := addr & pageMask
+		step := min(n, PageSize-off)
+		if off == 0 && (step == PageSize || int(addr+step) == m.size) {
+			m.pages[i] = zeroPage
+		} else {
+			clear(m.writable(i).b[off : off+step])
 		}
-		pg := m.writable(i)
 		m.bump(i)
-		end := off + int(n)
-		if end > len(pg) {
-			end = len(pg)
-		}
-		for j := off; j < end; j++ {
-			pg[j] = 0
-		}
-		step := uint32(end - off)
 		addr += step
 		n -= step
 	}
@@ -271,8 +247,8 @@ func (m *Memory) ZeroRange(addr uint32, n uint32) {
 // value. The range must lie inside memory.
 func (m *Memory) LoadLE(addr uint32, size int) uint64 {
 	off := int(addr & pageMask)
-	pg := m.pages[addr>>PageShift]
-	if off+size <= len(pg) {
+	pg := &m.pages[addr>>PageShift].b
+	if off+size <= PageSize {
 		switch size {
 		case 1:
 			return uint64(pg[off])
@@ -295,8 +271,8 @@ func (m *Memory) LoadLE(addr uint32, size int) uint64 {
 // StoreLE writes the low size bytes (1..8) of v at addr, little-endian.
 func (m *Memory) StoreLE(addr uint32, size int, v uint64) {
 	off := int(addr & pageMask)
-	if i := int(addr >> PageShift); off+size <= m.pageLen(i) {
-		pg := m.writable(i)
+	if i := int(addr >> PageShift); off+size <= PageSize {
+		pg := &m.writable(i).b
 		m.bump(i)
 		switch size {
 		case 1:
@@ -325,13 +301,9 @@ func (m *Memory) EqualAt(b []byte, addr uint32) bool {
 		panic(fmt.Sprintf("vm: EqualAt(%#x, %d) outside memory of %d bytes", addr, len(b), m.size))
 	}
 	for len(b) > 0 {
-		pg := m.pages[addr>>PageShift]
 		off := int(addr & pageMask)
-		n := len(pg) - off
-		if n > len(b) {
-			n = len(b)
-		}
-		if !bytes.Equal(b[:n], pg[off:off+n]) {
+		n := min(PageSize-off, len(b))
+		if !bytes.Equal(b[:n], m.pages[addr>>PageShift].b[off:off+n]) {
 			return false
 		}
 		b = b[n:]
@@ -340,26 +312,17 @@ func (m *Memory) EqualAt(b []byte, addr uint32) bool {
 	return true
 }
 
-// window returns up to len(buf) bytes starting at off for instruction
-// decoding: a zero-copy in-page slice when possible, otherwise a gather
-// into buf across the page boundary. off must be within memory.
+// window returns up to len(buf) bytes starting at off, never past the
+// end of memory, for instruction decoding: a zero-copy in-page slice
+// when possible, otherwise a gather into buf across the page boundary.
+// off must be within memory.
 func (m *Memory) window(off int, buf []byte) []byte {
-	i := off >> PageShift
-	po := off & pageMask
-	pg := m.pages[i]
-	if len(pg)-po >= len(buf) || i == len(m.pages)-1 {
-		// Enough in-page bytes, or the page ends where memory ends (so
-		// the short window is the truth, not an artifact of paging).
-		return pg[po:]
-	}
-	n := m.size - off
-	if n > len(buf) {
-		n = len(buf)
+	n := min(m.size-off, len(buf))
+	if po := off & pageMask; po+n <= PageSize {
+		return m.pages[off>>PageShift].b[po : po+n]
 	}
 	for j := 0; j < n; {
-		pg := m.pages[(off+j)>>PageShift]
-		o := (off + j) & pageMask
-		j += copy(buf[j:n], pg[o:])
+		j += copy(buf[j:n], m.pages[(off+j)>>PageShift].b[(off+j)&pageMask:])
 	}
 	return buf[:n]
 }
@@ -424,7 +387,7 @@ func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
 		return nil, err
 	}
 	pg := off >> PageShift
-	if (off&pageMask)+in.Len <= len(m.pages[pg]) {
+	if (off&pageMask)+in.Len <= PageSize {
 		e := &m.dc[off&dcMask]
 		*e = dcEntry{off: int32(off), gen: m.gen[pg], in: in}
 		return &e.in, nil
@@ -449,14 +412,14 @@ func (m *Memory) SkipNops(off int) int {
 
 // Bytes returns a flat copy of the whole memory — a diagnostic and test
 // affordance, not a data path. Pages still backed by the shared zero
-// page are already zero in the fresh copy and are skipped, so the parts
-// of the copy that mirror never-written memory are never touched and
-// need not become resident.
+// page are not copied, since the fresh copy starts zeroed; the copy is
+// still a full-size allocation, which the runtime may zero and make
+// resident in full.
 func (m *Memory) Bytes() []byte {
 	out := make([]byte, m.size)
-	for i, pg := range m.pages {
-		if &pg[0] != &zeroPage[0] {
-			copy(out[i<<PageShift:], pg)
+	for i, p := range m.pages {
+		if p != zeroPage {
+			copy(out[i<<PageShift:], p.b[:])
 		}
 	}
 	return out
@@ -466,8 +429,8 @@ func (m *Memory) Bytes() []byte {
 // than shared — the clone's real memory footprint in pages.
 func (m *Memory) PrivatePages() int {
 	n := 0
-	for _, p := range m.priv {
-		if p {
+	for _, p := range m.pages {
+		if p.owner == m.owner {
 			n++
 		}
 	}

@@ -183,13 +183,36 @@ func TestMemoryClonePagesAreLazy(t *testing.T) {
 	}
 }
 
+// refusesPastEnd checks that a read, a write and a zeroing of the last
+// byte and one more each panic, even where the last page extends past
+// the memory's size.
+func refusesPastEnd(t *testing.T, m *Memory) {
+	t.Helper()
+	last := uint32(m.Len() - 1)
+	for name, access := range map[string]func(){
+		"ReadAt":    func() { m.ReadAt(make([]byte, 2), last) },
+		"WriteAt":   func() { m.WriteAt(last, []byte("ab")) },
+		"ZeroRange": func() { m.ZeroRange(last, 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d-byte memory: %s past the end did not panic", m.Len(), name)
+				}
+			}()
+			access()
+		}()
+	}
+}
+
 func TestMemoryTruncateView(t *testing.T) {
-	m := NewMemory(2 * PageSize)
+	m := NewMemory(2*PageSize + 50)
 	code := asm(
 		"movi r0, 7",
 		"hlt",
 	)
 	m.WriteAt(PageSize-2, code) // straddles the page boundary
+	m.WriteAt(PageSize+8, []byte("past the cut"))
 	cut := int(PageSize) + 1
 	v := m.Truncate(cut)
 	if v.Len() != cut {
@@ -207,6 +230,34 @@ func TestMemoryTruncateView(t *testing.T) {
 	in, err := m.DecodeAt(int(PageSize) - 2)
 	if err != nil || in.Op != isa.OpMOVI {
 		t.Errorf("full-memory decode: %v %v", in.Op, err)
+	}
+	// The view's last page is the source's, bytes past the cut included:
+	// the view's size, not its page, bounds every access.
+	tail := make([]byte, 3)
+	v.ReadAt(tail, uint32(cut-3))
+	if want := m.ReadBytes(uint32(cut-3), 3); !bytes.Equal(tail, want) {
+		t.Errorf("view ReadAt at its tail = %x, want %x", tail, want)
+	}
+	if got := v.Bytes(); !bytes.Equal(got, m.Bytes()[:cut]) {
+		t.Error("view Bytes() differs from the source's first bytes")
+	}
+	refusesPastEnd(t, v)
+	// Writes at the view's tail stay in the view, and zeroing up to its
+	// end drops its last page without touching the source.
+	orig := m.Byte(uint32(cut - 1))
+	v.WriteAt(uint32(cut-1), asm("hlt"))
+	if in, err := v.DecodeAt(cut - 1); err != nil || in.Op != isa.OpHLT {
+		t.Errorf("view decode at its last byte: %v %v", in.Op, err)
+	}
+	if got := m.Byte(uint32(cut - 1)); got != orig {
+		t.Errorf("view write at its tail reached the source: %#x, want %#x", got, orig)
+	}
+	v.ZeroRange(PageSize, 1)
+	if v.PrivatePages() != 0 || v.Byte(PageSize) != 0 {
+		t.Errorf("view zeroed to its end holds %d private pages, last byte %#x", v.PrivatePages(), v.Byte(PageSize))
+	}
+	if !m.EqualAt([]byte("past the cut"), PageSize+8) || m.Byte(PageSize) == 0 {
+		t.Error("view writes reached the source's page")
 	}
 }
 
@@ -320,23 +371,52 @@ func TestMachineCloneRunsIndependently(t *testing.T) {
 // TestMemoryBytesMatchesPages holds Bytes, which skips pages still
 // backed by the shared zero page, to a page-by-page copy over every kind
 // of page: never written, shared with a clone, private, zeroed back to
-// the zero page, private but all zero, and a short last page.
+// the zero page, private but all zero, and a last page that extends past
+// the memory's size. Reads, writes, zeroing and decodes that end exactly
+// at the size work there; one byte further, each is refused.
 func TestMemoryBytesMatchesPages(t *testing.T) {
 	const size = 7*PageSize + 100
 	m := NewMemory(size)
 	m.WriteAt(PageSize+5, []byte("shared with the clone"))
 	m.WriteAt(3*PageSize, bytes.Repeat([]byte{0xAB}, PageSize))
-	m.WriteAt(7*PageSize+90, []byte("short tail"))
+	m.WriteAt(size-10, []byte("short tail"))
 	c := m.Clone()
 	m.WriteAt(2*PageSize+PageSize-4, []byte("straddles")) // pages 2 and 3 go private
 	m.ZeroRange(3*PageSize, PageSize)                     // page 3 back to the zero page
 	m.SetByte(5*PageSize+7, 0)                            // page 5 private, still all zero
 	c.WriteAt(6*PageSize, []byte("clone-only page"))
 
+	// The tail: the clone zeroes its last page up to the end, which
+	// drops it back to the zero page; the parent decodes there.
+	c.ZeroRange(7*PageSize, 100)
+	if got := c.ReadBytes(size-10, 10); !bytes.Equal(got, make([]byte, 10)) {
+		t.Errorf("clone tail after ZeroRange to the end = %q", got)
+	}
+	if got := c.PrivatePages(); got != 1 {
+		t.Errorf("clone holds %d private pages, want 1 (page 6)", got)
+	}
+	tail := make([]byte, 10)
+	if m.ReadAt(tail, size-10); string(tail) != "short tail" {
+		t.Errorf("parent tail = %q after the clone zeroed its own", tail)
+	}
+	movi := asm("movi r0, 7")
+	m.WriteAt(size-3, movi[:2])
+	m.WriteAt(size-1, asm("hlt"))
+	if in, err := m.DecodeAt(size - 1); err != nil || in.Op != isa.OpHLT {
+		t.Errorf("decode of the last byte: %v %v", in.Op, err)
+	}
+	if _, err := m.DecodeAt(size - 3); err == nil {
+		t.Errorf("decode of a %d-byte instruction 3 bytes before the end succeeded", len(movi))
+	}
+	if _, err := m.DecodeAt(size); err == nil {
+		t.Error("decode at the size succeeded")
+	}
+	refusesPastEnd(t, m)
+
 	reference := func(m *Memory) []byte {
 		var out []byte
 		for i := 0; i*PageSize < m.Len(); i++ {
-			out = append(out, m.ReadBytes(uint32(i*PageSize), m.pageLen(i))...)
+			out = append(out, m.ReadBytes(uint32(i*PageSize), min(PageSize, m.Len()-i*PageSize))...)
 		}
 		return out
 	}

@@ -104,13 +104,13 @@ func TestTrapFaultSurvivesCacheRefill(t *testing.T) {
 	const alias = ip + dcSize
 	m, th := load(asm("trap 7", "hlt"), ip)
 	m.Mem.WriteAt(alias, asm("trap 9"))
-	m.Handle(7, func(*Thread) error {
+	m.Traps = trapTable{7: func(*Thread) error {
 		in, err := m.Mem.DecodeAt(alias)
 		if err != nil || in.Op != isa.OpTRAP || in.Imm != 9 {
 			t.Errorf("decode of the aliasing slot: %v imm=%d err=%v", in.Op, in.Imm, err)
 		}
 		return errors.New("handler failed")
-	})
+	}}
 	_, err := m.Run(th, 10)
 	var f *Fault
 	if !asFault(err, &f) {

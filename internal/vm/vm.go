@@ -4,7 +4,7 @@
 // services (console, allocator, scheduler, syscall dispatch) are reached.
 //
 // The interpreter is deliberately strict: undefined opcodes, out-of-range
-// memory accesses, division by zero and unregistered traps all stop the
+// memory accesses, division by zero and unserved traps all stop the
 // offending thread with a descriptive fault rather than proceeding
 // silently. Faults of this kind are how the evaluation detects that an
 // exploit or a bad splice actually corrupted execution.
@@ -52,46 +52,37 @@ func (t *Thread) FP() uint32     { return uint32(t.R[isa.FP]) }
 func (t *Thread) SetSP(v uint32) { t.R[isa.SP] = uint64(v) }
 func (t *Thread) SetFP(v uint32) { t.R[isa.FP] = uint64(v) }
 
-// TrapFunc handles a TRAP instruction. It runs after IP has advanced past
-// the trap, so a handler may redirect execution by assigning IP (this is
-// how syscall dispatch enters kernel MiniC code). Returning an error
-// faults the thread.
-type TrapFunc func(t *Thread) error
+// Traps serves TRAP instructions: the machine's one entry point into the
+// host. Trap runs after IP has advanced past the trap, so it may redirect
+// execution by assigning IP (this is how syscall dispatch enters kernel
+// MiniC code). Returning an error faults the thread.
+type Traps interface {
+	Trap(num uint16, t *Thread) error
+}
 
-// Machine is paged physical memory plus the trap table shared by all
-// threads. Scheduling lives above this package; Machine itself performs no
-// synchronization.
+// Machine is paged physical memory plus the trap entry point shared by
+// all threads. Scheduling lives above this package; Machine itself
+// performs no synchronization.
 type Machine struct {
 	Mem *Memory
 	// LowGuard makes addresses below it fault on access or execution,
 	// emulating an unmapped page at NULL so pointer bugs trap instead of
 	// silently reading memory.
 	LowGuard uint32
-	traps    map[uint16]TrapFunc
+	// Traps serves every TRAP; with none, every TRAP faults.
+	Traps Traps
 }
 
 // New creates a machine with the given memory size.
 func New(memSize int) *Machine {
-	return &Machine{
-		Mem:   NewMemory(memSize),
-		traps: make(map[uint16]TrapFunc),
-	}
+	return &Machine{Mem: NewMemory(memSize)}
 }
 
-// Clone returns a machine sharing this one's memory copy-on-write. Trap
-// handlers are not carried over (they close over the owning kernel);
-// callers re-register handlers on the clone.
+// Clone returns a machine sharing this one's memory copy-on-write. Traps
+// is not carried over: it is bound to the owner of the original, and the
+// clone's owner sets its own.
 func (m *Machine) Clone() *Machine {
-	return &Machine{
-		Mem:      m.Mem.Clone(),
-		LowGuard: m.LowGuard,
-		traps:    make(map[uint16]TrapFunc),
-	}
-}
-
-// Handle registers fn for TRAP number num, replacing any previous handler.
-func (m *Machine) Handle(num uint16, fn TrapFunc) {
-	m.traps[num] = fn
+	return &Machine{Mem: m.Mem.Clone(), LowGuard: m.LowGuard}
 }
 
 func (m *Machine) fault(ip uint32, format string, args ...any) error {
@@ -423,14 +414,13 @@ func (m *Machine) Step(t *Thread) error {
 	case isa.OpTRAP:
 		// A handler may run guest code, whose decodes can refill the
 		// cache slot in points at: copy the number now, never read in
-		// after fn.
+		// after Trap.
 		num := in.Imm
-		fn, ok := m.traps[uint16(num)]
-		if !ok {
-			return m.fault(ip, "unregistered trap %d", num)
+		if m.Traps == nil {
+			return m.fault(ip, "trap %d: machine serves no traps", num)
 		}
 		t.IP = next
-		if err := fn(t); err != nil {
+		if err := m.Traps.Trap(uint16(num), t); err != nil {
 			return m.fault(ip, "trap %d: %v", num, err)
 		}
 		return nil

@@ -33,6 +33,17 @@ func load(code []byte, addr uint32) (*Machine, *Thread) {
 	return m, t
 }
 
+// trapTable serves each TRAP number from its own function.
+type trapTable map[uint16]func(*Thread) error
+
+func (tt trapTable) Trap(num uint16, t *Thread) error {
+	fn, ok := tt[num]
+	if !ok {
+		return fmt.Errorf("unregistered trap %d", num)
+	}
+	return fn(t)
+}
+
 func TestArith32SignExtension(t *testing.T) {
 	// r0 = 0x7fffffff; r1 = 1; add32 -> wraps to -2^31, sign-extended.
 	code := asm(
@@ -260,8 +271,10 @@ func TestTrapDispatchAndRedirect(t *testing.T) {
 
 	m, th := load(code, 0x100)
 	m.Mem.WriteAt(handlerAddr, handler)
-	m.Handle(5, func(t *Thread) error { t.R[isa.R0] *= 2; return nil })
-	m.Handle(9, func(t *Thread) error { t.IP = handlerAddr; return nil })
+	m.Traps = trapTable{
+		5: func(t *Thread) error { t.R[isa.R0] *= 2; return nil },
+		9: func(t *Thread) error { t.IP = handlerAddr; return nil },
+	}
 
 	if _, err := m.Run(th, 100); err != nil {
 		t.Fatal(err)
