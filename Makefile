@@ -64,11 +64,15 @@ test:
 # It also runs FuzzFleetReport (two bodies POSTed to /fleet/report),
 # FuzzDecodeManifest (manifest bytes as a subscriber receives them),
 # FuzzApplyDelta (a delta blob, its base and the expected length, plus a
-# MakeDelta round trip) and FuzzDecode (SIM32 bytes: no panic, and an
+# MakeDelta round trip), FuzzDecode (SIM32 bytes: no panic, and an
 # instruction Decode accepts survives Encode→Decode and
-# String→ParseInsn unchanged) for 10s each. FuzzApplyDelta minimizes a new
-# input for at most 100 runs: each run pays one MakeDelta, so a full
-# minimization would take most of the 10s.
+# String→ParseInsn unchanged) and FuzzReadTar (update tarball bytes as a
+# subscriber receives them, reaching obj.Read through every member: no
+# panic, and an accepted update survives WriteTar→ReadTar→WriteTar
+# byte for byte) for 10s each. FuzzApplyDelta and FuzzReadTar minimize a
+# new input for at most 100 runs: a MakeDelta run is slow, and the
+# minimizer's pairwise cuts of a 4 KiB tarball seed number in the
+# millions, so a full minimization would take most of the 10s.
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
@@ -82,6 +86,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 10s ./internal/channel
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/diffutil
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTar$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

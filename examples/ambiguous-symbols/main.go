@@ -67,11 +67,9 @@ func main() {
 		// bound debug indirectly via console length. Simpler: the fixed
 		// probe result only depends on bounds now; show the binding by
 		// reading the console after a call.
-		var addr uint32
-		for _, s := range k.Syms.Lookup("ca_get_slot_info") {
-			if s.Func && s.Module == "" {
-				addr = s.Addr
-			}
+		addr, err := k.Syms.BaseFunc("ca_get_slot_info")
+		if err != nil {
+			log.Fatal(err)
 		}
 		got, err := k.CallIsolatedAddr(addr, 1)
 		if err != nil {

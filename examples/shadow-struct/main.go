@@ -67,11 +67,9 @@ func main() {
 	fmt.Printf("uid 1000 reads entry 3: %d  <- EPERM-style refusal\n", t.ExitCode)
 	// Call through the base-kernel entry (the bare name now also names
 	// the loaded replacement).
-	var addr uint32
-	for _, s := range k.Syms.Lookup("c2005_2709_read") {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
+	addr, err := k.Syms.BaseFunc("c2005_2709_read")
+	if err != nil {
+		log.Fatal(err)
 	}
 	rootVal, err := k.CallIsolatedAddr(addr, 3)
 	if err != nil {

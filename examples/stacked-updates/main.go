@@ -23,11 +23,9 @@ import (
 // through the original, trampolined, address — exactly as real callers
 // do.
 func callBase(k *kernel.Kernel, name string, args ...int64) int64 {
-	var addr uint32
-	for _, s := range k.Syms.Lookup(name) {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
+	addr, err := k.Syms.BaseFunc(name)
+	if err != nil {
+		log.Fatal(err)
 	}
 	v, err := k.CallIsolatedAddr(addr, args...)
 	if err != nil {

@@ -109,11 +109,9 @@ func main() {
 	// stress workload stays clean.
 	flipped := 0
 	for _, c := range cves {
-		var addr uint32
-		for _, s := range k.Syms.Lookup(c.Probe.Entry) {
-			if s.Func && s.Module == "" {
-				addr = s.Addr
-			}
+		addr, err := k.Syms.BaseFunc(c.Probe.Entry)
+		if err != nil {
+			log.Fatal(err)
 		}
 		task, err := k.SpawnAt("probe", addr, c.Probe.UID, c.Probe.Args...)
 		if err != nil {

@@ -80,14 +80,9 @@ func TestPublishAndSubscribe(t *testing.T) {
 
 func runProbe(t *testing.T, k *kernel.Kernel, c *cvedb.CVE) int64 {
 	t.Helper()
-	var addr uint32
-	for _, s := range k.Syms.Lookup(c.Probe.Entry) {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
-	}
-	if addr == 0 {
-		t.Fatalf("%s: no probe symbol", c.ID)
+	addr, err := k.Syms.BaseFunc(c.Probe.Entry)
+	if err != nil {
+		t.Fatalf("%s: %v", c.ID, err)
 	}
 	task, err := k.SpawnAt("probe", addr, c.Probe.UID, c.Probe.Args...)
 	if err != nil {

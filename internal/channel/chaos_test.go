@@ -30,14 +30,9 @@ import (
 // chaosProbe runs one CVE probe; it returns errors rather than failing
 // the test because it is called from fleet-member goroutines.
 func chaosProbe(k *kernel.Kernel, c *cvedb.CVE) (int64, error) {
-	var addr uint32
-	for _, s := range k.Syms.Lookup(c.Probe.Entry) {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
-	}
-	if addr == 0 {
-		return 0, fmt.Errorf("%s: no probe symbol", c.ID)
+	addr, err := k.Syms.BaseFunc(c.Probe.Entry)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", c.ID, err)
 	}
 	task, err := k.SpawnAt("probe", addr, c.Probe.UID, c.Probe.Args...)
 	if err != nil {

@@ -87,14 +87,9 @@ func testTree() *srctree.Tree { return srctree.New("sim-2.6.16", testFiles()) }
 // kallsyms — the replacement has the same name — so plain Call would fail.
 func callBase(t *testing.T, k *kernel.Kernel, name string, args ...int64) int64 {
 	t.Helper()
-	var addr uint32
-	for _, s := range k.Syms.Lookup(name) {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
-	}
-	if addr == 0 {
-		t.Fatalf("no base-kernel symbol %q", name)
+	addr, err := k.Syms.BaseFunc(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	v, err := k.CallIsolatedAddr(addr, args...)
 	if err != nil {

@@ -181,7 +181,7 @@ ksplice_`+kind+`(exploding_hook);
 
 // baseVictim calls the base kernel's victim(1), through any trampoline.
 func baseVictim(k *kernel.Kernel) (int64, error) {
-	addr, _ := baseFuncAddr(k, "victim")
+	addr, _ := k.Syms.BaseFunc("victim")
 	return k.CallIsolatedAddr(addr, 1)
 }
 

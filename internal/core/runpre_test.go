@@ -247,7 +247,7 @@ int outer_victim(int x) {
 	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
 		t.Fatalf("apply after drain: %v", err)
 	}
-	fn, _ := baseFuncAddr(k, "outer_victim")
+	fn, _ := k.Syms.BaseFunc("outer_victim")
 	if got, err := k.CallIsolatedAddr(fn, 5); err != nil || got != 6 {
 		t.Errorf("outer_victim = %d, %v (blocker exits immediately now)", got, err)
 	}
@@ -291,9 +291,9 @@ int spin2_body(void) {
 	if _, err := m.Apply(u, ApplyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	spinAddr, ok := baseFuncAddr(k, "spin2_body")
-	if !ok {
-		t.Fatal("no base spin2_body")
+	spinAddr, err := k.Syms.BaseFunc("spin2_body")
+	if err != nil {
+		t.Fatal(err)
 	}
 	task, err := k.SpawnAt("spin2", spinAddr, 0)
 	if err != nil {
@@ -467,7 +467,7 @@ int orphan_fn(int x) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fn, _ := baseFuncAddr(k, "orphan_fn")
+	fn, _ := k.Syms.BaseFunc("orphan_fn")
 	if _, err := k.CallIsolatedAddr(fn, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -478,16 +478,6 @@ int orphan_fn(int x) {
 	if v != 42 {
 		t.Errorf("orphan_counter = %d, want 42", v)
 	}
-}
-
-func baseFuncAddr(k *kernel.Kernel, name string) (uint32, bool) {
-	var addr uint32
-	for _, s := range k.Syms.Lookup(name) {
-		if s.Func && s.Module == "" {
-			addr = s.Addr
-		}
-	}
-	return addr, addr != 0
 }
 
 // TestDynAMOSStyleNonQuiescentUpdate reproduces the section 7.1 remark:
@@ -563,7 +553,7 @@ int daemon_body(void) {
 
 	// New invocations run the replacement (drain flag already set: the
 	// body returns immediately with beats == 0).
-	fn, _ := baseFuncAddr(k, "daemon_body")
+	fn, _ := k.Syms.BaseFunc("daemon_body")
 	got, err := k.CallIsolatedAddr(fn)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,7 @@ import (
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
 	"gosplice/internal/kernel"
+	"gosplice/internal/obj"
 	"gosplice/internal/srctree"
 	"gosplice/internal/telemetry"
 )
@@ -112,8 +113,6 @@ type Result struct {
 	// Ambiguity is the kallsyms census of a booted corpus kernel
 	// (the paper's 7.9%-of-symbols / 21.1%-of-units numbers).
 	Ambiguity kernel.AmbiguityStats
-	// Pauses collects every successful stop_machine window.
-	Pauses []time.Duration
 	// Timings aggregates wall-clock cost across the whole run: the
 	// per-version build/boot work plus every patch's stages.
 	Timings StageTimings
@@ -165,7 +164,8 @@ func (o *Options) logf(format string, args ...any) {
 // bootEntry lazily builds and boots one release's template kernel. The
 // build and link go through the process-wide srctree caches; the booted
 // kernel itself is per-Run and is never evaluated against directly —
-// workers take a Clone per patch, so every patch sees a pristine kernel.
+// workers take a Clone, so every patch (or, when stacking, every
+// release) starts from a pristine kernel.
 type bootEntry struct {
 	once        sync.Once
 	k           *kernel.Kernel
@@ -175,47 +175,60 @@ type bootEntry struct {
 
 func (e *bootEntry) get(tr *telemetry.Tracer, version string) (*kernel.Kernel, error) {
 	e.once.Do(func() {
-		t0 := time.Now()
-		tree := cvedb.Tree(version)
-		br, err := srctree.BuildCached(tree, codegen.KernelBuild())
-		if err != nil {
-			e.err = fmt.Errorf("eval: building %s: %w", version, err)
+		who := telemetry.A("version", version)
+		var br *srctree.BuildResult
+		var im *obj.Image
+		e.build, e.err = stage(tr, nil, "build", who, func() (err error) {
+			if br, err = srctree.BuildCached(cvedb.Tree(version), codegen.KernelBuild()); err != nil {
+				return fmt.Errorf("eval: building %s: %w", version, err)
+			}
+			if im, err = srctree.LinkKernelCached(br, kernel.KernelBase); err != nil {
+				return fmt.Errorf("eval: linking %s: %w", version, err)
+			}
+			return nil
+		})
+		if e.err != nil {
 			return
 		}
-		im, err := srctree.LinkKernelCached(br, kernel.KernelBase)
-		if err != nil {
-			e.err = fmt.Errorf("eval: linking %s: %w", version, err)
-			return
-		}
-		e.build = time.Since(t0)
-		tr.Record(nil, "build", t0, time.Now(), telemetry.A("version", version))
-		observeStage("build", e.build)
-		t0 = time.Now()
-		k, err := kernel.BootImage(br, im, 0)
-		if err != nil {
-			e.err = fmt.Errorf("eval: booting %s: %w", version, err)
-			return
-		}
-		e.boot = time.Since(t0)
-		tr.Record(nil, "boot", t0, time.Now(), telemetry.A("version", version))
-		observeStage("boot", e.boot)
-		e.k = k
+		e.boot, e.err = stage(tr, nil, "boot", who, func() (err error) {
+			if e.k, err = kernel.BootImage(br, im, 0); err != nil {
+				return fmt.Errorf("eval: booting %s: %w", version, err)
+			}
+			return nil
+		})
 	})
 	return e.k, e.err
 }
 
+// stage runs fn as one pipeline stage: a span named name under parent
+// (a root span when parent is nil) carrying the who attribute, an
+// observation of the stage histogram, and the returned duration, which
+// fills StageTimings — so the report table and the trace agree by
+// construction.
+func stage(tr *telemetry.Tracer, parent *telemetry.Span, name string, who telemetry.Attr, fn func() error) (time.Duration, error) {
+	t0 := time.Now()
+	err := fn()
+	d := tr.Record(parent, name, t0, time.Now(), who).Duration()
+	observeStage(name, d)
+	return d, err
+}
+
 // Run evaluates the corpus: each vulnerability is taken through probe ->
 // exploit -> create -> apply -> re-probe -> re-exploit -> stress -> undo
-// on its own kernel, cloned from a per-release booted template. Patches
-// run concurrently under a bounded worker pool (Options.Workers);
-// results are collected in corpus order, so every deterministic table is
+// on a kernel cloned from a per-release booted template. Patches run
+// under a bounded worker pool (Options.Workers), each on its own clone;
+// stacking (Options.KeepApplied) runs one worker, which clones each
+// release once and applies its patches in corpus order on that clone.
+// Results are collected in corpus order, so every deterministic table is
 // byte-identical whatever the worker count.
 func Run(opts Options) (*Result, error) {
 	if opts.StressRounds == 0 {
 		opts.StressRounds = 50
 	}
 	workers := opts.Workers
-	if workers <= 0 {
+	if opts.KeepApplied {
+		workers = 1
+	} else if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
 	if opts.Tracer == nil {
@@ -308,89 +321,68 @@ func Run(opts Options) (*Result, error) {
 	jobDone := func() { pending.Add(-1); gQueue.Add(-1) }
 	defer func() { gQueue.Add(-pending.Load()) }()
 
-	if opts.KeepApplied {
-		// Stacking mode: one kernel per release accumulates every fix,
-		// strictly in corpus order.
-		kernels := map[string]*kernel.Kernel{}
-		mgrs := map[string]*core.Manager{}
-		for i, j := range jobs {
-			patch := opts.Tracer.Start("patch", telemetry.A("cve", j.c.ID), telemetry.A("version", j.version))
-			k := kernels[j.version]
-			if k == nil {
-				tmpl, err := boots[j.version].get(opts.Tracer, j.version)
-				if err != nil {
-					return nil, err
-				}
-				cs := patch.Child("clone", telemetry.A("cve", j.c.ID))
-				k, err = tmpl.Clone()
-				cs.End()
-				if err != nil {
-					return nil, fmt.Errorf("eval: cloning %s kernel: %w", j.version, err)
-				}
-				observeStage("clone", cs.Duration())
-				kernels[j.version] = k
-				mgrs[j.version] = core.NewManager(k)
-			}
-			results[i] = evalOne(k, mgrs[j.version], cvedb.Tree(j.version), j.c, &opts, patch)
-			patch.End()
-			jobDone()
-			logResult(j, &results[i])
-		}
-	} else {
-		jobCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobCh {
-					func(i int) {
-						defer jobDone()
-						if failed() {
-							return
-						}
-						j := jobs[i]
-						tmpl, err := boots[j.version].get(opts.Tracer, j.version)
-						if err != nil {
-							setErr(err)
-							return
-						}
-						patch := opts.Tracer.Start("patch", telemetry.A("cve", j.c.ID), telemetry.A("version", j.version))
-						cs := patch.Child("clone", telemetry.A("cve", j.c.ID))
-						k, err := tmpl.Clone()
-						cs.End()
+	jobCh := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The kernel this worker evaluates on. Without stacking every
+			// patch takes a fresh clone; when stacking, a release's first
+			// patch does and the rest accumulate on it (section 5.4:
+			// run-pre matching binds against the previous update's
+			// replacement code).
+			var (
+				version string
+				k       *kernel.Kernel
+				mgr     *core.Manager
+			)
+			for i := range jobCh {
+				func(i int) {
+					defer jobDone()
+					if failed() {
+						return
+					}
+					j := jobs[i]
+					tmpl, err := boots[j.version].get(opts.Tracer, j.version)
+					if err != nil {
+						setErr(err)
+						return
+					}
+					patch := opts.Tracer.Start("patch", telemetry.A("cve", j.c.ID), telemetry.A("version", j.version))
+					if !opts.KeepApplied || version != j.version {
+						_, err = stage(opts.Tracer, patch, "clone", telemetry.A("cve", j.c.ID), func() (err error) {
+							k, err = tmpl.Clone()
+							return err
+						})
 						if err != nil {
 							patch.End()
 							setErr(fmt.Errorf("eval: cloning %s kernel: %w", j.version, err))
 							return
 						}
-						observeStage("clone", cs.Duration())
-						results[i] = evalOne(k, core.NewManager(k), cvedb.Tree(j.version), j.c, &opts, patch)
-						patch.End()
-						logResult(j, &results[i])
-					}(i)
-				}
-			}()
-		}
-		for i := range jobs {
-			jobCh <- i
-		}
-		close(jobCh)
-		wg.Wait()
-		if runErr != nil {
-			return nil, runErr
-		}
+						version, mgr = j.version, core.NewManager(k)
+					}
+					results[i] = evalOne(k, mgr, cvedb.Tree(j.version), j.c, &opts, patch)
+					patch.End()
+					logResult(j, &results[i])
+				}(i)
+			}
+		}()
+	}
+	for i := range jobs {
+		jobCh <- i
+	}
+	close(jobCh)
+	wg.Wait()
+	if runErr != nil {
+		return nil, runErr
 	}
 
 	// Collect in job (corpus) order, so the report is independent of
 	// worker scheduling.
+	res.Patches = results
 	for i := range results {
-		pr := &results[i]
-		if pr.Applied {
-			res.Pauses = append(res.Pauses, pr.Pause)
-		}
-		res.Patches = append(res.Patches, *pr)
-		res.Timings.accumulate(pr.Timings)
+		res.Timings.accumulate(results[i].Timings)
 	}
 	for _, e := range boots {
 		if e.k != nil {
@@ -407,64 +399,23 @@ func Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// baseAddr finds the base-kernel (non-module) function symbol for name.
-// Resolution must be exact: a missing name and an ambiguous one are both
-// errors (silently taking the last match could probe the wrong code), and
-// a symbol legitimately linked at address zero still resolves.
-func baseAddr(st *kernel.SymTab, name string) (uint32, error) {
-	var found []kernel.Sym
-	for _, s := range st.Lookup(name) {
-		if s.Func && s.Module == "" {
-			found = append(found, s)
-		}
-	}
-	switch len(found) {
-	case 0:
-		return 0, fmt.Errorf("no base kernel function %q", name)
-	case 1:
-		return found[0].Addr, nil
-	default:
-		return 0, fmt.Errorf("symbol %q names %d base kernel functions", name, len(found))
-	}
-}
-
-// runProbe executes a probe via the base-kernel entry point (which may be
-// trampolined) on a task with the probe's credential.
-func runProbe(k *kernel.Kernel, p cvedb.Probe) (int64, error) {
-	addr, err := baseAddr(k.Syms, p.Entry)
+// runGuest spawns a task at the base-kernel entry point (which may be
+// trampolined) as uid, runs it to exit and reaps it, returning its exit
+// code and its uid at exit.
+func runGuest(k *kernel.Kernel, entry string, uid int, args ...int64) (int64, int, error) {
+	addr, err := k.Syms.BaseFunc(entry)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	t, err := k.SpawnAt("probe:"+p.Entry, addr, p.UID, p.Args...)
+	t, err := k.SpawnAt(entry, addr, uid, args...)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
+	defer k.ReapExited()
 	if err := k.RunUntilExit(t, 50_000_000); err != nil {
-		k.ReapExited()
-		return 0, err
-	}
-	code := t.ExitCode
-	k.ReapExited()
-	return code, nil
-}
-
-// runExploit executes a user exploit program and reports (exit, uid).
-func runExploit(k *kernel.Kernel, e *cvedb.Exploit) (int64, int, error) {
-	addr, err := baseAddr(k.Syms, e.Entry)
-	if err != nil {
 		return 0, 0, err
 	}
-	t, err := k.SpawnAt("exploit:"+e.Entry, addr, e.UID)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := k.RunUntilExit(t, 50_000_000); err != nil {
-		k.ReapExited()
-		return 0, 0, err
-	}
-	code, uid := t.ExitCode, t.UID
-	k.ReapExited()
-	return code, uid, nil
+	return t.ExitCode, t.UID, nil
 }
 
 func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.CVE, opts *Options, patch *telemetry.Span) PatchResult {
@@ -485,8 +436,10 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 		return pr
 	}
 
+	who := telemetry.A("cve", c.ID)
+
 	// 1. The vulnerability is live.
-	got, err := runProbe(k, c.Probe)
+	got, _, err := runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 	if err != nil {
 		return fail("pre-probe: %v", err)
 	}
@@ -496,7 +449,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 	}
 	if c.Exploit != nil {
 		pr.ExploitTested = true
-		code, uid, err := runExploit(k, c.Exploit)
+		code, uid, err := runGuest(k, c.Exploit.Entry, c.Exploit.UID)
 		if err != nil {
 			return fail("pre-exploit: %v", err)
 		}
@@ -509,20 +462,18 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 
 	// 2. ksplice-create. Builds go through the artifact store, so every
 	// patch of a release shares one pre build.
-	// Each stage runs under a span; StageTimings reads the span
-	// durations, so the report table and the trace agree by construction.
-	sp := patch.Child("create", telemetry.A("cve", c.ID))
-	u, err := core.CreateUpdate(tree, c.Patch(), core.CreateOptions{Name: "ksplice-" + c.ID})
-	sp.End()
-	pr.Timings.Create = sp.Duration()
-	observeStage("create", pr.Timings.Create)
+	var u *core.Update
+	pr.Timings.Create, err = stage(opts.Tracer, patch, "create", who, func() (err error) {
+		u, err = core.CreateUpdate(tree, c.Patch(), core.CreateOptions{Name: "ksplice-" + c.ID})
+		return err
+	})
 	if err != nil {
 		return fail("create: %v", err)
 	}
 
 	// 3. ksplice-apply.
 	t0 := time.Now()
-	sp = patch.Child("apply", telemetry.A("cve", c.ID))
+	sp := patch.Child("apply", who)
 	a, err := mgr.Apply(u, core.ApplyOptions{})
 	sp.End()
 	if err != nil {
@@ -534,7 +485,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 	// stages stay disjoint and sum to the wall-clock total. The lower
 	// layer reports its duration rather than its interval, so the span is
 	// recorded pre-measured, nested under apply at apply's start.
-	opts.Tracer.Record(sp, "run_pre", t0, t0.Add(a.MatchDuration), telemetry.A("cve", c.ID))
+	opts.Tracer.Record(sp, "run_pre", t0, t0.Add(a.MatchDuration), who)
 	pr.Timings.RunPre = a.MatchDuration
 	pr.Timings.Apply = sp.Duration() - a.MatchDuration
 	observeStage("run_pre", pr.Timings.RunPre)
@@ -547,7 +498,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 	pr.PrimaryBytes = a.PrimaryBytes
 
 	// 4. Behaviour flipped.
-	got, err = runProbe(k, c.Probe)
+	got, _, err = runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 	if err != nil {
 		return fail("post-probe: %v", err)
 	}
@@ -556,7 +507,7 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 		return fail("post-probe = %d, want %d", got, c.Probe.FixedResult)
 	}
 	if c.Exploit != nil {
-		code, uid, err := runExploit(k, c.Exploit)
+		code, uid, err := runGuest(k, c.Exploit.Entry, c.Exploit.UID)
 		if err != nil {
 			return fail("post-exploit: %v", err)
 		}
@@ -567,11 +518,11 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 	}
 
 	// 5. The kernel still works.
-	sp = patch.Child("stress", telemetry.A("cve", c.ID))
-	stress, err := k.Call("stress_main", int64(opts.StressRounds))
-	sp.End()
-	pr.Timings.Stress = sp.Duration()
-	observeStage("stress", pr.Timings.Stress)
+	var stress int64
+	pr.Timings.Stress, err = stage(opts.Tracer, patch, "stress", who, func() (err error) {
+		stress, err = k.Call("stress_main", int64(opts.StressRounds))
+		return err
+	})
 	if err != nil {
 		return fail("stress: %v", err)
 	}
@@ -585,15 +536,13 @@ func evalOne(k *kernel.Kernel, mgr *core.Manager, tree *srctree.Tree, c *cvedb.C
 		pr.UndoOK = true
 		return pr
 	}
-	sp = patch.Child("undo", telemetry.A("cve", c.ID))
-	err = mgr.Undo(core.ApplyOptions{})
-	sp.End()
-	pr.Timings.Undo = sp.Duration()
-	observeStage("undo", pr.Timings.Undo)
+	pr.Timings.Undo, err = stage(opts.Tracer, patch, "undo", who, func() error {
+		return mgr.Undo(core.ApplyOptions{})
+	})
 	if err != nil {
 		return fail("undo: %v", err)
 	}
-	got, err = runProbe(k, c.Probe)
+	got, _, err = runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 	if err != nil {
 		return fail("post-undo probe: %v", err)
 	}

@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"gosplice/internal/cvedb"
-	"gosplice/internal/kernel"
-	"gosplice/internal/obj"
 	"gosplice/internal/telemetry"
 )
 
@@ -222,39 +220,6 @@ func TestReportRenders(t *testing.T) {
 		if !strings.Contains(rep, section) {
 			t.Errorf("report missing %q", section)
 		}
-	}
-}
-
-// TestBaseAddrResolution pins the resolution rules probes rely on: a
-// base-kernel function resolves even at address zero, a missing or
-// non-function name errors, a module's copy is ignored, and a duplicated
-// base name errors instead of silently taking one copy.
-func TestBaseAddrResolution(t *testing.T) {
-	st := kernel.NewSymTab(&obj.Image{Symbols: []obj.ImageSymbol{
-		{Name: "zero_fn", Addr: 0, Size: 8, Func: true, File: "z.mc"},
-		{Name: "plain_fn", Addr: 0x100, Size: 8, Func: true, File: "p.mc"},
-		{Name: "dup_fn", Addr: 0x200, Size: 8, Func: true, File: "p.mc"},
-		{Name: "dup_fn", Addr: 0x300, Size: 8, Func: true, File: "q.mc"},
-		{Name: "data_sym", Addr: 0x400, Size: 4, File: "p.mc"},
-	}})
-	st.AddModule(&kernel.Module{Name: "mod", Image: &obj.Image{Symbols: []obj.ImageSymbol{
-		{Name: "mod_fn", Addr: 0x500, Size: 8, Func: true, File: "m.mc"},
-	}}})
-
-	if addr, err := baseAddr(st, "plain_fn"); err != nil || addr != 0x100 {
-		t.Errorf("plain_fn = %#x, %v", addr, err)
-	}
-	// Address zero is a legitimate link address, distinct from missing.
-	if addr, err := baseAddr(st, "zero_fn"); err != nil || addr != 0 {
-		t.Errorf("zero_fn = %#x, %v", addr, err)
-	}
-	for _, name := range []string{"missing_fn", "data_sym", "mod_fn", "dup_fn"} {
-		if addr, err := baseAddr(st, name); err == nil {
-			t.Errorf("baseAddr(%s) = %#x, want error", name, addr)
-		}
-	}
-	if _, err := baseAddr(st, "dup_fn"); err == nil || !strings.Contains(err.Error(), "2 base kernel functions") {
-		t.Errorf("dup_fn error does not report the duplication: %v", err)
 	}
 }
 

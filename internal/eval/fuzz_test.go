@@ -48,7 +48,7 @@ func TestRandomizedPatchPipeline(t *testing.T) {
 	sample := cvedb.ForVersion(version)[:6]
 	baseline := map[string]int64{}
 	for _, c := range sample {
-		v, err := runProbe(k, c.Probe)
+		v, _, err := runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRandomizedPatchPipeline(t *testing.T) {
 			if _, owns := c.Files[path]; owns {
 				continue
 			}
-			v, err := runProbe(k, c.Probe)
+			v, _, err := runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 			if err != nil {
 				t.Fatalf("iter %d: %s probe: %v", i, c.ID, err)
 			}
@@ -96,7 +96,7 @@ func TestRandomizedPatchPipeline(t *testing.T) {
 	// After all cycles, the kernel is byte-for-byte back to baseline
 	// behaviour.
 	for _, c := range sample {
-		v, err := runProbe(k, c.Probe)
+		v, _, err := runGuest(k, c.Probe.Entry, c.Probe.UID, c.Probe.Args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,24 +142,25 @@ func (r *Result) SymbolsTable() string {
 func (r *Result) PauseTable() string {
 	var sb strings.Builder
 	sb.WriteString("stop_machine interruption (section 5.2)\n")
-	if len(r.Pauses) == 0 {
+	var n int
+	var lo, hi, sum time.Duration
+	for _, p := range r.Patches {
+		if !p.Applied {
+			continue
+		}
+		if n == 0 {
+			lo = p.Pause
+		}
+		lo, hi = min(lo, p.Pause), max(hi, p.Pause)
+		sum += p.Pause
+		n++
+	}
+	if n == 0 {
 		sb.WriteString("  no updates applied\n")
 		return sb.String()
 	}
-	var min, max, sum time.Duration
-	min = r.Pauses[0]
-	for _, p := range r.Pauses {
-		if p < min {
-			min = p
-		}
-		if p > max {
-			max = p
-		}
-		sum += p
-	}
-	fmt.Fprintf(&sb, "  updates applied .... %d\n", len(r.Pauses))
-	fmt.Fprintf(&sb, "  pause min/avg/max .. %v / %v / %v\n",
-		min, sum/time.Duration(len(r.Pauses)), max)
+	fmt.Fprintf(&sb, "  updates applied .... %d\n", n)
+	fmt.Fprintf(&sb, "  pause min/avg/max .. %v / %v / %v\n", lo, sum/time.Duration(n), hi)
 	return sb.String()
 }
 

@@ -16,62 +16,82 @@ import (
 // tracer ring (run_pre is recorded from apply's reported duration).
 var patchStages = []string{"patch", "clone", "create", "run_pre", "apply", "stress", "undo"}
 
-// TestTraceCoverageFullCorpus: the shared 64-CVE run must produce at
-// least one span per patch per stage, correctly parented under that
-// patch's root, plus build and boot spans per release.
+// TestTraceCoverageFullCorpus: a 64-CVE run must produce one span per
+// patch per stage it ran, correctly parented under that patch's root,
+// plus build and boot spans per release. It checks two runs: the shared
+// run, where every patch clones and undoes, and a stacking run, where
+// only each release's first patch clones and none undoes.
 func TestTraceCoverageFullCorpus(t *testing.T) {
 	fullRun(t)
-	recs := fullTracer.Snapshot()
-
-	roots := map[uint64]string{} // patch root span ID -> cve
-	perCVE := map[string]map[string]int{}
-	perVersion := map[string]map[string]int{}
-	for _, rec := range recs {
-		if rec.Name == "patch" {
-			roots[rec.ID] = rec.Attr("cve")
-		}
-		if cve := rec.Attr("cve"); cve != "" {
-			if perCVE[cve] == nil {
-				perCVE[cve] = map[string]int{}
-			}
-			perCVE[cve][rec.Name]++
-		} else if v := rec.Attr("version"); v != "" {
-			if perVersion[v] == nil {
-				perVersion[v] = map[string]int{}
-			}
-			perVersion[v][rec.Name]++
-		}
+	stackTracer := telemetry.NewTracer(0)
+	if _, err := Run(Options{KeepApplied: true, StressRounds: 5, Tracer: stackTracer}); err != nil {
+		t.Fatalf("stacking run: %v", err)
 	}
-
-	var patches int
-	for _, version := range cvedb.Versions {
-		for _, stage := range []string{"build", "boot"} {
-			if perVersion[version][stage] != 1 {
-				t.Errorf("%s: %d %s spans, want 1", version, perVersion[version][stage], stage)
+	for _, run := range []struct {
+		name    string
+		recs    []telemetry.SpanRecord
+		stacked bool
+	}{
+		{"shared run", fullTracer.Snapshot(), false},
+		{"stacking run", stackTracer.Snapshot(), true},
+	} {
+		roots := map[uint64]string{} // patch root span ID -> cve
+		perCVE := map[string]map[string]int{}
+		perVersion := map[string]map[string]int{}
+		for _, rec := range run.recs {
+			if rec.Name == "patch" {
+				roots[rec.ID] = rec.Attr("cve")
+			}
+			if cve := rec.Attr("cve"); cve != "" {
+				if perCVE[cve] == nil {
+					perCVE[cve] = map[string]int{}
+				}
+				perCVE[cve][rec.Name]++
+			} else if v := rec.Attr("version"); v != "" {
+				if perVersion[v] == nil {
+					perVersion[v] = map[string]int{}
+				}
+				perVersion[v][rec.Name]++
 			}
 		}
-		for _, c := range cvedb.ForVersion(version) {
-			patches++
-			for _, stage := range patchStages {
-				if perCVE[c.ID][stage] < 1 {
-					t.Errorf("%s: no %s span recorded", c.ID, stage)
+
+		var patches int
+		for _, version := range cvedb.Versions {
+			for _, stage := range []string{"build", "boot"} {
+				if perVersion[version][stage] != 1 {
+					t.Errorf("%s: %s: %d %s spans, want 1", run.name, version, perVersion[version][stage], stage)
+				}
+			}
+			for i, c := range cvedb.ForVersion(version) {
+				patches++
+				for _, stage := range patchStages {
+					want := 1
+					switch {
+					case run.stacked && stage == "clone" && i > 0:
+						want = 0 // stacked on the release's first clone
+					case run.stacked && stage == "undo":
+						want = 0
+					}
+					if got := perCVE[c.ID][stage]; got != want {
+						t.Errorf("%s: %s: %d %s spans, want %d", run.name, c.ID, got, stage, want)
+					}
 				}
 			}
 		}
-	}
-	if patches != 64 {
-		t.Fatalf("corpus has %d patches, want 64", patches)
-	}
-
-	// Every stage span hangs under its own patch's root: the tid lanes in
-	// the Chrome export separate patches, so cross-linking would render
-	// one patch's stages on another's track.
-	for _, rec := range recs {
-		if rec.Name == "patch" || rec.Attr("cve") == "" {
-			continue
+		if patches != 64 {
+			t.Fatalf("corpus has %d patches, want 64", patches)
 		}
-		if cve, ok := roots[rec.Root]; !ok || cve != rec.Attr("cve") {
-			t.Errorf("%s span for %s rooted under %q", rec.Name, rec.Attr("cve"), cve)
+
+		// Every stage span hangs under its own patch's root: the tid lanes
+		// in the Chrome export separate patches, so cross-linking would
+		// render one patch's stages on another's track.
+		for _, rec := range run.recs {
+			if rec.Name == "patch" || rec.Attr("cve") == "" {
+				continue
+			}
+			if cve, ok := roots[rec.Root]; !ok || cve != rec.Attr("cve") {
+				t.Errorf("%s: %s span for %s rooted under %q", run.name, rec.Name, rec.Attr("cve"), cve)
+			}
 		}
 	}
 

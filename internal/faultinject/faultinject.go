@@ -3,9 +3,10 @@
 // faults (error on the Nth operation, truncate at byte K, flip bit B,
 // delay for D) and applies them to any byte-stream operation. Wrappers
 // adapt a plan to the surfaces that matter here — a channel.Transport
-// (client-side corruption), an http.Handler (server/network corruption,
-// which exercises the HTTP transport's retry and Range-resume paths),
-// and the artifact store's disk tier via store.Options.ReadFault.
+// (client-side corruption) and an http.Handler (server/network
+// corruption, which exercises the HTTP transport's retry and Range-resume
+// paths). The artifact store's disk tier needs no wrapper: a test passes
+// an entry file's bytes through Apply and writes the result back.
 //
 // Plans are deterministic: the same seed and operation sequence produce
 // the same faults, so a chaos test that fails replays exactly.
@@ -139,7 +140,7 @@ func FromSeed(seed int64, ops int, rate float64) *Plan {
 // Apply passes one operation's payload through the plan: the operation
 // counter advances, and any faults scheduled for it fire. The input is
 // never mutated; corrupted payloads are copies. An Error fault returns a
-// non-nil error, matching store.Options.ReadFault's contract.
+// non-nil error.
 func (p *Plan) Apply(b []byte) ([]byte, error) {
 	p.mu.Lock()
 	p.op++

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -133,10 +135,11 @@ var blobKind = store.Kind{
 	},
 }
 
-// TestPlanWrapsStoreDiskTier: a fault plan plugged into
-// store.Options.ReadFault corrupts disk reads, and the store's
+// TestPlanWrapsStoreDiskTier: a fault plan applied to the bytes of a
+// store's disk entry corrupts what the next store reads, and the store's
 // verification turns every corruption into a miss — the filled value is
-// always correct, never the corrupted bytes.
+// always correct, never the corrupted bytes. A planned error replaces the
+// entry with a directory, which os.ReadFile refuses to read.
 func TestPlanWrapsStoreDiskTier(t *testing.T) {
 	dir := t.TempDir()
 	want := make([]byte, 4+600)
@@ -152,9 +155,18 @@ func TestPlanWrapsStoreDiskTier(t *testing.T) {
 	if _, _, err := seed.GetOrFill(key, blobKind, func() (any, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
+	entries, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("disk entries %v, %v: want exactly one", entries, err)
+	}
+	entry := entries[0]
+	good, err := os.ReadFile(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	// Every disk read in this store passes through a hostile plan: ops
-	// 1-4 are error, truncation, bit flip, delay.
+	// Before each store opens, the entry is rewritten through a hostile
+	// plan: ops 1-4 are error, truncation, bit flip, delay.
 	plan := New(
 		Fault{Op: 1, Kind: Error},
 		Fault{Op: 2, Kind: Truncate, Offset: 10},
@@ -163,7 +175,18 @@ func TestPlanWrapsStoreDiskTier(t *testing.T) {
 	)
 	var fills atomic.Int64
 	for op := 1; op <= 4; op++ {
-		s, err := store.New(store.Options{Dir: dir, ReadFault: plan.Apply})
+		if err := os.RemoveAll(entry); err != nil {
+			t.Fatal(err)
+		}
+		if b, ferr := plan.Apply(good); ferr != nil {
+			err = os.Mkdir(entry, 0o755)
+		} else {
+			err = os.WriteFile(entry, b, 0o600)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := store.New(store.Options{Dir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +201,7 @@ func TestPlanWrapsStoreDiskTier(t *testing.T) {
 			t.Fatalf("op %d: store served corrupt bytes", op)
 		}
 		// Ops 1-3 corrupt: must be a recompute. Op 4 only delays: the
-		// entry (rewritten by op 3's recovery) reads fine from disk.
+		// entry reads fine from disk.
 		if op <= 3 && src != store.Filled {
 			t.Errorf("op %d: source %v, want Filled", op, src)
 		}

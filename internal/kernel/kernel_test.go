@@ -207,6 +207,10 @@ func TestUnservedTrapFaultsTask(t *testing.T) {
 	if !strings.Contains(f.Reason, "trap 99") {
 		t.Errorf("fault reason = %q, want it to name trap 99", f.Reason)
 	}
+	// A fault leaves the thread at the faulting instruction, not past it.
+	if task.Th.IP != HeapEnd {
+		t.Errorf("faulted task's IP = %#x, want the TRAP at %#x", task.Th.IP, HeapEnd)
+	}
 	if got, err := k.Call("sys_add", 1, 2); err != nil || got != 3 {
 		t.Errorf("call after the fault = %d, %v", got, err)
 	}

@@ -117,6 +117,31 @@ func (st *SymTab) ResolveUnique(name string) (uint32, error) {
 	}
 }
 
+// BaseFunc returns the address of the one base-kernel function named
+// name: the original entry, which an update trampolines and which
+// callers keep entering through once a loaded replacement shares the
+// name. A missing name and a duplicated one are both errors, because
+// picking one copy could run the wrong code; address 0 is a valid link
+// address.
+func (st *SymTab) BaseFunc(name string) (uint32, error) {
+	var addr uint32
+	n := 0
+	for _, s := range st.base.byName[name] {
+		if s.Func {
+			addr = s.Addr
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return 0, fmt.Errorf("kernel: no base kernel function %q", name)
+	case 1:
+		return addr, nil
+	default:
+		return 0, fmt.Errorf("kernel: symbol %q names %d base kernel functions", name, n)
+	}
+}
+
 // All returns a copy of every symbol, address-sorted.
 func (st *SymTab) All() []Sym {
 	out := slices.Clone(st.base.syms)

@@ -112,13 +112,6 @@ type Options struct {
 	MaxBytes int64
 	// Dir roots the on-disk tier; empty disables it.
 	Dir string
-	// ReadFault, when set, intercepts every disk-tier entry's raw bytes
-	// as they come off disk — the fault-injection hook (a
-	// faultinject.Plan's Apply fits it directly). It may corrupt,
-	// truncate, or fail the read; whatever it does, the store's
-	// verification demotes the entry to a miss rather than serving bad
-	// bytes.
-	ReadFault func(b []byte) ([]byte, error)
 	// Crash, when set, receives the crash points in the disk tier's write
 	// path (see internal/crashpoint) — how crash-consistency tests kill a
 	// process between a temp-file write and its rename. Nil falls back to
@@ -167,10 +160,9 @@ type call struct {
 // Store is a two-tier content-addressed artifact cache. The zero value is
 // not usable; construct with New.
 type Store struct {
-	maxBytes  int64
-	dir       string // "" = memory-only
-	readFault func(b []byte) ([]byte, error)
-	crash     crashpoint.Hook
+	maxBytes int64
+	dir      string // "" = memory-only
+	crash    crashpoint.Hook
 
 	// entries is the memory tier: key -> *entry. Resident-entry reads go
 	// straight through it with no locking; all mutation (insert, evict)
@@ -218,13 +210,12 @@ func New(o Options) (*Store, error) {
 	}
 	met := telemetry.NewRegistry()
 	s := &Store{
-		maxBytes:  o.MaxBytes,
-		dir:       o.Dir,
-		readFault: o.ReadFault,
-		crash:     o.Crash,
-		inflight:  map[string]*call{},
-		touched:   map[string]bool{},
-		met:       met,
+		maxBytes: o.MaxBytes,
+		dir:      o.Dir,
+		crash:    o.Crash,
+		inflight: map[string]*call{},
+		touched:  map[string]bool{},
+		met:      met,
 	}
 	met.Help("gosplice_store_gets_total", "artifact lookups by outcome (singleflight joins are counted only in singleflight_joins_total)")
 	met.Help("gosplice_store_singleflight_joins_total", "lookups that joined another caller's in-flight fill")
@@ -520,12 +511,6 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 			s.countDiskError()
 		}
 		return nil, false
-	}
-	if s.readFault != nil {
-		if b, err = s.readFault(b); err != nil {
-			s.countDiskError()
-			return nil, false
-		}
 	}
 	if len(b) <= diskHeaderLen || [4]byte(b[:4]) != diskMagic {
 		s.dropDisk(key)

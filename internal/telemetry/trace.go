@@ -339,9 +339,8 @@ func (s *Span) endAt(end time.Time) {
 }
 
 // Record commits a pre-measured interval as a child of parent (nil for
-// a root span) — for stages whose duration is reported by a lower
-// layer rather than measured around a call, like run-pre matching
-// inside apply.
+// a root span): a stage the caller timed itself, or one whose duration
+// a lower layer reports, like run-pre matching inside apply.
 func (t *Tracer) Record(parent *Span, name string, start, end time.Time, attrs ...Attr) SpanRecord {
 	rec := SpanRecord{
 		ID: t.nextID(), Name: name, Start: start, End: end,

@@ -66,10 +66,6 @@ type Memory struct {
 	// exclusively ours, writable in place.
 	owner uint64
 
-	// arena suballocates freshly faulted pages in chunks so a boot or a
-	// busy clone does not pay one allocation per 4 KiB page.
-	arena []page
-
 	// Decoded-instruction cache. dc is a direct-mapped cache of decoded
 	// instructions keyed by offset; gen holds a per-page write generation
 	// so any write to a page exactly invalidates that page's cached
@@ -142,15 +138,7 @@ func (m *Memory) writable(i int) *page {
 	if p.owner == m.owner {
 		return p
 	}
-	if len(m.arena) == 0 {
-		// Chunked allocation: 32 pages at a time keeps fault cost low
-		// without over-committing for lightly-dirtied clones.
-		m.arena = make([]page, 32)
-	}
-	q := &m.arena[0]
-	m.arena = m.arena[1:]
-	q.b = p.b
-	q.owner = m.owner
+	q := &page{b: p.b, owner: m.owner}
 	m.pages[i] = q
 	return q
 }

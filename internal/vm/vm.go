@@ -421,6 +421,7 @@ func (m *Machine) Step(t *Thread) error {
 		}
 		t.IP = next
 		if err := m.Traps.Trap(uint16(num), t); err != nil {
+			t.IP = ip // a fault leaves t at the faulting instruction
 			return m.fault(ip, "trap %d: %v", num, err)
 		}
 		return nil
