@@ -27,7 +27,9 @@
 // is applied — a truncated or corrupted update is re-fetched, never
 // spliced in. If the channel becomes unreachable mid-subscription the
 // machine keeps running at the position it reached; re-subscribing later
-// resumes from there.
+// resumes from there. A machine carrying an update that was applied from
+// outside the channel (ksplice-apply of a local tarball) is refused,
+// since its position in the channel is then unknown.
 package main
 
 import (
@@ -47,6 +49,7 @@ import (
 	"gosplice/internal/atomicfile"
 	"gosplice/internal/channel"
 	"gosplice/internal/cli"
+	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
 	"gosplice/internal/cvedb"
 	_ "gosplice/internal/eval" // expose the gosplice_eval_* families on /metrics
@@ -353,10 +356,17 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 
 	// Check the manifest against the pinned key BEFORE replaying the
 	// machine: a manifest from the wrong publisher is refused outright,
-	// exactly as Sync would refuse it. An unreachable channel is not
+	// exactly as Sync would refuse it. A reachable manifest also vets the
+	// machine's updates (checkLineage). An unreachable channel is not
 	// fatal here — the sync below degrades to the position reached.
-	if _, _, err := cl.InstallBase(ctx); err != nil && strings.Contains(err.Error(), "refusing manifest") {
+	m, _, err := cl.InstallBase(ctx)
+	if errors.Is(err, channel.ErrManifestRefused) {
 		return err
+	}
+	if m != nil && m.KernelVersion == st.Version {
+		if err := checkLineage(st, m); err != nil {
+			return err
+		}
 	}
 	_, mgr, err := st.Replay()
 	if err != nil {
@@ -395,6 +405,28 @@ func doSubscribe(dir, url, statePath, verifyKeyPath string, timeout time.Duratio
 		return nil
 	}
 	fmt.Printf("machine now carries %d hot updates; zero reboots\n", len(st.Updates))
+	return nil
+}
+
+// checkLineage refuses a machine whose updates are not the channel's
+// first entries, in order. The client binds the machine at its update
+// count, so an update applied from outside the channel (ksplice-apply
+// of a local tarball) would stand in for the channel entry at its
+// position, and that entry would never be applied.
+func checkLineage(st *simstate.State, m *channel.Manifest) error {
+	for i, p := range st.Updates {
+		if i >= len(m.Updates) {
+			break
+		}
+		b, err := os.ReadFile(st.UpdatePath(p))
+		if err != nil {
+			return err
+		}
+		if d, _ := core.TarDigest(b); d != m.Updates[i].Sha256 {
+			return fmt.Errorf("update %d on this machine, %s, is not the channel's %s: it was applied from outside the channel, and subscribing would skip the channel's own update at that position",
+				i+1, p, m.Updates[i].Name)
+		}
+	}
 	return nil
 }
 

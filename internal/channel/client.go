@@ -265,7 +265,7 @@ func (c *Client) RestoreMachine(ctx context.Context, mgr *core.Manager, floor in
 				}
 			}
 			if !rolled {
-				if err := c.state.Abort(); err != nil {
+				if err := c.state.Abort(target); err != nil {
 					return 0, err
 				}
 			}
@@ -304,14 +304,6 @@ func (c *Client) replayEntry(ctx context.Context, mgr *core.Manager, m *Manifest
 	return nil
 }
 
-// Manager returns the bound update manager (nil before Bind) — the
-// handle a health prober uses to stress the patched kernel.
-func (c *Client) Manager() *core.Manager {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mgr
-}
-
 // Position returns the machine's current channel position.
 func (c *Client) Position() int {
 	c.mu.Lock()
@@ -343,11 +335,15 @@ func (c *Client) syncCtx(ctx context.Context) (context.Context, func(), error) {
 	return ctx, done, nil
 }
 
+// ErrManifestRefused wraps every error for a manifest whose signature
+// does not verify against the pinned key: test for it with errors.Is.
+var ErrManifestRefused = errors.New("channel: refusing manifest")
+
 // manifest fetches the channel manifest and refuses it unless it carries
-// the pinned publisher's signature and, when mgr is non-nil, serves mgr's
-// kernel release. An unreachable channel comes back as a *PositionError
-// at pos — an outage the machine rides out where it is; a refusal is a
-// plain error.
+// the pinned publisher's signature (ErrManifestRefused) and, when mgr is
+// non-nil, serves mgr's kernel release. An unreachable channel comes
+// back as a *PositionError at pos — an outage the machine rides out
+// where it is; a refusal is a plain error.
 func (c *Client) manifest(ctx context.Context, mgr *core.Manager, pos int) (*Manifest, error) {
 	m, err := c.t.Manifest(ctx)
 	if err != nil {
@@ -355,7 +351,7 @@ func (c *Client) manifest(ctx context.Context, mgr *core.Manager, pos int) (*Man
 	}
 	if c.cfg.VerifyKey != nil {
 		if err := m.VerifySignature(c.cfg.VerifyKey); err != nil {
-			return nil, fmt.Errorf("channel: refusing manifest: %w", err)
+			return nil, fmt.Errorf("%w: %w", ErrManifestRefused, err)
 		}
 	}
 	if mgr != nil && m.KernelVersion != mgr.K.Version {

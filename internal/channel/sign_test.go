@@ -7,6 +7,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,6 +89,9 @@ func TestSubscribeRefusesUnsignedWhenPinned(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsigned") {
 		t.Fatalf("unsigned manifest accepted under a pinned key: %v", err)
 	}
+	if !errors.Is(err, channel.ErrManifestRefused) {
+		t.Errorf("refusal %v does not wrap ErrManifestRefused", err)
+	}
 	if _, ok := channel.IsPosition(err); ok {
 		t.Fatal("refusal surfaced as a graceful PositionError; it must be hard")
 	}
@@ -103,8 +107,12 @@ func TestSubscribeRefusesWrongKey(t *testing.T) {
 	dir, _, _ := publishSigned(t, version, 1)
 	_, otherPub := mustKeyPair(t)
 	_, mgr := bootRelease(t, version)
-	if _, err := channel.SyncOnce(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.ClientConfig{VerifyKey: otherPub}); err == nil {
+	_, err := channel.SyncOnce(context.Background(), channel.NewDirTransport(dir), mgr, 0, channel.ClientConfig{VerifyKey: otherPub})
+	if err == nil {
 		t.Fatal("manifest signed by a different key was accepted")
+	}
+	if !errors.Is(err, channel.ErrManifestRefused) {
+		t.Errorf("refusal %v does not wrap ErrManifestRefused", err)
 	}
 }
 

@@ -112,9 +112,6 @@ type JournalEntry struct {
 // Recovery reports what the journal recovery pass found when a client
 // state dir was opened.
 type Recovery struct {
-	// Journaled is true when the client persists a journal at all (a
-	// StateDir was configured).
-	Journaled bool
 	// Position is the committed channel position recovered from disk —
 	// the position the machine must be brought back to.
 	Position int
@@ -133,21 +130,20 @@ type Recovery struct {
 	Corrupt bool
 }
 
-// ClientState owns a client's apply journal: an open append handle
-// plus the in-memory committed position it mirrors. Safe for
-// concurrent use, though a client normally runs one Sync at a time.
+// ClientState owns a client's apply journal: an open append handle.
+// It keeps no position of its own — the client passes the position to
+// every record it writes, compaction included. Safe for concurrent use,
+// though a client normally runs one Sync at a time.
 type ClientState struct {
 	path  string
 	crash crashpoint.Hook
 
-	mu      sync.Mutex
-	f       *os.File
-	pos     int
-	pending *JournalEntry
-	recs    int
-	kver    string
-	size    int64 // journal length written
-	synced  int64 // journal length at the last fsync
+	mu     sync.Mutex
+	f      *os.File
+	recs   int
+	kver   string // the kernel the last record names; compaction keeps it
+	size   int64  // journal length written
+	synced int64  // journal length at the last fsync
 }
 
 // OpenClientState opens (creating if needed) the apply journal under
@@ -164,7 +160,7 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 	// machine-state save) left behind.
 	atomicfile.SweepTemps(stateDir, 0)
 	s := &ClientState{path: JournalPath(stateDir), crash: crash}
-	rec := Recovery{Journaled: true}
+	var rec Recovery
 
 	b, err := os.ReadFile(s.path)
 	if err != nil && !os.IsNotExist(err) {
@@ -194,21 +190,19 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 		}
 		switch r.Op {
 		case "rebase":
-			s.pos, s.pending = r.Pos, nil
+			rec.Position, rec.Pending = r.Pos, nil
 			if r.Kver != "" {
-				s.kver = r.Kver
+				rec.KernelVersion = r.Kver
 			}
 		case "begin":
-			s.pending = &JournalEntry{Pos: r.Pos, Name: r.Entry, Sha256: r.Sha256, Size: r.Size, Manifest: r.Manifest}
+			rec.Pending = &JournalEntry{Pos: r.Pos, Name: r.Entry, Sha256: r.Sha256, Size: r.Size, Manifest: r.Manifest}
 			if r.Kver != "" {
-				s.kver = r.Kver
+				rec.KernelVersion = r.Kver
 			}
-		case "commit":
-			s.pos, s.pending = r.Pos, nil
+		case "commit", "undo":
+			rec.Position, rec.Pending = r.Pos, nil
 		case "abort":
-			s.pending = nil
-		case "undo":
-			s.pos, s.pending = r.Pos, nil
+			rec.Pending = nil
 		default:
 			rec.TornRecords += 1 + bytes.Count(rest, []byte{'\n'})
 			rest = nil
@@ -229,17 +223,15 @@ func OpenClientState(stateDir string, crash crashpoint.Hook) (*ClientState, Reco
 	if len(b) > 0 && good == 0 {
 		// The whole journal was unusable: degrade to re-derive.
 		rec.Corrupt = true
-		s.pos, s.pending, s.kver = 0, nil, ""
+		rec.Position, rec.Pending, rec.KernelVersion = 0, nil, ""
 	}
 	f, err := os.OpenFile(s.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, Recovery{}, err
 	}
 	s.f = f
+	s.kver = rec.KernelVersion
 	s.size, s.synced = int64(good), int64(good)
-	rec.Position = s.pos
-	rec.KernelVersion = s.kver
-	rec.Pending = s.pending
 	return s, rec, nil
 }
 
@@ -284,13 +276,6 @@ func (s *ClientState) Flush() error {
 	return nil
 }
 
-// Position returns the committed position.
-func (s *ClientState) Position() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pos
-}
-
 // Begin journals the intent to apply the update that takes the machine
 // to e.Pos. Must be followed by Commit or Abort.
 func (s *ClientState) Begin(e JournalEntry, kver string) error {
@@ -299,7 +284,6 @@ func (s *ClientState) Begin(e JournalEntry, kver string) error {
 	if err := s.append(journalRecord{Op: "begin", Pos: e.Pos, Entry: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: e.Manifest, Kver: kver}); err != nil {
 		return err
 	}
-	s.pending = &JournalEntry{Pos: e.Pos, Name: e.Name, Sha256: e.Sha256, Size: e.Size, Manifest: e.Manifest}
 	s.kver = kver
 	return nil
 }
@@ -312,34 +296,25 @@ func (s *ClientState) Commit(pos int) error {
 	if err := s.append(journalRecord{Op: "commit", Pos: pos}); err != nil {
 		return err
 	}
-	s.pos, s.pending = pos, nil
 	if s.recs >= compactEvery {
-		return s.compact()
+		return s.compact(pos)
 	}
 	return nil
 }
 
-// Abort journals that the pending update did not (durably) apply; the
-// committed position is unchanged.
-func (s *ClientState) Abort() error {
+// Abort journals that the pending update did not (durably) apply; pos
+// is the committed position, unchanged by it.
+func (s *ClientState) Abort(pos int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(journalRecord{Op: "abort", Pos: s.pos}); err != nil {
-		return err
-	}
-	s.pending = nil
-	return nil
+	return s.append(journalRecord{Op: "abort", Pos: pos})
 }
 
 // Undo journals one rollback step; pos is the new, lower position.
 func (s *ClientState) Undo(pos int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.append(journalRecord{Op: "undo", Pos: pos}); err != nil {
-		return err
-	}
-	s.pos, s.pending = pos, nil
-	return nil
+	return s.append(journalRecord{Op: "undo", Pos: pos})
 }
 
 // Rebase authoritatively sets the journal position — what Bind writes
@@ -348,16 +323,16 @@ func (s *ClientState) Undo(pos int) error {
 func (s *ClientState) Rebase(pos int, kver string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pos, s.pending, s.kver = pos, nil, kver
-	return s.compact()
+	s.kver = kver
+	return s.compact(pos)
 }
 
-// compact rewrites the journal as one rebase record carrying the
-// current position — an atomicfile.Write, after which the append handle
-// moves to the new file. Callers hold s.mu. A crash before the rename
-// leaves the old journal authoritative; after it, the new one.
-func (s *ClientState) compact() error {
-	r := journalRecord{Op: "rebase", Pos: s.pos, Kver: s.kver}
+// compact rewrites the journal as one rebase record carrying position
+// pos — an atomicfile.Write, after which the append handle moves to the
+// new file. Callers hold s.mu. A crash before the rename leaves the old
+// journal authoritative; after it, the new one.
+func (s *ClientState) compact(pos int) error {
+	r := journalRecord{Op: "rebase", Pos: pos, Kver: s.kver}
 	r.Sum = recordSum(&r)
 	b, err := json.Marshal(&r)
 	if err != nil {

@@ -71,7 +71,7 @@ func TestJournalPendingBeginSurvives(t *testing.T) {
 		t.Fatalf("pending = %+v, want the torn begin at pos 2", rec.Pending)
 	}
 	// An abort resolves it.
-	if err := s2.Abort(); err != nil {
+	if err := s2.Abort(1); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()

@@ -108,10 +108,11 @@ type httpTransport struct {
 // (e.g. "http://updates.example.com/"). Every request carries a timeout
 // and the caller's context; failures are retried with exponential backoff
 // and jitter (the sleeps select on the context, so cancellation is
-// immediate); a truncated tarball body is resumed from the byte where it
-// broke off via a Range request rather than refetched whole. Retries,
-// backoffs and resumes count into the metric set of the channel.Client
-// whose request it is (process-wide for requests made without one).
+// immediate); a truncated body (manifest, tarball or blob) is resumed
+// from the byte where it broke off via a Range request rather than
+// refetched whole. Retries, backoffs and resumes count into the metric
+// set of the channel.Client whose request it is (process-wide for
+// requests made without one).
 func NewHTTPTransport(baseURL string, o HTTPOptions) Transport {
 	if o.Timeout <= 0 {
 		o.Timeout = 10 * time.Second
@@ -196,54 +197,27 @@ func retriableStatus(code int) bool {
 // hostile or broken server cannot make the transport buffer more.
 const maxBodyBytes = 8 << 20
 
+// Manifest downloads and decodes the manifest through download: a body
+// that fails to decode (cut short and closed cleanly, corrupted in
+// flight, or spliced across a publish by a resume) is dropped and
+// fetched again.
 func (t *httpTransport) Manifest(ctx context.Context) (*Manifest, error) {
-	var lastErr error
-	for attempt := 0; attempt <= t.opt.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if err := t.backoff(ctx, attempt-1); err != nil {
-				return nil, err
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		resp, cancel, err := t.get(ctx, "/"+manifestName, 0)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
-		resp.Body.Close()
-		cancel()
-		switch {
-		case resp.StatusCode != http.StatusOK:
-			lastErr = fmt.Errorf("channel: manifest: server returned %s", resp.Status)
-			if !retriableStatus(resp.StatusCode) {
-				return nil, lastErr
-			}
-		case len(b) > maxBodyBytes:
-			return nil, fmt.Errorf("channel: manifest: body runs past byte %d", maxBodyBytes)
-		case err != nil:
-			lastErr = fmt.Errorf("channel: manifest: reading body: %w", err)
-		default:
-			m, err := DecodeManifest(b)
-			if err != nil {
-				// Truncated or corrupted in flight; the self-digest or the
-				// JSON decoder caught it. Retry.
-				lastErr = err
-				continue
-			}
-			return m, nil
-		}
+	var m *Manifest
+	_, err := t.download(ctx, "/"+manifestName, "manifest", 0, func(b []byte) (err error) {
+		m, err = DecodeManifest(b)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("channel: manifest unavailable after %d attempts: %w", t.opt.MaxRetries+1, lastErr)
+	return m, nil
 }
 
 // Fetch downloads one tarball, resuming from the last good byte when the
 // body is cut short. It returns the accumulated bytes unverified —
 // Client.Sync owns the digest check.
 func (t *httpTransport) Fetch(ctx context.Context, e Entry) ([]byte, error) {
-	return t.download(ctx, "/updates/"+e.File, e.File, e.Size)
+	return t.download(ctx, "/updates/"+e.File, e.File, e.Size, nil)
 }
 
 // FetchBlob downloads one content-addressed blob through the same
@@ -254,16 +228,18 @@ func (t *httpTransport) FetchBlob(ctx context.Context, digest string, size int64
 	if len(label) > 12 {
 		label = label[:12] + "…"
 	}
-	return t.download(ctx, "/blob/"+digest, label, size)
+	return t.download(ctx, "/blob/"+digest, label, size, nil)
 }
 
-// download is the shared body of Fetch and FetchBlob: bounded attempts,
-// exponential backoff, and resume-from-last-good-byte on truncation.
-// label only decorates errors. size (when > 0) catches clean-but-early
-// connection closes and bounds the read: an attempt reads at most one
-// byte past the advertised end, and a body that runs past it is
-// discarded and retried. An unsized body is capped at maxBodyBytes.
-func (t *httpTransport) download(ctx context.Context, path, label string, size int64) ([]byte, error) {
+// download is the one request loop of Manifest, Fetch and FetchBlob:
+// bounded attempts, exponential backoff, and resume-from-last-good-byte
+// on truncation. label only decorates errors. size (when > 0) catches
+// clean-but-early connection closes and bounds the read: an attempt
+// reads at most one byte past the advertised end, and a body that runs
+// past it is discarded and retried. An unsized body is capped at
+// maxBodyBytes. check, when non-nil, vets a complete body; one it
+// rejects is discarded and that attempt retried.
+func (t *httpTransport) download(ctx context.Context, path, label string, size int64, check func([]byte) error) ([]byte, error) {
 	var (
 		buf     []byte
 		lastErr error
@@ -325,6 +301,13 @@ func (t *httpTransport) download(ctx context.Context, path, label string, size i
 			// injection): same resume path.
 			lastErr = fmt.Errorf("channel: %s: got %d of %d bytes", label, len(buf), size)
 			continue
+		}
+		if check != nil {
+			if err := check(buf); err != nil {
+				buf = buf[:0]
+				lastErr = err
+				continue
+			}
 		}
 		return buf, nil
 	}

@@ -389,6 +389,56 @@ func TestHTTPTransportResumesTruncatedBody(t *testing.T) {
 	}
 }
 
+// TestHTTPTransportResumesTruncatedManifest: the manifest shares the
+// download loop, so a manifest cut off at half its length is completed
+// by exactly one Range request from the cut, not fetched again whole.
+func TestHTTPTransportResumesTruncatedManifest(t *testing.T) {
+	dir, _, _ := publishOne(t, cvedb.Versions[0])
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := NewServer(dir)
+	cut := len(raw) / 2
+	var reqs, ranged atomic.Int64
+	var resumeFrom atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/"+manifestName {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		if reqs.Add(1) == 1 {
+			w.Header().Set("Content-Length", fmt.Sprint(len(raw)))
+			w.WriteHeader(http.StatusOK)
+			w.Write(raw[:cut])
+			return
+		}
+		if rg := r.Header.Get("Range"); rg != "" {
+			ranged.Add(1)
+			var off int64
+			fmt.Sscanf(rg, "bytes=%d-", &off)
+			resumeFrom.Store(off)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	tr := NewHTTPTransport(srv.URL, HTTPOptions{Timeout: 5 * time.Second, MaxRetries: 4, Backoff: time.Millisecond, Seed: 1})
+	m, err := tr.Manifest(context.Background())
+	if err != nil {
+		t.Fatalf("manifest through truncation: %v", err)
+	}
+	if len(m.Updates) != 1 {
+		t.Errorf("resumed manifest lists %d updates, want 1", len(m.Updates))
+	}
+	if reqs.Load() != 2 || ranged.Load() != 1 {
+		t.Errorf("%d manifest requests, %d ranged; want 2 with exactly 1 ranged", reqs.Load(), ranged.Load())
+	}
+	if got := resumeFrom.Load(); got != int64(cut) {
+		t.Errorf("resume requested from byte %d, want %d (the cut)", got, cut)
+	}
+}
+
 // countingClient is an http.Client that records, per response, how many
 // body bytes its caller read.
 type countingClient struct {

@@ -207,18 +207,17 @@ func (f *transport) Manifest(ctx context.Context) (*channel.Manifest, error) {
 }
 
 func (f *transport) Fetch(ctx context.Context, e channel.Entry) ([]byte, error) {
-	b, err := f.t.Fetch(ctx, e)
-	if err != nil {
-		// The real transport already failed; still burn a plan op so
-		// schedules stay aligned with the operation count.
-		f.p.Apply(nil)
-		return nil, err
-	}
-	return f.p.Apply(b)
+	return f.pass(f.t.Fetch(ctx, e))
 }
 
 func (f *transport) FetchBlob(ctx context.Context, digest string, size int64) ([]byte, error) {
-	b, err := f.t.FetchBlob(ctx, digest, size)
+	return f.pass(f.t.FetchBlob(ctx, digest, size))
+}
+
+// pass runs one fetched payload through the plan. When the real
+// transport already failed it still burns a plan op, so schedules stay
+// aligned with the operation count.
+func (f *transport) pass(b []byte, err error) ([]byte, error) {
 	if err != nil {
 		f.p.Apply(nil)
 		return nil, err

@@ -216,15 +216,13 @@ type member struct {
 	crashMu  sync.Mutex
 	crash    crashpoint.Hook
 
-	mu        sync.Mutex
-	cancel    context.CancelFunc // cancels the in-flight sync (leavers)
-	applies   int
-	leaveAt   int // cancel sync after this many applies (0 = never)
-	left      bool
-	unhealthy bool
-	synced    bool
-	kills     int
-	reboots   int
+	mu      sync.Mutex
+	cancel  context.CancelFunc // cancels the in-flight sync (leavers)
+	applies int
+	leaveAt int // cancel sync after this many applies (0 = never)
+	left    bool
+	kills   int
+	reboots int
 }
 
 // fireCrash is the member's ClientConfig.Crash hook: it forwards to the
@@ -519,7 +517,6 @@ func (o *Orchestrator) syncMember(ctx context.Context, m *member) {
 		if rerr := o.rebootMember(ctx, m); rerr != nil {
 			o.logf("fleet: %s reboot failed: %v", m.name, rerr)
 			m.reg.Counter(channel.MetricDegraded).Inc()
-			m.setUnhealthy()
 			break
 		}
 		m.mu.Lock()
@@ -529,30 +526,19 @@ func (o *Orchestrator) syncMember(ctx context.Context, m *member) {
 			Detail: fmt.Sprintf("journal recovery to position %d", m.client.Position())})
 		o.logf("fleet: %s recovered at position %d; rejoining ring", m.name, m.client.Position())
 	}
-	m.mu.Lock()
-	cancelled := m.left || (m.leaveAt > 0 && m.applies >= m.leaveAt)
-	m.mu.Unlock()
-	if err != nil {
-		if _, ok := channel.IsPosition(err); !ok {
-			// Hard errors (version mismatch, refused manifest) also count
-			// as unhealthy; they are not supposed to happen in the fleet.
-			m.reg.Counter(channel.MetricDegraded).Inc()
-		}
-		if !cancelled {
-			m.setUnhealthy()
-		}
-	}
-	if m.client.Position() == o.head[m.release] {
-		m.mu.Lock()
-		m.synced = true
-		m.mu.Unlock()
+	if _, ok := channel.IsPosition(err); err != nil && !ok {
+		// Hard errors (version mismatch, refused manifest) also count as
+		// unhealthy; they are not supposed to happen in the fleet.
+		m.reg.Counter(channel.MetricDegraded).Inc()
 	}
 	// Post-apply stress probe: a machine whose patched kernel misbehaves
 	// under load is unhealthy even though every apply "succeeded".
+	m.mu.Lock()
+	cancelled := m.left || (m.leaveAt > 0 && m.applies >= m.leaveAt)
+	m.mu.Unlock()
 	if !cancelled {
 		if bad, err := m.kernel.Call("stress_main", stressRounds); err != nil || bad != 0 {
 			m.stress.Inc()
-			m.setUnhealthy()
 		}
 	}
 	if err := m.pusher.Push(ctx); err != nil {
@@ -586,12 +572,6 @@ func (o *Orchestrator) rebootMember(ctx context.Context, m *member) error {
 	return nil
 }
 
-func (m *member) setUnhealthy() {
-	m.mu.Lock()
-	m.unhealthy = true
-	m.mu.Unlock()
-}
-
 // fetchHealth reads the merged fleet view over HTTP — the same bytes an
 // operator's watch loop gets.
 func (o *Orchestrator) fetchHealth() (channel.FleetHealth, error) {
@@ -609,6 +589,24 @@ func (o *Orchestrator) fetchHealth() (channel.FleetHealth, error) {
 		return h, err
 	}
 	return h, nil
+}
+
+// each runs fn on every member, at most Workers at a time, and returns
+// when all have finished — the one fan-out behind ring syncs and the
+// halt rollback.
+func (o *Orchestrator) each(members []*member, fn func(*member)) {
+	sem := make(chan struct{}, o.cfg.Workers)
+	var wg sync.WaitGroup
+	for _, m := range members {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(m)
+		}()
+	}
+	wg.Wait()
 }
 
 // gate evaluates the health policy over one ring's members using the
@@ -736,21 +734,6 @@ func (o *Orchestrator) Run(ctx context.Context) (*Result, error) {
 	o.logf("fleet: %d machines across %d releases, rings %v, watching %s",
 		cfg.Clients, len(cfg.Releases), cfg.Rings, res.HealthURL)
 
-	syncRing := func(ring []*member) {
-		sem := make(chan struct{}, cfg.Workers)
-		var wg sync.WaitGroup
-		for _, m := range ring {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(m *member) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				o.syncMember(ctx, m)
-			}(m)
-		}
-		wg.Wait()
-	}
-
 	halted := false
 	for ri, ring := range rings {
 		if halted {
@@ -775,7 +758,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*Result, error) {
 		o.event(channel.FleetEvent{Type: channel.EventRingStart, Ring: ri + 1,
 			Detail: fmt.Sprintf("syncing %d machines", len(ring))})
 		o.logf("fleet: ring %d: syncing %d machines", ri+1, len(ring))
-		syncRing(ring)
+		o.each(ring, func(m *member) { o.syncMember(ctx, m) })
 
 		// Leavers drop out of the health view before the gate reads it.
 		for _, m := range ring {
@@ -802,11 +785,9 @@ func (o *Orchestrator) Run(ctx context.Context) (*Result, error) {
 		unhealthy, promote := o.gate(h, ring)
 		synced := 0
 		for _, m := range ring {
-			m.mu.Lock()
-			if m.synced {
+			if m.client.Position() == o.head[m.release] {
 				synced++
 			}
-			m.mu.Unlock()
 		}
 		rr := RingResult{
 			Ring:      ri + 1,
@@ -839,36 +820,27 @@ func (o *Orchestrator) Run(ctx context.Context) (*Result, error) {
 		// path that applied the updates removes them.
 		t0 := time.Now()
 		var mu sync.Mutex
-		sem := make(chan struct{}, cfg.Workers)
-		var wg sync.WaitGroup
-		for _, m := range all {
+		o.each(all, func(m *member) {
 			m.mu.Lock()
 			skip := m.left
 			m.mu.Unlock()
 			if skip || m.client.Position() == 0 {
-				continue
+				return
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(m *member) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				n, err := m.client.Rollback(0)
-				mu.Lock()
-				res.RolledBack += n
-				if err != nil {
-					res.RollbackFailures++
-				}
-				mu.Unlock()
-				if err != nil {
-					o.logf("fleet: %s rollback: %v", m.name, err)
-				}
-				if err := m.pusher.Push(ctx); err != nil {
-					o.logf("fleet: %s report push: %v", m.name, err)
-				}
-			}(m)
-		}
-		wg.Wait()
+			n, err := m.client.Rollback(0)
+			mu.Lock()
+			res.RolledBack += n
+			if err != nil {
+				res.RollbackFailures++
+			}
+			mu.Unlock()
+			if err != nil {
+				o.logf("fleet: %s rollback: %v", m.name, err)
+			}
+			if err := m.pusher.Push(ctx); err != nil {
+				o.logf("fleet: %s report push: %v", m.name, err)
+			}
+		})
 		res.TimeToRollback = time.Since(t0)
 		o.event(channel.FleetEvent{Type: channel.EventRollback, Ring: res.HaltedRing,
 			Detail: fmt.Sprintf("rolled back %d updates across the fleet (%d failures)",

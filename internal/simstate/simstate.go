@@ -108,8 +108,9 @@ func New(version string) (*State, error) {
 	return &State{Version: version}, nil
 }
 
-// resolve returns an update path relative to the state file.
-func (st *State) resolve(p string) string {
+// UpdatePath resolves one of the state's update paths (relative to the
+// state file) to a path the process can open.
+func (st *State) UpdatePath(p string) string {
 	if filepath.IsAbs(p) || st.dir == "" {
 		return p
 	}
@@ -118,7 +119,7 @@ func (st *State) resolve(p string) string {
 
 // LoadUpdate reads one of the state's update tarballs.
 func (st *State) LoadUpdate(p string) (*core.Update, error) {
-	f, err := os.Open(st.resolve(p))
+	f, err := os.Open(st.UpdatePath(p))
 	if err != nil {
 		return nil, err
 	}

@@ -486,9 +486,10 @@ func (s *Store) DiskUsage() (entries int, bytes int64) {
 // redundant, so the flate layer shrinks the on-disk footprint
 // several-fold. The key is a hash of the artifact's *inputs*, so it
 // cannot authenticate the stored bytes; the embedded digest does.
-// Verification failures of any sort (short file, flipped bit, bad or
-// older magic, undecompressible body) count as DiskErrors and fall back
-// to recomputation; the broken file is removed so it is rewritten.
+// Read and verification failures of any sort (an unreadable path, short
+// file, flipped bit, bad or older magic, undecompressible body) count as
+// DiskErrors and fall back to recomputation; the broken entry is removed
+// so it is rewritten.
 
 var diskMagic = [4]byte{'G', 'S', 'C', '2'}
 
@@ -508,7 +509,7 @@ func (s *Store) readDisk(key string) ([]byte, bool) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
-			s.countDiskError()
+			s.dropDisk(key)
 		}
 		return nil, false
 	}

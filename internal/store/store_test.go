@@ -314,6 +314,42 @@ func TestCorruptDiskEntriesFallBackToFill(t *testing.T) {
 	}
 }
 
+// TestUnreadableDiskEntryHeals: an entry path that cannot be read as a
+// file (an empty directory in its place) is dropped like a corrupt
+// entry, so the refill replaces it and the next stores hit on disk
+// instead of recomputing and failing to write every time.
+func TestUnreadableDiskEntryHeals(t *testing.T) {
+	dir := t.TempDir()
+	want := blob(7, 200)
+	key := Key("k")
+	var calls atomic.Int64
+	for i, wantSrc := range []Source{Filled, Disk, Disk} {
+		s, err := New(Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := os.MkdirAll(s.objectPath(key), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v, src, err := s.GetOrFill(key, blobKind, fillWith(want, &calls))
+		if err != nil || !bytes.Equal(v.([]byte), want) {
+			t.Fatalf("store %d: value %v, err %v", i+1, v, err)
+		}
+		wantErrs := uint64(0)
+		if i == 0 {
+			wantErrs = 1
+		}
+		if st := s.Stats(); src != wantSrc || st.DiskErrors != wantErrs {
+			t.Errorf("store %d: source %v with %d disk errors, want %v with %d", i+1, src, st.DiskErrors, wantSrc, wantErrs)
+		}
+	}
+	if calls.Load() != 1 {
+		t.Errorf("%d fills across three stores, want 1", calls.Load())
+	}
+}
+
 // TestDecodeFailureIsAMiss: an entry whose checksum is intact but whose
 // payload no longer decodes (foreign format) is dropped and recomputed.
 func TestDecodeFailureIsAMiss(t *testing.T) {

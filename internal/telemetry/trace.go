@@ -84,16 +84,20 @@ type Span struct {
 }
 
 // Tracer records spans into a fixed-capacity ring (oldest evicted
-// first). The zero value is not usable; construct with NewTracer.
+// first). The ring grows with the spans recorded until it holds
+// capacity of them, so a tracer costs memory for what it recorded, not
+// for what it could hold. The zero value is not usable; construct with
+// NewTracer.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []SpanRecord
-	next    int // ring write cursor
-	full    bool
-	seq     uint64 // commits so far; stamped on each record
-	dropped uint64 // commits that evicted an unread record
-	dropC   *Counter
-	onEnd   func(SpanRecord)
+	mu       sync.Mutex
+	capacity int
+	ring     []SpanRecord
+	next     int // ring write cursor
+	full     bool
+	seq      uint64 // commits so far; stamped on each record
+	dropped  uint64 // commits that evicted an unread record
+	dropC    *Counter
+	onEnd    func(SpanRecord)
 }
 
 // DefaultCapacity bounds the default tracer ring: enough for a full
@@ -107,7 +111,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{ring: make([]SpanRecord, 0, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 var defaultTracer = NewTracer(0)
@@ -125,8 +129,8 @@ func DefaultTracer() *Tracer { return defaultTracer }
 
 var nopTracer = &Tracer{}
 
-// NopTracer returns a shared tracer that discards every span (its ring
-// has zero capacity, so commit is an early return). It is the
+// NopTracer returns a shared tracer that discards every span (its
+// capacity is zero, so commit is an early return). It is the
 // tracing-off arm of the telemetry-overhead benchmark.
 func NopTracer() *Tracer { return nopTracer }
 
@@ -372,14 +376,14 @@ func (s *Span) Duration() time.Duration {
 
 func (t *Tracer) commit(rec SpanRecord) {
 	t.mu.Lock()
-	if cap(t.ring) == 0 {
+	if t.capacity == 0 {
 		t.mu.Unlock()
 		return
 	}
 	t.seq++
 	rec.Seq = t.seq
 	var dropC *Counter
-	if len(t.ring) < cap(t.ring) {
+	if len(t.ring) < t.capacity {
 		t.ring = append(t.ring, rec)
 	} else {
 		t.ring[t.next] = rec
@@ -387,7 +391,7 @@ func (t *Tracer) commit(rec SpanRecord) {
 		t.dropped++
 		dropC = t.dropC
 	}
-	t.next = (t.next + 1) % cap(t.ring)
+	t.next = (t.next + 1) % t.capacity
 	hook := t.onEnd
 	t.mu.Unlock()
 	if dropC != nil {

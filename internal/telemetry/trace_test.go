@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -97,6 +98,32 @@ func TestRingWrap(t *testing.T) {
 	if len(tr.Snapshot()) != 1 {
 		t.Errorf("tracer dead after reset")
 	}
+}
+
+// TestTracerGrowsWithSpans: a tracer costs memory for the spans it
+// recorded, not for the ones it could hold. A 65,536-span tracer
+// allocates under 4 KiB before its first span; a ring preallocated to
+// capacity would take about 10 MB.
+func TestTracerGrowsWithSpans(t *testing.T) {
+	const n = 8
+	tracers := make([]*Tracer, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range tracers {
+		tracers[i] = NewTracer(1 << 16)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 4<<10 {
+		t.Errorf("NewTracer(1<<16) allocated %d B before its first span, want under 4 KiB", per)
+	}
+	tr := tracers[0]
+	for i := 0; i < 3; i++ {
+		tr.Start("s").End()
+	}
+	if recs := tr.Snapshot(); len(recs) != 3 || recs[0].Seq != 1 || recs[2].Seq != 3 {
+		t.Errorf("snapshot after 3 spans = %+v, want seqs 1..3", recs)
+	}
+	runtime.KeepAlive(tracers)
 }
 
 // TestOnEndHook: every ended span reaches the hook (the -v stage line
