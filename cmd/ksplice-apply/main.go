@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 
 	"gosplice/internal/cli"
+	"gosplice/internal/codegen"
 	"gosplice/internal/core"
 	"gosplice/internal/simstate"
 )
@@ -57,9 +58,9 @@ func main() {
 		rt.Fatal(err)
 	}
 
-	if u.Compiler != k.Build.Options.Version {
+	if u.Compiler != codegen.Version {
 		fmt.Fprintf(os.Stderr, "ksplice-apply: warning: update built with %q, kernel with %q;\n",
-			u.Compiler, k.Build.Options.Version)
+			u.Compiler, codegen.Version)
 		fmt.Fprintf(os.Stderr, "  run-pre matching will abort on any resulting code difference.\n")
 	}
 

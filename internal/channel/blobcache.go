@@ -11,6 +11,7 @@ package channel
 import (
 	"encoding/hex"
 	"errors"
+	"sync"
 
 	"gosplice/internal/core"
 	"gosplice/internal/crashpoint"
@@ -62,6 +63,14 @@ type DirBlobCache struct {
 	s        *store.Store
 	maxBytes int64
 	crash    crashpoint.Hook
+
+	mu sync.Mutex
+	// held bounds the directory's bytes: what the last sweep left plus
+	// each later Put's payload and store.EntryOverhead. swept says a
+	// sweep has run in this process; until one has, held knows nothing
+	// of what earlier processes left.
+	held  int64
+	swept bool
 }
 
 // blobKind files raw blobs in the store: the bytes are their own
@@ -143,9 +152,12 @@ func (c *DirBlobCache) Get(digest string) ([]byte, bool) {
 }
 
 // Put is best-effort: a cache write or sweep failure costs bandwidth
-// later, not correctness now, so neither is reported. A Put that pushes
-// the cache past its cap evicts the least recently used blobs this
-// process has not touched.
+// later, not correctness now, so neither is reported. A Put that may
+// push the cache past its cap sweeps it, evicting the least recently
+// used blobs this process has not touched. The first Put of a process
+// always sweeps; after that a Put sweeps only when the bytes the last
+// sweep left plus everything written since could exceed the cap, so a
+// fresh machine's Puts do not each walk the directory.
 func (c *DirBlobCache) Put(digest string, b []byte) {
 	if !validDigest(digest) {
 		return
@@ -153,7 +165,18 @@ func (c *DirBlobCache) Put(digest string, b []byte) {
 	if _, err := c.s.Put(blobNS+digest, blobKind, b); err != nil {
 		return
 	}
-	if c.maxBytes > 0 {
-		_, _ = c.s.GC(c.maxBytes)
+	if c.maxBytes <= 0 {
+		return
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.held += int64(len(b)) + store.EntryOverhead
+	if c.swept && c.held <= c.maxBytes {
+		return
+	}
+	res, err := c.s.GC(c.maxBytes)
+	if err != nil {
+		return
+	}
+	c.held, c.swept = res.ScannedBytes-res.FreedBytes, true
 }

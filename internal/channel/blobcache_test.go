@@ -1,6 +1,7 @@
 package channel_test
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io/fs"
@@ -11,6 +12,7 @@ import (
 
 	"gosplice/internal/channel"
 	"gosplice/internal/core"
+	"gosplice/internal/cvedb"
 )
 
 // blob makes a distinct, incompressible payload of n bytes and returns
@@ -167,5 +169,32 @@ func TestDirBlobCacheTmpSweep(t *testing.T) {
 	}
 	if _, ok := c2.Get(d); !ok {
 		t.Error("real blob removed by the tmp sweep")
+	}
+}
+
+// TestFreshSubscriberSweepsBlobCacheOnce: a fresh machine syncing a
+// whole release's channel writes far less than the cache's cap, so only
+// its first Put walks the cache directory; the rest are bounded by the
+// bytes written since.
+func TestFreshSubscriberSweepsBlobCacheOnce(t *testing.T) {
+	version := cvedb.Versions[0]
+	dir, published := publishRelease(t, version)
+	if len(published) != 16 {
+		t.Fatalf("%s channel has %d updates, want 16", version, len(published))
+	}
+	cl, err := channel.NewClient(channel.ClientConfig{
+		Name: "sweeps", Transport: channel.NewDirTransport(dir), StateDir: t.TempDir(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	_, mgr := bootRelease(t, version)
+	cl.Bind(mgr, 0)
+	if applied, err := cl.Sync(context.Background()); err != nil || len(applied) != len(published) {
+		t.Fatalf("sync applied %d, %v; want %d", len(applied), err, len(published))
+	}
+	if n := cl.BlobSweepsForTest(); n != 1 {
+		t.Errorf("fresh subscribe ran %d blob-cache sweeps, want 1", n)
 	}
 }

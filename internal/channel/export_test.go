@@ -34,3 +34,9 @@ func (s *ClientState) DurableLenForTest() int64 {
 	defer s.mu.Unlock()
 	return s.synced
 }
+
+// BlobSweepsForTest returns how many sweeps the client's directory blob
+// cache has run: its store's gosplice_store_gc_sweeps_total.
+func (c *Client) BlobSweepsForTest() uint64 {
+	return c.blobs.(*DirBlobCache).s.Metrics().Counter("gosplice_store_gc_sweeps_total").Value()
+}

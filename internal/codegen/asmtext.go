@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -143,23 +144,21 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]string) 
 
 // AssembleFile assembles a whole .mcs assembly source file into an object
 // file. Functions are delimited with .func/.endfunc; .global marks symbols
-// global (default is file-local, like C static).
+// global (default is file-local, like C static) and must name a function
+// the file defines.
 func AssembleFile(path, src string, opts Options) (*obj.File, error) {
-	f := &obj.File{SourcePath: path, Compiler: opts.Version}
-	stmts := splitStmts(src)
-
-	globals := map[string]bool{}
 	type fnSpan struct {
 		name  string
 		stmts []string
 	}
 	var fns []*fnSpan
 	var cur *fnSpan
-	for _, s := range stmts {
+	var globals []string // .global names, in source order
+	for _, s := range splitStmts(src) {
 		fields := strings.Fields(s)
 		switch {
 		case len(fields) == 2 && fields[0] == ".global":
-			globals[fields[1]] = true
+			globals = append(globals, fields[1])
 		case len(fields) == 2 && fields[0] == ".func":
 			if cur != nil {
 				return nil, fmt.Errorf("%s: nested .func %s", path, fields[1])
@@ -181,71 +180,20 @@ func AssembleFile(path, src string, opts Options) (*obj.File, error) {
 	if cur != nil {
 		return nil, fmt.Errorf("%s: unterminated .func %s", path, cur.name)
 	}
-
-	emit := func(b *Builder, fn *fnSpan) error {
-		return assembleInto(b, fn.stmts, ".L"+fn.name+".", minic.Pos{File: path})
-	}
-
-	// Relocations are resolved only after every function symbol exists,
-	// so a later .func can be referenced by an earlier one.
-	type pendingSec struct {
-		sec  *obj.Section
-		refs []relocRef
-	}
-	var pendings []pendingSec
-
-	finish := func(b *Builder, members []*fnSpan) error {
-		sec, exts, err := b.Finalize(obj.Text, 16)
-		if err != nil {
-			return err
+	for _, name := range globals {
+		if !slices.ContainsFunc(fns, func(fn *fnSpan) bool { return fn.name == name }) {
+			return nil, &asmError{pos: minic.Pos{File: path}, line: ".global " + name, msg: "no .func defines " + name}
 		}
-		si := f.AddSection(sec)
-		for _, fn := range members {
-			ext := exts[fn.name]
-			f.Symbols = append(f.Symbols, &obj.Symbol{
-				Name: fn.name, Local: !globals[fn.name], Section: si,
-				Value: ext[0], Size: ext[1], Func: true,
-			})
-		}
-		pendings = append(pendings, pendingSec{sec: sec, refs: b.PendingRelocs()})
-		return nil
 	}
 
-	if opts.FunctionSections {
-		for _, fn := range fns {
-			b := NewBuilder(obj.FuncSectionPrefix+fn.name, false)
-			b.BeginSym(fn.name)
-			if err := emit(b, fn); err != nil {
-				return nil, err
-			}
-			b.EndSym(fn.name)
-			if err := finish(b, []*fnSpan{fn}); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		b := NewBuilder(".text", true)
-		for _, fn := range fns {
-			b.Align(16)
-			b.BeginSym(fn.name)
-			if err := emit(b, fn); err != nil {
-				return nil, err
-			}
-			b.EndSym(fn.name)
-		}
-		if err := finish(b, fns); err != nil {
-			return nil, err
-		}
+	w := newObjWriter(path, opts)
+	err := emitText(w, fns,
+		func(fn *fnSpan) (string, bool) { return fn.name, !slices.Contains(globals, fn.name) },
+		func(b *Builder, fn *fnSpan) error {
+			return assembleInto(b, fn.stmts, ".L"+fn.name+".", minic.Pos{File: path})
+		})
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range pendings {
-		for _, r := range p.refs {
-			p.sec.Relocs = append(p.sec.Relocs, obj.Reloc{
-				Offset: r.off, Type: r.typ, Sym: f.SymbolIndex(r.sym), Addend: r.addend,
-			})
-		}
-	}
-	if err := f.Validate(); err != nil {
-		return nil, fmt.Errorf("codegen: assembling %s: %w", path, err)
-	}
-	return f, nil
+	return w.finish()
 }

@@ -4,13 +4,15 @@
 // The compiler reproduces the gcc behaviours the paper's techniques are
 // built around:
 //
-//   - FunctionSections/DataSections modes. With them, every function and
+//   - Per-object sections (Options.ObjectSections, gcc's
+//     -ffunction-sections -fdata-sections). With them, every function and
 //     data object gets its own section and every cross-object reference
 //     becomes a relocation (how Ksplice builds its pre and post objects).
 //     Without them — how running kernels are actually built — a unit's
 //     functions share one .text whose internal references the assembler
 //     resolves directly, with alignment padding between and inside
-//     functions.
+//     functions. layout.go makes this choice for the compiler and the
+//     assembler alike.
 //   - Branch relaxation. In whole-.text mode, branches whose targets are
 //     near enough use the 2-3 byte short forms; in function-sections mode
 //     every branch uses the 5-6 byte near form (mirroring the paper's

@@ -16,13 +16,10 @@ import (
 // balanced around every subexpression. R1-R3 are scratch within single
 // constructs and never live across a recursive generation call.
 type funcGen struct {
-	b    *Builder
-	fn   *minic.FuncDecl
-	opts Options
+	b  *Builder
+	fn *minic.FuncDecl
 	// intern resolves a string literal to its rodata symbol.
-	intern func(s string) string
-	// isLocalFunc reports whether a function symbol is emitted into the
-	// same section (whole-.text mode) and can be branched to directly.
+	intern    func(s string) string
 	frameSize int32
 	labelSeq  int
 	epilogue  string
@@ -123,9 +120,7 @@ func (g *funcGen) stmt(s minic.Stmt) {
 
 	case *minic.While:
 		condL, endL := g.label("while"), g.label("wend")
-		if g.opts.AlignLoops {
-			g.b.Align(8)
-		}
+		g.b.Align(loopAlign)
 		g.b.Label(condL)
 		g.condFalse(n.Cond, endL)
 		g.breakLbl = append(g.breakLbl, endL)
@@ -141,9 +136,7 @@ func (g *funcGen) stmt(s minic.Stmt) {
 		if n.Init != nil {
 			g.stmt(n.Init)
 		}
-		if g.opts.AlignLoops {
-			g.b.Align(8)
-		}
+		g.b.Align(loopAlign)
 		g.b.Label(condL)
 		if n.Cond != nil {
 			g.condFalse(n.Cond, endL)

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -115,7 +116,7 @@ int fact(int n) {
 	for _, opts := range []Options{KernelBuild(), KspliceBuild()} {
 		fs := compileUnits(t, files, []string{"f.mc"}, opts)
 		if got := run(t, fs, "fact", 10); got != 3628800 {
-			t.Errorf("fact(10) = %d (FunctionSections=%v)", got, opts.FunctionSections)
+			t.Errorf("fact(10) = %d (FunctionSections=%v)", got, opts.ObjectSections)
 		}
 	}
 }
@@ -183,7 +184,7 @@ int build_and_sum(int n) {
 	for _, opts := range []Options{KernelBuild(), KspliceBuild()} {
 		fs := compileUnits(t, files, []string{"s.mc"}, opts)
 		if got := run(t, fs, "build_and_sum", 8); got != 36 {
-			t.Errorf("build_and_sum(8) = %d (FS=%v)", got, opts.FunctionSections)
+			t.Errorf("build_and_sum(8) = %d (FS=%v)", got, opts.ObjectSections)
 		}
 	}
 }
@@ -264,7 +265,7 @@ int entry(int x) { return helper(x) + 1; }`,
 	for _, opts := range []Options{KernelBuild(), KspliceBuild()} {
 		fs := compileUnits(t, files, []string{"a.mc", "b.mc"}, opts)
 		if got := run(t, fs, "entry", 20); got != 41 {
-			t.Errorf("entry(20) = %d (FS=%v)", got, opts.FunctionSections)
+			t.Errorf("entry(20) = %d (FS=%v)", got, opts.ObjectSections)
 		}
 	}
 }
@@ -349,7 +350,7 @@ int user(int v) { return twice(v) + thrice(v) + big(v); }
 	if err := minic.Check(u); err != nil {
 		t.Fatal(err)
 	}
-	inl := InlinedCalls(u, 24)
+	inl := InlinedCalls(u)
 	if len(inl["twice"]) != 1 || len(inl["thrice"]) != 1 {
 		t.Errorf("census: %v", inl)
 	}
@@ -472,6 +473,12 @@ func TestAsmErrors(t *testing.T) {
 		if _, err := AssembleFile("bad.mcs", src, KernelBuild()); err == nil {
 			t.Errorf("no error for %q", src)
 		}
+	}
+	// A .global must name a function the file defines.
+	_, err := AssembleFile("bad.mcs", ".global g\n.func f\n ret\n.endfunc", KernelBuild())
+	var ae *asmError
+	if !errors.As(err, &ae) || !strings.Contains(ae.Error(), `".global g"`) {
+		t.Errorf("undefined .global: got %v, want an *asmError naming .global g", err)
 	}
 }
 

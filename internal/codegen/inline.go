@@ -14,11 +14,8 @@ import (
 // Cross-unit inlining happens the same way it does in real kernels:
 // `static inline` helpers defined in headers are parsed into every
 // including unit, so each unit inlines its own copy.
-func inlineUnit(u *minic.Unit, maxNodes int) {
-	if maxNodes <= 0 {
-		maxNodes = 24
-	}
-	inl := &inliner{maxNodes: maxNodes}
+func inlineUnit(u *minic.Unit) {
+	inl := &inliner{}
 	// Iterate to a fixpoint so chains of small helpers flatten, with a
 	// depth cap as a cycle guard.
 	for pass := 0; pass < 8; pass++ {
@@ -37,9 +34,8 @@ func inlineUnit(u *minic.Unit, maxNodes int) {
 }
 
 type inliner struct {
-	maxNodes int
-	caller   *minic.FuncDecl
-	changed  bool
+	caller  *minic.FuncDecl
+	changed bool
 }
 
 // inlinable returns the body expression if fn is an inlining candidate.
@@ -57,7 +53,7 @@ func (il *inliner) inlinable(fn *minic.FuncDecl) (minic.Expr, bool) {
 	if !ok || ret.Expr == nil {
 		return nil, false
 	}
-	if exprNodes(ret.Expr) > il.maxNodes {
+	if exprNodes(ret.Expr) > inlineMaxNodes {
 		return nil, false
 	}
 	if referencesFunc(ret.Expr, fn) || takesParamAddress(ret.Expr) {
@@ -253,11 +249,8 @@ func (il *inliner) inline(e minic.Expr) minic.Expr {
 // which functions the inliner would inline into at least one caller within
 // the unit. It must be called on a freshly checked unit (before Compile,
 // which performs the actual rewriting).
-func InlinedCalls(u *minic.Unit, maxNodes int) map[string][]string {
-	if maxNodes <= 0 {
-		maxNodes = 24
-	}
-	il := &inliner{maxNodes: maxNodes}
+func InlinedCalls(u *minic.Unit) map[string][]string {
+	il := &inliner{}
 	out := map[string][]string{}
 	for _, fn := range u.Funcs {
 		if fn.Body == nil {

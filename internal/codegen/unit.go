@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"strconv"
 
 	"gosplice/internal/minic"
 	"gosplice/internal/obj"
@@ -12,35 +13,22 @@ import (
 // Unit value with different options.
 func Compile(u *minic.Unit, opts Options) (*obj.File, error) {
 	if opts.Inline {
-		inlineUnit(u, opts.InlineMaxNodes)
+		inlineUnit(u)
 	}
-
-	uc := &unitCompiler{
-		u:       u,
-		opts:    opts,
-		file:    &obj.File{SourcePath: u.Path, Compiler: opts.Version},
-		strSyms: map[string]string{},
-	}
+	uc := &unitCompiler{u: u, w: newObjWriter(u.Path, opts), strSyms: map[string]string{}}
 	if err := uc.compile(); err != nil {
 		return nil, err
 	}
-	if err := uc.file.Validate(); err != nil {
-		return nil, fmt.Errorf("codegen: internal error compiling %s: %w", u.Path, err)
-	}
-	return uc.file, nil
+	return uc.w.finish()
 }
 
 type unitCompiler struct {
-	u    *minic.Unit
-	opts Options
-	file *obj.File
+	u *minic.Unit
+	w *objWriter
 
 	// String literal pool, in first-use order.
 	strSyms map[string]string
 	strList []string
-
-	// pending name-based relocations per section index.
-	pending map[int][]relocRef
 }
 
 func (uc *unitCompiler) intern(s string) string {
@@ -93,222 +81,80 @@ func (uc *unitCompiler) usedFuncs() map[*minic.FuncDecl]bool {
 }
 
 func (uc *unitCompiler) compile() error {
-	uc.pending = map[int][]relocRef{}
 	used := uc.usedFuncs()
-
-	// Deduplicate multiple declarations of the same function (prototype +
-	// definition share an Object).
 	var fns []*minic.FuncDecl
-	seen := map[string]bool{}
 	for _, fn := range uc.u.Funcs {
-		if fn.Body == nil || !used[fn] || seen[fn.Name] {
-			continue
-		}
-		seen[fn.Name] = true
-		fns = append(fns, fn)
-	}
-
-	// Text.
-	if uc.opts.FunctionSections {
-		for _, fn := range fns {
-			b := NewBuilder(obj.FuncSectionPrefix+fn.Name, false)
-			b.BeginSym(fn.Name)
-			if err := uc.genFunc(b, fn); err != nil {
-				return err
-			}
-			b.EndSym(fn.Name)
-			if err := uc.finishTextSection(b, []*minic.FuncDecl{fn}); err != nil {
-				return err
-			}
-		}
-	} else {
-		b := NewBuilder(".text", true)
-		for _, fn := range fns {
-			b.Align(16)
-			b.BeginSym(fn.Name)
-			if err := uc.genFunc(b, fn); err != nil {
-				return err
-			}
-			b.EndSym(fn.Name)
-		}
-		if err := uc.finishTextSection(b, fns); err != nil {
-			return err
+		if fn.Body != nil && used[fn] {
+			fns = append(fns, fn)
 		}
 	}
-
-	// Data: globals, then each function's static locals (source order).
-	if err := uc.emitData(fns); err != nil {
-		return err
-	}
-
-	// String pool.
-	uc.emitStrings()
-
-	// Ksplice hook note sections.
-	uc.emitHooks()
-
-	// Resolve name-based relocations now that all defined symbols exist.
-	// Section-index order keeps the undefined-symbol table deterministic.
-	for si := range uc.file.Sections {
-		refs, ok := uc.pending[si]
-		if !ok {
-			continue
-		}
-		sec := uc.file.Sections[si]
-		for _, r := range refs {
-			sec.Relocs = append(sec.Relocs, obj.Reloc{
-				Offset: r.off, Type: r.typ,
-				Sym: uc.file.SymbolIndex(r.sym), Addend: r.addend,
-			})
-		}
-	}
-	return nil
-}
-
-func (uc *unitCompiler) genFunc(b *Builder, fn *minic.FuncDecl) error {
-	g := &funcGen{b: b, fn: fn, opts: uc.opts, intern: uc.intern}
-	return g.gen()
-}
-
-// finishTextSection finalizes b and records function symbols and pending
-// relocations.
-func (uc *unitCompiler) finishTextSection(b *Builder, fns []*minic.FuncDecl) error {
-	sec, exts, err := b.Finalize(obj.Text, 16)
+	err := emitText(uc.w, fns,
+		func(fn *minic.FuncDecl) (string, bool) { return fn.Name, fn.Static },
+		func(b *Builder, fn *minic.FuncDecl) error {
+			return (&funcGen{b: b, fn: fn, intern: uc.intern}).gen()
+		})
 	if err != nil {
 		return err
 	}
-	si := uc.file.AddSection(sec)
-	uc.pending[si] = b.PendingRelocs()
-	for _, fn := range fns {
-		ext, ok := exts[fn.Name]
-		if !ok {
-			return fmt.Errorf("codegen: no extent for %s", fn.Name)
-		}
-		uc.file.Symbols = append(uc.file.Symbols, &obj.Symbol{
-			Name: fn.Name, Local: fn.Static, Section: si,
-			Value: ext[0], Size: ext[1], Func: true,
-		})
+	// Data: globals, then each function's static locals (source order),
+	// then the string pool.
+	objs, err := uc.dataObjs(fns)
+	if err != nil {
+		return err
 	}
+	uc.w.pack(objs)
+	uc.emitHooks()
 	return nil
 }
 
-// dataObject is one variable to emit.
-type dataObject struct {
-	sym   string
-	local bool
-	v     *minic.VarDecl
-}
-
-func (uc *unitCompiler) emitData(fns []*minic.FuncDecl) error {
-	var objs []dataObject
-	for _, g := range uc.u.Globals {
-		if g.Extern {
-			continue
+// dataObjs lists the unit's variables and string literals for pack.
+func (uc *unitCompiler) dataObjs(fns []*minic.FuncDecl) ([]dataObj, error) {
+	var objs []dataObj
+	addVar := func(sym string, local bool, v *minic.VarDecl) error {
+		o := dataObj{
+			area: areaBSS, name: sym, sym: sym, local: local,
+			align: uint32(v.Type.Alignof()), size: uint32(v.Type.Sizeof()),
 		}
-		objs = append(objs, dataObject{sym: g.Obj.Sym, local: g.Static, v: g})
+		if v.Init != nil || len(v.InitList) > 0 {
+			bytes, refs, err := uc.dataBytes(v)
+			if err != nil {
+				return err
+			}
+			o.area, o.bytes, o.size, o.refs = areaData, bytes, uint32(len(bytes)), refs
+		}
+		objs = append(objs, o)
+		return nil
+	}
+	for _, g := range uc.u.Globals {
+		if !g.Extern {
+			if err := addVar(g.Obj.Sym, g.Static, g); err != nil {
+				return nil, err
+			}
+		}
 	}
 	for _, fn := range fns {
 		for _, sl := range fn.StaticLocals {
-			objs = append(objs, dataObject{sym: sl.Obj.Sym, local: true, v: sl})
-		}
-	}
-
-	type placed struct {
-		do    dataObject
-		bytes []byte // nil for bss
-		size  uint32
-		refs  []relocRef
-	}
-	var items []placed
-	for _, do := range objs {
-		v := do.v
-		if v.Init == nil && len(v.InitList) == 0 {
-			items = append(items, placed{do: do, size: uint32(v.Type.Sizeof())})
-			continue
-		}
-		bytes, refs, err := uc.dataBytes(v)
-		if err != nil {
-			return err
-		}
-		items = append(items, placed{do: do, bytes: bytes, size: uint32(len(bytes)), refs: refs})
-	}
-
-	if uc.opts.DataSections {
-		for _, it := range items {
-			if it.bytes == nil {
-				si := uc.file.AddSection(&obj.Section{
-					Name: ".bss." + it.do.sym, Kind: obj.BSS,
-					Align: uint32(it.do.v.Type.Alignof()), Size: it.size,
-				})
-				uc.addDataSym(it.do, si, 0, it.size)
-			} else {
-				si := uc.file.AddSection(&obj.Section{
-					Name: obj.DataSectionPrefix + it.do.sym, Kind: obj.Data,
-					Align: uint32(it.do.v.Type.Alignof()), Data: it.bytes,
-				})
-				uc.pending[si] = append(uc.pending[si], it.refs...)
-				uc.addDataSym(it.do, si, 0, it.size)
+			if err := addVar(sl.Obj.Sym, true, sl); err != nil {
+				return nil, err
 			}
 		}
-		return nil
 	}
-
-	// Shared .data and .bss sections.
-	var dataSec *obj.Section
-	var dataRefs []relocRef
-	var dataSyms []func(si int)
-	var bssSec *obj.Section
-	var bssSyms []func(si int)
-	for _, it := range items {
-		it := it
-		align := uint32(it.do.v.Type.Alignof())
-		if it.bytes == nil {
-			if bssSec == nil {
-				bssSec = &obj.Section{Name: ".bss", Kind: obj.BSS, Align: 8}
-			}
-			off := (bssSec.Size + align - 1) &^ (align - 1)
-			bssSec.Size = off + it.size
-			bssSyms = append(bssSyms, func(si int) { uc.addDataSymAt(it.do, si, off, it.size) })
-		} else {
-			if dataSec == nil {
-				dataSec = &obj.Section{Name: ".data", Kind: obj.Data, Align: 8}
-			}
-			off := (uint32(len(dataSec.Data)) + align - 1) &^ (align - 1)
-			for uint32(len(dataSec.Data)) < off {
-				dataSec.Data = append(dataSec.Data, 0)
-			}
-			dataSec.Data = append(dataSec.Data, it.bytes...)
-			for _, r := range it.refs {
-				r.off += off
-				dataRefs = append(dataRefs, r)
-			}
-			dataSyms = append(dataSyms, func(si int) { uc.addDataSymAt(it.do, si, off, it.size) })
-		}
+	// Every literal is interned by now: the NUL-terminated copies share
+	// one buffer sized up front.
+	n := 0
+	for _, s := range uc.strList {
+		n += len(s) + 1
 	}
-	if dataSec != nil {
-		si := uc.file.AddSection(dataSec)
-		uc.pending[si] = append(uc.pending[si], dataRefs...)
-		for _, f := range dataSyms {
-			f(si)
-		}
+	pool := make([]byte, 0, n)
+	for i, s := range uc.strList {
+		at := len(pool)
+		pool = append(append(pool, s...), 0)
+		objs = append(objs, dataObj{
+			area: areaStrings, name: strconv.Itoa(i), sym: uc.strSyms[s], local: true,
+			align: 1, bytes: pool[at:len(pool):len(pool)], size: uint32(len(pool) - at),
+		})
 	}
-	if bssSec != nil {
-		si := uc.file.AddSection(bssSec)
-		for _, f := range bssSyms {
-			f(si)
-		}
-	}
-	return nil
-}
-
-func (uc *unitCompiler) addDataSym(do dataObject, si int, off, size uint32) {
-	uc.addDataSymAt(do, si, off, size)
-}
-
-func (uc *unitCompiler) addDataSymAt(do dataObject, si int, off, size uint32) {
-	uc.file.Symbols = append(uc.file.Symbols, &obj.Symbol{
-		Name: do.sym, Local: do.local, Section: si, Value: off, Size: size,
-	})
+	return objs, nil
 }
 
 // dataBytes serializes an initialized variable, returning relocation
@@ -369,34 +215,6 @@ func (uc *unitCompiler) dataBytes(v *minic.VarDecl) ([]byte, []relocRef, error) 
 	return out, refs, nil
 }
 
-func (uc *unitCompiler) emitStrings() {
-	if len(uc.strList) == 0 {
-		return
-	}
-	if uc.opts.DataSections {
-		for i, s := range uc.strList {
-			data := append([]byte(s), 0)
-			si := uc.file.AddSection(&obj.Section{
-				Name: fmt.Sprintf(".rodata.str.%d", i), Kind: obj.ROData, Align: 1, Data: data,
-			})
-			uc.file.Symbols = append(uc.file.Symbols, &obj.Symbol{
-				Name: uc.strSyms[s], Local: true, Section: si, Size: uint32(len(data)),
-			})
-		}
-		return
-	}
-	sec := &obj.Section{Name: ".rodata", Kind: obj.ROData, Align: 1}
-	si := uc.file.AddSection(sec)
-	for _, s := range uc.strList {
-		off := uint32(len(sec.Data))
-		sec.Data = append(sec.Data, s...)
-		sec.Data = append(sec.Data, 0)
-		uc.file.Symbols = append(uc.file.Symbols, &obj.Symbol{
-			Name: uc.strSyms[s], Local: true, Section: si, Value: off, Size: uint32(len(s) + 1),
-		})
-	}
-}
-
 // emitHooks writes the .ksplice.* note sections: arrays of function
 // pointers the update engine calls at the corresponding moments.
 func (uc *unitCompiler) emitHooks() {
@@ -412,11 +230,10 @@ func (uc *unitCompiler) emitHooks() {
 		hooks := byKind[k]
 		sec := &obj.Section{Name: k.SectionName(), Kind: obj.Note, Align: 4}
 		sec.Data = make([]byte, 4*len(hooks))
-		si := uc.file.AddSection(sec)
+		refs := make([]relocRef, len(hooks))
 		for i, h := range hooks {
-			uc.pending[si] = append(uc.pending[si], relocRef{
-				off: uint32(4 * i), typ: obj.RelAbs32, sym: h.Func,
-			})
+			refs[i] = relocRef{off: uint32(4 * i), typ: obj.RelAbs32, sym: h.Func}
 		}
+		uc.w.add(sec, refs)
 	}
 }

@@ -210,7 +210,7 @@ func (m *Manager) Apply(u *Update, opts ApplyOptions) (*Applied, error) {
 	if err != nil {
 		return fail(err)
 	}
-	for _, h := range hooks[".ksplice.pre_apply"] {
+	for _, h := range hooks["pre_apply"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
 			return fail(fmt.Errorf("core: pre_apply hook failed: %w", err))
 		}
@@ -235,7 +235,7 @@ func (m *Manager) Apply(u *Update, opts ApplyOptions) (*Applied, error) {
 	// update, not rolled back: it runs outside the atomic window by
 	// design, and Undo reverses it like any other.
 	m.applied = append(m.applied, a)
-	for _, h := range hooks[".ksplice.post_apply"] {
+	for _, h := range hooks["post_apply"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
 			return a, fmt.Errorf("core: post_apply hook failed after splice: %w", err)
 		}
@@ -303,7 +303,7 @@ func (m *Manager) swapStopped(busy [][2]uint32, patches []entryPatch, hooks map[
 				return err
 			}
 			inverse = m.writeEntries(patches)
-			for _, h := range hooks[".ksplice."+stage] {
+			for _, h := range hooks[stage] {
 				if _, err := m.K.CallIsolatedAddr(h); err != nil {
 					m.writeEntries(inverse)
 					return fmt.Errorf("core: %s hook failed: %w", stage, err)
@@ -440,11 +440,13 @@ func moduleFunc(mod *kernel.Module, unit, fname string) (uint32, error) {
 }
 
 // hookAddrs reads the .ksplice.* note sections of the loaded module and
-// returns the registered hook function addresses per section name.
+// returns the registered hook function addresses per stage: the section
+// name after obj.HookSectionPrefix.
 func (m *Manager) hookAddrs(mod *kernel.Module) (map[string][]uint32, error) {
 	out := map[string][]uint32{}
 	for _, ps := range mod.Image.Sections {
-		if !strings.HasPrefix(ps.Name, ".ksplice.") {
+		stage, ok := strings.CutPrefix(ps.Name, obj.HookSectionPrefix)
+		if !ok {
 			continue
 		}
 		for off := uint32(0); off+4 <= ps.Size; off += 4 {
@@ -453,7 +455,7 @@ func (m *Manager) hookAddrs(mod *kernel.Module) (map[string][]uint32, error) {
 				return nil, err
 			}
 			if v != 0 {
-				out[ps.Name] = append(out[ps.Name], v)
+				out[stage] = append(out[stage], v)
 			}
 		}
 	}
@@ -482,7 +484,7 @@ func (m *Manager) Undo(opts ApplyOptions) error {
 	if err != nil {
 		return err
 	}
-	for _, h := range hooks[".ksplice.pre_reverse"] {
+	for _, h := range hooks["pre_reverse"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
 			return fmt.Errorf("core: pre_reverse hook failed: %w", err)
 		}
@@ -499,7 +501,7 @@ func (m *Manager) Undo(opts ApplyOptions) error {
 	}
 
 	var hookErr error
-	for _, h := range hooks[".ksplice.post_reverse"] {
+	for _, h := range hooks["post_reverse"] {
 		if _, err := m.K.CallIsolatedAddr(h); err != nil {
 			hookErr = fmt.Errorf("core: post_reverse hook failed after reversal: %w", err)
 			break

@@ -48,7 +48,7 @@ func TestCorpusCompilerOutputDigest(t *testing.T) {
 				put(version+":"+opts.CacheKey()+":"+f.SourcePath, buf.Bytes())
 				objects++
 			}
-			if !opts.FunctionSections {
+			if !opts.ObjectSections {
 				im, err := srctree.LinkKernelCached(br, kernel.KernelBase)
 				if err != nil {
 					t.Fatalf("%s: %v", version, err)

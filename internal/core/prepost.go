@@ -64,7 +64,7 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 	u := &Update{
 		Name:          name,
 		KernelVersion: tree.Version(),
-		Compiler:      buildOpts.Version,
+		Compiler:      codegen.Version,
 		PatchLines:    patch.ChangedLines(),
 		PatchText:     patchText,
 	}
@@ -111,19 +111,7 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 	return u, nil
 }
 
-// Section-name categories under FunctionSections/DataSections builds.
-func isStringSection(name string) bool { return strings.HasPrefix(name, ".rodata") }
-func isHookSection(name string) bool   { return strings.HasPrefix(name, ".ksplice.") }
-
-func dataObjectName(secName string) (string, bool) {
-	if n, ok := strings.CutPrefix(secName, obj.DataSectionPrefix); ok {
-		return n, true
-	}
-	if n, ok := strings.CutPrefix(secName, ".bss."); ok {
-		return n, true
-	}
-	return "", false
-}
+func isHookSection(name string) bool { return strings.HasPrefix(name, obj.HookSectionPrefix) }
 
 // relocsEqual compares relocation lists by symbol name rather than index.
 func relocsEqual(a []obj.Reloc, af *obj.File, b []obj.Reloc, bf *obj.File) bool {
@@ -211,11 +199,11 @@ func extractUnit(preF, postF *obj.File, path string) (*UpdateUnit, error) {
 			}
 		case isHookSection(sec.Name):
 			keep[si] = true
-		case isStringSection(sec.Name):
+		case obj.IsStringSection(sec.Name):
 			// Included below only if referenced by kept sections.
 		default:
-			name, ok := dataObjectName(sec.Name)
-			if !ok {
+			name := obj.DataNameOfSection(sec.Name)
+			if name == "" {
 				return nil, fmt.Errorf("core: %s: unclassifiable section %q (pre/post builds must use data sections)", path, sec.Name)
 			}
 			var preSec *obj.Section
@@ -227,7 +215,7 @@ func extractUnit(preF, postF *obj.File, path string) (*UpdateUnit, error) {
 					// as a data-semantics change.
 					other := obj.DataSectionPrefix + name
 					if strings.HasPrefix(sec.Name, obj.DataSectionPrefix) {
-						other = ".bss." + name
+						other = obj.BSSSectionPrefix + name
 					}
 					if preF.Section(other) != nil {
 						uu.DataInitChanges = append(uu.DataInitChanges, name)
@@ -266,7 +254,7 @@ func extractUnit(preF, postF *obj.File, path string) (*UpdateUnit, error) {
 		for si := range keep {
 			for _, r := range postF.Sections[si].Relocs {
 				sym := postF.Symbols[r.Sym]
-				if sym.Defined() && !keep[sym.Section] && isStringSection(postF.Sections[sym.Section].Name) {
+				if sym.Defined() && !keep[sym.Section] && obj.IsStringSection(postF.Sections[sym.Section].Name) {
 					keep[sym.Section] = true
 					changed = true
 				}

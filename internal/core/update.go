@@ -85,7 +85,7 @@ func (u *Update) DataInitChanges() []string {
 func (u *Update) HasHooks() bool {
 	for _, uu := range u.Units {
 		for _, sec := range uu.Primary.Sections {
-			if strings.HasPrefix(sec.Name, ".ksplice.") {
+			if isHookSection(sec.Name) {
 				return true
 			}
 		}

@@ -262,7 +262,7 @@ func VerifyInliningCensus() ([]string, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", c.ID, err)
 			}
-			census := codegen.InlinedCalls(u, 0)
+			census := codegen.InlinedCalls(u)
 			// Which top-level functions differ textually?
 			for name, callers := range census {
 				if len(callers) == 0 {

@@ -1,5 +1,7 @@
 package minic
 
+import "gosplice/internal/obj"
+
 // Unit is the AST of one translation unit (one compilation unit and, with
 // our compiler, one optimization unit).
 type Unit struct {
@@ -149,19 +151,19 @@ var hookNames = map[string]HookKind{
 func (k HookKind) SectionName() string {
 	switch k {
 	case HookApply:
-		return ".ksplice.apply"
+		return obj.HookSectionPrefix + "apply"
 	case HookPreApply:
-		return ".ksplice.pre_apply"
+		return obj.HookSectionPrefix + "pre_apply"
 	case HookPostApply:
-		return ".ksplice.post_apply"
+		return obj.HookSectionPrefix + "post_apply"
 	case HookReverse:
-		return ".ksplice.reverse"
+		return obj.HookSectionPrefix + "reverse"
 	case HookPreReverse:
-		return ".ksplice.pre_reverse"
+		return obj.HookSectionPrefix + "pre_reverse"
 	case HookPostReverse:
-		return ".ksplice.post_reverse"
+		return obj.HookSectionPrefix + "post_reverse"
 	}
-	return ".ksplice.unknown"
+	return obj.HookSectionPrefix + "unknown"
 }
 
 // HookDecl is a top-level ksplice_apply(f); style declaration.

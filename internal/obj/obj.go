@@ -3,9 +3,9 @@
 // that lays them out into executable images.
 //
 // SOF plays the role ELF plays in the paper. It has the features the
-// Ksplice techniques depend on: named sections (so the compiler's
-// FunctionSections/DataSections modes can give every function and data
-// object its own section), a symbol table distinguishing local from global
+// Ksplice techniques depend on: named sections (so a Ksplice build can
+// give every function and data object its own section; see TextSection
+// for the names), a symbol table distinguishing local from global
 // bindings (so two compilation units can both define a local symbol named
 // "debug"), and relocations with explicit addends whose final stored value
 // is computed as A+S-P for PC-relative types and A+S for absolute types —
@@ -202,12 +202,27 @@ func (f *File) AddSection(s *Section) int {
 	return len(f.Sections) - 1
 }
 
-// FuncSectionPrefix is the section-name prefix used for per-function text
-// sections in FunctionSections mode, as ".text.name". DataSectionPrefix is
-// the analogue for data objects.
+// Section names. A build without per-object sections puts a unit's
+// functions, initialized data, zero-initialized data and string literals
+// in the shared sections TextSection, DataSection, BSSSection and
+// RODataSection. A Ksplice pre/post build (paper section 3.2) gives each
+// function, data object and string literal a section of its own, named
+// by its kind's prefix followed by the function's or object's symbol
+// (".text.do_brk", ".data.debug", ".bss.count") or, for a string
+// literal, its index in the unit's string pool (".rodata.str.0"). Hook
+// sections carry their stage after HookSectionPrefix
+// (".ksplice.pre_apply").
 const (
-	FuncSectionPrefix = ".text."
-	DataSectionPrefix = ".data."
+	TextSection   = ".text"
+	DataSection   = ".data"
+	BSSSection    = ".bss"
+	RODataSection = ".rodata"
+
+	FuncSectionPrefix   = TextSection + "."
+	DataSectionPrefix   = DataSection + "."
+	BSSSectionPrefix    = BSSSection + "."
+	StringSectionPrefix = RODataSection + ".str."
+	HookSectionPrefix   = ".ksplice."
 )
 
 // FuncNameOfSection extracts the function name from a per-function section
@@ -217,6 +232,23 @@ func FuncNameOfSection(sectionName string) string {
 		return sectionName[len(FuncSectionPrefix):]
 	}
 	return ""
+}
+
+// DataNameOfSection extracts the object name from a per-object data or
+// bss section name, or returns "" if the section is neither.
+func DataNameOfSection(sectionName string) string {
+	for _, prefix := range [...]string{DataSectionPrefix, BSSSectionPrefix} {
+		if name, ok := strings.CutPrefix(sectionName, prefix); ok {
+			return name
+		}
+	}
+	return ""
+}
+
+// IsStringSection reports whether a section holds string literals: the
+// shared .rodata or a per-literal .rodata.str.N.
+func IsStringSection(sectionName string) bool {
+	return strings.HasPrefix(sectionName, RODataSection)
 }
 
 // Validate performs structural checks: reloc offsets in range, symbol

@@ -496,6 +496,10 @@ var diskMagic = [4]byte{'G', 'S', 'C', '2'}
 const (
 	diskHeaderLen = 4 + sha256.Size
 
+	// EntryOverhead is the most a disk entry adds to its payload: the
+	// header and the format byte. Compression only ever shrinks the rest.
+	EntryOverhead = diskHeaderLen + 1
+
 	formatRaw   byte = 0
 	formatFlate byte = 1
 )
