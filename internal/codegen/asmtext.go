@@ -38,18 +38,29 @@ func (e *asmError) Error() string {
 	return fmt.Sprintf("%s: asm %q: %s", e.pos, e.line, e.msg)
 }
 
+// asmStmt is one assembly statement and where it was written.
+type asmStmt struct {
+	text string
+	pos  minic.Pos
+}
+
 // splitStmts breaks assembly text into statements on newlines and
-// semicolons, trimming comments (everything after //).
-func splitStmts(text string) []string {
-	var out []string
-	for _, line := range strings.FieldsFunc(text, func(r rune) bool { return r == '\n' || r == ';' }) {
-		if i := strings.Index(line, "//"); i >= 0 {
-			line = line[:i]
+// semicolons, trimming comments (everything after //). pos is where the
+// text starts; each newline moves the statements after it one line on.
+func splitStmts(text string, pos minic.Pos) []asmStmt {
+	var out []asmStmt
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
+		for _, s := range strings.Split(line, ";") {
+			if i := strings.Index(s, "//"); i >= 0 {
+				s = s[:i]
+			}
+			if s = strings.TrimSpace(s); s != "" {
+				out = append(out, asmStmt{text: s, pos: pos})
+			}
 		}
-		line = strings.TrimSpace(line)
-		if line != "" {
-			out = append(out, line)
-		}
+		pos.Line++
 	}
 	return out
 }
@@ -57,16 +68,16 @@ func splitStmts(text string) []string {
 // assembleInto assembles the statements of one function into b. The
 // labels they define are local: each is renamed with prefix, and a
 // branch to one resolves to it rather than to a symbol.
-func assembleInto(b *Builder, stmts []string, prefix string, pos minic.Pos) error {
+func assembleInto(b *Builder, stmts []asmStmt, prefix string) error {
 	local := map[string]string{}
 	for _, s := range stmts {
-		if name, ok := strings.CutSuffix(s, ":"); ok {
+		if name, ok := strings.CutSuffix(s.text, ":"); ok {
 			name = strings.TrimSpace(name)
 			local[name] = prefix + name
 		}
 	}
 	for _, s := range stmts {
-		if err := assembleStmt(b, s, pos, local); err != nil {
+		if err := assembleStmt(b, s.text, s.pos, local); err != nil {
 			return err
 		}
 	}
@@ -147,50 +158,59 @@ func assembleStmt(b *Builder, s string, pos minic.Pos, local map[string]string) 
 // global (default is file-local, like C static) and must name a function
 // the file defines.
 func AssembleFile(path, src string, opts Options) (*obj.File, error) {
+	// fnSpan is a function (.func to .endfunc), global a .global name;
+	// each remembers the line that named it.
 	type fnSpan struct {
 		name  string
-		stmts []string
+		pos   minic.Pos
+		stmts []asmStmt
+	}
+	type global struct {
+		name string
+		pos  minic.Pos
 	}
 	var fns []*fnSpan
 	var cur *fnSpan
-	var globals []string // .global names, in source order
-	for _, s := range splitStmts(src) {
-		fields := strings.Fields(s)
+	var globals []global // in source order
+	for _, s := range splitStmts(src, minic.Pos{File: path, Line: 1}) {
+		fields := strings.Fields(s.text)
 		switch {
 		case len(fields) == 2 && fields[0] == ".global":
-			globals = append(globals, fields[1])
+			globals = append(globals, global{name: fields[1], pos: s.pos})
 		case len(fields) == 2 && fields[0] == ".func":
 			if cur != nil {
-				return nil, fmt.Errorf("%s: nested .func %s", path, fields[1])
+				return nil, fmt.Errorf("%s: nested .func %s", s.pos, fields[1])
 			}
-			cur = &fnSpan{name: fields[1]}
+			cur = &fnSpan{name: fields[1], pos: s.pos}
 		case len(fields) == 1 && fields[0] == ".endfunc":
 			if cur == nil {
-				return nil, fmt.Errorf("%s: .endfunc outside .func", path)
+				return nil, fmt.Errorf("%s: .endfunc outside .func", s.pos)
 			}
 			fns = append(fns, cur)
 			cur = nil
 		default:
 			if cur == nil {
-				return nil, fmt.Errorf("%s: statement %q outside .func", path, s)
+				return nil, fmt.Errorf("%s: statement %q outside .func", s.pos, s.text)
 			}
 			cur.stmts = append(cur.stmts, s)
 		}
 	}
 	if cur != nil {
-		return nil, fmt.Errorf("%s: unterminated .func %s", path, cur.name)
+		return nil, fmt.Errorf("%s: unterminated .func %s", cur.pos, cur.name)
 	}
-	for _, name := range globals {
-		if !slices.ContainsFunc(fns, func(fn *fnSpan) bool { return fn.name == name }) {
-			return nil, &asmError{pos: minic.Pos{File: path}, line: ".global " + name, msg: "no .func defines " + name}
+	for _, g := range globals {
+		if !slices.ContainsFunc(fns, func(fn *fnSpan) bool { return fn.name == g.name }) {
+			return nil, &asmError{pos: g.pos, line: ".global " + g.name, msg: "no .func defines " + g.name}
 		}
 	}
 
 	w := newObjWriter(path, opts)
 	err := emitText(w, fns,
-		func(fn *fnSpan) (string, bool) { return fn.name, !slices.Contains(globals, fn.name) },
+		func(fn *fnSpan) (string, bool) {
+			return fn.name, !slices.ContainsFunc(globals, func(g global) bool { return g.name == fn.name })
+		},
 		func(b *Builder, fn *fnSpan) error {
-			return assembleInto(b, fn.stmts, ".L"+fn.name+".", minic.Pos{File: path})
+			return assembleInto(b, fn.stmts, ".L"+fn.name+".")
 		})
 	if err != nil {
 		return nil, err

@@ -174,7 +174,7 @@ func (g *funcGen) stmt(s minic.Stmt) {
 		g.b.Jmp(g.contLbl[len(g.contLbl)-1])
 
 	case *minic.AsmStmt:
-		if err := assembleInto(g.b, splitStmts(n.Text), ".Lasm."+g.fn.Name+".", n.Pos); err != nil {
+		if err := assembleInto(g.b, splitStmts(n.Text, n.Pos), ".Lasm."+g.fn.Name+"."); err != nil {
 			g.fail(n.Pos, "%w", err)
 		}
 

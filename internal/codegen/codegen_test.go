@@ -474,7 +474,20 @@ func TestAsmErrors(t *testing.T) {
 			t.Errorf("no error for %q", src)
 		}
 	}
-	// A .global must name a function the file defines.
+	// A .global must name a function the file defines; every error
+	// names the line of the statement at fault.
+	located := []struct{ src, want string }{
+		{".global g\n.func f\n ret\n.endfunc", `bad.mcs:1: asm ".global g": no .func defines g`},
+		{".global f\n.func f\n movi r0, 1\n\n // spacer\n bogus r0\n ret\n.endfunc", `bad.mcs:6: asm "bogus r0": unknown mnemonic "bogus"`},
+		{".func f\n ret; nop; movi r9, 1\n.endfunc", `bad.mcs:2: asm "movi r9, 1"`},
+		{".func f\n ret\n.endfunc\n.func g\n ret", "bad.mcs:4: unterminated .func g"},
+	}
+	for _, c := range located {
+		_, err := AssembleFile("bad.mcs", c.src, KernelBuild())
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("AssembleFile(%q) = %v, want an error starting %q", c.src, err, c.want)
+		}
+	}
 	_, err := AssembleFile("bad.mcs", ".global g\n.func f\n ret\n.endfunc", KernelBuild())
 	var ae *asmError
 	if !errors.As(err, &ae) || !strings.Contains(ae.Error(), `".global g"`) {

@@ -69,29 +69,20 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 		PatchText:     patchText,
 	}
 
-	// Union of unit paths, sorted.
-	paths := map[string]bool{}
-	for _, f := range preB.Objects {
-		paths[f.SourcePath] = true
-	}
-	for _, f := range postB.Objects {
-		paths[f.SourcePath] = true
-	}
-	var sorted []string
-	for p := range paths {
-		sorted = append(sorted, p)
-	}
-	sort.Strings(sorted)
-
-	for _, path := range sorted {
-		preF := preB.Object(path)
-		postF := postB.Object(path)
-		if postF == nil {
-			// Unit deleted: code cannot be removed from a running kernel;
-			// nothing to do unless a function it defined is still called,
-			// in which case the kernel keeps the old code (correct, since
-			// unchanged callers are unchanged).
-			continue
+	// Both object lists are in Units() order, sorted by path, so one
+	// walk pairs every post unit with its pre unit. A unit the patch
+	// deleted has no post object and needs nothing: code cannot be
+	// removed from a running kernel, and its unchanged callers keep
+	// calling the old code.
+	pre := preB.Objects
+	for _, postF := range postB.Objects {
+		path := postF.SourcePath
+		for len(pre) > 0 && pre[0].SourcePath < path {
+			pre = pre[1:]
+		}
+		var preF *obj.File
+		if len(pre) > 0 && pre[0].SourcePath == path {
+			preF = pre[0]
 		}
 		if preF != nil && filesEqual(preF, postF) {
 			continue

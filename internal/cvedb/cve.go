@@ -2,6 +2,7 @@ package cvedb
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +109,16 @@ type CVE struct {
 
 	// TargetLoC is the calibrated patch length (changed lines).
 	TargetLoC int
+
+	// patches memoizes Patch, PlainPatch and PatchLoC: entries are
+	// shared and immutable, so each is computed once per entry.
+	patches patchMemo
+}
+
+type patchMemo struct {
+	hotOnce, plainOnce, locOnce sync.Once
+	hot, plain                  string
+	loc                         int
 }
 
 // NewCodeLines counts the logical (semicolon-terminated) lines of the
@@ -118,41 +129,43 @@ func (c *CVE) NewCodeLines() int {
 
 // Patch renders the fix as a unified diff against the vulnerable tree.
 func (c *CVE) Patch() string {
-	merged := map[string]string{}
-	for p, s := range c.Files {
-		merged[p] = s
-	}
-	for p, s := range c.Fixed {
-		merged[p] = s
-	}
-	return diffutil.DiffTrees(c.Files, merged)
+	c.patches.hotOnce.Do(func() { c.patches.hot = diffAgainst(c.Files, c.Fixed) })
+	return c.patches.hot
 }
 
 // PlainPatch renders the fix as originally published (no hot-update
 // custom code) — the patch Figure 3 measures.
 func (c *CVE) PlainPatch() string {
-	fixed := c.FixedPlain
-	if fixed == nil {
-		fixed = c.Fixed
-	}
-	merged := map[string]string{}
-	for p, s := range c.Files {
-		merged[p] = s
-	}
-	for p, s := range fixed {
-		merged[p] = s
-	}
-	return diffutil.DiffTrees(c.Files, merged)
+	c.patches.plainOnce.Do(func() {
+		if c.FixedPlain == nil {
+			c.patches.plain = c.Patch()
+		} else {
+			c.patches.plain = diffAgainst(c.Files, c.FixedPlain)
+		}
+	})
+	return c.patches.plain
 }
 
 // PatchLoC is the changed-line count of the plain patch (the Figure 3
 // metric).
 func (c *CVE) PatchLoC() int {
-	p, err := diffutil.ParsePatch(c.PlainPatch())
-	if err != nil {
-		panic(fmt.Sprintf("cvedb: %s: %v", c.ID, err))
-	}
-	return p.ChangedLines()
+	c.patches.locOnce.Do(func() {
+		p, err := diffutil.ParsePatch(c.PlainPatch())
+		if err != nil {
+			panic(fmt.Sprintf("cvedb: %s: %v", c.ID, err))
+		}
+		c.patches.loc = p.ChangedLines()
+	})
+	return c.patches.loc
+}
+
+// diffAgainst renders fixed, laid over files, as a unified diff against
+// files.
+func diffAgainst(files, fixed map[string]string) string {
+	merged := make(map[string]string, len(files)+len(fixed))
+	maps.Copy(merged, files)
+	maps.Copy(merged, fixed)
+	return diffutil.DiffTrees(files, merged)
 }
 
 // Versions lists the kernel releases the corpus is evaluated on. Like the

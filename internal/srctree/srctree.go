@@ -9,8 +9,6 @@
 package srctree
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"maps"
 	"runtime"
@@ -32,20 +30,25 @@ import (
 type Tree struct {
 	files   map[string]string
 	version string
-	hash    func() string
+	// parent is the tree Patch derived this one from, and touched the
+	// paths that patch created, modified or deleted; a tree from New
+	// has neither. Keys the patch cannot have changed are answered by
+	// the parent (see keys.go).
+	parent  *Tree
+	touched map[string]bool
+
+	// mu guards the memoized keys: build hashes units from parallel
+	// workers.
+	mu       sync.Mutex
+	hash     string
+	fileKeys map[string]*fileKey
+	unitKeys map[string]*unitKey
 }
 
 // New creates a tree from a copy of a file map: later edits to files
 // do not reach the tree.
 func New(version string, files map[string]string) *Tree {
-	return newTree(version, maps.Clone(files))
-}
-
-// newTree wraps a file map the caller hands over and never touches again.
-func newTree(version string, files map[string]string) *Tree {
-	t := &Tree{files: files, version: version}
-	t.hash = sync.OnceValue(t.computeHash)
-	return t
+	return &Tree{files: maps.Clone(files), version: version}
 }
 
 // Version labels the kernel release this tree builds (shown by tools
@@ -74,31 +77,9 @@ func (t *Tree) Units() []string {
 	return out
 }
 
-// Hash returns a content hash of the tree: version plus every path and
-// file body. Builds are bit-for-bit deterministic for a (tree, options)
-// pair, so the hash is a sound cache key for build artifacts. The tree
-// is immutable, so the hash is computed once.
-func (t *Tree) Hash() string { return t.hash() }
-
-func (t *Tree) computeHash() string {
-	h := sha256.New()
-	h.Write([]byte(t.version))
-	h.Write([]byte{0})
-	paths := make([]string, 0, len(t.files))
-	for p := range t.files {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-		h.Write([]byte(t.files[p]))
-		h.Write([]byte{0})
-	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Patch applies a unified diff to the tree, returning the patched tree.
+// The patched tree remembers t and the paths the diff names, so it
+// re-keys only what the diff touched.
 func (t *Tree) Patch(patchText string) (*Tree, error) {
 	p, err := diffutil.ParsePatch(patchText)
 	if err != nil {
@@ -108,7 +89,11 @@ func (t *Tree) Patch(patchText string) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTree(t.version, files), nil
+	touched := make(map[string]bool, len(p.Files))
+	for _, fp := range p.Files {
+		touched[fp.Path()] = true
+	}
+	return &Tree{files: files, version: t.version, parent: t, touched: touched}, nil
 }
 
 // ParseUnit parses and checks one compilation unit (MiniC only).
@@ -155,6 +140,7 @@ func (br *BuildResult) Object(path string) *obj.File {
 // The objects are shared and must not be mutated.
 func build(t *Tree, opts codegen.Options) (*BuildResult, error) {
 	units := t.Units()
+	optsKey := opts.CacheKey()
 	br := &BuildResult{Tree: t, Options: opts, Objects: make([]*obj.File, len(units))}
 	workers := min(runtime.GOMAXPROCS(0), len(units))
 	errs := make([]error, len(units))
@@ -165,7 +151,7 @@ func build(t *Tree, opts codegen.Options) (*BuildResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				br.Objects[i], errs[i] = compileUnit(t, units[i], opts)
+				br.Objects[i], errs[i] = compileUnit(t, units[i], opts, optsKey)
 			}
 		}()
 	}

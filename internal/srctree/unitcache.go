@@ -2,9 +2,6 @@ package srctree
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"strings"
 	"sync/atomic"
 
 	"gosplice/internal/codegen"
@@ -219,70 +216,12 @@ var imageKind = store.Kind{
 	},
 }
 
-// scanIncludes extracts the #include "path" arguments of a source file,
-// in textual order. It deliberately over-approximates the preprocessor:
-// includes inside inactive #ifdef branches are still reported, which can
-// only widen the cache key (extra misses), never narrow it (stale hits).
-func scanIncludes(src string) []string {
-	var out []string
-	for _, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "#") {
-			continue
-		}
-		rest := strings.TrimSpace(line[1:])
-		if !strings.HasPrefix(rest, "include") {
-			continue
-		}
-		arg := strings.TrimSpace(rest[len("include"):])
-		if len(arg) >= 2 && arg[0] == '"' {
-			if end := strings.IndexByte(arg[1:], '"'); end >= 0 {
-				out = append(out, arg[1:1+end])
-			}
-		}
-	}
-	return out
-}
-
-// unitHash computes the cache key content hash for one unit: the unit
-// path and contents plus, recursively, every file its (over-approximated)
-// include closure reaches, in deterministic depth-first order. Files the
-// closure names but the tree lacks are hashed as absent, so adding the
-// missing header later changes the key. The tree's version deliberately
-// does not participate: identical units of different releases share one
-// artifact.
-func unitHash(t *Tree, path string) string {
-	h := sha256.New()
-	seen := map[string]bool{}
-	var walk func(p string)
-	walk = func(p string) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-		src, ok := t.files[p]
-		if !ok {
-			h.Write([]byte{1})
-			return
-		}
-		h.Write([]byte{2})
-		h.Write([]byte(src))
-		h.Write([]byte{0})
-		for _, inc := range scanIncludes(src) {
-			walk(inc)
-		}
-	}
-	walk(path)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// compileUnit compiles one unit through the artifact store. Concurrent
+// compileUnit compiles one unit through the artifact store, keyed by the
+// unit's content hash and optsKey, the options' CacheKey. Concurrent
 // callers with the same key share one compile; distinct keys compile in
 // parallel. The returned object is shared and must not be mutated.
-func compileUnit(t *Tree, path string, opts codegen.Options) (*obj.File, error) {
-	key := store.Key("unit", unitHash(t, path), opts.CacheKey())
+func compileUnit(t *Tree, path string, opts codegen.Options, optsKey string) (*obj.File, error) {
+	key := store.Key("unit", t.unitKey(path).hash, optsKey)
 	v, src, err := ActiveStore().GetOrFill(key, unitKind, func() (any, error) {
 		return buildUnit(t, path, opts)
 	})
