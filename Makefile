@@ -73,10 +73,13 @@ test:
 # FuzzApplyDelta (a delta blob, its base and the expected length, plus a
 # MakeDelta round trip), FuzzDecode (SIM32 bytes: no panic, and an
 # instruction Decode accepts survives Encode→Decode and
-# String→ParseInsn unchanged) and FuzzReadTar (update tarball bytes as a
+# String→ParseInsn unchanged), FuzzReadTar (update tarball bytes as a
 # subscriber receives them, reaching obj.Read through every member: no
 # panic, and an accepted update survives WriteTar→ReadTar→WriteTar
-# byte for byte) for 10s each. FuzzApplyDelta and FuzzReadTar minimize a
+# byte for byte) and FuzzParse (MiniC source as one compilation unit,
+# seeded with every corpus unit and header: Parse returns a unit or an
+# error, and neither panics nor hangs at the end of input) for 10s
+# each. FuzzApplyDelta and FuzzReadTar minimize a
 # new input for at most 100 runs: a MakeDelta run is slow, and the
 # minimizer's pairwise cuts of a 4 KiB tarball seed number in the
 # millions, so a full minimization would take most of the 10s.
@@ -96,6 +99,7 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzApplyDelta$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/diffutil
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTar$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/minic
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

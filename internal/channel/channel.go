@@ -297,9 +297,10 @@ func (p *Publisher) publishDelta(base, result []byte) error {
 // point leaves the channel consistent: either the update is fully
 // published or it is absent.
 func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
-	// CreateUpdate builds through the artifact store, so successive
-	// publishes of one release share the accumulated pre builds.
-	u, err := core.CreateUpdate(p.tree, patchText, core.CreateOptions{Name: name})
+	// CreateUpdateTree builds through the artifact store, and its post
+	// tree is the channel's next tree: the next publish's pre build is
+	// this one's post build, and no second copy of the tree is derived.
+	u, next, err := core.CreateUpdateTree(p.tree, patchText, core.CreateOptions{Name: name})
 	if err != nil {
 		return nil, err
 	}
@@ -309,10 +310,6 @@ func (p *Publisher) Publish(name, cve, patchText string) (*core.Update, error) {
 	}
 	file := u.Name + ".tar"
 	if err := writePublished(filepath.Join(p.Dir, file), b); err != nil {
-		return nil, err
-	}
-	next, err := p.tree.Patch(patchText)
-	if err != nil {
 		return nil, err
 	}
 	if err := p.publishDelta(p.prevTar, b); err != nil {

@@ -38,22 +38,30 @@ type CreateOptions struct {
 // The tree must be the source of the running kernel — including any
 // previously hot-applied patches when stacking updates (section 5.4).
 func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Update, error) {
+	u, _, err := CreateUpdateTree(tree, patchText, o)
+	return u, err
+}
+
+// CreateUpdateTree is CreateUpdate that also returns the patched tree
+// its post build compiled, for a caller that goes on from that tree: a
+// channel publisher derives each next position's tree this way, once.
+func CreateUpdateTree(tree *srctree.Tree, patchText string, o CreateOptions) (*Update, *srctree.Tree, error) {
 	patch, err := diffutil.ParsePatch(patchText)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	post, err := tree.Patch(patchText)
+	post, err := tree.ApplyPatch(patch)
 	if err != nil {
-		return nil, fmt.Errorf("core: applying source patch: %w", err)
+		return nil, nil, fmt.Errorf("core: applying source patch: %w", err)
 	}
 	buildOpts := codegen.KspliceBuild()
 	preB, err := srctree.BuildCached(tree, buildOpts)
 	if err != nil {
-		return nil, fmt.Errorf("core: pre build: %w", err)
+		return nil, nil, fmt.Errorf("core: pre build: %w", err)
 	}
 	postB, err := srctree.BuildCached(post, buildOpts)
 	if err != nil {
-		return nil, fmt.Errorf("core: post build: %w", err)
+		return nil, nil, fmt.Errorf("core: post build: %w", err)
 	}
 
 	name := o.Name
@@ -89,17 +97,17 @@ func CreateUpdate(tree *srctree.Tree, patchText string, o CreateOptions) (*Updat
 		}
 		uu, err := extractUnit(preF, postF, path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		u.Units = append(u.Units, uu)
 	}
 	if len(u.Units) == 0 {
-		return nil, ErrNoChanges
+		return nil, nil, ErrNoChanges
 	}
 	if err := u.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return u, nil
+	return u, post, nil
 }
 
 func isHookSection(name string) bool { return strings.HasPrefix(name, obj.HookSectionPrefix) }

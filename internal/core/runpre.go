@@ -274,7 +274,13 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 	for i, r := range sec.Relocs {
 		relocAt[r.Offset] = i
 	}
-	scan := &preScan{data: pre}
+	// Count the instructions first, from their opcode bytes alone, so
+	// steps is allocated once at its final size.
+	n := 0
+	for off := isa.SkipNops(pre, 0); off < len(pre); off = isa.SkipNops(pre, off+max(isa.Op(pre[off]).Len(), 1)) {
+		n++
+	}
+	scan := &preScan{data: pre, steps: make([]preStep, 0, n)}
 	badPre := func(p uint32, format string, args ...any) error {
 		return fmt.Errorf("%w: %s at pre+%#x: %s", ErrRunPreMismatch, sec.Name, p, fmt.Sprintf(format, args...))
 	}

@@ -865,7 +865,9 @@ func TestRunPreDuplicateRelocations(t *testing.T) {
 
 // TestMatchUnitAllocs gates run-pre matching's allocations on the
 // corpus's largest helper. The bound counts functions and relocations,
-// never pre bytes: scanning a pre instruction must not allocate.
+// never pre bytes: scanning a pre instruction must not allocate, and
+// scanPre sizes a function's decoded steps once (growing them by append
+// took 94 allocs/op here, past the bound).
 func TestMatchUnitAllocs(t *testing.T) {
 	c, ok := cvedb.ByID("CVE-2005-2709")
 	if !ok {
@@ -893,7 +895,7 @@ func TestMatchUnitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if bound := 24*funcs + 4*relocs + 16; got > float64(bound) {
+	if bound := 12*funcs + 4*relocs + 16; got > float64(bound) {
 		t.Errorf("MatchUnit: %.0f allocs/op over %d pre bytes, want <= %d (%d functions, %d relocations)",
 			got, preBytes, bound, funcs, relocs)
 	}

@@ -67,29 +67,6 @@ func NewLexer(path string, provider FileProvider) (*Lexer, error) {
 	return l, nil
 }
 
-// LexAll tokenizes the whole translation unit, directives resolved, and
-// appends an EOF token.
-func LexAll(path string, provider FileProvider) ([]Token, error) {
-	l, err := NewLexer(path, provider)
-	if err != nil {
-		return nil, err
-	}
-	// Size the slice from the root file: half a token per source byte
-	// holds most units without growing; included headers can still
-	// push a unit past it.
-	toks := make([]Token, 0, len(l.stack[0].src)/2+16)
-	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
-}
-
 const maxIncludeDepth = 32
 
 func (l *Lexer) pushFile(path string) error {

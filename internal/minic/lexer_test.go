@@ -5,6 +5,27 @@ import (
 	"testing"
 )
 
+// LexAll tokenizes the whole translation unit, directives resolved, and
+// appends an EOF token. Parse pulls tokens from a Lexer one at a time;
+// the tests read the stream as a slice.
+func LexAll(path string, provider FileProvider) ([]Token, error) {
+	l, err := NewLexer(path, provider)
+	if err != nil {
+		return nil, err
+	}
+	var toks []Token
+	for {
+		t, err := l.Next()
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
 func lexKinds(t *testing.T, src string) []Kind {
 	t.Helper()
 	toks, err := LexAll("t.mc", func(string) (string, bool) { return src, true })

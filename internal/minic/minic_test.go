@@ -335,6 +335,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseLookaheadAtEOF ends the input inside the parser's lookahead
+// window at each site that looks past the current token. The parser
+// reads EOF there and fails with the same error as when it held the
+// whole token stream.
+func TestParseLookaheadAtEOF(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"struct X", "line 0: declaration needs a name"},
+		{"int f(void", "line 0: expected ), found end of file"},
+		{"int x = sizeof(int", "line 0: expected ), found end of file"},
+		{"int x = (int", "line 0: expected ), found end of file"},
+	}
+	for _, c := range cases {
+		_, err := ParseString("t.mc", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: error %v, want %q", c.src, err, c.want)
+		}
+	}
+}
+
+// TestParseErrorBeforeLexError: the parser pulls tokens as it goes, so a
+// parse error is reported before a lexer error later in the file.
+func TestParseErrorBeforeLexError(t *testing.T) {
+	_, err := ParseString("t.mc", "int ;\n@\n")
+	if want := "t.mc:1: declaration needs a name"; err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
 func TestArithTypeRules(t *testing.T) {
 	cases := []struct {
 		a, b, want *Type

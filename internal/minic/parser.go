@@ -5,22 +5,44 @@ import (
 	"fmt"
 )
 
-// Parser is a recursive-descent parser over a lexed token stream.
+// Parser is a recursive-descent parser that pulls its tokens straight
+// from a Lexer: no token stream is ever materialized. The parser looks
+// at most two tokens past the current one, so a four-slot ring holds
+// every token it can still need.
 type Parser struct {
-	toks []Token
-	pos  int
+	lex *Lexer
+	// win is the lookahead ring: win[(head+i)&3] is the token i places
+	// past the current one, for i < n. It always holds the current
+	// token.
+	win  [4]Token
+	head int
+	n    int
 	unit *Unit
 }
 
 type parseError struct{ err error }
 
-// Parse lexes and parses the translation unit rooted at path.
-func Parse(path string, provider FileProvider) (*Unit, error) {
-	toks, err := LexAll(path, provider)
+// Parse lexes and parses the translation unit rooted at path. Lexing
+// and parsing interleave, so the first error in token order is the one
+// reported: a parse error ahead of a later lexer error wins.
+func Parse(path string, provider FileProvider) (u *Unit, err error) {
+	l, err := NewLexer(path, provider)
 	if err != nil {
 		return nil, err
 	}
-	return ParseTokens(path, toks)
+	p := &Parser{lex: l, unit: &Unit{Path: path}}
+	defer func() {
+		if r := recover(); r != nil {
+			pe, ok := r.(parseError)
+			if !ok {
+				panic(r)
+			}
+			u, err = nil, pe.err
+		}
+	}()
+	p.pull()
+	p.parseUnit()
+	return p.unit, nil
 }
 
 // ParseString parses a single standalone source string (tests and tools).
@@ -33,34 +55,46 @@ func ParseString(path, src string) (*Unit, error) {
 	})
 }
 
-// ParseTokens parses an already-lexed token stream.
-func ParseTokens(path string, toks []Token) (u *Unit, err error) {
-	p := &Parser{toks: toks, unit: &Unit{Path: path}}
-	defer func() {
-		if r := recover(); r != nil {
-			pe, ok := r.(parseError)
-			if !ok {
-				panic(r)
-			}
-			err = pe.err
-		}
-	}()
-	p.parseUnit()
-	return p.unit, nil
-}
-
 func (p *Parser) fail(pos Pos, format string, args ...any) {
 	panic(parseError{fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))})
 }
 
-func (p *Parser) tok() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// pull appends the lexer's next token to the window. A lexer error
+// ends the parse with that error. Past the end of input the lexer
+// keeps returning EOF, so a lookahead there reads EOF.
+func (p *Parser) pull() {
+	t, err := p.lex.Next()
+	if err != nil {
+		panic(parseError{err})
+	}
+	p.win[(p.head+p.n)&3] = t
+	p.n++
+}
 
-func (p *Parser) peek(k Kind) bool { return p.tok().Kind == k }
+func (p *Parser) tok() Token { return p.win[p.head] }
+
+func (p *Parser) next() Token {
+	t := p.win[p.head]
+	p.head = (p.head + 1) & 3
+	if p.n--; p.n == 0 {
+		p.pull()
+	}
+	return t
+}
+
+// ahead returns the token i places past the current one; i is 1 or 2.
+func (p *Parser) ahead(i int) Token {
+	for p.n <= i {
+		p.pull()
+	}
+	return p.win[(p.head+i)&3]
+}
+
+func (p *Parser) peek(k Kind) bool { return p.win[p.head].Kind == k }
 
 func (p *Parser) accept(k Kind) bool {
 	if p.peek(k) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -106,7 +140,7 @@ func (p *Parser) parseTop() {
 	}
 
 	// struct definition: struct Name { ... };
-	if t.Kind == KwStruct && p.toks[p.pos+1].Kind == IDENT && p.toks[p.pos+2].Kind == LBrace {
+	if t.Kind == KwStruct && p.ahead(1).Kind == IDENT && p.ahead(2).Kind == LBrace {
 		p.parseStructDef()
 		return
 	}
@@ -343,7 +377,7 @@ func fixUnsized(t *Type, n int) {
 func (p *Parser) parseFuncRest(name string, ret *Type, static, inline bool, pos Pos) *FuncDecl {
 	p.expect(LParen)
 	fn := &FuncDecl{Name: name, Ret: ret, Static: static, InlineKw: inline, Pos: pos}
-	if p.peek(KwVoid) && p.toks[p.pos+1].Kind == RParen {
+	if p.peek(KwVoid) && p.ahead(1).Kind == RParen {
 		p.next() // (void): no parameters
 	} else if !p.peek(RParen) {
 		for {
@@ -596,7 +630,7 @@ func (p *Parser) parseUnary() Expr {
 		return &Unary{exprBase: exprBase{Pos: t.Pos}, Op: UPreDec, X: p.parseUnary()}
 	case KwSizeof:
 		p.next()
-		if p.peek(LParen) && typeStart(p.toks[p.pos+1]) {
+		if p.peek(LParen) && typeStart(p.ahead(1)) {
 			p.next()
 			base := p.parseType()
 			typ, name, _ := p.parseDeclarator(base)
@@ -610,7 +644,7 @@ func (p *Parser) parseUnary() Expr {
 		// sizeof expr: needs the checked type; folded by the checker.
 		return &Unary{exprBase: exprBase{Pos: t.Pos}, Op: USizeof, X: x}
 	case LParen:
-		if typeStart(p.toks[p.pos+1]) {
+		if typeStart(p.ahead(1)) {
 			p.next()
 			base := p.parseType()
 			typ, name, _ := p.parseDeclarator(base)

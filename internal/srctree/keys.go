@@ -5,6 +5,9 @@ import (
 	"encoding/hex"
 	"slices"
 	"strings"
+	"sync"
+
+	"gosplice/internal/store"
 )
 
 // Build keys.
@@ -32,6 +35,31 @@ type fileKey struct {
 type unitKey struct {
 	hash    string
 	closure []string
+
+	// mu guards storeKeys: every tree of a lineage that inherits the
+	// key shares it, and those trees build concurrently.
+	mu        sync.Mutex
+	storeKeys []optsStoreKey
+}
+
+// optsStoreKey is the store key of a unit compiled under the options
+// whose CacheKey is opts.
+type optsStoreKey struct{ opts, key string }
+
+// storeKey returns the artifact store key of the unit compiled under
+// the options whose CacheKey is optsKey, computing it once per key and
+// options: a build asks for every unit's, though few of them compile.
+func (uk *unitKey) storeKey(optsKey string) string {
+	uk.mu.Lock()
+	defer uk.mu.Unlock()
+	for _, k := range uk.storeKeys {
+		if k.opts == optsKey {
+			return k.key
+		}
+	}
+	key := store.Key("unit", uk.hash, optsKey)
+	uk.storeKeys = append(uk.storeKeys, optsStoreKey{optsKey, key})
+	return key
 }
 
 // fileInfo returns the key of the file at path, or nil if the tree

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gosplice/internal/codegen"
+	"gosplice/internal/store"
 )
 
 // keysMatchFresh checks that a patched tree's units, unit keys and hash
@@ -160,4 +161,41 @@ func TestConcurrentBuildOfOnePatchedTree(t *testing.T) {
 		}
 	}
 	keysMatchFresh(t, post)
+}
+
+// TestStoreKeysShareAcrossLineageAndOptions builds a tree and its
+// patched child under both build options from several goroutines at
+// once: the child's inherited unit keys, with their memoized store
+// keys, are shared with the parent. Every memoized store key must equal
+// the one store.Key derives, under -race too.
+func TestStoreKeysShareAcrossLineageAndOptions(t *testing.T) {
+	useFreshStore(t)
+	base := cacheTree("v-store-keys")
+	post := mustPatch(t, base, "--- a/b.mc\n+++ b/b.mc\n@@ -1,1 +1,1 @@\n-int helper(int x) { return x * 2; }\n+int helper(int x) { return x * 5; }\n")
+	options := []codegen.Options{codegen.KernelBuild(), codegen.KspliceBuild()}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[w] = BuildCached([]*Tree{base, post}[w%2], options[w/2%2])
+		}()
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	for _, tr := range []*Tree{base, post} {
+		for _, u := range tr.Units() {
+			uk := tr.unitKey(u)
+			for _, o := range options {
+				if got, want := uk.storeKey(o.CacheKey()), store.Key("unit", uk.hash, o.CacheKey()); got != want {
+					t.Errorf("%s: store key %s under %s, want %s", u, got, o.CacheKey(), want)
+				}
+			}
+		}
+	}
 }

@@ -12,9 +12,11 @@ import (
 	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gosplice/internal/codegen"
 	"gosplice/internal/diffutil"
@@ -30,6 +32,8 @@ import (
 type Tree struct {
 	files   map[string]string
 	version string
+	// units is the sorted unit list Units returns.
+	units []string
 	// parent is the tree Patch derived this one from, and touched the
 	// paths that patch created, modified or deleted; a tree from New
 	// has neither. Keys the patch cannot have changed are answered by
@@ -37,8 +41,8 @@ type Tree struct {
 	parent  *Tree
 	touched map[string]bool
 
-	// mu guards the memoized keys: build hashes units from parallel
-	// workers.
+	// mu guards the memoized keys: concurrent builds of one lineage
+	// key it from several goroutines.
 	mu       sync.Mutex
 	hash     string
 	fileKeys map[string]*fileKey
@@ -48,7 +52,8 @@ type Tree struct {
 // New creates a tree from a copy of a file map: later edits to files
 // do not reach the tree.
 func New(version string, files map[string]string) *Tree {
-	return &Tree{files: maps.Clone(files), version: version}
+	files = maps.Clone(files)
+	return &Tree{files: files, version: version, units: sortedUnits(files)}
 }
 
 // Version labels the kernel release this tree builds (shown by tools
@@ -66,34 +71,53 @@ func (t *Tree) Provider() minic.FileProvider { return t.File }
 
 // Units returns the tree's compilation unit paths in sorted order:
 // every .mc and .mcs file. Headers (.h) are only reached via #include.
-func (t *Tree) Units() []string {
+// The slice is shared by every caller (and by patched trees with the
+// same files) and must not be modified.
+func (t *Tree) Units() []string { return t.units }
+
+func sortedUnits(files map[string]string) []string {
 	var out []string
-	for p := range t.files {
+	for p := range files {
 		if strings.HasSuffix(p, ".mc") || strings.HasSuffix(p, ".mcs") {
 			out = append(out, p)
 		}
 	}
 	sort.Strings(out)
-	return out
+	return slices.Clip(out) // an append by a caller copies
 }
 
-// Patch applies a unified diff to the tree, returning the patched tree.
-// The patched tree remembers t and the paths the diff names, so it
-// re-keys only what the diff touched.
+// Patch parses a unified diff and applies it with ApplyPatch.
 func (t *Tree) Patch(patchText string) (*Tree, error) {
 	p, err := diffutil.ParsePatch(patchText)
 	if err != nil {
 		return nil, err
 	}
+	return t.ApplyPatch(p)
+}
+
+// ApplyPatch applies a parsed patch to the tree, returning the patched
+// tree. The patched tree remembers t and the paths the patch names, so
+// it re-keys only what the patch touched; when the patch creates and
+// deletes no file, it shares t's unit list.
+func (t *Tree) ApplyPatch(p *diffutil.Patch) (*Tree, error) {
 	files, err := p.Apply(t.files)
 	if err != nil {
 		return nil, err
 	}
 	touched := make(map[string]bool, len(p.Files))
+	units := t.units
 	for _, fp := range p.Files {
-		touched[fp.Path()] = true
+		path := fp.Path()
+		touched[path] = true
+		_, had := t.files[path]
+		if _, has := files[path]; had != has {
+			units = nil
+		}
 	}
-	return &Tree{files: files, version: t.version, parent: t, touched: touched}, nil
+	if units == nil {
+		units = sortedUnits(files)
+	}
+	return &Tree{files: files, version: t.version, units: units, parent: t, touched: touched}, nil
 }
 
 // ParseUnit parses and checks one compilation unit (MiniC only).
@@ -129,36 +153,53 @@ func (br *BuildResult) Object(path string) *obj.File {
 }
 
 // build is the fill behind BuildCached: it compiles every unit in the
-// tree with the given options. Units compile concurrently under a
-// bounded worker pool — compilation is a pure function of (source,
-// options), and the artifact store's singleflight already serializes
-// duplicate keys — and go through the per-unit compile cache (see
-// unitcache.go), so a build of a patched tree recompiles only the units
-// the patch reaches and assembles the rest from the store. The object
-// list is in Units() order and any error is the first failing unit's in
-// that same order, so results are deterministic for every worker count.
-// The objects are shared and must not be mutated.
+// tree with the given options, through the per-unit compile cache (see
+// unitcache.go). It resolves each unit on the caller's goroutine: a unit
+// the store's memory tier holds costs a lookup, and only the rest go to
+// the store's GetOrFill, which reads the disk tier or compiles. Those
+// misses run on min(GOMAXPROCS, misses) workers, the caller being one of
+// them, so a patched tree whose patch reaches one unit starts no
+// goroutine while a cold build still compiles in parallel. Compilation
+// is a pure function of (source, options), and the store's singleflight
+// serializes duplicate keys. The object list is in Units() order and
+// any error is the first failing unit's in that same order, so results
+// are deterministic for every worker count. The objects are shared and
+// must not be mutated.
 func build(t *Tree, opts codegen.Options) (*BuildResult, error) {
 	units := t.Units()
 	optsKey := opts.CacheKey()
+	st := ActiveStore()
 	br := &BuildResult{Tree: t, Options: opts, Objects: make([]*obj.File, len(units))}
-	workers := min(runtime.GOMAXPROCS(0), len(units))
-	errs := make([]error, len(units))
-	idx := make(chan int)
+	var misses []int
+	for i, path := range units {
+		if v, ok := st.Lookup(t.unitKey(path).storeKey(optsKey)); ok {
+			unitHits.Inc()
+			br.Objects[i] = v.(*obj.File)
+			continue
+		}
+		misses = append(misses, i)
+	}
+	errs := make([]error, len(misses))
+	var next atomic.Int32
+	work := func() {
+		for {
+			j := int(next.Add(1)) - 1
+			if j >= len(misses) {
+				return
+			}
+			i := misses[j]
+			br.Objects[i], errs[j] = compileUnit(st, t, units[i], opts, optsKey)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(misses)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				br.Objects[i], errs[i] = compileUnit(t, units[i], opts, optsKey)
-			}
+			work()
 		}()
 	}
-	for i := range units {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

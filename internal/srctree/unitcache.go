@@ -216,13 +216,13 @@ var imageKind = store.Kind{
 	},
 }
 
-// compileUnit compiles one unit through the artifact store, keyed by the
-// unit's content hash and optsKey, the options' CacheKey. Concurrent
-// callers with the same key share one compile; distinct keys compile in
-// parallel. The returned object is shared and must not be mutated.
-func compileUnit(t *Tree, path string, opts codegen.Options, optsKey string) (*obj.File, error) {
-	key := store.Key("unit", t.unitKey(path).hash, optsKey)
-	v, src, err := ActiveStore().GetOrFill(key, unitKind, func() (any, error) {
+// compileUnit compiles one unit through st, keyed by the unit's content
+// hash and optsKey, the options' CacheKey. Concurrent callers with the
+// same key share one compile; distinct keys compile in parallel. The
+// returned object is shared and must not be mutated.
+func compileUnit(st *store.Store, t *Tree, path string, opts codegen.Options, optsKey string) (*obj.File, error) {
+	key := t.unitKey(path).storeKey(optsKey)
+	v, src, err := st.GetOrFill(key, unitKind, func() (any, error) {
 		return buildUnit(t, path, opts)
 	})
 	count(src, unitHits, unitDiskHits, unitMisses)

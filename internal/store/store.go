@@ -290,15 +290,8 @@ func Key(parts ...string) string {
 // joiner. Fill errors are returned but never cached — a later call
 // retries. The returned value is shared and must not be mutated.
 func (s *Store) GetOrFill(key string, k Kind, fill func() (any, error)) (any, Source, error) {
-	// Fast path: a resident entry is served with no lock at all. Counters
-	// and the recency stamp are atomics, so concurrent readers of a hot
-	// key (the dominant access pattern of a parallel eval run) never
-	// contend with each other or with unrelated fills.
-	if v, ok := s.entries.Load(key); ok {
-		e := v.(*entry)
-		e.atime.Store(s.clock.Add(1))
-		s.cMemHits.Inc()
-		return e.val, Mem, nil
+	if v, ok := s.Lookup(key); ok {
+		return v, Mem, nil
 	}
 	s.mu.Lock()
 	// Re-check under the lock: a fill may have completed between the
@@ -348,6 +341,25 @@ func (s *Store) GetOrFill(key string, k Kind, fill func() (any, error)) (any, So
 		s.writeDisk(key, v, k)
 	}
 	return v, src, err
+}
+
+// Lookup returns the artifact the memory tier holds under key, counting
+// a memory hit. On a miss it returns false and counts nothing: it never
+// reads the disk tier, joins a fill or runs one, so a caller that misses
+// goes on to GetOrFill, which counts the outcome. A resident entry is
+// served with no lock at all. Counters and the recency stamp are
+// atomics, so concurrent readers of a hot key (the dominant access
+// pattern of a parallel eval run) never contend with each other or with
+// unrelated fills. The returned value is shared and must not be mutated.
+func (s *Store) Lookup(key string) (any, bool) {
+	v, ok := s.entries.Load(key)
+	if !ok {
+		return nil, false
+	}
+	e := v.(*entry)
+	e.atime.Store(s.clock.Add(1))
+	s.cMemHits.Inc()
+	return e.val, true
 }
 
 // Put files an externally produced artifact under key: payload is the

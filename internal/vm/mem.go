@@ -400,9 +400,10 @@ func (m *Memory) SkipNops(off int) int {
 
 // Bytes returns a flat copy of the whole memory — a diagnostic and test
 // affordance, not a data path. Pages still backed by the shared zero
-// page are not copied, since the fresh copy starts zeroed; the copy is
-// still a full-size allocation, which the runtime may zero and make
-// resident in full.
+// page are not copied, since the fresh copy starts zeroed. That keeps
+// their part of the copy non-resident only when make takes a span fresh
+// from the OS: a reused heap span is zeroed by the runtime, which makes
+// the whole copy resident however few pages are private.
 func (m *Memory) Bytes() []byte {
 	out := make([]byte, m.size)
 	for i, p := range m.pages {
