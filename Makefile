@@ -27,7 +27,10 @@ test:
 # sentinel or type it tests with errors.Is or errors.As; a guard that
 # non-test code outside internal/codegen builds no codegen.Options
 # literal and assigns no Options field, so every build is
-# codegen.KernelBuild() or codegen.KspliceBuild(); vet and the
+# codegen.KernelBuild() or codegen.KspliceBuild(); a guard that
+# non-test code outside internal/vm never calls vm.Machine.Step, so
+# guest code has one executor: the scheduler and isolated calls run it
+# a quantum at a time through Machine.Run; vet and the
 # short tests of the bench module, so an
 # internal API change that breaks the benchmark harness fails here
 # rather than in the benchmark run; the full test suite under the race
@@ -92,6 +95,7 @@ check:
 	@! grep -rnE --include='*.go' '(\.Traps[[:space:]]*=[^=]|[{,][[:space:]]*Traps:)' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/kernel/' || { echo "check: set vm.Machine.Traps only in internal/kernel (the kernel's Trap method serves every TRAP)"; exit 1; }
 	@! grep -rnE --include='*.go' 'strings\.(Contains|HasPrefix|HasSuffix|EqualFold|Index)[[:alnum:]]*\(([^()]|\([^()]*\))*\.Error\(\)' internal cmd examples | grep -v -e '_test\.go:' || { echo "check: match errors with errors.Is or errors.As, not by their text"; exit 1; }
 	@! grep -rnE --include='*.go' '(^|[^]])codegen\.Options[[:space:]]*\{|\.(ObjectSections|Inline)[[:space:]]*=[^=]' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/codegen/' || { echo "check: build with codegen.KernelBuild() or codegen.KspliceBuild(); only internal/codegen makes or changes codegen.Options"; exit 1; }
+	@! grep -rnE --include='*.go' '\.Step\(' internal cmd examples | grep -v -e '_test\.go:' -e '^internal/vm/' || { echo "check: run guest code through vm.Machine.Run; only internal/vm may call Machine.Step"; exit 1; }
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 	$(GO) test -race ./...
 	$(GO) test -run '^$$' -fuzz '^FuzzFleetReport$$' -fuzztime 10s ./internal/channel

@@ -97,8 +97,13 @@ func callFunc(t *testing.T, m *vm.Machine, th *vm.Thread, im *obj.Image, name st
 
 	th.IP = stubAddr
 	th.Halted = false
-	if _, err := m.Run(th, 2_000_000); err != nil {
-		t.Fatalf("run %s: %v", name, err)
+	// Run returns after every TRAP; go on until the stub halts.
+	for budget := 2_000_000; budget > 0 && !th.Halted; {
+		n, err := m.Run(th, budget)
+		if err != nil {
+			t.Fatalf("run %s: %v", name, err)
+		}
+		budget -= n
 	}
 	if !th.Halted {
 		t.Fatalf("run %s: step budget exhausted", name)

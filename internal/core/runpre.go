@@ -228,8 +228,41 @@ func MatchUnitCanon(mem *vm.Memory, symtab *kernel.SymTab, preF *obj.File, canon
 		}
 	}
 
+	if err := inf.checkKallsyms(symtab); err != nil {
+		return nil, err
+	}
 	res.Vals = inf.vals
 	return res, nil
+}
+
+// checkKallsyms refuses an inferred value that kallsyms contradicts. A
+// relocated field's run value becomes its symbol's address (§4.2), and
+// record checks it only against the unit's other sites, so one rewritten
+// field could send the replacement code to any address. A name kallsyms
+// holds must therefore infer one of its entries' addresses or that
+// address's canonical form (a trampolined entry's replacement, §5.4).
+// Names kallsyms lacks are exempt: a real kallsyms table may omit
+// symbols.
+func (inf *inference) checkKallsyms(symtab *kernel.SymTab) error {
+	var bad []string
+	for name, v := range inf.vals {
+		cands := symtab.Lookup(name)
+		ok := len(cands) == 0
+		for _, c := range cands {
+			if v == c.Addr || v == inf.canonical(c.Addr) {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			bad = append(bad, fmt.Sprintf("symbol %q inferred at %#x, none of its %d kallsyms entries", name, v, len(cands)))
+		}
+	}
+	if len(bad) == 0 {
+		return nil
+	}
+	sort.Strings(bad)
+	return fmt.Errorf("%w: %s", ErrRunPreMismatch, strings.Join(bad, "; "))
 }
 
 func joinLines(lines []string) string {

@@ -15,6 +15,7 @@ import (
 	"gosplice/internal/kernel"
 	"gosplice/internal/obj"
 	"gosplice/internal/srctree"
+	"gosplice/internal/vm"
 )
 
 // loopyTree builds a kernel whose functions contain loops and tail
@@ -898,5 +899,60 @@ func TestMatchUnitAllocs(t *testing.T) {
 	if bound := 12*funcs + 4*relocs + 16; got > float64(bound) {
 		t.Errorf("MatchUnit: %.0f allocs/op over %d pre bytes, want <= %d (%d functions, %d relocations)",
 			got, preBytes, bound, funcs, relocs)
+	}
+}
+
+// TestRunPreRefusesRedirectedReference: flipping one byte of
+// CVE-2005-2709's c2005_2709_init rewrites the relocated field of its
+// call to kmalloc, and consistency within the unit alone would infer
+// kmalloc at the wrong address (0x106f50, not 0x104950). Kallsyms holds
+// kmalloc, so the inference must be refused before anything is written.
+func TestRunPreRefusesRedirectedReference(t *testing.T) {
+	c, ok := cvedb.ByID("CVE-2005-2709")
+	if !ok {
+		t.Fatal("CVE-2005-2709 not in the corpus")
+	}
+	tree := cvedb.Tree(c.Version)
+	k := boot(t, tree)
+	u, err := CreateUpdate(tree, c.Patch(), CreateOptions{Name: "ksplice-2005-2709"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	init, err := k.Syms.ResolveUnique("c2005_2709_init")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := k.ReadMem(init+79, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := k.WriteMem(init+79, []byte{b[0] ^ 0x5a}); err != nil {
+		t.Fatal(err)
+	}
+	k.Lock()
+	before := k.LockedMem().Clone()
+	k.Unlock()
+	mods := len(k.Modules())
+
+	_, err = NewManager(k).Apply(u, ApplyOptions{})
+	if !errors.Is(err, ErrRunPreMismatch) {
+		t.Fatalf("Apply = %v, want ErrRunPreMismatch", err)
+	}
+	if !strings.Contains(err.Error(), `"kmalloc"`) {
+		t.Errorf("refusal does not name kmalloc: %v", err)
+	}
+	if got := len(k.Modules()); got != mods {
+		t.Errorf("%d modules loaded after the refusal, want %d", got, mods)
+	}
+	k.Lock()
+	defer k.Unlock()
+	mem := k.LockedMem()
+	page := make([]byte, vm.PageSize)
+	for addr := 0; addr < mem.Len(); addr += vm.PageSize {
+		n := min(vm.PageSize, mem.Len()-addr)
+		before.ReadAt(page[:n], uint32(addr))
+		if !mem.EqualAt(page[:n], uint32(addr)) {
+			t.Fatalf("memory page at %#x changed by a refused apply", addr)
+		}
 	}
 }

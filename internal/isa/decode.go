@@ -8,18 +8,19 @@ import (
 	"strings"
 )
 
-// Insn is one decoded SIM32 instruction.
+// Insn is one decoded SIM32 instruction. The byte-sized fields come
+// first so that it packs into 32 bytes: the interpreter's decode cache
+// holds 2,048 of them per machine.
 type Insn struct {
-	Op  Op
-	Len int // encoded length in bytes
-
+	Op Op
 	Rd Reg // destination register (layRegs/layReg/layRegImm/layRegDisp/layRegCC)
 	Rs Reg // source register (layRegs/layRegDisp)
 	CC CC  // condition code (layRegCC/layCCRel*)
 
-	Imm  int64 // immediate (layRegImm/layRegImm64/layImm16)
 	Disp int32 // memory displacement (layRegDisp)
 	Rel  int32 // PC-relative displacement (branch layouts), from next insn
+	Len  int   // encoded length in bytes
+	Imm  int64 // immediate (layRegImm/layRegImm64/layImm16)
 }
 
 // RelInfo describes the PC-relative operand of in, if any: its byte offset

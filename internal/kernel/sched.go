@@ -107,16 +107,20 @@ func (k *Kernel) releaseTaskLocked(t *Task) {
 
 // stepTaskLocked runs one quantum of t. Faults are recorded on the task,
 // not propagated: a crashed thread is an observable kernel state (the
-// evaluation uses it to detect bad splices), not a host error.
+// evaluation uses it to detect bad splices), not a host error. Run
+// returns after every TRAP and HLT, the only instructions that change
+// Runnable or yield, so checking them per call stops the quantum at the
+// same instruction as checking them per instruction would.
 func (k *Kernel) stepTaskLocked(t *Task, quantum int) int {
 	steps := 0
 	t.yield = false
 	for steps < quantum && t.Runnable() && !t.yield {
-		if err := k.M.Step(&t.Th); err != nil {
+		n, err := k.M.Run(&t.Th, quantum-steps)
+		steps += n
+		if err != nil {
 			t.Fault = err
 			break
 		}
-		steps++
 	}
 	k.totalSteps += uint64(steps)
 	return steps
@@ -253,11 +257,13 @@ func (k *Kernel) CallIsolatedAddr(addr uint32, args ...int64) (int64, error) {
 		k.releaseTaskLocked(t)
 	}()
 	const budget = 20_000_000
-	for i := 0; i < budget && t.Runnable(); i++ {
-		if err := k.M.Step(&t.Th); err != nil {
+	for steps := 0; steps < budget && t.Runnable(); {
+		n, err := k.M.Run(&t.Th, budget-steps)
+		steps += n
+		k.totalSteps += uint64(n)
+		if err != nil {
 			return 0, err
 		}
-		k.totalSteps++
 	}
 	if !t.Exited {
 		return 0, fmt.Errorf("kernel: isolated call at %#x did not finish", addr)

@@ -70,11 +70,14 @@ type Memory struct {
 	// instructions keyed by offset; gen holds a per-page write generation
 	// so any write to a page exactly invalidates that page's cached
 	// decodes (self-modifying code — trampoline splice and undo — stays
-	// correct). Both are allocated lazily on the first DecodeAt, so
-	// memories that never execute (build artifacts, match views) pay
-	// nothing.
+	// correct). Both are allocated lazily on the first decode, so
+	// memories that never execute pay only for sc, which holds the
+	// instructions that straddle a page boundary, each checked against
+	// both pages' generations: 768 bytes inside the Memory cost less
+	// than an allocation of their own in every clone that executes.
 	gen []uint32
 	dc  *[dcSize]dcEntry
+	sc  [scSize]scEntry
 }
 
 // The decode cache is direct-mapped by the low offset bits: hot loops
@@ -88,6 +91,19 @@ type dcEntry struct {
 	off int32 // instruction offset (entries with in.Len == 0 are empty)
 	gen uint32
 	in  isa.Insn
+}
+
+// The straddler cache is direct-mapped by the first page's number:
+// straight-line code has at most one instruction across each boundary.
+const (
+	scSize = 16
+	scMask = scSize - 1
+)
+
+type scEntry struct {
+	off  int32     // instruction offset (entries with in.Len == 0 are empty)
+	gens [2]uint32 // the generations of the page at off and the next one
+	in   isa.Insn
 }
 
 // NewMemory creates an all-zero memory of the given size. No backing
@@ -282,6 +298,25 @@ func (m *Memory) StoreLE(addr uint32, size int, v uint64) {
 	}
 }
 
+// stackSlot reports whether the 8 bytes at addr lie inside one page,
+// inside memory and at or above guard: the slots push and pop access
+// in place. Any other slot takes Machine.Load or Store, which report
+// the fault.
+func (m *Memory) stackSlot(addr, guard uint32) bool {
+	return addr >= guard && addr&pageMask <= PageSize-8 && int(addr)+8 <= m.size
+}
+
+// load64 and store64 access a stackSlot in place.
+func (m *Memory) load64(addr uint32) uint64 {
+	return binary.LittleEndian.Uint64(m.pages[addr>>PageShift].b[addr&pageMask:])
+}
+
+func (m *Memory) store64(addr uint32, v uint64) {
+	i := int(addr >> PageShift)
+	binary.LittleEndian.PutUint64(m.writable(i).b[addr&pageMask:], v)
+	m.bump(i)
+}
+
 // EqualAt reports whether memory at addr equals b. The range must lie
 // inside memory.
 func (m *Memory) EqualAt(b []byte, addr uint32) bool {
@@ -317,22 +352,21 @@ func (m *Memory) window(off int, buf []byte) []byte {
 
 // DecodeAt decodes the instruction at off, reading across page
 // boundaries as needed. It is the by-value form of the one cache path —
-// cached, then fill on a miss — that the interpreter steps through in
-// place: on a hit Step points into the cache entry instead of copying
-// the instruction out. That is sound because an entry is overwritten
-// only by a fill, never by a store (a store bumps the page generation,
-// so the next lookup misses). A fill — this call included — may
-// overwrite the entry a running Step points at, which is why Step
-// copies what it needs before a TRAP handler runs. Like every other
-// method, DecodeAt assumes a single owner: it mutates the cache.
+// cached, then fill on a miss — that Run executes through in place: on
+// a hit Run points into the cache entry instead of copying the
+// instruction out. That is sound because an entry is overwritten only by
+// a fill, never by a store (a store bumps the page generation, so the
+// next lookup misses). A fill — this call included — may overwrite the
+// entry a running Run points at, which is why Run copies what it needs
+// before a TRAP handler runs. Like every other method, DecodeAt assumes
+// a single owner: it mutates the cache.
 func (m *Memory) DecodeAt(off int) (isa.Insn, error) {
-	if in := m.cached(off); in != nil {
-		return *in, nil
-	}
-	var buf isa.Insn
-	in, err := m.fill(off, &buf)
-	if err != nil {
-		return isa.Insn{}, err
+	in := m.cached(off)
+	if in == nil {
+		var err error
+		if in, err = m.fill(off); err != nil {
+			return isa.Insn{}, err
+		}
 	}
 	return *in, nil
 }
@@ -341,7 +375,7 @@ func (m *Memory) DecodeAt(off int) (isa.Insn, error) {
 // on a miss. The pointer is valid while the page has not been written
 // since the entry was filled; it survives stores and dies at the next
 // fill of the same slot (off & dcMask). It is small enough to inline
-// into Step, which is the point.
+// into Run, which is the point.
 func (m *Memory) cached(off int) *isa.Insn {
 	if m.dc != nil {
 		// Only fills set e.off, and only to in-range offsets, so a match
@@ -355,13 +389,13 @@ func (m *Memory) cached(off int) *isa.Insn {
 }
 
 // fill is the miss path, kept out of line: range check, lazy cache
-// allocation, decode, and the fill. It returns a pointer to the filled
-// entry, or, for an instruction straddling a page boundary (never
-// cached, so one page generation covers every entry), to *buf holding
-// the decode.
+// allocation, the straddler cache, decode, and the fill. It returns a
+// pointer to the entry holding the decode: a dc entry, or for an
+// instruction that straddles a page boundary an sc entry, valid until
+// either page is written.
 //
 //go:noinline
-func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
+func (m *Memory) fill(off int) (*isa.Insn, error) {
 	if off < 0 || off >= m.size {
 		return nil, fmt.Errorf("isa: decode offset %#x out of range", off)
 	}
@@ -369,19 +403,25 @@ func (m *Memory) fill(off int, buf *isa.Insn) (*isa.Insn, error) {
 		m.gen = make([]uint32, len(m.pages))
 		m.dc = new([dcSize]dcEntry)
 	}
+	pg := off >> PageShift
+	// Only straddlers are stored in sc, and only by a fill after gen
+	// exists, so a match means page pg+1 exists.
+	s := &m.sc[pg&scMask]
+	if int(s.off) == off && s.in.Len > 0 && s.gens == [2]uint32{m.gen[pg], m.gen[pg+1]} {
+		return &s.in, nil
+	}
 	var w [maxInsnWindow]byte
 	in, err := isa.Decode(m.window(off, w[:]), 0)
 	if err != nil {
 		return nil, err
 	}
-	pg := off >> PageShift
 	if (off&pageMask)+in.Len <= PageSize {
 		e := &m.dc[off&dcMask]
 		*e = dcEntry{off: int32(off), gen: m.gen[pg], in: in}
 		return &e.in, nil
 	}
-	*buf = in
-	return buf, nil
+	*s = scEntry{off: int32(off), gens: [2]uint32{m.gen[pg], m.gen[pg+1]}, in: in}
+	return &s.in, nil
 }
 
 // SkipNops returns the offset of the first non-no-op byte at or after

@@ -120,3 +120,59 @@ func TestTrapFaultSurvivesCacheRefill(t *testing.T) {
 		t.Errorf("fault = %v, want trap 7 at %#x", f, ip)
 	}
 }
+
+// TestStraddlingInsnSeesWrites: an instruction across a page boundary
+// is cached like any other, so a write to either of its pages must make
+// the next Run and the next DecodeAt decode it again. MOVI64 is 10
+// bytes; at PageSize-4 its opcode, register and first two immediate
+// bytes lie in page 0 and the other six in page 1.
+func TestStraddlingInsnSeesWrites(t *testing.T) {
+	const off = PageSize - 4
+	imm := uint64(0x1122334455667788)
+	m, th := load(asm(fmt.Sprintf("movi64 r0, %d", int64(imm)), "hlt"), off)
+	run := func() uint64 {
+		t.Helper()
+		th.IP, th.Halted = off, false
+		if n, err := m.Run(th, 10); err != nil || n != 2 || !th.Halted {
+			t.Fatalf("n=%d err=%v halted=%v, want the movi64 and the hlt", n, err, th.Halted)
+		}
+		return th.R[isa.R0]
+	}
+	if got := run(); got != imm {
+		t.Fatalf("r0 = %#x, want %#x", got, imm)
+	}
+	if e := m.Mem.sc[0]; int(e.off) != off || e.in.Op != isa.OpMOVI64 {
+		t.Fatalf("straddler cache slot holds %v at %#x, want the movi64 at %#x", e.in.Op, e.off, off)
+	}
+	if got := run(); got != imm {
+		t.Fatalf("cached run: r0 = %#x, want %#x", got, imm)
+	}
+	// Immediate byte i sits at off+2+i: bytes 0 and 1 in page 0, 2..7
+	// in page 1.
+	for _, c := range []struct {
+		page int
+		byte int
+	}{{1, 4}, {0, 1}, {1, 7}, {0, 0}} {
+		for _, via := range []string{"Run", "DecodeAt"} {
+			b := byte(0xA0 + c.byte + len(via))
+			m.Mem.SetByte(uint32(off+2+c.byte), b)
+			imm = imm&^(0xFF<<(8*c.byte)) | uint64(b)<<(8*c.byte)
+			var got uint64
+			if via == "Run" {
+				got = run()
+			} else {
+				in, err := m.Mem.DecodeAt(off)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = uint64(in.Imm)
+			}
+			if got != imm {
+				t.Errorf("after a write to immediate byte %d (page %d), %s sees %#x, want %#x", c.byte, c.page, via, got, imm)
+			}
+		}
+	}
+	if got := run(); got != imm {
+		t.Errorf("final run: r0 = %#x, want %#x", got, imm)
+	}
+}

@@ -276,11 +276,19 @@ func TestTrapDispatchAndRedirect(t *testing.T) {
 		9: func(t *Thread) error { t.IP = handlerAddr; return nil },
 	}
 
-	if _, err := m.Run(th, 100); err != nil {
-		t.Fatal(err)
+	// Run returns after each TRAP, so the program takes three calls: up
+	// to trap 5, trap 9 alone, and the handler up to its hlt.
+	for i, want := range []int{2, 1, 2} {
+		n, err := m.Run(th, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != want {
+			t.Errorf("call %d ran %d instructions, want %d", i, n, want)
+		}
 	}
-	if th.R[isa.R0] != 42 || th.R[isa.R3] != 99 {
-		t.Errorf("r0=%d r3=%d", th.R[isa.R0], th.R[isa.R3])
+	if !th.Halted || th.R[isa.R0] != 42 || th.R[isa.R3] != 99 {
+		t.Errorf("halted=%v r0=%d r3=%d", th.Halted, th.R[isa.R0], th.R[isa.R3])
 	}
 }
 
