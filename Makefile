@@ -77,15 +77,22 @@ test:
 # MakeDelta round trip), FuzzDecode (SIM32 bytes: no panic, and an
 # instruction Decode accepts survives Encode→Decode and
 # String→ParseInsn unchanged), FuzzReadTar (update tarball bytes as a
-# subscriber receives them, reaching obj.Read through every member: no
+# subscriber receives them, reaching obj.Decode through every member: no
 # panic, and an accepted update survives WriteTar→ReadTar→WriteTar
-# byte for byte) and FuzzParse (MiniC source as one compilation unit,
+# byte for byte), FuzzParse (MiniC source as one compilation unit,
 # seeded with every corpus unit and header: Parse returns a unit or an
-# error, and neither panics nor hangs at the end of input) for 10s
-# each. FuzzApplyDelta and FuzzReadTar minimize a
+# error, and neither panics nor hangs at the end of input), FuzzObjDecode
+# (SOF object bytes as the unit store and an update's members hand them
+# to obj.Decode, seeded with every unit of a corpus release) and
+# FuzzReadImage (linked image bytes as the image store hands them to
+# obj.ReadImage, seeded with images linked in the test) — both: no
+# panic, allocation within a small multiple of the input, and an
+# accepted input is a Write → Decode → Write fixpoint — for 10s
+# each. FuzzApplyDelta, FuzzReadTar and FuzzReadImage minimize a
 # new input for at most 100 runs: a MakeDelta run is slow, and the
-# minimizer's pairwise cuts of a 4 KiB tarball seed number in the
-# millions, so a full minimization would take most of the 10s.
+# minimizer's pairwise cuts of a 4 KiB tarball seed (or a 58 KiB kernel
+# image) number in the millions, so a full minimization would take most
+# of the 10s.
 check:
 	$(GO) vet ./...
 	@out=$$(gofmt -l internal cmd examples *.go); [ -z "$$out" ] || { echo "$$out"; echo "check: gofmt the files above"; exit 1; }
@@ -104,6 +111,8 @@ check:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/isa
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTar$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/minic
+	$(GO) test -run '^$$' -fuzz '^FuzzObjDecode$$' -fuzztime 10s ./internal/obj
+	$(GO) test -run '^$$' -fuzz '^FuzzReadImage$$' -fuzztime 10s -fuzzminimizetime 100x ./internal/obj
 	@tmp=$$(mktemp -d) && \
 	$(GO) run ./cmd/ksplice-fleet -clients 128 -q -burst-ring 2 -expect halt -events-out $$tmp/events.jsonl && \
 	grep -q '"type":"gate_fail"' $$tmp/events.jsonl && \

@@ -740,6 +740,7 @@ func BenchmarkFleetRollout(b *testing.B) {
 	}
 	const clients = 96
 	var wire, applied uint64
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o, err := fleet.New(fleet.Config{

@@ -23,6 +23,8 @@ type BlobCache interface {
 	// Get returns the cached blob, or ok=false when absent.
 	Get(digest string) ([]byte, bool)
 	// Put stores a blob the caller has already verified against digest.
+	// Ownership of b passes to the cache, which may keep b itself: the
+	// caller must not modify b after Put.
 	Put(digest string, b []byte)
 }
 
@@ -41,8 +43,10 @@ func (c memBlobCache) Get(digest string) ([]byte, bool) {
 	return b, ok
 }
 
+// Put keeps b itself: the caller handed it over verified and will not
+// modify it, so a copy would only double the bytes in memory.
 func (c memBlobCache) Put(digest string, b []byte) {
-	c[digest] = append([]byte(nil), b...)
+	c[digest] = b
 }
 
 // DefaultBlobCacheBytes caps a DirBlobCache: generous against the

@@ -550,7 +550,9 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 		}
 	}
 	if b, ok := c.fetchViaDelta(ctx, m, e); ok {
-		if u, err := core.ReadTarVerified(b, e.Sha256, e.Size); err == nil {
+		// ApplyDelta proved b has e's digest and size; decode it
+		// without hashing it again.
+		if u, err := core.DecodeTar(b); err == nil {
 			return u, b, nil
 		}
 	}
@@ -579,8 +581,10 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 // past "a delta was advertised" counts a full-fetch fallback; the delta
 // format is self-verifying (base and result digests are in the header),
 // so corrupt deltas and wrong bases are caught before any reconstructed
-// byte is trusted, and a delta declaring any length but e.Size is
-// refused before it is inflated.
+// byte is trusted. A delta whose header names any result but e's digest
+// and size is refused before it is inflated, and ApplyDelta hands back
+// only bytes that hash to the header's digest: the blob returned has
+// e's digest and size, proven by the one hash ApplyDelta takes of it.
 func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byte, bool) {
 	d := m.DeltaFor(e.Sha256)
 	if d == nil {
@@ -601,14 +605,14 @@ func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byt
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
-	b, err := diffutil.ApplyDelta(base, db, e.Size)
-	if err != nil {
+	if digest, size, err := diffutil.DeltaResult(db); err != nil || digest != e.Sha256 || size != e.Size {
+		// Publisher advertised a delta whose result is not the blob —
+		// caught here, fall back to whole-blob fetch.
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
-	if blobDigest(b) != e.Sha256 {
-		// Publisher advertised a delta whose result is not the blob —
-		// caught here, fall back to whole-blob fetch.
+	b, err := diffutil.ApplyDelta(base, db, e.Size)
+	if err != nil {
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}

@@ -7,6 +7,7 @@ package channel_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"gosplice/internal/channel"
 	"gosplice/internal/core"
 	"gosplice/internal/cvedb"
+	"gosplice/internal/diffutil"
 	"gosplice/internal/faultinject"
 	"gosplice/internal/kernel"
 	"gosplice/internal/telemetry"
@@ -210,6 +212,102 @@ func TestSubscribeMissingBaseFallsBackFull(t *testing.T) {
 	}
 	if delta("gosplice_channel_delta_fallback_full_total") == 0 {
 		t.Error("missing bases never counted a fallback")
+	}
+}
+
+// fetchLog records which entries a transport was asked for whole.
+type fetchLog struct {
+	channel.Transport
+	whole []string
+}
+
+func (f *fetchLog) Fetch(ctx context.Context, e channel.Entry) ([]byte, error) {
+	f.whole = append(f.whole, e.Name)
+	return f.Transport.Fetch(ctx, e)
+}
+
+// TestSubscribeMislabeledDeltaFallsBackFull: a re-digested manifest
+// advertises, as the delta onto entry k, a valid delta that rebuilds a
+// different published tarball of the same size. The delta blob matches
+// its own digest and applies cleanly to the right base, so only the
+// check that the result is entry k's catches it: the client counts one
+// fallback, fetches entry k whole, and applies exactly the published
+// bytes, and every other entry after the first still comes from its
+// delta.
+func TestSubscribeMislabeledDeltaFallsBackFull(t *testing.T) {
+	version := cvedb.Versions[0]
+	dir, published := publishRelease(t, version)
+	m, err := channel.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Entry k >= 1 and another entry j with the same size, so the
+	// delta's declared length matches entry k's and only its result
+	// digest is wrong.
+	k, j := -1, -1
+	for a := 1; a < len(m.Updates) && k < 0; a++ {
+		for b := range m.Updates {
+			if b != a && m.Updates[b].Size == m.Updates[a].Size {
+				k, j = a, b
+				break
+			}
+		}
+	}
+	if k < 0 {
+		t.Fatalf("%s: no two tarballs share a size", version)
+	}
+	ek, ej := m.Updates[k], m.Updates[j]
+	d := m.DeltaFor(ek.Sha256)
+	if d == nil || d.BaseSha256 != m.Updates[k-1].Sha256 {
+		t.Fatalf("entry %d is not advertised as a delta on entry %d", k, k-1)
+	}
+	wrong := diffutil.MakeDelta(published[m.Updates[k-1].Name], published[ej.Name])
+	digest, size := core.TarDigest(wrong)
+	if err := os.WriteFile(filepath.Join(dir, "blobs", digest), wrong, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d.Sha256, d.Size = digest, size // ResultSha256 still names entry k
+	if m.Digest, err = channel.RecomputeDigestForTest(m); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "channel.json"), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	tr := &fetchLog{Transport: channel.NewDirTransport(dir)}
+	_, mgr := bootRelease(t, version)
+	var names []string
+	applied, err := channel.SyncOnce(context.Background(), tr, mgr, 0, channel.ClientConfig{
+		Registry: reg,
+		OnApplied: func(e channel.Entry, b []byte) error {
+			if !bytes.Equal(b, published[e.Name]) {
+				t.Errorf("%s applied from bytes differing from the published tarball", e.Name)
+			}
+			names = append(names, e.Name)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("subscribe over a mislabeled delta: %v", err)
+	}
+	n := len(m.Updates)
+	if len(applied) != n || len(names) != n || names[k] != ek.Name {
+		t.Fatalf("applied %d of %d (%v)", len(applied), n, names)
+	}
+	if want := []string{m.Updates[0].Name, ek.Name}; !reflect.DeepEqual(tr.whole, want) {
+		t.Errorf("fetched whole %v, want %v", tr.whole, want)
+	}
+	snap := reg.Snapshot()
+	if f := snap.CounterFamily(channel.MetricDeltaFallback); f != 1 {
+		t.Errorf("%d delta fallbacks, want 1", f)
+	}
+	if a := snap.CounterFamily("gosplice_channel_delta_applied_total"); a != uint64(n-2) {
+		t.Errorf("%d deltas applied, want %d", a, n-2)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -94,18 +95,31 @@ func newManifestMemo(raw []byte, m *Manifest) *manifestMemo {
 	return c
 }
 
+// manifestBufs recycles the buffers manifestIndex reads the manifest
+// into: a warm request compares the bytes and keeps none of them.
+var manifestBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // manifestIndex re-reads the manifest's bytes and returns the index of
 // the verified manifest they encode, decoding only when they differ
 // from the memo's. ok is false when the manifest is missing or fails to
 // verify.
 func (s *Server) manifestIndex() (index map[string]servedFile, ok bool) {
-	b, err := os.ReadFile(filepath.Join(s.Dir, manifestName))
+	f, err := os.Open(filepath.Join(s.Dir, manifestName))
 	if err != nil {
 		return nil, false
 	}
-	if c := s.memo.Load(); c != nil && bytes.Equal(c.raw, b) {
+	buf := manifestBufs.Get().(*bytes.Buffer)
+	defer manifestBufs.Put(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(f)
+	f.Close()
+	if err != nil {
+		return nil, false
+	}
+	if c := s.memo.Load(); c != nil && bytes.Equal(c.raw, buf.Bytes()) {
 		return c.index, true
 	}
+	b := bytes.Clone(buf.Bytes())
 	m, err := DecodeManifest(b)
 	if err != nil {
 		return nil, false
@@ -200,23 +214,25 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 func (s *Server) serveManifest(w http.ResponseWriter, r *http.Request) {
-	b, err := os.ReadFile(filepath.Join(s.Dir, manifestName))
+	f, err := os.Open(filepath.Join(s.Dir, manifestName))
 	if err != nil {
 		http.Error(w, "channel has no manifest", http.StatusNotFound)
 		return
 	}
+	defer f.Close()
 	w.Header().Set("Content-Type", "application/json")
-	http.ServeContent(w, r, manifestName, time.Time{}, bytes.NewReader(b))
+	http.ServeContent(w, r, manifestName, time.Time{}, f)
 }
 
 // serveContent serves one tarball by manifest file name
 // (/updates/<file>) or any advertised content by digest (/blob/<sha256>):
 // an update tarball, or a binary delta from blobs/. The lookup goes
 // through the verified manifest, never straight to the filesystem. It is
-// the one code path every tarball and delta response goes through: a
-// bytes.Reader hands ServeContent a size and a Seek (that is what makes
-// client Range resume work after a truncation), and the content digest
-// doubles as a strong ETag so revalidations come back 304.
+// the one code path every tarball and delta response goes through: the
+// opened file hands ServeContent a size and a Seek (that is what makes
+// client Range resume work after a truncation) and is read once, as the
+// body is written, and the content digest doubles as a strong ETag so
+// revalidations come back 304.
 func (s *Server) serveContent(w http.ResponseWriter, r *http.Request) {
 	index, ok := s.manifestIndex()
 	if !ok {
@@ -228,14 +244,15 @@ func (s *Server) serveContent(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	b, err := os.ReadFile(filepath.Join(s.Dir, f.rel))
+	file, err := os.Open(filepath.Join(s.Dir, f.rel))
 	if err != nil {
 		http.Error(w, "content missing from channel", http.StatusNotFound)
 		return
 	}
+	defer file.Close()
 	w.Header().Set("Content-Type", f.ctype)
 	if f.etag != "" {
 		w.Header().Set("ETag", `"`+f.etag+`"`)
 	}
-	http.ServeContent(w, r, f.name, time.Time{}, bytes.NewReader(b))
+	http.ServeContent(w, r, f.name, time.Time{}, file)
 }

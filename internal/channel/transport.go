@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -197,6 +198,11 @@ func retriableStatus(code int) bool {
 // hostile or broken server cannot make the transport buffer more.
 const maxBodyBytes = 8 << 20
 
+// readHint caps the buffer an unsized body starts with: enough for any
+// manifest of the corpus in one allocation, little for a server that
+// announces a body it never sends.
+const readHint = 64 << 10
+
 // Manifest downloads and decodes the manifest through download: a body
 // that fails to decode (cut short and closed cleanly, corrupted in
 // flight, or spliced across a publish by a resume) is dropped and
@@ -229,6 +235,26 @@ func (t *httpTransport) FetchBlob(ctx context.Context, digest string, size int64
 		label = label[:12] + "…"
 	}
 	return t.download(ctx, "/blob/"+digest, label, size, nil)
+}
+
+// appendUpTo appends r's bytes to buf until r ends or buf holds n bytes.
+// buf grows only when its capacity runs out, so a body read into a
+// buffer sized for it lands in place.
+func appendUpTo(buf []byte, r io.Reader, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), 512))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // download is the one request loop of Manifest, Fetch and FetchBlob:
@@ -276,21 +302,31 @@ func (t *httpTransport) download(ctx context.Context, path, label string, size i
 			continue
 		}
 		end := int64(maxBodyBytes)
-		if size > 0 {
+		switch {
+		case size > 0:
 			end = size
+			if buf == nil {
+				// Sized from the manifest, plus the byte that shows a
+				// body running long: it lands in place, with no
+				// growth and no copy.
+				buf = make([]byte, 0, size+1)
+			}
+		case buf == nil && resp.ContentLength > 0:
+			// Nothing pins the size, so the server's Content-Length
+			// is only a hint; up to readHint bytes of it are taken.
+			buf = make([]byte, 0, min(resp.ContentLength+1, readHint))
 		}
-		limit := end - int64(len(buf))
-		b, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		// An attempt reads at most one byte past the advertised end.
+		buf, err = appendUpTo(buf, resp.Body, int(end)+1)
 		resp.Body.Close()
 		cancel()
-		if int64(len(b)) > limit {
+		if int64(len(buf)) > end {
 			// Longer than advertised: nothing received can be trusted
 			// as a prefix to resume from.
 			buf = buf[:0]
 			lastErr = fmt.Errorf("channel: %s: body runs past byte %d", label, end)
 			continue
 		}
-		buf = append(buf, b...)
 		if err != nil {
 			// Truncated body: keep what arrived and resume from there.
 			lastErr = fmt.Errorf("channel: %s: body truncated at byte %d: %w", label, len(buf), err)

@@ -6,9 +6,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -137,7 +138,8 @@ func (e *IntegrityError) Error() string {
 // ReadTarVerified checks b against its published digest and size before
 // parsing — the end-to-end integrity gate between a distribution channel
 // and Apply. A mismatch returns an *IntegrityError and the bytes are
-// never interpreted.
+// never interpreted. The update decodes in place (see DecodeTar), so b
+// must not be modified while it is in use.
 func ReadTarVerified(b []byte, digest string, size int64) (*Update, error) {
 	gotDigest, gotSize := TarDigest(b)
 	if gotSize != size || gotDigest != digest {
@@ -146,15 +148,58 @@ func ReadTarVerified(b []byte, digest string, size int64) (*Update, error) {
 			WantSize: size, GotSize: gotSize,
 		}
 	}
-	return ReadTar(bytes.NewReader(b))
+	return DecodeTar(b)
 }
 
-// ReadTar deserializes an update tarball and validates it.
+// ReadTar reads an update tarball from r to the end and decodes it with
+// DecodeTar, so the update owns its memory.
 func ReadTar(r io.Reader) (*Update, error) {
-	tr := tar.NewReader(r)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading update tar: %w", err)
+	}
+	return DecodeTar(b)
+}
+
+// ErrDuplicateMember reports a tarball that names one member twice:
+// which copy is the update would be a guess.
+var ErrDuplicateMember = errors.New("core: update tar names a member twice")
+
+// ErrUnclaimedMember reports a primary/ or helper/ member that no unit
+// in metadata.json claims: an object the update would silently drop.
+var ErrUnclaimedMember = errors.New("core: update tar member claimed by no unit")
+
+// sparse reports whether hdr describes a PAX sparse file, whose body
+// starts with a sparse map instead of the file's bytes.
+func sparse(hdr *tar.Header) bool {
+	for k := range hdr.PAXRecords {
+		if strings.HasPrefix(k, "GNU.sparse.") {
+			return true
+		}
+	}
+	return false
+}
+
+// tarObject is one decoded primary/ or helper/ member.
+type tarObject struct {
+	name    string // archive member name
+	f       *obj.File
+	claimed bool
+}
+
+// DecodeTar deserializes an update tarball and validates it. Every
+// member is a regular file whose body lies whole inside b, and each is
+// decoded in place with obj.Decode and json.Unmarshal: the objects'
+// names and section data alias b, so b must not be modified while the
+// update is in use. A tarball that names a member twice
+// (ErrDuplicateMember), holds an object no unit claims
+// (ErrUnclaimedMember), or carries bytes after metadata.json's JSON
+// value is refused.
+func DecodeTar(b []byte) (*Update, error) {
+	br := bytes.NewReader(b)
+	tr := tar.NewReader(br)
 	var meta *tarMeta
-	primaries := map[string]*obj.File{}
-	helpers := map[string]*obj.File{}
+	var objs []tarObject
 	for {
 		hdr, err := tr.Next()
 		if err == io.EOF {
@@ -163,31 +208,52 @@ func ReadTar(r io.Reader) (*Update, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading update tar: %w", err)
 		}
+		// Next leaves br at the member's first byte, so its body is the
+		// next hdr.Size bytes of b. A sparse member's bytes are not laid
+		// out that way; no update tarball has one.
+		if hdr.Typeflag != tar.TypeReg || sparse(hdr) {
+			return nil, fmt.Errorf("core: update member %s is not a regular file", hdr.Name)
+		}
+		if hdr.Size > int64(br.Len()) {
+			return nil, fmt.Errorf("core: update member %s: %w", hdr.Name, io.ErrUnexpectedEOF)
+		}
+		off := int64(len(b)) - int64(br.Len())
+		body := b[off : off+hdr.Size : off+hdr.Size]
 		switch {
 		case hdr.Name == "metadata.json":
+			if meta != nil {
+				return nil, fmt.Errorf("%w: %s", ErrDuplicateMember, hdr.Name)
+			}
 			meta = &tarMeta{}
-			dec := json.NewDecoder(tr)
-			if err := dec.Decode(meta); err != nil {
+			if err := json.Unmarshal(body, meta); err != nil {
 				return nil, fmt.Errorf("core: update metadata: %w", err)
 			}
-		case strings.HasPrefix(hdr.Name, "primary/"):
-			f, err := obj.Read(tr)
+		case strings.HasPrefix(hdr.Name, "primary/"), strings.HasPrefix(hdr.Name, "helper/"):
+			f, err := obj.Decode(body)
 			if err != nil {
 				return nil, fmt.Errorf("core: update member %s: %w", hdr.Name, err)
 			}
-			primaries[strings.TrimPrefix(hdr.Name, "primary/")] = f
-		case strings.HasPrefix(hdr.Name, "helper/"):
-			f, err := obj.Read(tr)
-			if err != nil {
-				return nil, fmt.Errorf("core: update member %s: %w", hdr.Name, err)
-			}
-			helpers[strings.TrimPrefix(hdr.Name, "helper/")] = f
+			objs = append(objs, tarObject{name: hdr.Name, f: f})
 		default:
 			return nil, fmt.Errorf("core: unexpected update member %q", hdr.Name)
 		}
 	}
 	if meta == nil {
 		return nil, fmt.Errorf("core: update tar has no metadata.json")
+	}
+	slices.SortFunc(objs, func(a, b tarObject) int { return strings.Compare(a.name, b.name) })
+	for i := 1; i < len(objs); i++ {
+		if objs[i].name == objs[i-1].name {
+			return nil, fmt.Errorf("%w: %s", ErrDuplicateMember, objs[i].name)
+		}
+	}
+	claim := func(name string) *obj.File {
+		i, ok := slices.BinarySearchFunc(objs, name, func(o tarObject, name string) int { return strings.Compare(o.name, name) })
+		if !ok {
+			return nil
+		}
+		objs[i].claimed = true
+		return objs[i].f
 	}
 	u := &Update{
 		Name:          meta.Name,
@@ -196,11 +262,11 @@ func ReadTar(r io.Reader) (*Update, error) {
 		PatchLines:    meta.PatchLines,
 		PatchText:     meta.PatchText,
 	}
-	sort.SliceStable(meta.Units, func(i, j int) bool { return meta.Units[i].Path < meta.Units[j].Path })
+	slices.SortStableFunc(meta.Units, func(a, b tmUnit) int { return strings.Compare(a.Path, b.Path) })
 	for _, mu := range meta.Units {
 		fn := unitFileName(mu.Path)
-		prim, ok := primaries[fn]
-		if !ok {
+		prim := claim("primary/" + fn)
+		if prim == nil {
 			return nil, fmt.Errorf("core: update missing primary object for %s", mu.Path)
 		}
 		uu := &UpdateUnit{
@@ -209,15 +275,19 @@ func ReadTar(r io.Reader) (*Update, error) {
 			Removed: mu.Removed, Primary: prim,
 		}
 		if mu.HasHelper {
-			helper, ok := helpers[fn]
-			if !ok {
+			if uu.Helper = claim("helper/" + fn); uu.Helper == nil {
 				return nil, fmt.Errorf("core: update missing helper object for %s", mu.Path)
 			}
-			uu.Helper = helper
 		}
 		u.Units = append(u.Units, uu)
 	}
-	if err := u.Validate(); err != nil {
+	for _, o := range objs {
+		if !o.claimed {
+			return nil, fmt.Errorf("%w: %s", ErrUnclaimedMember, o.name)
+		}
+	}
+	// obj.Decode validated every object as it decoded it.
+	if err := u.validate(false); err != nil {
 		return nil, err
 	}
 	return u, nil

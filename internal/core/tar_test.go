@@ -1,10 +1,14 @@
 package core
 
 import (
+	"archive/tar"
 	"bytes"
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestUpdateTarRoundTrip(t *testing.T) {
@@ -73,12 +77,140 @@ func eqStrings(a, b []string) bool {
 	return true
 }
 
+// tarMember is one archive member: its name and body.
+type tarMember struct {
+	name string
+	body []byte
+}
+
+// tarMembers splits a tarball into its members, in archive order.
+func tarMembers(t *testing.T, b []byte) []tarMember {
+	t.Helper()
+	tr := tar.NewReader(bytes.NewReader(b))
+	var ms []tarMember
+	for {
+		hdr, err := tr.Next()
+		if err == io.EOF {
+			return ms
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, tarMember{hdr.Name, body})
+	}
+}
+
+// buildTar writes members as a tarball the way WriteTar lays one out.
+func buildTar(t *testing.T, ms []tarMember) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	tw := tar.NewWriter(&buf)
+	for _, m := range ms {
+		hdr := &tar.Header{Name: m.name, Mode: 0o644, Size: int64(len(m.body)), ModTime: time.Unix(0, 0)}
+		if err := tw.WriteHeader(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write(m.body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadTarErrors: ReadTar refuses junk, and refuses a well-formed
+// tarball that is ambiguous about its update: a member named twice
+// (whichever copy won, the other was never checked against the
+// metadata), an object no unit claims (it would be dropped without a
+// word), and metadata.json with bytes after its JSON value.
 func TestReadTarErrors(t *testing.T) {
 	if _, err := ReadTar(strings.NewReader("not a tar")); err == nil {
 		t.Error("junk accepted")
 	}
 	if _, err := ReadTar(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
+	}
+
+	u, err := CreateUpdate(testTree(), setuidPatch, CreateOptions{Name: "ksplice-ambiguous"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, _, err := u.EncodeTar()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := tarMembers(t, b)
+	if _, err := ReadTar(bytes.NewReader(buildTar(t, ms))); err != nil {
+		t.Fatalf("the rebuilt tarball is refused: %v", err)
+	}
+	var primary tarMember
+	for _, m := range ms {
+		if strings.HasPrefix(m.name, "primary/") {
+			primary = m
+		}
+	}
+	if primary.name == "" {
+		t.Fatal("the update has no primary member")
+	}
+	orphan := tarMember{"helper/zz__orphan.mc.sof", primary.body}
+	doubled := append(append([]tarMember(nil), ms...), ms...)
+	trailing := append([]tarMember(nil), ms...)
+	trailing[0].body = append(append([]byte(nil), trailing[0].body...), "{}"...)
+	for _, c := range []struct {
+		name    string
+		members []tarMember
+		want    error
+	}{
+		{"duplicate metadata", append([]tarMember{ms[0]}, ms...), ErrDuplicateMember},
+		{"duplicate primary", append(append([]tarMember(nil), ms...), primary), ErrDuplicateMember},
+		{"every member twice plus an orphan", append(doubled, orphan), ErrDuplicateMember},
+		{"unclaimed helper", append(append([]tarMember(nil), ms...), orphan), ErrUnclaimedMember},
+		{"unclaimed primary", append(append([]tarMember(nil), ms...), tarMember{"primary/zz__orphan.mc.sof", primary.body}), ErrUnclaimedMember},
+		{"trailing metadata bytes", trailing, nil},
+	} {
+		_, err := ReadTar(bytes.NewReader(buildTar(t, c.members)))
+		switch {
+		case err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want != nil && !errors.Is(err, c.want):
+			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
+		}
+	}
+}
+
+// TestReadTarVerifiedClaimedLengthBoundsAllocation: a tarball of a few
+// hundred bytes whose member header claims 1 MiB — verified, so its
+// bytes reach the decoder — must fail having allocated memory for the
+// bytes it holds, not for the length it claims.
+func TestReadTarVerifiedClaimedLengthBoundsAllocation(t *testing.T) {
+	for _, name := range []string{"metadata.json", "primary/f.mc.sof"} {
+		var buf bytes.Buffer
+		tw := tar.NewWriter(&buf)
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: 1 << 20, ModTime: time.Unix(0, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write([]byte("SOF1{}")); err != nil {
+			t.Fatal(err)
+		}
+		b := buf.Bytes() // the header and 6 of the 1 MiB it claims
+		digest, size := TarDigest(b)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err := ReadTarVerified(b, digest, size)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated member accepted", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Errorf("%s: a %d-byte tarball allocated %d KiB, want under 64 KiB", name, len(b), n>>10)
+		}
 	}
 }
 
@@ -134,7 +266,7 @@ func errorsAs(err error, target *(*IntegrityError)) bool {
 }
 
 // FuzzReadTar feeds ReadTar arbitrary bytes, as a subscriber receives an
-// update tarball; obj.Read parses every member. It must not panic, and
+// update tarball; obj.Decode parses every member. It must not panic, and
 // an update it accepts must be a fixpoint of the encoding: WriteTar →
 // ReadTar → WriteTar gives the same bytes. The seeds under
 // testdata/fuzz/FuzzReadTar are a tarball of setuidPatch's update, a

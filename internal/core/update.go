@@ -114,7 +114,11 @@ func SplitImport(name string) (sym, unit string, ok bool) {
 }
 
 // Validate performs structural checks on the update.
-func (u *Update) Validate() error {
+func (u *Update) Validate() error { return u.validate(true) }
+
+// validate is Validate; objects says whether to validate each unit's
+// object files too, which a decoder that already did may skip.
+func (u *Update) validate(objects bool) error {
 	if u.Name == "" || u.KernelVersion == "" {
 		return fmt.Errorf("core: update missing name or kernel version")
 	}
@@ -127,12 +131,14 @@ func (u *Update) Validate() error {
 			return fmt.Errorf("core: duplicate unit %s", uu.Path)
 		}
 		seen[uu.Path] = true
-		if err := uu.Primary.Validate(); err != nil {
-			return err
-		}
-		if uu.Helper != nil {
-			if err := uu.Helper.Validate(); err != nil {
+		if objects {
+			if err := uu.Primary.Validate(); err != nil {
 				return err
+			}
+			if uu.Helper != nil {
+				if err := uu.Helper.Validate(); err != nil {
+					return err
+				}
 			}
 		}
 		if uu.Helper == nil && len(uu.Patched) > 0 {

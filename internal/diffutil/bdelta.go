@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -151,11 +152,69 @@ func MakeDelta(base, target []byte) []byte {
 	return buf.Bytes()
 }
 
-// inflaters recycles decompressors: a fresh flate reader allocates its
-// 32 KiB window, most of what one reconstruction costs. Every reader is
-// reset as it leaves the pool, so one that failed on a corrupt stream
-// carries nothing into its next use.
-var inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+// inflater is one pooled reconstruction's reusable state: a flate
+// reader, which allocates its 32 KiB window when made, the reader it
+// inflates from, and the buffer the op stream inflates into.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	ops []byte
+}
+
+// maxPooledOps bounds the op buffer a pooled inflater keeps between
+// uses; a larger stream's buffer is left to the collector.
+const maxPooledOps = 1 << 20
+
+// inflaters recycles inflaters. Every flate reader is reset as it leaves
+// the pool, so one that failed on a corrupt stream carries nothing into
+// its next use.
+var inflaters = sync.Pool{New: func() any {
+	return &inflater{fr: flate.NewReader(bytes.NewReader(nil))}
+}}
+
+// appendUpTo appends r's bytes to buf until r ends or buf holds n bytes.
+func appendUpTo(buf []byte, r io.Reader, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), 512))
+		}
+		m, err := r.Read(buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// header parses the fixed part of a GSD1 delta: the base and target
+// digests, the declared target length, and the offset of the op stream.
+func header(delta []byte) (wantBase, wantTarget []byte, declared uint64, ops int, err error) {
+	if len(delta) < deltaHeaderLen+1 || string(delta[:4]) != deltaMagic {
+		return nil, nil, 0, 0, ErrNotDelta
+	}
+	declared, n := binary.Uvarint(delta[deltaHeaderLen:])
+	if n <= 0 || declared > deltaMaxTarget {
+		return nil, nil, 0, 0, fmt.Errorf("diffutil: delta header corrupt")
+	}
+	return delta[4 : 4+sha256.Size], delta[4+sha256.Size : deltaHeaderLen], declared, deltaHeaderLen + n, nil
+}
+
+// DeltaResult returns the hex sha256 digest and the length of the blob
+// delta declares it reconstructs, read from its header. ApplyDelta
+// returns bytes only when they have that digest and length, so a
+// caller that checks them against a trusted digest and size first need
+// not hash the reconstruction again.
+func DeltaResult(delta []byte) (digest string, size int64, err error) {
+	_, wantTarget, declared, _, err := header(delta)
+	if err != nil {
+		return "", 0, err
+	}
+	return hex.EncodeToString(wantTarget), int64(declared), nil
+}
 
 // ApplyDelta reconstructs the target blob from base and a delta produced
 // by MakeDelta. targetLen is the length the caller expects (a manifest
@@ -166,19 +225,13 @@ var inflaters = sync.Pool{New: func() any { return flate.NewReader(bytes.NewRead
 // reconstruction must hash to the embedded target digest — a truncated
 // or bit-flipped delta returns an error, never wrong bytes.
 func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
-	if len(delta) < deltaHeaderLen+1 || string(delta[:4]) != deltaMagic {
-		return nil, ErrNotDelta
-	}
-	rest := delta[deltaHeaderLen:]
-	declared, n := binary.Uvarint(rest)
-	if n <= 0 || declared > deltaMaxTarget {
-		return nil, fmt.Errorf("diffutil: delta header corrupt")
+	wantBase, wantTarget, declared, opsOff, err := header(delta)
+	if err != nil {
+		return nil, err
 	}
 	if targetLen < 0 || declared != uint64(targetLen) {
 		return nil, fmt.Errorf("diffutil: delta declares %d bytes, caller expects %d", declared, targetLen)
 	}
-	wantBase := delta[4 : 4+sha256.Size]
-	wantTarget := delta[4+sha256.Size : deltaHeaderLen]
 	if got := sha256.Sum256(base); !bytes.Equal(got[:], wantBase) {
 		return nil, &DeltaBaseError{
 			Want: hex.EncodeToString(wantBase),
@@ -192,10 +245,18 @@ func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
 	// encodes a run longer than itself, so a flate bomb is cut off early.
 	// And out starts no larger than base plus the op stream can fill.
 	limit := 2*declared + 64
-	fr := inflaters.Get().(io.ReadCloser)
-	fr.(flate.Resetter).Reset(bytes.NewReader(rest[n:]), nil)
-	ops, err := io.ReadAll(io.LimitReader(fr, int64(limit)+1))
-	inflaters.Put(fr)
+	inf := inflaters.Get().(*inflater)
+	defer func() {
+		inf.src.Reset(nil)
+		if cap(inf.ops) > maxPooledOps {
+			inf.ops = nil
+		}
+		inflaters.Put(inf)
+	}()
+	inf.src.Reset(delta[opsOff:])
+	inf.fr.(flate.Resetter).Reset(&inf.src, nil)
+	ops, err := appendUpTo(inf.ops[:0], inf.fr, int(limit)+1)
+	inf.ops = ops[:0]
 	if err != nil {
 		return nil, fmt.Errorf("diffutil: delta op stream corrupt: %w", err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // Binary serialization of linked images, companion to the SOF file
-// serialization in io.go and sharing its writer/reader helpers. Persisted
+// serialization in io.go and sharing its writer and decoder helpers. Persisted
 // images let a cold process boot a kernel without relinking: the artifact
 // store keys them by (tree hash, options, base), which the link is a pure
 // function of.
@@ -49,42 +49,62 @@ func (im *Image) WriteImage(out io.Writer) error {
 	return bw.w.Flush()
 }
 
-// ReadImage deserializes a linked image from in.
-func ReadImage(in io.Reader) (*Image, error) {
-	br := &reader{r: bufio.NewReader(in)}
-	var magic [4]byte
-	if _, err := io.ReadFull(br.r, magic[:]); err != nil {
-		return nil, err
-	}
-	if magic != imageMagic {
-		return nil, ErrBadImageMagic
+// The fewest bytes a placed section and an image symbol encode in.
+const (
+	minPlacedSectionLen = 5
+	minImageSymbolLen   = 6
+)
+
+// DecodeImage deserializes a linked image from b. Like Decode it reads
+// b in place: Bytes and every name alias b, so b must not be modified
+// while the Image is in use.
+func DecodeImage(b []byte) (*Image, error) {
+	d := &decoder{b: b}
+	if !d.magic(imageMagic, ErrBadImageMagic) {
+		return nil, d.err
 	}
 	im := &Image{}
-	im.Base = br.u32()
-	im.Bytes = br.bytes()
-	nsec := br.count("placed section")
-	for i := 0; i < nsec && br.err == nil; i++ {
+	im.Base = d.u32()
+	im.Bytes = d.bytes()
+	nsec := d.count("placed section")
+	if nsec > 0 && d.err == nil {
+		im.Sections = make([]PlacedSection, 0, d.fit(nsec, minPlacedSectionLen))
+	}
+	for i := 0; i < nsec && d.err == nil; i++ {
 		var s PlacedSection
-		s.File = br.str()
-		s.Name = br.str()
-		s.Kind = SectionKind(br.u8())
-		s.Addr = br.u32()
-		s.Size = br.u32()
+		s.File = d.str()
+		s.Name = d.str()
+		s.Kind = SectionKind(d.u8())
+		s.Addr = d.u32()
+		s.Size = d.u32()
 		im.Sections = append(im.Sections, s)
 	}
-	nsym := br.count("image symbol")
-	for i := 0; i < nsym && br.err == nil; i++ {
+	nsym := d.count("image symbol")
+	if nsym > 0 && d.err == nil {
+		im.Symbols = make([]ImageSymbol, 0, d.fit(nsym, minImageSymbolLen))
+	}
+	for i := 0; i < nsym && d.err == nil; i++ {
 		var s ImageSymbol
-		s.Name = br.str()
-		s.Addr = br.u32()
-		s.Size = br.u32()
-		s.Local = br.bool()
-		s.Func = br.bool()
-		s.File = br.str()
+		s.Name = d.str()
+		s.Addr = d.u32()
+		s.Size = d.u32()
+		s.Local = d.bool()
+		s.Func = d.bool()
+		s.File = d.str()
 		im.Symbols = append(im.Symbols, s)
 	}
-	if br.err != nil {
-		return nil, br.err
+	if d.err != nil {
+		return nil, d.err
 	}
 	return im, nil
+}
+
+// ReadImage deserializes a linked image from in: it reads in to the end
+// and decodes the bytes with DecodeImage, so the Image owns its memory.
+func ReadImage(in io.Reader) (*Image, error) {
+	b, err := io.ReadAll(in)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeImage(b)
 }

@@ -182,9 +182,11 @@ var unitKind = store.Kind{
 		return buf.Bytes(), nil
 	},
 	Decode: func(b []byte) (any, error) {
-		// obj.Read validates structurally, so a decoded unit is as
-		// trustworthy as a compiled one.
-		return obj.Read(bytes.NewReader(b))
+		// obj.Decode validates structurally, so a decoded unit is as
+		// trustworthy as a compiled one. The store hands Decode only the
+		// payload of a disk entry it has just read, which nothing else
+		// keeps or writes, so the unit may alias it.
+		return obj.Decode(b)
 	},
 }
 
@@ -212,7 +214,8 @@ var imageKind = store.Kind{
 		return buf.Bytes(), nil
 	},
 	Decode: func(b []byte) (any, error) {
-		return obj.ReadImage(bytes.NewReader(b))
+		// Aliases b, as unitKind's Decode does.
+		return obj.DecodeImage(b)
 	},
 }
 
