@@ -30,6 +30,7 @@ import (
 	"gosplice/internal/eval"
 	"gosplice/internal/fleet"
 	"gosplice/internal/kernel"
+	"gosplice/internal/obj"
 	"gosplice/internal/srctree"
 	"gosplice/internal/store"
 	"gosplice/internal/telemetry"
@@ -327,30 +328,51 @@ func benchCallOverhead(b *testing.B, patched bool) {
 	b.ReportMetric(float64(k.TotalSteps()-steps0)/float64(b.N), "guest-insns/call")
 }
 
-// BenchmarkRunPreMatch measures the matching engine over a whole
-// compilation unit (section 4.3). Metric: pre text bytes verified.
+// BenchmarkRunPreMatch measures the matching engine (section 4.3): one
+// op run-pre matches every helper unit of the 64 corpus updates against
+// a booted kernel of its release, as Apply does before it splices.
+// Metric: pre text bytes verified per op.
 func BenchmarkRunPreMatch(b *testing.B) {
-	c, _ := cvedb.ByID("CVE-2005-4639")
-	tree := cvedb.Tree(c.Version)
-	k, err := kernel.Boot(tree)
-	if err != nil {
-		b.Fatal(err)
+	type unit struct {
+		k      *kernel.Kernel
+		helper *obj.File
 	}
-	helper, err := srctree.BuildUnit(tree, "drivers/dst_ca.mc", codegen.KspliceBuild())
-	if err != nil {
-		b.Fatal(err)
+	var units []unit
+	kernels := map[string]*kernel.Kernel{}
+	for _, c := range cvedb.All() {
+		tree := cvedb.Tree(c.Version)
+		k := kernels[c.Version]
+		if k == nil {
+			var err error
+			if k, err = kernel.Boot(tree); err != nil {
+				b.Fatal(err)
+			}
+			kernels[c.Version] = k
+		}
+		u, err := core.CreateUpdate(tree, c.Patch(), core.CreateOptions{Name: "bench"})
+		if err != nil {
+			b.Fatalf("%s: %v", c.ID, err)
+		}
+		for _, uu := range u.Units {
+			if uu.Helper != nil {
+				units = append(units, unit{k, uu.Helper})
+			}
+		}
 	}
-	k.Lock()
-	mem := k.LockedMem()
-	k.Unlock()
+	b.ReportAllocs()
 	b.ResetTimer()
 	var matched int
 	for i := 0; i < b.N; i++ {
-		res, err := core.MatchUnit(mem, k.Syms, helper)
-		if err != nil {
-			b.Fatal(err)
+		matched = 0
+		for _, u := range units {
+			u.k.Lock()
+			res, err := core.MatchUnit(u.k.LockedMem(), u.k.Syms, u.helper)
+			u.k.Unlock()
+			if err != nil {
+				b.Fatal(err)
+			}
+			matched += res.BytesMatched
 		}
-		matched = res.BytesMatched
 	}
 	b.ReportMetric(float64(matched), "pre-bytes-matched")
 }
@@ -581,6 +603,7 @@ func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 	type sums struct{ full, compressed, delta int64 }
 	type pair struct {
 		base, delta []byte
+		baseDigest  string
 		result      channel.Entry
 	}
 	var s sums
@@ -614,7 +637,7 @@ func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 			s.full += e.Size
 			s.compressed += int64(buf.Len())
 			s.delta += d.Size
-			pairs = append(pairs, pair{base: base, delta: delta, result: e})
+			pairs = append(pairs, pair{base: base, delta: delta, baseDigest: d.BaseSha256, result: e})
 		}
 	}
 	if len(pairs) == 0 {
@@ -626,7 +649,7 @@ func BenchmarkChannelDeltaBandwidth(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, p := range pairs {
-			out, err := diffutil.ApplyDelta(p.base, p.delta, p.result.Size)
+			out, err := diffutil.ApplyDelta(p.base, p.baseDigest, p.delta, p.result.Size)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -585,6 +585,9 @@ func (c *Client) fetchVerified(ctx context.Context, m *Manifest, e Entry) (*core
 // and size is refused before it is inflated, and ApplyDelta hands back
 // only bytes that hash to the header's digest: the blob returned has
 // e's digest and size, proven by the one hash ApplyDelta takes of it.
+// The base goes in under its cache key, not hashed again: the cache
+// holds only verified bytes (both Puts follow a verification), and a
+// base whose bytes were not its key's would still fail that hash.
 func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byte, bool) {
 	d := m.DeltaFor(e.Sha256)
 	if d == nil {
@@ -611,7 +614,7 @@ func (c *Client) fetchViaDelta(ctx context.Context, m *Manifest, e Entry) ([]byt
 		c.ms.deltaFallback.Inc()
 		return nil, false
 	}
-	b, err := diffutil.ApplyDelta(base, db, e.Size)
+	b, err := diffutil.ApplyDelta(base, d.BaseSha256, db, e.Size)
 	if err != nil {
 		c.ms.deltaFallback.Inc()
 		return nil, false

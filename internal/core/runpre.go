@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -275,37 +277,52 @@ func joinLines(lines []string) string {
 	return sb.String()
 }
 
-// preStep is one decoded pre instruction: its offset (at an instruction
-// boundary, after no-op skipping), the decoded form, and the relocation
-// (if any) whose field lies inside it.
+// preStep is one pre instruction: its offset (at an instruction
+// boundary, after no-op skipping), its length, and the relocation (if
+// any) whose field lies inside it. The decoded instruction is not kept:
+// matchFunc compares bytes first and decodes the pre side again only
+// where it must.
 type preStep struct {
-	off uint32
-	in  isa.Insn
-	rel *obj.Reloc
+	off, n uint32
+	rel    *obj.Reloc
 	// sym is the relocation's symbol name; "" when rel is nil.
 	sym string
 }
 
 // preScan is the candidate-independent half of run-pre matching one
-// function section: the no-op-skipped instruction boundaries, the decoded
-// pre instructions, and each instruction's relocation. Built once per
-// section by scanPre and reused across every kallsyms candidate trial —
-// previously all of this was recomputed for each candidate.
+// function section: the no-op-skipped instruction boundaries and each
+// instruction's relocation. Built once per section by scanPre and reused
+// across every kallsyms candidate trial.
 type preScan struct {
 	data  []byte
 	steps []preStep
+}
+
+// stepAt returns the index of the step at pre offset off, or len(steps)
+// for the function end. ok is false when off is neither.
+func (s *preScan) stepAt(off uint32) (int, bool) {
+	if int(off) == len(s.data) {
+		return len(s.steps), true
+	}
+	i, ok := slices.BinarySearchFunc(s.steps, off, func(st preStep, off uint32) int { return cmp.Compare(st.off, off) })
+	return i, ok
 }
 
 // scanPre decodes one pre function section. Errors here are properties of
 // the pre object alone (undecodable code, malformed relocations), so they
 // abort the whole match rather than just one candidate.
 func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
-	pre := sec.Data
-	// relocAt indexes sec.Relocs by field offset; of two relocations at
-	// one offset, the later one counts.
-	relocAt := make(map[uint32]int, len(sec.Relocs))
-	for i, r := range sec.Relocs {
-		relocAt[r.Offset] = i
+	pre, relocs := sec.Data, sec.Relocs
+	// Codegen emits relocations in offset order, so a cursor walks them
+	// alongside the instructions. An unsorted list is indexed by field
+	// offset instead. Either way, of two relocations at one offset, the
+	// later one counts.
+	var relocAt map[uint32]int
+	if !slices.IsSortedFunc(relocs, func(a, b obj.Reloc) int { return cmp.Compare(a.Offset, b.Offset) }) {
+		relocAt = make(map[uint32]int, len(relocs))
+		for i, r := range relocs {
+			relocAt[r.Offset] = i
+		}
 	}
 	// Count the instructions first, from their opcode bytes alone, so
 	// steps is allocated once at its final size.
@@ -317,7 +334,7 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 	badPre := func(p uint32, format string, args ...any) error {
 		return fmt.Errorf("%w: %s at pre+%#x: %s", ErrRunPreMismatch, sec.Name, p, fmt.Sprintf(format, args...))
 	}
-	p := uint32(0)
+	p, next := uint32(0), 0 // next: the relocation cursor
 	for int(p) < len(pre) {
 		p = uint32(isa.SkipNops(pre, int(p)))
 		if int(p) >= len(pre) {
@@ -327,16 +344,29 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 		if err != nil {
 			return nil, badPre(p, "pre decode: %v", err)
 		}
-		st := preStep{off: p, in: preIn}
-		// Relocation inside this pre instruction?
-		for off := p; off < p+uint32(preIn.Len); off++ {
-			if i, ok := relocAt[off]; ok {
-				st.rel = &sec.Relocs[i]
-				st.sym = preF.Symbols[st.rel.Sym].Name
-				break
+		st := preStep{off: p, n: uint32(preIn.Len)}
+		// Relocation inside this pre instruction? The first field offset
+		// inside it counts.
+		if relocAt != nil {
+			for off := p; off < p+st.n; off++ {
+				if i, ok := relocAt[off]; ok {
+					st.rel = &relocs[i]
+					break
+				}
+			}
+		} else {
+			for next < len(relocs) && relocs[next].Offset < p {
+				next++
+			}
+			if next < len(relocs) && relocs[next].Offset < p+st.n {
+				for next+1 < len(relocs) && relocs[next+1].Offset == relocs[next].Offset {
+					next++
+				}
+				st.rel = &relocs[next]
 			}
 		}
 		if rel := st.rel; rel != nil {
+			st.sym = preF.Symbols[rel.Sym].Name
 			switch rel.Type {
 			case obj.RelAbs32, obj.RelAbs64:
 				fieldOff := rel.Offset - p
@@ -353,12 +383,12 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 			}
 		}
 		scan.steps = append(scan.steps, st)
-		p += uint32(preIn.Len)
+		p += st.n
 	}
 	return scan, nil
 }
 
-// matchFunc walks one pre function (already decoded into scan) against
+// matchFunc walks one pre function (already scanned into scan) against
 // run code at runAddr. It returns the number of pre bytes matched.
 //
 // The walk embodies the architecture knowledge of section 4.3: no-op
@@ -366,12 +396,17 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 // instruction lengths plus the PC-relative instruction table let the
 // matcher verify that short- and near-encoded branches point at
 // corresponding locations even though their offsets (and lengths) differ.
+//
+// A step without a relocation compares bytes first: equal bytes advance
+// the walk with no decode on either side. Only a relocation step and a
+// step whose bytes differ decode the run instruction, and the pre one
+// again.
 func matchFunc(mem *vm.Memory, runAddr uint32, scan *preScan, inf *trialInference) (int, error) {
-	pre := scan.data
+	pre, steps := scan.data, scan.steps
 
-	// corr maps pre offsets (at instruction boundaries, after no-op
-	// skipping) to run addresses; branch targets must correspond.
-	corr := map[uint32]uint32{}
+	// corr[i] is the run address of step i, and corr[len(steps)] that of
+	// the function end; branch targets must correspond.
+	corr := make([]uint32, len(steps)+1)
 	type pend struct{ preOff, runAddr uint32 }
 	var pending []pend
 
@@ -380,18 +415,26 @@ func matchFunc(mem *vm.Memory, runAddr uint32, scan *preScan, inf *trialInferenc
 	}
 
 	r := runAddr
-	for _, st := range scan.steps {
-		p, preIn := st.off, st.in
+	for i, st := range steps {
+		p, n := st.off, st.n
 		if int(r) >= mem.Len() {
 			return 0, mismatch(p, r, "run cursor out of memory")
 		}
 		r = uint32(mem.SkipNops(int(r)))
-		corr[p] = r
+		corr[i] = r
+
+		// No relocation: identical bytes match.
+		if st.rel == nil && int(r)+int(n) <= mem.Len() && mem.EqualAt(pre[p:p+n], r) {
+			r += n
+			continue
+		}
 
 		runIn, err := mem.DecodeAt(int(r))
 		if err != nil {
 			return 0, mismatch(p, r, "run decode: %v", err)
 		}
+		// scanPre decoded this instruction without error.
+		preIn, _ := isa.Decode(pre, int(p))
 
 		if rel := st.rel; rel != nil {
 			switch rel.Type {
@@ -405,11 +448,11 @@ func matchFunc(mem *vm.Memory, runAddr uint32, scan *preScan, inf *trialInferenc
 				// instruction (and the relocated field within it) must
 				// still lie wholly inside memory: run code near the end of
 				// a truncated machine is a mismatch, never a crash.
-				if int(r)+preIn.Len > mem.Len() {
+				if int(r)+int(n) > mem.Len() {
 					return 0, mismatch(p, r, "run instruction truncated by end of memory")
 				}
 				// All bytes outside the relocated field must agree.
-				for i := uint32(0); i < uint32(preIn.Len); i++ {
+				for i := uint32(0); i < n; i++ {
 					if i >= fieldOff && i < fieldOff+size {
 						continue
 					}
@@ -446,22 +489,20 @@ func matchFunc(mem *vm.Memory, runAddr uint32, scan *preScan, inf *trialInferenc
 			continue
 		}
 
-		// No relocation: bytes must be identical, or the instructions
-		// must be equivalent branch encodings with corresponding targets.
-		if int(r)+preIn.Len <= mem.Len() && mem.EqualAt(pre[p:p+uint32(preIn.Len)], r) {
-			r += uint32(preIn.Len)
-			continue
-		}
+		// The bytes differ: the instructions must be equivalent branch
+		// encodings with corresponding targets.
 		bc := preIn.Op.Branch()
 		if bc != isa.BranchNone && bc == runIn.Op.Branch() &&
 			(bc != isa.BranchJcc || preIn.CC == runIn.CC) {
-			preTarget := p + uint32(preIn.Len) + uint32(preIn.Rel)
+			preTarget := p + n + uint32(preIn.Rel)
 			runTarget := runIn.Target(r)
 			if int64(preTarget) > int64(len(pre)) {
 				return 0, mismatch(p, r, "pre branch target %#x outside function", preTarget)
 			}
-			if got, ok := corr[preTarget]; ok {
-				if got != runTarget {
+			// A target at or before this step is resolved now; any other
+			// waits for the end of the walk.
+			if j, ok := scan.stepAt(preTarget); ok && j <= i {
+				if got := corr[j]; got != runTarget {
 					return 0, mismatch(p, r, "branch targets diverge: pre+%#x is run %#x, branch says %#x", preTarget, got, runTarget)
 				}
 			} else {
@@ -473,14 +514,14 @@ func matchFunc(mem *vm.Memory, runAddr uint32, scan *preScan, inf *trialInferenc
 		return 0, mismatch(p, r, "code differs: pre %s vs run %s", preIn, runIn)
 	}
 	// End-of-function correspondence (branches to the function end).
-	corr[uint32(len(pre))] = r
+	corr[len(steps)] = r
 
 	for _, pd := range pending {
-		got, ok := corr[pd.preOff]
+		j, ok := scan.stepAt(pd.preOff)
 		if !ok {
 			return 0, fmt.Errorf("%w: branch target pre+%#x is not an instruction boundary", ErrRunPreMismatch, pd.preOff)
 		}
-		if got != pd.runAddr {
+		if got := corr[j]; got != pd.runAddr {
 			return 0, fmt.Errorf("%w: forward branch to pre+%#x resolves to run %#x, expected %#x",
 				ErrRunPreMismatch, pd.preOff, got, pd.runAddr)
 		}

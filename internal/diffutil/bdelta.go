@@ -217,14 +217,17 @@ func DeltaResult(delta []byte) (digest string, size int64, err error) {
 }
 
 // ApplyDelta reconstructs the target blob from base and a delta produced
-// by MakeDelta. targetLen is the length the caller expects (a manifest
-// entry's size): a delta whose header declares any other length is
-// refused before anything is inflated. It verifies everything before
-// handing bytes back: the base digest embedded in the delta must match
-// the supplied base (a mismatch is a *DeltaBaseError), and the
-// reconstruction must hash to the embedded target digest — a truncated
-// or bit-flipped delta returns an error, never wrong bytes.
-func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
+// by MakeDelta. baseDigest is base's hex sha256, which the caller
+// already knows (a digest-keyed cache verified base when it stored it),
+// so ApplyDelta does not hash base again. targetLen is the length the
+// caller expects (a manifest entry's size): a delta whose header
+// declares any other length is refused before anything is inflated. It
+// verifies everything before handing bytes back: the base digest
+// embedded in the delta must equal baseDigest (a mismatch is a
+// *DeltaBaseError), and the reconstruction must hash to the embedded
+// target digest — a truncated or bit-flipped delta, or a base whose
+// bytes are not baseDigest's, returns an error, never wrong bytes.
+func ApplyDelta(base []byte, baseDigest string, delta []byte, targetLen int64) ([]byte, error) {
 	wantBase, wantTarget, declared, opsOff, err := header(delta)
 	if err != nil {
 		return nil, err
@@ -232,11 +235,9 @@ func ApplyDelta(base, delta []byte, targetLen int64) ([]byte, error) {
 	if targetLen < 0 || declared != uint64(targetLen) {
 		return nil, fmt.Errorf("diffutil: delta declares %d bytes, caller expects %d", declared, targetLen)
 	}
-	if got := sha256.Sum256(base); !bytes.Equal(got[:], wantBase) {
-		return nil, &DeltaBaseError{
-			Want: hex.EncodeToString(wantBase),
-			Got:  hex.EncodeToString(got[:]),
-		}
+	var want [2 * sha256.Size]byte
+	if hex.Encode(want[:], wantBase); string(want[:]) != baseDigest {
+		return nil, &DeltaBaseError{Want: string(want[:]), Got: baseDigest}
 	}
 	// The op stream is still untrusted, so allocation follows the bytes
 	// actually present. The inflated stream is capped at twice the

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -59,7 +60,7 @@ func mutate(rng *rand.Rand, b []byte, edits int) []byte {
 }
 
 // TestDeltaRoundTripProperty: for random bases and random mutations of
-// them, ApplyDelta(base, MakeDelta(base, target), len(target)) ==
+// them, ApplyDelta(base, digest(base), MakeDelta(base, target), len(target)) ==
 // target, and related targets produce deltas much smaller than the
 // target itself.
 func TestDeltaRoundTripProperty(t *testing.T) {
@@ -82,7 +83,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 			target = append([]byte(nil), base[rng.Intn(len(base)+1):]...)
 		}
 		d := MakeDelta(base, target)
-		got, err := ApplyDelta(base, d, int64(len(target)))
+		got, err := ApplyDelta(base, digest(base), d, int64(len(target)))
 		if err != nil {
 			t.Fatalf("trial %d: ApplyDelta: %v (base=%d target=%d delta=%d)", trial, err, len(base), len(target), len(d))
 		}
@@ -106,7 +107,7 @@ func TestDeltaEdgeCases(t *testing.T) {
 	}
 	for i, c := range cases {
 		d := MakeDelta(c.base, c.target)
-		got, err := ApplyDelta(c.base, d, int64(len(c.target)))
+		got, err := ApplyDelta(c.base, digest(c.base), d, int64(len(c.target)))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -137,11 +138,36 @@ func TestDeltaWrongBaseRefused(t *testing.T) {
 	d := MakeDelta(base, target)
 	wrong := append([]byte(nil), base...)
 	wrong[100] ^= 1
-	_, err := ApplyDelta(wrong, d, int64(len(target)))
+	_, err := ApplyDelta(wrong, digest(wrong), d, int64(len(target)))
 	var be *DeltaBaseError
 	if !errors.As(err, &be) {
 		t.Fatalf("wrong base: got %v, want *DeltaBaseError", err)
 	}
+}
+
+// TestDeltaMislabeledBaseRefused: a caller that passes the true base's
+// digest with other bytes gets an error, never wrong bytes. ApplyDelta
+// takes the digest on trust, so the reconstruction's own hash is what
+// catches the lie.
+func TestDeltaMislabeledBaseRefused(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	base := make([]byte, 4096)
+	rng.Read(base)
+	target := mutate(rng, base, 4)
+	d := MakeDelta(base, target)
+	for _, i := range []int{0, 100, len(base) - 1} {
+		wrong := append([]byte(nil), base...)
+		wrong[i] ^= 1
+		if got, err := ApplyDelta(wrong, digest(base), d, int64(len(target))); err == nil {
+			t.Errorf("base flipped at byte %d under the true digest: applied (%d bytes, equal %v)", i, len(got), bytes.Equal(got, target))
+		}
+	}
+}
+
+// digest is b's hex sha256, the digest a blob cache keys b under.
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // TestDeltaCorruptionRefused: every single-bit corruption of the delta
@@ -157,18 +183,18 @@ func TestDeltaCorruptionRefused(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		c := append([]byte(nil), d...)
 		c[rng.Intn(len(c))] ^= 1 << rng.Intn(8)
-		got, err := ApplyDelta(base, c, int64(len(target)))
+		got, err := ApplyDelta(base, digest(base), c, int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("bit-flipped delta reconstructed wrong bytes without error")
 		}
 	}
 	for cut := 0; cut < len(d); cut += 7 {
-		got, err := ApplyDelta(base, d[:cut], int64(len(target)))
+		got, err := ApplyDelta(base, digest(base), d[:cut], int64(len(target)))
 		if err == nil && !bytes.Equal(got, target) {
 			t.Fatalf("delta truncated to %d bytes reconstructed wrong bytes without error", cut)
 		}
 	}
-	if _, err := ApplyDelta(base, []byte("not a delta at all"), int64(len(target))); !errors.Is(err, ErrNotDelta) {
+	if _, err := ApplyDelta(base, digest(base), []byte("not a delta at all"), int64(len(target))); !errors.Is(err, ErrNotDelta) {
 		t.Fatalf("garbage input: got %v, want ErrNotDelta", err)
 	}
 }
@@ -241,7 +267,8 @@ func TestDeltaHostileHeaderBoundsAllocation(t *testing.T) {
 				t.Fatalf("hostile delta is %d bytes, want at most %d", len(d), tc.maxDelta)
 			}
 			var err error
-			n := allocBytes(func() { _, err = ApplyDelta(base, d, int64(tc.targetLen)) })
+			baseDigest := digest(base)
+			n := allocBytes(func() { _, err = ApplyDelta(base, baseDigest, d, int64(tc.targetLen)) })
 			if err == nil {
 				t.Fatal("hostile delta applied")
 			}
@@ -266,9 +293,10 @@ func TestDeltaLengthBoundByCaller(t *testing.T) {
 	// measurements to keep background allocation out of the figure.
 	const entrySize = 64 << 10
 	var err error
+	baseDigest := digest(base)
 	n := uint64(math.MaxUint64)
 	for range 3 {
-		n = min(n, allocBytes(func() { _, err = ApplyDelta(base, d, entrySize) }))
+		n = min(n, allocBytes(func() { _, err = ApplyDelta(base, baseDigest, d, entrySize) }))
 	}
 	if err == nil {
 		t.Fatal("delta declaring more than the expected length applied")
@@ -277,10 +305,10 @@ func TestDeltaLengthBoundByCaller(t *testing.T) {
 		t.Errorf("refusal allocated %d bytes, want under the %d-byte expected length", n, entrySize)
 	}
 	// One byte more than expected is refused too; the exact length applies.
-	if _, err := ApplyDelta(base, d, int64(len(target)-1)); err == nil {
+	if _, err := ApplyDelta(base, digest(base), d, int64(len(target)-1)); err == nil {
 		t.Error("delta declaring one byte more than expected applied")
 	}
-	if got, err := ApplyDelta(base, d, int64(len(target))); err != nil || !bytes.Equal(got, target) {
+	if got, err := ApplyDelta(base, digest(base), d, int64(len(target))); err != nil || !bytes.Equal(got, target) {
 		t.Errorf("exact expected length: err=%v", err)
 	}
 }
@@ -320,8 +348,9 @@ func FuzzApplyDelta(f *testing.F) {
 		return allocs[0].Value.Uint64()
 	}
 	f.Fuzz(func(t *testing.T, base, target, delta []byte, targetLen int64) {
+		baseDigest := digest(base)
 		before := allocated()
-		out, err := ApplyDelta(base, delta, targetLen)
+		out, err := ApplyDelta(base, baseDigest, delta, targetLen)
 		alloc := allocated() - before
 		if err == nil && int64(len(out)) != targetLen {
 			t.Errorf("applied delta returned %d bytes, caller expected %d", len(out), targetLen)
@@ -337,7 +366,7 @@ func FuzzApplyDelta(f *testing.F) {
 				len(delta), len(base), targetLen, alloc, limit)
 		}
 
-		got, err := ApplyDelta(base, MakeDelta(base, target), int64(len(target)))
+		got, err := ApplyDelta(base, digest(base), MakeDelta(base, target), int64(len(target)))
 		if err != nil {
 			t.Fatalf("round trip of a %d-byte target over a %d-byte base: %v", len(target), len(base), err)
 		}
