@@ -313,16 +313,14 @@ func (s *preScan) stepAt(off uint32) (int, bool) {
 // abort the whole match rather than just one candidate.
 func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 	pre, relocs := sec.Data, sec.Relocs
-	// Codegen emits relocations in offset order, so a cursor walks them
-	// alongside the instructions. An unsorted list is indexed by field
-	// offset instead. Either way, of two relocations at one offset, the
-	// later one counts.
-	var relocAt map[uint32]int
-	if !slices.IsSortedFunc(relocs, func(a, b obj.Reloc) int { return cmp.Compare(a.Offset, b.Offset) }) {
-		relocAt = make(map[uint32]int, len(relocs))
-		for i, r := range relocs {
-			relocAt[r.Offset] = i
-		}
+	// A cursor walks the relocations alongside the instructions. Codegen
+	// emits them in offset order; any other list is walked as a stably
+	// sorted copy, which keeps relocations at one offset in list order,
+	// so of two at one offset the later one counts.
+	byOffset := func(a, b obj.Reloc) int { return cmp.Compare(a.Offset, b.Offset) }
+	if !slices.IsSortedFunc(relocs, byOffset) {
+		relocs = slices.Clone(relocs)
+		slices.SortStableFunc(relocs, byOffset)
 	}
 	// Count the instructions first, from their opcode bytes alone, so
 	// steps is allocated once at its final size.
@@ -347,23 +345,14 @@ func scanPre(sec *obj.Section, preF *obj.File) (*preScan, error) {
 		st := preStep{off: p, n: uint32(preIn.Len)}
 		// Relocation inside this pre instruction? The first field offset
 		// inside it counts.
-		if relocAt != nil {
-			for off := p; off < p+st.n; off++ {
-				if i, ok := relocAt[off]; ok {
-					st.rel = &relocs[i]
-					break
-				}
-			}
-		} else {
-			for next < len(relocs) && relocs[next].Offset < p {
+		for next < len(relocs) && relocs[next].Offset < p {
+			next++
+		}
+		if next < len(relocs) && relocs[next].Offset < p+st.n {
+			for next+1 < len(relocs) && relocs[next+1].Offset == relocs[next].Offset {
 				next++
 			}
-			if next < len(relocs) && relocs[next].Offset < p+st.n {
-				for next+1 < len(relocs) && relocs[next+1].Offset == relocs[next].Offset {
-					next++
-				}
-				st.rel = &relocs[next]
-			}
+			st.rel = &relocs[next]
 		}
 		if rel := st.rel; rel != nil {
 			st.sym = preF.Symbols[rel.Sym].Name
